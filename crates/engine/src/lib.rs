@@ -99,7 +99,7 @@ use realloc_core::router::{tenant_of, Router, RouterError};
 use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
 use realloc_core::{Error, JobId, Request, RequestSeq, ValidationError, Window};
-use realloc_telemetry::{Histogram, Severity, Telemetry, TraceCtx};
+use realloc_telemetry::{Histogram, Severity, Span, Telemetry, TraceCtx};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -125,9 +125,19 @@ pub use realloc_core::router::TENANT_SHIFT;
 
 /// A durable tee under the in-memory journal: everything the journal
 /// records — batches of events, epoch records, checkpoints — is also
-/// handed to the attached sink, and [`Engine::flush_durable`] calls
-/// [`DurabilitySink::sync`] once per flush (group commit) so its `Ok`
-/// means *on stable storage*, not just *in memory*.
+/// handed to the attached sink, and a durable flush makes it stable
+/// before reporting `Ok`, so `Ok` means *on stable storage*, not just
+/// *in memory*.
+///
+/// The durable flush is two steps. **Stage** ([`Engine::flush_staged`],
+/// with `&mut Engine`): drain, journal, [`DurabilitySink::append_batch`].
+/// **Commit** (needs no engine access): wait until the appended records
+/// are stable. A sink that hands out a [`CommitLog`]
+/// ([`DurabilitySink::commit_log`]) lets the commit run on a
+/// [`CommitTicket`] after the caller has released whatever lock guards
+/// the engine; a sink that does not is committed inline by
+/// [`DurabilitySink::sync`] inside the stage. [`Engine::flush_durable`]
+/// is stage + commit in one call.
 ///
 /// The on-disk implementation lives in `realloc-store` (this crate
 /// cannot depend on it — the store decodes through [`Journal`], so the
@@ -153,6 +163,73 @@ pub trait DurabilitySink: Send + std::fmt::Debug {
     /// Group-commit barrier: everything appended so far must be on
     /// stable storage when this returns `Ok`.
     fn sync(&mut self) -> Result<(), String>;
+
+    /// The sink's shared commit state, when it can make appended records
+    /// stable without `&mut` access to the sink — what lets a durable
+    /// flush wait for the disk after the engine has been unlocked. The
+    /// default hands out none: such a sink (a decorator, a test double)
+    /// is committed inline through [`DurabilitySink::sync`].
+    fn commit_log(&self) -> Option<Arc<dyn CommitLog>> {
+        None
+    }
+}
+
+/// A sink's commit state, shared outside the engine: a count of records
+/// appended, a watermark of how many are stable, and the one operation
+/// that advances the watermark. Implementations must not make
+/// [`CommitLog::pending`] wait for a commit in flight — it is called
+/// with the engine locked.
+pub trait CommitLog: Send + Sync + std::fmt::Debug {
+    /// The count of records appended so far — the ticket that covers
+    /// all of them — or `None` when every one is already stable.
+    fn pending(&self) -> Option<u64>;
+
+    /// Returns once the first `ticket` records are on stable storage
+    /// (`Ok`), or can no longer be promised to get there (`Err`, sticky:
+    /// every later uncovered ticket fails too).
+    fn commit(&self, ticket: u64) -> Result<(), String>;
+}
+
+/// The commit half of a staged durable flush: holds no engine state, so
+/// the caller drops the engine lock first and then [`CommitTicket::wait`]s.
+/// Until the wait returns `Ok`, nothing the stage did — nor anything an
+/// earlier stage appended — may be reported to anyone as done.
+#[derive(Debug)]
+#[must_use = "a staged flush is not durable until its ticket has been waited on"]
+pub struct CommitTicket {
+    log: Arc<dyn CommitLog>,
+    upto: u64,
+    /// Where the `fsync` span is recorded (a disabled handle when the
+    /// engine is uninstrumented), under which batch and trace.
+    tele: Telemetry,
+    batch: u64,
+    trace: Option<TraceCtx>,
+}
+
+impl CommitTicket {
+    /// How many appended records this ticket covers. Tickets of one
+    /// engine are ordered: a ticket that waited `Ok` vouches for every
+    /// ticket with a count no larger.
+    pub fn upto(&self) -> u64 {
+        self.upto
+    }
+
+    /// Blocks until the covered records are stable. On `Err` the caller
+    /// owes the engine an [`Engine::note_durability_failure`] — the
+    /// ticket cannot reach the engine it came from.
+    pub fn wait(self) -> Result<(), String> {
+        let _span = fsync_span(&self.tele, self.trace, self.batch);
+        self.log.commit(self.upto)
+    }
+}
+
+/// The `fsync` trace span of a durable flush's commit, under the
+/// batch's causal trace when it has one.
+fn fsync_span(tele: &Telemetry, trace: Option<TraceCtx>, batch: u64) -> Span {
+    match trace {
+        Some(tc) => tele.span_in(tc, "fsync", batch),
+        None => tele.span("fsync", batch),
+    }
 }
 
 /// Flush-coalescing policy ([`Engine::set_flush_coalescing`]): lets a
@@ -657,14 +734,17 @@ impl Engine {
                 .expect("tee checked presence")
                 .append_batch(&teed);
             if let Err(e) = result {
-                self.durability_fail(e);
+                self.note_durability_failure(e);
             }
         }
     }
 
-    /// Records the first sink failure: teeing stops (the on-disk stream
+    /// Records a sink failure; the first one sticks
+    /// ([`Engine::durability_error`]): teeing stops (the on-disk stream
     /// must not continue past a hole), in-memory serving continues.
-    fn durability_fail(&mut self, message: String) {
+    /// Public for the one failure the engine cannot see for itself — a
+    /// [`CommitTicket::wait`] that returned `Err` away from it.
+    pub fn note_durability_failure(&mut self, message: String) {
         if let Some(tele) = &self.tele {
             // An incident, not a plain point: fires the registered
             // flight-recorder hook so the ring around the failure is
@@ -854,12 +934,38 @@ impl Engine {
 
     /// [`Engine::flush`] with a durability barrier: services everything
     /// queued, tees the batch to the attached sink, and group-commits
-    /// ([`DurabilitySink::sync`] — one fsync per flush, however many
-    /// events it carried). `Ok` therefore means *this batch survives a
-    /// crash*. Fails when no sink is attached, when a previous tee
-    /// already failed (sticky), or when the sync itself fails; the
-    /// in-memory flush still happened in every error case.
+    /// (at most one fsync per flush, however many events it carried).
+    /// `Ok` therefore means *this batch survives a crash*. Fails when no
+    /// sink is attached, when a previous tee already failed (sticky), or
+    /// when the commit itself fails; the in-memory flush still happened
+    /// in every error case. This is [`Engine::flush_staged`] followed by
+    /// its ticket's wait, for callers with nothing to unlock in between.
     pub fn flush_durable(&mut self) -> Result<BatchReport, String> {
+        let (report, ticket) = self.flush_staged()?;
+        if let Some(ticket) = ticket {
+            if let Err(e) = ticket.wait() {
+                self.note_durability_failure(e.clone());
+                return Err(e);
+            }
+        }
+        Ok(report)
+    }
+
+    /// The **stage** half of [`Engine::flush_durable`], for callers that
+    /// guard the engine with a lock they do not want held across the
+    /// disk wait: services everything queued and tees the batch to the
+    /// sink, then hands back the commit as a [`CommitTicket`] to wait on
+    /// *after* unlocking. The batch is durable — and may be reported to
+    /// anyone — only once that wait returned `Ok`; on `Err` the caller
+    /// records it with [`Engine::note_durability_failure`].
+    ///
+    /// No ticket means there is nothing left to wait for: nothing is
+    /// pending in the sink's [`CommitLog`], or the sink has none and was
+    /// committed inline ([`DurabilitySink::sync`]) before this returned.
+    /// Errors are those of [`Engine::flush_durable`] that are known
+    /// before the disk is touched (no sink, sticky failure) plus an
+    /// inline commit's own.
+    pub fn flush_staged(&mut self) -> Result<(BatchReport, Option<CommitTicket>), String> {
         let report = self.flush();
         if self.sink.is_none() {
             return Err("no durable store attached (Engine::attach_durability)".to_string());
@@ -867,20 +973,53 @@ impl Engine {
         if let Some(e) = &self.durability_error {
             return Err(e.clone());
         }
-        // The flush consumed `pending_trace`; look the batch's context
-        // back up so the group-commit fsync lands in the same trace.
-        let trace = self.trace_of_batch(report.batch);
-        let span = self.tele.as_ref().map(|tele| match trace {
-            Some(tc) => tele.t.span_in(tc, "fsync", report.batch),
-            None => tele.t.span("fsync", report.batch),
-        });
+        let batch = report.batch;
+        if let Some(log) = self.sink.as_ref().and_then(|s| s.commit_log()) {
+            let ticket = self.ticket(log, self.telemetry(), batch);
+            return Ok((report, ticket));
+        }
+        let span = fsync_span(&self.telemetry(), self.trace_of_batch(batch), batch);
         let synced = self.sink.as_mut().expect("checked above").sync();
         drop(span);
         if let Err(e) = synced {
-            self.durability_fail(e.clone());
+            self.note_durability_failure(e.clone());
             return Err(e);
         }
-        Ok(report)
+        Ok((report, None))
+    }
+
+    /// A ticket covering everything the sink has appended that is not
+    /// yet stable — what a reader takes, with the engine still locked,
+    /// before it reports state that other callers' staged flushes may
+    /// have produced. `None` when nothing is pending (or there is no
+    /// healthy sink with a [`CommitLog`] to ask): everything visible is
+    /// as durable as it will get. The wait records no `fsync` span — it
+    /// belongs to no batch.
+    pub fn commit_barrier(&self) -> Option<CommitTicket> {
+        if self.durability_error.is_some() {
+            return None;
+        }
+        let log = self.sink.as_ref()?.commit_log()?;
+        self.ticket(log, Telemetry::default(), self.batches)
+    }
+
+    /// A ticket for whatever is pending in `log`, its `fsync` span
+    /// recorded into `tele` under `batch` and that batch's trace.
+    fn ticket(&self, log: Arc<dyn CommitLog>, tele: Telemetry, batch: u64) -> Option<CommitTicket> {
+        log.pending().map(|upto| CommitTicket {
+            log,
+            upto,
+            tele,
+            batch,
+            // The flush consumed `pending_trace`; look the batch's
+            // context back up so the fsync lands in the same trace.
+            trace: self.trace_of_batch(batch),
+        })
+    }
+
+    /// The attached registry, or a disabled handle.
+    fn telemetry(&self) -> Telemetry {
+        self.tele.as_ref().map(|t| t.t.clone()).unwrap_or_default()
     }
 
     /// Dispatches on [`FlushMode`] — one entry point for front-ends
@@ -1155,7 +1294,7 @@ impl Engine {
                     .expect("checked presence")
                     .append_epoch(&record);
                 if let Err(e) = result {
-                    self.durability_fail(e);
+                    self.note_durability_failure(e);
                 }
             }
         }
@@ -1334,7 +1473,7 @@ impl Engine {
                     .err()
             };
             if let Some(e) = failed {
-                self.durability_fail(e);
+                self.note_durability_failure(e);
             }
         }
         if let Some(tele) = &mut self.tele {

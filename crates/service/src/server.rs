@@ -8,10 +8,36 @@
 //! connection gets a detached handler thread with the configured read
 //! timeout (a silent client is reaped, never pinned — the ObsServer
 //! lesson applied from day one). Handlers share the engine behind one
-//! mutex: a batch holds the lock for its submits plus one flush, so
-//! client batches interleave with embedder calls (`rebalance`,
+//! mutex: a batch holds the lock for its submits, one flush and its own
+//! reads, so client batches interleave with embedder calls (`rebalance`,
 //! `resize`, checkpoints) at batch granularity and a rebalance never
 //! tears an admitted batch.
+//!
+//! # Durable batches: the lock is not held across the fsync
+//!
+//! Under [`FlushMode::Durable`] the flush is split
+//! ([`Engine::flush_staged`]). With the lock held the batch *stages* —
+//! drain, journal, append to the store, take a [`CommitTicket`] — and
+//! evaluates its reads. Then it drops the lock, *waits* on the ticket,
+//! and only then replies. While one connection waits for the disk the
+//! others submit, flush and append, and whichever reaches the store next
+//! syncs for all of them; embedder calls and a relay's `poll` never
+//! queue behind a sync.
+//!
+//! Reads never observe state that is not yet durable. A read that rides
+//! with mutations is answered after their ticket's wait, which covers
+//! everything appended before it. A read-only batch looks its jobs up in
+//! the set of jobs that staged, still uncommitted batches have mutated
+//! (`Shared::unsettled`): a hit — or a `metrics` read, which reflects
+//! every job — takes a ticket for whatever was appended before it read
+//! ([`Engine::commit_barrier`]) and waits on that; a miss reports state
+//! that is already durable and is answered at once.
+//!
+//! A wait that fails re-locks the engine once to latch the sticky
+//! [`Engine::durability_error`] and answers every admitted mutation of
+//! the batch `err durability: …`; the batch's reads still answer.
+//! [`FlushMode::Immediate`] and [`FlushMode::Coalesced`] batches do
+//! everything under the lock, as ever.
 //!
 //! # Batching
 //!
@@ -26,13 +52,13 @@ use crate::qos::{AdmitGuard, Qos};
 use crate::tele::ServiceTele;
 use realloc_core::clock::Clock;
 use realloc_core::textio::{read_frame, write_frame};
-use realloc_core::Request;
-use realloc_engine::{Engine, FlushMode, TenantId};
+use realloc_core::{JobId, Request};
+use realloc_engine::{CommitTicket, Engine, FlushMode, TenantId};
 use realloc_telemetry::{Severity, Telemetry, TraceCtx};
 use std::io::{BufRead as _, BufReader, BufWriter, ErrorKind, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -53,7 +79,9 @@ pub struct ServiceConfig {
     /// How batches are flushed: [`FlushMode::Immediate`] answers every
     /// mutation with its outcome; [`FlushMode::Coalesced`] may answer
     /// `ok queued …` and service later; [`FlushMode::Durable`] group-
-    /// commits to the attached store before answering.
+    /// commits to the attached store before answering — staged under
+    /// the engine lock, waited for with the lock released (see the
+    /// module docs).
     pub flush: FlushMode,
     /// Causal-trace sampling: every Nth batch that admits a mutation
     /// mints a [`realloc_telemetry::TraceCtx`] at receipt, threads it
@@ -88,6 +116,12 @@ struct Shared {
     /// Monotone batch counter driving trace sampling (and salting the
     /// minted ids, so two batches in the same nanosecond still differ).
     trace_seq: AtomicU64,
+    /// [`FlushMode::Durable`] only: the jobs that staged batches have
+    /// mutated and whose commit has not returned yet, each with the
+    /// ticket count that covers it. A read of one of them must not be
+    /// answered before that commit is. Taken with the engine lock held
+    /// (to add and to look up) or with no other lock (to remove).
+    unsettled: Mutex<Vec<(JobId, u64)>>,
 }
 
 /// The serving front-end: owns the accept loop and the shared engine.
@@ -121,6 +155,7 @@ impl ServiceServer {
             clock,
             config,
             trace_seq: AtomicU64::new(0),
+            unsettled: Mutex::new(Vec::new()),
         });
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
@@ -162,8 +197,11 @@ impl ServiceServer {
 
     /// The shared engine — lock it for embedder operations
     /// (`rebalance`, `resize`, `checkpoint`, validation). Handlers hold
-    /// the lock per batch, so embedder calls interleave at batch
-    /// granularity.
+    /// the lock per batch — never across a durable batch's fsync — so
+    /// embedder calls interleave at batch granularity. Under
+    /// [`FlushMode::Durable`] what the lock shows may be staged and not
+    /// yet stable: take [`Engine::commit_barrier`] and wait on it
+    /// (unlocked) before relying on it surviving a crash.
     pub fn engine(&self) -> Arc<Mutex<Engine>> {
         Arc::clone(&self.engine)
     }
@@ -244,7 +282,8 @@ fn next_pending_frame(reader: &mut BufReader<TcpStream>) -> Pending {
 
 /// One connection: block for a command (bounded by the read timeout),
 /// batch up whatever else is buffered, service the batch under one
-/// engine lock hold, reply in command order.
+/// engine lock hold (a durable batch then commits with the lock
+/// released), reply in command order.
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
     let Ok(write_half) = stream.try_clone() else {
         return;
@@ -287,8 +326,44 @@ struct InFlight {
     _guard: AdmitGuard,
 }
 
+fn lock_engine(shared: &Shared) -> std::io::Result<MutexGuard<'_, Engine>> {
+    shared
+        .engine
+        .lock()
+        .map_err(|_| std::io::Error::other("engine lock poisoned"))
+}
+
+fn unsettled_set(shared: &Shared) -> MutexGuard<'_, Vec<(JobId, u64)>> {
+    shared
+        .unsettled
+        .lock()
+        .expect("a handler panicked holding the unsettled set")
+}
+
+/// A durable flush failed: the in-memory flush still happened, but
+/// durability was promised and not delivered — every admitted mutation
+/// of the batch is refused.
+fn refuse_undurable(replies: &mut [Option<Reply>], admitted: &[InFlight], sink_error: &str) {
+    for inflight in admitted {
+        replies[inflight.slot] = Some(Reply::Err(format!("durability: {sink_error}")));
+    }
+}
+
+/// Whether any of `reads` reports state a staged batch wrote and has
+/// not committed yet: the window of a job in `unsettled`, or `metrics`,
+/// which reflects every job.
+fn reads_unsettled(reads: &[(usize, Command)], unsettled: &[(JobId, u64)]) -> bool {
+    !unsettled.is_empty()
+        && reads.iter().any(|(_, cmd)| match cmd {
+            Command::Window { tenant, id } => Engine::global_id_of(*tenant, *id)
+                .is_ok_and(|global| unsettled.iter().any(|&(job, _)| job == global)),
+            _ => true,
+        })
+}
+
 /// Services one batch of command frames: QoS, submits + one flush
-/// under the engine lock, failure mapping, replies in order.
+/// under the engine lock, failure mapping, the durable commit with the
+/// lock released, replies in order.
 fn serve_batch(
     frames: &[Vec<u8>],
     writer: &mut BufWriter<TcpStream>,
@@ -358,12 +433,13 @@ fn serve_batch(
         _ => None,
     };
 
+    // The one mode test of the batch: a durable batch stages under the
+    // lock and waits for the disk after releasing it.
+    let durable = shared.config.flush == FlushMode::Durable;
+    let mut commit: Option<CommitTicket> = None;
     let mut admitted: Vec<InFlight> = Vec::new();
     {
-        let mut engine = match shared.engine.lock() {
-            Ok(g) => g,
-            Err(_) => return Err(std::io::Error::other("engine lock poisoned")),
-        };
+        let mut engine = lock_engine(shared)?;
         for (i, tenant, request, guard) in to_submit {
             match engine.submit_for(tenant, request) {
                 Ok(global) => {
@@ -387,7 +463,18 @@ fn serve_batch(
         }
 
         if !admitted.is_empty() {
-            match engine.flush_batch_traced(shared.config.flush, trace) {
+            let flushed = if durable {
+                if let Some(tc) = trace {
+                    engine.arm_trace(tc);
+                }
+                engine.flush_staged().map(|(report, ticket)| {
+                    commit = ticket;
+                    Some(report)
+                })
+            } else {
+                engine.flush_batch_traced(shared.config.flush, trace)
+            };
+            match flushed {
                 Ok(Some(report)) => {
                     // Map this batch's failures back onto their
                     // commands: first unconsumed failure matching the
@@ -417,15 +504,7 @@ fn serve_batch(
                         }
                     }
                 }
-                Err(sink_error) => {
-                    // A durable flush failed: the in-memory flush still
-                    // happened, but durability was promised and not
-                    // delivered — every admitted mutation is refused.
-                    for inflight in &admitted {
-                        replies[inflight.slot] =
-                            Some(Reply::Err(format!("durability: {sink_error}")));
-                    }
-                }
+                Err(sink_error) => refuse_undurable(&mut replies, &admitted, &sink_error),
             }
         }
 
@@ -441,7 +520,35 @@ fn serve_batch(
                 _ => Reply::Err("unreachable read".to_string()),
             });
         }
+
+        if let Some(ticket) = &commit {
+            // This batch's mutations are visible to every reader from
+            // here on, and not durable until the wait below.
+            unsettled_set(shared)
+                .extend(admitted.iter().map(|f| (f.request.job_id(), ticket.upto())));
+        } else if durable && reads_unsettled(&pending_reads, &unsettled_set(shared)) {
+            // Nothing of its own to wait for — but what it read is
+            // another connection's staged, uncommitted work.
+            commit = engine.commit_barrier();
+        }
     } // engine lock released; admission guards still held until replied
+
+    // The commit, with the engine unlocked: other connections submit,
+    // flush and append while this one waits for the disk, and whichever
+    // of them reaches the store first syncs for all of them.
+    if let Some(ticket) = commit {
+        let upto = ticket.upto();
+        let waited = ticket.wait();
+        // Tickets are ordered: whatever this wait settled (or, failing,
+        // will never settle — the store refuses from here on and reads
+        // go back to reporting the in-memory state) is settled for
+        // every ticket up to this one.
+        unsettled_set(shared).retain(|&(_, covered_by)| covered_by > upto);
+        if let Err(sink_error) = waited {
+            lock_engine(shared)?.note_durability_failure(sink_error.clone());
+            refuse_undurable(&mut replies, &admitted, &sink_error);
+        }
+    }
 
     // Replies in command order, one writer flush for the whole batch.
     // A traced batch suffixes its admitted mutations' replies with

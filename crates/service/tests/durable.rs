@@ -1,0 +1,285 @@
+//! `FlushMode::Durable` over real TCP, on a disk the test controls: a
+//! [`StoreIo`] whose `sync_file` parks on a gate shows what the serving
+//! tier does *while* an fsync is in flight.
+//!
+//! * the engine mutex is not held across the fsync: with connection A's
+//!   commit parked in `sync_file`, an embedder takes the lock, another
+//!   connection's read of durable state is answered, and a third
+//!   connection's mutation is staged — appended to the store — without
+//!   waiting for the fsync;
+//! * no reply reflects state that is not yet durable: a read of the job
+//!   A just placed is held back until A's commit returns;
+//! * group commit groups across connections: the batch staged during
+//!   A's fsync and the held-back read cost one further fsync between
+//!   them;
+//! * a failed commit refuses every admitted mutation of its batch, still
+//!   answers the batch's reads, and sticks.
+//!
+//! Interleavings are forced through the gate's condition variable, not
+//! slept for; the only timed waits are the negative checks ("no reply
+//! yet"), which can only pass early, never fail late.
+
+use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode};
+use realloc_service::{ServiceConfig, ServiceServer};
+use realloc_store::{DurableStore, MemIo, StoreIo};
+use realloc_telemetry::Telemetry;
+use realloc_workloads::driver::{QosClient, QosResponse};
+use std::io::{self, ErrorKind};
+use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
+/// What the test can see and set of the disk.
+#[derive(Debug, Default)]
+struct Disk {
+    closed: bool,
+    fail_next_sync: bool,
+    /// `sync_file` calls currently parked on the closed gate.
+    parked: usize,
+    /// `sync_file` calls started, ever.
+    syncs: u64,
+    /// `append` calls completed, ever.
+    appends: u64,
+}
+
+/// [`MemIo`] whose `sync_file` waits while the gate is closed.
+#[derive(Debug, Default)]
+struct GateIo {
+    inner: MemIo,
+    disk: Mutex<Disk>,
+    changed: Condvar,
+}
+
+impl GateIo {
+    fn set(&self, change: impl FnOnce(&mut Disk)) {
+        change(&mut self.disk.lock().unwrap());
+        self.changed.notify_all();
+    }
+
+    fn read<T>(&self, get: impl FnOnce(&Disk) -> T) -> T {
+        get(&self.disk.lock().unwrap())
+    }
+
+    /// Blocks until `reached` holds (a minute at most: a hang is a
+    /// failure, not a stuck CI job).
+    fn wait_until(&self, what: &str, reached: impl Fn(&Disk) -> bool) {
+        let disk = self.disk.lock().unwrap();
+        let (_disk, timeout) = self
+            .changed
+            .wait_timeout_while(disk, Duration::from_secs(60), |d| !reached(d))
+            .unwrap();
+        assert!(!timeout.timed_out(), "never happened: {what}");
+    }
+}
+
+impl StoreIo for GateIo {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(dir)
+    }
+    fn list_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.inner.list_dir(dir)
+    }
+    fn read_file(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.inner.read_file(path)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+        self.inner.append(path, data)?;
+        self.set(|d| d.appends += 1);
+        Ok(())
+    }
+    fn sync_file(&self, path: &Path) -> io::Result<()> {
+        let mut disk = self.disk.lock().unwrap();
+        disk.syncs += 1;
+        if std::mem::take(&mut disk.fail_next_sync) {
+            return Err(io::Error::other("gate: fsync failed"));
+        }
+        if disk.closed {
+            disk.parked += 1;
+            self.changed.notify_all();
+            disk = self.changed.wait_while(disk, |d| d.closed).unwrap();
+            disk.parked -= 1;
+        }
+        drop(disk);
+        self.inner.sync_file(path)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.inner.truncate(path, len)
+    }
+}
+
+/// A durable serving tier over `io`.
+fn serve(io: &Arc<GateIo>, telemetry: &Telemetry) -> ServiceServer {
+    let mut engine = Engine::new(EngineConfig {
+        shards: 2,
+        machines_per_shard: 4,
+        backend: BackendKind::TheoremOne { gamma: 8 },
+        parallel: false,
+        journal: true,
+        retained_segments: 2,
+    });
+    let mut store = DurableStore::create(
+        Arc::clone(io) as Arc<dyn StoreIo>,
+        Path::new("/store"),
+        engine.journal().expect("journaled").config(),
+    )
+    .expect("create store");
+    store.attach_telemetry(telemetry);
+    engine.attach_telemetry(telemetry);
+    engine.attach_durability(Box::new(store)).expect("attach");
+    let config = ServiceConfig {
+        flush: FlushMode::Durable,
+        read_timeout: Some(Duration::from_secs(60)),
+        ..ServiceConfig::default()
+    };
+    ServiceServer::bind("127.0.0.1:0", engine, config, telemetry).expect("bind service")
+}
+
+fn connect(server: &ServiceServer) -> QosClient {
+    let mut client = QosClient::connect(server.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    client
+}
+
+/// Asserts that no reply reaches `client` within a short while.
+fn assert_no_reply_yet(client: &mut QosClient, whose: &str) {
+    client
+        .set_read_timeout(Some(Duration::from_millis(60)))
+        .unwrap();
+    match client.recv() {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("{whose} was answered before its commit: {other:?}"),
+    }
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+}
+
+#[test]
+fn the_commit_waits_for_the_disk_with_the_engine_unlocked() {
+    let io = Arc::new(GateIo::default());
+    let telemetry = Telemetry::new();
+    let server = serve(&io, &telemetry);
+    let (mut a, mut b, mut c) = (connect(&server), connect(&server), connect(&server));
+
+    // Job 1 is placed and durable before the gate closes.
+    assert!(matches!(
+        a.place(1, 1, 0, 8).unwrap(),
+        QosResponse::Placed(_)
+    ));
+    let syncs_before = io.read(|d| d.syncs);
+
+    // A places job 2; its commit parks inside `sync_file`.
+    io.set(|d| d.closed = true);
+    a.send_raw("place 1 2 16 24").unwrap();
+    io.wait_until("A's fsync parks", |d| d.parked == 1);
+
+    // The engine lock is free while that fsync is in flight: nobody
+    // else is active, so an embedder gets it at the first attempt …
+    let engine = server.engine();
+    drop(
+        engine
+            .try_lock()
+            .expect("the engine mutex is held across sync_file"),
+    );
+    // … and a read of durable state on another connection is answered.
+    assert_eq!(b.window(1, 1).unwrap(), QosResponse::Window(0, 8));
+
+    // B's read of the job A just placed is evaluated, but held back.
+    b.send_raw("window 1 2").unwrap();
+    // C's mutation is staged meanwhile: its append reaches the store
+    // while A's fsync is still parked.
+    let appends_before = io.read(|d| d.appends);
+    c.send_raw("place 1 3 32 40").unwrap();
+    io.wait_until("C's batch is appended during A's fsync", |d| {
+        d.appends == appends_before + 1
+    });
+    assert_eq!(io.read(|d| (d.closed, d.parked)), (true, 1));
+    assert_no_reply_yet(&mut a, "A's placement");
+    assert_no_reply_yet(&mut b, "B's read of A's undurable job");
+    assert_no_reply_yet(&mut c, "C's placement");
+
+    // The disk comes back: everyone is answered, and B's held-back read
+    // and C's batch cost one further fsync between them.
+    io.set(|d| d.closed = false);
+    assert!(matches!(a.recv().unwrap(), QosResponse::Placed(_)));
+    assert_eq!(b.recv().unwrap(), QosResponse::Window(16, 24));
+    assert!(matches!(c.recv().unwrap(), QosResponse::Placed(_)));
+    assert_eq!(
+        io.read(|d| d.syncs) - syncs_before,
+        2,
+        "A's fsync, then one for B and C together"
+    );
+    assert_eq!(
+        telemetry.counter_value("store_commits_covered_total"),
+        Some(1),
+        "one of B and C rode the other's fsync"
+    );
+    let fsyncs = telemetry.histogram_snapshot("store_fsync_nanos").unwrap();
+    assert_eq!(fsyncs.count(), 3, "job 1, A, and one for B and C");
+
+    // Everything acknowledged is on the simulated platter.
+    let engine = engine.lock().unwrap();
+    assert_eq!(engine.durability_error(), None);
+    assert_eq!(engine.active_count(), 3);
+}
+
+#[test]
+fn a_failed_commit_refuses_the_batch_answers_its_reads_and_sticks() {
+    let io = Arc::new(GateIo::default());
+    let telemetry = Telemetry::new();
+    let server = serve(&io, &telemetry);
+    let mut client = connect(&server);
+    assert!(matches!(
+        client.place(1, 1, 0, 8).unwrap(),
+        QosResponse::Placed(_)
+    ));
+
+    io.set(|d| d.fail_next_sync = true);
+    client.send_raw("place 1 2 16 24").unwrap();
+    client.send_raw("place 1 3 32 40").unwrap();
+    client.send_raw("window 1 1").unwrap();
+    for _ in 0..2 {
+        match client.recv().unwrap() {
+            QosResponse::Refused(detail) => {
+                assert!(detail.starts_with("durability: "), "got: {detail}");
+                assert!(detail.contains("gate: fsync failed"), "got: {detail}");
+            }
+            other => panic!("an undurable mutation must be refused: {other:?}"),
+        }
+    }
+    assert_eq!(client.recv().unwrap(), QosResponse::Window(0, 8));
+
+    // The failure reached the engine (the handler re-locked it once to
+    // record it) and sticks: later mutations are refused, with no
+    // further fsync attempted; reads keep answering.
+    assert!(server
+        .engine()
+        .lock()
+        .unwrap()
+        .durability_error()
+        .is_some_and(|e| e.contains("gate: fsync failed")));
+    let syncs = io.read(|d| d.syncs);
+    match client.place(1, 4, 48, 56).unwrap() {
+        QosResponse::Refused(detail) => {
+            assert!(detail.starts_with("durability: "), "got: {detail}")
+        }
+        other => panic!("mutations after a failed commit must be refused: {other:?}"),
+    }
+    assert_eq!(io.read(|d| d.syncs), syncs);
+    assert_eq!(client.window(1, 1).unwrap(), QosResponse::Window(0, 8));
+    assert_eq!(
+        telemetry.counter_value("store_commits_covered_total"),
+        Some(0)
+    );
+}

@@ -28,11 +28,17 @@
 //! A crash so early that the store directory never became durable may
 //! instead surface as a located error — graceful, and only legal while
 //! nothing has been acknowledged.
+//!
+//! [`run_staged_crash_matrix`] is the same proof for the two-step
+//! durable flush ([`realloc_engine::Engine::flush_staged`]): two
+//! submitters take turns staging, and a step is acknowledged only when
+//! a commit ticket covering it has waited `Ok` — the later submitter's
+//! fsync, or a checkpoint's seal, on the earlier one's behalf.
 
 use crate::io::{CrashMode, FaultIo, StoreIo};
 use crate::store::{DurableStore, RecoverFromDir};
 use realloc_core::{JobId, Request, Window};
-use realloc_engine::{BackendKind, Engine, EngineConfig};
+use realloc_engine::{BackendKind, CommitTicket, Engine, EngineConfig};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -258,6 +264,35 @@ struct DurableRun {
     crashed: bool,
 }
 
+/// How a durable run acknowledges its flush steps.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Ack {
+    /// `flush_durable`: every flush step is acknowledged before the
+    /// next begins.
+    Inline,
+    /// `flush_staged` from two submitters taking turns: the first
+    /// stages and holds its ticket across whatever steps follow (a
+    /// resize, a checkpoint) up to the second's flush, whose wait goes
+    /// first and leads; the held ticket then waits and must find itself
+    /// covered.
+    Staged,
+}
+
+/// Waits on `held`, the ticket of flush step `step`, and books the
+/// acknowledgement. `false`: the wait failed (legal only in a crash).
+fn settle(held: &mut Option<(usize, CommitTicket)>, run: &mut DurableRun) -> bool {
+    let Some((step, ticket)) = held.take() else {
+        return true;
+    };
+    if ticket.wait().is_err() {
+        return false;
+    }
+    // The log is one ordered stream: a covered step vouches for every
+    // step before it.
+    run.last_acked = run.last_acked.max(Some(step + 1));
+    true
+}
+
 /// Runs the workload against a store over `io`, stopping at the first
 /// durability failure. Mirrors `baseline_run` step for step.
 fn durable_run(
@@ -265,6 +300,7 @@ fn durable_run(
     dir: &Path,
     cfg: &CrashMatrixConfig,
     steps: &[Step],
+    ack: Ack,
 ) -> Result<DurableRun, String> {
     let mut engine = Engine::new(engine_config(cfg));
     let journal_cfg = engine.journal().expect("journaled").config().clone();
@@ -286,11 +322,27 @@ fn durable_run(
         last_acked: Some(0), // store creation is durable
         crashed: false,
     };
+    // The first submitter's ticket, not yet waited on.
+    let mut held: Option<(usize, CommitTicket)> = None;
     for (i, step) in steps.iter().enumerate() {
         let acked = match step {
-            Step::Flush => {
+            Step::Flush if ack == Ack::Inline => {
                 wl.submit(&mut engine);
                 engine.flush_durable().is_ok()
+            }
+            Step::Flush => {
+                wl.submit(&mut engine);
+                match engine.flush_staged() {
+                    Ok((_, ticket)) => {
+                        let mut mine = ticket.map(|t| (i, t));
+                        if held.is_none() {
+                            held = mine;
+                            continue; // staged, not acknowledged yet
+                        }
+                        settle(&mut mine, &mut run) && settle(&mut held, &mut run)
+                    }
+                    Err(_) => false,
+                }
             }
             Step::Resize(n) => {
                 engine
@@ -304,11 +356,12 @@ fn durable_run(
                 if !engine.checkpoint() {
                     return Err("durable checkpoint refused".to_string());
                 }
-                engine.durability_error().is_none()
+                // A ticket held across the roll is settled by the seal.
+                engine.durability_error().is_none() && settle(&mut held, &mut run)
             }
         };
         if acked {
-            run.last_acked = Some(i + 1);
+            run.last_acked = run.last_acked.max(Some(i + 1));
         } else if io.crashed() {
             run.crashed = true;
             return Ok(run);
@@ -318,6 +371,9 @@ fn durable_run(
                 engine.durability_error()
             ));
         }
+    }
+    if !settle(&mut held, &mut run) && !io.crashed() {
+        return Err("the last staged step lost durability without a crash".to_string());
     }
     run.crashed = io.crashed();
     Ok(run)
@@ -399,13 +455,23 @@ fn check_recovery(
 /// Runs the full crash matrix; see the module docs. `Err` carries the
 /// first violated guarantee (mode, crash point, and what diverged).
 pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> Result<CrashMatrixReport, String> {
+    run_matrix(cfg, Ack::Inline)
+}
+
+/// [`run_crash_matrix`] with every flush step acknowledged through a
+/// staged commit, two submitters interleaved; see the module docs.
+pub fn run_staged_crash_matrix(cfg: &CrashMatrixConfig) -> Result<CrashMatrixReport, String> {
+    run_matrix(cfg, Ack::Staged)
+}
+
+fn run_matrix(cfg: &CrashMatrixConfig, ack: Ack) -> Result<CrashMatrixReport, String> {
     let steps = build_steps(cfg);
     let baselines = baseline_run(cfg, &steps)?;
     let dir = Path::new("/store");
     // Probe: count the uncrashed schedule's mutating ops and prove the
     // durable run lands exactly on the final baseline.
     let probe = Arc::new(FaultIo::new());
-    let run = durable_run(&probe, dir, cfg, &steps)?;
+    let run = durable_run(&probe, dir, cfg, &steps, ack)?;
     if run.crashed || run.last_acked != Some(steps.len()) {
         return Err("probe run did not acknowledge every step".to_string());
     }
@@ -437,7 +503,7 @@ pub fn run_crash_matrix(cfg: &CrashMatrixConfig) -> Result<CrashMatrixReport, St
         for &n in &points {
             let io = Arc::new(FaultIo::new());
             io.crash_at(n, mode);
-            let run = durable_run(&io, dir, cfg, &steps)?;
+            let run = durable_run(&io, dir, cfg, &steps, ack)?;
             if !run.crashed {
                 return Err(format!("{mode:?}@{n}: scheduled crash never fired"));
             }
@@ -474,5 +540,10 @@ mod tests {
         assert_eq!(report.runs, 36);
         assert!(report.recovered + report.graceful_errors == report.runs);
         assert!(report.recovered > 0);
+        let staged = run_staged_crash_matrix(&cfg).expect("staged crash matrix");
+        assert_eq!(staged.runs, 36);
+        assert!(staged.recovered + staged.graceful_errors == staged.runs);
+        // Two flushes share a commit, so the staged schedule is shorter.
+        assert!(staged.crash_points < report.crash_points);
     }
 }

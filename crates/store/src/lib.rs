@@ -31,13 +31,15 @@
 //!
 //! # Guarantees
 //!
-//! With a store attached, `Engine::flush_durable` returning `Ok` means
-//! the flush's journal records are on stable storage (one group-commit
-//! `fsync` per flush). A crash at *any* instruction boundary loses at
-//! most the unacknowledged suffix; recovery truncates a torn tail at
-//! the last valid record and never panics on hostile bytes. What it
-//! cannot prove valid, it reports as a located error naming the file
-//! and offset.
+//! With a store attached, `Engine::flush_durable` returning `Ok` — or
+//! the wait on an `Engine::flush_staged` ticket returning `Ok` — means
+//! the flush's journal records are on stable storage (at most one
+//! group-commit `fsync` per flush; flushes staged while another's fsync
+//! is in flight share the next one). A crash at *any* instruction
+//! boundary loses at most the unacknowledged suffix; recovery truncates
+//! a torn tail at the last valid record and never panics on hostile
+//! bytes. What it cannot prove valid, it reports as a located error
+//! naming the file and offset.
 //!
 //! [paper]: https://doi.org/10.1145/2486159.2486173
 
@@ -56,7 +58,9 @@ pub use format::{
     append_record, checkpoint_file_name, classify, segment_file_name, FileKind, RecordFault,
     RecordReader, MAX_RECORD_BYTES,
 };
-pub use harness::{run_crash_matrix, CrashMatrixConfig, CrashMatrixReport};
+pub use harness::{
+    run_crash_matrix, run_staged_crash_matrix, CrashMatrixConfig, CrashMatrixReport,
+};
 pub use io::{CrashMode, FaultIo, FsIo, MemIo, StoreIo};
 pub use store::{
     recover_journal_text, scan, DurableStore, OpenReport, RecoverFromDir, Scan, StoreError,

@@ -7,17 +7,31 @@
 //! [`DurableStore`] implements [`realloc_engine::DurabilitySink`]:
 //!
 //! * every flushed batch and epoch record becomes one framed record
-//!   appended to the open segment file (`seg-NNNNNN.log`),
-//! * [`DurableStore::sync`] — called by `Engine::flush_durable` — is
-//!   the **group commit**: one `fsync` per flush, covering however many
-//!   records the flush appended,
+//!   appended to the open segment file (`seg-NNNNNN.log`) and bumps the
+//!   store's *appended* count — no fsync,
+//! * the **group commit** is a separate step on the store's shared
+//!   commit state ([`realloc_engine::CommitLog`], handed out by
+//!   [`DurabilitySink::commit_log`]), which needs no access to the store
+//!   itself: a *ticket* is an appended count, and a commit returns once
+//!   the *durable watermark* covers it. The first waiter with an
+//!   uncovered ticket leads — one `fsync` of the open segment covers
+//!   everything appended before it began — and waiters behind it find
+//!   themselves covered. `Engine::flush_staged` takes the ticket and its
+//!   caller waits wherever it likes; `Engine::flush_durable` and
+//!   [`DurableStore::sync`] commit everything appended so far, at once,
+//! * a failed fsync is sticky: that commit, every ticket it left
+//!   uncovered, and every later commit and checkpoint fail without
+//!   touching the disk again, until a fresh store is opened,
 //! * a checkpoint seals the segment (fsyncs any unsynced tail), writes
 //!   `ckpt-NNNNNN.ckpt` via temp-file + `fsync` + atomic rename +
 //!   directory `fsync`, starts segment `N`, and then unlinks sealed
 //!   segments beyond the retention cap — the on-disk analogue of
 //!   `EngineConfig::retained_segments`, byte-for-byte aligned with the
 //!   in-memory journal's truncation so a recovered journal serializes
-//!   identically to the one that crashed.
+//!   identically to the one that crashed. It holds the commit state's
+//!   mutex from the seal to the roll, and the seal advances the
+//!   watermark: a ticket taken before the roll never fsyncs the sealed
+//!   file.
 //!
 //! # Recovery
 //!
@@ -51,14 +65,15 @@ use crate::io::{FsIo, StoreIo};
 use crate::tele::StoreTele;
 use realloc_core::textio::ParseError;
 use realloc_engine::{
-    Checkpoint, DurabilitySink, Engine, EngineConfig, EpochRecord, Journal, JournalEvent,
-    ReplayError,
+    Checkpoint, CommitLog, DurabilitySink, Engine, EngineConfig, EpochRecord, Journal,
+    JournalEvent, ReplayError,
 };
 use realloc_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Why a store operation or recovery failed. Every variant names the
 /// file (and where applicable the byte offset) it tripped over.
@@ -592,10 +607,108 @@ pub struct DurableStore {
     retained: usize,
     /// The journal config header line this store was created under.
     config_line: String,
-    /// Whether every appended byte has been fsynced (skips redundant
-    /// group commits).
-    synced: bool,
-    tele: Option<Box<StoreTele>>,
+    /// Which appended chunks are stable; shared with every outstanding
+    /// commit ticket.
+    commit: Arc<CommitState>,
+    tele: Option<Arc<StoreTele>>,
+}
+
+/// The store's commit protocol, shared between the store (which
+/// appends, under whatever lock guards the engine) and the holders of
+/// commit tickets (which wait for the disk with no lock but this one).
+///
+/// A ticket is a count of appended chunks. Whoever takes `gate` with a
+/// ticket the watermark does not cover yet is the **leader**: one
+/// `sync_file` of the open segment covers everything appended before it
+/// started. Everyone queued on `gate` behind the leader is a follower:
+/// by the time it gets the gate the watermark usually covers its
+/// ticket, and it returns without touching the disk. Appends never take
+/// `gate`, so they never wait for an fsync in flight.
+#[derive(Debug)]
+struct CommitState {
+    io: Arc<dyn StoreIo>,
+    /// Chunks appended to segment files, ever (bumped once the bytes are
+    /// written).
+    appended: AtomicU64,
+    /// How many of them are stable. Advanced only under `gate`; every
+    /// chunk past it lies in the open segment.
+    durable: AtomicU64,
+    gate: Mutex<CommitGate>,
+}
+
+#[derive(Debug)]
+struct CommitGate {
+    /// The open segment file — what a commit fsyncs.
+    open: PathBuf,
+    /// `Err` from the first failed commit or checkpoint on. Sticky: the
+    /// kernel may have dropped the pages a failed fsync covered, so a
+    /// retry that reports `Ok` would vouch for bytes that are gone.
+    health: Result<(), String>,
+    tele: Option<Arc<StoreTele>>,
+}
+
+impl CommitState {
+    fn new(io: Arc<dyn StoreIo>, open: PathBuf) -> Arc<CommitState> {
+        Arc::new(CommitState {
+            io,
+            appended: AtomicU64::new(0),
+            durable: AtomicU64::new(0),
+            gate: Mutex::new(CommitGate {
+                open,
+                health: Ok(()),
+                tele: None,
+            }),
+        })
+    }
+
+    fn gate(&self) -> MutexGuard<'_, CommitGate> {
+        self.gate
+            .lock()
+            .expect("a store commit or checkpoint panicked")
+    }
+
+    /// The leader's step, `gate` held: one fsync of the open segment,
+    /// then the watermark moves to what had been appended when the
+    /// fsync began.
+    fn lead(&self, gate: &mut CommitGate) -> Result<(), String> {
+        let target = self.appended.load(Ordering::SeqCst);
+        let t0 = gate.tele.as_ref().map(|t| t.t.now_nanos());
+        if let Err(e) = self.io.sync_file(&gate.open) {
+            let message = format!("fsync '{}': {e}", gate.open.display());
+            gate.health = Err(message.clone());
+            return Err(message);
+        }
+        if let Some(tele) = &gate.tele {
+            let took = tele
+                .t
+                .now_nanos()
+                .saturating_sub(t0.expect("stamped above"));
+            tele.fsync_nanos.record(took);
+        }
+        self.durable.store(target, Ordering::SeqCst);
+        Ok(())
+    }
+}
+
+impl CommitLog for CommitState {
+    fn pending(&self) -> Option<u64> {
+        let appended = self.appended.load(Ordering::SeqCst);
+        (self.durable.load(Ordering::SeqCst) < appended).then_some(appended)
+    }
+
+    fn commit(&self, ticket: u64) -> Result<(), String> {
+        let mut gate = self.gate();
+        if self.durable.load(Ordering::SeqCst) >= ticket {
+            // A leader's fsync or a checkpoint's seal got there first —
+            // also after a failure, which never lowers the watermark.
+            if let Some(tele) = &gate.tele {
+                tele.commits_covered.inc();
+            }
+            return Ok(());
+        }
+        gate.health.clone()?;
+        self.lead(&mut gate)
+    }
 }
 
 impl DurableStore {
@@ -633,13 +746,13 @@ impl DurableStore {
             config.shards, config.machines_per_shard, config.backend, config.retained_segments
         );
         let mut store = DurableStore {
+            commit: CommitState::new(Arc::clone(&io), dir.join(segment_file_name(0))),
             io,
             dir: dir.to_path_buf(),
             seg: 0,
             lo: 0,
             retained: config.retained_segments,
             config_line,
-            synced: true,
             tele: None,
         };
         store.write_segment_header(0).map_err(Self::from_io)?;
@@ -675,13 +788,13 @@ impl DurableStore {
             report.torn_bytes_truncated = total - valid_len;
         }
         let mut store = DurableStore {
+            commit: CommitState::new(Arc::clone(&io), dir.join(segment_file_name(scan.hi))),
             io,
             dir: dir.to_path_buf(),
             seg: scan.hi,
             lo: scan.lo,
             retained: scan.retained,
             config_line: scan.config_line,
-            synced: true,
             tele: None,
         };
         if scan.synthesized_hi {
@@ -701,6 +814,7 @@ impl DurableStore {
     /// A disabled handle detaches.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele = StoreTele::build(telemetry);
+        self.commit.gate().tele = self.tele.clone();
     }
 
     /// The store directory.
@@ -757,7 +871,7 @@ impl DurableStore {
     }
 
     /// Appends one framed chunk to the open segment (no fsync — that is
-    /// [`DurableStore::sync`]'s group commit).
+    /// the commit's job) and counts it as appended.
     fn append_chunk(&mut self, payload: &str) -> Result<(), String> {
         let mut framed = Vec::with_capacity(payload.len() + 8);
         append_record(&mut framed, payload.as_bytes());
@@ -765,7 +879,7 @@ impl DurableStore {
         self.io
             .append(&path, &framed)
             .map_err(|e| format!("append to '{}': {e}", path.display()))?;
-        self.synced = false;
+        self.commit.appended.fetch_add(1, Ordering::SeqCst);
         self.count_write(framed.len());
         Ok(())
     }
@@ -798,16 +912,46 @@ impl DurabilitySink for DurableStore {
     }
 
     fn checkpoint(&mut self, checkpoint: &Checkpoint) -> Result<(), String> {
+        // The gate is held from the seal to the roll: a commit never
+        // sees the open segment change under its fsync, and a ticket
+        // taken before the roll finds the watermark past it afterwards —
+        // it never fsyncs a sealed (or already unlinked) file.
+        let commit = Arc::clone(&self.commit);
+        let mut gate = commit.gate();
+        let rolled = self.checkpoint_gated(&commit, &mut gate, checkpoint);
+        if gate.health.is_ok() {
+            gate.health = rolled.clone();
+        }
+        rolled
+    }
+
+    fn sync(&mut self) -> Result<(), String> {
+        match self.commit.pending() {
+            Some(ticket) => self.commit.commit(ticket),
+            None => Ok(()),
+        }
+    }
+
+    fn commit_log(&self) -> Option<Arc<dyn CommitLog>> {
+        Some(Arc::clone(&self.commit) as Arc<dyn CommitLog>)
+    }
+}
+
+impl DurableStore {
+    /// [`DurabilitySink::checkpoint`] with the commit gate held.
+    fn checkpoint_gated(
+        &mut self,
+        commit: &CommitState,
+        gate: &mut CommitGate,
+        checkpoint: &Checkpoint,
+    ) -> Result<(), String> {
         let fail = |file: &str, e: std::io::Error| format!("checkpoint I/O on '{file}': {e}");
         // Seal the open segment: its tail must be durable before the
         // checkpoint that supersedes it, or a recovered journal would
         // hold fewer events than the in-memory one that kept serving.
-        if !self.synced {
-            let path = self.seg_path();
-            self.io
-                .sync_file(&path)
-                .map_err(|e| fail(&path.display().to_string(), e))?;
-            self.synced = true;
+        gate.health.clone()?;
+        if commit.pending().is_some() {
+            commit.lead(gate)?;
         }
         let next = self.seg + 1;
         let name = checkpoint_file_name(next);
@@ -838,7 +982,7 @@ impl DurabilitySink for DurableStore {
         self.write_segment_header(next)
             .map_err(|(f, e)| fail(&f, e))?;
         self.seg = next;
-        self.synced = true;
+        gate.open = self.seg_path();
         let mut unlinked = 0u64;
         while (self.seg - self.lo) as usize > self.retained {
             let seg_name = segment_file_name(self.lo);
@@ -863,26 +1007,6 @@ impl DurabilitySink for DurableStore {
             tele.checkpoints.inc();
             tele.segments_unlinked.add(unlinked);
         }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), String> {
-        if self.synced {
-            return Ok(());
-        }
-        let path = self.seg_path();
-        let t0 = self.tele.as_ref().map(|t| t.t.now_nanos());
-        self.io
-            .sync_file(&path)
-            .map_err(|e| format!("fsync '{}': {e}", path.display()))?;
-        if let Some(tele) = &self.tele {
-            tele.fsync_nanos.record(
-                tele.t
-                    .now_nanos()
-                    .saturating_sub(t0.expect("stamped above")),
-            );
-        }
-        self.synced = true;
         Ok(())
     }
 }

@@ -3,9 +3,15 @@
 //!
 //! Naming follows the workspace scheme (`store_*`):
 //!
-//! * `store_fsync_nanos` — latency histogram of every group-commit
-//!   [`crate::DurableStore`] `sync` (the durability tax each
-//!   acknowledged flush pays),
+//! * `store_fsync_nanos` — latency histogram of every `fsync` of the
+//!   open segment: one sample per *real* `sync_file`, recorded by the
+//!   commit's leader only (the durability tax a group of acknowledged
+//!   flushes shares),
+//! * `store_commits_covered_total` — commit tickets that found their
+//!   records already stable when their turn came: another ticket's
+//!   fsync, or a checkpoint's seal, covered them. Against the sample
+//!   count of `store_fsync_nanos` it answers "is group commit grouping
+//!   across connections?",
 //! * `store_bytes_written_total` / `store_records_total` — framed bytes
 //!   and records appended (segments and checkpoints together),
 //! * `store_checkpoints_total` — checkpoints persisted (temp + fsync +
@@ -18,13 +24,16 @@
 //!   (test/ chaos runs only; absent in production).
 
 use realloc_telemetry::{Counter, Histo, Telemetry};
+use std::sync::Arc;
 
-/// Write-path instruments; held by [`crate::DurableStore`].
+/// Write-path instruments; held by [`crate::DurableStore`] and shared
+/// with its commit state.
 #[derive(Debug)]
 pub(crate) struct StoreTele {
     /// The attached registry (clock for fsync timing).
     pub t: Telemetry,
     pub fsync_nanos: Histo,
+    pub commits_covered: Counter,
     pub bytes_written: Counter,
     pub records: Counter,
     pub checkpoints: Counter,
@@ -34,12 +43,13 @@ pub(crate) struct StoreTele {
 
 impl StoreTele {
     /// Resolves the store's instruments; `None` for a disabled handle.
-    pub fn build(t: &Telemetry) -> Option<Box<StoreTele>> {
+    pub fn build(t: &Telemetry) -> Option<Arc<StoreTele>> {
         if !t.is_enabled() {
             return None;
         }
-        Some(Box::new(StoreTele {
+        Some(Arc::new(StoreTele {
             fsync_nanos: t.histogram("store_fsync_nanos"),
+            commits_covered: t.counter("store_commits_covered_total"),
             bytes_written: t.counter("store_bytes_written_total"),
             records: t.counter("store_records_total"),
             checkpoints: t.counter("store_checkpoints_total"),
