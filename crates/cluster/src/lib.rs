@@ -83,6 +83,7 @@ pub mod group;
 pub mod primary;
 pub mod relay;
 pub mod replica;
+mod stream;
 pub mod tcp;
 mod tele;
 pub mod transport;

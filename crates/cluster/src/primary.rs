@@ -7,18 +7,25 @@
 //! [`crate::transport::FrameSink`]s its replicas sit behind. That keeps
 //! the replication logic a pure function of engine + journal state, so
 //! the differential tests can drive it deterministically.
+//!
+//! The frames themselves come from the crate's one producer,
+//! `FrameStream` (`stream.rs`). What `Primary` adds is *ownership* of
+//! the engine, and with it the right to mutate: it flushes, resizes,
+//! rebalances and checkpoints, then hands the engine to the stream to
+//! turn what the journal recorded into frames. Owning the write path is
+//! also why its [`Primary::bootstrap`] and [`Primary::checkpoint`] can
+//! act as **flush barriers** — they flush a non-empty queue themselves,
+//! where [`crate::JournalRelay`], which only borrows a serving tier's
+//! engine, has to refuse with `ClusterError::QueuedRequests`.
 
-use crate::frame::{Frame, Payload};
-use crate::tele::PrimaryTele;
+use crate::frame::Frame;
+use crate::stream::FrameStream;
 use crate::ClusterError;
 use realloc_core::Request;
-use realloc_engine::{
-    BatchReport, Engine, JournalCursor, JournalEvent, JournalRecord, ResizeError, ResizeReport,
-};
-use realloc_telemetry::{Severity, Telemetry};
-use std::collections::VecDeque;
+use realloc_engine::{BatchReport, Engine, ResizeError, ResizeReport};
+use realloc_telemetry::Telemetry;
 
-/// Frames of replicated history the primary retains for lagging-replica
+/// Frames of replicated history a stream retains for lagging-replica
 /// catch-up before falling back to a snapshot bootstrap.
 pub const DEFAULT_HISTORY_FRAMES: usize = 4096;
 
@@ -26,19 +33,7 @@ pub const DEFAULT_HISTORY_FRAMES: usize = 4096;
 #[derive(Debug)]
 pub struct Primary {
     engine: Engine,
-    term: u64,
-    /// Sequence number the next stream frame will carry.
-    next_seq: u64,
-    /// Journal position already turned into frames.
-    cursor: JournalCursor,
-    /// Recent stream frames, oldest first (bounded by `history_cap`).
-    history: VecDeque<Frame>,
-    history_cap: usize,
-    /// `(seq, events_before)` of the latest `check` marker frame, if any
-    /// — the anchor for checkpoint-based (O(tail)) replica bootstrap.
-    last_check: Option<(u64, u64)>,
-    /// Streaming-side instruments ([`Primary::attach_telemetry`]).
-    tele: Option<Box<PrimaryTele>>,
+    stream: FrameStream,
 }
 
 impl Primary {
@@ -48,23 +43,8 @@ impl Primary {
     /// history already in the journal is covered by the bootstrap
     /// snapshot, not re-shipped.
     pub fn new(engine: Engine, term: u64) -> Result<Primary, ClusterError> {
-        if term == 0 {
-            return Err(ClusterError::BadTerm);
-        }
-        let Some(journal) = engine.journal() else {
-            return Err(ClusterError::JournalDisabled);
-        };
-        let cursor = JournalCursor::at_end_of(journal);
-        Ok(Primary {
-            engine,
-            term,
-            next_seq: 1,
-            cursor,
-            history: VecDeque::new(),
-            history_cap: DEFAULT_HISTORY_FRAMES,
-            last_check: None,
-            tele: None,
-        })
+        let stream = FrameStream::new(&engine, term, 1)?;
+        Ok(Primary { engine, stream })
     }
 
     /// Wraps an engine **recovered from durable storage**
@@ -83,37 +63,8 @@ impl Primary {
     /// recovered state. A journal with no checkpoint yet degrades to
     /// exactly [`Primary::new`] semantics.
     pub fn from_recovered(engine: Engine, term: u64) -> Result<Primary, ClusterError> {
-        if term == 0 {
-            return Err(ClusterError::BadTerm);
-        }
-        let Some(journal) = engine.journal() else {
-            return Err(ClusterError::JournalDisabled);
-        };
-        let Some(cursor) = journal.checkpoint_cursor() else {
-            return Self::new(engine, term);
-        };
-        let check_events = journal
-            .latest_checkpoint()
-            .expect("checkpoint_cursor implies a checkpoint")
-            .events_before;
-        let mut primary = Primary {
-            engine,
-            term,
-            next_seq: 1,
-            cursor,
-            history: VecDeque::new(),
-            history_cap: DEFAULT_HISTORY_FRAMES,
-            last_check: None,
-            tele: None,
-        };
-        // Stamp the recovered post-checkpoint tail into the retained
-        // history as frames seq 1.. — these are NOT broadcast (there is
-        // no one attached yet); they exist so `frames_since(0)` can
-        // serve them behind the checkpoint anchor below. A tail longer
-        // than the history cap evicts its head, in which case bootstrap
-        // falls back to a full snapshot — correct, just not O(tail).
-        let _tail = primary.poll();
-        primary.last_check = Some((0, check_events));
+        let mut primary = Self::new(engine, term)?;
+        primary.stream.anchor_at_checkpoint(&primary.engine);
         Ok(primary)
     }
 
@@ -124,11 +75,7 @@ impl Primary {
     /// disabled handle detaches both layers.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.engine.attach_telemetry(telemetry);
-        self.tele = PrimaryTele::build(telemetry);
-        if let Some(tele) = &self.tele {
-            tele.term.set(self.term);
-            tele.next_seq.set(self.next_seq);
-        }
+        self.stream.attach_telemetry(telemetry);
     }
 
     /// Promotion constructor: resumes the stream of a replica's engine
@@ -136,25 +83,15 @@ impl Primary {
     /// of the engine's journal — everything in it was applied from the
     /// old stream and must not be re-shipped.
     pub(crate) fn resume(engine: Engine, term: u64, next_seq: u64) -> Primary {
-        let journal = engine.journal().expect("replica engines are journaled");
-        let cursor = JournalCursor::at_end_of(journal);
-        Primary {
-            engine,
-            term,
-            next_seq,
-            cursor,
-            history: VecDeque::new(),
-            history_cap: DEFAULT_HISTORY_FRAMES,
-            last_check: None,
-            tele: None,
-        }
+        let stream = FrameStream::new(&engine, term, next_seq)
+            .expect("replica engines are journaled and a bumped term is nonzero");
+        Primary { engine, stream }
     }
 
     /// Sets the catch-up history cap (frames retained for
     /// [`Primary::frames_since`]).
     pub fn with_history_cap(mut self, cap: usize) -> Primary {
-        self.history_cap = cap;
-        self.trim_history();
+        self.stream.set_history_cap(cap);
         self
     }
 
@@ -180,12 +117,12 @@ impl Primary {
 
     /// This primary's fencing term.
     pub fn term(&self) -> u64 {
-        self.term
+        self.stream.term()
     }
 
     /// Sequence number the next stream frame will carry.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.stream.next_seq()
     }
 
     /// Enqueues a request (raw id space, as [`Engine::submit`]).
@@ -252,47 +189,17 @@ impl Primary {
     /// verify the digest and cut their own local checkpoints at the
     /// marker.
     pub fn checkpoint(&mut self) -> Vec<Frame> {
-        let t0 = self.tele.as_ref().map(|t| t.t.now_nanos());
+        let started = self.stream.now_nanos();
         // Ship everything recorded so far *before* truncation can drop
         // it, including the flush `Engine::checkpoint` performs on a
         // non-empty queue.
-        let mut frames = self.poll();
         if self.engine.queued() > 0 {
             self.engine.flush();
-            frames.extend(self.poll());
         }
+        let mut frames = self.poll();
         self.engine.checkpoint();
         frames.extend(self.poll());
-        let events_applied = self.journal_total();
-        // The checkpoint just serialized the full engine snapshot into
-        // the journal, and nothing has mutated digested state since —
-        // hash that text instead of serializing a second identical copy.
-        let digest = realloc_core::snapshot::digest64(
-            &self
-                .engine
-                .journal()
-                .expect("primary engines are journaled")
-                .latest_checkpoint()
-                .expect("Engine::checkpoint just recorded one")
-                .snapshot,
-        );
-        debug_assert_eq!(digest, self.engine.state_digest());
-        let marker = self.stamp(Payload::Check {
-            events_applied,
-            digest,
-        });
-        self.last_check = Some((marker.seq, events_applied));
-        let marker_seq = marker.seq;
-        frames.push(marker);
-        if let Some(tele) = &self.tele {
-            let took = tele
-                .t
-                .now_nanos()
-                .saturating_sub(t0.expect("stamped above"));
-            tele.checkpoint_nanos.record(took);
-            tele.t
-                .point(Severity::Info, "ship_checkpoint", marker_seq, took);
-        }
+        frames.push(self.stream.check_marker(&self.engine, started));
         frames
     }
 
@@ -303,45 +210,11 @@ impl Primary {
     ///
     /// If the cursor's history was truncated out from under the stream
     /// (an [`Engine::checkpoint`] issued directly on
-    /// [`Primary::engine_mut`]), the unshipped records are gone; the
-    /// only sound continuation is a stamped snapshot frame that
-    /// re-bootstraps every replica, and that is what this returns.
+    /// [`Primary::engine_mut`]), the stream re-anchors every replica: a
+    /// stamped snapshot frame carrying the latest checkpoint, then the
+    /// post-checkpoint tail as ordinary frames.
     pub fn poll(&mut self) -> Vec<Frame> {
-        let journal = self
-            .engine
-            .journal()
-            .expect("primary engines are journaled");
-        let Some(records) = journal.records_since(self.cursor) else {
-            return vec![self.rebootstrap_frame()];
-        };
-        // Group events batch-by-batch; epochs become their own frames at
-        // their exact positions.
-        let mut cursor = self.cursor;
-        let mut payloads: Vec<Payload> = Vec::new();
-        let mut open_batch: Option<Vec<JournalEvent>> = None;
-        for record in records {
-            cursor.advance(&record);
-            match record {
-                JournalRecord::Event(e) => match &mut open_batch {
-                    Some(events) if events[0].batch == e.batch => events.push(*e),
-                    Some(events) => {
-                        payloads.push(Payload::Events(std::mem::replace(events, vec![*e])));
-                    }
-                    None => open_batch = Some(vec![*e]),
-                },
-                JournalRecord::Epoch(rec) => {
-                    if let Some(events) = open_batch.take() {
-                        payloads.push(Payload::Events(events));
-                    }
-                    payloads.push(Payload::Epoch(rec.clone()));
-                }
-            }
-        }
-        if let Some(events) = open_batch.take() {
-            payloads.push(Payload::Events(events));
-        }
-        self.cursor = cursor;
-        payloads.into_iter().map(|p| self.stamp(p)).collect()
+        self.stream.poll(&self.engine)
     }
 
     /// A snapshot frame bootstrapping a **new** replica, preceded by any
@@ -355,63 +228,16 @@ impl Primary {
     /// the new replica catches up from the checkpoint in O(tail),
     /// exercising exactly the engine's recovery path.
     pub fn bootstrap(&mut self) -> (Vec<Frame>, Vec<Frame>) {
-        let t0 = self.tele.as_ref().map(|t| t.t.now_nanos());
-        let (owed, frames) = self.bootstrap_inner();
-        if let Some(tele) = &self.tele {
-            let took = tele
-                .t
-                .now_nanos()
-                .saturating_sub(t0.expect("stamped above"));
-            tele.bootstrap_nanos.record(took);
-            // Joiner bootstrap snapshots bypass `stamp` (they are not
-            // stream frames); count the shipment here.
-            tele.frames_snapshot.inc();
-            tele.t
-                .point(Severity::Info, "bootstrap", frames.len() as u64, took);
-        }
-        (owed, frames)
-    }
-
-    fn bootstrap_inner(&mut self) -> (Vec<Frame>, Vec<Frame>) {
-        let mut owed = self.poll();
-        // A snapshot cut while requests sit queued would hand the
-        // joiner those pending queues — and the events frame of the
-        // flush that services them would then be rejected ("locally
-        // queued requests would be swept into the recorded batch").
-        // Flush first and ship the result to the existing stream.
+        // The flush barrier: a snapshot must not be cut over pending
+        // queues (see `FrameStream::bootstrap`). Its frames ship to the
+        // existing stream with the rest of what is owed.
         if self.engine.queued() > 0 {
             self.engine.flush();
-            owed.extend(self.poll());
         }
-        // O(tail) path: latest checkpoint snapshot + retained frames
-        // after its marker. Guarded by the recorded event count so a
-        // checkpoint cut behind this wrapper's back (directly on
-        // `engine_mut`) can never mis-anchor a joiner.
-        if let Some((check_seq, check_events)) = self.last_check {
-            if let Some(tail) = self.frames_since(check_seq) {
-                let journal = self
-                    .engine
-                    .journal()
-                    .expect("primary engines are journaled");
-                if let Some(cp) = journal.latest_checkpoint() {
-                    if cp.events_before == check_events {
-                        let mut frames = vec![Frame {
-                            term: self.term,
-                            seq: check_seq,
-                            payload: Payload::Snapshot {
-                                events_applied: cp.events_before,
-                                text: cp.snapshot.clone(),
-                            },
-                            trace: None,
-                        }];
-                        frames.extend(tail);
-                        return (owed, frames);
-                    }
-                }
-            }
-        }
-        let snapshot = self.snapshot_frame();
-        (owed, vec![snapshot])
+        let (owed, snapshot, tail) = self.stream.bootstrap(&self.engine);
+        let mut frames = vec![snapshot];
+        frames.extend(tail);
+        (owed, frames)
     }
 
     /// Retained stream frames with sequence numbers past `last_seq`, for
@@ -422,104 +248,6 @@ impl Primary {
     /// primary never saw; only a re-bootstrap can reconcile it) — fall
     /// back to [`Primary::bootstrap`].
     pub fn frames_since(&self, last_seq: u64) -> Option<Vec<Frame>> {
-        if last_seq + 1 == self.next_seq {
-            return Some(Vec::new()); // already caught up
-        }
-        if last_seq + 1 > self.next_seq {
-            return None; // ahead of this lineage: re-bootstrap
-        }
-        let oldest = self.history.front()?.seq;
-        if last_seq + 1 < oldest {
-            return None; // evicted
-        }
-        Some(
-            self.history
-                .iter()
-                .filter(|f| f.seq > last_seq)
-                .cloned()
-                .collect(),
-        )
-    }
-
-    /// Stamps a stream payload with this term and the next sequence
-    /// number, retaining it in the catch-up history. An `events` payload
-    /// whose batch was traced ([`Engine::flush_batch_traced`]) gets the
-    /// batch's context as the frame's out-of-band annotation, so the
-    /// replica's `apply` event lands in the same trace.
-    fn stamp(&mut self, payload: Payload) -> Frame {
-        if let Some(tele) = &self.tele {
-            match &payload {
-                Payload::Events(_) => tele.frames_events.inc(),
-                Payload::Epoch(_) => tele.frames_epoch.inc(),
-                Payload::Check { .. } => tele.frames_check.inc(),
-                Payload::Snapshot { .. } => tele.frames_snapshot.inc(),
-            }
-            tele.next_seq.set(self.next_seq + 1);
-            tele.term.set(self.term);
-        }
-        let trace = match &payload {
-            Payload::Events(events) => events
-                .first()
-                .and_then(|e| self.engine.trace_of_batch(e.batch)),
-            _ => None,
-        };
-        let frame = Frame {
-            term: self.term,
-            seq: self.next_seq,
-            payload,
-            trace,
-        };
-        self.next_seq += 1;
-        self.history.push_back(frame.clone());
-        self.trim_history();
-        frame
-    }
-
-    fn trim_history(&mut self) {
-        while self.history.len() > self.history_cap {
-            self.history.pop_front();
-        }
-    }
-
-    /// Current-state snapshot frame anchored at the last shipped seq.
-    fn snapshot_frame(&self) -> Frame {
-        Frame {
-            term: self.term,
-            seq: self.next_seq - 1,
-            payload: Payload::Snapshot {
-                events_applied: self.journal_total(),
-                text: realloc_core::snapshot::Restorable::snapshot_text(&self.engine),
-            },
-            trace: None,
-        }
-    }
-
-    /// A *stamped* snapshot frame for the truncated-cursor fallback: it
-    /// takes a stream seq so every replica treats it as the stream —
-    /// re-bootstrapping in place — instead of a joiner-only side channel.
-    fn rebootstrap_frame(&mut self) -> Frame {
-        // Service anything still queued first: the unshipped records are
-        // already lost to truncation, so the flush's effects fold into
-        // the snapshot instead of wedging replicas on restored queues.
-        if self.engine.queued() > 0 {
-            self.engine.flush();
-        }
-        let journal = self
-            .engine
-            .journal()
-            .expect("primary engines are journaled");
-        self.cursor = JournalCursor::at_end_of(journal);
-        let payload = Payload::Snapshot {
-            events_applied: self.journal_total(),
-            text: realloc_core::snapshot::Restorable::snapshot_text(&self.engine),
-        };
-        self.stamp(payload)
-    }
-
-    fn journal_total(&self) -> u64 {
-        self.engine
-            .journal()
-            .expect("primary engines are journaled")
-            .total_events()
+        self.stream.frames_since(last_seq)
     }
 }

@@ -2,14 +2,23 @@
 //! *shared* with a serving tier.
 //!
 //! [`crate::Primary`] consumes its [`Engine`] by value — the right shape
-//! when replication owns the write path. A
-//! [`realloc_service`-style](https://docs.rs) serving tier instead owns
-//! the engine behind an `Arc<Mutex<_>>` so socket handlers can flush it
-//! concurrently. The relay tails that shared engine's journal into
-//! exactly the same sequence-numbered, term-fenced [`Frame`] stream a
-//! `Primary` would produce: call [`JournalRelay::poll`] after (or on a
-//! cadence around) service flushes and push the frames into any
+//! when replication owns the write path. A serving tier
+//! (`realloc_service::ServiceServer`) instead owns the engine behind an
+//! `Arc<Mutex<_>>` so socket handlers can flush it concurrently. The
+//! relay tails that shared engine's journal through the crate's one
+//! producer, `FrameStream` (`stream.rs`), so it emits exactly the
+//! sequence-numbered, term-fenced [`Frame`] stream a `Primary` would:
+//! call [`JournalRelay::poll`] after (or on a cadence around) service
+//! flushes and push the frames into any
 //! [`crate::transport::FrameSink`].
+//!
+//! What the relay adds over the stream is the *lock*: every call takes
+//! the engine mutex for its own duration and hands the guard's engine to
+//! the stream. What it lacks is the write path — it never flushes,
+//! resizes or checkpoints, so it stamps no `check` markers (its joiners
+//! always get a full snapshot) and where `Primary::bootstrap` flushes a
+//! non-empty queue, [`JournalRelay::bootstrap`] refuses with
+//! [`ClusterError::QueuedRequests`].
 //!
 //! Because the journal is the stream, nothing is lost between polls:
 //! whatever batches the service tier flushed since the last poll come
@@ -18,29 +27,19 @@
 //! ([`realloc_engine::Engine::flush_batch_traced`]) — the causal chain
 //! minted at the service edge survives the relay untouched.
 
-use crate::frame::{Frame, Payload};
-use crate::tele::PrimaryTele;
+use crate::frame::Frame;
+use crate::stream::FrameStream;
 use crate::ClusterError;
-use realloc_engine::{Engine, JournalCursor, JournalEvent, JournalRecord};
+use realloc_engine::Engine;
 use realloc_telemetry::Telemetry;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Tails a shared engine's journal into the replication frame stream;
 /// see the module docs.
 #[derive(Debug)]
 pub struct JournalRelay {
     engine: Arc<Mutex<Engine>>,
-    term: u64,
-    /// Sequence number the next stream frame will carry.
-    next_seq: u64,
-    /// Journal position already turned into frames.
-    cursor: JournalCursor,
-    /// Recent stream frames, oldest first (bounded by `history_cap`).
-    history: VecDeque<Frame>,
-    history_cap: usize,
-    /// Streaming-side instruments ([`JournalRelay::attach_telemetry`]).
-    tele: Option<Box<PrimaryTele>>,
+    stream: FrameStream,
 }
 
 impl JournalRelay {
@@ -49,134 +48,45 @@ impl JournalRelay {
     /// prior history is covered by the bootstrap snapshot, not
     /// re-shipped.
     pub fn new(engine: Arc<Mutex<Engine>>, term: u64) -> Result<JournalRelay, ClusterError> {
-        if term == 0 {
-            return Err(ClusterError::BadTerm);
-        }
-        let cursor = {
-            let guard = engine.lock().expect("engine mutex poisoned");
-            let Some(journal) = guard.journal() else {
-                return Err(ClusterError::JournalDisabled);
-            };
-            JournalCursor::at_end_of(journal)
-        };
-        Ok(JournalRelay {
-            engine,
-            term,
-            next_seq: 1,
-            cursor,
-            history: VecDeque::new(),
-            history_cap: crate::primary::DEFAULT_HISTORY_FRAMES,
-            tele: None,
-        })
+        let stream = FrameStream::new(&engine.lock().expect("engine mutex poisoned"), term, 1)?;
+        Ok(JournalRelay { engine, stream })
     }
 
     /// Attaches the streaming-side instruments (`cluster_term`,
-    /// `cluster_next_seq`, per-payload frame counters). The *engine's*
-    /// instruments are the serving tier's to attach — the relay never
-    /// re-wires a shared engine's telemetry.
+    /// `cluster_next_seq`, per-payload frame counters, bootstrap
+    /// timing). The *engine's* instruments are the serving tier's to
+    /// attach — the relay never re-wires a shared engine's telemetry.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.tele = PrimaryTele::build(telemetry);
-        if let Some(tele) = &self.tele {
-            tele.term.set(self.term);
-            tele.next_seq.set(self.next_seq);
-        }
+        self.stream.attach_telemetry(telemetry);
     }
 
     /// Sets the catch-up history cap (frames retained for
     /// [`JournalRelay::frames_since`]).
     pub fn with_history_cap(mut self, cap: usize) -> JournalRelay {
-        self.history_cap = cap;
-        self.trim_history();
+        self.stream.set_history_cap(cap);
         self
     }
 
     /// This relay's fencing term.
     pub fn term(&self) -> u64 {
-        self.term
+        self.stream.term()
     }
 
     /// Sequence number the next stream frame will carry.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.stream.next_seq()
     }
 
-    /// Turns every journal record past the stream cursor into frames —
-    /// one `events` frame per recorded batch, one `epoch` frame per
-    /// resize — exactly as [`crate::Primary::poll`] would. If the
-    /// cursor's history was truncated out from under the stream (a
-    /// checkpoint cut on the shared engine), the stream re-anchors the
-    /// way [`crate::Primary`] bootstraps after recovery: a snapshot
-    /// frame carrying the latest *checkpoint* (stamped with the event
-    /// count that checkpoint actually covers) followed by the
-    /// post-checkpoint tail as ordinary frames — replicas re-bootstrap
-    /// and replay forward without losing the records recorded after the
+    /// Turns every journal record past the stream cursor into frames,
+    /// exactly as [`crate::Primary::poll`] would — including its answer
+    /// to a cursor that a checkpoint cut on the shared engine truncated
+    /// away: the latest checkpoint as a snapshot frame (stamped with the
+    /// event count it covers), then the post-checkpoint tail, so
+    /// replicas re-bootstrap without losing what was recorded after the
     /// cut.
     pub fn poll(&mut self) -> Vec<Frame> {
-        let engine = Arc::clone(&self.engine);
-        let guard = engine.lock().expect("engine mutex poisoned");
-        self.poll_locked(&guard)
-    }
-
-    fn poll_locked(&mut self, engine: &MutexGuard<'_, Engine>) -> Vec<Frame> {
-        let journal = engine.journal().expect("relay engines are journaled");
-        let mut cursor = self.cursor;
-        let mut payloads: Vec<Payload> = Vec::new();
-        if journal.records_since(cursor).is_none() {
-            // The cursor's history was truncated out from under the
-            // stream. A snapshot stamped with `total_events()` but
-            // carrying checkpoint-time text would silently diverge every
-            // replica; pair the checkpoint snapshot with the event count
-            // it covers and stream the tail recorded after it.
-            match (journal.latest_checkpoint(), journal.checkpoint_cursor()) {
-                (Some(cp), Some(at)) => {
-                    payloads.push(Payload::Snapshot {
-                        events_applied: cp.events_before,
-                        text: cp.snapshot.clone(),
-                    });
-                    cursor = at;
-                }
-                // Truncation only happens through a checkpoint cut, so
-                // landing here means the cursor never belonged to this
-                // journal. A live snapshot is consistent with the
-                // engine's own event count by construction.
-                _ => {
-                    payloads.push(Payload::Snapshot {
-                        events_applied: journal.total_events(),
-                        text: realloc_core::snapshot::Restorable::snapshot_text(&**engine),
-                    });
-                    cursor = JournalCursor::at_end_of(journal);
-                }
-            }
-        }
-        if let Some(records) = journal.records_since(cursor) {
-            let mut open_batch: Option<Vec<JournalEvent>> = None;
-            for record in records {
-                cursor.advance(&record);
-                match record {
-                    JournalRecord::Event(e) => match &mut open_batch {
-                        Some(events) if events[0].batch == e.batch => events.push(*e),
-                        Some(events) => {
-                            payloads.push(Payload::Events(std::mem::replace(events, vec![*e])));
-                        }
-                        None => open_batch = Some(vec![*e]),
-                    },
-                    JournalRecord::Epoch(rec) => {
-                        if let Some(events) = open_batch.take() {
-                            payloads.push(Payload::Events(events));
-                        }
-                        payloads.push(Payload::Epoch(rec.clone()));
-                    }
-                }
-            }
-            if let Some(events) = open_batch.take() {
-                payloads.push(Payload::Events(events));
-            }
-        }
-        self.cursor = cursor;
-        payloads
-            .into_iter()
-            .map(|p| self.stamp(engine, p))
-            .collect()
+        let guard = self.engine.lock().expect("engine mutex poisoned");
+        self.stream.poll(&guard)
     }
 
     /// A snapshot frame bootstrapping a **new** replica, preceded by any
@@ -193,27 +103,12 @@ impl JournalRelay {
     /// requests: the serving tier must flush (and the relay poll the
     /// resulting frames) before a joiner can be cut a snapshot.
     pub fn bootstrap(&mut self) -> Result<(Vec<Frame>, Frame), ClusterError> {
-        let engine = Arc::clone(&self.engine);
-        let guard = engine.lock().expect("engine mutex poisoned");
+        let guard = self.engine.lock().expect("engine mutex poisoned");
         if guard.queued() > 0 {
             return Err(ClusterError::QueuedRequests);
         }
-        let owed = self.poll_locked(&guard);
-        let snapshot = Frame {
-            term: self.term,
-            seq: self.next_seq - 1,
-            payload: Payload::Snapshot {
-                events_applied: guard
-                    .journal()
-                    .expect("relay engines are journaled")
-                    .total_events(),
-                text: realloc_core::snapshot::Restorable::snapshot_text(&*guard),
-            },
-            trace: None,
-        };
-        if let Some(tele) = &self.tele {
-            tele.frames_snapshot.inc();
-        }
+        let (owed, snapshot, tail) = self.stream.bootstrap(&guard);
+        debug_assert!(tail.is_empty(), "a relay stream has no check anchor");
         Ok((owed, snapshot))
     }
 
@@ -222,66 +117,14 @@ impl JournalRelay {
     /// when the history no longer reaches back that far or `last_seq` is
     /// ahead of this stream — fall back to [`JournalRelay::bootstrap`].
     pub fn frames_since(&self, last_seq: u64) -> Option<Vec<Frame>> {
-        if last_seq + 1 == self.next_seq {
-            return Some(Vec::new());
-        }
-        if last_seq + 1 > self.next_seq {
-            return None;
-        }
-        let oldest = self.history.front()?.seq;
-        if last_seq + 1 < oldest {
-            return None;
-        }
-        Some(
-            self.history
-                .iter()
-                .filter(|f| f.seq > last_seq)
-                .cloned()
-                .collect(),
-        )
-    }
-
-    /// Stamps a stream payload with this term and the next sequence
-    /// number, retaining it in the catch-up history. An `events` payload
-    /// whose batch was traced gets the batch's context as the frame's
-    /// out-of-band annotation — see [`crate::frame::Frame::trace`].
-    fn stamp(&mut self, engine: &Engine, payload: Payload) -> Frame {
-        if let Some(tele) = &self.tele {
-            match &payload {
-                Payload::Events(_) => tele.frames_events.inc(),
-                Payload::Epoch(_) => tele.frames_epoch.inc(),
-                Payload::Check { .. } => tele.frames_check.inc(),
-                Payload::Snapshot { .. } => tele.frames_snapshot.inc(),
-            }
-            tele.next_seq.set(self.next_seq + 1);
-            tele.term.set(self.term);
-        }
-        let trace = match &payload {
-            Payload::Events(events) => events.first().and_then(|e| engine.trace_of_batch(e.batch)),
-            _ => None,
-        };
-        let frame = Frame {
-            term: self.term,
-            seq: self.next_seq,
-            payload,
-            trace,
-        };
-        self.next_seq += 1;
-        self.history.push_back(frame.clone());
-        self.trim_history();
-        frame
-    }
-
-    fn trim_history(&mut self) {
-        while self.history.len() > self.history_cap {
-            self.history.pop_front();
-        }
+        self.stream.frames_since(last_seq)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Payload;
     use realloc_core::{JobId, Request, Window};
     use realloc_engine::{Engine, EngineConfig, FlushMode};
 

@@ -70,14 +70,12 @@
 //!
 //! # Threading
 //!
-//! [`ReplicaServer::bind`] spawns one accept-loop thread; each accepted
-//! connection gets its own handler thread that reads frames, applies
-//! them to the shared [`Replica`] under its lock, and writes one
-//! cumulative ack per batch of frames found on the wire. The server and
-//! any number of local readers share the replica via
+//! [`ReplicaServer`] runs on the workspace's one server skeleton,
+//! [`realloc_core::net`], with no read timeout (an idle replication
+//! link is normal). Each handler applies frames to the shared
+//! [`Replica`] under its lock and writes one cumulative ack per batch
+//! of frames found on the wire; local readers share the replica via
 //! [`ReplicaServer::replica`] — that is the read-scaling surface.
-//! Handler threads exit when their peer disconnects; the accept loop
-//! exits on [`ReplicaServer::shutdown`] (also triggered by `Drop`).
 //!
 //! A handler that finds the replica's mutex **poisoned** (another
 //! handler panicked mid-apply) does not propagate the panic: it drops
@@ -92,14 +90,14 @@ use crate::frame::{Frame, Payload, MAX_FRAME_BYTES};
 use crate::replica::Replica;
 use crate::tele::LinkTele;
 use crate::transport::{FrameSink, TransportError};
-use realloc_core::textio::{read_frame, write_frame};
+use realloc_core::net::{AcceptLoop, Buffered, FrameConn};
+use realloc_core::textio::write_frame;
 use realloc_telemetry::{Counter, Severity, Telemetry};
 use std::collections::VecDeque;
 use std::io::{BufRead as _, BufReader, BufWriter, ErrorKind, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Cap on one ack frame (a short status line).
@@ -168,9 +166,7 @@ impl LinkConfig {
 #[derive(Debug)]
 pub struct ReplicaServer {
     replica: Arc<Mutex<Replica>>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    accept: AcceptLoop,
     /// Connections dropped over a poisoned replica lock, plus the
     /// telemetry counter handlers mirror it into.
     poisoned: Arc<PoisonCount>,
@@ -197,47 +193,24 @@ impl ReplicaServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts serving `replica` on a background accept loop.
     pub fn bind(addr: impl ToSocketAddrs, replica: Replica) -> std::io::Result<ReplicaServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let replica = Arc::new(Mutex::new(replica));
-        let stop = Arc::new(AtomicBool::new(false));
         let poisoned = Arc::new(PoisonCount::default());
-        let accept_replica = Arc::clone(&replica);
-        let accept_stop = Arc::clone(&stop);
-        let accept_poisoned = Arc::clone(&poisoned);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("replica-accept-{addr}"))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Acks are tiny and the primary may be idle waiting
-                    // for them: Nagle + delayed-ACK would stall every
-                    // pipelined batch by an RTT timer.
-                    stream.set_nodelay(true).ok();
-                    let conn_replica = Arc::clone(&accept_replica);
-                    let conn_poisoned = Arc::clone(&accept_poisoned);
-                    // Handler threads are detached: they exit when the
-                    // peer disconnects (read_frame returns None/Err).
-                    let _ = std::thread::Builder::new()
-                        .name("replica-conn".to_string())
-                        .spawn(move || serve_connection(stream, conn_replica, conn_poisoned));
-                }
-            })?;
+        let (conn_replica, conn_poisoned) = (Arc::clone(&replica), Arc::clone(&poisoned));
+        // No read timeout: see `realloc_core::net` on why a replication
+        // link is never reaped.
+        let accept = AcceptLoop::spawn(addr, "replica", None, move |conn| {
+            serve_connection(conn, &conn_replica, &conn_poisoned)
+        })?;
         Ok(ReplicaServer {
             replica,
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
+            accept,
             poisoned,
         })
     }
 
     /// The bound address (connect [`PrimaryLink`]s here).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The shared replica — lock it for read queries (`window_of`,
@@ -266,23 +239,11 @@ impl ReplicaServer {
         }
     }
 
-    /// Stops the accept loop and joins it. In-flight connection handlers
-    /// finish their current peer's stream and exit on disconnect.
+    /// Stops the accept loop and joins it (also on `Drop`). In-flight
+    /// connection handlers finish their current peer's stream and exit
+    /// on disconnect.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Poke the blocking accept() so the loop observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ReplicaServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.accept.shutdown();
     }
 }
 
@@ -321,62 +282,11 @@ fn handle_frame(payload: &[u8], replica: &Arc<Mutex<Replica>>) -> Handled {
 }
 
 /// Writes the batch's pending cumulative ack (if any) and flushes.
-fn flush_ack(writer: &mut BufWriter<TcpStream>, hi: Option<u64>) -> std::io::Result<()> {
+fn flush_ack(conn: &mut FrameConn, hi: Option<u64>) -> std::io::Result<()> {
     if let Some(seq) = hi {
-        write_frame(writer, format!("ok {seq}").as_bytes())?;
+        conn.write(format!("ok {seq}").as_bytes())?;
     }
-    writer.flush()
-}
-
-/// What the handler found when looking for more inbound work without
-/// blocking.
-enum Pending {
-    /// A complete frame was already on the wire.
-    Frame(Vec<u8>),
-    /// Nothing complete yet — end the batch, ack, and block again.
-    NotYet,
-    /// The peer is gone or the socket failed.
-    Gone,
-}
-
-/// Consumes the next frame **only if it is already fully buffered** (or
-/// arrives on a single non-blocking refill); never blocks and never
-/// leaves the stream mid-frame. Over-cap lengths are left unconsumed —
-/// the caller's next blocking read surfaces the framing error after the
-/// applied prefix has been acked.
-fn next_pending_frame(reader: &mut BufReader<TcpStream>) -> Pending {
-    loop {
-        let buf = reader.buffer();
-        if buf.len() >= 4 {
-            let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-            if len > MAX_FRAME_BYTES || (buf.len() - 4) < len as usize {
-                return Pending::NotYet;
-            }
-            // Fully buffered: read_frame cannot touch the socket.
-            return match read_frame(reader, MAX_FRAME_BYTES) {
-                Ok(Some(p)) => Pending::Frame(p),
-                Ok(None) | Err(_) => Pending::Gone,
-            };
-        }
-        if !buf.is_empty() {
-            return Pending::NotYet; // partial length prefix
-        }
-        if reader.get_ref().set_nonblocking(true).is_err() {
-            return Pending::Gone;
-        }
-        let refill = reader.fill_buf().map(|b| b.len());
-        if reader.get_ref().set_nonblocking(false).is_err() {
-            return Pending::Gone;
-        }
-        match refill {
-            Ok(0) => return Pending::Gone,
-            Ok(_) => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Pending::NotYet
-            }
-            Err(_) => return Pending::Gone,
-        }
-    }
+    conn.flush()
 }
 
 /// One connection: block for a frame, then apply every frame already on
@@ -385,21 +295,16 @@ fn next_pending_frame(reader: &mut BufReader<TcpStream>) -> Pending {
 /// an `err <seq> <detail>` line — acked always ⊆ applied. A poisoned
 /// replica lock drops the connection (counted) instead of propagating
 /// the panic; see the module docs.
-fn serve_connection(stream: TcpStream, replica: Arc<Mutex<Replica>>, poisoned: Arc<PoisonCount>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+fn serve_connection(mut conn: FrameConn, replica: &Arc<Mutex<Replica>>, poisoned: &PoisonCount) {
     loop {
         // Block for the first frame of a batch.
-        let mut payload = match read_frame(&mut reader, MAX_FRAME_BYTES) {
+        let mut payload = match conn.read(MAX_FRAME_BYTES) {
             Ok(Some(p)) => p,
             Ok(None) | Err(_) => return, // peer gone or framing broken
         };
         let mut applied_hi: Option<u64> = None;
         loop {
-            match handle_frame(&payload, &replica) {
+            match handle_frame(&payload, replica) {
                 Handled::Applied(seq) => applied_hi = Some(seq),
                 Handled::Poisoned => {
                     poisoned.record();
@@ -409,25 +314,24 @@ fn serve_connection(stream: TcpStream, replica: Arc<Mutex<Replica>>, poisoned: A
                     // Ack the applied prefix before reporting the
                     // rejection so the primary retires exactly what
                     // landed.
-                    if flush_ack(&mut writer, applied_hi.take()).is_err() {
+                    if flush_ack(&mut conn, applied_hi.take()).is_err() {
                         return;
                     }
-                    if write_frame(&mut writer, line.as_bytes()).is_err() || writer.flush().is_err()
-                    {
+                    if conn.write(line.as_bytes()).is_err() || conn.flush().is_err() {
                         return;
                     }
                 }
             }
-            match next_pending_frame(&mut reader) {
-                Pending::Frame(p) => payload = p,
-                Pending::NotYet => break,
-                Pending::Gone => {
-                    let _ = flush_ack(&mut writer, applied_hi.take());
+            match conn.read_buffered(MAX_FRAME_BYTES) {
+                Buffered::Frame(p) => payload = p,
+                Buffered::NotYet => break,
+                Buffered::Gone => {
+                    let _ = flush_ack(&mut conn, applied_hi.take());
                     return;
                 }
             }
         }
-        if flush_ack(&mut writer, applied_hi).is_err() {
+        if flush_ack(&mut conn, applied_hi).is_err() {
             return;
         }
     }

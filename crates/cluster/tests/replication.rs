@@ -22,11 +22,12 @@
 use proptest::prelude::*;
 use realloc_cluster::tcp::{PrimaryLink, ReplicaServer};
 use realloc_cluster::transport::{FrameSink, TransportError};
-use realloc_cluster::{ApplyError, Frame, Payload, Primary, Replica};
+use realloc_cluster::{ApplyError, Frame, JournalRelay, Payload, Primary, Replica};
 use realloc_core::snapshot::Restorable as _;
 use realloc_core::RequestSeq;
 use realloc_engine::{BackendKind, Engine, EngineConfig, JournalEvent};
 use realloc_sim::harness::churn_seq;
+use std::sync::{Arc, Mutex};
 
 fn journaled_config(shards: usize) -> EngineConfig {
     EngineConfig {
@@ -384,6 +385,170 @@ proptest! {
         );
         prop_assert_eq!(replica2.state_digest(), Some(reference.state_digest()));
         prop_assert!(replica2.validate().is_ok());
+    }
+}
+
+// ---------------------------------------------------------------------
+// One producer: `Primary` and `JournalRelay` are the same frame stream.
+// ---------------------------------------------------------------------
+
+/// A checkpoint cut directly on `engine_mut()` truncates the journal out
+/// from under the primary's stream cursor. The stream re-anchors every
+/// replica on the latest checkpoint snapshot, stamped with the event
+/// count that checkpoint covers, and ships the post-checkpoint tail
+/// behind it — the mirror of the relay's
+/// `truncated_cursor_recovers_via_checkpoint_plus_tail`.
+#[test]
+fn primary_truncated_cursor_recovers_via_checkpoint_plus_tail() {
+    let insert = |id: u64| realloc_core::Request::Insert {
+        id: realloc_core::JobId(id),
+        window: realloc_core::Window::new(0, 128),
+    };
+    let mut primary = Primary::new(
+        Engine::new(EngineConfig {
+            retained_segments: 1,
+            ..journaled_config(2)
+        }),
+        1,
+    )
+    .unwrap();
+    let mut replica = Replica::new();
+    let (_, boot) = primary.bootstrap();
+    for f in &boot {
+        replica.apply(f).unwrap();
+    }
+
+    // Unshipped history, two cuts (the second drops the pre-checkpoint
+    // segment), then more flushes after the cut — all behind the
+    // wrapper's back, none of it polled.
+    let engine = primary.engine_mut();
+    for id in 0..4 {
+        engine.submit(insert(id));
+        engine.flush();
+    }
+    engine.checkpoint();
+    engine.checkpoint();
+    for id in 4..7 {
+        engine.submit(insert(id));
+        engine.flush();
+    }
+    assert!(
+        engine.journal().unwrap().dropped_events() > 0,
+        "test must actually truncate the primary's cursor"
+    );
+
+    let frames = primary.poll();
+    let Payload::Snapshot { events_applied, .. } = &frames[0].payload else {
+        panic!("recovery leads with a snapshot, got {:?}", frames[0]);
+    };
+    assert_eq!(
+        *events_applied, 4,
+        "stamped with what the checkpoint covers"
+    );
+    assert_eq!(
+        frames.len(),
+        4,
+        "the three post-checkpoint batches ship behind the snapshot: {frames:?}"
+    );
+    for f in &frames {
+        replica.apply(f).unwrap();
+    }
+    assert_eq!(replica.active_count(), 7);
+    assert_eq!(
+        replica.state_digest(),
+        Some(primary.engine().state_digest())
+    );
+    assert_eq!(
+        replica.events_applied(),
+        primary.engine().journal().unwrap().total_events()
+    );
+}
+
+/// The frame texts of a stream, for byte-for-byte comparison.
+fn texts(frames: &[Frame]) -> Vec<String> {
+    frames.iter().map(Frame::to_text).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same script of submits, flushes, resizes and engine-side
+    /// checkpoints, driven through a `Primary` and through a
+    /// `JournalRelay` over an identical engine, yields byte-identical
+    /// frame text at every poll and identical `frames_since` answers at
+    /// every position. Polls are part of the script, so checkpoints
+    /// regularly outrun the cursor (one retained segment) and history
+    /// regularly evicts (a small cap).
+    #[test]
+    fn primary_and_relay_produce_byte_identical_streams(
+        seed in 0u64..1000,
+        script in prop::collection::vec(0u8..10, 20..70),
+        history_cap in 2usize..10,
+    ) {
+        let config = EngineConfig { retained_segments: 1, ..journaled_config(2) };
+        let mut primary = Primary::new(Engine::new(config.clone()), 1)
+            .unwrap()
+            .with_history_cap(history_cap);
+        let shared = Arc::new(Mutex::new(Engine::new(config)));
+        let mut relay = JournalRelay::new(Arc::clone(&shared), 1)
+            .unwrap()
+            .with_history_cap(history_cap);
+
+        let (p_owed, p_boot) = primary.bootstrap();
+        let (r_owed, r_boot) = relay.bootstrap().unwrap();
+        prop_assert!(p_owed.is_empty() && r_owed.is_empty());
+        prop_assert_eq!(texts(&p_boot), vec![r_boot.to_text()]);
+        let mut replica = Replica::new();
+        replica.apply(&r_boot).unwrap();
+
+        let seq = churn_seq(1, 8, 40, 1 << 10, false, 5 * (script.len() + 1), seed);
+        let mut requests = seq.requests().iter().copied();
+        // Every script ends on a poll (op 9), so nothing goes uncompared.
+        for (step, &op) in script.iter().chain([&9]).enumerate() {
+            // One engine-side step, applied to both engines alike.
+            let submits = if op <= 4 { 1 + op as usize } else { 0 };
+            let batch: Vec<_> = requests.by_ref().take(submits).collect();
+            let drive = |engine: &mut Engine| match op {
+                0..=4 => {
+                    for &r in &batch {
+                        engine.submit(r);
+                    }
+                    if op < 4 {
+                        engine.flush(); // op 4 leaves its requests queued
+                    }
+                }
+                5 => drop(engine.resize(2 + step % 3)),
+                6 | 7 => {
+                    engine.checkpoint();
+                }
+                _ => {}
+            };
+            drive(primary.engine_mut());
+            drive(&mut shared.lock().unwrap());
+            if op < 8 {
+                continue;
+            }
+            // Ops 8 and 9 poll both producers and compare.
+            let frames = primary.poll();
+            prop_assert_eq!(texts(&frames), texts(&relay.poll()));
+            prop_assert_eq!(primary.next_seq(), relay.next_seq());
+            for k in 0..=primary.next_seq() {
+                prop_assert_eq!(
+                    primary.frames_since(k).as_deref().map(texts),
+                    relay.frames_since(k).as_deref().map(texts),
+                    "frames_since({})", k
+                );
+            }
+            for f in &frames {
+                replica.apply(f).unwrap();
+            }
+        }
+        // Everything flushed has shipped: the follower holds the state
+        // both engines hold, give or take what op 4 left queued.
+        for f in &primary.flush_now().1 {
+            replica.apply(f).unwrap();
+        }
+        prop_assert_eq!(replica.state_digest(), Some(primary.engine().state_digest()));
     }
 }
 

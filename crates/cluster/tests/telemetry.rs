@@ -17,7 +17,7 @@
 
 use realloc_cluster::tcp::{PrimaryLink, ReplicaServer};
 use realloc_cluster::transport::{FrameSink, LocalLink};
-use realloc_cluster::{Frame, Primary, Replica, ReplicationGroup};
+use realloc_cluster::{Frame, JournalRelay, Primary, Replica, ReplicationGroup};
 use realloc_core::{JobId, Request, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig};
 use realloc_telemetry::{labeled, Clock, Severity, Telemetry, TraceCtx};
@@ -145,6 +145,45 @@ fn replication_registry_tracks_stream() {
         replica.state_digest(),
         Some(primary.engine().state_digest())
     );
+}
+
+/// The relay's joiner bootstrap is observed exactly like a primary's —
+/// both come out of the one frame-stream producer: the snapshot
+/// shipment is counted, its production is timed, and the `bootstrap`
+/// point lands in the trace ring.
+#[test]
+fn relay_bootstrap_is_timed_and_traced_like_a_primarys() {
+    let bootstrap_registry = |attach_and_bootstrap: &dyn Fn(&Telemetry)| {
+        let t = Telemetry::with_clock(Clock::manual(), 16);
+        attach_and_bootstrap(&t);
+        let points: Vec<(u64, u64)> = t
+            .trace_events()
+            .iter()
+            .filter(|e| e.key == "bootstrap" && e.severity == Severity::Info)
+            .map(|e| (e.a, e.b))
+            .collect();
+        (
+            counter(&t, "cluster_frames_snapshot_total"),
+            t.histogram_snapshot("cluster_bootstrap_nanos")
+                .map(|h| h.count()),
+            points,
+        )
+    };
+    let via_primary = bootstrap_registry(&|t| {
+        let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
+        primary.attach_telemetry(t);
+        primary.bootstrap();
+    });
+    let via_relay = bootstrap_registry(&|t| {
+        let engine = Arc::new(Mutex::new(Engine::new(journaled_config(2))));
+        let mut relay = JournalRelay::new(engine, 1).unwrap();
+        relay.attach_telemetry(t);
+        relay.bootstrap().unwrap();
+    });
+    // One snapshot frame shipped, timed once, one point carrying the
+    // joiner's frame count and the (manual-clock: zero) duration.
+    assert_eq!(via_primary, (1, Some(1), vec![(1, 0)]));
+    assert_eq!(via_relay, via_primary);
 }
 
 /// Rejections and fencing-term adoptions land in the counters and the

@@ -26,7 +26,10 @@
 //!   `γ`-underallocation density checks (paper Lemma 2),
 //! * [`traits`] — the `Reallocator` interfaces all schedulers implement,
 //! * [`router`] — epoch-versioned shard routing tables (the serving
-//!   layer's elastic-resharding primitive).
+//!   layer's elastic-resharding primitive),
+//! * [`textio`], [`net`] — the text formats and length-prefixed framing,
+//!   and the one threaded socket-server skeleton every TCP server in
+//!   the workspace is built on.
 //!
 //! [`realloc-reservation`]: ../realloc_reservation/index.html
 //! [`realloc-multi`]: ../realloc_multi/index.html
@@ -41,6 +44,7 @@ pub mod crc;
 pub mod error;
 pub mod feasibility;
 pub mod job;
+pub mod net;
 pub mod request;
 pub mod router;
 pub mod schedule;

@@ -192,7 +192,7 @@ impl JournalEvent {
 /// Where a replay first diverged from the recording.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplayDivergence {
-    /// Index into [`Journal::events`] (retained events).
+    /// Index into [`Journal::iter_events`] (retained events).
     pub index: usize,
     /// The recorded event.
     pub recorded: JournalEvent,
@@ -446,27 +446,9 @@ impl Journal {
         self.config.retained_segments = retained_segments;
     }
 
-    /// All retained events in service order (concatenated across
-    /// segments). Events in truncated segments are gone — see
-    /// [`Journal::dropped_events`].
-    ///
-    /// **Allocates a fresh `Vec` of the entire retained history on every
-    /// call.** That is the right shape for whole-journal comparisons in
-    /// tests, and wrong for everything else: telemetry and streaming
-    /// must use the borrowing [`Journal::iter_events`], or the
-    /// positioned [`Journal::records_since`] cursor, which walk the
-    /// segments in place.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates the entire retained history per call; use the borrowing \
-                `iter_events`, or `records_since` for positioned streaming"
-    )]
-    pub fn events(&self) -> Vec<JournalEvent> {
-        self.iter_events().copied().collect()
-    }
-
-    /// Borrowing iterator over all retained events in service order —
-    /// the allocation-free form of [`Journal::events`].
+    /// Borrowing iterator over all retained events in service order
+    /// (concatenated across segments, walked in place). Events in
+    /// truncated segments are gone — see [`Journal::dropped_events`].
     pub fn iter_events(&self) -> impl Iterator<Item = &JournalEvent> + '_ {
         self.segments.iter().flat_map(|s| s.events.iter())
     }

@@ -53,8 +53,7 @@ fn records_since_interleaves_events_and_epochs_in_order() {
         "epochs sit at their exact positions"
     );
 
-    // The event projection matches the borrowing iterator, which
-    // matches the allocating `events()`.
+    // The event projection matches the borrowing iterator.
     let via_cursor: Vec<_> = records
         .iter()
         .filter_map(|r| match r {
@@ -64,12 +63,6 @@ fn records_since_interleaves_events_and_epochs_in_order() {
         .collect();
     let via_iter: Vec<_> = journal.iter_events().copied().collect();
     assert_eq!(via_cursor, via_iter);
-    // The deprecated allocating accessor must stay equivalent for as
-    // long as it exists; this is its one remaining caller.
-    #[allow(deprecated)]
-    {
-        assert_eq!(via_iter, journal.events());
-    }
 }
 
 #[test]

@@ -1,13 +1,11 @@
-//! The serving loop: a threaded accept loop in the `ReplicaServer` /
-//! `ObsServer` shape, per-connection pipelined batching, QoS in front
+//! The serving loop: per-connection pipelined batching, QoS in front
 //! of the engine, one reply frame per command in command order.
 //!
 //! # Threading
 //!
-//! [`ServiceServer::bind`] spawns one accept-loop thread; each accepted
-//! connection gets a detached handler thread with the configured read
-//! timeout (a silent client is reaped, never pinned — the ObsServer
-//! lesson applied from day one). Handlers share the engine behind one
+//! [`ServiceServer`] runs on the workspace's one server skeleton,
+//! [`realloc_core::net`], reaping clients silent for
+//! [`ServiceConfig::read_timeout`]. Handlers share the engine behind one
 //! mutex: a batch holds the lock for its submits, one flush and its own
 //! reads, so client batches interleave with embedder calls (`rebalance`,
 //! `resize`, checkpoints) at batch granularity and a rebalance never
@@ -51,15 +49,13 @@ use crate::proto::{Command, Reply};
 use crate::qos::{AdmitGuard, Qos};
 use crate::tele::ServiceTele;
 use realloc_core::clock::Clock;
-use realloc_core::textio::{read_frame, write_frame};
+use realloc_core::net::{AcceptLoop, Buffered, FrameConn};
 use realloc_core::{JobId, Request};
 use realloc_engine::{CommitTicket, Engine, FlushMode, TenantId};
 use realloc_telemetry::{Severity, Telemetry, TraceCtx};
-use std::io::{BufRead as _, BufReader, BufWriter, ErrorKind, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Cap on one command frame (a short text line).
@@ -127,9 +123,7 @@ struct Shared {
 /// The serving front-end: owns the accept loop and the shared engine.
 pub struct ServiceServer {
     engine: Arc<Mutex<Engine>>,
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 impl ServiceServer {
@@ -143,12 +137,9 @@ impl ServiceServer {
         config: ServiceConfig,
         telemetry: &Telemetry,
     ) -> std::io::Result<ServiceServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let engine = Arc::new(Mutex::new(engine));
-        let stop = Arc::new(AtomicBool::new(false));
         let clock = telemetry.clock().unwrap_or_else(Clock::monotonic);
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             engine: Arc::clone(&engine),
             qos: Qos::new(config.qos.clone(), clock.clone()),
             tele: ServiceTele::build(telemetry),
@@ -156,43 +147,16 @@ impl ServiceServer {
             config,
             trace_seq: AtomicU64::new(0),
             unsettled: Mutex::new(Vec::new()),
-        });
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("service-accept-{addr}"))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Replies are small; Nagle + delayed-ACK would add
-                    // an RTT timer to every pipelined burst.
-                    stream.set_nodelay(true).ok();
-                    // Reap silent clients (the ObsServer bug, fixed
-                    // here by construction).
-                    let _ = stream.set_read_timeout(shared.config.read_timeout);
-                    if let Some(tele) = &shared.tele {
-                        tele.connections_total.inc();
-                    }
-                    let conn_shared = Arc::clone(&shared);
-                    // Detached: handlers exit on disconnect or timeout.
-                    let _ = std::thread::Builder::new()
-                        .name("service-conn".to_string())
-                        .spawn(move || serve_connection(stream, conn_shared));
-                }
-            })?;
-        Ok(ServiceServer {
-            engine,
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        };
+        let accept = AcceptLoop::spawn(addr, "service", shared.config.read_timeout, move |conn| {
+            serve_connection(conn, &shared)
+        })?;
+        Ok(ServiceServer { engine, accept })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The shared engine — lock it for embedder operations
@@ -206,77 +170,19 @@ impl ServiceServer {
         Arc::clone(&self.engine)
     }
 
-    /// Stops the accept loop and joins it. Live connection handlers
-    /// finish their current peers' streams and exit on disconnect or
-    /// read timeout.
+    /// Stops the accept loop and joins it (also on `Drop`). Live
+    /// connection handlers finish their current peers' streams and exit
+    /// on disconnect or read timeout.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Poke the blocking accept() so the loop observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ServiceServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.accept.shutdown();
     }
 }
 
 impl std::fmt::Debug for ServiceServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceServer")
-            .field("addr", &self.addr)
+            .field("addr", &self.addr())
             .finish_non_exhaustive()
-    }
-}
-
-/// What the handler found probing for more buffered work.
-enum Pending {
-    Frame(Vec<u8>),
-    NotYet,
-    Gone,
-}
-
-/// Consumes the next command frame **only if it is already fully
-/// buffered** (or lands on a single non-blocking refill); never blocks
-/// and never leaves the stream mid-frame (the `ReplicaServer` probe,
-/// same invariants).
-fn next_pending_frame(reader: &mut BufReader<TcpStream>) -> Pending {
-    loop {
-        let buf = reader.buffer();
-        if buf.len() >= 4 {
-            let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-            if len > MAX_COMMAND_BYTES || (buf.len() - 4) < len as usize {
-                return Pending::NotYet;
-            }
-            return match read_frame(reader, MAX_COMMAND_BYTES) {
-                Ok(Some(p)) => Pending::Frame(p),
-                Ok(None) | Err(_) => Pending::Gone,
-            };
-        }
-        if !buf.is_empty() {
-            return Pending::NotYet; // partial length prefix
-        }
-        if reader.get_ref().set_nonblocking(true).is_err() {
-            return Pending::Gone;
-        }
-        let refill = reader.fill_buf().map(|b| b.len());
-        if reader.get_ref().set_nonblocking(false).is_err() {
-            return Pending::Gone;
-        }
-        match refill {
-            Ok(0) => return Pending::Gone,
-            Ok(_) => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                return Pending::NotYet
-            }
-            Err(_) => return Pending::Gone,
-        }
     }
 }
 
@@ -284,26 +190,24 @@ fn next_pending_frame(reader: &mut BufReader<TcpStream>) -> Pending {
 /// batch up whatever else is buffered, service the batch under one
 /// engine lock hold (a durable batch then commits with the lock
 /// released), reply in command order.
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+fn serve_connection(mut conn: FrameConn, shared: &Shared) {
+    if let Some(tele) = &shared.tele {
+        tele.connections_total.inc();
+    }
     loop {
         // Block for the first frame of a batch; a timeout here is the
         // reap path for a silent client.
-        let first = match read_frame(&mut reader, MAX_COMMAND_BYTES) {
+        let first = match conn.read(MAX_COMMAND_BYTES) {
             Ok(Some(p)) => p,
             Ok(None) | Err(_) => return,
         };
         let mut frames = vec![first];
         let mut gone = false;
         while frames.len() < shared.config.max_batch.max(1) {
-            match next_pending_frame(&mut reader) {
-                Pending::Frame(p) => frames.push(p),
-                Pending::NotYet => break,
-                Pending::Gone => {
+            match conn.read_buffered(MAX_COMMAND_BYTES) {
+                Buffered::Frame(p) => frames.push(p),
+                Buffered::NotYet => break,
+                Buffered::Gone => {
                     gone = true;
                     break;
                 }
@@ -311,7 +215,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
         }
         // Serve what we have even if the peer is mid-disconnect: the
         // writes below fail harmlessly if it is truly gone.
-        if serve_batch(&frames, &mut writer, &shared).is_err() || gone {
+        if serve_batch(&frames, &mut conn, shared).is_err() || gone {
             return;
         }
     }
@@ -364,11 +268,7 @@ fn reads_unsettled(reads: &[(usize, Command)], unsettled: &[(JobId, u64)]) -> bo
 /// Services one batch of command frames: QoS, submits + one flush
 /// under the engine lock, failure mapping, the durable commit with the
 /// lock released, replies in order.
-fn serve_batch(
-    frames: &[Vec<u8>],
-    writer: &mut BufWriter<TcpStream>,
-    shared: &Shared,
-) -> std::io::Result<()> {
+fn serve_batch(frames: &[Vec<u8>], conn: &mut FrameConn, shared: &Shared) -> std::io::Result<()> {
     let t0 = shared.clock.now_nanos();
     let mut replies: Vec<Option<Reply>> = vec![None; frames.len()];
     let mut commands: Vec<Option<Command>> = Vec::with_capacity(frames.len());
@@ -566,9 +466,9 @@ fn serve_batch(
                 write!(text, " trace {}", tc.id).expect("string write");
             }
         }
-        write_frame(writer, text.as_bytes())?;
+        conn.write(text.as_bytes())?;
     }
-    writer.flush()?;
+    conn.flush()?;
 
     // Bookkeeping after the bytes are out: service time is
     // receipt-to-response, and guards release only now (the admission

@@ -125,8 +125,10 @@ fn the_admission_cap_sheds_typed_and_the_connection_survives() {
         }
         other => panic!("metrics must answer: {other:?}"),
     }
-    // The sheds are countable.
+    // The sheds are countable — and so is the connection that made
+    // them, counted by its handler before it read the first command.
     assert_eq!(t.counter_value("service_shed_total"), Some(10));
+    assert_eq!(t.counter_value("service_connections_total"), Some(1));
 }
 
 #[test]

@@ -23,19 +23,17 @@
 //!
 //! # Threading
 //!
-//! [`ObsServer::bind`] mirrors the cluster's `ReplicaServer`: one accept
-//! loop thread, one detached handler thread per connection, shutdown by
-//! flag + self-connect poke (also on `Drop`). Handlers only read the
-//! registry, so polling never blocks the serving path beyond the
-//! per-instrument locks.
+//! [`ObsServer`] runs on the workspace's one server skeleton,
+//! [`realloc_core::net`], reaping pollers silent for
+//! [`ObsConfig::read_timeout`]. Handlers only read the registry, so
+//! polling never blocks the serving path beyond the per-instrument locks.
 
 use crate::Telemetry;
+use realloc_core::net::{AcceptLoop, FrameConn};
 use realloc_core::textio::{read_frame, write_frame};
 use std::io::{BufReader, BufWriter, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Cap on one command frame (a short verb).
@@ -72,9 +70,7 @@ impl Default for ObsConfig {
 /// Serves one [`Telemetry`]'s registry and trace ring over TCP.
 #[derive(Debug)]
 pub struct ObsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 impl ObsServer {
@@ -102,80 +98,37 @@ impl ObsServer {
         config: ObsConfig,
         health: Option<HealthCheck>,
     ) -> std::io::Result<ObsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("obs-accept-{addr}"))
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    // Reap silent clients: without this, an idle peer
-                    // pins its handler thread for the process lifetime.
-                    let _ = stream.set_read_timeout(config.read_timeout);
-                    let tel = telemetry.clone();
-                    let health = health.clone();
-                    // Detached: handlers exit when their peer
-                    // disconnects or goes quiet past the timeout.
-                    let _ = std::thread::Builder::new()
-                        .name("obs-conn".to_string())
-                        .spawn(move || serve_connection(stream, tel, health));
-                }
-            })?;
-        Ok(ObsServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let accept = AcceptLoop::spawn(addr, "obs", config.read_timeout, move |conn| {
+            serve_connection(conn, &telemetry, &health)
+        })?;
+        Ok(ObsServer { accept })
     }
 
     /// The bound address (poll it with [`ObsClient`] or the fetchers).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
-    /// Stops the accept loop and joins it.
+    /// Stops the accept loop and joins it (also on `Drop`).
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Poke the blocking accept() so the loop observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ObsServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.accept.shutdown();
     }
 }
 
 /// One connection: read command → render → respond, until disconnect.
-fn serve_connection(stream: TcpStream, telemetry: Telemetry, health: Option<HealthCheck>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+fn serve_connection(mut conn: FrameConn, telemetry: &Telemetry, health: &Option<HealthCheck>) {
     loop {
-        let payload = match read_frame(&mut reader, MAX_COMMAND_BYTES) {
+        let payload = match conn.read(MAX_COMMAND_BYTES) {
             Ok(Some(p)) => p,
             // Peer gone — or silent past the read timeout (the error
             // arm is also how a reaped connection exits).
             Ok(None) | Err(_) => return,
         };
         let response = match std::str::from_utf8(&payload).map(str::trim) {
-            Ok(command) => dispatch(command, &telemetry, &health),
+            Ok(command) => dispatch(command, telemetry, health),
             Err(e) => format!("err command is not UTF-8: {e}"),
         };
-        if write_frame(&mut writer, response.as_bytes()).is_err() || writer.flush().is_err() {
+        if conn.write(response.as_bytes()).is_err() || conn.flush().is_err() {
             return;
         }
     }
