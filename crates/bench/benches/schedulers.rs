@@ -22,19 +22,20 @@ fn replay<R: Reallocator>(sched: &mut R, seq: &RequestSeq) {
 
 /// E14 — the **bare** §4 `ReservationScheduler`, no trimming and no
 /// machine/alignment wrappers, so `BENCH_reservation_churn.json` tracks
-/// the rebalance/PLACE hot path itself (scratch buffers, occupancy
-/// index, FxHash maps) without serving-layer overhead diluting it.
+/// the rebalance/PLACE hot path itself (dense interval records, FxHash
+/// maps) without serving-layer overhead diluting it.
 fn bench_reservation_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("reservation_churn");
     // Aligned single-machine churn, accepted verbatim by the bare
     // scheduler. Spans cover levels 0–2 of the paper tower.
-    let aligned = |target: usize, len: usize, seed: u64| -> RequestSeq {
+    const SPANS: [u64; 7] = [1, 4, 16, 64, 256, 1024, 4096];
+    let aligned = |horizon: u64, spans: &[u64], target: usize, len: usize, seed: u64| {
         let mut gen = ChurnGenerator::new(
             ChurnConfig {
                 machines: 1,
                 gamma: 8,
-                horizon: 1 << 14,
-                spans: vec![1, 4, 16, 64, 256, 1024],
+                horizon,
+                spans: spans.to_vec(),
                 target_active: target,
                 insert_bias: 0.6,
                 unaligned: false,
@@ -43,31 +44,40 @@ fn bench_reservation_churn(c: &mut Criterion) {
         );
         gen.generate(len)
     };
+    let replay_bare = |seq: &RequestSeq| {
+        let mut s = ReservationScheduler::new();
+        for &r in seq.requests() {
+            match r {
+                Request::Insert { id, window } => s.insert(id, window).expect("aligned γ=8 churn"),
+                Request::Delete { id } => s.delete(id).expect("active job"),
+            };
+        }
+        s.active_count()
+    };
     for &n in &[100usize, 400, 1600] {
-        let seq = aligned(n, 6 * n, 17);
+        let seq = aligned(1 << 14, &SPANS[..6], n, 6 * n, 17);
         group.throughput(Throughput::Elements(seq.len() as u64));
         group.bench_with_input(
             BenchmarkId::new("insert_delete", n),
             &seq,
-            |b, seq: &RequestSeq| {
-                b.iter(|| {
-                    let mut s = ReservationScheduler::new();
-                    for &r in seq.requests() {
-                        match r {
-                            Request::Insert { id, window } => {
-                                s.insert(id, window).expect("aligned γ=8 churn")
-                            }
-                            Request::Delete { id } => s.delete(id).expect("active job"),
-                        };
-                    }
-                    s.active_count()
-                })
-            },
+            |b, seq: &RequestSeq| b.iter(|| replay_bare(seq)),
         );
     }
+    // The stream the serving benchmark's `mem_dense` workload puts on one
+    // machine (servebench/src/stream.rs: horizon 2^16, spans to 4096,
+    // 2048 active jobs): five requests of prefill per target job, then
+    // 20 000 at the steady state — the row an end-to-end claim about the
+    // scheduler should move with.
+    let dense = aligned(1 << 16, &SPANS, 2048, 2048 * 5 + 20_000, 7);
+    group.throughput(Throughput::Elements(dense.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::from_parameter("dense_2048"),
+        &dense,
+        |b, seq: &RequestSeq| b.iter(|| replay_bare(seq)),
+    );
     // Delete-heavy phase: deletes trigger the eager rebalance path (quota
     // drops, sheds, MOVEs) that the scratch/occupancy work targets most.
-    let build = aligned(800, 2400, 23);
+    let build = aligned(1 << 14, &SPANS[..6], 800, 2400, 23);
     group.throughput(Throughput::Elements(build.len() as u64));
     group.bench_with_input(
         BenchmarkId::from_parameter("churn_drain"),

@@ -48,7 +48,7 @@ impl Primary {
     }
 
     /// Wraps an engine **recovered from durable storage**
-    /// ([`Engine::recover_from_dir`] via `realloc_store`, or any
+    /// (`Engine::recover_from_dir` via `realloc_store`, or any
     /// journal-replay restart) as a fresh primary at `term`, pre-seeding
     /// the stream so replicas bootstrap from the recovered checkpoint.
     ///

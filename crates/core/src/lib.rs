@@ -62,7 +62,7 @@ pub use request::{Request, RequestSeq};
 pub use router::{Router, RouterError, TENANT_SHIFT};
 pub use schedule::{ScheduleSnapshot, ValidationError};
 pub use snapshot::{Restorable, SnapshotNode, SnapshotWriter, SNAPSHOT_HEADER};
-pub use tower::{log_star, Tower};
+pub use tower::{log_star, Tower, MAX_THRESHOLD};
 pub use traits::{Reallocator, SingleMachineReallocator};
 pub use window::Window;
 

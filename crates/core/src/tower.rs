@@ -33,6 +33,14 @@ pub fn log_star(mut n: u64) -> u32 {
     k
 }
 
+/// Largest explicit threshold a [`Tower`] accepts. Thresholds are the
+/// interval spans of the reservation scheduler, whose per-interval state
+/// is dense in the span (one bit per slot, per field), so a threshold
+/// read from untrusted snapshot text must not size an allocation
+/// unchecked. Nothing in the paper needs more: its `L₂` is 256, and the
+/// implicit top level above the last threshold is never an interval span.
+pub const MAX_THRESHOLD: u64 = 1 << 16;
+
 /// A ladder of span thresholds `L₁ < L₂ < …` defining the scheduler levels.
 ///
 /// Level 0 handles spans `≤ L₁`; level `ℓ ≥ 1` handles spans
@@ -59,21 +67,40 @@ impl Tower {
     ///
     /// # Panics
     ///
-    /// Panics unless the thresholds are strictly increasing powers of two,
-    /// with at least one entry and first entry `≥ 2`, and each step at least
-    /// doubling (so every level contains at least one window span).
+    /// Panics where [`Tower::try_custom`] errors.
     pub fn custom(thresholds: Vec<u64>) -> Self {
-        assert!(!thresholds.is_empty(), "tower needs at least one threshold");
+        Self::try_custom(thresholds).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A custom ladder from thresholds that may come from outside the
+    /// program (snapshot text). They must be strictly increasing powers
+    /// of two no larger than [`MAX_THRESHOLD`], with at least one entry
+    /// and first entry `≥ 2`, and each step at least doubling (so every
+    /// level contains at least one window span).
+    pub fn try_custom(thresholds: Vec<u64>) -> Result<Self, String> {
+        if thresholds.is_empty() {
+            return Err("tower needs at least one threshold".to_string());
+        }
         let mut prev = 1u64;
         for &t in &thresholds {
-            assert!(t.is_power_of_two(), "threshold {t} not a power of two");
-            assert!(
-                t >= 2 * prev,
-                "thresholds must at least double: {prev} -> {t}"
-            );
+            if !t.is_power_of_two() {
+                return Err(format!("tower threshold {t} is not a power of two"));
+            }
+            // Checked before the doubling test, which it keeps from
+            // overflowing on a forged 2^63.
+            if t > MAX_THRESHOLD {
+                return Err(format!(
+                    "tower threshold {t} exceeds MAX_THRESHOLD {MAX_THRESHOLD}"
+                ));
+            }
+            if t < 2 * prev {
+                return Err(format!(
+                    "tower thresholds must at least double: {prev} -> {t}"
+                ));
+            }
             prev = t;
         }
-        Tower { thresholds }
+        Ok(Tower { thresholds })
     }
 
     /// The thresholds `L₁, L₂, …` of this tower.
@@ -190,6 +217,12 @@ mod tests {
     #[should_panic]
     fn custom_rejects_non_powers() {
         let _ = Tower::custom(vec![6, 24]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_THRESHOLD")]
+    fn custom_rejects_oversized_thresholds() {
+        let _ = Tower::custom(vec![32, MAX_THRESHOLD * 2]);
     }
 
     #[test]

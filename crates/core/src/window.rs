@@ -130,7 +130,9 @@ impl Window {
     /// The aligned window of span `span` (a power of two) containing slot `s`.
     pub fn aligned_enclosing(s: Slot, span: u64) -> Window {
         debug_assert!(span.is_power_of_two());
-        let start = s - (s % span);
+        // A mask, not `s % span`: this runs once per chain window of every
+        // rebalance, and `span` is not a compile-time constant.
+        let start = s & !(span - 1);
         Window {
             start,
             end: start + span,

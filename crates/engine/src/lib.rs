@@ -712,7 +712,12 @@ impl Engine {
             return;
         };
         let tee = self.sink.is_some() && self.durability_error.is_none();
-        let mut teed: Vec<JournalEvent> = Vec::new();
+        let teed_len = if tee {
+            drains.iter().map(|d| d.records.len()).sum()
+        } else {
+            0
+        };
+        let mut teed: Vec<JournalEvent> = Vec::with_capacity(teed_len);
         for (shard, drain) in drains.iter().enumerate() {
             for &(request, result) in &drain.records {
                 let event = JournalEvent {
@@ -767,7 +772,7 @@ impl Engine {
 
     /// The causal trace context recorded for `batch`, when that batch
     /// was traced and recent (the engine keeps the newest
-    /// [`FLUSH_TRACE_WINDOW`] entries). Replication stamping uses this
+    /// `FLUSH_TRACE_WINDOW` entries). Replication stamping uses this
     /// to annotate the frame that ships a traced batch.
     pub fn trace_of_batch(&self, batch: u64) -> Option<TraceCtx> {
         self.flush_traces.get(&batch).copied()

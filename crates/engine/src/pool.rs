@@ -16,7 +16,7 @@
 //!   the hardware can only add context switches, never throughput. On a
 //!   single-core host the engine skips the pool entirely and drains
 //!   inline, so enabling `parallel` is never a pessimization;
-//! * **a full barrier** — [`WorkerPool::drain_all`] fans one `Drain`
+//! * **a full barrier** — `WorkerPool::drain_all` fans one `Drain`
 //!   command out per worker, then collects each worker's
 //!   [`ShardDrain`]s in shard order. Shards share no state and each
 //!   chunk is drained in shard order, so the result is byte-identical

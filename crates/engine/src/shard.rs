@@ -222,13 +222,20 @@ impl Shard {
                 out
             }
             None => {
-                let mut out = ShardDrain::default();
+                let mut out = self.sized_drain();
                 while let Some(req) = self.queue.pop_front() {
                     let result = self.service_one(req);
                     out.records.push((req, result));
                 }
                 out
             }
+        }
+    }
+
+    /// An empty drain with room for one record per queued request.
+    fn sized_drain(&self) -> ShardDrain {
+        ShardDrain {
+            records: Vec::with_capacity(self.queue.len()),
         }
     }
 
@@ -242,7 +249,7 @@ impl Shard {
     fn drain_instrumented(&mut self, tele: &ShardTele) -> ShardDrain {
         let start = tele.t.now_nanos();
         let mut sampled = Histogram::new();
-        let mut out = ShardDrain::default();
+        let mut out = self.sized_drain();
         while let Some(req) = self.queue.pop_front() {
             self.service_tick += 1;
             let result = if self.service_tick.is_multiple_of(SERVICE_SAMPLE_EVERY) {

@@ -6,6 +6,10 @@
 //! it — costs `O(lg L₁) = O(1)` reallocations, matching the constant
 //! per-level budget of the `O(log* Δ)` analysis.
 //!
+//! Level 0 keeps no state of its own: whether a slot is empty, or under a
+//! higher-level job, is read off the `phys` and `lower` bits of the
+//! level-1 interval around the window ([`crate::state`]).
+//!
 //! Two properties keep the bookkeeping cheap:
 //!
 //! * an intermediate cascade step replaces one level-0 job by another in the
@@ -32,36 +36,33 @@ impl ReservationScheduler {
         let mut cur_window = window;
         let mut from = None;
         loop {
-            // Scan the (≤ L₁) slots of the window: an empty slot is best, a
-            // slot under a higher-level job next (pecking order lets us
-            // displace it); otherwise pick the level-0 occupant with the
-            // smallest strictly-larger span as cascade victim.
-            let mut empty = None;
-            let mut higher = None;
-            let mut victim: Option<(JobId, JobRec)> = None;
-            for s in cur_window.slots() {
-                match self.slot_jobs.get(&s) {
-                    None => {
-                        empty = Some(s);
-                        break;
-                    }
-                    Some(&occ) => {
-                        let rec = self.jobs[&occ];
-                        if rec.level >= 1 {
-                            higher.get_or_insert(s);
-                        } else if rec.window.span() > cur_window.span()
-                            && victim.is_none_or(|(_, v)| rec.window.span() < v.window.span())
-                        {
-                            victim = Some((occ, rec));
-                        }
-                    }
-                }
-            }
-            if let Some(slot) = empty.or(higher) {
+            // The window (span ≤ L₁) lies inside one level-1 interval,
+            // whose record answers the two cheap cases in words: the
+            // leftmost empty slot is best, the leftmost slot under a
+            // higher-level job (occupied, but not by level 0) next —
+            // pecking order lets us displace it.
+            let l1 = &self.levels[1];
+            let claim = l1
+                .leftmost_in(cur_window, |_, phys| !phys)
+                .or_else(|| l1.leftmost_in(cur_window, |lower, phys| phys & !lower));
+            if let Some(slot) = claim {
                 // Final step: claim the slot (displacing a higher-level job
                 // if present) and stop cascading.
                 self.occupy_slot(cur_job, cur_window, 0, slot, from, moves, work);
                 return Ok(());
+            }
+            // Full of level-0 jobs: the cascade victim is the leftmost
+            // occupant with the smallest strictly-larger span.
+            let mut victim: Option<(JobId, JobRec)> = None;
+            for s in cur_window.slots() {
+                let occ = self.slot_jobs[&s];
+                let rec = self.jobs[&occ];
+                debug_assert_eq!(rec.level, 0);
+                if rec.window.span() > cur_window.span()
+                    && victim.is_none_or(|(_, v)| rec.window.span() < v.window.span())
+                {
+                    victim = Some((occ, rec));
+                }
             }
             let Some((victim_id, victim_rec)) = victim else {
                 // Roll the partial cascade back so a rejected insert

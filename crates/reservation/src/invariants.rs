@@ -1,25 +1,31 @@
 //! Exhaustive structural invariant checking, used by tests and
 //! property-based harnesses after every operation.
 //!
-//! Checks (numbers refer to the paper):
+//! Checks (numbers refer to the paper), made directly on the dense
+//! interval records of [`crate::state`]:
 //!
 //! 1. job records ↔ physical occupancy are mutually consistent;
 //! 2. every job sits inside its window (feasibility, §2);
-//! 3. at levels ≥ 1: `x` equals the actual number of jobs per window, every
-//!    job sits in a slot *assigned to its own window*, and `empty_assigned`
-//!    mirrors `assigned`;
-//! 4. interval `lower_occ` sets exactly reflect physical occupancy by
-//!    lower-level jobs (allowance correctness);
+//! 3. at levels ≥ 1: `x` equals the actual number of jobs per window,
+//!    `held[k]` is exactly the slots under the chain window's own jobs
+//!    (`held[k] ⊆ assigned[k] ∩ phys`: every job sits in a slot *assigned
+//!    to its own window*), and each window's open-interval list is exactly
+//!    the intervals where `assigned[k] & !held[k] ≠ 0`;
+//! 4. `lower` and `phys` exactly reflect physical occupancy (allowance
+//!    correctness), and an interval record exists iff one of its words is
+//!    non-zero;
 //! 5. **never over-assigned** (Invariant 5 + Observation 7 with lazy
-//!    rises): per interval, each window's assigned slots never exceed its
-//!    fulfilled quota, and the total never exceeds the allowance;
-//! 6. assignments never sit on lower-occupied slots, distinct windows never
-//!    share an assigned slot, and a window's assignments lie inside it;
+//!    rises): per interval, `popcount(assigned[k])` never exceeds the
+//!    window's fulfilled quota, and the total never exceeds the allowance;
+//! 6. `assigned[k] ∩ lower = ∅`, the chain's `assigned` fields are pairwise
+//!    disjoint, and no field has a bit outside the interval or past the
+//!    level's chain;
 //! 7. high-water marks cover every window with state at the level.
 
 use crate::scheduler::ReservationScheduler;
-use realloc_core::Window;
-use std::collections::{HashMap, HashSet};
+use crate::state::Field;
+use realloc_core::{JobId, Slot, Window};
+use std::collections::HashMap;
 
 /// A violated invariant, with human-readable context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,19 +80,19 @@ impl ReservationScheduler {
         }
 
         // Jobs per window (levels ≥ 1).
-        let mut per_window: HashMap<(usize, Window), Vec<(realloc_core::JobId, u64)>> =
-            HashMap::new();
-        for (&id, rec) in &self.jobs {
-            if rec.level >= 1 {
-                per_window
-                    .entry((rec.level, rec.window))
-                    .or_default()
-                    .push((id, rec.slot));
-            }
+        let mut per_window: HashMap<(usize, Window), u64> = HashMap::new();
+        for rec in self.jobs.values().filter(|rec| rec.level >= 1) {
+            *per_window.entry((rec.level, rec.window)).or_default() += 1;
         }
 
         for (level, lvl) in self.levels.iter().enumerate().skip(1) {
-            let ispan = self.tower.interval_span(level);
+            let (ispan, nw) = (lvl.ispan(), lvl.nw());
+            ensure!(
+                ispan == self.tower.interval_span(level),
+                "level {level}: interval span {ispan} != tower's {}",
+                self.tower.interval_span(level)
+            );
+            let chain: Vec<u64> = lvl.chain_spans().collect();
 
             // 3 + 7: window states.
             for (&w, ws) in &lvl.windows {
@@ -100,163 +106,153 @@ impl ReservationScheduler {
                     "level {level}: window {w} belongs to level {}",
                     self.tower.level_of(w.span())
                 );
-                let jobs_here = per_window
-                    .get(&(level, w))
-                    .map(|v| v.len() as u64)
-                    .unwrap_or(0);
+                let jobs_here = per_window.get(&(level, w)).copied().unwrap_or(0);
                 ensure!(
                     ws.x == jobs_here,
                     "level {level} window {w}: x={} but {jobs_here} jobs present",
                     ws.x
                 );
-                for (&s, &occ) in &ws.assigned {
-                    ensure!(
-                        w.contains_slot(s),
-                        "level {level} window {w}: assigned slot {s} outside window"
-                    );
-                    match occ {
-                        Some(j) => {
-                            ensure!(
-                                self.jobs.get(&j).map(|r| (r.window, r.slot)) == Some((w, s)),
-                                "level {level} window {w}: assigned slot {s} claims job {j} \
-                                 but the job record disagrees"
-                            );
-                            ensure!(
-                                !ws.empty_assigned.contains(&s),
-                                "level {level} window {w}: occupied slot {s} in empty_assigned"
-                            );
-                        }
-                        None => {
-                            ensure!(
-                                ws.empty_assigned.contains(&s),
-                                "level {level} window {w}: empty slot {s} missing from empty_assigned"
-                            );
-                            ensure!(
-                                self.slot_jobs.get(&s).map(|j| self.jobs[j].level > level)
-                                    != Some(false),
-                                "level {level} window {w}: empty-assigned slot {s} occupied by \
-                                 a job of level ≤ {level}"
-                            );
-                        }
-                    }
-                }
+                // The open list: ascending, inside the window, and naming
+                // only intervals with an empty fulfilled slot of `w` (the
+                // converse is checked per record below).
+                let k = lvl.chain_pos(w.span());
                 ensure!(
-                    ws.empty_assigned
-                        .iter()
-                        .all(|s| ws.assigned.get(s) == Some(&None)),
-                    "level {level} window {w}: empty_assigned contains stale slots"
+                    ws.open.windows(2).all(|p| p[0] < p[1]),
+                    "level {level} window {w}: open list {:?} not strictly ascending",
+                    ws.open
                 );
-                // Every job of this window sits in one of its assigned slots.
-                if let Some(jobs_list) = per_window.get(&(level, w)) {
-                    for &(id, slot) in jobs_list {
-                        ensure!(
-                            ws.assigned.get(&slot) == Some(&Some(id)),
-                            "level {level} window {w}: job {id} at slot {slot} not backed \
-                             by a fulfilled reservation"
-                        );
-                    }
+                for &istart in &ws.open {
+                    ensure!(
+                        w.contains_slot(istart) && lvl.istart_of(istart) == istart,
+                        "level {level} window {w}: open list names {istart}, not one of its intervals"
+                    );
+                    ensure!(
+                        lvl.intervals
+                            .get(&istart)
+                            .is_some_and(|rec| rec.is_open(nw, k)),
+                        "level {level} window {w}: listed interval {istart} holds no empty \
+                         fulfilled slot"
+                    );
                 }
             }
             // Every populated window has a state.
-            for (&(l, w), _) in per_window.iter().filter(|((l, _), _)| *l == level) {
-                let _ = l;
+            for &(_, w) in per_window.keys().filter(|(l, _)| *l == level) {
                 ensure!(
                     lvl.windows.contains_key(&w),
                     "level {level}: window {w} has jobs but no state"
                 );
             }
 
-            // 4: lower_occ exactness, and occupancy-index (`phys_occ`)
-            // exactness: every record's index holds precisely the
-            // physically occupied slots of its interval, at every level.
-            let mut expected_lower: HashMap<u64, HashSet<u64>> = HashMap::new();
-            for rec in self.jobs.values() {
-                if rec.level < level {
-                    expected_lower
-                        .entry(rec.slot - rec.slot % ispan)
-                        .or_default()
-                        .insert(rec.slot);
-                }
-            }
-            let mut expected_phys: HashMap<u64, HashSet<u64>> = HashMap::new();
+            // 4: the records an exact `phys` needs all exist (their bits
+            // are checked slot by slot below).
             for &slot in self.slot_jobs.keys() {
-                expected_phys
-                    .entry(slot - slot % ispan)
-                    .or_default()
-                    .insert(slot);
-            }
-            for (&istart, ist) in &lvl.intervals {
-                let expected = expected_lower.remove(&istart).unwrap_or_default();
-                let actual: HashSet<u64> = ist.lower_occ.iter().copied().collect();
                 ensure!(
-                    actual == expected,
-                    "level {level} interval {istart}: lower_occ {actual:?} != occupancy {expected:?}"
-                );
-                let expected = expected_phys.remove(&istart).unwrap_or_default();
-                let actual: HashSet<u64> = ist.phys_occ.iter().copied().collect();
-                ensure!(
-                    actual == expected,
-                    "level {level} interval {istart}: phys_occ {actual:?} != occupancy {expected:?}"
-                );
-                ensure!(
-                    !ist.is_empty(),
-                    "level {level} interval {istart}: empty record not pruned"
+                    lvl.intervals.contains_key(&lvl.istart_of(slot)),
+                    "level {level}: occupied slot {slot} has no interval record"
                 );
             }
-            ensure!(
-                expected_lower.is_empty(),
-                "level {level}: intervals {:?} with lower occupancy have no record",
-                expected_lower.keys().collect::<Vec<_>>()
-            );
-            ensure!(
-                expected_phys.is_empty(),
-                "level {level}: occupied intervals {:?} missing from the occupancy index",
-                expected_phys.keys().collect::<Vec<_>>()
-            );
 
-            // 5 + 6: per-interval quota bounds.
-            let mut interval_starts: HashSet<u64> = HashSet::new();
-            for ws in lvl.windows.values() {
-                for &s in ws.assigned.keys() {
-                    interval_starts.insert(s - s % ispan);
-                }
-            }
-            interval_starts.extend(lvl.intervals.keys().copied());
-            for &istart in &interval_starts {
-                let iw = Window::with_span(istart, ispan);
-                let allowance = ispan
-                    - lvl
-                        .intervals
-                        .get(&istart)
-                        .map(|i| i.lower_occ.len() as u64)
-                        .unwrap_or(0);
-                let quotas = self.quotas_at(level, istart);
-                let mut assigned_slots: HashSet<u64> = HashSet::new();
-                let mut total_assigned = 0u64;
-                for (w, quota) in quotas {
-                    let Some(ws) = lvl.windows.get(&w) else {
-                        continue;
-                    };
-                    let have: Vec<u64> = ws.assigned_in(iw).map(|(s, _)| s).collect();
+            for (&istart, rec) in &lvl.intervals {
+                ensure!(
+                    lvl.istart_of(istart) == istart,
+                    "level {level}: record key {istart} is not an interval start"
+                );
+                ensure!(
+                    !rec.is_zero(),
+                    "level {level} interval {istart}: all-zero record not pruned"
+                );
+                ensure!(
+                    rec.chain_len(nw) <= chain.len(),
+                    "level {level} interval {istart}: {} chain positions allocated, chain has {}",
+                    rec.chain_len(nw),
+                    chain.len()
+                );
+                let fields = [Field::Lower, Field::Phys].into_iter().chain(
+                    (0..rec.chain_len(nw)).flat_map(|k| [Field::Assigned(k), Field::Held(k)]),
+                );
+                for field in fields {
                     ensure!(
-                        have.len() as u64 <= quota,
-                        "level {level} interval {istart} window {w}: assigned {} > quota {quota}",
-                        have.len()
+                        ispan >= 64 || rec.word(nw, field, 0) >> ispan == 0,
+                        "level {level} interval {istart}: {field:?} has bits outside the interval"
                     );
-                    total_assigned += have.len() as u64;
-                    for s in have {
-                        ensure!(
-                            assigned_slots.insert(s),
-                            "level {level} interval {istart}: slot {s} assigned to two windows"
-                        );
-                        if let Some(ist) = lvl.intervals.get(&istart) {
-                            ensure!(
-                                !ist.lower_occ.contains(&s),
-                                "level {level} interval {istart}: assigned slot {s} is lower-occupied"
-                            );
-                        }
-                    }
                 }
+
+                // 4 + 3, slot by slot: occupancy bits against the job
+                // maps, `held` against the occupant's own window.
+                for bit in 0..ispan as usize {
+                    let slot = istart + bit as Slot;
+                    let occupant: Option<(JobId, _)> =
+                        self.slot_jobs.get(&slot).map(|&id| (id, self.jobs[&id]));
+                    ensure!(
+                        rec.test(nw, Field::Phys, bit) == occupant.is_some(),
+                        "level {level} interval {istart}: phys bit of slot {slot} disagrees \
+                         with occupant {occupant:?}"
+                    );
+                    ensure!(
+                        rec.test(nw, Field::Lower, bit)
+                            == occupant.is_some_and(|(_, job)| job.level < level),
+                        "level {level} interval {istart}: lower bit of slot {slot} disagrees \
+                         with occupant {occupant:?}"
+                    );
+                    let own = occupant
+                        .filter(|(_, job)| job.level == level)
+                        .map(|(_, job)| lvl.chain_pos(job.window.span()));
+                    for k in 0..rec.chain_len(nw) {
+                        ensure!(
+                            rec.test(nw, Field::Held(k), bit) == (own == Some(k)),
+                            "level {level} interval {istart}: held[{k}] bit of slot {slot} \
+                             disagrees with occupant {occupant:?}"
+                        );
+                    }
+                    ensure!(
+                        own.is_none_or(|k| rec.test(nw, Field::Assigned(k), bit)),
+                        "level {level} interval {istart}: job {occupant:?} at slot {slot} not \
+                         backed by a fulfilled reservation of its window"
+                    );
+                }
+
+                // 5 + 6: per-window quota bounds and disjointness, in words.
+                let quotas = self.quotas_at(level, istart);
+                let mut union = vec![0u64; nw];
+                let mut total_assigned = 0u64;
+                for (k, &(w, quota)) in quotas.iter().enumerate() {
+                    let have = rec.count(nw, Field::Assigned(k));
+                    ensure!(
+                        have <= quota,
+                        "level {level} interval {istart} window {w}: assigned {have} > quota {quota}"
+                    );
+                    total_assigned += have;
+                    for (i, seen) in union.iter_mut().enumerate() {
+                        let assigned = rec.word(nw, Field::Assigned(k), i);
+                        ensure!(
+                            assigned & *seen == 0,
+                            "level {level} interval {istart}: window {w} shares an assigned \
+                             slot with a shorter window"
+                        );
+                        ensure!(
+                            assigned & rec.word(nw, Field::Lower, i) == 0,
+                            "level {level} interval {istart}: window {w} is assigned a \
+                             lower-occupied slot"
+                        );
+                        *seen |= assigned;
+                    }
+                    // The open list's converse, and the state `assign`
+                    // creates with the first assignment.
+                    let listed = lvl
+                        .windows
+                        .get(&w)
+                        .map(|ws| ws.open.binary_search(&istart).is_ok());
+                    ensure!(
+                        have == 0 || listed.is_some(),
+                        "level {level} interval {istart}: window {w} has assignments but no state"
+                    );
+                    ensure!(
+                        listed.unwrap_or(false) == rec.is_open(nw, k),
+                        "level {level} interval {istart}: window {w}'s open list disagrees \
+                         with its empty fulfilled slots here"
+                    );
+                }
+                let allowance = ispan - rec.count(nw, Field::Lower);
                 ensure!(
                     total_assigned <= allowance,
                     "level {level} interval {istart}: {total_assigned} assignments exceed \

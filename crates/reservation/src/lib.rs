@@ -14,9 +14,10 @@
 //!
 //! * [`quota`] — Invariant 5 reservation counts and the Observation 7
 //!   history-independent fulfillment rule, as pure functions;
-//! * [`state`] — the mutable residue: which slot backs each fulfilled
-//!   reservation, per-interval lower-level occupancy (the complement of
-//!   `allowance(I)`), and physical placement;
+//! * [`state`] — the mutable residue, one dense record of bit words per
+//!   interval: which slots back each window's fulfilled reservations,
+//!   lower-level occupancy (the complement of `allowance(I)`), and
+//!   physical occupancy;
 //! * [`scheduler`] — insert/delete built from RESERVE (quota rises),
 //!   MOVE (quota drops; ancestor slot-swap trick), and PLACE (with the
 //!   cross-level displacement cascade);

@@ -35,8 +35,10 @@
 pub fn reservation_count(x: u64, num_intervals: u64, pos: u64) -> u64 {
     debug_assert!(num_intervals.is_power_of_two());
     debug_assert!(pos < num_intervals);
+    // `num_intervals` is a power of two and this runs once per chain
+    // window of every rebalance: shift and mask, not divide.
     let two_x = 2 * x;
-    1 + two_x / num_intervals + u64::from(pos < two_x % num_intervals)
+    1 + (two_x >> num_intervals.trailing_zeros()) + u64::from(pos < two_x & (num_intervals - 1))
 }
 
 /// The two round-robin positions whose reservation count *increases* when

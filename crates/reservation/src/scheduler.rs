@@ -43,22 +43,44 @@
 //!
 //! # Hot-path engineering
 //!
-//! The steady-state request path performs **no heap allocation** beyond
-//! the returned move list: every intermediate buffer rebalance and quota
-//! computation need lives in a [`Scratch`] block owned by the scheduler
-//! and reused across requests (taken/restored around each rebalance so
-//! the rare recursive hunt still works). Free-slot discovery walks the
-//! gaps of the per-interval occupancy index
-//! ([`crate::state::IntervalState::phys_occ`]) instead of probing all
-//! `L_ℓ` slots of an interval against the global slot map, and all
+//! REBALANCE runs two to three times per request and usually finds
+//! nothing to do, so what it costs to *look* decides the request's cost.
+//! Everything it looks at in an interval — the allowance, physical
+//! occupancy, and every chain window's fulfilled slots — is one dense
+//! record of bit words found with one hash probe
+//! ([`crate::state::IntervalState`]); the chain windows contribute only
+//! their job counts. The three phases are word operations on that
+//! record:
+//!
+//! 0. `assigned[k] &= !lower`;
+//! 1. shed `popcount(assigned[k]) − quota` slots, lowest empty bits
+//!    first, then MOVE jobs off `held[k]` bits in ascending order;
+//! 2. hand out `!(lower | phys | ⋃assigned)` lowest bit first in chain
+//!    order, falling back to `phys & !(lower | ⋃assigned)`.
+//!
+//! Occupancy changes, allowance flips, MOVE's ancestor swap and finding
+//! which window holds a slot are single bit flips or tests in the same
+//! records, PLACE reads the window's short list of intervals holding an
+//! empty fulfilled slot, and the level-0 cascade finds its free slot as
+//! the lowest clear `phys` bit under the window's mask.
+//!
+//! Every tie-break of the algorithm is "leftmost slot first", which in
+//! words is "lowest set bit first" — the layout changes what a step
+//! costs, never which slot it picks; the frozen seed copy in
+//! `tests/seed_equivalence.rs` pins that down move for move.
+//!
+//! The request path performs **no heap allocation** beyond the returned
+//! move list and the first touch of an interval or window: the quota
+//! buffers and the worklist live in a scratch block owned by the
+//! scheduler and reused across requests (taken/restored around each
+//! rebalance so the rare recursive hunt still works), and all
 //! point-lookup maps use the deterministic FxHash shim instead of
-//! SipHash. None of this changes observable behaviour — the frozen seed
-//! copy in `tests/seed_equivalence.rs` pins that down.
+//! SipHash.
 
 use crate::quota::{
     fulfilled_quotas_into, positions_gained, positions_lost, reservation_count, Demand,
 };
-use crate::state::{JobRec, Level};
+use crate::state::{Field, JobRec, Level};
 use fxhash::FxHashMap;
 use realloc_core::{Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window};
 use std::collections::VecDeque;
@@ -91,8 +113,8 @@ pub(crate) enum Task {
 }
 
 /// Reusable buffers for the request hot path. Owned by the scheduler and
-/// taken/restored around each rebalance, so steady-state inserts and
-/// deletes allocate nothing beyond the returned move list.
+/// taken/restored around each rebalance, so quota computation allocates
+/// nothing in the steady state.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Scratch {
     /// Chain windows with their fulfilled quotas (`quotas_into` output).
@@ -101,18 +123,6 @@ pub(crate) struct Scratch {
     demands: Vec<Demand>,
     /// Fulfilled quota per demand (same order).
     quotas: Vec<u64>,
-    /// Assignments that fell out of the allowance (rebalance phase 0).
-    invalid: Vec<Slot>,
-    /// One window's assignments in the interval (rebalance phase 1).
-    cur: Vec<(Slot, Option<JobId>)>,
-    /// Sorted: lower-occupied ∪ assigned slots (rebalance phase 2).
-    taken: Vec<Slot>,
-    /// Sorted: `taken` ∪ physically occupied (rebalance phase 2).
-    blocked: Vec<Slot>,
-    /// Residual per-window demand after the free-slot pass.
-    needs: Vec<u64>,
-    /// Occupied-but-unassigned slots (phase 2 fallback pool).
-    spare: Vec<Slot>,
     /// The FIFO worklist, reused across requests.
     work: VecDeque<Task>,
 }
@@ -145,11 +155,14 @@ impl ReservationScheduler {
     pub fn with_tower(tower: Tower) -> Self {
         let n = tower.max_levels();
         ReservationScheduler {
-            tower,
             jobs: FxHashMap::default(),
             slot_jobs: FxHashMap::default(),
-            levels: (0..n).map(|_| Level::default()).collect(),
+            // Level 0 has no intervals; its `Level` only fills index 0.
+            levels: (0..n)
+                .map(|l| Level::new(if l == 0 { 1 } else { tower.interval_span(l) }))
+                .collect(),
             scratch: Scratch::default(),
+            tower,
         }
     }
 
@@ -164,13 +177,7 @@ impl ReservationScheduler {
 
     /// Interval span `L_ℓ` of `level ≥ 1`.
     pub(crate) fn ispan(&self, level: usize) -> u64 {
-        self.tower.interval_span(level)
-    }
-
-    /// Start of the level-`level` interval containing `slot`.
-    pub(crate) fn interval_of(&self, level: usize, slot: Slot) -> Slot {
-        let span = self.ispan(level);
-        slot - slot % span
+        self.levels[level].ispan()
     }
 
     /// Number of level-`level` intervals in window `w` (the paper's `2^k`).
@@ -195,22 +202,22 @@ impl ReservationScheduler {
         demands: &mut Vec<Demand>,
         quotas: &mut Vec<u64>,
     ) {
-        let ispan = self.ispan(level);
         let lvl = &self.levels[level];
+        let (ispan, nw) = (lvl.ispan(), lvl.nw());
         let lower = lvl
             .intervals
             .get(&istart)
-            .map(|i| i.lower_occ.len() as u64)
-            .unwrap_or(0);
+            .map_or(0, |rec| rec.count(nw, Field::Lower));
         let allowance = ispan - lower;
 
         out.clear();
         demands.clear();
-        for span in lvl.chain_spans(ispan) {
+        let shift = ispan.trailing_zeros();
+        for span in lvl.chain_spans() {
             let w = Window::aligned_enclosing(istart, span);
             let x = lvl.windows.get(&w).map(|ws| ws.x).unwrap_or(0);
-            let ni = span / ispan;
-            let pos = (istart - w.start()) / ispan;
+            let ni = span >> shift;
+            let pos = (istart - w.start()) >> shift;
             out.push((w, 0));
             demands.push(Demand {
                 span,
@@ -237,39 +244,19 @@ impl ReservationScheduler {
     // Occupancy index maintenance
     // ------------------------------------------------------------------
 
-    /// Records that `slot` became physically occupied: enters the
-    /// occupancy index of its enclosing interval at every level.
+    /// Records that `slot` became physically occupied: its `phys` bit is
+    /// set in its enclosing interval at every level.
     fn note_occupied(&mut self, slot: Slot) {
-        for lvl in 1..self.levels.len() {
-            let span = self.tower.interval_span(lvl);
-            let istart = slot - slot % span;
-            let inserted = self.levels[lvl]
-                .intervals
-                .entry(istart)
-                .or_default()
-                .phys_occ
-                .insert(slot);
-            debug_assert!(inserted, "slot {slot} double-entered the index at {lvl}");
+        for lvl in &mut self.levels[1..] {
+            lvl.set_occupancy(Field::Phys, slot);
         }
     }
 
-    /// Records that `slot` became physically free: leaves every level's
-    /// occupancy index, pruning interval records that carry nothing else.
+    /// Records that `slot` became physically free: its `phys` bit is
+    /// cleared at every level (pruning interval records left all-zero).
     fn note_freed(&mut self, slot: Slot) {
-        for lvl in 1..self.levels.len() {
-            let span = self.tower.interval_span(lvl);
-            let istart = slot - slot % span;
-            let mut emptied = false;
-            if let Some(rec) = self.levels[lvl].intervals.get_mut(&istart) {
-                let had = rec.phys_occ.remove(&slot);
-                debug_assert!(had, "freed slot {slot} missing from the index at {lvl}");
-                emptied = rec.is_empty();
-            } else {
-                debug_assert!(false, "interval of an occupied slot must be materialized");
-            }
-            if emptied {
-                self.levels[lvl].intervals.remove(&istart);
-            }
+        for lvl in &mut self.levels[1..] {
+            lvl.clear_occupancy(Field::Phys, slot);
         }
     }
 
@@ -331,8 +318,6 @@ impl ReservationScheduler {
         moves: &mut Vec<SlotMove>,
         sc: &mut Scratch,
     ) -> Result<(), Error> {
-        let ispan = self.ispan(level);
-        let iw = Window::with_span(istart, ispan);
         self.quotas_into(
             level,
             istart,
@@ -341,176 +326,29 @@ impl ReservationScheduler {
             &mut sc.quotas,
         );
 
-        // Phase 0 + 1: per window, drop invalid assignments and shed excess.
-        for &(w, quota) in &sc.targets {
-            if !self.levels[level].windows.contains_key(&w) {
-                continue;
-            }
-            sc.invalid.clear();
-            {
-                let lvl = &self.levels[level];
-                let ws = &lvl.windows[&w];
-                let occ = lvl.intervals.get(&istart);
-                sc.invalid.extend(
-                    ws.assigned_in(iw)
-                        .filter(|(s, _)| occ.is_some_and(|i| i.lower_occ.contains(s)))
-                        .map(|(s, j)| {
-                            debug_assert!(
-                                j.is_none(),
-                                "lower-occupied slot {s} still holds a level-{level} job"
-                            );
-                            s
-                        }),
-                );
-            }
-            for &s in &sc.invalid {
-                self.levels[level]
-                    .windows
-                    .get_mut(&w)
-                    .unwrap()
-                    .remove_assignment(s);
-            }
-
-            sc.cur.clear();
-            sc.cur
-                .extend(self.levels[level].windows[&w].assigned_in(iw));
-            let excess = (sc.cur.len() as u64).saturating_sub(quota);
-            if excess == 0 {
-                continue;
-            }
-            // Shed empty assignments first; then MOVE jobs off the rest.
-            let mut shed = 0u64;
-            for &(s, _) in sc.cur.iter().filter(|(_, o)| o.is_none()) {
-                if shed == excess {
+        // Phase 0 + 1, window by window in chain order: drop invalid
+        // assignments and shed the excess — empty slots first, in words;
+        // what remains sits under the window's own jobs, which MOVE off
+        // left to right.
+        let mut first = 0;
+        while let Some((k, excess)) = self.levels[level].shed(istart, first, &sc.targets) {
+            let w = sc.targets[k].0;
+            let mut from = 0;
+            for _ in 0..excess {
+                let Some(s) = self.levels[level].next_held(istart, k, from) else {
                     break;
-                }
-                self.levels[level]
-                    .windows
-                    .get_mut(&w)
-                    .unwrap()
-                    .remove_assignment(s);
-                shed += 1;
+                };
+                let j = self.slot_jobs[&s];
+                self.move_job(level, w, j, moves)?;
+                // `move_job` vacated `s`; the assignment is now empty.
+                self.levels[level].unassign(w, s);
+                from = (s - istart) as usize + 1;
             }
-            if shed < excess {
-                for &(s, occ) in sc.cur.iter().filter(|(_, o)| o.is_some()) {
-                    if shed == excess {
-                        break;
-                    }
-                    let j = occ.expect("filtered on occupied");
-                    self.move_job(level, w, j, moves)?;
-                    // `move_job` vacated `s`; the assignment is now empty.
-                    self.levels[level]
-                        .windows
-                        .get_mut(&w)
-                        .unwrap()
-                        .remove_assignment(s);
-                    shed += 1;
-                }
-            }
+            first = k + 1;
         }
 
         // Phase 2: claim free allowance slots for under-quota windows.
-        // `taken` = lower-occupied ∪ currently assigned (by any chain
-        // window); `blocked` additionally unions the interval's occupancy
-        // index, so free slots are exactly the gaps of `blocked` — no
-        // per-slot probing of the global slot map.
-        sc.taken.clear();
-        sc.blocked.clear();
-        {
-            let lvl = &self.levels[level];
-            if let Some(ist) = lvl.intervals.get(&istart) {
-                sc.taken.extend(ist.lower_occ.iter().copied());
-            }
-            for &(w, _) in &sc.targets {
-                if let Some(ws) = lvl.windows.get(&w) {
-                    sc.taken.extend(ws.assigned_in(iw).map(|(s, _)| s));
-                }
-            }
-            sc.taken.sort_unstable();
-            // Sorted merge (dedup) of `taken` and the occupancy index.
-            let mut ti = 0usize;
-            if let Some(ist) = lvl.intervals.get(&istart) {
-                for &p in &ist.phys_occ {
-                    while ti < sc.taken.len() && sc.taken[ti] < p {
-                        sc.blocked.push(sc.taken[ti]);
-                        ti += 1;
-                    }
-                    if ti < sc.taken.len() && sc.taken[ti] == p {
-                        ti += 1;
-                    }
-                    sc.blocked.push(p);
-                }
-            }
-            sc.blocked.extend_from_slice(&sc.taken[ti..]);
-        }
-
-        // Phase 2a: hand the free gaps to windows in chain order. The
-        // cursor never revisits a slot, which matches the seed's
-        // scan-from-the-left with a shared `taken` set.
-        sc.needs.clear();
-        let iend = istart + ispan;
-        let mut free_cursor = istart;
-        let mut bi = 0usize;
-        for &(w, quota) in &sc.targets {
-            let cur = self.levels[level]
-                .windows
-                .get(&w)
-                .map(|ws| ws.assigned_in(iw).count() as u64)
-                .unwrap_or(0);
-            let mut needed = quota.saturating_sub(cur);
-            while needed > 0 && free_cursor < iend {
-                if bi < sc.blocked.len() && sc.blocked[bi] == free_cursor {
-                    free_cursor += 1;
-                    bi += 1;
-                    continue;
-                }
-                self.levels[level]
-                    .windows
-                    .entry(w)
-                    .or_default()
-                    .add_assignment(free_cursor);
-                free_cursor += 1;
-                needed -= 1;
-            }
-            sc.needs.push(needed);
-        }
-
-        // Phase 2b: residual demand falls back to occupied-but-unassigned
-        // slots (assignment ≠ occupancy; PLACE displaces on use). This can
-        // only happen once every free slot in the interval is spoken for,
-        // so the candidates are exactly `phys_occ \ taken`, left to right.
-        if sc.needs.iter().any(|&n| n > 0) {
-            sc.spare.clear();
-            {
-                let lvl = &self.levels[level];
-                if let Some(ist) = lvl.intervals.get(&istart) {
-                    let mut ti = 0usize;
-                    for &p in &ist.phys_occ {
-                        while ti < sc.taken.len() && sc.taken[ti] < p {
-                            ti += 1;
-                        }
-                        if ti < sc.taken.len() && sc.taken[ti] == p {
-                            continue;
-                        }
-                        sc.spare.push(p);
-                    }
-                }
-            }
-            let mut si = 0usize;
-            for (idx, &(w, _)) in sc.targets.iter().enumerate() {
-                let mut needed = sc.needs[idx];
-                while needed > 0 && si < sc.spare.len() {
-                    self.levels[level]
-                        .windows
-                        .entry(w)
-                        .or_default()
-                        .add_assignment(sc.spare[si]);
-                    si += 1;
-                    needed -= 1;
-                }
-                debug_assert_eq!(needed, 0, "quota exceeds free capacity in interval");
-            }
-        }
+        self.levels[level].claim(istart, &sc.targets);
         Ok(())
     }
 
@@ -539,11 +377,8 @@ impl ReservationScheduler {
         // Physical swap: job s -> target; hopper (if any) target -> s.
         self.slot_jobs.insert(target, job);
         self.jobs.get_mut(&job).unwrap().slot = target;
-        {
-            let ws = self.levels[level].windows.get_mut(&w).unwrap();
-            ws.vacate(s);
-            ws.occupy(target, job);
-        }
+        self.levels[level].vacate(w, s);
+        self.levels[level].occupy(w, target);
         moves.push(SlotMove {
             job,
             from: Some(s),
@@ -558,18 +393,11 @@ impl ReservationScheduler {
                     "occupant of a fulfilled slot must be higher-level"
                 );
                 // h hops target -> s; its own fulfilled slot re-points.
-                // Both slots stay occupied, so the occupancy index is
-                // untouched.
+                // Both slots stay occupied, so `phys` is untouched.
                 self.slot_jobs.insert(s, h);
                 self.jobs.get_mut(&h).unwrap().slot = s;
-                let hws = self.levels[hrec.level]
-                    .windows
-                    .get_mut(&hrec.window)
-                    .unwrap();
-                hws.vacate(target);
-                hws.remove_assignment(target);
-                hws.add_assignment(s);
-                hws.occupy(s, h);
+                let hlvl = &mut self.levels[hrec.level];
+                hlvl.repoint(hlvl.chain_pos(hrec.window.span()), target, s, true);
                 moves.push(SlotMove {
                     job: h,
                     from: Some(target),
@@ -585,62 +413,25 @@ impl ReservationScheduler {
 
         // Ancestor swap (Figure 1 lines 12–13): for levels in (level, htop],
         // `s` and `target` trade lower-occupancy and any assignment at
-        // `target` re-points to `s`. Allowance sizes — hence quotas — are
-        // unchanged, so no rebalance is needed.
-        for lvl2 in (level + 1)..=htop {
-            let istart = self.interval_of(lvl2, s);
-            debug_assert_eq!(
-                istart,
-                self.interval_of(lvl2, target),
-                "swap must stay within one ancestor interval"
-            );
-            if let Some(rec) = self.levels[lvl2].intervals.get_mut(&istart) {
-                let had_s = rec.lower_occ.remove(&s);
-                debug_assert!(
-                    had_s,
-                    "slot {s} was occupied by a lower job but unrecorded at level {lvl2}"
-                );
-                rec.lower_occ.insert(target);
-            } else {
-                debug_assert!(
-                    false,
-                    "ancestor interval of an occupied slot must be materialized"
-                );
-            }
-            // Re-point a level-lvl2 assignment at `target`, if any, to `s`.
-            // At the hopper's own level this was done above; here we handle
-            // windows other than the hopper's.
-            if let Some(w2) = self.assignment_holder(lvl2, target) {
-                let ws2 = self.levels[lvl2].windows.get_mut(&w2).unwrap();
-                ws2.remove_assignment(target);
-                ws2.add_assignment(s);
+        // `target` re-points to `s` (at the hopper's own level that was
+        // done above; here it is some other window's empty slot). Both
+        // slots share one interval at every ancestor level, and allowance
+        // sizes — hence quotas — are unchanged, so no rebalance is needed.
+        for lvl2 in &mut self.levels[level + 1..=htop] {
+            lvl2.clear_occupancy(Field::Lower, s);
+            lvl2.set_occupancy(Field::Lower, target);
+            if let Some(k) = lvl2.holder(target) {
+                lvl2.repoint(k, target, s, false);
             }
         }
 
-        // Occupancy index: with a hopper both slots stay occupied; without
-        // one the job's move frees `s` and claims `target`.
+        // `phys`: with a hopper both slots stay occupied; without one the
+        // job's move frees `s` and claims `target`.
         if hopper.is_none() {
             self.note_occupied(target);
             self.note_freed(s);
         }
         Ok(())
-    }
-
-    /// Which level-`level` window (if any) holds an *empty* fulfilled
-    /// reservation at `slot`. Scans the chain of enclosing windows.
-    fn assignment_holder(&self, level: usize, slot: Slot) -> Option<Window> {
-        let ispan = self.ispan(level);
-        let lvl = &self.levels[level];
-        for span in lvl.chain_spans(ispan) {
-            let w = Window::aligned_enclosing(slot, span);
-            if let Some(ws) = lvl.windows.get(&w) {
-                if let Some(occ) = ws.assigned.get(&slot) {
-                    debug_assert!(occ.is_none(), "re-pointed slot {slot} holds a job");
-                    return Some(w);
-                }
-            }
-        }
-        None
     }
 
     // ------------------------------------------------------------------
@@ -669,11 +460,7 @@ impl ReservationScheduler {
             );
             // h loses its slot; its stale (now empty) assignment at `slot`
             // is cleaned by the flip-triggered rebalance below.
-            self.levels[hrec.level]
-                .windows
-                .get_mut(&hrec.window)
-                .unwrap()
-                .vacate(slot);
+            self.levels[hrec.level].vacate(hrec.window, slot);
             (h, hrec)
         });
         if displaced.is_none() {
@@ -701,16 +488,10 @@ impl ReservationScheduler {
             .map(|(_, hrec)| hrec.level)
             .unwrap_or(self.levels.len() - 1);
         for lvl2 in (level + 1)..=htop {
-            let istart = self.interval_of(lvl2, slot);
-            self.levels[lvl2]
-                .intervals
-                .entry(istart)
-                .or_default()
-                .lower_occ
-                .insert(slot);
+            self.levels[lvl2].set_occupancy(Field::Lower, slot);
             work.push_back(Task::Rebalance {
                 level: lvl2,
-                istart,
+                istart: self.levels[lvl2].istart_of(slot),
             });
         }
         if let Some((h, hrec)) = displaced {
@@ -741,17 +522,9 @@ impl ReservationScheduler {
             from: Some(slot),
             to: None,
         });
-        for lvl2 in (level + 1)..self.levels.len() {
-            let istart = self.interval_of(lvl2, slot);
-            if let Some(rec) = self.levels[lvl2].intervals.get_mut(&istart) {
-                let had = rec.lower_occ.remove(&slot);
-                debug_assert!(had, "occupied slot unrecorded at ancestor level {lvl2}");
-            } else {
-                debug_assert!(false, "ancestor interval of an occupied slot must exist");
-            }
+        for lvl2 in &mut self.levels[level + 1..] {
+            lvl2.clear_occupancy(Field::Lower, slot);
         }
-        // Occupancy index update + pruning of now-empty records (covers
-        // the `lower_occ` removals above too).
         self.note_freed(slot);
     }
 
@@ -774,22 +547,13 @@ impl ReservationScheduler {
             None => self.hunt_capacity(job, level, window, moves)?,
         };
         self.occupy_slot(job, window, level, slot, from, moves, work);
-        self.levels[level]
-            .windows
-            .get_mut(&window)
-            .unwrap()
-            .occupy(slot, job);
+        self.levels[level].occupy(window, slot);
         Ok(())
     }
 
     /// An empty fulfilled slot of `window`, preferring physically free ones.
     fn pick_fulfilled_slot(&self, level: usize, window: Window) -> Option<Slot> {
-        let ws = self.levels[level].windows.get(&window)?;
-        ws.empty_assigned
-            .iter()
-            .copied()
-            .find(|s| !self.slot_jobs.contains_key(s))
-            .or_else(|| ws.empty_assigned.iter().copied().next())
+        self.levels[level].pick_open_slot(window)
     }
 
     /// Materializes quota rises interval by interval (round-robin order —
@@ -869,11 +633,7 @@ impl ReservationScheduler {
                 work.clear();
                 let mut rollback = VecDeque::new();
                 if let Some(rec) = self.jobs.get(&job).copied() {
-                    self.levels[level]
-                        .windows
-                        .get_mut(&window)
-                        .unwrap()
-                        .vacate(rec.slot);
+                    self.levels[level].vacate(window, rec.slot);
                     self.vacate_physical(job, level, rec.slot, moves);
                     self.jobs.remove(&job);
                 }
@@ -902,11 +662,7 @@ impl ReservationScheduler {
         let ni = self.num_intervals(level, window);
 
         // Physically remove the job; its fulfilled slot stays (for now).
-        self.levels[level]
-            .windows
-            .get_mut(&window)
-            .unwrap()
-            .vacate(slot);
+        self.levels[level].vacate(window, slot);
         self.vacate_physical(job, level, slot, moves);
         self.jobs.remove(&job);
 
@@ -1013,8 +769,8 @@ impl ReservationScheduler {
     /// rebalance or hunt), and the freed slots can only help other
     /// windows. Call this at quiet points; cost is `O(state size)`.
     pub fn compact(&mut self) {
-        for level in self.levels.iter_mut() {
-            level.windows.retain(|_, ws| ws.x > 0);
+        for level in &mut self.levels[1..] {
+            level.compact();
         }
     }
 }

@@ -10,10 +10,14 @@
 //!   reservation is not a pure function of the active set, only *how
 //!   many* are fulfilled is — Observation 7);
 //! * **re-derived on restore** — `slot_jobs`, per-window `x` counts and
-//!   `empty_assigned`, and the per-interval `lower_occ` / `phys_occ`
-//!   occupancy indices, all rebuilt from the recorded facts and
-//!   cross-validated so a restored scheduler passes
+//!   open-interval lists, and the per-interval `lower` / `phys` / `held`
+//!   bits, all rebuilt from the recorded facts and cross-validated so a
+//!   restored scheduler passes
 //!   [`ReservationScheduler::check_invariants`].
+//!
+//! The text format predates the dense interval records and is unchanged
+//! by them: a `w` line still lists one window's fulfilled slots, now
+//! gathered from the `assigned` bits of the intervals it spans.
 //!
 //! [`TrimmedScheduler`] adds its trim bookkeeping (γ, `n*`, the rebuild
 //! counter, and the pre-trim original windows); [`DeamortizedScheduler`]
@@ -23,39 +27,14 @@
 
 use crate::deamortized::DeamortizedScheduler;
 use crate::scheduler::{ReservationScheduler, MAX_TIME};
-use crate::state::{JobRec, WindowState};
+use crate::state::{Field, IntervalState, JobRec};
 use crate::trim::TrimmedScheduler;
 use fxhash::FxHashMap;
 use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
 use realloc_core::{JobId, Slot, Tower, Window};
-use std::collections::{BTreeSet, VecDeque};
-
-/// Validates a tower ladder without the panics of [`Tower::custom`].
-fn tower_from(line: usize, thresholds: Vec<u64>) -> Result<Tower, ParseError> {
-    let err = |message: String| ParseError { line, message };
-    if thresholds.is_empty() {
-        return Err(err("tower needs at least one threshold".to_string()));
-    }
-    let mut prev = 1u64;
-    for &t in &thresholds {
-        if !t.is_power_of_two() {
-            return Err(err(format!("tower threshold {t} is not a power of two")));
-        }
-        // Checked: a forged 2^63 threshold must not overflow the
-        // doubling test (this parser promises graceful errors).
-        match prev.checked_mul(2) {
-            Some(min) if t >= min => {}
-            _ => {
-                return Err(err(format!(
-                    "tower thresholds must at least double: {prev} -> {t}"
-                )))
-            }
-        }
-        prev = t;
-    }
-    Ok(Tower::custom(thresholds))
-}
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 
 /// The trim bound `(2·γ·n*).next_power_of_two()` with overflow reported
 /// as a parse error instead of a panic (γ and `n*` come from untrusted
@@ -118,19 +97,34 @@ impl Restorable for ReservationScheduler {
         // Fulfilled-reservation slots per window (occupants re-derived
         // from the job lines). Window states whose slot set is empty are
         // behaviorally identical to absent entries and are skipped.
-        for (level, lvl) in self.levels.iter().enumerate() {
-            let mut windows: Vec<(&Window, &WindowState)> = lvl
-                .windows
-                .iter()
-                .filter(|(_, ws)| !ws.assigned.is_empty())
-                .collect();
-            windows.sort_by_key(|(w, _)| **w);
-            for (win, ws) in windows {
-                let mut line = format!("w {level} {} {}", win.start(), win.end());
-                for &s in ws.assigned.keys() {
-                    line.push(' ');
-                    line.push_str(&s.to_string());
+        for (level, lvl) in self.levels.iter().enumerate().skip(1) {
+            let nw = lvl.nw();
+            let mut records: Vec<(Slot, &IntervalState)> =
+                lvl.intervals.iter().map(|(&i, rec)| (i, rec)).collect();
+            records.sort_unstable_by_key(|&(istart, _)| istart);
+            // Chain position by chain position over the intervals left to
+            // right: a window's intervals are adjacent and its slots come
+            // out ascending.
+            let mut lines: Vec<(Window, String)> = Vec::new();
+            for (k, span) in lvl.chain_spans().enumerate() {
+                for &(istart, rec) in &records {
+                    let mut bits = rec.bits(nw, Field::Assigned(k)).peekable();
+                    if bits.peek().is_none() {
+                        continue;
+                    }
+                    let win = Window::aligned_enclosing(istart, span);
+                    if lines.last().is_none_or(|&(last, _)| last != win) {
+                        lines.push((win, format!("w {level} {} {}", win.start(), win.end())));
+                    }
+                    let (_, line) = lines.last_mut().expect("pushed above");
+                    for bit in bits {
+                        write!(line, " {}", istart + bit as Slot).expect("writing to a String");
+                    }
                 }
+            }
+            // One ascending run per chain position: the stable sort merges.
+            lines.sort_by_key(|&(win, _)| win);
+            for (_, line) in lines {
                 w.line(format_args!("{line}"));
             }
         }
@@ -150,7 +144,14 @@ impl Restorable for ReservationScheduler {
                     if tower.is_some() {
                         return Err(f.err("duplicate 't' tower line"));
                     }
-                    tower = Some(tower_from(*line, f.rest_u64("threshold")?)?);
+                    // `try_custom` bounds the thresholds: interval records
+                    // are dense in them, so a forged one would otherwise
+                    // size an allocation.
+                    let ladder = Tower::try_custom(f.rest_u64("threshold")?);
+                    tower = Some(ladder.map_err(|message| ParseError {
+                        line: *line,
+                        message,
+                    })?);
                 }
                 "h" => {
                     let level = f.usize("level")?;
@@ -258,7 +259,7 @@ impl Restorable for ReservationScheduler {
             if s.levels[level].windows.contains_key(&win) {
                 return Err(err_at(line, format!("duplicate window state for {win}")));
             }
-            let mut ws = WindowState::default();
+            s.levels[level].windows.entry(win).or_default();
             for slot in slots {
                 if !win.contains_slot(slot) {
                     return Err(err_at(
@@ -285,26 +286,15 @@ impl Restorable for ReservationScheduler {
                         ));
                     }
                 }
-                if ws.assigned.insert(slot, None).is_some() {
-                    return Err(err_at(line, format!("slot {slot} assigned twice in {win}")));
+                // Distinct windows of one level must not share a slot, and
+                // one window lists a slot once.
+                if s.levels[level].holder(slot).is_some() {
+                    return Err(err_at(
+                        line,
+                        format!("level {level}: slot {slot} of {win} is assigned twice"),
+                    ));
                 }
-                ws.empty_assigned.insert(slot);
-            }
-            s.levels[level].windows.insert(win, ws);
-        }
-
-        // Distinct windows of one level must not share an assigned slot.
-        for (level, lvl) in s.levels.iter().enumerate().skip(1) {
-            let mut seen: BTreeSet<Slot> = BTreeSet::new();
-            for (win, ws) in &lvl.windows {
-                for &slot in ws.assigned.keys() {
-                    if !seen.insert(slot) {
-                        return Err(err_at(
-                            0,
-                            format!("level {level}: slot {slot} assigned to two windows ({win} among them)"),
-                        ));
-                    }
-                }
+                s.levels[level].assign(win, slot);
             }
         }
 
@@ -314,38 +304,28 @@ impl Restorable for ReservationScheduler {
             if level == 0 {
                 continue;
             }
-            let ws = s.levels[level]
-                .windows
+            let lvl = &mut s.levels[level];
+            lvl.windows
                 .get_mut(&w)
-                .ok_or_else(|| err_at(line, format!("job {id} of {w} has no window state")))?;
-            ws.x += 1;
-            match ws.assigned.get_mut(&slot) {
-                Some(entry @ None) => *entry = Some(id),
-                Some(Some(_)) => unreachable!("slot uniqueness was checked"),
-                None => {
-                    return Err(err_at(
-                        line,
-                        format!("job {id} at slot {slot} is not backed by a reservation of {w}"),
-                    ))
-                }
+                .ok_or_else(|| err_at(line, format!("job {id} of {w} has no window state")))?
+                .x += 1;
+            // Slot uniqueness was checked, so the reservation is empty.
+            if lvl.holder(slot) != Some(lvl.chain_pos(w.span())) {
+                return Err(err_at(
+                    line,
+                    format!("job {id} at slot {slot} is not backed by a reservation of {w}"),
+                ));
             }
-            ws.empty_assigned.remove(&slot);
+            lvl.occupy(w, slot);
         }
 
-        // Re-derive the occupancy indices from physical placement.
-        let occupied: Vec<(Slot, usize)> = s
-            .slot_jobs
-            .iter()
-            .map(|(&slot, id)| (slot, s.jobs[id].level))
-            .collect();
-        for (slot, job_level) in occupied {
-            for lvl in 1..s.levels.len() {
-                let span = s.tower.interval_span(lvl);
-                let istart = slot - slot % span;
-                let rec = s.levels[lvl].intervals.entry(istart).or_default();
-                rec.phys_occ.insert(slot);
-                if job_level < lvl {
-                    rec.lower_occ.insert(slot);
+        // Re-derive the occupancy bits from physical placement.
+        for (&slot, id) in &s.slot_jobs {
+            let job_level = s.jobs[id].level;
+            for (level, lvl) in s.levels.iter_mut().enumerate().skip(1) {
+                lvl.set_occupancy(Field::Phys, slot);
+                if job_level < level {
+                    lvl.set_occupancy(Field::Lower, slot);
                 }
             }
         }
@@ -743,6 +723,14 @@ mod tests {
         // Garbage op.
         let garbage = text.replace("t 32 256", "quantum 9");
         assert!(ReservationScheduler::restore(&garbage).is_err());
+        // A forged tower: interval records are dense in the threshold, so
+        // an oversized one must be refused before anything is sized by it.
+        let forged = text.replace("t 32 256", "t 4611686018427387904");
+        assert_ne!(forged, text);
+        let err = ReservationScheduler::restore(&forged).unwrap_err();
+        assert!(err.message.contains("exceeds MAX_THRESHOLD"), "{err}");
+        let at_bound = text.replace("t 32 256", &format!("t 32 {}", realloc_core::MAX_THRESHOLD));
+        assert!(ReservationScheduler::restore(&at_bound).is_ok());
     }
 
     #[test]

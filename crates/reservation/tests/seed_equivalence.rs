@@ -3,15 +3,18 @@
 //! `mod seed` is a frozen copy of the **pre-optimization** (PR-1 seed)
 //! `ReservationScheduler` — per-rebalance `Vec` allocations, fresh
 //! `quotas_at` vectors, full `iw.slots()` scans, `std` SipHash maps. The
-//! optimized scheduler (scratch buffers, interval occupancy index, FxHash
-//! maps) must be *observationally identical*: same per-request moves, same
-//! placements, same reallocation cost, same accept/reject decisions — on
-//! density-certified churn and on adversarial toggle/cascade streams.
+//! optimized scheduler (dense per-interval bit records in place of the
+//! seed's slot trees, FxHash maps) must be *observationally identical*:
+//! same per-request moves, same placements, same reallocation cost, same
+//! accept/reject decisions — on density-certified churn (including the
+//! serving benchmark's `mem_dense` stream), on custom towers whose
+//! intervals are narrower or wider than a machine word, across a
+//! mid-stream snapshot/restore, and on adversarial toggle/cascade streams.
 //!
 //! If a future change intentionally alters placement behavior, the frozen
 //! copy must be re-snapshotted in the same PR that changes it.
 
-use realloc_core::{JobId, Request, SingleMachineReallocator, Window};
+use realloc_core::{JobId, Request, Restorable, SingleMachineReallocator, Tower, Window};
 use realloc_reservation::ReservationScheduler;
 use realloc_workloads::{ChurnConfig, ChurnGenerator};
 
@@ -769,62 +772,130 @@ mod seed {
 // Lockstep driver
 // ---------------------------------------------------------------------
 
-/// Drives the frozen seed and the optimized scheduler through the same
-/// stream, asserting identical per-request outcomes (moves on success,
-/// error kind on rejection), identical netted reallocation cost, and
-/// identical final placements.
-fn assert_equivalent(requests: impl Iterator<Item = Request>, label: &str) {
-    let mut old = seed::SeedScheduler::new();
-    let mut new = ReservationScheduler::new();
-    let (mut old_cost, mut new_cost) = (0u64, 0u64);
-    for (i, r) in requests.enumerate() {
-        let (old_out, new_out) = match r {
-            Request::Insert { id, window } => (old.insert(id, window), new.insert(id, window)),
-            Request::Delete { id } => (old.delete(id), new.delete(id)),
+/// How one lock-step comparison is run.
+struct Lockstep {
+    /// Explicit thresholds both schedulers are built over (`with_tower`);
+    /// `None` is the paper tower through `new()`.
+    tower: Option<Vec<u64>>,
+    /// `check_invariants` runs on every `check_every`-th request (1 =
+    /// every request; the long streams sample to keep debug runs short).
+    check_every: usize,
+    /// Before this request index, replace the new scheduler by
+    /// `restore(snapshot_text())` of itself; the seed keeps running, so
+    /// the restored state must reproduce every later move.
+    restore_at: Option<usize>,
+}
+
+impl Lockstep {
+    fn paper() -> Self {
+        Lockstep {
+            tower: None,
+            check_every: 1,
+            restore_at: None,
+        }
+    }
+
+    /// Drives the frozen seed and the optimized scheduler through the same
+    /// stream, asserting identical per-request outcomes (moves on success,
+    /// error kind on rejection), identical netted reallocation cost, and
+    /// identical final placements.
+    fn run(&self, requests: impl Iterator<Item = Request>, label: &str) {
+        let (mut old, mut new) = match &self.tower {
+            None => (seed::SeedScheduler::new(), ReservationScheduler::new()),
+            Some(t) => (
+                seed::SeedScheduler::with_tower(Tower::custom(t.clone())),
+                ReservationScheduler::with_tower(Tower::custom(t.clone())),
+            ),
         };
-        match (old_out, new_out) {
-            (Ok(old_moves), Ok(new_moves)) => {
-                assert_eq!(
-                    old_moves, new_moves,
-                    "{label}: request {i} ({r:?}) produced different moves"
-                );
-                let net = |moves: &[realloc_core::SlotMove]| {
-                    realloc_core::RequestOutcome {
-                        moves: moves.iter().map(|m| m.on_machine(0)).collect(),
-                    }
-                    .netted()
-                    .reallocation_cost()
-                };
-                old_cost += net(&old_moves);
-                new_cost += net(&new_moves);
+        let (mut old_cost, mut new_cost) = (0u64, 0u64);
+        for (i, r) in requests.enumerate() {
+            if self.restore_at == Some(i) {
+                new = restored_fixed_point(&new, label);
             }
-            (Err(oe), Err(ne)) => {
-                assert_eq!(
-                    std::mem::discriminant(&oe),
-                    std::mem::discriminant(&ne),
-                    "{label}: request {i} rejected differently: seed={oe:?} new={ne:?}"
-                );
+            let (old_out, new_out) = match r {
+                Request::Insert { id, window } => (old.insert(id, window), new.insert(id, window)),
+                Request::Delete { id } => (old.delete(id), new.delete(id)),
+            };
+            match (old_out, new_out) {
+                (Ok(old_moves), Ok(new_moves)) => {
+                    assert_eq!(
+                        old_moves, new_moves,
+                        "{label}: request {i} ({r:?}) produced different moves"
+                    );
+                    let net = |moves: &[realloc_core::SlotMove]| {
+                        realloc_core::RequestOutcome {
+                            moves: moves.iter().map(|m| m.on_machine(0)).collect(),
+                        }
+                        .netted()
+                        .reallocation_cost()
+                    };
+                    old_cost += net(&old_moves);
+                    new_cost += net(&new_moves);
+                }
+                (Err(oe), Err(ne)) => {
+                    assert_eq!(
+                        std::mem::discriminant(&oe),
+                        std::mem::discriminant(&ne),
+                        "{label}: request {i} rejected differently: seed={oe:?} new={ne:?}"
+                    );
+                }
+                (o, n) => panic!("{label}: request {i} ({r:?}) diverged: seed={o:?} new={n:?}"),
             }
-            (o, n) => panic!("{label}: request {i} ({r:?}) diverged: seed={o:?} new={n:?}"),
+            if i % self.check_every == 0 {
+                new.check_invariants()
+                    .unwrap_or_else(|v| panic!("{label}: request {i}: {v}"));
+            }
         }
         new.check_invariants()
-            .unwrap_or_else(|v| panic!("{label}: request {i}: {v}"));
+            .unwrap_or_else(|v| panic!("{label}: final state: {v}"));
+        assert_eq!(old_cost, new_cost, "{label}: total reallocation cost");
+        let mut old_assign = old.assignments();
+        let mut new_assign = new.assignments();
+        old_assign.sort_unstable();
+        new_assign.sort_unstable();
+        assert_eq!(old_assign, new_assign, "{label}: final placements");
+        assert_eq!(old.active_count(), new.active_count(), "{label}: active");
     }
-    assert_eq!(old_cost, new_cost, "{label}: total reallocation cost");
-    let mut old_assign = old.assignments();
-    let mut new_assign = new.assignments();
-    old_assign.sort_unstable();
-    new_assign.sort_unstable();
-    assert_eq!(old_assign, new_assign, "{label}: final placements");
-    assert_eq!(old.active_count(), new.active_count(), "{label}: active");
+}
+
+/// `restore(snapshot_text())`, checked to be a byte-for-byte fixed point:
+/// the restored scheduler's own snapshot is the text it was built from.
+fn restored_fixed_point(s: &ReservationScheduler, label: &str) -> ReservationScheduler {
+    let text = s.snapshot_text();
+    let restored = ReservationScheduler::restore(&text)
+        .unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
+    restored
+        .check_invariants()
+        .unwrap_or_else(|v| panic!("{label}: restored state: {v}"));
+    assert_eq!(
+        restored.snapshot_text(),
+        text,
+        "{label}: snapshot -> restore -> snapshot is not a fixed point"
+    );
+    restored
+}
+
+fn assert_equivalent(requests: impl Iterator<Item = Request>, label: &str) {
+    Lockstep::paper().run(requests, label);
 }
 
 fn churn(seed: u64, gamma: u64, target: usize, spans: Vec<u64>, len: usize) -> Vec<Request> {
+    churn_over(seed, gamma, 1 << 13, target, spans, len)
+}
+
+fn churn_over(
+    seed: u64,
+    gamma: u64,
+    horizon: u64,
+    target: usize,
+    spans: Vec<u64>,
+    len: usize,
+) -> Vec<Request> {
     let mut gen = ChurnGenerator::new(
         ChurnConfig {
             machines: 1,
             gamma,
-            horizon: 1 << 13,
+            horizon,
             spans,
             target_active: target,
             insert_bias: 0.6,
@@ -833,6 +904,22 @@ fn churn(seed: u64, gamma: u64, target: usize, spans: Vec<u64>, len: usize) -> V
         seed,
     );
     gen.generate(len).requests().to_vec()
+}
+
+/// The stream the serving benchmark's `mem_dense` workload puts on one
+/// machine (`servebench/src/stream.rs`: its span ladder and horizon, 2048
+/// active jobs): a prefill of five requests per target job, then the
+/// measured requests.
+fn mem_dense_stream(seed: u64, measured: usize) -> Vec<Request> {
+    let target = 2048;
+    churn_over(
+        seed,
+        8,
+        1 << 16,
+        target,
+        vec![1, 4, 16, 64, 256, 1024, 4096],
+        target * 5 + measured,
+    )
 }
 
 #[test]
@@ -937,4 +1024,73 @@ fn equivalent_on_leveled_saturation_adversary() {
         reqs.push(Request::Delete { id: JobId(100 + i) });
     }
     assert_equivalent(reqs.into_iter(), "leveled saturation");
+}
+
+#[test]
+fn equivalent_on_mem_dense_stream() {
+    Lockstep {
+        check_every: 64,
+        ..Lockstep::paper()
+    }
+    .run(mem_dense_stream(7, 20_000).into_iter(), "mem_dense seed 7");
+}
+
+#[test]
+fn equivalent_on_custom_towers() {
+    // Four reservation levels with sub-word intervals (4/16/64/256), and
+    // a ladder whose top interval spans sixteen 64-bit words (1024).
+    for thresholds in [vec![4u64, 16, 64, 256], vec![8, 64, 1024]] {
+        let lockstep = Lockstep {
+            tower: Some(thresholds.clone()),
+            check_every: 16,
+            ..Lockstep::paper()
+        };
+        for seed in 0..3u64 {
+            let label = format!("tower {thresholds:?} seed {seed}");
+            lockstep.run(
+                churn(seed, 8, 128, vec![1, 4, 16, 64, 256, 1024, 4096], 1500).into_iter(),
+                &label,
+            );
+            lockstep.run(
+                churn(seed, 4, 160, vec![2, 8, 32, 128, 512, 2048], 800).into_iter(),
+                &format!("{label} tight"),
+            );
+        }
+    }
+}
+
+#[test]
+fn equivalent_across_mid_stream_restore() {
+    // The restored scheduler must continue exactly where the original
+    // was: the seed never restores, so any state the snapshot loses or
+    // reorders shows up as a diverging move later in the stream.
+    for seed in 0..4u64 {
+        Lockstep {
+            check_every: 8,
+            restore_at: Some(500),
+            ..Lockstep::paper()
+        }
+        .run(
+            churn(seed, 8, 96, vec![1, 4, 16, 64, 256, 1024], 1200).into_iter(),
+            &format!("restore mid-churn seed {seed}"),
+        );
+        Lockstep {
+            tower: Some(vec![4, 16, 64, 256]),
+            check_every: 8,
+            restore_at: Some(400),
+        }
+        .run(
+            churn(seed, 4, 160, vec![2, 8, 32, 128, 512], 900).into_iter(),
+            &format!("restore mid-churn custom tower seed {seed}"),
+        );
+    }
+    Lockstep {
+        check_every: 64,
+        restore_at: Some(2048 * 5 + 3_000),
+        ..Lockstep::paper()
+    }
+    .run(
+        mem_dense_stream(11, 6_000).into_iter(),
+        "restore mid mem_dense seed 11",
+    );
 }

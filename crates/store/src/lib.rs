@@ -16,7 +16,7 @@
 //!   a POSIX-style write/fsync durability model and simulated crashes),
 //!   and [`FaultIo`] (deterministic crash schedules, failed or ignored
 //!   fsyncs, bit flips).
-//! * [`format`] — file naming and the CRC32+length record framing.
+//! * [`mod@format`] — file naming and the CRC32+length record framing.
 //! * [`store`] — [`DurableStore`] (the [`realloc_engine::DurabilitySink`]
 //!   implementation), the recovery [`scan`], and the [`RecoverFromDir`]
 //!   extension trait that gives `Engine::recover_from_dir`.
