@@ -1,6 +1,5 @@
-//! E13 bench — batched engine ingestion across shard counts, plus the
-//! durability story's headline number: cold genesis replay vs.
-//! checkpoint + tail recovery.
+//! E13 bench — batched engine ingestion across shard counts, plus
+//! online-resize latency.
 //!
 //! One fixed churn workload (unaligned windows, γ = 8) is replayed
 //! through the engine at 1–16 shards, sequential and parallel flush, to
@@ -8,14 +7,16 @@
 //! telemetry registry attached** — the recorded numbers are the
 //! instrumented serving configuration, as deployed (the uninstrumented
 //! delta is measured separately by the `telemetry_overhead` group).
-//! Results land in `BENCH_engine_ingest.json`; the recovery comparison
-//! in `BENCH_engine_recovery.json` (see the criterion shim's
-//! `BENCH_OUT_DIR`).
+//! Results land in `BENCH_engine_ingest.json` and
+//! `BENCH_engine_resize.json` (see the criterion shim's `BENCH_OUT_DIR`).
+//! Batch-size, recovery and replication timings are `servebench`'s
+//! (`service.reqs_per_flush`, `store.recover_ms`, `cluster.*`), where
+//! they sit under a regression gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use realloc_engine::{BackendKind, Engine, EngineConfig, Journal};
+use realloc_engine::{BackendKind, Engine, EngineConfig};
 use realloc_sim::harness::{churn_seq, engine_config};
-use realloc_store::{DurableStore, MemIo, RecoverFromDir, StoreIo};
+use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::Telemetry;
 use std::path::Path;
 use std::sync::Arc;
@@ -91,100 +92,6 @@ fn bench_engine_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_size(c: &mut Criterion) {
-    let backend = realloc_engine::BackendKind::TheoremOne { gamma: 8 };
-    let seq = churn_seq(4, 8, 256, 1 << 12, true, REQUESTS, 29);
-    let mut group = c.benchmark_group("engine_batch_size");
-    group.throughput(Throughput::Elements(seq.len() as u64));
-    for &batch in &[16usize, 256, 4096] {
-        group.bench_with_input(BenchmarkId::from_parameter(batch), &seq, |b, seq| {
-            b.iter(|| {
-                let mut e = Engine::new(engine_config(4, 1, backend, false));
-                e.ingest(seq, batch)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_recovery(c: &mut Criterion) {
-    // One journaled 100k-request run with periodic checkpoints, genesis
-    // retained so the same serialized journal supports both paths:
-    // `Journal::replay` re-services all 100k events from genesis;
-    // `Engine::recover` restores the latest checkpoint and replays only
-    // the tail. The acceptance bar — byte-identical placements and
-    // metrics between the two — is asserted before timing anything.
-    const REQUESTS: usize = 100_000;
-    const BATCH: usize = 256;
-    const CHECKPOINT_EVERY: usize = 50; // batches
-    let seq = churn_seq(8, 8, 512, 1 << 12, true, REQUESTS, 97);
-    let mut cfg = engine_config(8, 1, BackendKind::TheoremOne { gamma: 8 }, false);
-    cfg.journal = true;
-    cfg.retained_segments = usize::MAX;
-    let mut engine = Engine::new(cfg);
-    for (i, chunk) in seq.requests().chunks(BATCH).enumerate() {
-        for &r in chunk {
-            engine.submit(r);
-        }
-        engine.flush();
-        if (i + 1) % CHECKPOINT_EVERY == 0 {
-            engine.checkpoint();
-        }
-    }
-    let text = engine.journal().unwrap().to_text();
-
-    let cold = Journal::from_text(&text).unwrap().replay().unwrap();
-    let fast = Engine::recover(text.as_bytes()).unwrap();
-    assert_eq!(cold.placements(), engine.placements());
-    assert_eq!(fast.placements(), engine.placements());
-    assert_eq!(fast.metrics(), engine.metrics());
-    let tail = engine.journal().unwrap().tail_events().len();
-
-    let mut group = c.benchmark_group("engine_recovery");
-    group.throughput(Throughput::Elements(seq.len() as u64));
-    group.bench_function(BenchmarkId::new("cold_replay_events", REQUESTS), |b| {
-        b.iter(|| Journal::from_text(&text).unwrap().replay().unwrap())
-    });
-    group.bench_function(BenchmarkId::new("checkpoint_recover_tail", tail), |b| {
-        b.iter(|| Engine::recover(text.as_bytes()).unwrap())
-    });
-
-    // Recover-from-disk: the same workload written through the durable
-    // store (realistic retention, so the directory holds the latest
-    // checkpoint plus the tail segments), then recovered by the full
-    // on-disk path — directory scan, CRC verification of every record,
-    // journal reassembly, checkpoint restore, tail replay.
-    let io = Arc::new(MemIo::new());
-    let mut cfg = engine_config(8, 1, BackendKind::TheoremOne { gamma: 8 }, false);
-    cfg.journal = true;
-    cfg.retained_segments = 4;
-    let mut durable = Engine::new(cfg);
-    let store = DurableStore::create(
-        Arc::clone(&io) as Arc<dyn StoreIo>,
-        Path::new("/bench"),
-        durable.journal().unwrap().config(),
-    )
-    .expect("create store");
-    durable.attach_durability(Box::new(store)).expect("attach");
-    for (i, chunk) in seq.requests().chunks(BATCH).enumerate() {
-        for &r in chunk {
-            durable.submit(r);
-        }
-        durable.flush_durable().expect("group commit");
-        if (i + 1) % CHECKPOINT_EVERY == 0 {
-            durable.checkpoint();
-            assert!(durable.durability_error().is_none());
-        }
-    }
-    let from_disk = Engine::recover_from_store(&*io, Path::new("/bench")).unwrap();
-    assert_eq!(from_disk.state_digest(), durable.state_digest());
-    let disk_tail = durable.journal().unwrap().tail_events().len();
-    group.bench_function(BenchmarkId::new("recover_from_disk", disk_tail), |b| {
-        b.iter(|| Engine::recover_from_store(&*io, Path::new("/bench")).unwrap())
-    });
-    group.finish();
-}
-
 fn bench_resize(c: &mut Criterion) {
     // Elastic resharding latency as a function of jobs per shard: build
     // a loaded 4-shard engine, then measure *online* resizes — each
@@ -220,6 +127,6 @@ fn bench_resize(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_ingest, bench_batch_size, bench_recovery, bench_resize
+    targets = bench_engine_ingest, bench_resize
 }
 criterion_main!(benches);

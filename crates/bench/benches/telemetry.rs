@@ -66,11 +66,10 @@ fn bench_telemetry(c: &mut Criterion) {
                     for &r in chunk {
                         e.submit(r);
                     }
-                    let trace = traced.then(|| TraceCtx::mint(i as u64, i as u64));
-                    let report = e
-                        .flush_batch_traced(realloc_engine::FlushMode::Immediate, trace)
-                        .expect("flush");
-                    processed += report.map_or(0, |r| r.processed());
+                    if traced {
+                        e.arm_trace(TraceCtx::mint(i as u64, i as u64));
+                    }
+                    processed += e.flush().processed();
                 }
                 processed
             })

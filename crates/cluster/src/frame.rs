@@ -41,11 +41,9 @@
 //! garbage kinds, invalid routing tables — parses to a located
 //! [`ParseError`], never a panic: frames arrive over the network.
 
-use realloc_core::snapshot::SNAPSHOT_HEADER;
+use realloc_core::snapshot::{embed, take_embedded};
 use realloc_core::textio::{line_content as strip, ParseError};
-use realloc_core::{JobId, Request, Window};
-use realloc_engine::journal::{Costs, ErrCode};
-use realloc_engine::{EngineRouter, EpochRecord, JournalEvent, TENANT_SHIFT};
+use realloc_engine::{EpochRecord, JournalEvent};
 use realloc_telemetry::TraceCtx;
 
 /// Hard cap on one wire frame's byte length (shared by both ends of the
@@ -119,46 +117,18 @@ impl Frame {
                     self.term, self.seq
                 )
                 .unwrap();
-                for line in text.lines() {
-                    out.push_str(line);
-                    out.push('\n');
-                }
+                embed(&mut out, text);
             }
             Payload::Events(events) => {
                 writeln!(out, "R {} {} events {}", self.term, self.seq, events.len()).unwrap();
                 for e in events {
-                    match e.request {
-                        Request::Insert { id, window } => write!(
-                            out,
-                            "+ {} {} {} {} {}",
-                            e.batch,
-                            e.shard,
-                            id.0,
-                            window.start(),
-                            window.end()
-                        )
-                        .unwrap(),
-                        Request::Delete { id } => {
-                            write!(out, "- {} {} {}", e.batch, e.shard, id.0).unwrap()
-                        }
-                    }
-                    match e.result {
-                        Ok(c) => writeln!(out, " ok {} {}", c.reallocations, c.migrations).unwrap(),
-                        Err(code) => writeln!(out, " err {code}").unwrap(),
-                    }
+                    write!(out, "{} {} ", e.op(), e.batch).unwrap();
+                    e.write_tail(&mut out);
                 }
             }
             Payload::Epoch(rec) => {
-                write!(
-                    out,
-                    "R {} {} epoch {} {}",
-                    self.term, self.seq, rec.epoch, rec.shards
-                )
-                .unwrap();
-                for &(tenant, shard) in &rec.pins {
-                    write!(out, " {tenant} {shard}").unwrap();
-                }
-                out.push('\n');
+                write!(out, "R {} {} epoch ", self.term, self.seq).unwrap();
+                rec.write_tail(&mut out);
             }
             Payload::Check {
                 events_applied,
@@ -217,29 +187,9 @@ impl Frame {
                 let events_applied = num(parts.next(), "events-applied count")?;
                 let nlines = num(parts.next(), "snapshot line count")? as usize;
                 finish(&mut parts, line)?;
-                let mut text = String::new();
-                let mut taken = 0usize;
-                // `while`, not `for` + break: a for-loop would pull one
-                // line past the body before noticing it is done, eating
-                // whatever follows (e.g. the trace annotation).
-                while taken < nlines {
-                    let Some((_, raw)) = lines.next() else {
-                        break;
-                    };
-                    text.push_str(raw);
-                    text.push('\n');
-                    taken += 1;
-                }
-                if taken < nlines {
-                    return Err(err(format!(
-                        "snapshot frame truncated: {taken} of {nlines} lines present"
-                    )));
-                }
-                if !text.starts_with(SNAPSHOT_HEADER) {
-                    return Err(err(format!(
-                        "snapshot body does not start with '{SNAPSHOT_HEADER}'"
-                    )));
-                }
+                let mut body = lines.by_ref().map(|(_, raw)| raw);
+                let text = take_embedded(&mut body, nlines)
+                    .map_err(|why| err(format!("snapshot frame: {why}")))?;
                 Payload::Snapshot {
                     events_applied,
                     text,
@@ -283,39 +233,7 @@ impl Frame {
                 }
                 Payload::Events(events)
             }
-            "epoch" => {
-                let epoch = num(parts.next(), "epoch")?;
-                let shards = num(parts.next(), "epoch shard count")? as usize;
-                let mut pins: Vec<(u64, usize)> = Vec::new();
-                while let Some(tok) = parts.next() {
-                    let tenant = tok
-                        .parse::<u64>()
-                        .map_err(|e| err(format!("bad pinned tenant: {e}")))?;
-                    let shard = parts
-                        .next()
-                        .ok_or_else(|| err("pin without a shard (truncated table)".to_string()))?
-                        .parse::<usize>()
-                        .map_err(|e| err(format!("bad pin shard: {e}")))?;
-                    if tenant >> (64 - TENANT_SHIFT) != 0 {
-                        return Err(err(format!(
-                            "pinned tenant {tenant} exceeds the tenant id space"
-                        )));
-                    }
-                    if pins.iter().any(|&(t, _)| t == tenant) {
-                        return Err(err(format!("tenant {tenant} pinned twice")));
-                    }
-                    pins.push((tenant, shard));
-                }
-                // Full table validation through the router itself, as the
-                // journal parser does for its epoch records.
-                EngineRouter::from_parts(epoch, shards, pins.iter().copied())
-                    .map_err(|e| err(format!("invalid epoch table: {e}")))?;
-                Payload::Epoch(EpochRecord {
-                    epoch,
-                    shards,
-                    pins,
-                })
-            }
+            "epoch" => Payload::Epoch(EpochRecord::parse_tail(&mut parts, line)?),
             "check" => {
                 let events_applied = num(parts.next(), "events-applied count")?;
                 let digest_tok = parts
@@ -388,67 +306,28 @@ fn finish(parts: &mut std::str::SplitWhitespace<'_>, line: usize) -> Result<(), 
     }
 }
 
-/// Parses one `events` payload line:
+/// Parses one `events` payload line — the journal's event line with the
+/// batch number framed in after the op:
 /// `+ <batch> <shard> <id> <start> <end> <outcome>` /
 /// `- <batch> <shard> <id> <outcome>`.
 fn parse_event(line: usize, content: &str) -> Result<JournalEvent, ParseError> {
     let err = |message: String| ParseError { line, message };
     let mut parts = content.split_whitespace();
     let op = parts.next().expect("non-empty line has a token");
-    let num = |tok: Option<&str>, what: &str| -> Result<u64, ParseError> {
-        tok.ok_or_else(|| err(format!("missing {what}")))?
-            .parse::<u64>()
-            .map_err(|e| err(format!("bad {what}: {e}")))
-    };
-    let batch = num(parts.next(), "batch")?;
-    let shard = num(parts.next(), "shard")? as usize;
-    let id = JobId(num(parts.next(), "id")?);
-    let request = match op {
-        "+" => {
-            let start = num(parts.next(), "arrival")?;
-            let end = num(parts.next(), "deadline")?;
-            if end <= start {
-                return Err(err(format!("deadline {end} must exceed arrival {start}")));
-            }
-            Request::Insert {
-                id,
-                window: Window::new(start, end),
-            }
-        }
-        "-" => Request::Delete { id },
-        other => return Err(err(format!("bad event op '{other}'"))),
-    };
-    let tag = parts
+    let batch = parts
         .next()
-        .ok_or_else(|| err("missing outcome".to_string()))?;
-    let result = match tag {
-        "ok" => Ok(Costs {
-            reallocations: num(parts.next(), "reallocations")?,
-            migrations: num(parts.next(), "migrations")?,
-        }),
-        "err" => {
-            let code_raw = parts
-                .next()
-                .ok_or_else(|| err("missing error code".to_string()))?;
-            Err(ErrCode::parse(code_raw)
-                .ok_or_else(|| err(format!("bad error code '{code_raw}'")))?)
-        }
-        other => return Err(err(format!("bad outcome tag '{other}'"))),
-    };
-    if let Some(extra) = parts.next() {
-        return Err(err(format!("unexpected trailing token '{extra}'")));
-    }
-    Ok(JournalEvent {
-        batch,
-        shard,
-        request,
-        result,
-    })
+        .ok_or_else(|| err("missing batch".to_string()))?
+        .parse::<u64>()
+        .map_err(|e| err(format!("bad batch: {e}")))?;
+    JournalEvent::parse_tail(op, batch, &mut parts, line)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use realloc_core::snapshot::SNAPSHOT_HEADER;
+    use realloc_core::{JobId, Request, Window};
+    use realloc_engine::journal::{Costs, ErrCode};
 
     fn round_trip(frame: Frame) {
         let text = frame.to_text();
@@ -648,6 +527,7 @@ mod tests {
             ("epoch pin out of range", "R 1 2 epoch 1 2 7 9\n"),
             ("epoch pin truncated", "R 1 2 epoch 1 4 7\n"),
             ("epoch pin duplicated", "R 1 2 epoch 1 4 7 1 7 2\n"),
+            ("epoch pin tenant out of range", "R 1 2 epoch 1 4 70000 1\n"),
             ("check bad digest", "R 1 2 check 0 g00d\n"),
             ("check decimal digest", "R 1 2 check 0 123\n"),
             ("header trailing", "R 1 2 check 0 0x0 extra\n"),

@@ -22,7 +22,7 @@ use crate::frame::Frame;
 use crate::stream::FrameStream;
 use crate::ClusterError;
 use realloc_core::Request;
-use realloc_engine::{BatchReport, Engine, ResizeError, ResizeReport};
+use realloc_engine::{BatchReport, Engine, FlushMode, ResizeError, ResizeReport};
 use realloc_telemetry::Telemetry;
 
 /// Frames of replicated history a stream retains for lagging-replica
@@ -146,9 +146,10 @@ impl Primary {
     /// — [`Primary::checkpoint`], [`Primary::bootstrap`],
     /// [`Primary::flush_now`] — always proceed.
     pub fn flush(&mut self) -> (BatchReport, Vec<Frame>) {
-        match self.engine.flush_coalesced() {
-            Some(report) => (report, self.poll()),
-            None => (BatchReport::default(), Vec::new()),
+        // Only a durable flush fails or hands back a ticket.
+        match self.engine.flush_mode(FlushMode::Coalesced) {
+            Ok((Some(report), _)) => (report, self.poll()),
+            _ => (BatchReport::default(), Vec::new()),
         }
     }
 

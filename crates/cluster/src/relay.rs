@@ -24,7 +24,7 @@
 //! whatever batches the service tier flushed since the last poll come
 //! out as `events` frames in order, each carrying its batch's
 //! out-of-band trace annotation when the flush was traced
-//! ([`realloc_engine::Engine::flush_batch_traced`]) — the causal chain
+//! ([`realloc_engine::Engine::arm_trace`]) — the causal chain
 //! minted at the service edge survives the relay untouched.
 
 use crate::frame::Frame;
@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use crate::frame::Payload;
     use realloc_core::{JobId, Request, Window};
-    use realloc_engine::{Engine, EngineConfig, FlushMode};
+    use realloc_engine::{Engine, EngineConfig};
 
     fn shared_engine() -> Arc<Mutex<Engine>> {
         Arc::new(Mutex::new(Engine::new(EngineConfig {
@@ -153,7 +153,7 @@ mod tests {
                     window: Window::new(0, 256),
                 });
             }
-            eng.flush_batch(FlushMode::Immediate).unwrap();
+            eng.flush();
         }
         let frames = relay.poll();
         assert!(!frames.is_empty());
@@ -178,8 +178,8 @@ mod tests {
                 id: JobId(1),
                 window: Window::new(0, 64),
             });
-            eng.flush_batch_traced(FlushMode::Immediate, Some(tc))
-                .unwrap();
+            eng.arm_trace(tc);
+            eng.flush();
         }
         let frames = relay.poll();
         assert_eq!(frames.len(), 1);
@@ -226,11 +226,7 @@ mod tests {
         ));
         // The serving tier flushes; bootstrap proceeds and the flushed
         // batch ships as an owed frame ahead of the snapshot.
-        engine
-            .lock()
-            .unwrap()
-            .flush_batch(FlushMode::Immediate)
-            .unwrap();
+        engine.lock().unwrap().flush();
         let (owed, boot) = relay.bootstrap().unwrap();
         assert_eq!(owed.len(), 1);
         let mut replica = crate::Replica::new();
@@ -266,7 +262,7 @@ mod tests {
                     id: JobId(i),
                     window: Window::new(0, 128),
                 });
-                eng.flush_batch(FlushMode::Immediate).unwrap();
+                eng.flush();
             }
             eng.checkpoint();
             eng.checkpoint(); // second cut drops the pre-checkpoint segment
@@ -275,7 +271,7 @@ mod tests {
                     id: JobId(i),
                     window: Window::new(0, 128),
                 });
-                eng.flush_batch(FlushMode::Immediate).unwrap();
+                eng.flush();
             }
             assert!(
                 eng.journal().unwrap().dropped_events() > 0,
@@ -316,7 +312,7 @@ mod tests {
                 id: JobId(i),
                 window: Window::new(0, 64),
             });
-            eng.flush_batch(FlushMode::Immediate).unwrap();
+            eng.flush();
             drop(eng);
             relay.poll();
         }

@@ -295,7 +295,7 @@ impl FrameStream {
 
     /// Stamps a stream payload with this term and the next sequence
     /// number, retaining it in the catch-up history. An `events` payload
-    /// whose batch was traced ([`Engine::flush_batch_traced`]) gets the
+    /// whose batch was traced ([`Engine::arm_trace`]) gets the
     /// batch's context as the frame's out-of-band annotation, so the
     /// replica's `apply` event lands in the same trace.
     fn stamp(&mut self, engine: &Engine, payload: Payload) -> Frame {

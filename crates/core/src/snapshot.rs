@@ -45,6 +45,43 @@ use std::fmt;
 /// The mandatory first line of every snapshot document.
 pub const SNAPSHOT_HEADER: &str = "# realloc snapshot v1";
 
+/// Appends a snapshot document to `out` as an *embedded* body — every
+/// line, newline-terminated — under a caller-written header that
+/// carries `text.lines().count()` (journal checkpoint records and
+/// replication snapshot frames both embed snapshots this way).
+pub fn embed(out: &mut String, text: &str) {
+    for line in text.lines() {
+        out.push_str(line);
+        out.push('\n');
+    }
+}
+
+/// Reads an embedded snapshot back: exactly `nlines` raw lines off
+/// `lines` (comments and blanks are part of the body, and nothing past
+/// it is consumed). `Err` carries the reason: fewer lines remain than
+/// the header promised, or the body is not a snapshot document.
+pub fn take_embedded<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    nlines: usize,
+) -> Result<String, String> {
+    let mut text = String::new();
+    for taken in 0..nlines {
+        let Some(raw) = lines.next() else {
+            return Err(format!(
+                "embedded snapshot truncated: {taken} of {nlines} lines present"
+            ));
+        };
+        text.push_str(raw);
+        text.push('\n');
+    }
+    if !text.starts_with(SNAPSHOT_HEADER) {
+        return Err(format!(
+            "embedded snapshot does not start with '{SNAPSHOT_HEADER}'"
+        ));
+    }
+    Ok(text)
+}
+
 /// Stable 64-bit FNV-1a digest of a text document.
 ///
 /// This is the state-digest primitive of the replication layer: two

@@ -37,25 +37,20 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    pub(crate) fn from_drains(batch: u64, drains: &[ShardDrain]) -> BatchReport {
+    /// Assembles the report from the shards' own per-drain tallies (in
+    /// shard order) — nothing is recounted here.
+    pub(crate) fn from_drains(batch: u64, drains: Vec<ShardDrain>) -> BatchReport {
         let mut report = BatchReport {
             batch,
             per_shard: Vec::with_capacity(drains.len()),
             failures: Vec::new(),
         };
-        for (shard, drain) in drains.iter().enumerate() {
-            report.per_shard.push(ShardBatchStats {
-                shard,
-                processed: drain.processed(),
-                failed: drain.failed(),
-                reallocations: drain.reallocations(),
-                migrations: drain.migrations(),
-            });
-            for (req, result) in &drain.records {
-                if let Err(code) = result {
-                    report.failures.push((shard, *req, *code));
-                }
-            }
+        for drain in drains {
+            let shard = drain.stats.shard;
+            report.per_shard.push(drain.stats);
+            report
+                .failures
+                .extend(drain.failures.into_iter().map(|(r, c)| (shard, r, c)));
         }
         report
     }

@@ -24,26 +24,18 @@
 //! + 5 17 4 12 ok 0 0
 //! ```
 //!
-//! # Versioning
+//! # Epoch records
 //!
-//! * **v1** — events only (one genesis segment, no checkpoints).
-//! * **v2** — adds the retention cap to the `c` header, checkpoint
-//!   records (`s` + embedded engine snapshot), and the `T` truncation
-//!   marker.
-//! * **v3** — adds **epoch records** (`E <epoch> <shards> [<tenant>
-//!   <shard>]…`): an elastic resize/rebalance appends one at its exact
-//!   position in the event stream, carrying the complete new routing
-//!   table. The `c` header's shard count becomes the *genesis* count;
-//!   the current count after replaying is whatever the last applied
-//!   epoch record (or checkpoint) says.
-//!
-//! The framing is self-describing, so every parser version accepts every
-//! earlier version's output: v1/v2 journals are exactly v3 journals that
-//! happen to contain no epoch records. Epoch records are validated at
-//! parse time — strictly increasing epochs (a duplicate or regressing
-//! epoch is corruption), at least one shard, a well-formed pin table,
-//! and never in the middle of a batch (the engine only reshards between
-//! flushes) — each violation a graceful [`ParseError`], never a panic.
+//! An elastic resize/rebalance appends an **epoch record**
+//! (`E <epoch> <shards> [<tenant> <shard>]…`) at its exact position in
+//! the event stream, carrying the complete new routing table. The `c`
+//! header's shard count is the *genesis* count; the current count after
+//! replaying is whatever the last applied epoch record (or checkpoint)
+//! says. Epoch records are validated at parse time — strictly increasing
+//! epochs (a duplicate or regressing epoch is corruption), at least one
+//! shard, a well-formed pin table, and never in the middle of a batch
+//! (the engine only reshards between flushes) — each violation a
+//! graceful [`ParseError`], never a panic.
 //!
 //! # Segments and checkpoints
 //!
@@ -72,8 +64,8 @@
 
 use crate::backend::BackendKind;
 use crate::{Engine, EngineConfig};
-use realloc_core::router::Router;
-use realloc_core::snapshot::SNAPSHOT_HEADER;
+use realloc_core::router::{Router, TENANT_SHIFT};
+use realloc_core::snapshot::{embed, take_embedded};
 use realloc_core::textio::ParseError;
 use realloc_core::{Error, JobId, Request, Window};
 use std::collections::VecDeque;
@@ -162,6 +154,19 @@ pub struct JournalEvent {
     pub result: ReqResult,
 }
 
+/// The whitespace-split tokens of one record line.
+pub type Tokens<'a> = std::str::SplitWhitespace<'a>;
+
+/// Takes the next token of a record line as a `u64`.
+fn num(parts: &mut Tokens<'_>, line: usize, what: &str) -> Result<u64, ParseError> {
+    let err = |message| ParseError { line, message };
+    parts
+        .next()
+        .ok_or_else(|| err(format!("missing {what}")))?
+        .parse::<u64>()
+        .map_err(|e| err(format!("bad {what}: {e}")))
+}
+
 impl JournalEvent {
     /// Appends this event's v3 journal line (`+`/`-` op, no trailing
     /// `b` batch marker — that is the caller's framing concern) to
@@ -169,23 +174,95 @@ impl JournalEvent {
     /// encoder, so a store segment file's event lines parse with the
     /// same grammar as an in-memory journal dump.
     pub fn write_line(&self, out: &mut String) {
+        out.push(self.op());
+        out.push(' ');
+        self.write_tail(out);
+    }
+
+    /// The line's op token: `+` for an insert, `-` for a delete.
+    pub fn op(&self) -> char {
+        match self.request {
+            Request::Insert { .. } => '+',
+            Request::Delete { .. } => '-',
+        }
+    }
+
+    /// Appends everything after the op (and whatever the caller frames
+    /// between the two — replication frames put the batch number there):
+    /// `<shard> <id> [<start> <end>] ok <reallocs> <migrations>` or
+    /// `… err <code>`, newline-terminated. [`JournalEvent::parse_tail`]
+    /// is the one parser of this grammar.
+    pub fn write_tail(&self, out: &mut String) {
         use std::fmt::Write as _;
         match self.request {
             Request::Insert { id, window } => write!(
                 out,
-                "+ {} {} {} {}",
+                "{} {} {} {}",
                 self.shard,
                 id.0,
                 window.start(),
                 window.end()
             )
             .unwrap(),
-            Request::Delete { id } => write!(out, "- {} {}", self.shard, id.0).unwrap(),
+            Request::Delete { id } => write!(out, "{} {}", self.shard, id.0).unwrap(),
         }
         match self.result {
             Ok(c) => writeln!(out, " ok {} {}", c.reallocations, c.migrations).unwrap(),
             Err(code) => writeln!(out, " err {code}").unwrap(),
         }
+    }
+
+    /// Parses what [`JournalEvent::write_tail`] wrote, to the end of the
+    /// line: `parts` stands just past the op token `op` (`+` or `-`) and
+    /// the caller's own framing, `batch` is the flush the event belongs
+    /// to, `line` locates errors.
+    pub fn parse_tail(
+        op: &str,
+        batch: u64,
+        parts: &mut Tokens<'_>,
+        line: usize,
+    ) -> Result<JournalEvent, ParseError> {
+        let err = |message| ParseError { line, message };
+        let shard = num(parts, line, "shard")? as usize;
+        let id = JobId(num(parts, line, "id")?);
+        let request = match op {
+            "+" => {
+                let start = num(parts, line, "arrival")?;
+                let end = num(parts, line, "deadline")?;
+                if end <= start {
+                    return Err(err(format!("deadline {end} must exceed arrival {start}")));
+                }
+                Request::Insert {
+                    id,
+                    window: Window::new(start, end),
+                }
+            }
+            "-" => Request::Delete { id },
+            other => return Err(err(format!("bad event op '{other}'"))),
+        };
+        let result = match parts.next() {
+            Some("ok") => Ok(Costs {
+                reallocations: num(parts, line, "reallocations")?,
+                migrations: num(parts, line, "migrations")?,
+            }),
+            Some("err") => {
+                let code = parts
+                    .next()
+                    .ok_or_else(|| err("missing error code".to_string()))?;
+                Err(ErrCode::parse(code).ok_or_else(|| err(format!("bad error code '{code}'")))?)
+            }
+            Some(other) => return Err(err(format!("bad outcome tag '{other}'"))),
+            None => return Err(err("missing outcome".to_string())),
+        };
+        if let Some(extra) = parts.next() {
+            return Err(err(format!("unexpected trailing token '{extra}'")));
+        }
+        Ok(JournalEvent {
+            batch,
+            shard,
+            request,
+            result,
+        })
     }
 }
 
@@ -258,12 +335,54 @@ impl EpochRecord {
     /// [<tenant> <shard>]…`) to `out`; shared by [`Journal::to_text`]
     /// and the on-disk store.
     pub fn write_line(&self, out: &mut String) {
+        out.push_str("E ");
+        self.write_tail(out);
+    }
+
+    /// Appends the table itself — `<epoch> <shards> [<tenant>
+    /// <shard>]…`, newline-terminated — which replication frames put
+    /// behind their own header. [`EpochRecord::parse_tail`] is the one
+    /// parser of this grammar.
+    pub fn write_tail(&self, out: &mut String) {
         use std::fmt::Write as _;
-        write!(out, "E {} {}", self.epoch, self.shards).unwrap();
+        write!(out, "{} {}", self.epoch, self.shards).unwrap();
         for &(tenant, shard) in &self.pins {
             write!(out, " {tenant} {shard}").unwrap();
         }
         out.push('\n');
+    }
+
+    /// Parses what [`EpochRecord::write_tail`] wrote, to the end of the
+    /// line, and validates the table: pinned tenants inside the tenant
+    /// id space, no tenant pinned twice, and the router's own rules
+    /// (at least one shard, pins in range, an unpinned shard left).
+    pub fn parse_tail(parts: &mut Tokens<'_>, line: usize) -> Result<EpochRecord, ParseError> {
+        let err = |message| ParseError { line, message };
+        let epoch = num(parts, line, "epoch")?;
+        let shards = num(parts, line, "epoch shard count")? as usize;
+        let mut pins: Vec<(u64, usize)> = Vec::new();
+        while let Some(tok) = parts.next() {
+            let tenant = tok
+                .parse::<u64>()
+                .map_err(|e| err(format!("bad pinned tenant: {e}")))?;
+            let shard = num(parts, line, "pin shard (truncated router table)")? as usize;
+            if tenant >> (64 - TENANT_SHIFT) != 0 {
+                return Err(err(format!(
+                    "pinned tenant {tenant} exceeds the tenant id space"
+                )));
+            }
+            if pins.iter().any(|&(t, _)| t == tenant) {
+                return Err(err(format!("tenant {tenant} pinned twice")));
+            }
+            pins.push((tenant, shard));
+        }
+        Router::from_parts(epoch, shards, pins.iter().copied())
+            .map_err(|e| err(format!("invalid epoch record: {e}")))?;
+        Ok(EpochRecord {
+            epoch,
+            shards,
+            pins,
+        })
     }
 }
 
@@ -616,12 +735,7 @@ impl Journal {
     /// engine snapshot, then drops sealed segments beyond the retention
     /// cap. Called by [`Engine::checkpoint`] between flushes.
     pub fn checkpoint(&mut self, snapshot: String, batches: u64) {
-        let events_before = self.dropped_events
-            + self
-                .segments
-                .iter()
-                .map(|s| s.events.len() as u64)
-                .sum::<u64>();
+        let events_before = self.total_events();
         self.segments.push_back(Segment::empty(Some(Checkpoint {
             batches,
             events_before,
@@ -671,10 +785,7 @@ impl Journal {
             if let Some(cp) = &seg.base {
                 let lines = cp.snapshot.lines().count();
                 writeln!(out, "s {} {} {lines}", cp.batches, cp.events_before).unwrap();
-                for line in cp.snapshot.lines() {
-                    out.push_str(line);
-                    out.push('\n');
-                }
+                embed(&mut out, &cp.snapshot);
             }
             let mut batch = None;
             let mut epochs = seg.epochs.iter().peekable();
@@ -696,13 +807,12 @@ impl Journal {
         out
     }
 
-    /// Parses the line format back into a journal. Accepts both v1
-    /// journals (no checkpoints, one genesis segment) and v2 segmented
-    /// journals; every malformed-input class — truncated checkpoint
-    /// bodies, garbage ops, duplicate headers, invalid configs — yields
-    /// a located [`ParseError`], never a panic.
+    /// Parses the line format back into a journal; every malformed-input
+    /// class — truncated checkpoint bodies, garbage ops, duplicate or
+    /// incomplete headers, invalid configs — yields a located
+    /// [`ParseError`], never a panic.
     ///
-    /// Note: *format* compatibility with v1 does not imply *replay*
+    /// Note: *format* compatibility does not imply *replay*
     /// compatibility — replay re-services the stream with the current
     /// schedulers, and scheduler behavior can change across versions
     /// (e.g. this version's §3 migration victim is the smallest id on
@@ -736,18 +846,13 @@ impl Journal {
             }
             let mut parts = content.split_whitespace();
             let op = parts.next().expect("non-empty line has a token");
-            let num = |tok: Option<&str>, what: &str| -> Result<u64, ParseError> {
-                tok.ok_or_else(|| err(format!("missing {what}")))?
-                    .parse::<u64>()
-                    .map_err(|e| err(format!("bad {what}: {e}")))
-            };
             match op {
                 "c" => {
                     if config.is_some() {
                         return Err(err("duplicate 'c' config header".to_string()));
                     }
-                    let shards = num(parts.next(), "shards")? as usize;
-                    let machines = num(parts.next(), "machines")? as usize;
+                    let shards = num(&mut parts, line, "shards")? as usize;
+                    let machines = num(&mut parts, line, "machines")? as usize;
                     if shards == 0 {
                         return Err(err("config needs at least one shard".to_string()));
                     }
@@ -760,13 +865,8 @@ impl Journal {
                         .next()
                         .ok_or_else(|| err("missing backend".to_string()))?;
                     let backend = BackendKind::parse(backend_raw).map_err(&err)?;
-                    // Optional (absent in v1 journals): retention cap.
-                    let retained_segments = match parts.next() {
-                        Some(tok) => tok
-                            .parse::<usize>()
-                            .map_err(|e| err(format!("bad retained-segments cap: {e}")))?,
-                        None => EngineConfig::default().retained_segments,
-                    };
+                    let retained_segments =
+                        num(&mut parts, line, "retained-segments cap")? as usize;
                     config = Some(EngineConfig {
                         shards,
                         machines_per_shard: machines,
@@ -779,37 +879,23 @@ impl Journal {
                     if dropped.is_some() {
                         return Err(err("duplicate 'T' truncation marker".to_string()));
                     }
-                    let segs = num(parts.next(), "dropped segments")?;
-                    let events = num(parts.next(), "dropped events")?;
+                    let segs = num(&mut parts, line, "dropped segments")?;
+                    let events = num(&mut parts, line, "dropped events")?;
                     if segs == 0 {
                         return Err(err("'T' must name at least one dropped segment".to_string()));
                     }
                     dropped = Some((segs, events));
                 }
                 "s" => {
-                    let batches = num(parts.next(), "checkpoint batches")?;
-                    let events_before = num(parts.next(), "checkpoint events-before")?;
-                    let nlines = num(parts.next(), "checkpoint line count")? as usize;
+                    let batches = num(&mut parts, line, "checkpoint batches")?;
+                    let events_before = num(&mut parts, line, "checkpoint events-before")?;
+                    let nlines = num(&mut parts, line, "checkpoint line count")? as usize;
                     if let Some(extra) = parts.next() {
                         return Err(err(format!("unexpected trailing token '{extra}'")));
                     }
-                    // Consume exactly `nlines` raw lines as the embedded
-                    // snapshot (comments and blanks are part of it).
-                    let mut snapshot = String::new();
-                    for k in 0..nlines {
-                        let Some((_, raw)) = lines.next() else {
-                            return Err(err(format!(
-                                "checkpoint truncated: {k} of {nlines} snapshot lines present"
-                            )));
-                        };
-                        snapshot.push_str(raw);
-                        snapshot.push('\n');
-                    }
-                    if !snapshot.starts_with(SNAPSHOT_HEADER) {
-                        return Err(err(format!(
-                            "checkpoint body does not start with '{SNAPSHOT_HEADER}'"
-                        )));
-                    }
+                    let mut body = lines.by_ref().map(|(_, raw)| raw);
+                    let snapshot = take_embedded(&mut body, nlines)
+                        .map_err(|why| err(format!("checkpoint: {why}")))?;
                     segments.push_back(Segment::empty(Some(Checkpoint {
                         batches,
                         events_before,
@@ -821,79 +907,23 @@ impl Journal {
                     barrier = None;
                 }
                 "E" => {
-                    let epoch = num(parts.next(), "epoch")?;
-                    let shards = num(parts.next(), "epoch shard count")? as usize;
-                    if let Some(prev) = last_epoch {
-                        if epoch <= prev {
-                            return Err(err(format!(
-                                "epoch record {epoch} does not advance past epoch {prev} \
-                                 (duplicate or regressing epoch)"
-                            )));
-                        }
+                    let record = EpochRecord::parse_tail(&mut parts, line)?;
+                    if let Some(prev) = last_epoch.filter(|&prev| record.epoch <= prev) {
+                        return Err(err(format!(
+                            "epoch record {} does not advance past epoch {prev} \
+                             (duplicate or regressing epoch)",
+                            record.epoch
+                        )));
                     }
-                    let mut pins: Vec<(u64, usize)> = Vec::new();
-                    while let Some(tenant_tok) = parts.next() {
-                        let tenant = tenant_tok
-                            .parse::<u64>()
-                            .map_err(|e| err(format!("bad pinned tenant: {e}")))?;
-                        let shard =
-                            num(parts.next(), "pin shard (truncated router table)")? as usize;
-                        if pins.iter().any(|&(t, _)| t == tenant) {
-                            return Err(err(format!("tenant {tenant} pinned twice")));
-                        }
-                        pins.push((tenant, shard));
-                    }
-                    // Full table validation (shards >= 1, pins in range,
-                    // at least one unpinned shard) via the router itself.
-                    Router::from_parts(epoch, shards, pins.iter().copied())
-                        .map_err(|e| err(format!("invalid epoch record: {e}")))?;
-                    last_epoch = Some(epoch);
+                    last_epoch = Some(record.epoch);
                     barrier = last_event_batch;
                     let open = segments.back_mut().expect("open segment");
                     let pos = open.events.len();
-                    open.epochs.push((
-                        pos,
-                        EpochRecord {
-                            epoch,
-                            shards,
-                            pins,
-                        },
-                    ));
+                    open.epochs.push((pos, record));
                 }
-                "b" => batch = num(parts.next(), "batch")?,
+                "b" => batch = num(&mut parts, line, "batch")?,
                 "+" | "-" => {
-                    let shard = num(parts.next(), "shard")? as usize;
-                    let id = JobId(num(parts.next(), "id")?);
-                    let request = if op == "+" {
-                        let start = num(parts.next(), "arrival")?;
-                        let end = num(parts.next(), "deadline")?;
-                        if end <= start {
-                            return Err(err(format!("deadline {end} must exceed arrival {start}")));
-                        }
-                        Request::Insert {
-                            id,
-                            window: Window::new(start, end),
-                        }
-                    } else {
-                        Request::Delete { id }
-                    };
-                    let tag = parts
-                        .next()
-                        .ok_or_else(|| err("missing outcome".to_string()))?;
-                    let result = match tag {
-                        "ok" => Ok(Costs {
-                            reallocations: num(parts.next(), "reallocations")?,
-                            migrations: num(parts.next(), "migrations")?,
-                        }),
-                        "err" => {
-                            let code_raw = parts
-                                .next()
-                                .ok_or_else(|| err("missing error code".to_string()))?;
-                            Err(ErrCode::parse(code_raw)
-                                .ok_or_else(|| err(format!("bad error code '{code_raw}'")))?)
-                        }
-                        other => return Err(err(format!("bad outcome tag '{other}'"))),
-                    };
+                    let event = JournalEvent::parse_tail(op, batch, &mut parts, line)?;
                     if let Some(b) = barrier {
                         if b == batch {
                             return Err(err(format!(
@@ -908,12 +938,7 @@ impl Journal {
                         .back_mut()
                         .expect("genesis segment")
                         .events
-                        .push(JournalEvent {
-                            batch,
-                            shard,
-                            request,
-                            result,
-                        });
+                        .push(event);
                 }
                 other => return Err(err(format!("unknown op '{other}'"))),
             }
@@ -1053,9 +1078,7 @@ impl Journal {
          -> Result<(), ReplayError> {
             while *next_epoch < epochs.len() && epochs[*next_epoch].0 <= up_to {
                 let (_, rec) = epochs[*next_epoch];
-                engine
-                    .apply_epoch(rec)
-                    .map_err(|message| ReplayError::Corrupt(ParseError { line: 0, message }))?;
+                engine.apply_epoch_record(rec)?;
                 *next_epoch += 1;
             }
             Ok(())

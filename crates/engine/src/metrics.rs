@@ -8,7 +8,10 @@
 //! overflow bucket and percentile queries above it return the recorded
 //! maximum).
 
+use crate::journal::ReqResult;
 use crate::shard::Shard;
+use realloc_core::snapshot::{Fields, SnapshotWriter};
+use realloc_core::textio::ParseError;
 use std::sync::{Arc, Mutex};
 
 /// Direct buckets of [`CostHistogram`]: exact counts for costs
@@ -178,37 +181,155 @@ impl CostHistogram {
     }
 }
 
-/// Totals inherited from shards retired by elastic resizes.
+/// A lifetime service tally: what one shard has serviced since it was
+/// built — or, as the engine's resize **carryover**, what every shard
+/// retired by an elastic resize had.
 ///
 /// A reshard dissolves every shard and rebuilds the active jobs on a
 /// fresh shard set; the dissolved shards' serviced-request counters and
 /// cost histograms are *historical facts* that must survive the rebuild
 /// (resizing an engine must not zero its telemetry), so they fold into
-/// this engine-level accumulator. [`Metrics`] totals are always
+/// the engine-level carryover tally. [`Metrics`] totals are always
 /// `carryover + live shards`; per-shard rows describe live shards only.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Carryover {
-    /// Requests serviced by retired shards.
+pub struct Tally {
+    /// Requests serviced successfully.
     pub requests: u64,
-    /// Requests rejected on retired shards.
+    /// Requests the backend rejected.
     pub failed: u64,
-    /// Reallocations performed on retired shards.
+    /// Reallocations performed.
     pub reallocations: u64,
-    /// Migrations performed on retired shards.
+    /// Cross-machine migrations performed.
     pub migrations: u64,
-    /// Per-request cost distribution recorded on retired shards.
+    /// Per-request reallocation-cost distribution (bounded memory).
     pub hist: CostHistogram,
 }
 
-impl Carryover {
-    /// Folds a retiring shard's counters and histogram in.
-    pub(crate) fn absorb(&mut self, shard: &Shard) {
-        let (requests, failed, reallocations, migrations) = shard.stat_parts();
-        self.requests += requests;
-        self.failed += failed;
-        self.reallocations += reallocations;
-        self.migrations += migrations;
-        self.hist.merge(shard.cost_histogram());
+impl Tally {
+    /// Counts one serviced request — the one place a request's cost is
+    /// counted; reports, [`Metrics`] and the telemetry registry all read
+    /// what this recorded.
+    pub(crate) fn record(&mut self, result: &ReqResult) {
+        match result {
+            Ok(costs) => {
+                self.requests += 1;
+                self.reallocations += costs.reallocations;
+                self.migrations += costs.migrations;
+                self.hist.record(costs.reallocations);
+            }
+            Err(_) => self.failed += 1,
+        }
+    }
+
+    /// Folds another tally in (a retiring shard's into the carryover).
+    pub(crate) fn absorb(&mut self, other: &Tally) {
+        self.requests += other.requests;
+        self.failed += other.failed;
+        self.reallocations += other.reallocations;
+        self.migrations += other.migrations;
+        self.hist.merge(&other.hist);
+    }
+
+    /// Writes the tally's snapshot lines under the caller's op names:
+    /// totals, histogram header, one line per non-empty bucket.
+    pub(crate) fn write_lines(&self, w: &mut SnapshotWriter, [totals, hist, bucket]: [&str; 3]) {
+        w.line(format_args!(
+            "{totals} {} {} {} {}",
+            self.requests, self.failed, self.reallocations, self.migrations
+        ));
+        let (count, sum, max, overflow) = self.hist.parts();
+        w.line(format_args!("{hist} {count} {sum} {max} {overflow}"));
+        for (cost, n) in self.hist.nonzero_buckets() {
+            w.line(format_args!("{bucket} {cost} {n}"));
+        }
+    }
+}
+
+/// The snapshot lines of a [`Tally`] being read back
+/// ([`Tally::write_lines`]): feed each line to its method as the
+/// section's op dispatch meets it, then [`TallyLines::finish`].
+#[derive(Default)]
+pub(crate) struct TallyLines {
+    totals: Option<[u64; 4]>,
+    hist: Option<[u64; 4]>,
+    buckets: Vec<(usize, u64)>,
+}
+
+impl TallyLines {
+    /// Reads a line of exactly four counts into `slot`, once.
+    fn quad(slot: &mut Option<[u64; 4]>, f: Fields<'_>, what: &str) -> Result<(), ParseError> {
+        let malformed = f.err(format!("the {what} line carries four counts, once"));
+        match (f.rest_u64(what)?.try_into(), &slot) {
+            (Ok(counts), None) => *slot = Some(counts),
+            _ => return Err(malformed),
+        }
+        Ok(())
+    }
+
+    /// The totals line: requests, failed, reallocations, migrations.
+    pub(crate) fn totals(&mut self, f: Fields<'_>) -> Result<(), ParseError> {
+        Self::quad(&mut self.totals, f, "totals")
+    }
+
+    /// The histogram header line: count, sum, max, overflow.
+    pub(crate) fn hist(&mut self, f: Fields<'_>) -> Result<(), ParseError> {
+        Self::quad(&mut self.hist, f, "histogram")
+    }
+
+    /// One histogram bucket line: cost, count.
+    pub(crate) fn bucket(&mut self, mut f: Fields<'_>) -> Result<(), ParseError> {
+        let cost = f.usize("bucket cost")?;
+        let n = f.u64("bucket count")?;
+        f.finish()?;
+        self.buckets.push((cost, n));
+        Ok(())
+    }
+
+    /// Validates and assembles the tally of `owner` (named in errors).
+    /// Both header lines are required, and untrusted-snapshot arithmetic
+    /// is checked, not trusted: forged counts near `u64::MAX` would
+    /// overflow the carry + live-shard sums in `metrics`/`total_costs`.
+    pub(crate) fn finish(self, owner: &str) -> Result<Tally, ParseError> {
+        let err = |message| ParseError { line: 0, message };
+        let (
+            Some([requests, failed, reallocations, migrations]),
+            Some([count, sum, max, overflow]),
+        ) = (self.totals, self.hist)
+        else {
+            return Err(err(format!(
+                "{owner} needs both its totals and its histogram line"
+            )));
+        };
+        // 2^48 is absurd headroom for real lifetimes and leaves 2^16 of
+        // summation slack.
+        const LIMIT: u64 = u64::MAX >> 16;
+        for (what, v) in [
+            ("requests", requests),
+            ("failed", failed),
+            ("reallocations", reallocations),
+            ("migrations", migrations),
+            ("histogram count", count),
+            ("histogram sum", sum),
+        ] {
+            if v > LIMIT {
+                return Err(err(format!("{owner} {what} {v} exceeds the sanity bound")));
+            }
+        }
+        let hist = CostHistogram::from_parts(count, sum, max, overflow, &self.buckets)
+            .map_err(|message| err(format!("{owner} histogram: {message}")))?;
+        // Every serviced request recorded exactly one cost sample.
+        if requests != count {
+            return Err(err(format!(
+                "{owner} records {requests} serviced requests but its histogram holds {count}"
+            )));
+        }
+        Ok(Tally {
+            requests,
+            failed,
+            reallocations,
+            migrations,
+            hist,
+        })
     }
 }
 
@@ -286,21 +407,22 @@ impl Metrics {
     /// locked once, briefly — metrics reads never overlap a flush),
     /// folding in the resize carryover so lifetime totals survive
     /// reshards.
-    pub(crate) fn collect(shards: &[Arc<Mutex<Shard>>], carry: &Carryover, epoch: u64) -> Metrics {
+    pub(crate) fn collect(shards: &[Arc<Mutex<Shard>>], carry: &Tally, epoch: u64) -> Metrics {
         let mut union = carry.hist.clone();
         let rows: Vec<ShardMetrics> = shards
             .iter()
             .map(|s| {
                 let s = crate::lock(s);
-                union.merge(s.cost_histogram());
+                let t = s.tally();
+                union.merge(&t.hist);
                 ShardMetrics {
                     shard: s.id(),
-                    requests: s.requests(),
-                    failed: s.failed_count(),
+                    requests: t.requests,
+                    failed: t.failed,
                     active_jobs: s.active_count() as u64,
-                    reallocations: s.total_reallocations(),
-                    migrations: s.total_migrations(),
-                    cost: CostPercentiles::of(s.cost_histogram()),
+                    reallocations: t.reallocations,
+                    migrations: t.migrations,
+                    cost: CostPercentiles::of(&t.hist),
                 }
             })
             .collect();

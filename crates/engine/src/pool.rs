@@ -171,7 +171,7 @@ mod tests {
         let mut drains = Vec::new();
         pool.drain_all(&mut drains);
         assert_eq!(drains.len(), 6);
-        assert!(drains.iter().all(|d| d.processed() == 1));
+        assert!(drains.iter().all(|d| d.stats.processed == 1));
         // Order is shard order regardless of chunking: drain i serviced
         // the request enqueued on shard i.
         for (i, d) in drains.iter().enumerate() {
@@ -205,7 +205,7 @@ mod tests {
         assert_eq!(drains.len(), 7);
         for (i, d) in drains.iter().enumerate() {
             // Shard i serviced exactly its own i+1 requests, in FIFO order.
-            assert_eq!(d.processed(), i + 1, "shard {i}");
+            assert_eq!(d.stats.processed, i + 1, "shard {i}");
             let ids: Vec<JobId> = d.records.iter().map(|(r, _)| r.job_id()).collect();
             let want: Vec<JobId> = (0..=(i as u64))
                 .map(|k| JobId(i as u64 * 100 + k))

@@ -11,8 +11,9 @@
 //! O(1) memory (see [`crate::metrics`]).
 
 use crate::backend::{Backend, BackendKind};
+use crate::batch::ShardBatchStats;
 use crate::journal::{Costs, ErrCode, ReqResult};
-use crate::metrics::CostHistogram;
+use crate::metrics::{Tally, TallyLines};
 use crate::tele::{ShardTele, SERVICE_SAMPLE_EVERY};
 use fxhash::FxHashMap;
 use realloc_core::snapshot::{Fields, SnapshotNode, SnapshotWriter};
@@ -30,12 +31,8 @@ pub struct Shard {
     /// FxHash: touched once per request; only point lookups, never
     /// order-sensitive iteration.
     active: FxHashMap<JobId, Window>,
-    /// Per-request reallocation-cost distribution (bounded memory).
-    hist: CostHistogram,
-    requests: u64,
-    reallocations: u64,
-    migrations: u64,
-    failed: u64,
+    /// Everything serviced since construction.
+    tally: Tally,
     /// Drain-path instrument handles, present iff the owning engine has
     /// telemetry attached. Runtime-only: never serialized (latency state
     /// must not perturb replication digests).
@@ -50,36 +47,10 @@ pub struct Shard {
 pub struct ShardDrain {
     /// Per-request `(request, result)` records.
     pub records: Vec<(Request, ReqResult)>,
-}
-
-impl ShardDrain {
-    /// Requests that were serviced successfully.
-    pub fn processed(&self) -> usize {
-        self.records.iter().filter(|(_, r)| r.is_ok()).count()
-    }
-
-    /// Requests the backend rejected.
-    pub fn failed(&self) -> usize {
-        self.records.len() - self.processed()
-    }
-
-    /// Total reallocations across the drain.
-    pub fn reallocations(&self) -> u64 {
-        self.records
-            .iter()
-            .filter_map(|(_, r)| r.as_ref().ok())
-            .map(|c| c.reallocations)
-            .sum()
-    }
-
-    /// Total migrations across the drain.
-    pub fn migrations(&self) -> u64 {
-        self.records
-            .iter()
-            .filter_map(|(_, r)| r.as_ref().ok())
-            .map(|c| c.migrations)
-            .sum()
-    }
+    /// The rejected requests among `records`, in the same order.
+    pub failures: Vec<(Request, ErrCode)>,
+    /// What this drain added to the shard's lifetime counters.
+    pub stats: ShardBatchStats,
 }
 
 impl Shard {
@@ -90,11 +61,7 @@ impl Shard {
             backend: kind.build(machines),
             queue: VecDeque::new(),
             active: FxHashMap::default(),
-            hist: CostHistogram::new(),
-            requests: 0,
-            reallocations: 0,
-            migrations: 0,
-            failed: 0,
+            tally: Tally::default(),
             tele: None,
             service_tick: 0,
         }
@@ -127,29 +94,11 @@ impl Shard {
         self.active.len()
     }
 
-    /// Requests this shard serviced successfully so far.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// Requests this shard's backend rejected so far.
-    pub fn failed_count(&self) -> u64 {
-        self.failed
-    }
-
-    /// Total reallocations since construction.
-    pub fn total_reallocations(&self) -> u64 {
-        self.reallocations
-    }
-
-    /// Total cross-machine migrations since construction.
-    pub fn total_migrations(&self) -> u64 {
-        self.migrations
-    }
-
-    /// Per-request reallocation-cost distribution.
-    pub fn cost_histogram(&self) -> &CostHistogram {
-        &self.hist
+    /// What this shard has serviced since construction: request and
+    /// failure counts, total costs, and the per-request cost
+    /// distribution.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 
     /// Largest active window span on this shard (the paper's `Δ`,
@@ -193,105 +142,89 @@ impl Shard {
         std::mem::take(&mut self.queue)
     }
 
-    /// Telemetry counters `(requests, failed, reallocations, migrations)`
-    /// — folded into the engine's carryover totals when a reshard retires
-    /// this shard.
-    pub(crate) fn stat_parts(&self) -> (u64, u64, u64, u64) {
-        (
-            self.requests,
-            self.failed,
-            self.reallocations,
-            self.migrations,
-        )
-    }
-
     /// Services every queued request in FIFO order.
     ///
     /// Failures are recorded and skipped — a multi-tenant service must
     /// keep serving the remaining stream when one request is rejected
-    /// (the caller sees each failure in the returned records and in
-    /// [`Shard::failed_count`]).
-    pub fn drain(&mut self) -> ShardDrain {
-        // Take the instrument bundle out so the instrumented loop can
-        // borrow `self` mutably; the uninstrumented path stays a single
-        // Option check.
-        match self.tele.take() {
-            Some(tele) => {
-                let out = self.drain_instrumented(&tele);
-                self.tele = Some(tele);
-                out
-            }
-            None => {
-                let mut out = self.sized_drain();
-                while let Some(req) = self.queue.pop_front() {
-                    let result = self.service_one(req);
-                    out.records.push((req, result));
-                }
-                out
-            }
-        }
-    }
-
-    /// An empty drain with room for one record per queued request.
-    fn sized_drain(&self) -> ShardDrain {
-        ShardDrain {
-            records: Vec::with_capacity(self.queue.len()),
-        }
-    }
-
-    /// The instrumented drain loop: times the whole drain (one
-    /// `engine_shard_drain_nanos` sample, recorded on whichever worker
-    /// thread drains this shard), and one request in
-    /// [`SERVICE_SAMPLE_EVERY`] into a **local** histogram merged into
+    /// (the caller sees each failure in the returned drain and in
+    /// [`Shard::tally`]).
+    ///
+    /// With telemetry installed the drain also records one
+    /// `engine_shard_drain_nanos` sample (on whichever worker thread
+    /// drains this shard) and times one request in
+    /// `SERVICE_SAMPLE_EVERY` (8) into a **local** histogram merged into
     /// the shared `engine_service_sampled_nanos` once at the end — the
     /// shared-instrument lock is touched twice per drain, never per
     /// request.
-    fn drain_instrumented(&mut self, tele: &ShardTele) -> ShardDrain {
-        let start = tele.t.now_nanos();
-        let mut sampled = Histogram::new();
-        let mut out = self.sized_drain();
+    pub fn drain(&mut self) -> ShardDrain {
+        // Taken out for the loop so `service_one` can borrow `self`.
+        let tele = self.tele.take();
+        let start = tele.as_ref().map(|t| t.t.now_nanos());
+        let mut sampled: Option<Histogram> = None;
+        let Tally {
+            requests,
+            failed,
+            reallocations,
+            migrations,
+            ..
+        } = self.tally;
+        let mut out = ShardDrain {
+            records: Vec::with_capacity(self.queue.len()),
+            ..ShardDrain::default()
+        };
         while let Some(req) = self.queue.pop_front() {
-            self.service_tick += 1;
-            let result = if self.service_tick.is_multiple_of(SERVICE_SAMPLE_EVERY) {
-                let t0 = tele.t.now_nanos();
-                let result = self.service_one(req);
-                sampled.record(tele.t.now_nanos().saturating_sub(t0));
-                result
-            } else {
-                self.service_one(req)
-            };
+            let t0 = tele.as_ref().and_then(|t| {
+                self.service_tick += 1;
+                self.service_tick
+                    .is_multiple_of(SERVICE_SAMPLE_EVERY)
+                    .then(|| t.t.now_nanos())
+            });
+            let result = self.service_one(req);
+            if let (Some(t0), Some(t)) = (t0, &tele) {
+                sampled
+                    .get_or_insert_with(Histogram::new)
+                    .record(t.t.now_nanos().saturating_sub(t0));
+            }
+            if let Err(code) = result {
+                out.failures.push((req, code));
+            }
             out.records.push((req, result));
         }
-        tele.drain_nanos
-            .record(tele.t.now_nanos().saturating_sub(start));
-        if !sampled.is_empty() {
-            tele.service_nanos.merge(&sampled);
+        // `service_one` is the one place costs are counted; the batch's
+        // share is what the lifetime counters moved by.
+        out.stats = ShardBatchStats {
+            shard: self.id,
+            processed: (self.tally.requests - requests) as usize,
+            failed: (self.tally.failed - failed) as usize,
+            reallocations: self.tally.reallocations - reallocations,
+            migrations: self.tally.migrations - migrations,
+        };
+        if let (Some(t), Some(start)) = (&tele, start) {
+            t.drain_nanos.record(t.t.now_nanos().saturating_sub(start));
+            if let Some(sampled) = &sampled {
+                t.service_nanos.merge(sampled);
+            }
         }
+        self.tele = tele;
         out
     }
 
     /// Services one request against the backend, with all shard
     /// bookkeeping. Failures are recorded, never fatal.
     fn service_one(&mut self, req: Request) -> ReqResult {
-        match self.backend.request(req) {
+        let result = match self.backend.request(req) {
             Ok(outcome) => {
                 self.apply_bookkeeping(req);
                 let netted = outcome.netted();
-                let costs = Costs {
+                Ok(Costs {
                     reallocations: netted.reallocation_cost(),
                     migrations: netted.migration_cost(),
-                };
-                self.requests += 1;
-                self.reallocations += costs.reallocations;
-                self.migrations += costs.migrations;
-                self.hist.record(costs.reallocations);
-                Ok(costs)
+                })
             }
-            Err(e) => {
-                self.failed += 1;
-                Err(ErrCode::of(&e))
-            }
-        }
+            Err(e) => Err(ErrCode::of(&e)),
+        };
+        self.tally.record(&result);
+        result
     }
 
     fn apply_bookkeeping(&mut self, req: Request) {
@@ -329,19 +262,8 @@ impl Shard {
                 Request::Delete { id } => w.line(format_args!("q - {}", id.0)),
             }
         }
-        w.line(format_args!(
-            "s {} {} {} {}",
-            self.requests, self.failed, self.reallocations, self.migrations
-        ));
-        let (count, sum, max, overflow) = self.hist.parts();
-        w.line(format_args!("c {count} {sum} {max} {overflow}"));
-        for (cost, n) in self.hist.nonzero_buckets() {
-            w.line(format_args!("cb {cost} {n}"));
-        }
-        let mut active: Vec<(JobId, Window)> =
-            self.active.iter().map(|(&id, &w)| (id, w)).collect();
-        active.sort_by_key(|&(id, _)| id);
-        for (id, win) in active {
+        self.tally.write_lines(w, ["s", "c", "cb"]);
+        for (id, win) in self.active_jobs() {
             w.line(format_args!("a {} {} {}", id.0, win.start(), win.end()));
         }
         self.backend.write_state(w);
@@ -364,9 +286,7 @@ impl Shard {
                 line: 0,
                 message: "shard section needs a numeric id argument".to_string(),
             })?;
-        let mut stats: Option<(u64, u64, u64, u64)> = None;
-        let mut hist_header: Option<(u64, u64, u64, u64)> = None;
-        let mut buckets: Vec<(usize, u64)> = Vec::new();
+        let mut tally = TallyLines::default();
         let mut active: FxHashMap<JobId, Window> = FxHashMap::default();
         let mut queue: VecDeque<Request> = VecDeque::new();
         for (line, content) in &node.lines {
@@ -395,38 +315,9 @@ impl Shard {
                     f.finish()?;
                     queue.push_back(request);
                 }
-                "s" => {
-                    if stats.is_some() {
-                        return Err(f.err("duplicate 's' stats line"));
-                    }
-                    let v = (
-                        f.u64("requests")?,
-                        f.u64("failed")?,
-                        f.u64("reallocations")?,
-                        f.u64("migrations")?,
-                    );
-                    f.finish()?;
-                    stats = Some(v);
-                }
-                "c" => {
-                    if hist_header.is_some() {
-                        return Err(f.err("duplicate 'c' histogram line"));
-                    }
-                    let v = (
-                        f.u64("count")?,
-                        f.u64("sum")?,
-                        f.u64("max")?,
-                        f.u64("overflow")?,
-                    );
-                    f.finish()?;
-                    hist_header = Some(v);
-                }
-                "cb" => {
-                    let cost = f.usize("bucket cost")?;
-                    let n = f.u64("bucket count")?;
-                    f.finish()?;
-                    buckets.push((cost, n));
-                }
+                "s" => tally.totals(f)?,
+                "c" => tally.hist(f)?,
+                "cb" => tally.bucket(f)?,
                 "a" => {
                     let id = JobId(f.u64("job id")?);
                     let start = f.u64("window start")?;
@@ -447,24 +338,7 @@ impl Shard {
                 }
             }
         }
-        let (requests, failed, reallocations, migrations) = stats.ok_or(ParseError {
-            line: 0,
-            message: format!("shard {id} snapshot has no 's' stats line"),
-        })?;
-        let (count, sum, max, overflow) = hist_header.ok_or(ParseError {
-            line: 0,
-            message: format!("shard {id} snapshot has no 'c' histogram line"),
-        })?;
-        let hist = CostHistogram::from_parts(count, sum, max, overflow, &buckets)
-            .map_err(|message| ParseError { line: 0, message })?;
-        if requests != count {
-            return Err(ParseError {
-                line: 0,
-                message: format!(
-                    "shard {id}: {requests} serviced requests but the histogram records {count}"
-                ),
-            });
-        }
+        let tally = tally.finish(&format!("shard {id}"))?;
         let backend = Backend::read_state(kind, machines, node)?;
         // The backend must schedule exactly the recorded active set.
         if backend.active_count() != active.len() {
@@ -490,11 +364,7 @@ impl Shard {
             backend,
             queue,
             active,
-            hist,
-            requests,
-            reallocations,
-            migrations,
-            failed,
+            tally,
             tele: None,
             service_tick: 0,
         })
@@ -519,13 +389,12 @@ mod tests {
         s.enqueue(Request::Delete { id: JobId(1) });
         let drain = s.drain();
         assert_eq!(drain.records.len(), 3);
-        assert_eq!(drain.processed(), 2);
-        assert_eq!(drain.failed(), 1);
-        assert_eq!(s.failed_count(), 1);
-        assert_eq!(s.requests(), 2);
+        assert_eq!((drain.stats.processed, drain.stats.failed), (2, 1));
+        assert_eq!(drain.failures.len(), 1);
+        assert_eq!((s.tally().requests, s.tally().failed), (2, 1));
         assert_eq!(s.active_count(), 0);
         assert_eq!(s.queued(), 0);
-        assert_eq!(s.cost_histogram().count(), 2);
+        assert_eq!(s.tally().hist.count(), 2);
     }
 
     #[test]

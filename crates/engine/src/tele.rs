@@ -19,18 +19,18 @@
 //!   [`SERVICE_SAMPLE_EVERY`] into `engine_service_sampled_nanos` and
 //!   accumulate locally, merging into the shared histogram once per
 //!   drain.
-//! * **The exact cost histogram, adapted** — per-flush, each serviced
-//!   request's reallocation cost is folded into an engine-lifetime
-//!   [`CostHistogram`] (the *exact* structure from [`crate::metrics`])
-//!   whose p50/p95/p99/mean are re-published as gauges
-//!   (`engine_realloc_cost_p50` …), and into the registry's log-bucketed
-//!   `engine_realloc_cost` histogram. The exact histogram is adapted
-//!   into the registry, not replaced by it.
+//! * **The exact cost distribution, published** — after every flush
+//!   the p50/p95/p99/mean of the engine-lifetime [`CostHistogram`] (the
+//!   union of the live shards' histograms and the resize carryover —
+//!   exactly what [`crate::Engine::metrics`] reports) are set as the
+//!   `engine_realloc_cost_{p50,p95,p99,mean_milli}` gauges. The gauges
+//!   are a view of that one structure; nothing is counted twice.
 //! * **Lifetime counters and gauges** — requests/failures/reallocations/
 //!   migrations/flushes/checkpoints/resizes, active jobs, routing epoch,
-//!   shard count. Counters accumulate at the engine level, so they
-//!   survive resizes by construction (the same carryover guarantee the
-//!   exact metrics path gets from [`crate::metrics::Carryover`]).
+//!   shard count. Counters add each flush's [`crate::BatchReport`]
+//!   totals at the engine level, so they survive resizes by construction
+//!   (the guarantee the exact metrics path gets from the resize
+//!   carryover, a [`crate::metrics::Tally`]).
 //!
 //! None of this state enters the engine's [`realloc_core::Restorable`]
 //! snapshot: replication digests must stay a pure function of the
@@ -81,15 +81,12 @@ pub(crate) struct EngineTele {
     pub flush_total: Histo,
     pub flush_events: Histo,
     pub checkpoint_nanos: Histo,
-    pub drain_nanos: Histo,
-    pub service_nanos: Histo,
-    pub realloc_cost: Histo,
+    /// The bundle every shard gets a clone of.
+    pub shard: ShardTele,
     pub cost_p50: Gauge,
     pub cost_p95: Gauge,
     pub cost_p99: Gauge,
     pub cost_mean_milli: Gauge,
-    /// Exact engine-lifetime cost distribution feeding the gauges above.
-    pub cost_exact: CostHistogram,
     /// Clock nanos of the first enqueue since the last flush — the
     /// queue-wait phase start.
     pub first_enqueue_at: Option<u64>,
@@ -121,14 +118,15 @@ impl EngineTele {
             flush_total: t.histogram("engine_flush_total_nanos"),
             flush_events: t.histogram("engine_flush_events"),
             checkpoint_nanos: t.histogram("engine_checkpoint_nanos"),
-            drain_nanos: t.histogram("engine_shard_drain_nanos"),
-            service_nanos: t.histogram("engine_service_sampled_nanos"),
-            realloc_cost: t.histogram("engine_realloc_cost"),
+            shard: ShardTele {
+                t: t.clone(),
+                drain_nanos: t.histogram("engine_shard_drain_nanos"),
+                service_nanos: t.histogram("engine_service_sampled_nanos"),
+            },
             cost_p50: t.gauge("engine_realloc_cost_p50"),
             cost_p95: t.gauge("engine_realloc_cost_p95"),
             cost_p99: t.gauge("engine_realloc_cost_p99"),
             cost_mean_milli: t.gauge("engine_realloc_cost_mean_milli"),
-            cost_exact: CostHistogram::new(),
             first_enqueue_at: None,
             t: t.clone(),
         }))
@@ -139,22 +137,12 @@ impl EngineTele {
         self.t.now_nanos()
     }
 
-    /// The handle bundle shards need during drains.
-    pub fn shard_tele(&self) -> ShardTele {
-        ShardTele {
-            t: self.t.clone(),
-            drain_nanos: self.drain_nanos.clone(),
-            service_nanos: self.service_nanos.clone(),
-        }
-    }
-
-    /// Republishes the exact-cost gauges from the accumulated
-    /// [`CostHistogram`] (called once per flush).
-    pub fn publish_cost_gauges(&self) {
-        self.cost_p50.set(self.cost_exact.percentile(0.50));
-        self.cost_p95.set(self.cost_exact.percentile(0.95));
-        self.cost_p99.set(self.cost_exact.percentile(0.99));
-        self.cost_mean_milli
-            .set((self.cost_exact.mean() * 1000.0) as u64);
+    /// Publishes the exact-cost gauges from `costs`, the engine-lifetime
+    /// distribution (called once per flush and at attach).
+    pub fn publish_cost_gauges(&self, costs: &CostHistogram) {
+        self.cost_p50.set(costs.percentile(0.50));
+        self.cost_p95.set(costs.percentile(0.95));
+        self.cost_p99.set(costs.percentile(0.99));
+        self.cost_mean_milli.set((costs.mean() * 1000.0) as u64);
     }
 }

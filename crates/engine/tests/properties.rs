@@ -5,9 +5,14 @@
 
 use proptest::prelude::*;
 use realloc_core::{JobId, Request, RequestSeq, SingleMachineReallocator, Window};
-use realloc_engine::{BackendKind, Engine, EngineConfig, Journal, TenantId};
+use realloc_engine::{
+    BackendKind, CoalesceConfig, Engine, EngineConfig, FlushMode, Journal, JournalEvent, TenantId,
+};
 use realloc_reservation::ReservationScheduler;
+use realloc_store::{DurableStore, MemIo, StoreIo};
+use realloc_telemetry::{Telemetry, TraceCtx};
 use realloc_workloads::{ChurnConfig, ChurnGenerator};
+use std::sync::Arc;
 
 fn config(shards: usize, backend: BackendKind) -> EngineConfig {
     EngineConfig {
@@ -56,8 +61,146 @@ fn sharded_churn(seed: u64, shards: usize, len: usize) -> RequestSeq {
     gen.generate(len)
 }
 
+/// The four ways a caller reaches the one flush body.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Door {
+    /// `flush()`.
+    Shorthand,
+    /// `flush_mode(Immediate)`.
+    Immediate,
+    /// `flush_mode(Durable)` over a `MemIo` store, every ticket waited.
+    Durable,
+    /// `flush_mode(Coalesced)` under a deferring policy, closed by a
+    /// barrier `flush()`.
+    Coalesced,
+}
+
+/// Drives `seq` through `door` in `batch`-request ticks. `telemetry`
+/// attaches a registry before the first request; `traced` arms a trace
+/// context ahead of every tick.
+fn through_door(
+    door: Door,
+    seq: &RequestSeq,
+    batch: usize,
+    telemetry: Option<&Telemetry>,
+    traced: bool,
+) -> Engine {
+    let mut e = Engine::new(config(4, BackendKind::TheoremOne { gamma: 8 }));
+    if let Some(t) = telemetry {
+        e.attach_telemetry(t);
+    }
+    match door {
+        Door::Durable => {
+            let store = DurableStore::create(
+                Arc::new(MemIo::new()) as Arc<dyn StoreIo>,
+                std::path::Path::new("/store"),
+                e.journal().unwrap().config(),
+            )
+            .unwrap();
+            e.attach_durability(Box::new(store)).unwrap();
+        }
+        Door::Coalesced => e.set_flush_coalescing(Some(CoalesceConfig {
+            min_batch: batch * 2 + 1,
+            max_defer: 3,
+        })),
+        Door::Shorthand | Door::Immediate => {}
+    }
+    for (i, chunk) in seq.requests().chunks(batch).enumerate() {
+        for &r in chunk {
+            e.submit(r);
+        }
+        if traced {
+            e.arm_trace(TraceCtx::mint(i as u64, i as u64));
+        }
+        let (report, ticket) = match door {
+            Door::Shorthand => (Some(e.flush()), None),
+            Door::Immediate => e.flush_mode(FlushMode::Immediate).unwrap(),
+            Door::Durable => e.flush_mode(FlushMode::Durable).unwrap(),
+            Door::Coalesced => e.flush_mode(FlushMode::Coalesced).unwrap(),
+        };
+        assert_eq!(
+            report.is_none(),
+            e.queued() > 0,
+            "{door:?}: deferred iff unserviced"
+        );
+        assert!(
+            door == Door::Coalesced || report.is_some(),
+            "{door:?} deferred"
+        );
+        assert_eq!(ticket.is_some(), door == Door::Durable, "{door:?} ticket");
+        if let Some(ticket) = ticket {
+            ticket.wait().unwrap();
+        }
+    }
+    if e.queued() > 0 {
+        e.flush();
+    }
+    assert_eq!(e.durability_error(), None);
+    e
+}
+
+/// What each shard serviced, in order, batch numbers aside — the part
+/// of the journal that coalescing (which only moves batch boundaries,
+/// and so how shards interleave in the record stream) must not change.
+fn per_shard_outcomes(e: &Engine) -> Vec<Vec<JournalEvent>> {
+    let mut shards = vec![Vec::new(); e.config().shards];
+    for ev in e.journal().unwrap().iter_events() {
+        shards[ev.shard].push(JournalEvent { batch: 0, ..*ev });
+    }
+    shards
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // ---------------- the flush door ----------------
+
+    #[test]
+    fn every_way_through_the_flush_door_is_one_behaviour(
+        seed in 0u64..200,
+        batch in 8usize..96,
+    ) {
+        let seq = sharded_churn(seed, 4, 360);
+        let reference = through_door(Door::Shorthand, &seq, batch, None, false);
+        let journal = reference.journal().unwrap().to_text();
+        for door in [Door::Shorthand, Door::Immediate, Door::Durable, Door::Coalesced] {
+            for (instrumented, traced) in [(false, false), (false, true), (true, false), (true, true)] {
+                let tel = Telemetry::new();
+                let e = through_door(door, &seq, batch, instrumented.then_some(&tel), traced);
+                let what = format!("{door:?} instrumented={instrumented} traced={traced}");
+                if door == Door::Coalesced {
+                    prop_assert_eq!(per_shard_outcomes(&e), per_shard_outcomes(&reference), "{}", what);
+                    prop_assert!(e.batches() < reference.batches(), "{}: nothing coalesced", what);
+                } else {
+                    prop_assert_eq!(e.journal().unwrap().to_text(), journal.clone(), "{}", what);
+                    prop_assert_eq!(e.state_digest(), reference.state_digest(), "{}", what);
+                }
+                prop_assert_eq!(e.placements(), reference.placements(), "{}", what);
+                let m = e.metrics();
+                prop_assert_eq!(&m, &reference.metrics(), "{}", what);
+                if instrumented {
+                    // One count: the registry shows what the shards counted.
+                    for (name, want) in [
+                        ("engine_requests_total", m.requests),
+                        ("engine_failed_total", m.failed),
+                        ("engine_reallocations_total", m.reallocations),
+                        ("engine_migrations_total", m.migrations),
+                        ("engine_flushes_total", e.batches()),
+                    ] {
+                        prop_assert_eq!(tel.counter_value(name), Some(want), "{} {}", what, name);
+                    }
+                    for (name, want) in [
+                        ("engine_realloc_cost_p50", m.cost.p50),
+                        ("engine_realloc_cost_p95", m.cost.p95),
+                        ("engine_realloc_cost_p99", m.cost.p99),
+                        ("engine_realloc_cost_mean_milli", (m.cost.mean * 1000.0) as u64),
+                    ] {
+                        prop_assert_eq!(tel.gauge_value(name), Some(want), "{} {}", what, name);
+                    }
+                }
+            }
+        }
+    }
 
     // ---------------- routing ----------------
 

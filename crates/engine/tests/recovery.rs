@@ -176,7 +176,7 @@ fn checkpoints_bound_journal_memory() {
 
 #[test]
 fn recovery_is_o_tail_not_o_history() {
-    // Not a wall-clock benchmark (that's BENCH_engine_recovery.json) —
+    // Not a wall-clock benchmark (that's servebench's `store.recover_ms`) —
     // this pins the *structural* guarantee: recovery replays only the
     // events after the last checkpoint, however long history is.
     let mut cfg = config(2, BackendKind::TheoremOne { gamma: 8 });
@@ -233,6 +233,53 @@ fn tampered_checkpoint_tail_is_detected() {
     }
 }
 
+/// How shards are drained is an execution strategy, not state: the
+/// same script digests the same whether the engine is configured
+/// `parallel`, actually drains on the pool, or was recovered from the
+/// parallel engine's journal (recovery always comes back sequential).
+#[test]
+fn state_digest_ignores_the_parallel_knob() {
+    let script = |parallel: bool, pooled: bool| {
+        let mut cfg = config(4, BackendKind::TheoremOne { gamma: 8 });
+        cfg.parallel = parallel;
+        let mut e = Engine::new(cfg);
+        if pooled {
+            e.force_parallel_pool();
+            assert!(e.uses_pool());
+        }
+        ingest(&mut e, churn(17, 4, 64).requests(), 64);
+        e
+    };
+    let sequential = script(false, false);
+    let digest = sequential.state_digest();
+    for (parallel, pooled) in [(true, false), (true, true), (false, true)] {
+        let e = script(parallel, pooled);
+        assert_eq!(
+            e.state_digest(),
+            digest,
+            "parallel={parallel} pooled={pooled}"
+        );
+        assert_eq!(e.snapshot_text(), sequential.snapshot_text());
+        let text = e.journal().unwrap().to_text();
+        let recovered = Engine::recover(text.as_bytes()).unwrap();
+        assert_eq!(
+            recovered.state_digest(),
+            digest,
+            "recovered, parallel={parallel}"
+        );
+        let restored = Engine::restore_snapshot(&e.snapshot_text()).unwrap();
+        assert_eq!(
+            restored.state_digest(),
+            digest,
+            "restored, parallel={parallel}"
+        );
+        assert!(
+            !restored.config().parallel,
+            "restored engines drain sequentially"
+        );
+    }
+}
+
 #[test]
 fn malformed_journals_error_gracefully() {
     let mut engine = Engine::new(config(2, BackendKind::TheoremOne { gamma: 8 }));
@@ -263,9 +310,21 @@ fn malformed_journals_error_gracefully() {
     assert!(Journal::from_text(&garbage).is_err());
 
     // Duplicate config header.
-    let dup = text.replacen("c 2 1 theorem1:8", "c 2 1 theorem1:8\nc 2 1 theorem1:8", 1);
+    let dup = text.replacen(
+        "c 2 1 theorem1:8 4",
+        "c 2 1 theorem1:8 4\nc 2 1 theorem1:8 4",
+        1,
+    );
     let e = Journal::from_text(&dup).unwrap_err();
     assert!(e.message.contains("duplicate 'c'"), "got: {e}");
+
+    // The retention cap is a required header field, not a v1 default.
+    let capless = text.replacen("c 2 1 theorem1:8 4", "c 2 1 theorem1:8", 1);
+    let e = Journal::from_text(&capless).unwrap_err();
+    assert!(
+        e.message.contains("missing retained-segments cap"),
+        "got: {e}"
+    );
 
     // Degenerate configs are rejected up front instead of panicking in
     // Engine::new during replay.
@@ -292,8 +351,9 @@ fn malformed_journals_error_gracefully() {
 
     // A truncation marker with no checkpoint to recover from.
     let orphan_t =
-        "# realloc-engine journal v2\nc 2 1 theorem1:8\nT 1 100\nb 0\n+ 0 1 0 8 ok 0 0\n";
-    assert!(Journal::from_text(orphan_t).is_err());
+        "# realloc-engine journal v3\nc 2 1 theorem1:8 4\nT 1 100\nb 0\n+ 0 1 0 8 ok 0 0\n";
+    let e = Journal::from_text(orphan_t).unwrap_err();
+    assert!(e.message.contains("truncated journal"), "got: {e}");
 }
 
 #[test]
@@ -517,6 +577,12 @@ fn malformed_epoch_records_error_gracefully() {
         (
             "garbage epoch number",
             text.replacen("\nE 1 3\n", "\nE x 3\n", 1),
+        ),
+        (
+            // Tenant ids are 16 bits; the replication frame parser
+            // shares this rule (one `EpochRecord::parse_tail`).
+            "pinned tenant outside the tenant id space",
+            text.replacen("\nE 1 3\n", "\nE 1 3 70000 0\n", 1),
         ),
     ];
     for (what, bad) in &corpus {

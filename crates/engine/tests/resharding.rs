@@ -308,6 +308,37 @@ fn tampered_carryover_is_rejected_at_restore() {
             "{what}: accepted a corrupt carryover"
         );
     }
+
+    // Carryover lines and the router section are required, not
+    // defaulted: a snapshot without them is incomplete.
+    let engine_lines: Vec<&str> = text.lines().collect();
+    let first_child = engine_lines
+        .iter()
+        .position(|l| l.starts_with("!begin router"))
+        .expect("router section");
+    let no_carry: String = engine_lines
+        .iter()
+        .enumerate()
+        .filter(|(i, l)| {
+            *i > first_child || !["t ", "h ", "hb "].iter().any(|op| l.starts_with(op))
+        })
+        .map(|(_, l)| format!("{l}\n"))
+        .collect();
+    let e = Engine::restore_snapshot(&no_carry).unwrap_err();
+    assert!(e.message.contains("carryover needs both"), "got: {e}");
+    let router_end = first_child
+        + engine_lines[first_child..]
+            .iter()
+            .position(|l| *l == "!end")
+            .expect("closed")
+        + 1;
+    let no_router: String = engine_lines[..first_child]
+        .iter()
+        .chain(&engine_lines[router_end..])
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let e = Engine::restore_snapshot(&no_router).unwrap_err();
+    assert!(e.message.contains("no 'router' section"), "got: {e}");
 }
 
 #[test]

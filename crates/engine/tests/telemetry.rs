@@ -11,7 +11,7 @@
 //!   restoring a snapshot into a fresh registry reproduces it verbatim.
 
 use proptest::prelude::*;
-use realloc_core::RequestSeq;
+use realloc_core::{RequestSeq, Restorable};
 use realloc_engine::{BackendKind, Engine, EngineConfig};
 use realloc_telemetry::{parse_sample, Clock, Telemetry};
 use realloc_workloads::{ChurnConfig, ChurnGenerator};
@@ -111,6 +111,46 @@ fn registry_matches_exact_metrics_across_resize() {
         trace.iter().any(|e| e.key == "checkpoint"),
         "checkpoint traced"
     );
+}
+
+/// The cost gauges are a view of the engine's own lifetime histograms,
+/// so a registry attached to a *restored* engine shows the restored
+/// history at once — and keeps agreeing with `metrics()` as flushes add
+/// to it — instead of a distribution that restarts at attach.
+#[test]
+fn cost_gauges_cover_history_restored_before_attach() {
+    let mut original = Engine::new(config(4));
+    original.ingest(&churn(3, 4, 600), 64);
+    let mut engine = Engine::restore_snapshot(&original.snapshot_text()).unwrap();
+    let history = engine.metrics();
+    assert!(history.cost.mean > 0.0, "the script reallocates");
+
+    let tel = Telemetry::new();
+    engine.attach_telemetry(&tel);
+    let check = |m: &realloc_engine::Metrics| {
+        assert_eq!(tel.gauge_value("engine_realloc_cost_p50"), Some(m.cost.p50));
+        assert_eq!(tel.gauge_value("engine_realloc_cost_p95"), Some(m.cost.p95));
+        assert_eq!(tel.gauge_value("engine_realloc_cost_p99"), Some(m.cost.p99));
+        assert_eq!(
+            tel.gauge_value("engine_realloc_cost_mean_milli"),
+            Some((m.cost.mean * 1000.0) as u64)
+        );
+    };
+    check(&history);
+    // A handful of zero-cost inserts after attach: a distribution that
+    // started at attach would read all-zero here.
+    for i in 0..8u64 {
+        engine.submit(realloc_core::Request::Insert {
+            id: realloc_core::JobId(1 << 40 | i),
+            window: realloc_core::Window::new(0, 1 << 12),
+        });
+    }
+    let report = engine.flush();
+    assert_eq!((report.processed(), report.reallocations()), (8, 0));
+    let now = engine.metrics();
+    assert_eq!(now.requests, history.requests + 8);
+    assert!(now.cost.mean > 0.0);
+    check(&now);
 }
 
 proptest! {

@@ -13,14 +13,15 @@
 //!
 //! # Durable batches: the lock is not held across the fsync
 //!
-//! Under [`FlushMode::Durable`] the flush is split
-//! ([`Engine::flush_staged`]). With the lock held the batch *stages* —
-//! drain, journal, append to the store, take a [`CommitTicket`] — and
-//! evaluates its reads. Then it drops the lock, *waits* on the ticket,
-//! and only then replies. While one connection waits for the disk the
-//! others submit, flush and append, and whichever reaches the store next
-//! syncs for all of them; embedder calls and a relay's `poll` never
-//! queue behind a sync.
+//! Every batch goes through the engine's one flush door,
+//! [`Engine::flush_mode`], with the configured [`FlushMode`]. Under
+//! [`FlushMode::Durable`] the door only *stages*: with the lock held the
+//! batch drains, journals, appends to the store and takes a
+//! [`CommitTicket`], and evaluates its reads. Then it drops the lock,
+//! *waits* on the ticket, and only then replies. While one connection
+//! waits for the disk the others submit, flush and append, and whichever
+//! reaches the store next syncs for all of them; embedder calls and a
+//! relay's `poll` never queue behind a sync.
 //!
 //! Reads never observe state that is not yet durable. A read that rides
 //! with mutations is answered after their ticket's wait, which covers
@@ -34,8 +35,8 @@
 //! A wait that fails re-locks the engine once to latch the sticky
 //! [`Engine::durability_error`] and answers every admitted mutation of
 //! the batch `err durability: …`; the batch's reads still answer.
-//! [`FlushMode::Immediate`] and [`FlushMode::Coalesced`] batches do
-//! everything under the lock, as ever.
+//! [`FlushMode::Immediate`] and [`FlushMode::Coalesced`] batches get no
+//! ticket and do everything under the lock.
 //!
 //! # Batching
 //!
@@ -333,8 +334,8 @@ fn serve_batch(frames: &[Vec<u8>], conn: &mut FrameConn, shared: &Shared) -> std
         _ => None,
     };
 
-    // The one mode test of the batch: a durable batch stages under the
-    // lock and waits for the disk after releasing it.
+    // A durable batch stages under the lock and waits for the disk
+    // after releasing it; only its reads ever need a barrier ticket.
     let durable = shared.config.flush == FlushMode::Durable;
     let mut commit: Option<CommitTicket> = None;
     let mut admitted: Vec<InFlight> = Vec::new();
@@ -363,17 +364,15 @@ fn serve_batch(frames: &[Vec<u8>], conn: &mut FrameConn, shared: &Shared) -> std
         }
 
         if !admitted.is_empty() {
-            let flushed = if durable {
-                if let Some(tc) = trace {
-                    engine.arm_trace(tc);
-                }
-                engine.flush_staged().map(|(report, ticket)| {
+            if let Some(tc) = trace {
+                engine.arm_trace(tc);
+            }
+            let flushed = engine
+                .flush_mode(shared.config.flush)
+                .map(|(report, ticket)| {
                     commit = ticket;
-                    Some(report)
-                })
-            } else {
-                engine.flush_batch_traced(shared.config.flush, trace)
-            };
+                    report
+                });
             match flushed {
                 Ok(Some(report)) => {
                     // Map this batch's failures back onto their

@@ -30,15 +30,16 @@
 //! nothing has been acknowledged.
 //!
 //! [`run_staged_crash_matrix`] is the same proof for the two-step
-//! durable flush ([`realloc_engine::Engine::flush_staged`]): two
-//! submitters take turns staging, and a step is acknowledged only when
-//! a commit ticket covering it has waited `Ok` — the later submitter's
-//! fsync, or a checkpoint's seal, on the earlier one's behalf.
+//! durable flush ([`realloc_engine::Engine::flush_mode`] under
+//! `FlushMode::Durable`): two submitters take turns staging, and a step
+//! is acknowledged only when a commit ticket covering it has waited
+//! `Ok` — the later submitter's fsync, or a checkpoint's seal, on the
+//! earlier one's behalf.
 
 use crate::io::{CrashMode, FaultIo, StoreIo};
 use crate::store::{DurableStore, RecoverFromDir};
 use realloc_core::{JobId, Request, Window};
-use realloc_engine::{BackendKind, CommitTicket, Engine, EngineConfig};
+use realloc_engine::{BackendKind, CommitTicket, Engine, EngineConfig, FlushMode};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -270,7 +271,7 @@ enum Ack {
     /// `flush_durable`: every flush step is acknowledged before the
     /// next begins.
     Inline,
-    /// `flush_staged` from two submitters taking turns: the first
+    /// `flush_mode(Durable)` from two submitters taking turns: the first
     /// stages and holds its ticket across whatever steps follow (a
     /// resize, a checkpoint) up to the second's flush, whose wait goes
     /// first and leads; the held ticket then waits and must find itself
@@ -332,7 +333,7 @@ fn durable_run(
             }
             Step::Flush => {
                 wl.submit(&mut engine);
-                match engine.flush_staged() {
+                match engine.flush_mode(FlushMode::Durable) {
                     Ok((_, ticket)) => {
                         let mut mine = ticket.map(|t| (i, t));
                         if held.is_none() {

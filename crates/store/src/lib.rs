@@ -32,7 +32,7 @@
 //! # Guarantees
 //!
 //! With a store attached, `Engine::flush_durable` returning `Ok` — or
-//! the wait on an `Engine::flush_staged` ticket returning `Ok` — means
+//! the wait on an `Engine::flush_mode` ticket returning `Ok` — means
 //! the flush's journal records are on stable storage (at most one
 //! group-commit `fsync` per flush; flushes staged while another's fsync
 //! is in flight share the next one). A crash at *any* instruction

@@ -16,7 +16,7 @@
 //!   the *durable watermark* covers it. The first waiter with an
 //!   uncovered ticket leads — one `fsync` of the open segment covers
 //!   everything appended before it began — and waiters behind it find
-//!   themselves covered. `Engine::flush_staged` takes the ticket and its
+//!   themselves covered. `Engine::flush_mode` takes the ticket and its
 //!   caller waits wherever it likes; `Engine::flush_durable` and
 //!   [`DurableStore::sync`] commit everything appended so far, at once,
 //! * a failed fsync is sticky: that commit, every ticket it left
@@ -522,10 +522,7 @@ pub fn scan(io: &dyn StoreIo, dir: &Path) -> Result<Scan, StoreError> {
             let cp = &ckpt_data[&i];
             let nlines = cp.snapshot.lines().count();
             writeln!(text, "s {} {} {nlines}", cp.batches, cp.events_before).expect("string write");
-            for line in cp.snapshot.lines() {
-                text.push_str(line);
-                text.push('\n');
-            }
+            realloc_core::snapshot::embed(&mut text, &cp.snapshot);
         }
         if let Some(data) = seg_data.get(&i) {
             text.push_str(&data.chunks);

@@ -10,7 +10,7 @@
 //! in-memory journal.
 
 use realloc_core::{JobId, Request, Window};
-use realloc_engine::{BackendKind, CoalesceConfig, Engine, EngineConfig, FlushMode};
+use realloc_engine::{BackendKind, BatchReport, CoalesceConfig, Engine, EngineConfig, FlushMode};
 use realloc_store::{recover_journal_text, DurableStore, MemIo, RecoverFromDir, StoreIo};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -46,6 +46,15 @@ fn coalescing_engine(min_batch: usize, max_defer: u32) -> (Engine, Arc<MemIo>, P
     (engine, io, dir)
 }
 
+/// One coalescing tick: `None` when the policy deferred it.
+fn coalesced_tick(engine: &mut Engine) -> Option<BatchReport> {
+    let (report, ticket) = engine
+        .flush_mode(FlushMode::Coalesced)
+        .expect("only durable flushes fail");
+    assert!(ticket.is_none(), "only durable flushes stage a commit");
+    report
+}
+
 fn insert(id: u64) -> Request {
     let start = (id * 7) % 40;
     Request::Insert {
@@ -54,7 +63,7 @@ fn insert(id: u64) -> Request {
     }
 }
 
-/// Requests deferred by `flush_coalesced` then group-committed by
+/// Requests deferred by a coalesced flush then group-committed by
 /// `flush_durable` all land: the report covers every accepted request,
 /// and the recovered on-disk journal is byte-identical to memory.
 #[test]
@@ -65,7 +74,7 @@ fn deferred_batch_then_flush_durable_loses_nothing() {
         engine.submit(insert(id));
     }
     assert!(
-        engine.flush_coalesced().is_none(),
+        coalesced_tick(&mut engine).is_none(),
         "5 < min_batch 64 must defer"
     );
     assert_eq!(engine.queued(), 5, "deferred requests stay queued");
@@ -100,7 +109,7 @@ fn deferred_batch_then_checkpoint_services_first_and_recovers() {
     for id in 5..=7 {
         engine.submit(insert(id));
     }
-    assert!(engine.flush_coalesced().is_none(), "3 < 64 defers");
+    assert!(coalesced_tick(&mut engine).is_none(), "3 < 64 defers");
     assert!(engine.checkpoint(), "checkpoint proceeds");
     assert!(engine.durability_error().is_none(), "tee healthy");
     assert_eq!(
@@ -125,19 +134,23 @@ fn barrier_resets_the_deferral_budget_and_parity_holds() {
 
     // Burn one deferral, then barrier.
     engine.submit(insert(1));
-    assert!(engine.flush_coalesced().is_none(), "first deferral");
+    assert!(coalesced_tick(&mut engine).is_none(), "first deferral");
     engine.flush_durable().expect("barrier");
 
     // A fresh trickle gets the full budget again: two deferrals, then
     // the third coalesced flush is forced by max_defer.
     engine.submit(insert(2));
-    assert!(engine.flush_coalesced().is_none(), "budget reset: defer 1");
+    assert!(
+        coalesced_tick(&mut engine).is_none(),
+        "budget reset: defer 1"
+    );
     engine.submit(insert(3));
-    assert!(engine.flush_coalesced().is_none(), "budget reset: defer 2");
+    assert!(
+        coalesced_tick(&mut engine).is_none(),
+        "budget reset: defer 2"
+    );
     engine.submit(insert(4));
-    let report = engine
-        .flush_coalesced()
-        .expect("max_defer forces the flush");
+    let report = coalesced_tick(&mut engine).expect("max_defer forces the flush");
     assert_eq!(report.processed(), 3);
 
     // Coalesced output is teed like any flush; sync and compare.
@@ -147,9 +160,9 @@ fn barrier_resets_the_deferral_budget_and_parity_holds() {
     assert_eq!(mem, disk);
 }
 
-/// The `FlushMode` dispatcher drives the same seam: `Coalesced` defers,
-/// `Durable` commits the deferred batch, and the modes agree with the
-/// direct calls they wrap.
+/// The door drives the same seam in every mode: `Coalesced` defers,
+/// `Durable` stages the deferred batch behind a ticket, `Immediate`
+/// services without syncing.
 #[test]
 fn flush_batch_modes_cover_the_seam() {
     let (mut engine, io, dir) = coalescing_engine(64, 10);
@@ -157,25 +170,21 @@ fn flush_batch_modes_cover_the_seam() {
     engine.submit(insert(1));
     engine.submit(insert(2));
     assert!(
-        engine
-            .flush_batch(FlushMode::Coalesced)
-            .expect("no sink involved")
-            .is_none(),
+        coalesced_tick(&mut engine).is_none(),
         "Coalesced defers under min_batch"
     );
 
-    let report = engine
-        .flush_batch(FlushMode::Durable)
-        .expect("durable")
-        .expect("a durable flush always reports");
-    assert_eq!(report.processed(), 2);
+    let (report, ticket) = engine.flush_mode(FlushMode::Durable).expect("durable");
+    assert_eq!(report.expect("a durable flush reports").processed(), 2);
+    ticket
+        .expect("the store hands out a commit log")
+        .wait()
+        .expect("commit");
 
     engine.submit(insert(3));
-    let report = engine
-        .flush_batch(FlushMode::Immediate)
-        .expect("infallible")
-        .expect("an immediate flush always reports");
-    assert_eq!(report.processed(), 1);
+    let (report, ticket) = engine.flush_mode(FlushMode::Immediate).expect("infallible");
+    assert_eq!(report.expect("an immediate flush reports").processed(), 1);
+    assert!(ticket.is_none());
 
     // Immediate mode does not sync — close the stream with a barrier
     // before comparing bytes.

@@ -14,7 +14,7 @@
 //!   staged commits interleaved from two submitters.
 
 use realloc_core::{JobId, Request, Window};
-use realloc_engine::{BackendKind, CommitLog, DurabilitySink, Engine, EngineConfig};
+use realloc_engine::{BackendKind, CommitLog, DurabilitySink, Engine, EngineConfig, FlushMode};
 use realloc_store::{
     run_staged_crash_matrix, segment_file_name, CrashMatrixConfig, CrashMode, DurableStore,
     FaultIo, RecoverFromDir, StoreIo,
@@ -71,9 +71,9 @@ fn one_fsync_covers_both_staged_batches_and_the_follower_does_no_io() {
     let (mut engine, log) = durable_engine(&io, &dir, 2, &telemetry);
 
     submit(&mut engine, 1);
-    let (_, a) = engine.flush_staged().expect("stage A");
+    let (_, a) = engine.flush_mode(FlushMode::Durable).expect("stage A");
     submit(&mut engine, 2);
-    let (_, b) = engine.flush_staged().expect("stage B");
+    let (_, b) = engine.flush_mode(FlushMode::Durable).expect("stage B");
     let (a, b) = (a.expect("A is pending"), b.expect("B is pending"));
     assert!(a.upto() < b.upto(), "tickets are ordered");
 
@@ -107,7 +107,7 @@ fn a_ticket_from_before_the_roll_is_settled_by_the_seal() {
     // taken in.
     let (mut engine, _log) = durable_engine(&io, &dir, 0, &Telemetry::new());
     submit(&mut engine, 1);
-    let (_, ticket) = engine.flush_staged().expect("stage");
+    let (_, ticket) = engine.flush_mode(FlushMode::Durable).expect("stage");
     let ticket = ticket.expect("pending");
 
     assert!(engine.checkpoint());
@@ -137,16 +137,16 @@ fn a_failed_fsync_is_sticky_in_the_store_and_spares_what_was_covered() {
     let (mut engine, log) = durable_engine(&io, &dir, 2, &Telemetry::new());
 
     submit(&mut engine, 1);
-    let (_, a) = engine.flush_staged().expect("stage A");
+    let (_, a) = engine.flush_mode(FlushMode::Durable).expect("stage A");
     let a = a.expect("pending");
     let covered = a.upto();
     a.wait().expect("A is durable");
     let acked = engine.state_digest();
 
     submit(&mut engine, 2);
-    let (_, b) = engine.flush_staged().expect("stage B");
+    let (_, b) = engine.flush_mode(FlushMode::Durable).expect("stage B");
     submit(&mut engine, 3);
-    let (_, c) = engine.flush_staged().expect("stage C");
+    let (_, c) = engine.flush_mode(FlushMode::Durable).expect("stage C");
     // Store creation fsynced twice (file + dir), A's commit once.
     io.fail_fsync_at(2 + 1 + 1);
     let err = c.expect("pending").wait().expect_err("the fsync fails");
