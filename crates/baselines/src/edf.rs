@@ -168,6 +168,14 @@ impl Reallocator for EdfRescheduler {
         self.active.len()
     }
 
+    fn window_of(&self, id: JobId) -> Option<Window> {
+        self.active.get(&id).copied()
+    }
+
+    fn active_jobs(&self) -> Vec<(JobId, Window)> {
+        self.active.iter().map(|(&id, &w)| (id, w)).collect()
+    }
+
     fn name(&self) -> &'static str {
         "edf-recompute"
     }

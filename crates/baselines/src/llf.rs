@@ -150,6 +150,14 @@ impl Reallocator for LlfRescheduler {
         self.active.len()
     }
 
+    fn window_of(&self, id: JobId) -> Option<Window> {
+        self.active.get(&id).copied()
+    }
+
+    fn active_jobs(&self) -> Vec<(JobId, Window)> {
+        self.active.iter().map(|(&id, &w)| (id, w)).collect()
+    }
+
     fn name(&self) -> &'static str {
         "llf-recompute"
     }

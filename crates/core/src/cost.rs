@@ -82,6 +82,10 @@ impl SlotMove {
     }
 }
 
+/// Longest move list netted by linear scans; longer ones (full
+/// recomputes, rebuilds) go through a hash map.
+const NET_SCAN_MAX: usize = 32;
+
 /// The full effect of servicing one request.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequestOutcome {
@@ -116,18 +120,47 @@ impl RequestOutcome {
         self.moves.extend(other.moves);
     }
 
+    /// The netted `(reallocation, migration)` costs of this request:
+    /// exactly `netted().reallocation_cost()` and
+    /// `netted().migration_cost()`, counted by scanning the move list in
+    /// place — per job, the first `from` against the last `to` — so the
+    /// per-request accounting on the serving path builds no netted list.
+    pub fn netted_costs(&self) -> (u64, u64) {
+        if self.moves.len() > NET_SCAN_MAX {
+            let net = self.netted();
+            return (net.reallocation_cost(), net.migration_cost());
+        }
+        let (mut reallocations, mut migrations) = (0, 0);
+        for (i, first) in self.moves.iter().enumerate() {
+            if self.moves[..i].iter().any(|m| m.job == first.job) {
+                continue;
+            }
+            let last = self.moves[i..]
+                .iter()
+                .rfind(|m| m.job == first.job)
+                .expect("the move at i is one");
+            let net = Move {
+                job: first.job,
+                from: first.from,
+                to: last.to,
+            };
+            reallocations += u64::from(net.is_reallocation());
+            migrations += u64::from(net.is_migration());
+        }
+        (reallocations, migrations)
+    }
+
     /// Collapses repeated moves of the same job into one net move so that a
     /// job shuffled through several temporary slots is charged once, as the
     /// paper counts "the number of jobs that must be rescheduled".
     ///
     /// Moves are netted per job: the first `from` and the last `to` survive.
     pub fn netted(&self) -> RequestOutcome {
-        // This runs once per serviced request on the engine's ingest
-        // path, and Theorem 1 keeps per-request move lists tiny
+        // Theorem 1 keeps per-request move lists tiny
         // (`O(min{log* n, log* Δ})`), so a backwards linear scan beats
         // building a hash map. The map path covers pathological lists
         // (EDF/LLF full recomputes, rebuilds).
-        if self.moves.len() <= 32 {
+        if self.moves.len() <= NET_SCAN_MAX {
             let mut net: Vec<Move> = Vec::with_capacity(self.moves.len());
             for m in &self.moves {
                 match net.iter_mut().rfind(|acc| acc.job == m.job) {
@@ -190,10 +223,10 @@ impl CostMeter {
 
     /// Records the outcome of one request. The outcome is netted first.
     pub fn record(&mut self, outcome: &RequestOutcome, active_jobs: u64, max_span: u64) {
-        let netted = outcome.netted();
+        let (reallocations, migrations) = outcome.netted_costs();
         let sample = CostSample {
-            reallocations: netted.reallocation_cost(),
-            migrations: netted.migration_cost(),
+            reallocations,
+            migrations,
             active_jobs,
             max_span,
         };

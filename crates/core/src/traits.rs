@@ -62,6 +62,16 @@ pub trait Reallocator {
     /// Number of active jobs.
     fn active_count(&self) -> usize;
 
+    /// The window an active job was inserted with (before any alignment
+    /// or trimming the scheduler applies internally). The scheduler is
+    /// the one owner of this fact: layers above it ask, they do not keep
+    /// a copy.
+    fn window_of(&self, id: JobId) -> Option<Window>;
+
+    /// Every active job with the window it was inserted with, sorted by
+    /// id.
+    fn active_jobs(&self) -> Vec<(JobId, Window)>;
+
     /// Short human-readable name for reports.
     fn name(&self) -> &'static str {
         "reallocator"

@@ -204,4 +204,30 @@ proptest! {
         ref_moves.retain(|m| m.from.is_some() || m.to.is_some());
         prop_assert_eq!(netted.moves, ref_moves);
     }
+
+    #[test]
+    fn scanned_costs_equal_the_netted_list(
+        // Arbitrary lists — inserts (`from` none), removals (`to` none),
+        // round trips, repeated jobs — on both sides of the 32-move
+        // threshold: the in-place scan must count what the netted list
+        // counts.
+        raw in prop::collection::vec(
+            (0u64..8, (any::<bool>(), 0usize..3, 0u64..6), (any::<bool>(), 0usize..3, 0u64..6)),
+            0..90,
+        ),
+    ) {
+        use realloc_core::{Move, Placement, RequestOutcome};
+        let place = |(some, machine, slot): (bool, usize, u64)| some.then_some(Placement { machine, slot });
+        let outcome = RequestOutcome {
+            moves: raw
+                .into_iter()
+                .map(|(job, from, to)| Move { job: JobId(job), from: place(from), to: place(to) })
+                .collect(),
+        };
+        let netted = outcome.netted();
+        prop_assert_eq!(
+            outcome.netted_costs(),
+            (netted.reallocation_cost(), netted.migration_cost())
+        );
+    }
 }

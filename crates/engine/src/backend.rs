@@ -73,6 +73,14 @@ impl Reallocator for Backend {
         each_backend!(self, b => b.active_count())
     }
 
+    fn window_of(&self, id: JobId) -> Option<Window> {
+        each_backend!(self, b => b.window_of(id))
+    }
+
+    fn active_jobs(&self) -> Vec<(JobId, Window)> {
+        each_backend!(self, b => b.active_jobs())
+    }
+
     fn name(&self) -> &'static str {
         each_backend!(self, b => b.name())
     }

@@ -9,16 +9,23 @@
 //! lifetime on one shard so a lock-free MPSC ring can replace the queue
 //! without touching scheduling logic. Telemetry is O(1) per request and
 //! O(1) memory (see [`crate::metrics`]).
+//!
+//! A shard holds **no id-keyed state of its own**: which jobs are active
+//! and under which windows is the backend's fact
+//! ([`Reallocator::window_of`], [`Reallocator::active_jobs`]), and every
+//! read here — [`Shard::window_of`], [`Shard::active_jobs`], the
+//! snapshot's `a` lines, reshard adoption — goes through it. The `a`
+//! lines are still written (derived) and, on restore, checked id and
+//! window against the restored backend, then dropped.
 
 use crate::backend::{Backend, BackendKind};
 use crate::batch::ShardBatchStats;
 use crate::journal::{Costs, ErrCode, ReqResult};
 use crate::metrics::{Tally, TallyLines};
 use crate::tele::{ShardTele, SERVICE_SAMPLE_EVERY};
-use fxhash::FxHashMap;
 use realloc_core::snapshot::{Fields, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
-use realloc_core::{JobId, Reallocator as _, Request, Window};
+use realloc_core::{JobId, Reallocator, Request, Window};
 use realloc_telemetry::Histogram;
 use std::collections::VecDeque;
 
@@ -27,10 +34,6 @@ pub struct Shard {
     id: usize,
     backend: Backend,
     queue: VecDeque<Request>,
-    /// Active jobs with their original windows (tenant-resolved ids).
-    /// FxHash: touched once per request; only point lookups, never
-    /// order-sensitive iteration.
-    active: FxHashMap<JobId, Window>,
     /// Everything serviced since construction.
     tally: Tally,
     /// Drain-path instrument handles, present iff the owning engine has
@@ -60,7 +63,6 @@ impl Shard {
             id,
             backend: kind.build(machines),
             queue: VecDeque::new(),
-            active: FxHashMap::default(),
             tally: Tally::default(),
             tele: None,
             service_tick: 0,
@@ -91,7 +93,7 @@ impl Shard {
 
     /// Jobs currently scheduled on this shard.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.backend.active_count()
     }
 
     /// What this shard has serviced since construction: request and
@@ -104,7 +106,8 @@ impl Shard {
     /// Largest active window span on this shard (the paper's `Δ`,
     /// shard-local). Computed on demand from the active set.
     pub fn current_max_span(&self) -> u64 {
-        self.active.values().map(|w| w.span()).max().unwrap_or(0)
+        let jobs = self.active_jobs();
+        jobs.iter().map(|(_, w)| w.span()).max().unwrap_or(0)
     }
 
     /// The backend's current `(job, machine, slot)` assignments.
@@ -114,25 +117,21 @@ impl Shard {
 
     /// Original window of an active job.
     pub fn window_of(&self, id: JobId) -> Option<Window> {
-        self.active.get(&id).copied()
+        self.backend.window_of(id)
     }
 
     /// Every active job with its original window, sorted by id.
     pub fn active_jobs(&self) -> Vec<(JobId, Window)> {
-        let mut out: Vec<(JobId, Window)> = self.active.iter().map(|(&id, &w)| (id, w)).collect();
-        out.sort_by_key(|&(id, _)| id);
-        out
+        self.backend.active_jobs()
     }
 
     /// Adopts an already-active job during a reshard rebuild: places it
-    /// through the backend and records it active, **without** touching
-    /// the request counters, cost totals, or histogram — re-homing a job
-    /// is not a serviced request. Any rebuild moves the backend performs
-    /// are internal to the fresh shard and not metered.
+    /// through the backend **without** touching the request counters,
+    /// cost totals, or histogram — re-homing a job is not a serviced
+    /// request. Any rebuild moves the backend performs are internal to
+    /// the fresh shard and not metered.
     pub(crate) fn adopt(&mut self, id: JobId, window: Window) -> Result<(), realloc_core::Error> {
-        self.backend.insert(id, window)?;
-        self.active.insert(id, window);
-        Ok(())
+        self.backend.insert(id, window).map(drop)
     }
 
     /// Takes the pending (unflushed) queue, FIFO order preserved — the
@@ -209,33 +208,21 @@ impl Shard {
         out
     }
 
-    /// Services one request against the backend, with all shard
-    /// bookkeeping. Failures are recorded, never fatal.
+    /// Services one request against the backend and counts its netted
+    /// costs. Failures are recorded, never fatal.
     fn service_one(&mut self, req: Request) -> ReqResult {
         let result = match self.backend.request(req) {
             Ok(outcome) => {
-                self.apply_bookkeeping(req);
-                let netted = outcome.netted();
+                let (reallocations, migrations) = outcome.netted_costs();
                 Ok(Costs {
-                    reallocations: netted.reallocation_cost(),
-                    migrations: netted.migration_cost(),
+                    reallocations,
+                    migrations,
                 })
             }
             Err(e) => Err(ErrCode::of(&e)),
         };
         self.tally.record(&result);
         result
-    }
-
-    fn apply_bookkeeping(&mut self, req: Request) {
-        match req {
-            Request::Insert { id, window } => {
-                self.active.insert(id, window);
-            }
-            Request::Delete { id } => {
-                self.active.remove(&id);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -270,8 +257,10 @@ impl Shard {
         w.end();
     }
 
-    /// Rebuilds a shard from a `shard` section, cross-validating the
-    /// active set against the restored backend.
+    /// Rebuilds a shard from a `shard` section. The `a` lines are not
+    /// trusted: each must name a job the restored backend holds, under
+    /// the window the backend holds it with, and together they must
+    /// cover the backend's active set; they are then dropped.
     pub(crate) fn read_state(
         kind: BackendKind,
         machines: usize,
@@ -287,7 +276,7 @@ impl Shard {
                 message: "shard section needs a numeric id argument".to_string(),
             })?;
         let mut tally = TallyLines::default();
-        let mut active: FxHashMap<JobId, Window> = FxHashMap::default();
+        let mut active: Vec<(usize, JobId, Window)> = Vec::new();
         let mut queue: VecDeque<Request> = VecDeque::new();
         for (line, content) in &node.lines {
             let mut f = Fields::of(*line, content);
@@ -326,9 +315,7 @@ impl Shard {
                     if end <= start {
                         return Err(f.err(format!("window end {end} must exceed start {start}")));
                     }
-                    if active.insert(id, Window::new(start, end)).is_some() {
-                        return Err(f.err(format!("duplicate active job {id}")));
-                    }
+                    active.push((*line, id, Window::new(start, end)));
                 }
                 other => {
                     return Err(ParseError {
@@ -340,7 +327,9 @@ impl Shard {
         }
         let tally = tally.finish(&format!("shard {id}"))?;
         let backend = Backend::read_state(kind, machines, node)?;
-        // The backend must schedule exactly the recorded active set.
+        // The backend must hold exactly the recorded active set, each
+        // job under the recorded window: as many lines as jobs, every
+        // line matching a job, no job named twice.
         if backend.active_count() != active.len() {
             return Err(ParseError {
                 line: 0,
@@ -351,19 +340,31 @@ impl Shard {
                 ),
             });
         }
-        for (id2, _) in backend.snapshot().iter() {
-            if !active.contains_key(&id2) {
-                return Err(ParseError {
-                    line: 0,
-                    message: format!("shard {id}: backend schedules unrecorded job {id2}"),
-                });
+        active.sort_unstable_by_key(|&(line, job, _)| (job, line));
+        for (i, &(line, job, window)) in active.iter().enumerate() {
+            let err = |message| ParseError { line, message };
+            if i > 0 && active[i - 1].1 == job {
+                return Err(err(format!("duplicate active job {job}")));
+            }
+            match backend.window_of(job) {
+                Some(held) if held == window => {}
+                Some(held) => {
+                    return Err(err(format!(
+                        "shard {id}: job {job} is recorded under {window} but the backend \
+                         holds it under {held}"
+                    )))
+                }
+                None => {
+                    return Err(err(format!(
+                        "shard {id}: recorded active job {job} is not in the backend"
+                    )))
+                }
             }
         }
         Ok(Shard {
             id,
             backend,
             queue,
-            active,
             tally,
             tele: None,
             service_tick: 0,

@@ -648,3 +648,92 @@ fn shard_migration_via_snapshot_ship_restore() {
     assert_eq!(target.placements(), source.placements());
     assert_eq!(target.metrics(), source.metrics());
 }
+
+#[test]
+fn rejected_insert_at_an_n_star_crossing_still_checkpoints_and_recovers() {
+    // Eight jobs put the one machine at n* = 8; the ninth would double
+    // n*, and its window [0, 4) is full, so the resize rebuild rejects
+    // it. The rejection must commit nothing: the checkpoint taken next
+    // has to restore, and recovery has to land on the same state.
+    use realloc_core::{JobId, Window};
+    let mut engine = Engine::new(config(1, BackendKind::TheoremOne { gamma: 1 }));
+    let mut script: Vec<Request> = Vec::new();
+    let mut place = |id: u64, start: u64, end: u64| {
+        script.push(Request::Insert {
+            id: JobId(id),
+            window: Window::new(start, end),
+        })
+    };
+    (0..=3).for_each(|id| place(id, 0, 4));
+    (4..=6).for_each(|id| place(id, 8, 12));
+    place(7, 0, 64);
+    place(8, 0, 4);
+    ingest(&mut engine, &script, 1);
+    let m = engine.metrics();
+    assert_eq!((m.requests, m.failed, m.active_jobs), (8, 1, 8));
+    engine.validate().unwrap();
+
+    assert!(engine.checkpoint());
+    let text = engine.journal().unwrap().to_text();
+    let recovered = Engine::recover(text.as_bytes())
+        .unwrap_or_else(|e| panic!("checkpoint after a rejected crossing must recover: {e:?}"));
+    assert_eq!(recovered.state_digest(), engine.state_digest());
+    assert_eq!(recovered.placements(), engine.placements());
+}
+
+#[test]
+fn forged_shard_active_lines_error_gracefully() {
+    // The shard section's `a <id> <start> <end>` lines are derived from
+    // the backend on write and checked against it on read: id *and*
+    // window, every job exactly once. Each forgery is a graceful
+    // ParseError, never a panic and never a silently wrong `window_of`.
+    use realloc_core::{JobId, Window};
+    let mut engine = Engine::new(config(1, BackendKind::TheoremOne { gamma: 8 }));
+    for (id, start, end) in [(5u64, 0u64, 8u64), (6, 3, 17), (7, 64, 128)] {
+        engine.submit(Request::Insert {
+            id: JobId(id),
+            window: Window::new(start, end),
+        });
+    }
+    engine.flush();
+    let text = engine.snapshot_text();
+    assert!(text.contains("\na 5 0 8\n") && text.contains("\na 6 3 17\n"));
+    let restored = Engine::restore_snapshot(&text).expect("the honest snapshot restores");
+    assert_eq!(restored.window_of(JobId(6)), Some(Window::new(3, 17)));
+
+    let corpus = [
+        // A window the job was not scheduled under.
+        ("forged window", text.replacen("a 5 0 8\n", "a 5 0 16\n", 1)),
+        ("forged start", text.replacen("a 6 3 17\n", "a 6 4 17\n", 1)),
+        // An active job with no line.
+        ("missing line", text.replacen("a 7 64 128\n", "", 1)),
+        // A line for a job the backend does not hold.
+        (
+            "extra line",
+            text.replacen("a 7 64 128\n", "a 7 64 128\na 8 0 8\n", 1),
+        ),
+        // One job listed twice — alone, and with the count kept right
+        // by dropping another job's line.
+        (
+            "duplicate line",
+            text.replacen("a 5 0 8\n", "a 5 0 8\na 5 0 8\n", 1),
+        ),
+        (
+            "duplicate in place of another",
+            text.replacen("a 6 3 17\n", "a 5 0 8\n", 1),
+        ),
+        // A line naming a job of the right count but the wrong id.
+        (
+            "renamed job",
+            text.replacen("a 7 64 128\n", "a 9 64 128\n", 1),
+        ),
+        ("empty window", text.replacen("a 5 0 8\n", "a 5 8 8\n", 1)),
+    ];
+    for (what, forged) in corpus {
+        assert_ne!(forged, text, "{what}: the edit must apply");
+        let err = Engine::restore_snapshot(&forged)
+            .err()
+            .unwrap_or_else(|| panic!("{what}: forged snapshot restored"));
+        assert!(!err.message.is_empty(), "{what}");
+    }
+}

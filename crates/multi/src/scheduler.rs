@@ -1,4 +1,18 @@
 //! The full Theorem-1 pipeline: align → delegate → per-machine backend.
+//!
+//! # Who owns what about a job
+//!
+//! This wrapper is the one owner of a job's **original window** and its
+//! **machine**: `jobs` holds exactly one record per active job
+//! (`original`, the aligned `effective` window derived from it, and the
+//! machine §3 delegated it to), and [`Reallocator::window_of`] /
+//! [`Reallocator::active_jobs`] answer from it — the engine shard above
+//! keeps no copy. The slot is the per-machine backend's fact
+//! ([`SingleMachineReallocator::slot_of`]). The per-window delegation
+//! state is one flat member list per effective window, sorted by
+//! `(machine, id)`: a group is a handful of jobs and most live and die
+//! with one, so a group costs one small heap block, and an insert or a
+//! delete probes `jobs` and `windows` once each.
 
 use fxhash::FxHashMap;
 use realloc_core::cost::Placement;
@@ -6,45 +20,68 @@ use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
 use realloc_core::{
     Error, JobId, Move, Reallocator, RequestOutcome, ScheduleSnapshot, SingleMachineReallocator,
-    Window,
+    SlotMove, Window,
 };
 use realloc_reservation::TrimmedScheduler;
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
 
 /// Per-effective-window delegation bookkeeping (paper §3).
 #[derive(Clone, Debug)]
 struct WindowGroup {
-    /// Total jobs with this effective window across machines (`n_W`).
-    count: u64,
     /// First machine of this window's rotation. The paper starts every
     /// window at machine 0; hashing the start preserves Lemma 3 (each
     /// machine still holds `⌊n_W/m⌋` or `⌈n_W/m⌉` jobs of the window)
     /// while balancing *aggregate* load across windows.
     start: usize,
-    /// Which jobs of this window live on each machine. Ordered sets so
-    /// the §3 migration-victim choice on delete (the smallest id on the
+    /// Every job of this window with the machine it lives on, sorted by
+    /// `(machine, id)`; its length is the paper's `n_W`. Sorted so the §3
+    /// migration-victim choice on delete (the smallest id on the
     /// rotation's tail machine) is a pure function of the *content* —
-    /// not of hash-map insertion history. Journal replay, the
+    /// not of insertion history. Journal replay, the
     /// parallel-vs-sequential equivalence guarantee, and snapshot/restore
     /// equivalence all depend on that purity.
-    per_machine: Vec<BTreeSet<JobId>>,
+    members: Vec<(usize, JobId)>,
 }
 
 impl WindowGroup {
-    fn new(machines: usize, window: Window) -> Self {
+    /// The rotation start of `window` on `machines` machines: a pure hash
+    /// of the window.
+    fn rotation_start(machines: usize, window: Window) -> usize {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         window.hash(&mut h);
-        WindowGroup {
-            count: 0,
-            start: (h.finish() % machines as u64) as usize,
-            per_machine: vec![BTreeSet::new(); machines],
+        (h.finish() % machines as u64) as usize
+    }
+
+    /// Machine for the job number `i` (0-based) of a rotation from `start`.
+    fn machine_of(start: usize, i: usize, machines: usize) -> usize {
+        ((start as u64 + i as u64) % machines as u64) as usize
+    }
+
+    /// Records `id` on `machine`; `false` when it is already there.
+    fn add(&mut self, machine: usize, id: JobId) -> bool {
+        match self.members.binary_search(&(machine, id)) {
+            Ok(_) => false,
+            Err(at) => {
+                self.members.insert(at, (machine, id));
+                true
+            }
         }
     }
 
-    /// Machine for this window's job number `i` (0-based).
-    fn machine_of(&self, i: u64, machines: usize) -> usize {
-        ((self.start as u64 + i) % machines as u64) as usize
+    fn remove(&mut self, machine: usize, id: JobId) {
+        if let Ok(at) = self.members.binary_search(&(machine, id)) {
+            self.members.remove(at);
+        }
+    }
+
+    /// The smallest id this window has on `machine`.
+    fn first_on(&self, machine: usize) -> Option<JobId> {
+        let at = self.members.partition_point(|&(m, _)| m < machine);
+        self.members
+            .get(at)
+            .filter(|&&(m, _)| m == machine)
+            .map(|&(_, id)| id)
     }
 }
 
@@ -106,11 +143,6 @@ impl<B: SingleMachineReallocator> ReallocatingScheduler<B> {
     pub fn backend(&self, machine: usize) -> &B {
         &self.machines[machine]
     }
-
-    /// The original (pre-alignment) window of an active job.
-    pub fn original_window(&self, id: JobId) -> Option<Window> {
-        self.jobs.get(&id).map(|i| i.original)
-    }
 }
 
 impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
@@ -119,93 +151,100 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
     }
 
     fn insert(&mut self, id: JobId, window: Window) -> Result<RequestOutcome, Error> {
-        if self.jobs.contains_key(&id) {
+        let Entry::Vacant(job) = self.jobs.entry(id) else {
             return Err(Error::DuplicateJob(id));
-        }
+        };
         let m = self.machines.len();
         let effective = Self::effective_window(window);
-        let group = self
-            .windows
-            .entry(effective)
-            .or_insert_with(|| WindowGroup::new(m, effective));
+        let group = self.windows.entry(effective);
+        let (start, n_w) = match &group {
+            Entry::Occupied(g) => (g.get().start, g.get().members.len()),
+            Entry::Vacant(_) => (WindowGroup::rotation_start(m, effective), 0),
+        };
         // §3: job number n_W goes to machine (start + n_W) mod m.
-        let machine = group.machine_of(group.count, m);
+        let machine = WindowGroup::machine_of(start, n_w, m);
+        // A rejection leaves no trace: nothing was recorded yet, and a
+        // window's group is only created once it has a job.
         let slot_moves = self.machines[machine].insert(id, effective)?;
-        let group = self.windows.get_mut(&effective).expect("just inserted");
-        group.count += 1;
-        group.per_machine[machine].insert(id);
-        self.jobs.insert(
-            id,
-            JobInfo {
-                original: window,
-                effective,
-                machine,
-            },
-        );
-        Ok(RequestOutcome {
-            moves: slot_moves
-                .into_iter()
-                .map(|sm| sm.on_machine(machine))
-                .collect(),
-        })
+        match group {
+            Entry::Occupied(mut g) => {
+                g.get_mut().add(machine, id);
+            }
+            Entry::Vacant(g) => {
+                g.insert(WindowGroup {
+                    start,
+                    members: vec![(machine, id)],
+                });
+            }
+        }
+        job.insert(JobInfo {
+            original: window,
+            effective,
+            machine,
+        });
+        let mut outcome = RequestOutcome::empty();
+        lift_all(&mut outcome, slot_moves, machine);
+        Ok(outcome)
     }
 
     fn delete(&mut self, id: JobId) -> Result<RequestOutcome, Error> {
-        let info = *self.jobs.get(&id).ok_or(Error::UnknownJob(id))?;
+        let Entry::Occupied(job) = self.jobs.entry(id) else {
+            return Err(Error::UnknownJob(id));
+        };
+        let JobInfo {
+            effective,
+            machine: mi,
+            ..
+        } = *job.get();
         let m = self.machines.len();
-        let effective = info.effective;
-        let mi = info.machine;
 
         let mut outcome = RequestOutcome::empty();
         let slot_moves = self.machines[mi].delete(id)?;
-        outcome
-            .moves
-            .extend(slot_moves.into_iter().map(|sm| sm.on_machine(mi)));
-        self.jobs.remove(&id);
+        lift_all(&mut outcome, slot_moves, mi);
+        job.remove();
 
-        let group = self.windows.get_mut(&effective).expect("job had a group");
-        group.per_machine[mi].remove(&id);
-        group.count -= 1;
+        let Entry::Occupied(mut entry) = self.windows.entry(effective) else {
+            unreachable!("active job {id} had no group for {effective}");
+        };
+        let group = entry.get_mut();
+        group.remove(mi, id);
         // §3 rebalance: the machine that must shrink is the round-robin
-        // tail — position count (0-based) after the decrement.
-        let tail = group.machine_of(group.count, m);
-        if tail != mi && group.count > 0 {
+        // tail — position n_W (0-based) after the removal.
+        let tail = WindowGroup::machine_of(group.start, group.members.len(), m);
+        if tail != mi && !group.members.is_empty() {
+            // The victim is the smallest id on the tail machine —
+            // deterministic from content alone (see `members`).
+            let victim = group.first_on(tail);
             debug_assert!(
-                !group.per_machine[tail].is_empty(),
+                victim.is_some(),
                 "round-robin invariant: tail machine must hold a job of {effective}"
             );
-            // The victim is the smallest id on the tail machine —
-            // deterministic from content alone (see `per_machine`).
-            if let Some(&mover) = group.per_machine[tail].first() {
+            if let Some(mover) = victim {
                 // Migrate `mover` from `tail` to `mi` (≤ 1 migration).
                 let del = self.machines[tail].delete(mover)?;
-                outcome
-                    .moves
-                    .extend(del.into_iter().map(|sm| sm.on_machine(tail)));
+                lift_all(&mut outcome, del, tail);
                 match self.machines[mi].insert(mover, effective) {
                     Ok(ins) => {
-                        outcome
-                            .moves
-                            .extend(ins.into_iter().map(|sm| sm.on_machine(mi)));
-                        let group = self.windows.get_mut(&effective).unwrap();
-                        group.per_machine[tail].remove(&mover);
-                        group.per_machine[mi].insert(mover);
-                        self.jobs.get_mut(&mover).unwrap().machine = mi;
+                        lift_all(&mut outcome, ins, mi);
+                        group.remove(tail, mover);
+                        group.add(mi, mover);
+                        self.jobs
+                            .get_mut(&mover)
+                            .expect("group members are active jobs")
+                            .machine = mi;
                     }
                     Err(e) => {
                         // Put the mover back where it was; the delete itself
                         // remains serviced.
                         let back = self.machines[tail].insert(mover, effective)?;
-                        outcome
-                            .moves
-                            .extend(back.into_iter().map(|sm| sm.on_machine(tail)));
+                        lift_all(&mut outcome, back, tail);
                         debug_assert!(false, "migration re-insert failed: {e}");
                     }
                 }
             }
         }
-        if self.windows[&effective].count == 0 {
-            self.windows.remove(&effective);
+        if group.members.is_empty() {
+            entry.remove();
         }
         Ok(outcome)
     }
@@ -229,6 +268,17 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
 
     fn active_count(&self) -> usize {
         self.jobs.len()
+    }
+
+    fn window_of(&self, id: JobId) -> Option<Window> {
+        self.jobs.get(&id).map(|i| i.original)
+    }
+
+    fn active_jobs(&self) -> Vec<(JobId, Window)> {
+        let mut out: Vec<(JobId, Window)> =
+            self.jobs.iter().map(|(&id, i)| (id, i.original)).collect();
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
     }
 
     fn name(&self) -> &'static str {
@@ -329,12 +379,11 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
                     "job {id} is recorded on machine {machine} but its backend does not hold it"
                 )));
             }
-            let group = s
-                .windows
-                .entry(effective)
-                .or_insert_with(|| WindowGroup::new(m, effective));
-            group.count += 1;
-            if !group.per_machine[machine].insert(id) {
+            let group = s.windows.entry(effective).or_insert_with(|| WindowGroup {
+                start: WindowGroup::rotation_start(m, effective),
+                members: Vec::new(),
+            });
+            if !group.add(machine, id) {
                 return Err(err(format!("duplicate job {id}")));
             }
             s.jobs.insert(
@@ -361,13 +410,14 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
             });
         }
         for (win, group) in &s.windows {
-            let mut expect = vec![0u64; m];
-            for i in 0..group.count {
-                expect[group.machine_of(i, m)] += 1;
+            let mut expect = vec![0usize; m];
+            let mut held = vec![0usize; m];
+            for (i, &(machine, _)) in group.members.iter().enumerate() {
+                expect[WindowGroup::machine_of(group.start, i, m)] += 1;
+                held[machine] += 1;
             }
-            for (mi, want) in expect.iter().enumerate() {
-                let have = group.per_machine[mi].len() as u64;
-                if have != *want {
+            for (mi, (want, have)) in expect.iter().zip(&held).enumerate() {
+                if have != want {
                     return Err(ParseError {
                         line: 0,
                         message: format!(
@@ -383,8 +433,15 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
 
 /// Lifts one slot-level move to a machine; re-exported for harnesses that
 /// track single-machine schedulers directly.
-pub fn lift(sm: realloc_core::SlotMove, machine: usize) -> Move {
+pub fn lift(sm: SlotMove, machine: usize) -> Move {
     sm.on_machine(machine)
+}
+
+/// Appends a backend's slot moves to `outcome`, lifted onto `machine`.
+fn lift_all(outcome: &mut RequestOutcome, slot_moves: Vec<SlotMove>, machine: usize) {
+    outcome
+        .moves
+        .extend(slot_moves.into_iter().map(|sm| sm.on_machine(machine)));
 }
 
 #[cfg(test)]
@@ -481,6 +538,33 @@ mod tests {
         }
         assert_eq!(s.active_count(), 10);
         validate_now(&s);
+    }
+
+    #[test]
+    fn rejected_insert_leaves_no_group_behind() {
+        let mut s = ReallocatingScheduler::from_factory(2, ReservationScheduler::new);
+        // Fill [0, 2) on both machines, then keep knocking on it and on
+        // windows nobody holds a job in.
+        for i in 0..4u64 {
+            s.insert(JobId(i), Window::new(0, 2)).unwrap();
+        }
+        assert_eq!(s.windows.len(), 1);
+        assert!(s.insert(JobId(9), Window::new(0, 2)).is_err());
+        for (i, start) in [0u64, 1].into_iter().enumerate() {
+            // Span-1 windows inside the full [0, 2): distinct groups.
+            let w = Window::new(start, start + 1);
+            assert!(s.insert(JobId(10 + i as u64), w).is_err(), "{w} is full");
+        }
+        assert_eq!(s.windows.len(), 1, "a rejection must not create a group");
+        assert_eq!(s.active_count(), 4);
+        // The restored scheduler holds the same groups, not fewer.
+        let restored =
+            ReallocatingScheduler::<ReservationScheduler>::restore(&s.snapshot_text()).unwrap();
+        assert_eq!(restored.windows.len(), s.windows.len());
+        for i in 0..4u64 {
+            s.delete(JobId(i)).unwrap();
+        }
+        assert!(s.windows.is_empty());
     }
 
     #[test]

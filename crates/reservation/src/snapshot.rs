@@ -341,8 +341,14 @@ impl Restorable for TrimmedScheduler {
             "g {} {} {}",
             self.gamma, self.n_star, self.rebuilds
         ));
-        let mut originals: Vec<(JobId, Window)> =
-            self.originals.iter().map(|(&id, &w)| (id, w)).collect();
+        // Every job's pre-trim window, derived: the recorded original
+        // where trimming cut the window, the inner window where it did not.
+        let mut originals: Vec<(JobId, Window)> = self
+            .inner
+            .jobs
+            .iter()
+            .map(|(&id, rec)| (id, self.original_of(id, rec.window)))
+            .collect();
         originals.sort_by_key(|&(id, _)| id);
         for (id, win) in originals {
             w.line(format_args!("o {} {} {}", id.0, win.start(), win.end()));
@@ -353,7 +359,7 @@ impl Restorable for TrimmedScheduler {
     fn read_state(node: &SnapshotNode) -> Result<Self, ParseError> {
         node.expect_kind(Self::SNAPSHOT_KIND)?;
         let mut header: Option<(u64, u64, u64)> = None;
-        let mut originals: FxHashMap<JobId, Window> = FxHashMap::default();
+        let mut originals: Vec<(usize, JobId, Window)> = Vec::new();
         for (line, content) in &node.lines {
             let mut f = Fields::of(*line, content);
             match f.token("op")? {
@@ -382,9 +388,7 @@ impl Restorable for TrimmedScheduler {
                     let end = f.u64("window end")?;
                     let w = aligned_window(&f, start, end)?;
                     f.finish()?;
-                    if originals.insert(id, w).is_some() {
-                        return Err(f.err(format!("duplicate original window for {id}")));
-                    }
+                    originals.push((*line, id, w));
                 }
                 other => {
                     return Err(ParseError {
@@ -422,7 +426,17 @@ impl Restorable for TrimmedScheduler {
             });
         }
         let trim_span = checked_trim_span(gamma, n_star, 1)?;
-        for (&id, &win) in &originals {
+        // Only the windows the bound cut are kept; the rest are checked
+        // against the inner scheduler's and dropped.
+        let mut cut: FxHashMap<JobId, Window> = FxHashMap::default();
+        originals.sort_unstable_by_key(|&(line, id, _)| (id, line));
+        for (i, &(line, id, win)) in originals.iter().enumerate() {
+            if i > 0 && originals[i - 1].1 == id {
+                return Err(ParseError {
+                    line,
+                    message: format!("duplicate original window for {id}"),
+                });
+            }
             let expect = win.trim_to(trim_span);
             match inner.jobs.get(&id) {
                 Some(rec) if rec.window == expect => {}
@@ -436,6 +450,9 @@ impl Restorable for TrimmedScheduler {
                     })
                 }
             }
+            if expect != win {
+                cut.insert(id, win);
+            }
         }
         let tower = inner.tower().clone();
         Ok(TrimmedScheduler {
@@ -443,7 +460,7 @@ impl Restorable for TrimmedScheduler {
             tower,
             gamma,
             n_star,
-            originals,
+            originals: cut,
             rebuilds,
         })
     }

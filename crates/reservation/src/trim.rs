@@ -13,6 +13,18 @@
 //! changes, the schedule is rebuilt from scratch (cost `O(n)`, amortized
 //! `O(1)` per request since `Ω(n)` requests separate two rebuilds). The
 //! deamortized even/odd-slot variant is [`crate::deamortized`].
+//!
+//! # Who owns what about a job
+//!
+//! The wrapped [`ReservationScheduler`] owns the job: its id-keyed record
+//! holds the (trimmed) window and the slot, its count is the `n` the
+//! resize rule reads, and its duplicate/unknown checks are the ones a
+//! request meets. This wrapper adds **only what trimming destroyed** —
+//! the pre-trim window of each job the current bound really cut
+//! (`originals`, empty whenever every window fits
+//! [`TrimmedScheduler::trim_span`]); every other job's original window
+//! *is* its inner window. Snapshots still list every job's pre-trim window (`o` lines),
+//! derived from the two.
 
 use crate::scheduler::ReservationScheduler;
 use fxhash::FxHashMap;
@@ -34,7 +46,11 @@ pub struct TrimmedScheduler {
     /// The γ used in the trim bound `2γn*`.
     pub(crate) gamma: u64,
     pub(crate) n_star: u64,
-    /// Original aligned windows, pre-trim (rebuilds re-trim from these).
+    /// Pre-trim aligned windows of the jobs whose window the current
+    /// bound cut (rebuilds re-trim from these); a job absent here has its
+    /// inner window as its original. An entry whose job the inner
+    /// scheduler no longer holds is never read and goes with the next
+    /// rebuild.
     pub(crate) originals: FxHashMap<JobId, Window>,
     /// Number of full rebuilds performed (observability for experiments).
     pub(crate) rebuilds: u64,
@@ -62,7 +78,12 @@ impl TrimmedScheduler {
     /// Current trim bound: windows are trimmed to span ≤ `2γn*`, rounded up
     /// to a power of two (trimming needs a power-of-two target).
     pub fn trim_span(&self) -> u64 {
-        (2 * self.gamma * self.n_star).next_power_of_two()
+        self.trim_span_at(self.n_star)
+    }
+
+    /// The trim bound under an estimate of `n_star`.
+    fn trim_span_at(&self, n_star: u64) -> u64 {
+        (2 * self.gamma * n_star).next_power_of_two()
     }
 
     /// Current `n*` estimate.
@@ -85,104 +106,110 @@ impl TrimmedScheduler {
         &self.inner
     }
 
-    fn trim(&self, w: Window) -> Window {
-        w.trim_to(self.trim_span())
+    /// The pre-trim window of the active job `id`, whose inner window is
+    /// `inner_window`.
+    pub(crate) fn original_of(&self, id: JobId, inner_window: Window) -> Window {
+        self.originals.get(&id).copied().unwrap_or(inner_window)
     }
 
-    /// Rebuilds the schedule from scratch after an `n*` change, reporting
-    /// every job whose slot changed.
-    fn rebuild(&mut self, moves: &mut Vec<SlotMove>) -> Result<(), Error> {
-        self.rebuilds += 1;
-        let old: FxHashMap<JobId, Slot> = self.inner.assignments().into_iter().collect();
-        let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
+    /// The `n*` the resize rule settles on for `n` active jobs: doubled
+    /// while exceeded, halved while `n < n*/4`.
+    fn settled_n_star(&self, n: u64) -> u64 {
+        let mut n_star = self.n_star;
+        while n > n_star {
+            n_star *= 2;
+        }
+        while n_star > MIN_N_STAR && n < n_star / 4 {
+            n_star /= 2;
+        }
+        n_star
+    }
+
+    /// Rebuilds the schedule from scratch under a new `n*` — every active
+    /// job plus the insert that triggered the resize, if one did —
+    /// reporting every job whose slot changed. Nothing is committed
+    /// unless the whole rebuild succeeds: a rejection leaves `n*`, the
+    /// schedule, the originals and the rebuild counter as they were.
+    fn rebuild(
+        &mut self,
+        n_star: u64,
+        pending: Option<(JobId, Window)>,
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<(), Error> {
+        let trim_span = self.trim_span_at(n_star);
+        // `(id, pre-trim window, re-trimmed window, current slot)`.
+        let mut jobs: Vec<(JobId, Window, Window, Option<Slot>)> = self
+            .inner
+            .jobs
+            .iter()
+            .map(|(&id, rec)| (id, self.original_of(id, rec.window), Some(rec.slot)))
+            .chain(pending.map(|(id, window)| (id, window, None)))
+            .map(|(id, original, from)| (id, original, original.trim_to(trim_span), from))
+            .collect();
         // Insert in span order: shorter windows first never displace
         // anything, so the rebuild itself is cascade-free.
-        let mut jobs: Vec<(JobId, Window)> = self
-            .originals
-            .iter()
-            .map(|(&id, &w)| (id, self.trim(w)))
-            .collect();
-        jobs.sort_by_key(|&(id, w)| (w.span(), id));
-        for &(id, w) in &jobs {
-            fresh.insert(id, w)?;
+        jobs.sort_by_key(|&(id, _, trimmed, _)| (trimmed.span(), id));
+        let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
+        for &(id, _, trimmed, _) in &jobs {
+            fresh.insert(id, trimmed)?;
         }
-        for (id, w) in jobs {
-            let _ = w;
-            let new_slot = fresh.slot_of(id).expect("just inserted");
-            match old.get(&id) {
-                Some(&s) if s == new_slot => {}
-                Some(&s) => moves.push(SlotMove {
-                    job: id,
-                    from: Some(s),
-                    to: Some(new_slot),
-                }),
-                None => moves.push(SlotMove {
-                    job: id,
-                    from: None,
-                    to: Some(new_slot),
-                }),
+        let mut originals = FxHashMap::default();
+        for (id, original, trimmed, from) in jobs {
+            let to = fresh.slot_of(id);
+            if from != to {
+                moves.push(SlotMove { job: id, from, to });
+            }
+            if trimmed != original {
+                originals.insert(id, original);
             }
         }
         self.inner = fresh;
-        Ok(())
-    }
-
-    fn maybe_resize(&mut self, moves: &mut Vec<SlotMove>) -> Result<(), Error> {
-        let n = self.originals.len() as u64;
-        let mut changed = false;
-        while n > self.n_star {
-            self.n_star *= 2;
-            changed = true;
-        }
-        while self.n_star > MIN_N_STAR && n < self.n_star / 4 {
-            self.n_star /= 2;
-            changed = true;
-        }
-        if changed {
-            self.rebuild(moves)?;
-        }
+        self.originals = originals;
+        self.n_star = n_star;
+        self.rebuilds += 1;
         Ok(())
     }
 }
 
 impl SingleMachineReallocator for TrimmedScheduler {
     fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
-        if self.originals.contains_key(&id) {
-            return Err(Error::DuplicateJob(id));
-        }
         if !window.is_aligned() {
-            return Err(Error::UnalignedWindow(window));
+            // Trimming needs an aligned window; a duplicate id is still
+            // reported first, as the inner scheduler orders the two.
+            return Err(match self.inner.slot_of(id) {
+                Some(_) => Error::DuplicateJob(id),
+                None => Error::UnalignedWindow(window),
+            });
         }
-        self.originals.insert(id, window);
-        let mut moves = Vec::new();
         // Resize first so the insert itself sees the right trim bound.
-        if let Err(e) = self.maybe_resize(&mut moves) {
-            self.originals.remove(&id);
-            return Err(e);
-        }
-        if self.inner.slot_of(id).is_some() {
-            // The rebuild inserted the new job already.
+        let n_star = self.settled_n_star(self.inner.jobs.len() as u64 + 1);
+        if n_star != self.n_star {
+            if self.inner.slot_of(id).is_some() {
+                return Err(Error::DuplicateJob(id));
+            }
+            // The rebuild places the new job along with the others.
+            let mut moves = Vec::new();
+            self.rebuild(n_star, Some((id, window)), &mut moves)?;
             return Ok(moves);
         }
-        match self.inner.insert(id, self.trim(window)) {
-            Ok(more) => {
-                moves.extend(more);
-                Ok(moves)
-            }
-            Err(e) => {
-                self.originals.remove(&id);
-                Err(e)
-            }
+        let trimmed = window.trim_to(self.trim_span());
+        let moves = self.inner.insert(id, trimmed)?;
+        if trimmed != window {
+            self.originals.insert(id, window);
+        } else {
+            // Clears an entry left by a job the inner scheduler dropped.
+            self.originals.remove(&id);
         }
+        Ok(moves)
     }
 
     fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
-        if !self.originals.contains_key(&id) {
-            return Err(Error::UnknownJob(id));
-        }
         let mut moves = self.inner.delete(id)?;
         self.originals.remove(&id);
-        self.maybe_resize(&mut moves)?;
+        let n_star = self.settled_n_star(self.inner.jobs.len() as u64);
+        if n_star != self.n_star {
+            self.rebuild(n_star, None, &mut moves)?;
+        }
         Ok(moves)
     }
 
@@ -195,10 +222,130 @@ impl SingleMachineReallocator for TrimmedScheduler {
     }
 
     fn active_count(&self) -> usize {
-        self.originals.len()
+        self.inner.active_count()
     }
 
     fn name(&self) -> &'static str {
         "reservation+trim"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use realloc_core::snapshot::{Restorable, SnapshotWriter};
+    use std::collections::BTreeMap;
+
+    /// The snapshot a scheduler that kept *every* job's pre-trim window
+    /// would write: `reference` is that full map, maintained outside.
+    fn reference_snapshot(s: &TrimmedScheduler, reference: &BTreeMap<JobId, Window>) -> String {
+        let mut w = SnapshotWriter::new();
+        w.begin(TrimmedScheduler::SNAPSHOT_KIND);
+        w.line(format_args!("g {} {} {}", s.gamma, s.n_star, s.rebuilds));
+        for (id, win) in reference {
+            w.line(format_args!("o {} {} {}", id.0, win.start(), win.end()));
+        }
+        w.child(&s.inner);
+        w.end();
+        w.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Sparse `originals` lose nothing: across inserts, deletes,
+        /// rejections, doublings and halvings the snapshot is byte-for-byte
+        /// the one a keep-everything reference writes, the map holds
+        /// exactly the jobs the current bound cuts, and a restore lands on
+        /// the same bytes.
+        #[test]
+        fn sparse_originals_snapshot_like_a_full_map(
+            ops in prop::collection::vec((0u8..10, 0u64..24, 0u32..6, 0u64..1024), 1..160),
+        ) {
+            let mut s = TrimmedScheduler::new(1);
+            let mut reference: BTreeMap<JobId, Window> = BTreeMap::new();
+            let mut rebuilds_seen = 0;
+            for (i, (op, id, k, at)) in ops.into_iter().enumerate() {
+                let id = JobId(id);
+                if op < 6 {
+                    let span = 1u64 << (2 * k); // 1, 4, …, 1024
+                    let window = Window::with_span(at % (1024 / span) * span, span);
+                    if s.insert(id, window).is_ok() {
+                        reference.insert(id, window);
+                    }
+                } else if s.delete(id).is_ok() {
+                    reference.remove(&id);
+                }
+                let cut: BTreeMap<JobId, Window> = reference
+                    .iter()
+                    .filter(|(_, w)| w.span() > s.trim_span())
+                    .map(|(&id, &w)| (id, w))
+                    .collect();
+                let held: BTreeMap<JobId, Window> =
+                    s.originals.iter().map(|(&id, &w)| (id, w)).collect();
+                prop_assert_eq!(held, cut, "after op {}", i);
+                if s.rebuilds != rebuilds_seen || i % 16 == 0 {
+                    rebuilds_seen = s.rebuilds;
+                    let text = s.snapshot_text();
+                    prop_assert_eq!(&text, &reference_snapshot(&s, &reference), "after op {}", i);
+                    let restored = TrimmedScheduler::restore(&text).expect("own snapshot restores");
+                    prop_assert_eq!(restored.snapshot_text(), text);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn originals_stay_empty_while_every_window_fits_the_bound() {
+        // γ = 8: the bound never drops below 128, the spans stop at 64.
+        let mut s = TrimmedScheduler::new(8);
+        for i in 0..600u64 {
+            let span = [1u64, 4, 16, 64][(i % 4) as usize];
+            let window = Window::with_span((i * 7919) % (4096 / span) * span, span);
+            s.insert(JobId(i), window).unwrap();
+            if i % 3 == 0 {
+                s.delete(JobId(i / 2)).unwrap_or_default();
+            }
+            assert!(s.originals.is_empty(), "after request {i}");
+        }
+        // The snapshot still lists every job's pre-trim window.
+        let listed = s
+            .snapshot_text()
+            .lines()
+            .filter(|l| l.starts_with("o "))
+            .count();
+        assert_eq!(listed, s.active_count());
+        for i in 0..600u64 {
+            s.delete(JobId(i)).unwrap_or_default();
+            assert!(s.originals.is_empty());
+        }
+        assert!(s.rebuilds() >= 6, "n* doubled and halved on the way");
+    }
+
+    /// A rejected insert at an `n*` crossing used to leave `n*` doubled
+    /// over a schedule still trimmed to the old bound — a state whose own
+    /// snapshot failed to restore.
+    #[test]
+    fn rejected_insert_at_a_crossing_commits_nothing() {
+        let mut s = TrimmedScheduler::new(1);
+        for i in 0..=3u64 {
+            s.insert(JobId(i), Window::new(0, 4)).unwrap();
+        }
+        for i in 4..=6u64 {
+            s.insert(JobId(i), Window::new(8, 12)).unwrap();
+        }
+        s.insert(JobId(7), Window::new(0, 64)).unwrap();
+        assert_eq!((s.n_star(), s.active_count()), (8, 8));
+        let before = s.snapshot_text();
+        // The ninth job would double n*, and [0, 4) is full.
+        assert!(s.insert(JobId(8), Window::new(0, 4)).is_err());
+        assert_eq!((s.n_star(), s.rebuilds()), (8, 0), "nothing was committed");
+        assert_eq!(s.snapshot_text(), before);
+        TrimmedScheduler::restore(&before).expect("the state a rejection leaves restores");
+        // A ninth job that fits crosses as usual.
+        s.insert(JobId(9), Window::new(16, 32)).unwrap();
+        assert_eq!((s.n_star(), s.rebuilds()), (16, 1));
+        TrimmedScheduler::restore(&s.snapshot_text()).expect("restores after the crossing");
     }
 }

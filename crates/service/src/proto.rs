@@ -54,7 +54,6 @@ pub enum Command {
 impl Command {
     /// Parses one command line. Errors are client-facing `err` details.
     pub fn parse(line: &str) -> Result<Command, String> {
-        let fields: Vec<&str> = line.split_whitespace().collect();
         fn tenant(s: &str) -> Result<TenantId, String> {
             let t: u16 = s
                 .parse()
@@ -65,8 +64,18 @@ impl Command {
             s.parse()
                 .map_err(|_| format!("bad {what} '{s}' (decimal u64)"))
         }
-        match fields.as_slice() {
-            ["place", t, id, start, end] => {
+        let mut fields = line.split_whitespace();
+        let verb = fields.next().ok_or("empty command")?;
+        // No verb takes more than four arguments: a fifth is kept only so
+        // that an over-long command matches no arm below.
+        let mut args = [""; 5];
+        let mut argc = 0;
+        for field in fields.take(args.len()) {
+            args[argc] = field;
+            argc += 1;
+        }
+        match (verb, &args[..argc]) {
+            ("place", [t, id, start, end]) => {
                 let (start, end) = (num(start, "start")?, num(end, "end")?);
                 if end <= start {
                     return Err(format!("empty window [{start}, {end})"));
@@ -77,17 +86,16 @@ impl Command {
                     window: Window::new(start, end),
                 })
             }
-            ["remove", t, id] => Ok(Command::Remove {
+            ("remove", [t, id]) => Ok(Command::Remove {
                 tenant: tenant(t)?,
                 id: JobId(num(id, "id")?),
             }),
-            ["window", t, id] => Ok(Command::Window {
+            ("window", [t, id]) => Ok(Command::Window {
                 tenant: tenant(t)?,
                 id: JobId(num(id, "id")?),
             }),
-            ["metrics"] => Ok(Command::Metrics),
-            [] => Err("empty command".to_string()),
-            [verb, ..] => Err(format!(
+            ("metrics", []) => Ok(Command::Metrics),
+            _ => Err(format!(
                 "unknown command '{verb}' (expected place/remove/window/metrics)"
             )),
         }
@@ -144,13 +152,23 @@ pub enum Reply {
 impl Reply {
     /// The wire text for this reply.
     pub fn to_text(&self) -> String {
-        match self {
-            Reply::Placed(id) => format!("ok placed {}", id.0),
-            Reply::Removed(id) => format!("ok removed {}", id.0),
-            Reply::Queued(id) => format!("ok queued {}", id.0),
-            Reply::WindowIs(w) => format!("ok window {} {}", w.start(), w.end()),
-            Reply::WindowNone => "ok window none".to_string(),
-            Reply::MetricsIs(m) => format!(
+        let mut text = String::new();
+        self.write_text(&mut text);
+        text
+    }
+
+    /// Appends the wire text for this reply to `out` — what the serving
+    /// loop formats a whole batch's replies through, one buffer for all.
+    pub fn write_text(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let written = match self {
+            Reply::Placed(id) => write!(out, "ok placed {}", id.0),
+            Reply::Removed(id) => write!(out, "ok removed {}", id.0),
+            Reply::Queued(id) => write!(out, "ok queued {}", id.0),
+            Reply::WindowIs(w) => write!(out, "ok window {} {}", w.start(), w.end()),
+            Reply::WindowNone => write!(out, "ok window none"),
+            Reply::MetricsIs(m) => write!(
+                out,
                 "ok metrics requests={} failed={} active={} epoch={} shards={}",
                 m.requests,
                 m.failed,
@@ -158,9 +176,10 @@ impl Reply {
                 m.epoch,
                 m.shards.len()
             ),
-            Reply::Overloaded(d) => format!("overloaded {}", d.as_millis().max(1)),
-            Reply::Err(detail) => format!("err {detail}"),
-        }
+            Reply::Overloaded(d) => write!(out, "overloaded {}", d.as_millis().max(1)),
+            Reply::Err(detail) => write!(out, "err {detail}"),
+        };
+        written.expect("writing to a String");
     }
 }
 
@@ -201,6 +220,11 @@ mod tests {
         assert!(Command::parse("bogus").is_err());
         assert!(Command::parse("").is_err());
         assert!(Command::parse("place 1 2").is_err(), "arity");
+        assert_eq!(
+            Command::parse("remove 3 7 9 9 9 9 9"),
+            Err("unknown command 'remove' (expected place/remove/window/metrics)".to_string()),
+            "arity, however long"
+        );
     }
 
     #[test]

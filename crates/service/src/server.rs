@@ -48,7 +48,7 @@
 
 use crate::proto::{Command, Reply};
 use crate::qos::{AdmitGuard, Qos};
-use crate::tele::ServiceTele;
+use crate::tele::{ServiceTele, TenantTele};
 use realloc_core::clock::Clock;
 use realloc_core::net::{AcceptLoop, Buffered, FrameConn};
 use realloc_core::{JobId, Request};
@@ -195,6 +195,8 @@ fn serve_connection(mut conn: FrameConn, shared: &Shared) {
     if let Some(tele) = &shared.tele {
         tele.connections_total.inc();
     }
+    // Every reply of the connection is formatted through this one buffer.
+    let mut text = String::new();
     loop {
         // Block for the first frame of a batch; a timeout here is the
         // reap path for a silent client.
@@ -216,7 +218,7 @@ fn serve_connection(mut conn: FrameConn, shared: &Shared) {
         }
         // Serve what we have even if the peer is mid-disconnect: the
         // writes below fail harmlessly if it is truly gone.
-        if serve_batch(&frames, &mut conn, shared).is_err() || gone {
+        if serve_batch(&frames, &mut conn, shared, &mut text).is_err() || gone {
             return;
         }
     }
@@ -268,8 +270,13 @@ fn reads_unsettled(reads: &[(usize, Command)], unsettled: &[(JobId, u64)]) -> bo
 
 /// Services one batch of command frames: QoS, submits + one flush
 /// under the engine lock, failure mapping, the durable commit with the
-/// lock released, replies in order.
-fn serve_batch(frames: &[Vec<u8>], conn: &mut FrameConn, shared: &Shared) -> std::io::Result<()> {
+/// lock released, replies in order (each formatted into `text`).
+fn serve_batch(
+    frames: &[Vec<u8>],
+    conn: &mut FrameConn,
+    shared: &Shared,
+    text: &mut String,
+) -> std::io::Result<()> {
     let t0 = shared.clock.now_nanos();
     let mut replies: Vec<Option<Reply>> = vec![None; frames.len()];
     let mut commands: Vec<Option<Command>> = Vec::with_capacity(frames.len());
@@ -454,7 +461,8 @@ fn serve_batch(frames: &[Vec<u8>], conn: &mut FrameConn, shared: &Shared) -> std
     // ` trace <id>` — clients correlate, untraced replies are untouched.
     for (i, reply) in replies.iter().enumerate() {
         let Some(reply) = reply else { continue };
-        let mut text = reply.to_text();
+        text.clear();
+        reply.write_text(text);
         if let Some(tc) = trace {
             if matches!(
                 reply,
@@ -475,6 +483,8 @@ fn serve_batch(frames: &[Vec<u8>], conn: &mut FrameConn, shared: &Shared) -> std
     if let Some(tele) = &shared.tele {
         let elapsed = shared.clock.now_nanos().saturating_sub(t0);
         tele.requests_total.add(frames.len() as u64);
+        // A tenant's handles are resolved once per batch, not per command.
+        let mut tenants: Vec<(u16, TenantTele)> = Vec::new();
         for (i, cmd) in commands.iter().enumerate() {
             let Some(cmd) = cmd else {
                 tele.refused_total.inc();
@@ -482,7 +492,14 @@ fn serve_batch(frames: &[Vec<u8>], conn: &mut FrameConn, shared: &Shared) -> std
             };
             let Some(reply) = &replies[i] else { continue };
             if let Some(tenant) = cmd.tenant() {
-                let tt = tele.tenant(tenant.0);
+                let at = match tenants.iter().position(|&(t, _)| t == tenant.0) {
+                    Some(at) => at,
+                    None => {
+                        tenants.push((tenant.0, tele.tenant(tenant.0)));
+                        tenants.len() - 1
+                    }
+                };
+                let tt = &tenants[at].1;
                 tt.request_nanos.record(elapsed);
                 match reply {
                     Reply::Overloaded(_) => {
