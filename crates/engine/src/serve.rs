@@ -75,6 +75,15 @@ pub trait CommitLog: Send + Sync + std::fmt::Debug {
     /// Returns once the first `ticket` records are on stable storage
     /// (`Ok`), or can no longer be promised to get there (`Err`, sticky:
     /// every later uncovered ticket fails too).
+    ///
+    /// A commit may wait a bounded, self-measured time before it syncs —
+    /// less than one sync, for other callers' appends to share it (the
+    /// on-disk store's leader does, when the previous sync says
+    /// committers are on their way back). What it waits for is appended
+    /// under the lock that guards the engine, so call this with that
+    /// lock released, as [`CommitTicket::wait`]'s contract already says;
+    /// a caller that cannot ([`Engine::flush_durable`]) at worst sits
+    /// out that bound.
     fn commit(&self, ticket: u64) -> Result<(), String>;
 }
 

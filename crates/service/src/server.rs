@@ -20,8 +20,21 @@
 //! [`CommitTicket`], and evaluates its reads. Then it drops the lock,
 //! *waits* on the ticket, and only then replies. While one connection
 //! waits for the disk the others submit, flush and append, and whichever
-//! reaches the store next syncs for all of them; embedder calls and a
-//! relay's `poll` never queue behind a sync.
+//! reaches the store next leads the next sync for all of them; embedder
+//! calls and a relay's `poll` never queue behind a sync.
+//!
+//! The store's leader does not sync the moment it can. Pipelining
+//! connections answer a sync's replies with their next windows a moment
+//! *after* it returned — so a leader that went at once would always
+//! carry one connection's window and leave the other's to wait a whole
+//! sync, the two alternating for ever. It waits instead (less than one
+//! sync, sized by what the last sync covered and took; see
+//! `realloc_store::store`) until the connections that sync released
+//! have staged again, and one fsync answers every busy connection's
+//! window. Nothing here takes part: the handler stages, drops the lock
+//! and waits on its ticket exactly as before, `unsettled` orders tickets
+//! whichever sync settles them, and a lone connection at depth 1 is
+//! never made to wait.
 //!
 //! Reads never observe state that is not yet durable. A read that rides
 //! with mutations is answered after their ticket's wait, which covers
@@ -440,8 +453,8 @@ fn serve_batch(
     } // engine lock released; admission guards still held until replied
 
     // The commit, with the engine unlocked: other connections submit,
-    // flush and append while this one waits for the disk, and whichever
-    // of them reaches the store first syncs for all of them.
+    // flush and append while this one waits for the disk — or, leading,
+    // for them — and one sync settles all of them.
     if let Some(ticket) = commit {
         let upto = ticket.upto();
         let waited = ticket.wait();

@@ -18,6 +18,15 @@
 //! Interleavings are forced through the gate's condition variable, not
 //! slept for; the only timed waits are the negative checks ("no reply
 //! yet"), which can only pass early, never fail late.
+//!
+//! The last two tests are about rates, not interleavings, and run on a
+//! disk that is merely slow (`sync_file` sleeps 2 ms):
+//!
+//! * two pipelining connections share their fsyncs — the store's commit
+//!   leader waits for the connection the last fsync released instead of
+//!   syncing a hair before its next window is staged;
+//! * connections that send on a timer, whatever the replies do, are not
+//!   made to pay for that wait.
 
 use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode};
 use realloc_service::{ServiceConfig, ServiceServer};
@@ -27,7 +36,7 @@ use realloc_workloads::driver::{QosClient, QosResponse};
 use std::io::{self, ErrorKind};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// What the test can see and set of the disk.
 #[derive(Debug, Default)]
@@ -42,12 +51,14 @@ struct Disk {
     appends: u64,
 }
 
-/// [`MemIo`] whose `sync_file` waits while the gate is closed.
+/// [`MemIo`] whose `sync_file` waits while the gate is closed, and
+/// takes `sync_sleeps` once through it.
 #[derive(Debug, Default)]
 struct GateIo {
     inner: MemIo,
     disk: Mutex<Disk>,
     changed: Condvar,
+    sync_sleeps: Duration,
 }
 
 impl GateIo {
@@ -100,6 +111,7 @@ impl StoreIo for GateIo {
             disk.parked -= 1;
         }
         drop(disk);
+        std::thread::sleep(self.sync_sleeps);
         self.inner.sync_file(path)
     }
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
@@ -281,5 +293,142 @@ fn a_failed_commit_refuses_the_batch_answers_its_reads_and_sticks() {
     assert_eq!(
         telemetry.counter_value("store_commits_covered_total"),
         Some(0)
+    );
+}
+
+/// A disk whose every fsync takes 2 ms.
+const SYNC: Duration = Duration::from_millis(2);
+
+fn slow_disk() -> Arc<GateIo> {
+    Arc::new(GateIo {
+        sync_sleeps: SYNC,
+        ..GateIo::default()
+    })
+}
+
+#[test]
+fn two_pipelining_connections_share_their_fsyncs() {
+    const WINDOWS: u64 = 40;
+    const DEPTH: u64 = 8;
+    let io = slow_disk();
+    let telemetry = Telemetry::new();
+    let server = serve(&io, &telemetry);
+    let syncs_before = io.read(|d| d.syncs);
+    std::thread::scope(|threads| {
+        for tenant in 1..=2u64 {
+            let mut client = connect(&server);
+            threads.spawn(move || {
+                // A closed loop: the next window goes out when the last
+                // one is answered. Each is one write, so one batch.
+                for window in 0..WINDOWS {
+                    let commands: Vec<String> = (0..DEPTH / 2)
+                        .flat_map(|k| {
+                            let id = window * DEPTH + k;
+                            [
+                                format!("place {tenant} {id} {} {}", 8 * k, 8 * k + 8),
+                                format!("remove {tenant} {id}"),
+                            ]
+                        })
+                        .collect();
+                    client.send_window(&commands).unwrap();
+                    for _ in 0..DEPTH / 2 {
+                        assert!(matches!(client.recv().unwrap(), QosResponse::Placed(_)));
+                        assert!(matches!(client.recv().unwrap(), QosResponse::Removed(_)));
+                    }
+                }
+            });
+        }
+    });
+    // Leading at once, the two alternate and every window pays for its
+    // own fsync; gathered, one fsync carries both connections' windows.
+    let syncs = io.read(|d| d.syncs) - syncs_before;
+    let windows = 2 * WINDOWS;
+    assert!(
+        syncs * 100 <= windows * 65,
+        "{syncs} fsyncs for {windows} windows: group commit is not grouping"
+    );
+    let sizes = telemetry.histogram_snapshot("store_sync_chunks").unwrap();
+    assert_eq!((sizes.count(), sizes.sum()), (syncs, windows));
+}
+
+#[test]
+fn timer_driven_connections_do_not_pay_for_the_gather() {
+    // Independent users: every connection sends one command per tick,
+    // whatever became of the last, each on a phase of its own (in
+    // hundredths of a tick; two pairs land inside one fsync of each
+    // other on every tick, the rest find the disk idle). Were every
+    // command to need an fsync of its own the disk could take one per
+    // `SYNC`; this is half that rate.
+    const PHASES: [u32; 8] = [0, 16, 22, 38, 51, 54, 72, 88];
+    const TICKS: u32 = 30;
+    let tick = 2 * PHASES.len() as u32 * SYNC;
+    let io = slow_disk();
+    let telemetry = Telemetry::new();
+    let server = serve(&io, &telemetry);
+
+    // What a command costs when nobody else is there: one fsync and the
+    // round trip.
+    let mut lone = connect(&server);
+    let mut alone: Vec<Duration> = (0..15)
+        .map(|k| {
+            let sent = Instant::now();
+            let command = if k % 2 == 0 {
+                "place 9 1 0 8"
+            } else {
+                "remove 9 1"
+            };
+            assert!(lone.call(command).unwrap().admitted());
+            sent.elapsed()
+        })
+        .collect();
+    alone.sort();
+    let alone = alone[alone.len() / 2];
+
+    let syncs_before = io.read(|d| d.syncs);
+    let start = Instant::now() + Duration::from_millis(20);
+    let mut latencies: Vec<Duration> = std::thread::scope(|threads| {
+        let connections: Vec<_> = (1..)
+            .zip(PHASES)
+            .map(|(tenant, phase)| {
+                let mut client = connect(&server);
+                threads.spawn(move || {
+                    let mut latencies = Vec::new();
+                    for k in 0..TICKS {
+                        let due = start + tick * phase / 100 + k * tick;
+                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                        let command = if k % 2 == 0 {
+                            format!("place {tenant} 1 0 8")
+                        } else {
+                            format!("remove {tenant} 1")
+                        };
+                        assert!(client.call(&command).unwrap().admitted());
+                        latencies.push(due.elapsed());
+                    }
+                    latencies
+                })
+            })
+            .collect();
+        connections
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    let syncs = io.read(|d| d.syncs) - syncs_before;
+    let timeouts = telemetry
+        .counter_value("store_gather_timeouts_total")
+        .expect("registered by the store");
+    // The second of a pair queues behind the first's fsync and then
+    // expects it back, in vain: the wait backs off instead of being paid
+    // on every tick, and the median command, which found the disk idle,
+    // never notices.
+    assert!(
+        timeouts * 10 <= syncs,
+        "{timeouts} of {syncs} fsyncs sat out a gather"
+    );
+    assert!(
+        median <= alone + alone / 4,
+        "median commit latency {median:?}, {alone:?} with the disk to itself"
     );
 }

@@ -93,15 +93,50 @@ pub fn classify(name: &str) -> FileKind {
     FileKind::Unknown
 }
 
-/// Appends one framed record to `buf`.
-pub fn append_record(buf: &mut Vec<u8>, payload: &[u8]) {
+/// The 8-byte header that frames `payload`: length, then CRC.
+fn header_of(payload: &[u8]) -> [u8; 8] {
     assert!(
         payload.len() <= MAX_RECORD_BYTES as usize,
         "record payload exceeds MAX_RECORD_BYTES"
     );
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&crc32(payload).to_be_bytes());
+    let mut header = [0; 8];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+    header
+}
+
+/// Appends one framed record to `buf`.
+pub fn append_record(buf: &mut Vec<u8>, payload: &[u8]) {
+    buf.extend_from_slice(&header_of(payload));
     buf.extend_from_slice(payload);
+}
+
+/// One framed record built in place, in a buffer that outlives it: the
+/// payload text is written straight behind an 8-byte header placeholder
+/// and the length and CRC are patched in once it is complete — the bytes
+/// [`append_record`] would produce, without a payload `String` and a
+/// frame `Vec` per record. The store frames every chunk it appends
+/// through one of these (the append runs under the engine lock).
+#[derive(Debug, Default)]
+pub struct RecordBuf {
+    bytes: Vec<u8>,
+}
+
+impl RecordBuf {
+    /// Frames the text `write` produces as one record and returns the
+    /// framed bytes, valid until the next call. The buffer's capacity is
+    /// kept from call to call.
+    pub fn frame(&mut self, write: impl FnOnce(&mut String)) -> &[u8] {
+        self.bytes.clear();
+        let mut text =
+            String::from_utf8(std::mem::take(&mut self.bytes)).expect("an empty buffer is UTF-8");
+        text.push_str("\0\0\0\0\0\0\0\0");
+        write(&mut text);
+        self.bytes = text.into_bytes();
+        let (header, payload) = self.bytes.split_at_mut(8);
+        header.copy_from_slice(&header_of(payload));
+        &self.bytes
+    }
 }
 
 /// Why a record failed to decode (the reader stops at the first).
@@ -219,6 +254,17 @@ mod tests {
         assert_eq!(r.next_record().unwrap(), Some(&b"beta beta"[..]));
         assert_eq!(r.next_record().unwrap(), None);
         assert_eq!(r.offset(), buf.len());
+    }
+
+    #[test]
+    fn a_record_built_in_place_is_the_appended_record_byte_for_byte() {
+        let mut buf = RecordBuf::default();
+        // Longest first: the reused buffer must not leak an old tail.
+        for payload in ["b 7\n+ 0 1 2 3 ok 0 0\n- 1 9 ok 2 1\n", "E 1 2\n", ""] {
+            let mut want = Vec::new();
+            append_record(&mut want, payload.as_bytes());
+            assert_eq!(buf.frame(|text| text.push_str(payload)), want);
+        }
     }
 
     #[test]

@@ -55,8 +55,8 @@ mod tele;
 
 pub use flight::{FlightRecorder, FLIGHT_PREFIX};
 pub use format::{
-    append_record, checkpoint_file_name, classify, segment_file_name, FileKind, RecordFault,
-    RecordReader, MAX_RECORD_BYTES,
+    append_record, checkpoint_file_name, classify, segment_file_name, FileKind, RecordBuf,
+    RecordFault, RecordReader, MAX_RECORD_BYTES,
 };
 pub use harness::{
     run_crash_matrix, run_staged_crash_matrix, CrashMatrixConfig, CrashMatrixReport,

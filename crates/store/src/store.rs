@@ -18,7 +18,27 @@
 //!   everything appended before it began — and waiters behind it find
 //!   themselves covered. `Engine::flush_mode` takes the ticket and its
 //!   caller waits wherever it likes; `Engine::flush_durable` and
-//!   [`DurableStore::sync`] commit everything appended so far, at once,
+//!   [`DurableStore::sync`] commit everything appended so far,
+//! * the leader **gathers before it leads**. Connections that each send
+//!   their next window when the last one is answered fall into a phase
+//!   lock under a leader that syncs at once: B stages during A's fsync
+//!   and leads the moment it returns, a hair before A's next window is
+//!   staged, which then waits out B's whole fsync — they alternate for
+//!   ever, every fsync carries one window, and half of what is
+//!   outstanding always waits for a sync that has not started. So the
+//!   leader first waits for the committers the previous fsync had
+//!   pending, sized by two things the store measures on every fsync and
+//!   nobody configures: how many chunks were pending while it ran (the
+//!   ones it covered are on their way back, the ones it kept waiting are
+//!   here) and how long it took (the wait is capped at the share of an
+//!   fsync where those already here lose as much as those still coming
+//!   save — half of one for two connections). A leader that expects
+//!   nobody else — one connection, depth 1 — does not wait or read a
+//!   clock; waits that time out back off exponentially. Three things
+//!   never gather: [`DurableStore::sync`] (its caller holds the engine,
+//!   so the awaited append cannot happen), a checkpoint's seal, and a
+//!   store that has failed; and a checkpoint or an inline sync that
+//!   wants the lead ends a gather in progress at once,
 //! * a failed fsync is sticky: that commit, every ticket it left
 //!   uncovered, and every later commit and checkpoint fail without
 //!   touching the disk again, until a fresh store is opened,
@@ -28,10 +48,9 @@
 //!   segments beyond the retention cap — the on-disk analogue of
 //!   `EngineConfig::retained_segments`, byte-for-byte aligned with the
 //!   in-memory journal's truncation so a recovered journal serializes
-//!   identically to the one that crashed. It holds the commit state's
-//!   mutex from the seal to the roll, and the seal advances the
-//!   watermark: a ticket taken before the roll never fsyncs the sealed
-//!   file.
+//!   identically to the one that crashed. It holds the commit lead
+//!   from the seal to the roll, and the seal advances the watermark: a
+//!   ticket taken before the roll never fsyncs the sealed file.
 //!
 //! # Recovery
 //!
@@ -59,10 +78,11 @@
 //! the in-memory path.
 
 use crate::format::{
-    append_record, checkpoint_file_name, classify, segment_file_name, FileKind, RecordReader,
+    checkpoint_file_name, classify, segment_file_name, FileKind, RecordBuf, RecordReader,
 };
 use crate::io::{FsIo, StoreIo};
 use crate::tele::StoreTele;
+use realloc_core::clock::Clock;
 use realloc_core::textio::ParseError;
 use realloc_engine::{
     Checkpoint, CommitLog, DurabilitySink, Engine, EngineConfig, EpochRecord, Journal,
@@ -72,8 +92,9 @@ use realloc_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Why a store operation or recovery failed. Every variant names the
 /// file (and where applicable the byte offset) it tripped over.
@@ -607,6 +628,8 @@ pub struct DurableStore {
     /// Which appended chunks are stable; shared with every outstanding
     /// commit ticket.
     commit: Arc<CommitState>,
+    /// Every record this store writes is framed in here.
+    record: RecordBuf,
     tele: Option<Arc<StoreTele>>,
 }
 
@@ -614,34 +637,105 @@ pub struct DurableStore {
 /// appends, under whatever lock guards the engine) and the holders of
 /// commit tickets (which wait for the disk with no lock but this one).
 ///
-/// A ticket is a count of appended chunks. Whoever takes `gate` with a
-/// ticket the watermark does not cover yet is the **leader**: one
-/// `sync_file` of the open segment covers everything appended before it
-/// started. Everyone queued on `gate` behind the leader is a follower:
-/// by the time it gets the gate the watermark usually covers its
-/// ticket, and it returns without touching the disk. Appends never take
-/// `gate`, so they never wait for an fsync in flight.
+/// A ticket is a count of appended chunks. Whoever arrives with a ticket
+/// the watermark does not cover while nobody leads takes the **lead**:
+/// it *gathers* — waits for the committers the previous fsync released
+/// (see [`CommitState::gather`]) — and then one `sync_file` of the open
+/// segment covers everything appended before it started. Everyone who
+/// arrives meanwhile is a follower: it sleeps until the lead is given
+/// up, usually finds the watermark past its ticket, and returns without
+/// touching the disk. `gate` is never held across a wait or an fsync,
+/// and appends take it only to wake a gathering leader, so nothing
+/// staged under the engine lock ever waits for the disk.
 #[derive(Debug)]
 struct CommitState {
     io: Arc<dyn StoreIo>,
     /// Chunks appended to segment files, ever (bumped once the bytes are
     /// written).
     appended: AtomicU64,
-    /// How many of them are stable. Advanced only under `gate`; every
-    /// chunk past it lies in the open segment.
+    /// How many of them are stable. Advanced only by whoever holds the
+    /// lead; every chunk past it lies in the open segment.
     durable: AtomicU64,
+    /// Whether the leader is parked in a gather: an append takes `gate`
+    /// to wake it only then.
+    gathering: AtomicBool,
     gate: Mutex<CommitGate>,
+    /// Signalled when the lead is given up (followers re-read the
+    /// watermark, one of the uncovered steps up) and, for a gathering
+    /// leader, on every append and by whoever is in a hurry.
+    changed: Condvar,
 }
 
 #[derive(Debug)]
 struct CommitGate {
+    /// Whether someone holds the lead (a [`Lead`] is alive): a committer
+    /// gathering or inside its fsync, or a checkpoint between its seal
+    /// and its roll.
+    leading: bool,
+    /// Someone who holds the lock that appends are made under waits for
+    /// the lead: nothing a gather waits for can come, so it ends at
+    /// once.
+    hurried: bool,
     /// The open segment file — what a commit fsyncs.
-    open: PathBuf,
+    open: Arc<Path>,
     /// `Err` from the first failed commit or checkpoint on. Sticky: the
     /// kernel may have dropped the pages a failed fsync covered, so a
     /// retry that reports `Ok` would vouch for bytes that are gone.
     health: Result<(), String>,
     tele: Option<Arc<StoreTele>>,
+    /// Times the fsyncs (the attached registry's clock, once there is
+    /// one — a manual clock makes the gather's cap a test's to set).
+    clock: Clock,
+    /// The two facts a gather is sized by, both measured on the previous
+    /// fsync: how many chunks were pending at some point while it ran
+    /// (those it covered plus those appended meanwhile — the committers
+    /// it released plus the ones it kept waiting), and how long it took.
+    expect: u64,
+    last_sync_nanos: u64,
+    /// Back-off, for arrivals that are not closed loops: a timeout
+    /// skips the next `2^backoff` gathers and raises `backoff`, a hit
+    /// lowers it.
+    backoff: u32,
+    skips_left: u32,
+}
+
+/// Where the back-off stops doubling: a store whose arrivals stay open
+/// pays one timed-out gather in 1024 fsyncs to notice closed loops
+/// coming back.
+const MAX_BACKOFF: u32 = 10;
+
+/// How a gather's wait ended.
+enum Gathered {
+    /// The chunks it expected were appended.
+    Hit,
+    /// The break-even wait ran out first.
+    TimedOut,
+    /// A checkpoint or an inline sync asked for the lead.
+    Hurried,
+}
+
+/// The lead, held: `CommitGate::leading` is set until this drops.
+#[derive(Debug)]
+struct Lead<'a> {
+    commit: &'a CommitState,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        let mut gate = self
+            .commit
+            .gate
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        gate.leading = false;
+        if std::thread::panicking() && gate.health.is_ok() {
+            // The I/O layer panicked under the leader: whoever waits for
+            // the lead must find a failed store, not wait for ever.
+            gate.health = Err("a store commit or checkpoint panicked".to_string());
+        }
+        drop(gate);
+        self.commit.changed.notify_all();
+    }
 }
 
 impl CommitState {
@@ -650,11 +744,20 @@ impl CommitState {
             io,
             appended: AtomicU64::new(0),
             durable: AtomicU64::new(0),
+            gathering: AtomicBool::new(false),
             gate: Mutex::new(CommitGate {
-                open,
+                leading: false,
+                hurried: false,
+                open: open.into(),
                 health: Ok(()),
                 tele: None,
+                clock: Clock::monotonic(),
+                expect: 0,
+                last_sync_nanos: 0,
+                backoff: 0,
+                skips_left: 0,
             }),
+            changed: Condvar::new(),
         })
     }
 
@@ -664,25 +767,175 @@ impl CommitState {
             .expect("a store commit or checkpoint panicked")
     }
 
-    /// The leader's step, `gate` held: one fsync of the open segment,
-    /// then the watermark moves to what had been appended when the
-    /// fsync began.
-    fn lead(&self, gate: &mut CommitGate) -> Result<(), String> {
+    /// Waits until nobody leads or the watermark covers `ticket`. A
+    /// caller that holds the lock appends are made under (a checkpoint,
+    /// an inline sync) is in a `hurry`: a gather in its way is waiting
+    /// for an append that cannot happen, and is told to lead now instead
+    /// of sitting out its cap.
+    fn await_turn(&self, ticket: u64, hurry: bool) -> MutexGuard<'_, CommitGate> {
+        let mut gate = self.gate();
+        if hurry {
+            gate.hurried = true;
+            self.changed.notify_all();
+        }
+        while gate.leading && self.durable.load(Ordering::SeqCst) < ticket {
+            gate = self
+                .changed
+                .wait(gate)
+                .expect("a store commit or checkpoint panicked");
+        }
+        if hurry {
+            gate.hurried = false;
+        }
+        gate
+    }
+
+    /// Takes the lead; nobody else may hold it.
+    fn lead(&self, gate: &mut CommitGate) -> Lead<'_> {
+        assert!(!gate.leading, "one leader at a time");
+        gate.leading = true;
+        Lead { commit: self }
+    }
+
+    /// The lead, for a checkpoint (which holds the engine).
+    fn lead_in_a_hurry(&self) -> Lead<'_> {
+        self.lead(&mut self.await_turn(u64::MAX, true))
+    }
+
+    /// One more chunk is in the open segment. A gathering leader is
+    /// woken to count it: either the load below sees its `gathering`
+    /// flag, or its first look at `appended` (taken after raising the
+    /// flag, under `gate`) sees this chunk.
+    fn note_append(&self) {
+        self.appended.fetch_add(1, Ordering::SeqCst);
+        if self.gathering.load(Ordering::SeqCst) {
+            drop(self.gate());
+            self.changed.notify_all();
+        }
+    }
+
+    /// Settles `ticket`, from a caller that may wait for the committers
+    /// it expects (`may_gather`: it holds no lock an append needs) or
+    /// may not.
+    fn settle(&self, ticket: u64, may_gather: bool) -> Result<(), String> {
+        let mut gate = self.await_turn(ticket, !may_gather);
+        if self.durable.load(Ordering::SeqCst) >= ticket {
+            // A leader's fsync or a checkpoint's seal got there first —
+            // also after a failure, which never lowers the watermark.
+            if let Some(tele) = &gate.tele {
+                tele.commits_covered.inc();
+            }
+            return Ok(());
+        }
+        gate.health.clone()?;
+        let lead = self.lead(&mut gate);
+        if may_gather {
+            gate = self.gather(gate);
+        }
+        self.sync(&lead, gate)
+    }
+
+    /// The leader's first step: wait for the committers the previous
+    /// fsync released, so that this fsync carries their chunks too
+    /// instead of finishing a moment before they are staged.
+    ///
+    /// Under closed loops — connections that each send their next window
+    /// when the last is answered — leading at once never groups: B
+    /// stages during A's fsync and leads the moment it returns, before
+    /// A's replies have been read and answered with new commands; A's
+    /// next window misses B's fsync by a hair and waits a whole one, and
+    /// so on, alternating, one window per fsync. But the fsync that just
+    /// finished says who is about to stage: everyone whose chunk was
+    /// pending while it ran, `expect` of them — the ones it covered are
+    /// on their way back, the ones it kept waiting are here. So the
+    /// leader waits until that many chunks are pending again, or until
+    /// waiting stops paying: the `pending` chunks already here each lose
+    /// the wait, the `need` still coming each save the rest of an fsync,
+    /// which breaks even at `last_sync · need / (pending + need)` —
+    /// measured, not configured, never a whole fsync, and re-read at
+    /// every arrival.
+    ///
+    /// A leader that expects nobody else — one connection, depth 1 —
+    /// skips all of it, the clock read included. A timeout is evidence
+    /// that the arrivals are not closed loops: each one doubles the
+    /// number of gathers skipped before the next try, each hit halves
+    /// it.
+    fn gather<'a>(&'a self, mut gate: MutexGuard<'a, CommitGate>) -> MutexGuard<'a, CommitGate> {
+        let goal = self.durable.load(Ordering::SeqCst) + gate.expect;
+        if self.appended.load(Ordering::SeqCst) >= goal {
+            return gate;
+        }
+        if gate.skips_left > 0 {
+            gate.skips_left -= 1;
+            return gate;
+        }
+        let started = Instant::now();
+        self.gathering.store(true, Ordering::SeqCst);
+        let outcome = loop {
+            let need = goal.saturating_sub(self.appended.load(Ordering::SeqCst));
+            if need == 0 {
+                break Gathered::Hit;
+            }
+            if gate.hurried {
+                break Gathered::Hurried;
+            }
+            // `pending + need` is `expect` for as long as the watermark
+            // stands still, and it does: this is the leader.
+            let cap = u128::from(gate.last_sync_nanos) * u128::from(need) / u128::from(gate.expect);
+            let cap = Duration::from_nanos(u64::try_from(cap).expect("a share of last_sync"));
+            let left = cap.saturating_sub(started.elapsed());
+            if left.is_zero() {
+                break Gathered::TimedOut;
+            }
+            gate = self
+                .changed
+                .wait_timeout(gate, left)
+                .expect("a store commit or checkpoint panicked")
+                .0;
+        };
+        self.gathering.store(false, Ordering::SeqCst);
+        match outcome {
+            Gathered::Hit => {
+                gate.backoff = gate.backoff.saturating_sub(1);
+                if let Some(tele) = &gate.tele {
+                    tele.gather_hits.inc();
+                }
+            }
+            Gathered::TimedOut => {
+                gate.skips_left = 1 << gate.backoff;
+                gate.backoff = (gate.backoff + 1).min(MAX_BACKOFF);
+                if let Some(tele) = &gate.tele {
+                    tele.gather_timeouts.inc();
+                }
+            }
+            Gathered::Hurried => {}
+        }
+        gate
+    }
+
+    /// The leader's step: one fsync of the open segment, with `gate`
+    /// released, then the watermark moves to what had been appended when
+    /// the fsync began.
+    fn sync(&self, _lead: &Lead<'_>, gate: MutexGuard<'_, CommitGate>) -> Result<(), String> {
+        let (open, clock) = (Arc::clone(&gate.open), gate.clock.clone());
+        drop(gate);
         let target = self.appended.load(Ordering::SeqCst);
-        let t0 = gate.tele.as_ref().map(|t| t.t.now_nanos());
-        if let Err(e) = self.io.sync_file(&gate.open) {
-            let message = format!("fsync '{}': {e}", gate.open.display());
+        let t0 = clock.now_nanos();
+        let synced = self.io.sync_file(&open);
+        let took = clock.now_nanos().saturating_sub(t0);
+        let mut gate = self.gate();
+        if let Err(e) = synced {
+            let message = format!("fsync '{}': {e}", open.display());
             gate.health = Err(message.clone());
             return Err(message);
         }
+        let was_durable = self.durable.swap(target, Ordering::SeqCst);
+        gate.expect = self.appended.load(Ordering::SeqCst) - was_durable;
+        gate.last_sync_nanos = took;
         if let Some(tele) = &gate.tele {
-            let took = tele
-                .t
-                .now_nanos()
-                .saturating_sub(t0.expect("stamped above"));
             tele.fsync_nanos.record(took);
+            tele.sync_chunks.record(target - was_durable);
         }
-        self.durable.store(target, Ordering::SeqCst);
         Ok(())
     }
 }
@@ -694,17 +947,7 @@ impl CommitLog for CommitState {
     }
 
     fn commit(&self, ticket: u64) -> Result<(), String> {
-        let mut gate = self.gate();
-        if self.durable.load(Ordering::SeqCst) >= ticket {
-            // A leader's fsync or a checkpoint's seal got there first —
-            // also after a failure, which never lowers the watermark.
-            if let Some(tele) = &gate.tele {
-                tele.commits_covered.inc();
-            }
-            return Ok(());
-        }
-        gate.health.clone()?;
-        self.lead(&mut gate)
+        self.settle(ticket, true)
     }
 }
 
@@ -750,6 +993,7 @@ impl DurableStore {
             lo: 0,
             retained: config.retained_segments,
             config_line,
+            record: RecordBuf::default(),
             tele: None,
         };
         store.write_segment_header(0).map_err(Self::from_io)?;
@@ -792,6 +1036,7 @@ impl DurableStore {
             lo: scan.lo,
             retained: scan.retained,
             config_line: scan.config_line,
+            record: RecordBuf::default(),
             tele: None,
         };
         if scan.synthesized_hi {
@@ -806,12 +1051,17 @@ impl DurableStore {
         Ok((store, report))
     }
 
-    /// Attaches a telemetry registry (fsync latency, bytes/records
-    /// written, checkpoints, retention unlinks, torn-tail truncations).
-    /// A disabled handle detaches.
+    /// Attaches a telemetry registry (fsync latency and chunks per
+    /// fsync, gather outcomes, bytes/records written, checkpoints,
+    /// retention unlinks, torn-tail truncations); fsyncs are timed on
+    /// its clock from here on. A disabled handle detaches.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele = StoreTele::build(telemetry);
-        self.commit.gate().tele = self.tele.clone();
+        let mut gate = self.commit.gate();
+        gate.tele = self.tele.clone();
+        if let Some(clock) = telemetry.clock() {
+            gate.clock = clock;
+        }
     }
 
     /// The store directory.
@@ -853,31 +1103,34 @@ impl DurableStore {
     fn write_segment_header(&mut self, index: u64) -> Result<(), (String, std::io::Error)> {
         let name = segment_file_name(index);
         let path = self.dir.join(&name);
-        let payload = format!("seg {index}\n{}\n", self.config_line);
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        append_record(&mut framed, payload.as_bytes());
+        let config_line = &self.config_line;
+        let framed = self.record.frame(|text| {
+            writeln!(text, "seg {index}\n{config_line}").expect("string write");
+        });
         self.io
-            .append(&path, &framed)
+            .append(&path, framed)
             .map_err(|e| (name.clone(), e))?;
+        let written = framed.len();
         self.io.sync_file(&path).map_err(|e| (name.clone(), e))?;
         self.io
             .sync_dir(&self.dir)
             .map_err(|e| (self.dir.display().to_string(), e))?;
-        self.count_write(framed.len());
+        self.count_write(written);
         Ok(())
     }
 
-    /// Appends one framed chunk to the open segment (no fsync — that is
-    /// the commit's job) and counts it as appended.
-    fn append_chunk(&mut self, payload: &str) -> Result<(), String> {
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        append_record(&mut framed, payload.as_bytes());
+    /// Frames the journal text `write` produces as one chunk, appends it
+    /// to the open segment (no fsync — that is the commit's job) and
+    /// counts it as appended.
+    fn append_chunk(&mut self, write: impl FnOnce(&mut String)) -> Result<(), String> {
         let path = self.seg_path();
+        let framed = self.record.frame(write);
         self.io
-            .append(&path, &framed)
+            .append(&path, framed)
             .map_err(|e| format!("append to '{}': {e}", path.display()))?;
-        self.commit.appended.fetch_add(1, Ordering::SeqCst);
-        self.count_write(framed.len());
+        let written = framed.len();
+        self.commit.note_append();
+        self.count_write(written);
         Ok(())
     }
 
@@ -894,28 +1147,29 @@ impl DurabilitySink for DurableStore {
         let Some(first) = events.first() else {
             return Ok(());
         };
-        let mut payload = String::with_capacity(events.len() * 24 + 16);
-        writeln!(payload, "b {}", first.batch).expect("string write");
-        for e in events {
-            e.write_line(&mut payload);
-        }
-        self.append_chunk(&payload)
+        self.append_chunk(|text| {
+            writeln!(text, "b {}", first.batch).expect("string write");
+            for e in events {
+                e.write_line(text);
+            }
+        })
     }
 
     fn append_epoch(&mut self, record: &EpochRecord) -> Result<(), String> {
-        let mut payload = String::new();
-        record.write_line(&mut payload);
-        self.append_chunk(&payload)
+        self.append_chunk(|text| record.write_line(text))
     }
 
     fn checkpoint(&mut self, checkpoint: &Checkpoint) -> Result<(), String> {
-        // The gate is held from the seal to the roll: a commit never
+        // The lead is held from the seal to the roll: a commit never
         // sees the open segment change under its fsync, and a ticket
         // taken before the roll finds the watermark past it afterwards —
-        // it never fsyncs a sealed (or already unlinked) file.
+        // it never fsyncs a sealed (or already unlinked) file. The
+        // caller holds the engine: a leader found gathering is waiting
+        // for appends that cannot come, and is told to lead.
         let commit = Arc::clone(&self.commit);
+        let lead = commit.lead_in_a_hurry();
+        let rolled = self.checkpoint_leading(&commit, &lead, checkpoint);
         let mut gate = commit.gate();
-        let rolled = self.checkpoint_gated(&commit, &mut gate, checkpoint);
         if gate.health.is_ok() {
             gate.health = rolled.clone();
         }
@@ -923,8 +1177,11 @@ impl DurabilitySink for DurableStore {
     }
 
     fn sync(&mut self) -> Result<(), String> {
+        // Called with the engine held (it has `&mut` to the sink): the
+        // appends a gather waits for cannot happen, so this one leads at
+        // once and ends any gather it finds in progress.
         match self.commit.pending() {
-            Some(ticket) => self.commit.commit(ticket),
+            Some(ticket) => self.commit.settle(ticket, false),
             None => Ok(()),
         }
     }
@@ -935,36 +1192,45 @@ impl DurabilitySink for DurableStore {
 }
 
 impl DurableStore {
-    /// [`DurabilitySink::checkpoint`] with the commit gate held.
-    fn checkpoint_gated(
+    /// [`DurabilitySink::checkpoint`] with the commit lead held.
+    fn checkpoint_leading(
         &mut self,
         commit: &CommitState,
-        gate: &mut CommitGate,
+        lead: &Lead<'_>,
         checkpoint: &Checkpoint,
     ) -> Result<(), String> {
         let fail = |file: &str, e: std::io::Error| format!("checkpoint I/O on '{file}': {e}");
         // Seal the open segment: its tail must be durable before the
         // checkpoint that supersedes it, or a recovered journal would
         // hold fewer events than the in-memory one that kept serving.
+        let gate = commit.gate();
         gate.health.clone()?;
         if commit.pending().is_some() {
-            commit.lead(gate)?;
+            commit.sync(lead, gate)?;
+        } else {
+            drop(gate);
         }
         let next = self.seg + 1;
         let name = checkpoint_file_name(next);
         let tmp_name = format!("{name}.tmp");
         let path = self.dir.join(&name);
         let tmp = self.dir.join(&tmp_name);
-        let payload = format!(
-            "ckpt {next} {} {}\n{}\n{}",
-            checkpoint.batches, checkpoint.events_before, self.config_line, checkpoint.snapshot
-        );
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        append_record(&mut framed, payload.as_bytes());
+        // Framed in a buffer of its own: a snapshot is orders of
+        // magnitude above a chunk, and the store's buffer keeps its
+        // capacity.
+        let mut record = RecordBuf::default();
+        let framed = record.frame(|text| {
+            write!(
+                text,
+                "ckpt {next} {} {}\n{}\n{}",
+                checkpoint.batches, checkpoint.events_before, self.config_line, checkpoint.snapshot
+            )
+            .expect("string write");
+        });
         // Temp + fsync + rename + dir fsync: the checkpoint appears
         // atomically and durably, or not at all.
         self.io
-            .append(&tmp, &framed)
+            .append(&tmp, framed)
             .map_err(|e| fail(&tmp_name, e))?;
         self.io.sync_file(&tmp).map_err(|e| fail(&tmp_name, e))?;
         self.io.rename(&tmp, &path).map_err(|e| fail(&name, e))?;
@@ -979,7 +1245,7 @@ impl DurableStore {
         self.write_segment_header(next)
             .map_err(|(f, e)| fail(&f, e))?;
         self.seg = next;
-        gate.open = self.seg_path();
+        commit.gate().open = self.seg_path().into();
         let mut unlinked = 0u64;
         while (self.seg - self.lo) as usize > self.retained {
             let seg_name = segment_file_name(self.lo);
@@ -1005,5 +1271,78 @@ impl DurableStore {
             tele.segments_unlinked.add(unlinked);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::MemIo;
+
+    /// A commit state over one in-memory file that expects two
+    /// committers and believes an fsync takes a minute — so a gather
+    /// that ends, ends because it was told to — with one chunk pending.
+    fn one_of_two_pending() -> Arc<CommitState> {
+        let io = Arc::new(MemIo::new());
+        let open = PathBuf::from("/seg");
+        io.append(&open, b"x").unwrap();
+        let state = CommitState::new(io, open);
+        {
+            let mut gate = state.gate();
+            gate.expect = 2;
+            gate.last_sync_nanos = 60_000_000_000;
+        }
+        state.note_append();
+        state
+    }
+
+    /// Runs `meanwhile` once the commit of ticket 1 is parked in its
+    /// gather, and returns when that commit has.
+    fn while_it_gathers(state: &Arc<CommitState>, meanwhile: impl FnOnce()) {
+        std::thread::scope(|threads| {
+            let leader = threads.spawn(|| state.commit(1));
+            while !state.gathering.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            meanwhile();
+            leader.join().unwrap().expect("durable");
+        });
+    }
+
+    #[test]
+    fn the_chunk_a_gather_waits_for_ends_it_and_lowers_the_back_off() {
+        let state = one_of_two_pending();
+        state.gate().backoff = 3;
+        while_it_gathers(&state, || state.note_append());
+        assert_eq!(state.durable.load(Ordering::SeqCst), 2, "one fsync, both");
+        let gate = state.gate();
+        assert_eq!((gate.backoff, gate.skips_left), (2, 0));
+        assert_eq!(gate.expect, 2);
+    }
+
+    #[test]
+    fn whoever_holds_the_engine_ends_a_gather_without_a_timeout() {
+        let state = one_of_two_pending();
+        while_it_gathers(&state, || drop(state.lead_in_a_hurry()));
+        assert_eq!(state.durable.load(Ordering::SeqCst), 1);
+        let gate = state.gate();
+        assert_eq!((gate.backoff, gate.skips_left), (0, 0), "not a timeout");
+        assert!(!gate.hurried && !gate.leading);
+    }
+
+    #[test]
+    fn a_leader_that_panics_leaves_a_failed_store_not_a_held_lead() {
+        let state = one_of_two_pending();
+        let panicked = std::thread::scope(|threads| {
+            threads
+                .spawn(|| {
+                    let _lead = state.lead(&mut state.gate());
+                    panic!("the disk driver");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        let err = state.commit(1).expect_err("refused, not waited for");
+        assert!(err.contains("panicked"), "{err}");
     }
 }

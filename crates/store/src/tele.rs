@@ -7,11 +7,20 @@
 //!   open segment: one sample per *real* `sync_file`, recorded by the
 //!   commit's leader only (the durability tax a group of acknowledged
 //!   flushes shares),
+//! * `store_sync_chunks` — histogram of how many appended chunks each
+//!   real `fsync` of the open segment made stable (one sample beside
+//!   every `store_fsync_nanos` sample). Its median answers "is group
+//!   commit grouping?": 1 means every batch pays for its own fsync,
+//!   n that n busy connections share each one,
 //! * `store_commits_covered_total` — commit tickets that found their
 //!   records already stable when their turn came: another ticket's
-//!   fsync, or a checkpoint's seal, covered them. Against the sample
-//!   count of `store_fsync_nanos` it answers "is group commit grouping
-//!   across connections?",
+//!   fsync, or a checkpoint's seal, covered them,
+//! * `store_gather_hits_total` / `store_gather_timeouts_total` — how a
+//!   commit leader's wait for the committers the previous fsync
+//!   released ended: the chunks it expected arrived, or its cap ran out
+//!   first. A leader that expects nobody (one connection, depth 1)
+//!   counts in neither; a timeout share that does not fall means the
+//!   arrivals are not the closed loops the wait is for,
 //! * `store_bytes_written_total` / `store_records_total` — framed bytes
 //!   and records appended (segments and checkpoints together),
 //! * `store_checkpoints_total` — checkpoints persisted (temp + fsync +
@@ -30,10 +39,11 @@ use std::sync::Arc;
 /// with its commit state.
 #[derive(Debug)]
 pub(crate) struct StoreTele {
-    /// The attached registry (clock for fsync timing).
-    pub t: Telemetry,
     pub fsync_nanos: Histo,
+    pub sync_chunks: Histo,
     pub commits_covered: Counter,
+    pub gather_hits: Counter,
+    pub gather_timeouts: Counter,
     pub bytes_written: Counter,
     pub records: Counter,
     pub checkpoints: Counter,
@@ -49,13 +59,15 @@ impl StoreTele {
         }
         Some(Arc::new(StoreTele {
             fsync_nanos: t.histogram("store_fsync_nanos"),
+            sync_chunks: t.histogram("store_sync_chunks"),
             commits_covered: t.counter("store_commits_covered_total"),
+            gather_hits: t.counter("store_gather_hits_total"),
+            gather_timeouts: t.counter("store_gather_timeouts_total"),
             bytes_written: t.counter("store_bytes_written_total"),
             records: t.counter("store_records_total"),
             checkpoints: t.counter("store_checkpoints_total"),
             segments_unlinked: t.counter("store_segments_unlinked_total"),
             torn_truncations: t.counter("store_torn_tail_truncations_total"),
-            t: t.clone(),
         }))
     }
 }

@@ -176,9 +176,19 @@ impl QosClient {
     /// Ships one raw command frame without waiting for the response
     /// (pipelining); pair with [`QosClient::recv`].
     pub fn send_raw(&mut self, command: &str) -> std::io::Result<()> {
-        write_frame(&mut self.writer, command.as_bytes())?;
+        self.send_window(&[command])
+    }
+
+    /// Ships a whole window of raw command frames in one write, the way
+    /// a pipelining client with that many requests ready does — the
+    /// server sees them as one batch instead of one per frame. Pair with
+    /// one [`QosClient::recv`] per command.
+    pub fn send_window<S: AsRef<str>>(&mut self, commands: &[S]) -> std::io::Result<()> {
+        for command in commands {
+            write_frame(&mut self.writer, command.as_ref().as_bytes())?;
+        }
         self.writer.flush()?;
-        self.pending += 1;
+        self.pending += commands.len();
         Ok(())
     }
 

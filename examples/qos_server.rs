@@ -5,16 +5,37 @@
 //! the traffic flows, and per-tenant p99 service times polled live over
 //! the observability endpoint the whole time.
 //!
+//! Then a short **durable** phase answers "is group commit grouping?"
+//! from the store's own instruments: the same tier under
+//! `FlushMode::Durable` on the real file system, behind a disk held to a
+//! 500 µs fsync (on a tmpfs an fsync takes no time, and a store that
+//! sizes its waits by the fsyncs it measures would, rightly, never
+//! wait). Two pipelining connections must share their fsyncs; one
+//! connection at depth 1 must never be made to wait for anybody. The run
+//! fails if either does not hold.
+//!
 //! ```sh
 //! cargo run --release --example qos_server
 //! ```
 
+use realloc_sched::engine::FlushMode;
 use realloc_sched::service::{QosConfig, RateLimit, ServiceConfig, ServiceServer};
+use realloc_sched::workloads::driver::QosClient;
 use realloc_sched::workloads::{drive_feed, hotspot, HOTSPOT_WHALE};
-use realloc_sched::{BackendKind, Engine, EngineConfig, ObsClient, ObsServer, Telemetry, TenantId};
+use realloc_sched::{
+    BackendKind, DurableStore, Engine, EngineConfig, FsIo, ObsClient, ObsServer, StoreIo,
+    Telemetry, TenantId,
+};
+use std::path::Path;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn main() {
+    hotspot_phase();
+    durable_phases();
+}
+
+fn hotspot_phase() {
     let telemetry = Telemetry::new();
 
     // The engine behind the front door: 4 journaled shards.
@@ -139,4 +160,199 @@ fn main() {
         whale_active,
         engine.metrics().shards.len()
     );
+}
+
+/// How long an fsync of the durable phase takes at least.
+const SYNC_FLOOR: Duration = Duration::from_micros(500);
+
+/// [`FsIo`] whose `sync_file` returns no sooner than [`SYNC_FLOOR`]
+/// after it was called (it sleeps the rest): a disk that costs the same
+/// on every machine this runs on.
+#[derive(Debug)]
+struct FloorIo(FsIo);
+
+impl StoreIo for FloorIo {
+    fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+        self.0.create_dir_all(dir)
+    }
+    fn list_dir(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+        self.0.list_dir(dir)
+    }
+    fn read_file(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        self.0.read_file(path)
+    }
+    fn append(&self, path: &Path, data: &[u8]) -> std::io::Result<()> {
+        self.0.append(path, data)
+    }
+    fn sync_file(&self, path: &Path) -> std::io::Result<()> {
+        let called = Instant::now();
+        self.0.sync_file(path)?;
+        std::thread::sleep((called + SYNC_FLOOR).saturating_duration_since(Instant::now()));
+        Ok(())
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.0.sync_dir(dir)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        self.0.rename(from, to)
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        self.0.remove_file(path)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> std::io::Result<()> {
+        self.0.truncate(path, len)
+    }
+}
+
+/// What the store's instruments counted: real fsyncs, the chunks they
+/// made stable, commits that rode someone else's fsync, and how the
+/// leaders' waits for their peers ended.
+#[derive(Clone, Copy, Debug, Default)]
+struct StoreCounts {
+    fsyncs: u64,
+    chunks: u64,
+    covered: u64,
+    hits: u64,
+    timeouts: u64,
+}
+
+impl StoreCounts {
+    fn read(telemetry: &Telemetry) -> StoreCounts {
+        let sizes = telemetry.histogram_snapshot("store_sync_chunks");
+        let count = |name| telemetry.counter_value(name).unwrap_or(0);
+        StoreCounts {
+            fsyncs: sizes.as_ref().map_or(0, |h| h.count()),
+            chunks: sizes.as_ref().map_or(0, |h| h.sum()),
+            covered: count("store_commits_covered_total"),
+            hits: count("store_gather_hits_total"),
+            timeouts: count("store_gather_timeouts_total"),
+        }
+    }
+
+    fn since(self, earlier: StoreCounts) -> StoreCounts {
+        StoreCounts {
+            fsyncs: self.fsyncs - earlier.fsyncs,
+            chunks: self.chunks - earlier.chunks,
+            covered: self.covered - earlier.covered,
+            hits: self.hits - earlier.hits,
+            timeouts: self.timeouts - earlier.timeouts,
+        }
+    }
+}
+
+/// One durable tier on a fresh store directory, `clients` closed-loop
+/// connections sending `windows` windows of `depth` commands each.
+/// Returns the store's counts after every client's first ten windows.
+fn durable_phase(name: &str, clients: u64, depth: u64, windows: u64) -> StoreCounts {
+    const WARM_UP: u64 = 10;
+    let dir =
+        std::env::temp_dir().join(format!("realloc-qos-server-{}-{name}", std::process::id()));
+    let telemetry = Telemetry::new();
+    let mut engine = Engine::new(EngineConfig {
+        shards: 4,
+        machines_per_shard: 4,
+        backend: BackendKind::TheoremOne { gamma: 8 },
+        parallel: false,
+        journal: true,
+        ..EngineConfig::default()
+    });
+    let mut store = DurableStore::create(
+        Arc::new(FloorIo(FsIo)) as Arc<dyn StoreIo>,
+        &dir,
+        engine.journal().expect("journaled").config(),
+    )
+    .expect("create store directory");
+    store.attach_telemetry(&telemetry);
+    engine.attach_durability(Box::new(store)).expect("attach");
+    let config = ServiceConfig {
+        flush: FlushMode::Durable,
+        ..ServiceConfig::default()
+    };
+    let server = ServiceServer::bind("127.0.0.1:0", engine, config, &telemetry).expect("bind");
+
+    // Everyone stops after the warm-up for the counts to be read.
+    let warm = Barrier::new(clients as usize + 1);
+    let warmed = std::thread::scope(|threads| {
+        for tenant in 1..=clients {
+            let mut client = QosClient::connect(server.addr()).expect("connect");
+            let warm = &warm;
+            threads.spawn(move || {
+                for window in 0..windows {
+                    if window == WARM_UP {
+                        warm.wait();
+                        warm.wait();
+                    }
+                    // A window is one write: the server sees one batch.
+                    let commands: Vec<String> = (0..depth)
+                        .map(|k| {
+                            let id = window * depth + k / 2;
+                            match k % 2 {
+                                0 => format!("place {tenant} {id} {} {}", 8 * k, 8 * k + 16),
+                                _ => format!("remove {tenant} {id}"),
+                            }
+                        })
+                        .collect();
+                    client.send_window(&commands).expect("send");
+                    for _ in 0..depth {
+                        let reply = client.recv().expect("reply");
+                        assert!(reply.admitted(), "durable phase refused: {reply:?}");
+                    }
+                }
+            });
+        }
+        warm.wait();
+        let warmed = StoreCounts::read(&telemetry);
+        warm.wait();
+        warmed
+    });
+    let counts = StoreCounts::read(&telemetry).since(warmed);
+
+    let engine = server.engine();
+    let engine = engine.lock().expect("engine lock");
+    assert_eq!(engine.durability_error(), None);
+    engine
+        .validate()
+        .expect("engine valid after the durable phase");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let sizes = telemetry
+        .histogram_snapshot("store_sync_chunks")
+        .expect("registered by the store");
+    println!(
+        "durable, {name}: {:.2} fsyncs per chunk ({} for {}), store_sync_chunks p50 {}, \
+         {:.0} % of commits covered by another's fsync, gathers: {} hit, {} timed out",
+        counts.fsyncs as f64 / counts.chunks as f64,
+        counts.fsyncs,
+        counts.chunks,
+        sizes.quantile(0.5),
+        100.0 * counts.covered as f64 / (counts.covered + counts.fsyncs) as f64,
+        counts.hits,
+        counts.timeouts,
+    );
+    counts
+}
+
+/// Is group commit grouping? Two pipelining connections, then one
+/// connection that waits for every reply.
+fn durable_phases() {
+    let busy = durable_phase("2 connections x 32 outstanding", 2, 32, 150);
+    let lone = durable_phase("1 connection at depth 1", 1, 1, 150);
+    let mut failed = false;
+    if (busy.chunks as f64) < 1.5 * busy.fsyncs as f64 {
+        eprintln!(
+            "group commit is not grouping: {} chunks in {} fsyncs with two busy connections",
+            busy.chunks, busy.fsyncs
+        );
+        failed = true;
+    }
+    if lone.hits + lone.timeouts > 0 {
+        eprintln!(
+            "a lone connection at depth 1 was made to wait: {} hits, {} timeouts",
+            lone.hits, lone.timeouts
+        );
+        failed = true;
+    }
+    if failed {
+        std::process::exit(1);
+    }
 }
