@@ -9,36 +9,19 @@
 //! delta is measured separately by the `telemetry_overhead` group).
 //! Results land in `BENCH_engine_ingest.json` and
 //! `BENCH_engine_resize.json` (see the criterion shim's `BENCH_OUT_DIR`).
-//! Batch-size, recovery and replication timings are `servebench`'s
-//! (`service.reqs_per_flush`, `store.recover_ms`, `cluster.*`), where
-//! they sit under a regression gate.
+//! Journaled and durable ingest, batch-size, recovery and replication
+//! timings are `servebench`'s (`engine.ingest_ns_per_req`,
+//! `store.flush_mem_p50_us`, `service.reqs_per_flush`,
+//! `store.recover_ms`, `cluster.*`), where they sit under a regression
+//! gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use realloc_engine::{BackendKind, Engine, EngineConfig};
+use realloc_engine::{BackendKind, Engine};
 use realloc_sim::harness::{churn_seq, engine_config};
-use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::Telemetry;
-use std::path::Path;
-use std::sync::Arc;
 
 const REQUESTS: usize = 20_000;
 const BATCH: usize = 256;
-
-/// A fresh engine with a [`DurableStore`] over `MemIo` attached. The
-/// in-memory backing isolates the store's own cost (framing, CRC,
-/// group-commit bookkeeping, checkpoint/retention churn) from device
-/// fsync latency, which varies by orders of magnitude across hardware —
-/// the device-bound number is what `examples/crash_recovery.rs` shows
-/// against the real filesystem.
-fn durable_engine(mut cfg: EngineConfig) -> Engine {
-    cfg.journal = true;
-    let mut engine = Engine::new(cfg);
-    let io = Arc::new(MemIo::new()) as Arc<dyn StoreIo>;
-    let store = DurableStore::create(io, Path::new("/bench"), engine.journal().unwrap().config())
-        .expect("create store");
-    engine.attach_durability(Box::new(store)).expect("attach");
-    engine
-}
 
 fn bench_engine_ingest(c: &mut Criterion) {
     let backend = realloc_engine::BackendKind::TheoremOne { gamma: 8 };
@@ -64,31 +47,6 @@ fn bench_engine_ingest(c: &mut Criterion) {
             })
         });
     }
-    // Durability on vs. off at the 4-shard reference point: `journaled`
-    // pays in-memory journaling only; `durable` adds the on-disk store
-    // tee with one group commit per batch.
-    group.bench_with_input(BenchmarkId::new("journaled", 4), &seq, |b, seq| {
-        b.iter(|| {
-            let mut cfg = engine_config(4, 1, backend, false);
-            cfg.journal = true;
-            let mut e = Engine::new(cfg);
-            e.attach_telemetry(&tel);
-            e.ingest(seq, BATCH)
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("durable", 4), &seq, |b, seq| {
-        b.iter(|| {
-            let mut e = durable_engine(engine_config(4, 1, backend, false));
-            e.attach_telemetry(&tel);
-            for chunk in seq.requests().chunks(BATCH) {
-                for &r in chunk {
-                    e.submit(r);
-                }
-                e.flush_durable().expect("group commit");
-            }
-            e
-        })
-    });
     group.finish();
 }
 

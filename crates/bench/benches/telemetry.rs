@@ -3,10 +3,6 @@
 //! * **ingest A/B** — the same churn ingest with a live registry
 //!   attached vs. a disabled handle (the number the CI overhead guard
 //!   polices: the instrumented run must stay within 2%);
-//! * **trace-propagation A/B** — the same batched flush loop with a
-//!   [`realloc_telemetry::TraceCtx`] armed on every batch vs. none
-//!   (what causal request tracing costs the flush path when every
-//!   single batch is sampled — production samples far fewer);
 //! * **raw instrument ops** — batched costs of the individual hot-path
 //!   primitives (counter add, histogram record, trace point, span
 //!   begin/end), per 1024 operations so the shim's timer resolution
@@ -15,12 +11,13 @@
 //!   per-scrape cost an [`realloc_telemetry::ObsServer`] pays).
 //!
 //! Results land in `BENCH_telemetry_overhead.json` (see the criterion
-//! shim's `BENCH_OUT_DIR`).
+//! shim's `BENCH_OUT_DIR`). What causal request tracing costs a served
+//! request is `servebench`'s `telemetry.trace_overhead_ratio`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use realloc_engine::{BackendKind, Engine};
 use realloc_sim::harness::{churn_seq, engine_config};
-use realloc_telemetry::{Severity, Telemetry, TraceCtx};
+use realloc_telemetry::{Severity, Telemetry};
 
 const REQUESTS: usize = 20_000;
 const BATCH: usize = 256;
@@ -52,29 +49,6 @@ fn bench_telemetry(c: &mut Criterion) {
             e.ingest(seq, BATCH)
         })
     });
-
-    // Trace propagation A/B: the identical submit/flush loop, with a
-    // trace context armed on every batch vs. never. Worst-case
-    // sampling — the gap is the full per-batch tracing bill.
-    for (label, traced) in [("on", true), ("off", false)] {
-        group.bench_with_input(BenchmarkId::new("trace", label), &seq, |b, seq| {
-            b.iter(|| {
-                let mut e = Engine::new(engine_config(4, 1, backend, false));
-                e.attach_telemetry(&tel);
-                let mut processed = 0usize;
-                for (i, chunk) in seq.requests().chunks(BATCH).enumerate() {
-                    for &r in chunk {
-                        e.submit(r);
-                    }
-                    if traced {
-                        e.arm_trace(TraceCtx::mint(i as u64, i as u64));
-                    }
-                    processed += e.flush().processed();
-                }
-                processed
-            })
-        });
-    }
 
     // Raw primitives, batched: per-iteration time is OPS operations.
     group.throughput(Throughput::Elements(OPS));

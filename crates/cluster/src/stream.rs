@@ -2,8 +2,13 @@
 //!
 //! A stream is a position in a journaled engine's journal plus the
 //! bookkeeping that turns the records past it into sequence-numbered,
-//! term-fenced [`Frame`]s: the next sequence number, a bounded history
-//! of recent frames for lagging-replica catch-up, and the anchor of the
+//! term-fenced [`Frame`]s. Which events make a batch is the journal's
+//! call: [`realloc_engine::Journal::records_since`] walks whole batches
+//! and epoch records, and each becomes one frame as it stands (the
+//! event and epoch text inside a frame comes from the journal's line
+//! writers too). What the stream owns is the stamp — term, the next
+//! sequence number, the batch's trace annotation — a bounded history of
+//! recent frames for lagging-replica catch-up, and the anchor of the
 //! latest `check` marker. It never owns the engine — every method that
 //! reads one takes it by reference — so the two public wrappers differ
 //! only in how they hold theirs: [`crate::Primary`] owns it,
@@ -12,7 +17,7 @@
 use crate::frame::{Frame, Payload};
 use crate::tele::PrimaryTele;
 use crate::ClusterError;
-use realloc_engine::{Engine, JournalCursor, JournalEvent, JournalRecord};
+use realloc_engine::{Engine, JournalCursor, JournalRecord};
 use realloc_telemetry::{Severity, Telemetry};
 use std::collections::VecDeque;
 
@@ -143,30 +148,13 @@ impl FrameStream {
                 }
             }
         }
-        // Group events batch-by-batch; epochs become their own frames at
-        // their exact positions.
         if let Some(records) = journal.records_since(cursor) {
-            let mut open_batch: Option<Vec<JournalEvent>> = None;
             for record in records {
                 cursor.advance(&record);
-                match record {
-                    JournalRecord::Event(e) => match &mut open_batch {
-                        Some(events) if events[0].batch == e.batch => events.push(*e),
-                        Some(events) => {
-                            payloads.push(Payload::Events(std::mem::replace(events, vec![*e])));
-                        }
-                        None => open_batch = Some(vec![*e]),
-                    },
-                    JournalRecord::Epoch(rec) => {
-                        if let Some(events) = open_batch.take() {
-                            payloads.push(Payload::Events(events));
-                        }
-                        payloads.push(Payload::Epoch(rec.clone()));
-                    }
-                }
-            }
-            if let Some(events) = open_batch.take() {
-                payloads.push(Payload::Events(events));
+                payloads.push(match record {
+                    JournalRecord::Batch(events) => Payload::Events(events.to_vec()),
+                    JournalRecord::Epoch(rec) => Payload::Epoch(rec.clone()),
+                });
             }
         }
         self.cursor = cursor;

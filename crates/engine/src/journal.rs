@@ -31,8 +31,8 @@
 //! the event stream, carrying the complete new routing table. The `c`
 //! header's shard count is the *genesis* count; the current count after
 //! replaying is whatever the last applied epoch record (or checkpoint)
-//! says. Epoch records are validated at parse time — strictly increasing
-//! epochs (a duplicate or regressing epoch is corruption), at least one
+//! says. Epoch records are validated at parse time — epochs strictly
+//! increasing from 1 (a duplicate or regressing epoch is corruption), at least one
 //! shard, a well-formed pin table, and never in the middle of a batch
 //! (the engine only reshards between flushes) — each violation a
 //! graceful [`ParseError`], never a panic.
@@ -48,16 +48,33 @@
 //! [`crate::EngineConfig::retained_segments`] are dropped, which bounds
 //! the journal's memory instead of growing without bound from genesis.
 //!
-//! # Replay vs. recovery
+//! # One recorded stream
 //!
-//! * [`Journal::replay`] — the audit path: rebuilds an engine from the
-//!   *earliest retained* state (genesis, or the oldest retained
-//!   checkpoint after truncation) and re-services every retained event,
-//!   verifying each recorded routing decision and outcome.
-//! * [`Journal::recover_engine`] / [`crate::Engine::recover`] — the
-//!   crash-recovery path: restores the *latest* checkpoint and replays
-//!   only the tail, making recovery O(tail) instead of O(history) while
-//!   preserving the same divergence detection on the events it replays.
+//! What a recorded stream is, and how it is checked against a
+//! re-execution, is decided in this module only:
+//!
+//! * **One grammar** — one writer and one reader per line kind:
+//!   [`Journal::write_header`] (version line, `c`, `T`),
+//!   [`Journal::write_config_line`] / [`Journal::parse_config_line`],
+//!   [`Checkpoint::write_record`] (`s` and its body),
+//!   [`JournalEvent::write_batch`] (`b` and a flush's events),
+//!   [`EpochRecord::write_line`]. [`Journal::to_text`] / `from_text` are
+//!   made of them, and so are the on-disk store's files, under the
+//!   store's own record framing. Batch numbers only move forward,
+//!   checkpoints in between or not: the parser refuses a `b` line that
+//!   does not advance.
+//! * **One walk** — [`Journal::records_since`]: whole batches (a
+//!   borrowed slice each; a flush never spans a checkpoint) with epoch
+//!   records at their exact positions. The text writer, replay and the
+//!   replication frame stream consume it; none regroups events itself.
+//! * **One verified re-execution** — replay restores a base and folds
+//!   the walk through [`Engine::apply_recorded_batch`] /
+//!   [`Engine::apply_epoch_record`], exactly as a replica applies the
+//!   same records as frames, so a forged stream gets one verdict from
+//!   replay, crash recovery and replication. [`Journal::replay`] (audit)
+//!   starts from the *earliest* retained state; [`Journal::recover_engine`]
+//!   / [`crate::Engine::recover`] from the *latest* checkpoint — O(tail),
+//!   not O(history).
 //!
 //! Shard migration falls out of the same machinery: snapshot, ship,
 //! restore — no genesis replay.
@@ -167,16 +184,31 @@ fn num(parts: &mut Tokens<'_>, line: usize, what: &str) -> Result<u64, ParseErro
         .map_err(|e| err(format!("bad {what}: {e}")))
 }
 
+/// The line must end here.
+fn no_more(parts: &mut Tokens<'_>, line: usize) -> Result<(), ParseError> {
+    match parts.next() {
+        None => Ok(()),
+        Some(extra) => Err(ParseError {
+            line,
+            message: format!("unexpected trailing token '{extra}'"),
+        }),
+    }
+}
+
 impl JournalEvent {
-    /// Appends this event's v3 journal line (`+`/`-` op, no trailing
-    /// `b` batch marker — that is the caller's framing concern) to
-    /// `out`. [`Journal::to_text`] and the on-disk store share this
-    /// encoder, so a store segment file's event lines parse with the
-    /// same grammar as an in-memory journal dump.
-    pub fn write_line(&self, out: &mut String) {
-        out.push(self.op());
-        out.push(' ');
-        self.write_tail(out);
+    /// Appends one flush (`events`: one [`JournalRecord::Batch`]) as the
+    /// journal frames it: a `b <batch>` line, then `<op> <tail>` per
+    /// event. [`Journal::to_text`] and the on-disk store's chunks share
+    /// this writer, so a segment file's chunks are journal text verbatim.
+    pub fn write_batch(events: &[JournalEvent], out: &mut String) {
+        use std::fmt::Write as _;
+        let Some(first) = events.first() else { return };
+        writeln!(out, "b {}", first.batch).unwrap();
+        for e in events {
+            out.push(e.op());
+            out.push(' ');
+            e.write_tail(out);
+        }
     }
 
     /// The line's op token: `+` for an insert, `-` for a delete.
@@ -254,9 +286,7 @@ impl JournalEvent {
             Some(other) => return Err(err(format!("bad outcome tag '{other}'"))),
             None => return Err(err("missing outcome".to_string())),
         };
-        if let Some(extra) = parts.next() {
-            return Err(err(format!("unexpected trailing token '{extra}'")));
-        }
+        no_more(parts, line)?;
         Ok(JournalEvent {
             batch,
             shard,
@@ -291,7 +321,10 @@ impl std::fmt::Display for ReplayDivergence {
 /// Why a replay or recovery failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayError {
-    /// A checkpoint snapshot failed to parse or validate.
+    /// The recording cannot be re-executed as it stands: a checkpoint
+    /// snapshot failed to parse or validate, or a batch or epoch record
+    /// broke a precondition of [`Engine::apply_recorded_batch`] /
+    /// [`Engine::apply_epoch_record`].
     Corrupt(ParseError),
     /// Replay produced a different outcome than the recording.
     Divergence(Box<ReplayDivergence>),
@@ -300,7 +333,7 @@ pub enum ReplayError {
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReplayError::Corrupt(e) => write!(f, "corrupt checkpoint snapshot: {e}"),
+            ReplayError::Corrupt(e) => write!(f, "corrupt recording: {e}"),
             ReplayError::Divergence(d) => d.fmt(f),
         }
     }
@@ -407,38 +440,36 @@ impl JournalCursor {
     pub fn at_end_of(journal: &Journal) -> JournalCursor {
         JournalCursor {
             events_seen: journal.total_events(),
-            last_epoch: journal
-                .segments
-                .iter()
-                .flat_map(|s| s.epochs.iter())
-                .map(|(_, r)| r.epoch)
-                .max()
-                .unwrap_or(0),
+            last_epoch: journal.last_epoch_in(journal.segments.len()),
         }
     }
 
     /// Advances past one consumed record.
     pub fn advance(&mut self, record: &JournalRecord<'_>) {
         match record {
-            JournalRecord::Event(_) => self.events_seen += 1,
+            JournalRecord::Batch(events) => self.events_seen += events.len() as u64,
             JournalRecord::Epoch(r) => self.last_epoch = r.epoch,
         }
     }
 }
 
 /// One borrowed journal record, as yielded by [`Journal::records_since`]:
-/// the journal's stream interleaves serviced events with the epoch
-/// records of elastic reshards, in recording order.
+/// the recorded stream is a sequence of flushed batches with the epoch
+/// records of elastic reshards between them, in recording order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JournalRecord<'a> {
-    /// A serviced request.
-    Event(&'a JournalEvent),
+    /// The events of one flush, in service order: a non-empty slice of
+    /// one segment that shares one batch number (a flush never spans a
+    /// checkpoint). A cursor that stands inside a batch gets its rest.
+    Batch(&'a [JournalEvent]),
     /// A routing-table change at this position.
     Epoch(&'a EpochRecord),
 }
 
-/// Borrowing iterator over a journal's records past a cursor; see
-/// [`Journal::records_since`].
+/// The one walk of a journal's recorded stream — batch by batch, epoch
+/// records at their exact positions — borrowed, nothing re-serialized or
+/// cloned. [`Journal::records_since`] hands it out; replay, the text
+/// writer and the replication frame stream all consume it.
 #[derive(Debug)]
 pub struct Records<'a> {
     segments: std::collections::vec_deque::Iter<'a, Segment>,
@@ -446,9 +477,6 @@ pub struct Records<'a> {
     epochs: &'a [(usize, EpochRecord)],
     ev_idx: usize,
     ep_idx: usize,
-    /// Global (since-genesis) index of `events[ev_idx]`.
-    next_global: u64,
-    skip_events: u64,
     skip_epochs: u64,
 }
 
@@ -457,28 +485,26 @@ impl<'a> Iterator for Records<'a> {
 
     fn next(&mut self) -> Option<JournalRecord<'a>> {
         loop {
-            // An epoch anchored at position `p` precedes event `p` (the
-            // serialization in `Journal::to_text` uses the same rule).
-            if self
-                .epochs
-                .get(self.ep_idx)
-                .is_some_and(|&(pos, _)| pos <= self.ev_idx || self.ev_idx >= self.events.len())
-            {
-                let (_, rec) = &self.epochs[self.ep_idx];
-                self.ep_idx += 1;
-                if rec.epoch > self.skip_epochs {
-                    return Some(JournalRecord::Epoch(rec));
+            // An epoch anchored at position `p` precedes event `p`.
+            let next_epoch_at = match self.epochs.get(self.ep_idx) {
+                Some((pos, rec)) if *pos <= self.ev_idx || self.ev_idx >= self.events.len() => {
+                    self.ep_idx += 1;
+                    if rec.epoch > self.skip_epochs {
+                        return Some(JournalRecord::Epoch(rec));
+                    }
+                    continue;
                 }
-                continue;
-            }
-            if let Some(event) = self.events.get(self.ev_idx) {
-                self.ev_idx += 1;
-                let global = self.next_global;
-                self.next_global += 1;
-                if global >= self.skip_events {
-                    return Some(JournalRecord::Event(event));
-                }
-                continue;
+                Some((pos, _)) => *pos,
+                None => self.events.len(),
+            };
+            if let Some(first) = self.events.get(self.ev_idx) {
+                let rest = &self.events[self.ev_idx..next_epoch_at];
+                let len = rest
+                    .iter()
+                    .position(|e| e.batch != first.batch)
+                    .unwrap_or(rest.len());
+                self.ev_idx += len;
+                return Some(JournalRecord::Batch(&rest[..len]));
             }
             let seg = self.segments.next()?;
             self.events = &seg.events;
@@ -500,6 +526,41 @@ pub struct Checkpoint {
     pub events_before: u64,
     /// The engine snapshot (`realloc_core::snapshot` v1 framing).
     pub snapshot: String,
+}
+
+impl Checkpoint {
+    /// Appends this checkpoint's journal record: the `s <batches>
+    /// <events-before> <lines>` line, then the snapshot as that many
+    /// verbatim lines. [`Journal::to_text`] and the store's reassembly of
+    /// a directory share this writer.
+    pub fn write_record(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let lines = self.snapshot.lines().count();
+        writeln!(out, "s {} {} {lines}", self.batches, self.events_before).unwrap();
+        embed(out, &self.snapshot);
+    }
+
+    /// Parses what [`Checkpoint::write_record`] wrote: `parts` stands
+    /// past the `s` op of line `line`, `body` yields the lines after it.
+    fn parse_record<'a>(
+        parts: &mut Tokens<'_>,
+        line: usize,
+        body: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<Checkpoint, ParseError> {
+        let batches = num(parts, line, "checkpoint batches")?;
+        let events_before = num(parts, line, "checkpoint events-before")?;
+        let nlines = num(parts, line, "checkpoint line count")? as usize;
+        no_more(parts, line)?;
+        let snapshot = take_embedded(body, nlines).map_err(|why| ParseError {
+            line,
+            message: format!("checkpoint: {why}"),
+        })?;
+        Ok(Checkpoint {
+            batches,
+            events_before,
+            snapshot,
+        })
+    }
 }
 
 /// One journal segment: an optional base checkpoint plus the events
@@ -583,10 +644,9 @@ impl Journal {
                 .sum::<u64>()
     }
 
-    /// Incremental cursor: every retained record — event or epoch — the
-    /// journal holds *past* `cursor`, in recording order, borrowed (no
-    /// re-serialization, no cloning). This is how the replication
-    /// primary tails its own journal after each flush.
+    /// The recorded stream past `cursor`: every retained batch and epoch
+    /// record, in recording order (see [`Records`]). This is how the
+    /// replication primary tails its own journal after each flush.
     ///
     /// Returns `None` when the cursor's position predates the retained
     /// history (checkpoint truncation dropped it) or lies beyond it (a
@@ -596,46 +656,45 @@ impl Journal {
         if cursor.events_seen < self.dropped_events || cursor.events_seen > self.total_events() {
             return None;
         }
-        let mut segments = self.segments.iter();
-        let mut current = segments.next().expect("journal always has a segment");
-        let mut next_global = self.dropped_events;
         // Hop whole segments the cursor has fully consumed (every event
         // behind it and no unconsumed epoch record — epochs strictly
-        // increase, so checking the last one suffices). Without this a
-        // cursor deep into a long segment history would re-skip every
-        // consumed event on each call — O(history) per poll instead of
-        // O(new records).
-        loop {
-            let seg_events = current.events.len() as u64;
-            let behind = next_global + seg_events <= cursor.events_seen
-                && current
+        // increase, so checking the last one suffices): a poll costs
+        // O(new records), not O(retained history).
+        let mut start = 0;
+        let mut before = self.dropped_events;
+        for seg in self.segments.iter().take(self.segments.len() - 1) {
+            let behind = before + seg.events.len() as u64 <= cursor.events_seen
+                && seg
                     .epochs
                     .last()
                     .is_none_or(|(_, r)| r.epoch <= cursor.last_epoch);
             if !behind {
                 break;
             }
-            let Some(next) = segments.next() else { break };
-            next_global += seg_events;
-            current = next;
+            start += 1;
+            before += seg.events.len() as u64;
         }
-        // Arithmetic in-segment skip of consumed events; the per-record
-        // guards in `Records::next` remain as the correctness backstop
-        // (e.g. a segment pinned by an unconsumed trailing epoch).
-        let consumed = cursor
-            .events_seen
-            .saturating_sub(next_global)
-            .min(current.events.len() as u64);
-        Some(Records {
+        // Later segments lie wholly past the cursor; epoch records it
+        // has consumed in this one are skipped by number.
+        let mut records = self.walk(start, self.segments.len());
+        records.ev_idx =
+            (cursor.events_seen.saturating_sub(before) as usize).min(records.events.len());
+        records.skip_epochs = cursor.last_epoch;
+        Some(records)
+    }
+
+    /// The walk over segments `from..to`, from the first one's start.
+    fn walk(&self, from: usize, to: usize) -> Records<'_> {
+        let mut segments = self.segments.range(from..to);
+        let first = segments.next().expect("a walk covers a segment");
+        Records {
             segments,
-            events: &current.events,
-            epochs: &current.epochs,
-            ev_idx: consumed as usize,
+            events: &first.events,
+            epochs: &first.epochs,
+            ev_idx: 0,
             ep_idx: 0,
-            next_global: next_global + consumed,
-            skip_events: cursor.events_seen,
-            skip_epochs: cursor.last_epoch,
-        })
+            skip_epochs: 0,
+        }
     }
 
     /// Retained events without concatenating (cheap).
@@ -684,21 +743,19 @@ impl Journal {
     pub fn checkpoint_cursor(&self) -> Option<JournalCursor> {
         let latest = self.segments.iter().rposition(|s| s.base.is_some())?;
         let cp = self.segments[latest].base.as_ref().expect("rposition hit");
-        // Epoch records recorded before the checkpoint live in earlier
-        // segments; epochs strictly increase, so the max is the last
-        // record of the last earlier segment holding one.
-        let last_epoch = self
-            .segments
-            .iter()
-            .take(latest)
-            .flat_map(|s| s.epochs.iter())
-            .map(|(_, r)| r.epoch)
-            .max()
-            .unwrap_or(0);
         Some(JournalCursor {
             events_seen: cp.events_before,
-            last_epoch,
+            // Epoch records recorded before the checkpoint live in
+            // earlier segments.
+            last_epoch: self.last_epoch_in(latest),
         })
+    }
+
+    /// Highest epoch recorded in the first `n` retained segments (`0`:
+    /// none).
+    fn last_epoch_in(&self, n: usize) -> u64 {
+        let epochs = self.segments.iter().take(n).flat_map(|s| &s.epochs);
+        epochs.map(|(_, r)| r.epoch).max().unwrap_or(0)
     }
 
     /// Appends one event (called by the engine during flush).
@@ -758,50 +815,88 @@ impl Journal {
         }
     }
 
-    /// Serializes to the v3 line format (see module docs).
-    pub fn to_text(&self) -> String {
+    /// Appends the `c` config line: genesis shards, machines per shard,
+    /// backend, retention cap. `parallel` is deliberately absent —
+    /// recordings are execution-strategy agnostic (a pool-drained
+    /// engine's journal is byte-identical to a sequential one) — while
+    /// `retained_segments` governs the journal's own truncation, so
+    /// recovery must restore it even before the first checkpoint. The
+    /// on-disk store heads each of its files with this line.
+    pub fn write_config_line(out: &mut String, config: &EngineConfig) {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(self.event_count() * 24 + 64);
-        out.push_str("# realloc-engine journal v3\n");
-        // The header deliberately omits `parallel`: recordings are
-        // execution-strategy agnostic (a pool-drained engine's journal
-        // is byte-identical to a sequential one, and the property tests
-        // pin that). `retained_segments` IS recorded — it governs the
-        // journal's own truncation, so recovery must restore it even
-        // when no checkpoint exists yet.
         writeln!(
             out,
             "c {} {} {} {}",
-            self.config.shards,
-            self.config.machines_per_shard,
-            self.config.backend,
-            self.config.retained_segments
+            config.shards, config.machines_per_shard, config.backend, config.retained_segments
         )
         .unwrap();
-        if self.dropped_segments > 0 {
-            writeln!(out, "T {} {}", self.dropped_segments, self.dropped_events).unwrap();
+    }
+
+    /// Parses what [`Journal::write_config_line`] wrote (`content`: the
+    /// whole line); what a journal does not record stays at its default.
+    pub fn parse_config_line(content: &str, line: usize) -> Result<EngineConfig, ParseError> {
+        let err = |message: String| ParseError { line, message };
+        let mut parts = content.split_whitespace();
+        if parts.next() != Some("c") {
+            return Err(err(format!("bad config line '{content}'")));
         }
-        for seg in &self.segments {
+        let shards = num(&mut parts, line, "shards")? as usize;
+        let machines = num(&mut parts, line, "machines")? as usize;
+        if shards == 0 || machines == 0 {
+            return Err(err(
+                "config needs at least one shard and one machine per shard".to_string(),
+            ));
+        }
+        let backend_raw = parts
+            .next()
+            .ok_or_else(|| err("missing backend".to_string()))?;
+        let backend = BackendKind::parse(backend_raw).map_err(&err)?;
+        let retained_segments = num(&mut parts, line, "retained-segments cap")? as usize;
+        no_more(&mut parts, line)?;
+        Ok(EngineConfig {
+            shards,
+            machines_per_shard: machines,
+            backend,
+            retained_segments,
+            ..EngineConfig::default()
+        })
+    }
+
+    /// Appends what every journal document starts with: the version
+    /// line, the `c` line and, when sealed segments were truncated away,
+    /// the `T` marker counting them and their events.
+    pub fn write_header(
+        out: &mut String,
+        config: &EngineConfig,
+        dropped_segments: u64,
+        dropped_events: u64,
+    ) {
+        use std::fmt::Write as _;
+        out.push_str("# realloc-engine journal v3\n");
+        Journal::write_config_line(out, config);
+        if dropped_segments > 0 {
+            writeln!(out, "T {dropped_segments} {dropped_events}").unwrap();
+        }
+    }
+
+    /// Serializes to the v3 line format (see module docs).
+    pub fn to_text(&self) -> String {
+        let mut out = String::with_capacity(self.event_count() * 24 + 64);
+        Journal::write_header(
+            &mut out,
+            &self.config,
+            self.dropped_segments,
+            self.dropped_events,
+        );
+        for (i, seg) in self.segments.iter().enumerate() {
             if let Some(cp) = &seg.base {
-                let lines = cp.snapshot.lines().count();
-                writeln!(out, "s {} {} {lines}", cp.batches, cp.events_before).unwrap();
-                embed(&mut out, &cp.snapshot);
+                cp.write_record(&mut out);
             }
-            let mut batch = None;
-            let mut epochs = seg.epochs.iter().peekable();
-            for (idx, e) in seg.events.iter().enumerate() {
-                while epochs.peek().is_some_and(|&&(pos, _)| pos <= idx) {
-                    let (_, rec) = epochs.next().expect("peeked");
-                    rec.write_line(&mut out);
+            for record in self.walk(i, i + 1) {
+                match record {
+                    JournalRecord::Batch(events) => JournalEvent::write_batch(events, &mut out),
+                    JournalRecord::Epoch(rec) => rec.write_line(&mut out),
                 }
-                if batch != Some(e.batch) {
-                    writeln!(out, "b {}", e.batch).unwrap();
-                    batch = Some(e.batch);
-                }
-                e.write_line(&mut out);
-            }
-            for (_, rec) in epochs {
-                rec.write_line(&mut out);
             }
         }
         out
@@ -809,8 +904,8 @@ impl Journal {
 
     /// Parses the line format back into a journal; every malformed-input
     /// class — truncated checkpoint bodies, garbage ops, duplicate or
-    /// incomplete headers, invalid configs — yields a located
-    /// [`ParseError`], never a panic.
+    /// incomplete headers, invalid configs, batch numbers that do not
+    /// advance — yields a located [`ParseError`], never a panic.
     ///
     /// Note: *format* compatibility does not imply *replay*
     /// compatibility — replay re-services the stream with the current
@@ -825,18 +920,29 @@ impl Journal {
         let mut dropped: Option<(u64, u64)> = None;
         let mut segments: VecDeque<Segment> = VecDeque::new();
         segments.push_back(Segment::empty(None));
-        let mut batch = 0u64;
-        // Epoch-record validation state: epochs must strictly increase
-        // across the document, and a record may never split a batch (the
-        // engine only reshards between flushes, so an in-batch record is
-        // tampering). `barrier` holds the batch of the event immediately
-        // preceding the latest epoch record; the next event must belong
-        // to a different batch.
-        let mut last_epoch: Option<u64> = None;
-        let mut last_event_batch: Option<u64> = None;
-        let mut barrier: Option<u64> = None;
+        // Framing state. Epochs strictly increase across the document
+        // (recorded epochs start at 1) and so do batch numbers — the
+        // flush counter only moves forward, also across a checkpoint.
+        // An event belongs to the open batch; a checkpoint or epoch
+        // record that follows events of it ends it (the engine
+        // checkpoints and reshards only between flushes), and `batch`
+        // then holds what to tell an event that comes without a new `b`
+        // line.
+        let mut last_epoch = 0u64;
+        let mut last_batch: Option<u64> = None;
+        // `Ok((number, whether it has events yet))`.
+        let mut batch: Result<(u64, bool), String> =
+            Err("event before the first 'b' batch line".to_string());
+        fn split(batch: &mut Result<(u64, bool), String>, by: &str) {
+            if let Ok((b, true)) = *batch {
+                *batch = Err(format!(
+                    "{by} record in the middle of batch {b} \
+                     (checkpoints and reshards only happen between flushes)"
+                ));
+            }
+        }
 
-        let mut lines = text.lines().enumerate().peekable();
+        let mut lines = text.lines().enumerate();
         while let Some((i, raw)) = lines.next() {
             let line = i + 1;
             let err = |message: String| ParseError { line, message };
@@ -851,29 +957,7 @@ impl Journal {
                     if config.is_some() {
                         return Err(err("duplicate 'c' config header".to_string()));
                     }
-                    let shards = num(&mut parts, line, "shards")? as usize;
-                    let machines = num(&mut parts, line, "machines")? as usize;
-                    if shards == 0 {
-                        return Err(err("config needs at least one shard".to_string()));
-                    }
-                    if machines == 0 {
-                        return Err(err(
-                            "config needs at least one machine per shard".to_string()
-                        ));
-                    }
-                    let backend_raw = parts
-                        .next()
-                        .ok_or_else(|| err("missing backend".to_string()))?;
-                    let backend = BackendKind::parse(backend_raw).map_err(&err)?;
-                    let retained_segments =
-                        num(&mut parts, line, "retained-segments cap")? as usize;
-                    config = Some(EngineConfig {
-                        shards,
-                        machines_per_shard: machines,
-                        backend,
-                        retained_segments,
-                        ..EngineConfig::default()
-                    });
+                    config = Some(Journal::parse_config_line(content, line)?);
                 }
                 "T" => {
                     if dropped.is_some() {
@@ -881,59 +965,54 @@ impl Journal {
                     }
                     let segs = num(&mut parts, line, "dropped segments")?;
                     let events = num(&mut parts, line, "dropped events")?;
+                    no_more(&mut parts, line)?;
                     if segs == 0 {
                         return Err(err("'T' must name at least one dropped segment".to_string()));
                     }
                     dropped = Some((segs, events));
                 }
                 "s" => {
-                    let batches = num(&mut parts, line, "checkpoint batches")?;
-                    let events_before = num(&mut parts, line, "checkpoint events-before")?;
-                    let nlines = num(&mut parts, line, "checkpoint line count")? as usize;
-                    if let Some(extra) = parts.next() {
-                        return Err(err(format!("unexpected trailing token '{extra}'")));
-                    }
                     let mut body = lines.by_ref().map(|(_, raw)| raw);
-                    let snapshot = take_embedded(&mut body, nlines)
-                        .map_err(|why| err(format!("checkpoint: {why}")))?;
-                    segments.push_back(Segment::empty(Some(Checkpoint {
-                        batches,
-                        events_before,
-                        snapshot,
-                    })));
-                    // A checkpoint implies a flush boundary; no batch can
-                    // span it.
-                    last_event_batch = None;
-                    barrier = None;
+                    let checkpoint = Checkpoint::parse_record(&mut parts, line, &mut body)?;
+                    segments.push_back(Segment::empty(Some(checkpoint)));
+                    split(&mut batch, "checkpoint");
                 }
                 "E" => {
                     let record = EpochRecord::parse_tail(&mut parts, line)?;
-                    if let Some(prev) = last_epoch.filter(|&prev| record.epoch <= prev) {
+                    if record.epoch <= last_epoch {
                         return Err(err(format!(
-                            "epoch record {} does not advance past epoch {prev} \
+                            "epoch record {} does not advance past epoch {last_epoch} \
                              (duplicate or regressing epoch)",
                             record.epoch
                         )));
                     }
-                    last_epoch = Some(record.epoch);
-                    barrier = last_event_batch;
+                    last_epoch = record.epoch;
+                    split(&mut batch, "epoch");
                     let open = segments.back_mut().expect("open segment");
                     let pos = open.events.len();
                     open.epochs.push((pos, record));
                 }
-                "b" => batch = num(&mut parts, line, "batch")?,
-                "+" | "-" => {
-                    let event = JournalEvent::parse_tail(op, batch, &mut parts, line)?;
-                    if let Some(b) = barrier {
-                        if b == batch {
-                            return Err(err(format!(
-                                "epoch record in the middle of batch {batch} \
-                                 (reshards only happen between flushes)"
-                            )));
-                        }
-                        barrier = None;
+                "b" => {
+                    let n = num(&mut parts, line, "batch")?;
+                    no_more(&mut parts, line)?;
+                    if let Some(prev) = last_batch.filter(|&prev| n <= prev) {
+                        return Err(err(format!(
+                            "batch {n} does not advance past batch {prev} \
+                             (the flush counter only moves forward)"
+                        )));
                     }
-                    last_event_batch = Some(batch);
+                    last_batch = Some(n);
+                    batch = Ok((n, false));
+                }
+                "+" | "-" => {
+                    let n = match &mut batch {
+                        Ok((n, has_events)) => {
+                            *has_events = true;
+                            *n
+                        }
+                        Err(why) => return Err(err(why.clone())),
+                    };
+                    let event = JournalEvent::parse_tail(op, n, &mut parts, line)?;
                     segments
                         .back_mut()
                         .expect("genesis segment")
@@ -941,14 +1020,6 @@ impl Journal {
                         .push(event);
                 }
                 other => return Err(err(format!("unknown op '{other}'"))),
-            }
-            if op != "s" {
-                if let Some(extra) = parts.next() {
-                    return Err(ParseError {
-                        line,
-                        message: format!("unexpected trailing token '{extra}'"),
-                    });
-                }
             }
         }
         let config = config.ok_or(ParseError {
@@ -1011,8 +1082,11 @@ impl Journal {
     }
 
     /// Restores the state at the start of segment `start` (fresh engine
-    /// for genesis, snapshot restore otherwise) and replays the events of
-    /// segments `start..`, batch by batch, verifying outcomes.
+    /// for genesis, snapshot restore otherwise) and folds the walk over
+    /// segments `start..` through the one verified re-execution —
+    /// [`Engine::apply_recorded_batch`] at the recorded batch numbers,
+    /// [`Engine::apply_epoch_record`] where the recorded engine
+    /// resharded — exactly as a replica applies the same records.
     fn replay_from(&self, start: usize) -> Result<Engine, ReplayError> {
         let mut engine = match self.segments[start].base.as_ref() {
             None => {
@@ -1021,8 +1095,13 @@ impl Journal {
                 Engine::new(cfg)
             }
             Some(cp) => {
-                let engine =
-                    Engine::restore_snapshot(&cp.snapshot).map_err(ReplayError::Corrupt)?;
+                let corrupt = |at: ParseError| {
+                    ReplayError::Corrupt(ParseError {
+                        line: at.line,
+                        message: format!("checkpoint snapshot: {}", at.message),
+                    })
+                };
+                let engine = Engine::restore_snapshot(&cp.snapshot).map_err(corrupt)?;
                 let cfg = engine.config();
                 // The shard count is deliberately NOT cross-checked: the
                 // header records the genesis count, and epoch records in
@@ -1030,10 +1109,10 @@ impl Journal {
                 if cfg.machines_per_shard != self.config.machines_per_shard
                     || cfg.backend != self.config.backend
                 {
-                    return Err(ReplayError::Corrupt(ParseError {
+                    return Err(corrupt(ParseError {
                         line: 0,
                         message: format!(
-                            "checkpoint config ({} machines/shard, {}) does not match \
+                            "its config ({} machines/shard, {}) does not match \
                              the journal header ({} machines/shard, {})",
                             cfg.machines_per_shard,
                             cfg.backend,
@@ -1045,90 +1124,27 @@ impl Journal {
                 engine
             }
         };
-        // Replay records into a fresh journal so replayed events can be
-        // compared index-for-index with the tail.
-        engine.reset_journal();
-        let offset: usize = self
+        // Divergences are located in `iter_events` positions.
+        let mut index: usize = self
             .segments
             .iter()
             .take(start)
             .map(|s| s.events.len())
             .sum();
-        let tail: Vec<JournalEvent> = self
-            .segments
-            .iter()
-            .skip(start)
-            .flat_map(|s| s.events.iter().copied())
-            .collect();
-        // Epoch records of the replayed segments, re-anchored at global
-        // tail positions; each is applied exactly where the recorded
-        // engine resharded.
-        let mut epochs: Vec<(usize, &EpochRecord)> = Vec::new();
-        let mut seg_offset = 0usize;
-        for s in self.segments.iter().skip(start) {
-            for (pos, rec) in &s.epochs {
-                epochs.push((seg_offset + pos, rec));
-            }
-            seg_offset += s.events.len();
-        }
-        let mut next_epoch = 0usize;
-        let apply = |engine: &mut Engine,
-                     up_to: usize,
-                     next_epoch: &mut usize|
-         -> Result<(), ReplayError> {
-            while *next_epoch < epochs.len() && epochs[*next_epoch].0 <= up_to {
-                let (_, rec) = epochs[*next_epoch];
-                engine.apply_epoch_record(rec)?;
-                *next_epoch += 1;
-            }
-            Ok(())
-        };
-        let mut idx = 0usize;
-        while idx < tail.len() {
-            apply(&mut engine, idx, &mut next_epoch)?;
-            let batch = tail[idx].batch;
-            let mut end = idx;
-            while end < tail.len() && tail[end].batch == batch {
-                engine.submit(tail[end].request);
-                end += 1;
-            }
-            engine.flush();
-            // The replay engine never checkpoints, so its whole journal
-            // is one open segment.
-            let replayed = engine.journal().expect("journal enabled").tail_events();
-            for (i, recorded) in tail.iter().enumerate().take(end).skip(idx) {
-                let got = replayed.get(i).copied();
-                // Batch numbering restarts in the replay engine; compare
-                // everything else exactly.
-                let matches = got.is_some_and(|g| {
-                    g.shard == recorded.shard
-                        && g.request == recorded.request
-                        && g.result == recorded.result
-                });
-                if !matches {
-                    return Err(ReplayError::Divergence(Box::new(ReplayDivergence {
-                        index: offset + i,
-                        recorded: *recorded,
-                        replayed: got,
-                    })));
+        for record in self.walk(start, self.segments.len()) {
+            match record {
+                JournalRecord::Batch(events) => {
+                    engine.apply_recorded_batch(events).map_err(|e| match e {
+                        ReplayError::Divergence(mut at) => {
+                            at.index += index;
+                            ReplayError::Divergence(at)
+                        }
+                        other => other,
+                    })?;
+                    index += events.len();
                 }
+                JournalRecord::Epoch(record) => engine.apply_epoch_record(record)?,
             }
-            idx = end;
-        }
-        // Trailing epoch records (a resize after the last recorded
-        // event) still apply — the recovered engine must serve at the
-        // recorded epoch.
-        apply(&mut engine, tail.len(), &mut next_epoch)?;
-        // Replay re-numbers flushes by *eventful* batches only — empty
-        // pre-crash flushes left no events, so the replayed counter can
-        // lag the recorded batch numbers. Resuming recording with a
-        // stale counter would reuse an already-recorded batch number and
-        // merge two distinct flushes at the next replay; pin the counter
-        // past every recorded batch.
-        if let Some(last) = tail.last() {
-            engine.bump_batches_past(last.batch);
-        } else if let Some(cp) = self.segments[start].base.as_ref() {
-            engine.bump_batches_past(cp.batches.saturating_sub(1));
         }
         Ok(engine)
     }

@@ -87,8 +87,8 @@ mod tele;
 pub use backend::{Backend, BackendKind};
 pub use batch::BatchReport;
 pub use journal::{
-    Checkpoint, EpochRecord, Journal, JournalCursor, JournalEvent, JournalRecord, Records,
-    ReplayDivergence, ReplayError,
+    Checkpoint, EpochRecord, Journal, JournalCursor, JournalEvent, JournalRecord, ReplayDivergence,
+    ReplayError,
 };
 pub use metrics::{Metrics, Tally};
 pub use realloc_core::router::Router as EngineRouter;

@@ -1,5 +1,9 @@
 //! Checkpointing, snapshot restore and recovery: everything that turns
-//! engine state into text and back.
+//! engine state into text and back — and the one verified re-execution
+//! of a recorded batch, [`Engine::apply_recorded_batch`], that journal
+//! replay, crash recovery (from text or a store directory) and
+//! replication replicas all go through. The journal's line grammar and
+//! the walk that yields the batches are `journal.rs`'s.
 
 use crate::backend::BackendKind;
 use crate::journal::{Journal, JournalEvent, ReplayDivergence, ReplayError};
@@ -12,11 +16,13 @@ use realloc_core::textio::ParseError;
 use realloc_telemetry::Severity;
 
 impl Engine {
-    /// Applies one recorded **batch** of journal events, exactly as a
-    /// replica or replay must: every event of one flush, in recorded
-    /// order, serviced at the recorded batch number, with each produced
-    /// outcome verified against the recording (shard routing, request,
-    /// and netted costs — any mismatch is a [`ReplayError::Divergence`],
+    /// Re-executes one recorded **batch** (one
+    /// [`crate::JournalRecord::Batch`]) and verifies it — the only place
+    /// recorded events are submitted, flushed and compared with the
+    /// recording: every event of one flush, in recorded order, serviced
+    /// at the recorded batch number, with each produced event checked
+    /// whole against the recording (batch, shard routing, request, and
+    /// netted costs — any mismatch is a [`ReplayError::Divergence`],
     /// whose `index` is the offset *within this slice*).
     ///
     /// Preconditions (violations are graceful [`ReplayError::Corrupt`]
@@ -161,12 +167,6 @@ impl Engine {
         Ok(journal.recover_engine()?)
     }
 
-    /// Replaces the journal with a fresh, empty one (replay bookkeeping).
-    pub(crate) fn reset_journal(&mut self) {
-        self.cfg.journal = true;
-        self.journal = Some(Self::fresh_journal(&self.cfg, &self.router));
-    }
-
     /// Attaches an existing journal (recovery hands the recovered engine
     /// its own history so recording continues seamlessly). Truncation
     /// behavior must follow the restored configuration — the serialized
@@ -178,13 +178,6 @@ impl Engine {
         self.cfg.journal = true;
         journal.set_retention(self.cfg.retained_segments);
         self.journal = Some(journal);
-    }
-
-    /// Ensures the flush counter is strictly past `batch`, so the next
-    /// flush never reuses a batch number that already has recorded
-    /// events (see `Journal::replay_from`).
-    pub(crate) fn bump_batches_past(&mut self, batch: u64) {
-        self.batches = self.batches.max(batch.saturating_add(1));
     }
 }
 

@@ -1,6 +1,7 @@
-//! The incremental journal cursor ([`Journal::records_since`]) and the
-//! engine state digest — the streaming primitives the cluster layer's
-//! replication is built on.
+//! The one walk of a journal's recorded stream
+//! ([`Journal::records_since`]: whole batches, epoch records between
+//! them) and the engine state digest — the streaming primitives replay,
+//! recovery and the cluster layer's replication are built on.
 
 use realloc_core::snapshot::{digest64, Restorable as _};
 use realloc_core::{JobId, Request, Window};
@@ -40,26 +41,30 @@ fn records_since_interleaves_events_and_epochs_in_order() {
         .records_since(JournalCursor::default())
         .expect("genesis cursor is always retained here")
         .collect();
-    // 20 events + 2 epoch records, in recording order.
-    assert_eq!(records.len(), 22);
-    let epochs_at: Vec<usize> = records
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| matches!(r, JournalRecord::Epoch(_)).then_some(i))
-        .collect();
-    assert_eq!(
-        epochs_at,
-        vec![10, 21],
-        "epochs sit at their exact positions"
-    );
+    // Two flushes and two epoch records, in recording order: each flush
+    // is one borrowed batch, each epoch sits at its exact position.
+    assert_eq!(records.len(), 4);
+    for (at, ids) in [(0, 0..10u64), (2, 10..20)] {
+        let JournalRecord::Batch(events) = records[at] else {
+            panic!("record {at} is a batch: {:?}", records[at]);
+        };
+        assert_eq!(events.len(), 10);
+        assert!(events.iter().all(|e| e.batch == events[0].batch));
+        let mut seen: Vec<u64> = events.iter().map(|e| e.request.job_id().0).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, ids.collect::<Vec<_>>());
+    }
+    assert!(matches!(records[1], JournalRecord::Epoch(r) if r.epoch == 1));
+    assert!(matches!(records[3], JournalRecord::Epoch(r) if r.epoch == 2));
 
     // The event projection matches the borrowing iterator.
     let via_cursor: Vec<_> = records
         .iter()
         .filter_map(|r| match r {
-            JournalRecord::Event(e) => Some(**e),
+            JournalRecord::Batch(events) => Some(events.iter().copied()),
             JournalRecord::Epoch(_) => None,
         })
+        .flatten()
         .collect();
     let via_iter: Vec<_> = journal.iter_events().copied().collect();
     assert_eq!(via_cursor, via_iter);
@@ -83,8 +88,9 @@ fn cursor_resumes_mid_stream_without_recloning_history() {
     churn(&mut e, 8..11);
     let journal = e.journal().unwrap();
     let fresh: Vec<_> = journal.records_since(cursor).unwrap().collect();
-    assert_eq!(fresh.len(), 4); // 1 epoch + 3 events
+    assert_eq!(fresh.len(), 2); // 1 epoch + 1 batch of 3 events
     assert!(matches!(fresh[0], JournalRecord::Epoch(r) if r.epoch == 1));
+    assert!(matches!(fresh[1], JournalRecord::Batch(events) if events.len() == 3));
     for r in &fresh {
         cursor.advance(r);
     }
@@ -110,7 +116,15 @@ fn truncated_history_invalidates_stale_cursors_only() {
     assert!(journal.records_since(JournalCursor::default()).is_none());
     // A cursor still within retained history keeps streaming exactly.
     let tail: Vec<_> = journal.records_since(live).unwrap().collect();
-    assert_eq!(tail.len(), 3);
+    assert!(matches!(tail[..], [JournalRecord::Batch(events)] if events.len() == 3));
+    // A cursor inside a batch (nothing hands one out, but the fields are
+    // public) gets the rest of it.
+    let inside = JournalCursor {
+        events_seen: live.events_seen + 1,
+        ..live
+    };
+    let rest: Vec<_> = journal.records_since(inside).unwrap().collect();
+    assert!(matches!(rest[..], [JournalRecord::Batch(events)] if events.len() == 2));
     // A cursor beyond the end (from some other journal) is refused too.
     let bogus = JournalCursor {
         events_seen: 99,
@@ -150,48 +164,30 @@ fn apply_recorded_batch_replicates_and_rejects_corruption() {
     primary.resize(3).unwrap();
     churn(&mut primary, 16..24);
 
+    // The follower folds the primary's walk, as replay and replicas do.
     let journal = primary.journal().unwrap();
-    let mut batches: Vec<Vec<realloc_engine::JournalEvent>> = Vec::new();
-    let mut records = journal.records_since(JournalCursor::default()).unwrap();
-    let mut epochs = Vec::new();
-    let mut positions = Vec::new();
-    for r in &mut records {
-        match r {
-            JournalRecord::Event(e) => match batches.last_mut() {
-                Some(b) if b[0].batch == e.batch => b.push(*e),
-                _ => batches.push(vec![*e]),
-            },
-            JournalRecord::Epoch(rec) => {
-                epochs.push(rec.clone());
-                positions.push(batches.len());
+    let mut batches: Vec<&[realloc_engine::JournalEvent]> = Vec::new();
+    for record in journal.records_since(JournalCursor::default()).unwrap() {
+        match record {
+            JournalRecord::Batch(events) => {
+                follower.apply_recorded_batch(events).unwrap();
+                batches.push(events);
             }
+            JournalRecord::Epoch(rec) => follower.apply_epoch_record(rec).unwrap(),
         }
-    }
-    let mut ep = 0;
-    for (i, batch) in batches.iter().enumerate() {
-        while ep < epochs.len() && positions[ep] == i {
-            follower.apply_epoch_record(&epochs[ep]).unwrap();
-            ep += 1;
-        }
-        follower.apply_recorded_batch(batch).unwrap();
-    }
-    while ep < epochs.len() {
-        follower.apply_epoch_record(&epochs[ep]).unwrap();
-        ep += 1;
     }
     assert_eq!(follower.snapshot_text(), primary.snapshot_text());
 
     // Corruption classes: empty, mixed batches, regressing batch, and a
     // batch number that would overflow the flush counter.
     assert!(follower.apply_recorded_batch(&[]).is_err());
-    let mut mixed = batches[0].clone();
-    mixed.extend(batches[1].iter().copied());
+    let mixed = [batches[0], batches[1]].concat();
     assert!(follower.apply_recorded_batch(&mixed).is_err());
     assert!(
-        follower.apply_recorded_batch(&batches[0]).is_err(),
+        follower.apply_recorded_batch(batches[0]).is_err(),
         "already-consumed batch number must be refused"
     );
-    let mut hostile = batches[0].clone();
+    let mut hostile = batches[0].to_vec();
     for e in &mut hostile {
         e.batch = u64::MAX;
     }

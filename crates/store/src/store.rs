@@ -76,6 +76,19 @@
 //! engine's O(tail) checkpoint+tail recovery, so the on-disk tier
 //! reuses the exact grammar, validation, and divergence detection of
 //! the in-memory path.
+//!
+//! # Who owns which line
+//!
+//! The store owns its *framing*: file names, the length+CRC record
+//! format ([`crate::format`]), and the first line of a segment header
+//! (`seg N`) and of a checkpoint record (`ckpt N <batches>
+//! <events-before>`). Everything else in a file is journal grammar,
+//! written and read by the journal's own line writers and parsers —
+//! [`Journal::write_config_line`] / [`Journal::parse_config_line`] under
+//! both headers, [`JournalEvent::write_batch`] and
+//! [`EpochRecord::write_line`] for chunks, [`Journal::write_header`] and
+//! [`Checkpoint::write_record`] when [`scan`] reassembles a directory —
+//! so no format string for a journal line lives in this crate.
 
 use crate::format::{
     checkpoint_file_name, classify, segment_file_name, FileKind, RecordBuf, RecordReader,
@@ -169,16 +182,14 @@ fn io_err(file: impl Into<String>) -> impl FnOnce(std::io::Error) -> StoreError 
 /// One parsed checkpoint file.
 #[derive(Debug)]
 struct CkptData {
-    batches: u64,
-    events_before: u64,
-    config_line: String,
-    snapshot: String,
+    config: EngineConfig,
+    checkpoint: Checkpoint,
 }
 
 /// One parsed segment file.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SegData {
-    config_line: String,
+    config: EngineConfig,
     /// Concatenated chunk payloads (journal grammar lines, verbatim).
     chunks: String,
     /// Total file length that decoded cleanly.
@@ -196,10 +207,10 @@ pub struct Scan {
     pub lo: u64,
     /// Open (newest) segment index.
     pub hi: u64,
-    /// The journal config header line (`c …`) the store was created with.
-    pub config_line: String,
-    /// Retention cap parsed out of the config line.
-    pub retained: usize,
+    /// The journal config the store was created under (every file is
+    /// headed by its config line; its `retained_segments` is the
+    /// retention cap).
+    pub config: EngineConfig,
     /// Torn tail in the open segment: `(file name, valid byte length)`.
     pub torn: Option<(String, u64)>,
     /// Files that are not part of the recovered state (stale retention
@@ -220,6 +231,12 @@ fn corrupt(file: &str, offset: usize, message: impl Into<String>) -> StoreError 
     }
 }
 
+/// Reads the journal config line that heads a store file.
+fn parse_config(name: &str, line: &str) -> Result<EngineConfig, StoreError> {
+    Journal::parse_config_line(line, 0)
+        .map_err(|e| corrupt(name, 0, format!("bad config line '{line}': {}", e.message)))
+}
+
 /// Parses a segment file. `last` relaxes tail handling: a torn record
 /// suffix is truncated instead of fatal. The header record (index and
 /// config) is validated against `index`; a torn *header* is reported as
@@ -232,9 +249,8 @@ fn parse_segment(
     last: bool,
 ) -> Result<Option<SegData>, StoreError> {
     let mut reader = RecordReader::new(bytes);
-    let mut out = SegData::default();
     // Header record.
-    match reader.next_record() {
+    let config = match reader.next_record() {
         Ok(Some(payload)) => {
             let text = std::str::from_utf8(payload)
                 .map_err(|e| corrupt(name, 0, format!("header is not UTF-8: {e}")))?;
@@ -251,23 +267,21 @@ fn parse_segment(
             let config = lines
                 .next()
                 .ok_or_else(|| corrupt(name, 0, "header has no config line"))?;
-            if !config.starts_with("c ") {
-                return Err(corrupt(
-                    name,
-                    0,
-                    format!("bad header config line '{config}'"),
-                ));
-            }
             if lines.next().is_some() {
                 return Err(corrupt(name, 0, "trailing lines in segment header"));
             }
-            out.config_line = config.to_string();
+            parse_config(name, config)?
         }
         Ok(None) | Err(_) if last => return Ok(None), // torn/empty header: drop
         Ok(None) => return Err(corrupt(name, 0, "segment file is empty")),
         Err(fault) => return Err(corrupt(name, reader.offset(), fault.to_string())),
-    }
-    out.valid_len = reader.offset();
+    };
+    let mut out = SegData {
+        config,
+        chunks: String::new(),
+        valid_len: reader.offset(),
+        torn_bytes: 0,
+    };
     // Chunk records.
     loop {
         match reader.next_record() {
@@ -340,30 +354,14 @@ fn parse_checkpoint(name: &str, bytes: &[u8], index: u64) -> Result<CkptData, St
     let (config_line, snapshot) = rest
         .split_once('\n')
         .ok_or_else(|| corrupt(name, 0, "checkpoint has no config line"))?;
-    if !config_line.starts_with("c ") {
-        return Err(corrupt(
-            name,
-            0,
-            format!("bad checkpoint config line '{config_line}'"),
-        ));
-    }
     Ok(CkptData {
-        batches,
-        events_before,
-        config_line: config_line.to_string(),
-        snapshot: snapshot.to_string(),
+        config: parse_config(name, config_line)?,
+        checkpoint: Checkpoint {
+            batches,
+            events_before,
+            snapshot: snapshot.to_string(),
+        },
     })
-}
-
-/// Retention cap: the 4th field of the journal config line.
-fn retained_of(config_line: &str) -> Result<usize, StoreError> {
-    config_line
-        .split_whitespace()
-        .nth(4)
-        .and_then(|t| t.parse::<usize>().ok())
-        .ok_or_else(|| {
-            StoreError::Layout(format!("config line '{config_line}' has no retention cap"))
-        })
 }
 
 /// Scans a store directory into reconstructed journal text plus the
@@ -460,17 +458,16 @@ pub fn scan(io: &dyn StoreIo, dir: &Path) -> Result<Scan, StoreError> {
     // The config line comes from the newest anchor (checkpoint `hi`, or
     // the genesis segment header when no checkpoint exists yet).
     let mut ckpt_data: BTreeMap<u64, CkptData> = BTreeMap::new();
-    let config_line = if hi >= 1 {
+    let config = if hi >= 1 {
         let name = checkpoint_file_name(hi);
         let bytes = io.read_file(&dir.join(&name)).map_err(io_err(&name))?;
         let data = parse_checkpoint(&name, &bytes, hi)?;
-        let line = data.config_line.clone();
+        let config = data.config.clone();
         ckpt_data.insert(hi, data);
-        line
+        config
     } else {
-        seg_data[&hi].config_line.clone()
+        seg_data[&hi].config.clone()
     };
-    let retained = retained_of(&config_line)?;
     // Walk the retained range down from `hi`, then clamp to the
     // retention cap: segments past it are stale leftovers of an
     // interrupted unlink pass (or of a crash before the pass ran) and
@@ -480,7 +477,7 @@ pub fn scan(io: &dyn StoreIo, dir: &Path) -> Result<Scan, StoreError> {
     while lo >= 1 && segs.contains(&(lo - 1)) && (lo - 1 == 0 || ckpts.contains(&(lo - 1))) {
         lo -= 1;
     }
-    lo = lo.max(hi.saturating_sub(retained as u64));
+    lo = lo.max(hi.saturating_sub(config.retained_segments as u64));
     // Everything below `lo` is dead weight.
     for &i in segs.iter().filter(|&&i| i < lo) {
         drop_files.push(segment_file_name(i));
@@ -504,46 +501,29 @@ pub fn scan(io: &dyn StoreIo, dir: &Path) -> Result<Scan, StoreError> {
         }
     }
     // One store, one config: every header must agree.
+    let agrees = |name: String, found: &EngineConfig| match *found == config {
+        true => Ok(()),
+        false => Err(corrupt(
+            &name,
+            0,
+            format!("config {found:?} disagrees with the store's {config:?}"),
+        )),
+    };
     for (i, data) in &seg_data {
-        if data.config_line != config_line {
-            return Err(corrupt(
-                &segment_file_name(*i),
-                0,
-                format!(
-                    "config line '{}' disagrees with the store's '{config_line}'",
-                    data.config_line
-                ),
-            ));
-        }
+        agrees(segment_file_name(*i), &data.config)?;
     }
     for (i, data) in &ckpt_data {
-        if data.config_line != config_line {
-            return Err(corrupt(
-                &checkpoint_file_name(*i),
-                0,
-                format!(
-                    "config line '{}' disagrees with the store's '{config_line}'",
-                    data.config_line
-                ),
-            ));
-        }
+        agrees(checkpoint_file_name(*i), &data.config)?;
     }
-    // Reassemble journal v3 text — the exact shape `Journal::to_text`
-    // emits, so a recovered journal serializes byte-identically.
+    // Reassemble journal v3 text with the journal's own writers — the
+    // exact shape `Journal::to_text` emits, so a recovered journal
+    // serializes byte-identically. The chunks are journal text already.
     let mut text = String::new();
-    text.push_str("# realloc-engine journal v3\n");
-    text.push_str(&config_line);
-    text.push('\n');
-    if lo >= 1 {
-        let events_before = ckpt_data[&lo].events_before;
-        writeln!(text, "T {lo} {events_before}").expect("string write");
-    }
+    let dropped_events = ckpt_data.get(&lo).map_or(0, |d| d.checkpoint.events_before);
+    Journal::write_header(&mut text, &config, lo, dropped_events);
     for i in lo..=hi {
-        if i >= 1 {
-            let cp = &ckpt_data[&i];
-            let nlines = cp.snapshot.lines().count();
-            writeln!(text, "s {} {} {nlines}", cp.batches, cp.events_before).expect("string write");
-            realloc_core::snapshot::embed(&mut text, &cp.snapshot);
+        if let Some(data) = ckpt_data.get(&i) {
+            data.checkpoint.write_record(&mut text);
         }
         if let Some(data) = seg_data.get(&i) {
             text.push_str(&data.chunks);
@@ -556,8 +536,7 @@ pub fn scan(io: &dyn StoreIo, dir: &Path) -> Result<Scan, StoreError> {
         text,
         lo,
         hi,
-        config_line,
-        retained,
+        config,
         torn,
         drop_files,
         synthesized_hi,
@@ -621,10 +600,10 @@ pub struct DurableStore {
     seg: u64,
     /// Oldest on-disk segment index.
     lo: u64,
-    /// Retention cap (mirrors `EngineConfig::retained_segments`).
-    retained: usize,
-    /// The journal config header line this store was created under.
-    config_line: String,
+    /// The journal config this store was created under: its config
+    /// line heads every file, its `retained_segments` is the retention
+    /// cap.
+    config: EngineConfig,
     /// Which appended chunks are stable; shared with every outstanding
     /// commit ticket.
     commit: Arc<CommitState>,
@@ -981,18 +960,13 @@ impl DurableStore {
                 )));
             }
         }
-        let config_line = format!(
-            "c {} {} {} {}",
-            config.shards, config.machines_per_shard, config.backend, config.retained_segments
-        );
         let mut store = DurableStore {
             commit: CommitState::new(Arc::clone(&io), dir.join(segment_file_name(0))),
             io,
             dir: dir.to_path_buf(),
             seg: 0,
             lo: 0,
-            retained: config.retained_segments,
-            config_line,
+            config: config.clone(),
             record: RecordBuf::default(),
             tele: None,
         };
@@ -1034,8 +1008,7 @@ impl DurableStore {
             dir: dir.to_path_buf(),
             seg: scan.hi,
             lo: scan.lo,
-            retained: scan.retained,
-            config_line: scan.config_line,
+            config: scan.config,
             record: RecordBuf::default(),
             tele: None,
         };
@@ -1103,9 +1076,10 @@ impl DurableStore {
     fn write_segment_header(&mut self, index: u64) -> Result<(), (String, std::io::Error)> {
         let name = segment_file_name(index);
         let path = self.dir.join(&name);
-        let config_line = &self.config_line;
+        let config = &self.config;
         let framed = self.record.frame(|text| {
-            writeln!(text, "seg {index}\n{config_line}").expect("string write");
+            writeln!(text, "seg {index}").expect("string write");
+            Journal::write_config_line(text, config);
         });
         self.io
             .append(&path, framed)
@@ -1144,15 +1118,10 @@ impl DurableStore {
 
 impl DurabilitySink for DurableStore {
     fn append_batch(&mut self, events: &[JournalEvent]) -> Result<(), String> {
-        let Some(first) = events.first() else {
+        if events.is_empty() {
             return Ok(());
-        };
-        self.append_chunk(|text| {
-            writeln!(text, "b {}", first.batch).expect("string write");
-            for e in events {
-                e.write_line(text);
-            }
-        })
+        }
+        self.append_chunk(|text| JournalEvent::write_batch(events, text))
     }
 
     fn append_epoch(&mut self, record: &EpochRecord) -> Result<(), String> {
@@ -1220,12 +1189,14 @@ impl DurableStore {
         // capacity.
         let mut record = RecordBuf::default();
         let framed = record.frame(|text| {
-            write!(
+            writeln!(
                 text,
-                "ckpt {next} {} {}\n{}\n{}",
-                checkpoint.batches, checkpoint.events_before, self.config_line, checkpoint.snapshot
+                "ckpt {next} {} {}",
+                checkpoint.batches, checkpoint.events_before
             )
             .expect("string write");
+            Journal::write_config_line(text, &self.config);
+            text.push_str(&checkpoint.snapshot);
         });
         // Temp + fsync + rename + dir fsync: the checkpoint appears
         // atomically and durably, or not at all.
@@ -1247,7 +1218,7 @@ impl DurableStore {
         self.seg = next;
         commit.gate().open = self.seg_path().into();
         let mut unlinked = 0u64;
-        while (self.seg - self.lo) as usize > self.retained {
+        while (self.seg - self.lo) as usize > self.config.retained_segments {
             let seg_name = segment_file_name(self.lo);
             self.io
                 .remove_file(&self.dir.join(&seg_name))
