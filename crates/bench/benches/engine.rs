@@ -2,8 +2,8 @@
 //! online-resize latency.
 //!
 //! One fixed churn workload (unaligned windows, γ = 8) is replayed
-//! through the engine at 1–16 shards, sequential and parallel flush, to
-//! seed the serving-layer perf trajectory. Ingest runs **with a live
+//! through the engine at 1–16 shards, to seed the serving-layer perf
+//! trajectory. Ingest runs **with a live
 //! telemetry registry attached** — the recorded numbers are the
 //! instrumented serving configuration, as deployed (the uninstrumented
 //! delta is measured separately by the `telemetry_overhead` group).
@@ -32,16 +32,7 @@ fn bench_engine_ingest(c: &mut Criterion) {
     for &shards in &[1usize, 2, 4, 8, 16] {
         group.bench_with_input(BenchmarkId::new("sequential", shards), &seq, |b, seq| {
             b.iter(|| {
-                let mut e = Engine::new(engine_config(shards, 1, backend, false));
-                e.attach_telemetry(&tel);
-                e.ingest(seq, BATCH)
-            })
-        });
-    }
-    for &shards in &[4usize, 16] {
-        group.bench_with_input(BenchmarkId::new("parallel", shards), &seq, |b, seq| {
-            b.iter(|| {
-                let mut e = Engine::new(engine_config(shards, 1, backend, true));
+                let mut e = Engine::new(engine_config(shards, 1, backend));
                 e.attach_telemetry(&tel);
                 e.ingest(seq, BATCH)
             })
@@ -64,7 +55,7 @@ fn bench_resize(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_resize");
     for &target_active in &[256usize, 1024, 4096] {
         let seq = churn_seq(1, 8, target_active, 1 << 14, false, target_active * 3, 71);
-        let mut cfg = engine_config(4, 1, backend, false);
+        let mut cfg = engine_config(4, 1, backend);
         cfg.journal = false;
         let mut engine = Engine::new(cfg);
         engine.ingest(&seq, 512);

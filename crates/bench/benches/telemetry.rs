@@ -35,7 +35,7 @@ fn bench_telemetry(c: &mut Criterion) {
         &seq,
         |b, seq| {
             b.iter(|| {
-                let mut e = Engine::new(engine_config(4, 1, backend, false));
+                let mut e = Engine::new(engine_config(4, 1, backend));
                 e.attach_telemetry(&tel);
                 e.ingest(seq, BATCH)
             })
@@ -44,7 +44,7 @@ fn bench_telemetry(c: &mut Criterion) {
     let off = realloc_telemetry::disabled();
     group.bench_with_input(BenchmarkId::new("ingest", "disabled"), &seq, |b, seq| {
         b.iter(|| {
-            let mut e = Engine::new(engine_config(4, 1, backend, false));
+            let mut e = Engine::new(engine_config(4, 1, backend));
             e.attach_telemetry(&off);
             e.ingest(seq, BATCH)
         })

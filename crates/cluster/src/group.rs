@@ -5,11 +5,11 @@
 //! The group separates *shipping* from *committing*, riding the
 //! pipelined links:
 //!
-//! * [`ReplicationGroup::flush`] flushes the primary (honoring its
-//!   coalescing policy) and broadcasts the produced frames down every
-//!   link **without waiting** — each link keeps its own window of
-//!   unacked frames in flight, and a link that errors is simply left
-//!   lagging (its failure is remembered for the next commit to weigh).
+//! * [`ReplicationGroup::flush`] flushes the primary and broadcasts
+//!   the produced frames down every link **without waiting** — each
+//!   link keeps its own window of unacked frames in flight, and a link
+//!   that errors is simply left lagging (its failure is remembered for
+//!   the next commit to weigh).
 //! * [`ReplicationGroup::commit`] is the client acknowledgement point:
 //!   it returns once at least `quorum` links have cumulatively acked
 //!   everything shipped, draining laggards (each bounded by its own
@@ -28,8 +28,8 @@
 //! an embedder can overlap the primary's next batch with the replicas'
 //! application of the previous one — flush batch *i*, then commit
 //! through batch *i − 1* — turning the classic group-commit latency
-//! trade into nearly free throughput (see the `engine_replication`
-//! bench's `quorum2` row).
+//! trade into nearly free throughput (`examples/quorum_cluster.rs`
+//! drives three TCP replicas this way).
 
 use crate::frame::Frame;
 use crate::primary::Primary;
@@ -191,22 +191,12 @@ impl ReplicationGroup {
         self.primary.submit(request);
     }
 
-    /// Flushes the primary (honoring its coalescing policy) and
-    /// broadcasts the produced frames down every link without waiting
-    /// for acks. Returns the batch report and the highest sequence
+    /// Flushes the primary and broadcasts the produced frames down
+    /// every link without waiting for acks. Returns the batch report and the highest sequence
     /// shipped so far — the commit target for
     /// [`ReplicationGroup::commit_through`].
     pub fn flush(&mut self) -> (BatchReport, u64) {
         let (report, frames) = self.primary.flush();
-        self.note_traced(&frames);
-        self.broadcast(&frames);
-        (report, self.shipped_seq())
-    }
-
-    /// [`ReplicationGroup::flush`] ignoring any coalescing policy (the
-    /// pre-commit barrier variant).
-    pub fn flush_now(&mut self) -> (BatchReport, u64) {
-        let (report, frames) = self.primary.flush_now();
         self.note_traced(&frames);
         self.broadcast(&frames);
         (report, self.shipped_seq())

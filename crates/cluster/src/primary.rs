@@ -22,7 +22,7 @@ use crate::frame::Frame;
 use crate::stream::FrameStream;
 use crate::ClusterError;
 use realloc_core::Request;
-use realloc_engine::{BatchReport, Engine, FlushMode, ResizeError, ResizeReport};
+use realloc_engine::{BatchReport, Engine, ResizeError, ResizeReport};
 use realloc_telemetry::Telemetry;
 
 /// Frames of replicated history a stream retains for lagging-replica
@@ -138,37 +138,12 @@ impl Primary {
     /// report: an empty engine flush would bump the flush counter —
     /// state that is part of the digested snapshot — while producing no
     /// frame to ship, silently desyncing every replica's digest.
-    ///
-    /// Honors the engine's flush-coalescing policy
-    /// ([`Primary::set_coalescing`]): a deferred tick returns an empty
-    /// report and no frames, so small engine flushes ship as fewer,
-    /// larger events frames. Barriers that must see everything flushed
-    /// — [`Primary::checkpoint`], [`Primary::bootstrap`],
-    /// [`Primary::flush_now`] — always proceed.
     pub fn flush(&mut self) -> (BatchReport, Vec<Frame>) {
-        // Only a durable flush fails or hands back a ticket.
-        match self.engine.flush_mode(FlushMode::Coalesced) {
-            Ok((Some(report), _)) => (report, self.poll()),
-            _ => (BatchReport::default(), Vec::new()),
-        }
-    }
-
-    /// [`Primary::flush`] ignoring any coalescing policy: the barrier
-    /// variant for commit points and final drains, where deferred work
-    /// must ship now.
-    pub fn flush_now(&mut self) -> (BatchReport, Vec<Frame>) {
         if self.engine.queued() == 0 {
             return (BatchReport::default(), Vec::new());
         }
         let report = self.engine.flush();
         (report, self.poll())
-    }
-
-    /// Installs (or removes) the wrapped engine's flush-coalescing
-    /// policy ([`realloc_engine::CoalesceConfig`]); see
-    /// [`Primary::flush`].
-    pub fn set_coalescing(&mut self, cfg: Option<realloc_engine::CoalesceConfig>) {
-        self.engine.set_flush_coalescing(cfg);
     }
 
     /// Resizes the engine online and returns the frames carrying the

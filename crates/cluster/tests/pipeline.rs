@@ -17,8 +17,8 @@
 //!   a stalled replica neither blocks a met quorum nor sneaks into the
 //!   committed floor, a lost quorum is typed with how close it got, and
 //!   repair brings a dropped link back without duplicating state;
-//! * flush coalescing on the primary: small batches defer up to
-//!   `max_defer` flushes, barriers bypass.
+//! * idle ticks on the primary: an empty flush ships nothing and burns
+//!   no batch number.
 
 use proptest::prelude::*;
 use realloc_cluster::tcp::{LinkConfig, PrimaryLink, ReplicaServer};
@@ -27,7 +27,7 @@ use realloc_cluster::{Frame, GroupError, Primary, Replica, ReplicationGroup};
 use realloc_core::snapshot::Restorable as _;
 use realloc_core::textio::{read_frame, write_frame};
 use realloc_core::{JobId, Request, Window};
-use realloc_engine::{BackendKind, CoalesceConfig, Engine, EngineConfig};
+use realloc_engine::{BackendKind, Engine, EngineConfig};
 use realloc_sim::harness::churn_seq;
 use realloc_telemetry::{labeled, Telemetry};
 use std::io::Write as _;
@@ -598,7 +598,7 @@ fn quorum_commit_acks_once_both_replicas_applied() {
     let (mut group, servers) = tcp_group(2, 2, LinkConfig::default(), &t);
     for round in 0..5u64 {
         submit_batch(&mut group, round * 8..round * 8 + 8);
-        let (report, shipped) = group.flush_now();
+        let (report, shipped) = group.flush();
         assert_eq!(report.processed(), 8);
         let committed = group.commit().expect("both replicas are healthy");
         assert_eq!(committed, shipped);
@@ -628,13 +628,13 @@ fn a_stalled_replica_does_not_block_a_met_quorum() {
     let (mut group, servers) = tcp_group(1, 2, LinkConfig::default(), &t);
     // Prime both replicas so the stall happens mid-stream.
     submit_batch(&mut group, 0..4);
-    let (_, shipped) = group.flush_now();
+    let (_, shipped) = group.flush();
     assert_eq!(group.commit().unwrap(), shipped);
 
     let cell = servers[1].replica();
     let guard = cell.lock().unwrap();
     submit_batch(&mut group, 4..8);
-    let (_, shipped) = group.flush_now();
+    let (_, shipped) = group.flush();
     let started = Instant::now();
     let committed = group.commit().expect("replica 1 alone meets quorum 1");
     assert_eq!(committed, shipped);
@@ -663,7 +663,7 @@ fn quorum_lost_is_typed_and_the_next_commit_repairs() {
     let t = Telemetry::new();
     let (mut group, servers) = tcp_group(2, 2, fast_config(8), &t);
     submit_batch(&mut group, 0..4);
-    let (_, shipped) = group.flush_now();
+    let (_, shipped) = group.flush();
     assert_eq!(group.commit().unwrap(), shipped);
 
     // Stall replica 2 past the drain timeout: quorum 2 cannot be met,
@@ -671,7 +671,7 @@ fn quorum_lost_is_typed_and_the_next_commit_repairs() {
     let cell = servers[1].replica();
     let guard = cell.lock().unwrap();
     submit_batch(&mut group, 4..8);
-    let (_, shipped) = group.flush_now();
+    let (_, shipped) = group.flush();
     match group.commit() {
         Err(GroupError::QuorumLost {
             needed,
@@ -709,7 +709,7 @@ fn a_never_acking_sink_cannot_satisfy_a_quorum() {
     let (sink, source) = channel();
     group.add_replica(Box::new(sink)).unwrap();
     submit_batch(&mut group, 0..4);
-    let (_, shipped) = group.flush_now();
+    let (_, shipped) = group.flush();
     match group.commit() {
         Err(GroupError::QuorumLost { needed, acked, .. }) => {
             assert_eq!((needed, acked), (2, 1));
@@ -724,63 +724,25 @@ fn a_never_acking_sink_cannot_satisfy_a_quorum() {
 }
 
 // ---------------------------------------------------------------------------
-// Flush coalescing on the primary.
+// Idle ticks on the primary.
 // ---------------------------------------------------------------------------
 
-/// Small batches defer up to `max_defer` flushes, a queue at
-/// `min_batch` flushes immediately, and the barrier variant bypasses
-/// the policy entirely.
+/// An empty engine flush would bump the batch counter — digested state
+/// — with no frame to carry it to the replicas, so an idle
+/// `Primary::flush` must not reach the engine at all.
 #[test]
-fn coalesced_flushes_defer_small_batches_within_the_bound() {
+fn idle_flush_ships_nothing_and_burns_no_batch_number() {
     let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-    primary.set_coalescing(Some(CoalesceConfig {
-        min_batch: 4,
-        max_defer: 2,
-    }));
-    let submit = |p: &mut Primary, id: u64| {
-        p.submit(Request::Insert {
-            id: JobId(id),
-            window: Window::new(id * 10, id * 10 + 4),
-        });
-    };
-
-    // Two sub-threshold flushes defer; the third is forced by max_defer.
-    submit(&mut primary, 1);
-    let (r, f) = primary.flush();
-    assert_eq!((r.processed(), f.len()), (0, 0), "first small flush defers");
-    submit(&mut primary, 2);
-    let (r, f) = primary.flush();
-    assert_eq!(
-        (r.processed(), f.len()),
-        (0, 0),
-        "second small flush defers"
-    );
-    submit(&mut primary, 3);
-    let (r, f) = primary.flush();
-    assert_eq!(r.processed(), 3, "max_defer forces the third");
-    assert_eq!(f.len(), 1);
-
-    // A queue at min_batch never defers.
-    for id in 4..8 {
-        submit(&mut primary, id);
-    }
-    let (r, f) = primary.flush();
-    assert_eq!(r.processed(), 4, "min_batch flushes immediately");
-    assert_eq!(f.len(), 1);
-
-    // The barrier variant bypasses the policy.
-    submit(&mut primary, 8);
-    let (r, f) = primary.flush_now();
-    assert_eq!(r.processed(), 1, "flush_now ignores coalescing");
-    assert_eq!(f.len(), 1);
-
-    // An empty coalesced flush ships nothing and burns no deferral.
-    let (r, f) = primary.flush();
-    assert_eq!((r.processed(), f.len()), (0, 0));
-
-    // Disabling the policy restores plain flush semantics.
-    primary.set_coalescing(None);
-    submit(&mut primary, 9);
+    primary.submit(Request::Insert {
+        id: JobId(1),
+        window: Window::new(10, 14),
+    });
     let (r, f) = primary.flush();
     assert_eq!((r.processed(), f.len()), (1, 1));
+
+    let (batches, digest) = (primary.engine().batches(), primary.engine().state_digest());
+    let (r, f) = primary.flush();
+    assert_eq!((r.processed(), r.failed(), f.len()), (0, 0, 0));
+    assert_eq!(primary.engine().batches(), batches);
+    assert_eq!(primary.engine().state_digest(), digest);
 }

@@ -545,7 +545,7 @@ proptest! {
         }
         // Everything flushed has shipped: the follower holds the state
         // both engines hold, give or take what op 4 left queued.
-        for f in &primary.flush_now().1 {
+        for f in &primary.flush().1 {
             replica.apply(f).unwrap();
         }
         prop_assert_eq!(replica.state_digest(), Some(primary.engine().state_digest()));

@@ -21,8 +21,8 @@ use realloc_multi::{ReallocatingScheduler, TheoremOneScheduler};
 use realloc_reservation::{DeamortizedScheduler, ReservationScheduler};
 
 /// A shard backend: one of the closed set of schedulers a shard can run.
-/// All variants are `Send`, so shards still cross the worker-pool
-/// threads freely.
+/// All variants are `Send`, so an engine can be handed to another
+/// thread or shared behind a mutex.
 #[allow(clippy::large_enum_variant)]
 pub enum Backend {
     /// Raw reservation scheduler per machine (no trimming).

@@ -1,8 +1,7 @@
 //! Batch ingestion reports.
 //!
 //! A *batch* is everything submitted between two [`crate::Engine::flush`]
-//! calls. The flush drains every shard queue (concurrently when the
-//! engine is configured `parallel`) and returns one [`BatchReport`]
+//! calls. The flush drains every shard queue and returns one [`BatchReport`]
 //! summarizing what each shard did, so callers can meter throughput and
 //! spot rejected requests without walking the journal.
 

@@ -816,9 +816,7 @@ impl Journal {
     }
 
     /// Appends the `c` config line: genesis shards, machines per shard,
-    /// backend, retention cap. `parallel` is deliberately absent —
-    /// recordings are execution-strategy agnostic (a pool-drained
-    /// engine's journal is byte-identical to a sequential one) — while
+    /// backend, retention cap. The inert `parallel` field is absent;
     /// `retained_segments` governs the journal's own truncation, so
     /// recovery must restore it even before the first checkpoint. The
     /// on-disk store heads each of its files with this line.

@@ -8,8 +8,8 @@
 //!   a stable hash of the (tenant-resolved) job id ([`Engine::shard_of`]).
 //!   Each shard owns one full scheduler ([`backend`]): a machine group
 //!   driven through the §3/§5 wrapper, or a natively multi-machine
-//!   baseline. Shards share no state, so a flush drains them
-//!   concurrently with plain disjoint borrows ([`shard`]).
+//!   baseline. Shards share no state; the engine holds them by value
+//!   and a flush drains them one after another ([`shard`]).
 //! * **Batching** — [`Engine::submit`] only enqueues (per-shard FIFO
 //!   queues); [`Engine::flush`] services everything queued and returns a
 //!   [`batch::BatchReport`]. Rejected requests are reported, never fatal:
@@ -20,8 +20,8 @@
 //!   callers are only ever handed `submit_for`; the raw [`Engine::submit`]
 //!   interface spans the whole id space and is for trusted embedders and
 //!   journal replay.
-//! * **Telemetry** — per-shard [`realloc_core::CostMeter`]s aggregate
-//!   into a [`metrics::Metrics`] snapshot: totals, per-request
+//! * **Telemetry** — per-shard [`metrics::Tally`]s aggregate into a
+//!   [`metrics::Metrics`] snapshot: totals, per-request
 //!   reallocation-cost p50/p95/p99, and router balance.
 //! * **Durability** — an optional segmented journal ([`journal::Journal`])
 //!   records every request and its netted outcome; [`Engine::checkpoint`]
@@ -77,7 +77,6 @@ pub mod backend;
 pub mod batch;
 pub mod journal;
 pub mod metrics;
-pub mod pool;
 mod recover;
 mod reshard;
 mod serve;
@@ -97,7 +96,6 @@ pub use reshard::{ResizeError, ResizeReport};
 pub use serve::{CommitLog, CommitTicket, DurabilitySink};
 
 use crate::journal::Costs;
-use crate::pool::WorkerPool;
 use crate::shard::Shard;
 use crate::tele::EngineTele;
 use realloc_core::cost::Placement;
@@ -105,12 +103,6 @@ use realloc_core::router::{tenant_of, Router};
 use realloc_core::{Error, JobId, ValidationError, Window};
 use realloc_telemetry::{Telemetry, TraceCtx};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Locks one shard cell (uncontended outside a concurrent flush).
-pub(crate) fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    shard.lock().expect("shard mutex poisoned")
-}
 
 /// A tenant namespace. Each tenant's external job ids live in a disjoint
 /// slice of the global [`JobId`] space (see [`Engine::submit_for`]).
@@ -127,49 +119,15 @@ pub struct TenantId(pub u16);
 /// so routing tables can pin tenants without depending on this crate.)
 pub use realloc_core::router::TENANT_SHIFT;
 
-/// Flush-coalescing policy ([`Engine::set_flush_coalescing`]): lets a
-/// periodic flusher defer small batches so downstream consumers of the
-/// recorded stream — the durable tee, replication frames — see fewer,
-/// larger batches. A flush is deferred while fewer than `min_batch`
-/// requests are queued **and** fewer than `max_defer` consecutive
-/// flushes have already been deferred; the cap bounds added latency, so
-/// a trickle of requests still lands within `max_defer + 1` ticks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// Queue depth at which a flush always proceeds.
-    pub min_batch: usize,
-    /// Consecutive deferrals before a flush proceeds regardless.
-    pub max_defer: u32,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        CoalesceConfig {
-            min_batch: 64,
-            max_defer: 4,
-        }
-    }
-}
-
 /// How a caller wants its queued requests serviced — the argument of
 /// the one flush door, [`Engine::flush_mode`], so a front-end's policy
 /// choice lives in configuration rather than in its call sites.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FlushMode {
-    /// Drain now, report every outcome: always a report, never a ticket
+    /// Drain now, report every outcome: never fails, never a ticket
     /// ([`Engine::flush`] is the shorthand).
     #[default]
     Immediate,
-    /// May defer: under the installed [`CoalesceConfig`], a tick with
-    /// fewer than `min_batch` requests queued yields no report (nothing
-    /// drained, nothing journaled — *accepted, not yet serviced*) until
-    /// `max_defer` consecutive deferrals have accumulated, so periodic
-    /// flushers produce fewer, larger batches for the journal, the
-    /// durable tee, and replication frames. Without a policy it services
-    /// like `Immediate`. An empty queue never reports and never consumes
-    /// a deferral (there is nothing to coalesce — and an empty flush
-    /// would still bump the batch counter, which is digested state).
-    Coalesced,
     /// Drain now and **stage** the batch in the attached durable sink —
     /// for callers that guard the engine with a lock they do not want
     /// held across the disk wait. The batch is tee'd to the sink and the
@@ -195,14 +153,8 @@ pub struct EngineConfig {
     pub machines_per_shard: usize,
     /// Scheduler each shard runs.
     pub backend: BackendKind,
-    /// Drain shards on a **persistent worker pool** during
-    /// [`Engine::flush`]: `min(shards, available_parallelism)` long-lived
-    /// threads spawned at construction, each draining a contiguous chunk
-    /// of shards (inline when the host offers no parallelism — enabling
-    /// this is never a pessimization). Results are identical either way
-    /// (shards are independent and the flush is a full barrier); this
-    /// only trades a channel round-trip per flush against parallel drain
-    /// time. See `BENCH_engine_ingest.json`.
+    /// Accepted and ignored: nothing reads it. Kept only until the
+    /// benchmark's `EngineConfig` literal stops naming it.
     pub parallel: bool,
     /// Record every serviced request into an in-memory [`Journal`].
     pub journal: bool,
@@ -231,23 +183,14 @@ impl Default for EngineConfig {
 }
 
 /// The sharded, batched scheduling service. See the crate docs.
-///
-/// Shards live behind `Arc<Mutex<_>>` so the persistent worker pool can
-/// drain them without `unsafe`; every mutex is uncontended outside a
-/// concurrent flush (the engine is the only other lock holder).
 pub struct Engine {
     cfg: EngineConfig,
     /// Versioned routing table; `cfg.shards` always equals
     /// `router.shards()` (both track the *current* size after resizes).
     router: Router,
-    shards: Vec<Arc<Mutex<Shard>>>,
+    shards: Vec<Shard>,
     /// Telemetry inherited from shards retired by resizes.
     carry: Tally,
-    /// Persistent drain workers, present iff `cfg.parallel` with > 1 shard.
-    pool: Option<WorkerPool>,
-    /// `force_parallel_pool` was called: reshards rebuild a forced pool
-    /// too, so the test hook survives resizes.
-    pool_forced: bool,
     journal: Option<Journal>,
     batches: u64,
     /// Optional durable tee under the journal
@@ -263,19 +206,10 @@ pub struct Engine {
     /// Runtime-only: excluded from snapshots so replication digests stay
     /// a pure function of the replayed event stream.
     tele: Option<Box<EngineTele>>,
-    /// Flush-coalescing policy ([`Engine::set_flush_coalescing`]).
-    /// Runtime-only, like the sink and telemetry: never part of
-    /// snapshots — the recorded stream stays a pure function of which
-    /// flushes actually happened.
-    coalesce: Option<CoalesceConfig>,
-    /// Consecutive [`FlushMode::Coalesced`] flushes deferred so far.
-    deferred: u32,
     /// Causal trace context for the *next* serviced flush (set by
     /// [`Engine::arm_trace`]). Runtime metadata only: it tags
     /// trace-ring events and replication-frame annotations, never
-    /// journal text or digested state. Survives coalescing deferrals —
-    /// a deferred tick leaves it armed for the flush that actually
-    /// services the queue.
+    /// journal text or digested state.
     pending_trace: Option<TraceCtx>,
     /// Trace contexts of recently serviced batches, by batch number
     /// (bounded to the newest [`FLUSH_TRACE_WINDOW`]): lets replication
@@ -283,6 +217,13 @@ pub struct Engine {
     /// after the flush consumed `pending_trace`.
     flush_traces: BTreeMap<u64, TraceCtx>,
 }
+
+/// `Engine: Send`, checked at compile time: the service tier shares one
+/// engine as `Arc<Mutex<Engine>>`.
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<Engine>();
+};
 
 /// How many recent batches keep their trace context for lookup by
 /// [`Engine::trace_of_batch`].
@@ -316,9 +257,9 @@ impl Engine {
     }
 
     /// Puts an engine together from its persistent parts — shared by
-    /// [`Engine::new`] and snapshot restore, so runtime-only state (pool,
-    /// sink, telemetry, coalescing, traces) starts out the same way on
-    /// both. A journaled engine gets a fresh journal ([`Engine::fresh_journal`]).
+    /// [`Engine::new`] and snapshot restore, so runtime-only state (sink,
+    /// telemetry, traces) starts out the same way on both. A journaled
+    /// engine gets a fresh journal ([`Engine::fresh_journal`]).
     fn assemble(
         cfg: EngineConfig,
         router: Router,
@@ -326,24 +267,16 @@ impl Engine {
         carry: Tally,
         batches: u64,
     ) -> Engine {
-        let shards: Vec<_> = shards
-            .into_iter()
-            .map(|s| Arc::new(Mutex::new(s)))
-            .collect();
         Engine {
-            pool: Self::build_pool(&cfg, &shards),
             journal: cfg.journal.then(|| Self::fresh_journal(&cfg, &router)),
             cfg,
             router,
             shards,
             carry,
-            pool_forced: false,
             batches,
             sink: None,
             durability_error: None,
             tele: None,
-            coalesce: None,
-            deferred: 0,
             pending_trace: None,
             flush_traces: BTreeMap::new(),
         }
@@ -399,8 +332,7 @@ impl Engine {
         let Some(tele) = &self.tele else { return };
         let mut costs = self.carry.hist.clone();
         let mut active = 0;
-        for cell in &self.shards {
-            let shard = lock(cell);
+        for shard in &self.shards {
             costs.merge(&shard.tally().hist);
             active += shard.active_count();
         }
@@ -410,60 +342,16 @@ impl Engine {
 
     /// Installs the current drain-path instrument bundle on every live
     /// shard (re-run after reshards swap in fresh shards).
-    fn apply_shard_tele(&self) {
+    fn apply_shard_tele(&mut self) {
         let bundle = self.tele.as_ref().map(|t| t.shard.clone());
-        for cell in &self.shards {
-            lock(cell).set_telemetry(bundle.clone());
+        for shard in &mut self.shards {
+            shard.set_telemetry(bundle.clone());
         }
-    }
-
-    /// A pool with fewer than two hardware threads behind it can only
-    /// add context switches — degrade to inline drains so `parallel`
-    /// is never a pessimization.
-    fn build_pool(cfg: &EngineConfig, shards: &[Arc<Mutex<Shard>>]) -> Option<WorkerPool> {
-        (cfg.parallel && cfg.shards > 1 && WorkerPool::threads_for(cfg.shards) > 1)
-            .then(|| WorkerPool::new(shards))
-    }
-
-    /// The forced (test-hook) pool: production sizing floored at two
-    /// workers, so cross-worker chunking is exercised even when the
-    /// host's parallelism would drain inline. Shared by
-    /// [`Engine::force_parallel_pool`] and the reshard rebuild so the
-    /// two can never drift apart. `None` with a single shard.
-    fn forced_pool(shards: &[Arc<Mutex<Shard>>]) -> Option<WorkerPool> {
-        (shards.len() > 1).then(|| {
-            let threads = WorkerPool::threads_for(shards.len()).max(2);
-            WorkerPool::with_threads(shards, threads)
-        })
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// Test hook: build the persistent worker pool — with **multiple
-    /// workers** — even when the host's available parallelism would make
-    /// the engine drain inline (see [`EngineConfig::parallel`]). Lets
-    /// the pool/journal equivalence property tests exercise the real
-    /// cross-worker barrier and chunk reassembly on single-core CI
-    /// runners. Thread count is derived from [`WorkerPool::threads_for`]
-    /// — the production sizing — floored at two workers so the hook
-    /// still forces real cross-thread chunking on single-core hosts;
-    /// on multi-core hosts it therefore matches what
-    /// `EngineConfig::parallel` would build. Sticky: reshards rebuild a
-    /// forced pool too. No-op with a single shard.
-    #[doc(hidden)]
-    pub fn force_parallel_pool(&mut self) {
-        self.pool_forced = true;
-        if self.pool.is_none() {
-            self.pool = Self::forced_pool(&self.shards);
-        }
-    }
-
-    /// Whether flushes currently drain on the worker pool.
-    pub fn uses_pool(&self) -> bool {
-        self.pool.is_some()
     }
 
     /// The shard a job id routes to — a pure function of the id and the
@@ -507,8 +395,7 @@ impl Engine {
         self.shards
             .iter()
             .map(|s| {
-                lock(s)
-                    .active_jobs()
+                s.active_jobs()
                     .iter()
                     .filter(|(id, _)| tenant_of(*id) == tenant.0 as u64)
                     .count()
@@ -518,17 +405,17 @@ impl Engine {
 
     /// Requests queued across all shards, waiting for the next flush.
     pub fn queued(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).queued()).sum()
+        self.shards.iter().map(Shard::queued).sum()
     }
 
     /// Jobs currently scheduled, across all shards.
     pub fn active_count(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).active_count()).sum()
+        self.shards.iter().map(Shard::active_count).sum()
     }
 
     /// Original window of an active job (on whichever shard holds it).
     pub fn window_of(&self, id: JobId) -> Option<Window> {
-        lock(&self.shards[self.router.route(id)]).window_of(id)
+        self.shards[self.router.route(id)].window_of(id)
     }
 
     /// Completed flushes.
@@ -556,7 +443,6 @@ impl Engine {
             .shards
             .iter()
             .flat_map(|s| {
-                let s = lock(s);
                 s.snapshot()
                     .iter()
                     .map(|(id, p)| (id, s.id(), p))
@@ -574,8 +460,7 @@ impl Engine {
             reallocations: self.carry.reallocations,
             migrations: self.carry.migrations,
         };
-        for cell in &self.shards {
-            let shard = lock(cell);
+        for shard in &self.shards {
             total.reallocations += shard.tally().reallocations;
             total.migrations += shard.tally().migrations;
         }
@@ -588,8 +473,7 @@ impl Engine {
     /// every active job routes to the shard that holds it under the
     /// current table. The post-condition of every flush and every resize.
     pub fn validate(&self) -> Result<(), String> {
-        for (i, cell) in self.shards.iter().enumerate() {
-            let shard = lock(cell);
+        for (i, shard) in self.shards.iter().enumerate() {
             let active: BTreeMap<JobId, Window> = shard.active_jobs().into_iter().collect();
             realloc_core::schedule::validate(
                 &shard.snapshot(),
@@ -616,10 +500,9 @@ mod tests {
     use super::*;
     use realloc_core::{Request, Window};
 
-    fn engine(shards: usize, parallel: bool) -> Engine {
+    fn engine(shards: usize) -> Engine {
         Engine::new(EngineConfig {
             shards,
-            parallel,
             journal: true,
             ..EngineConfig::default()
         })
@@ -627,7 +510,7 @@ mod tests {
 
     #[test]
     fn submit_routes_deletes_to_the_inserting_shard() {
-        let mut e = engine(8, false);
+        let mut e = engine(8);
         for i in 0..200u64 {
             e.submit(Request::Insert {
                 id: JobId(i),
@@ -648,7 +531,7 @@ mod tests {
 
     #[test]
     fn tenants_are_namespaced() {
-        let mut e = engine(4, false);
+        let mut e = engine(4);
         let w = Window::new(0, 64);
         let a = e
             .submit_for(
@@ -684,36 +567,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flush_matches_sequential() {
-        let build = |parallel| {
-            let mut e = engine(6, parallel);
-            for i in 0..300u64 {
-                e.submit(Request::Insert {
-                    id: JobId(i),
-                    window: Window::new((i % 4) * 256, (i % 4) * 256 + 256),
-                });
-            }
-            e.flush();
-            for i in (0..300u64).step_by(3) {
-                e.submit(Request::Delete { id: JobId(i) });
-            }
-            e.flush();
-            e
-        };
-        let seq = build(false);
-        let par = build(true);
-        assert_eq!(seq.placements(), par.placements());
-        assert_eq!(seq.total_costs(), par.total_costs());
-        assert!(seq
-            .journal()
-            .unwrap()
-            .iter_events()
-            .eq(par.journal().unwrap().iter_events()));
-    }
-
-    #[test]
     fn metrics_aggregate_shard_rows() {
-        let mut e = engine(4, false);
+        let mut e = engine(4);
         for i in 0..128u64 {
             e.submit(Request::Insert {
                 id: JobId(i),

@@ -12,7 +12,6 @@ use crate::journal::ReqResult;
 use crate::shard::Shard;
 use realloc_core::snapshot::{Fields, SnapshotWriter};
 use realloc_core::textio::ParseError;
-use std::sync::{Arc, Mutex};
 
 /// Direct buckets of [`CostHistogram`]: exact counts for costs
 /// `0..DIRECT_BUCKETS`, one overflow bucket above.
@@ -403,16 +402,13 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Builds a snapshot from the engine's shard cells (each shard is
-    /// locked once, briefly — metrics reads never overlap a flush),
-    /// folding in the resize carryover so lifetime totals survive
-    /// reshards.
-    pub(crate) fn collect(shards: &[Arc<Mutex<Shard>>], carry: &Tally, epoch: u64) -> Metrics {
+    /// Builds a snapshot from the engine's shards, folding in the resize
+    /// carryover so lifetime totals survive reshards.
+    pub(crate) fn collect(shards: &[Shard], carry: &Tally, epoch: u64) -> Metrics {
         let mut union = carry.hist.clone();
         let rows: Vec<ShardMetrics> = shards
             .iter()
             .map(|s| {
-                let s = crate::lock(s);
                 let t = s.tally();
                 union.merge(&t.hist);
                 ShardMetrics {

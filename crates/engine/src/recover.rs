@@ -9,7 +9,7 @@ use crate::backend::BackendKind;
 use crate::journal::{Journal, JournalEvent, ReplayDivergence, ReplayError};
 use crate::metrics::TallyLines;
 use crate::shard::Shard;
-use crate::{lock, Engine, EngineConfig};
+use crate::{Engine, EngineConfig};
 use realloc_core::router::Router;
 use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
@@ -227,9 +227,7 @@ impl Restorable for Engine {
 
     fn write_state(&self, w: &mut SnapshotWriter) {
         // The fourth column was the `parallel` flag; it is always written
-        // 0. How shards are drained is an execution strategy, not state:
-        // the snapshot — and so `state_digest` — must not depend on it,
-        // exactly as the journal header omits it.
+        // 0, so snapshot bytes — and `state_digest` — do not move.
         w.line(format_args!(
             "c {} {} {} 0 {} {} {}",
             self.cfg.shards,
@@ -242,7 +240,7 @@ impl Restorable for Engine {
         self.carry.write_lines(w, ["t", "h", "hb"]);
         w.child(&self.router);
         for shard in &self.shards {
-            lock(shard).write_state(w);
+            shard.write_state(w);
         }
     }
 
@@ -267,8 +265,7 @@ impl Restorable for Engine {
                         Ok(b) => b,
                         Err(msg) => return Err(f.err(msg)),
                     };
-                    // Read and dropped: restored engines drain
-                    // sequentially, as journal-only recovery does.
+                    // Read and dropped: the field is inert.
                     f.u64("parallel flag")?;
                     let journal = f.u64("journal flag")? != 0;
                     let retained_segments = f.usize("retained segments")?;

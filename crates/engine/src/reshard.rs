@@ -3,22 +3,20 @@
 
 use crate::journal::{EpochRecord, ReplayError};
 use crate::shard::Shard;
-use crate::{lock, Engine};
+use crate::Engine;
 use realloc_core::router::{tenant_of, Router, RouterError};
 use realloc_core::textio::ParseError;
 use realloc_core::{JobId, Window};
 use realloc_telemetry::Severity;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 impl Engine {
     /// Resizes the engine to `new_shards` shards **online**: every active
     /// job is snapshot-shipped into the shard the new routing table
     /// assigns it, pending (unflushed) queue entries are re-routed
-    /// without loss, telemetry totals are carried over, the worker pool
-    /// is rebuilt for the new shard count, and — when the journal is
-    /// enabled — an epoch record is appended so replay and recovery
-    /// re-apply the same resize at the same position.
+    /// without loss, telemetry totals are carried over, and — when the
+    /// journal is enabled — an epoch record is appended so replay and
+    /// recovery re-apply the same resize at the same position.
     ///
     /// Tenant pins that still fit the new shard range are kept; pins to
     /// shards `>= new_shards` are dropped (those tenants fall back to
@@ -49,8 +47,8 @@ impl Engine {
     pub fn rebalance(&mut self) -> Result<Option<ResizeReport>, ResizeError> {
         let mut per_tenant: BTreeMap<u64, usize> = BTreeMap::new();
         let mut total = 0usize;
-        for cell in &self.shards {
-            for (id, _) in lock(cell).active_jobs() {
+        for shard in &self.shards {
+            for (id, _) in shard.active_jobs() {
                 *per_tenant.entry(tenant_of(id)).or_insert(0) += 1;
                 total += 1;
             }
@@ -107,8 +105,8 @@ impl Engine {
         // into a fresh shard set in canonical order. The old shards stay
         // untouched until the rebuild fully succeeds.
         let mut jobs: Vec<(JobId, Window, usize)> = Vec::new();
-        for (i, cell) in self.shards.iter().enumerate() {
-            for (id, w) in lock(cell).active_jobs() {
+        for (i, shard) in self.shards.iter().enumerate() {
+            for (id, w) in shard.active_jobs() {
                 jobs.push((id, w, i));
             }
         }
@@ -135,16 +133,16 @@ impl Engine {
         // same old shard (routing is per-id), so their relative order —
         // the only order that affects outcomes — survives.
         let mut queued = 0usize;
-        for cell in &self.shards {
-            for request in lock(cell).take_queue() {
+        for shard in &mut self.shards {
+            for request in shard.take_queue() {
                 fresh[table.route(request.job_id())].enqueue(request);
                 queued += 1;
             }
         }
         // Point of no return: retire the old shards into the carryover
-        // and swap in the new set, table, and pool.
-        for cell in &self.shards {
-            self.carry.absorb(lock(cell).tally());
+        // and swap in the new set and table.
+        for shard in &self.shards {
+            self.carry.absorb(shard.tally());
         }
         let report = ResizeReport {
             epoch: table.epoch(),
@@ -154,13 +152,9 @@ impl Engine {
             jobs_moved: moved,
             queued_preserved: queued,
         };
-        self.shards = fresh.into_iter().map(|s| Arc::new(Mutex::new(s))).collect();
+        self.shards = fresh;
         self.cfg.shards = table.shards();
         self.router = table;
-        self.pool = Self::build_pool(&self.cfg, &self.shards);
-        if self.pool.is_none() && self.pool_forced {
-            self.pool = Self::forced_pool(&self.shards);
-        }
         if let Some(journal) = &mut self.journal {
             let record = EpochRecord::of(&self.router);
             journal.append_epoch(record.clone());

@@ -1,11 +1,9 @@
 //! The serving path: enqueue, the one flush door, and the durable tee.
 
 use crate::journal::{Checkpoint, EpochRecord, Journal, JournalEvent};
+use crate::shard::Shard;
 use crate::shard::ShardDrain;
-use crate::{
-    lock, BatchReport, CoalesceConfig, Engine, FlushMode, TenantId, FLUSH_TRACE_WINDOW,
-    TENANT_SHIFT,
-};
+use crate::{BatchReport, Engine, FlushMode, TenantId, FLUSH_TRACE_WINDOW, TENANT_SHIFT};
 use realloc_core::{Error, JobId, Request, RequestSeq};
 use realloc_telemetry::{Severity, Span, Telemetry, TraceCtx};
 use std::sync::Arc;
@@ -148,7 +146,7 @@ impl Engine {
             }
         }
         let shard = self.shard_of(request.job_id());
-        lock(&self.shards[shard]).enqueue(request);
+        self.shards[shard].enqueue(request);
     }
 
     /// Enqueues every request of a sequence (raw id space; see
@@ -209,41 +207,27 @@ impl Engine {
     /// batch is drained, journaled, tee'd to the durable sink, and
     /// staged for its commit. [`Engine::flush`] and
     /// [`Engine::flush_durable`] are its two zero-argument shorthands.
-    /// Shards drain concurrently on the persistent worker pool when the
-    /// engine is configured `parallel`; each shard processes its own
-    /// queue in FIFO order either way, so results are identical. A trace
-    /// armed with [`Engine::arm_trace`] tags the batch that is actually
-    /// serviced.
+    /// It runs when it is called, inline: shards drain in index order,
+    /// each its own queue in FIFO order. A trace armed with
+    /// [`Engine::arm_trace`] tags the batch.
     pub fn flush_mode(
         &mut self,
         mode: FlushMode,
-    ) -> Result<(Option<BatchReport>, Option<CommitTicket>), String> {
-        if mode == FlushMode::Coalesced {
-            let queued = self.queued();
-            if queued == 0 {
-                return Ok((None, None));
-            }
-            let policy = self.coalesce;
-            if policy.is_some_and(|c| queued < c.min_batch && self.deferred < c.max_defer) {
-                self.deferred += 1;
-                return Ok((None, None));
-            }
-        }
+    ) -> Result<(BatchReport, Option<CommitTicket>), String> {
         let report = self.service_queue();
         let ticket = match mode {
             FlushMode::Durable => self.stage_commit(report.batch)?,
-            FlushMode::Immediate | FlushMode::Coalesced => None,
+            FlushMode::Immediate => None,
         };
-        Ok((Some(report), ticket))
+        Ok((report, ticket))
     }
 
     /// [`Engine::flush_mode`]`(`[`FlushMode::Immediate`]`)`: services
     /// every queued request now and returns the report.
     pub fn flush(&mut self) -> BatchReport {
-        let (report, _) = self
-            .flush_mode(FlushMode::Immediate)
-            .expect("only durable flushes fail");
-        report.expect("only coalesced flushes defer")
+        self.flush_mode(FlushMode::Immediate)
+            .expect("only durable flushes fail")
+            .0
     }
 
     /// [`Engine::flush_mode`]`(`[`FlushMode::Durable`]`)` followed by
@@ -262,22 +246,7 @@ impl Engine {
                 return Err(e);
             }
         }
-        Ok(report.expect("only coalesced flushes defer"))
-    }
-
-    /// Installs (or with `None` removes) the flush-coalescing policy
-    /// consulted by [`FlushMode::Coalesced`] flushes. Plain
-    /// [`Engine::flush`] is never deferred — explicit flushes,
-    /// checkpoints, and barriers always proceed. Runtime-only state:
-    /// never part of snapshots.
-    pub fn set_flush_coalescing(&mut self, cfg: Option<CoalesceConfig>) {
-        self.coalesce = cfg;
-        self.deferred = 0;
-    }
-
-    /// The installed flush-coalescing policy, if any.
-    pub fn flush_coalescing(&self) -> Option<CoalesceConfig> {
-        self.coalesce
+        Ok(report)
     }
 
     /// The one flush body: drain every shard, journal and tee the
@@ -287,11 +256,6 @@ impl Engine {
     /// it only ever reads what the shards counted, so outcomes are
     /// identical with and without it.
     fn service_queue(&mut self) -> BatchReport {
-        // Any serviced flush breaks the chain of *consecutive*
-        // deferrals the coalescing policy counts: after a barrier
-        // (explicit flush, checkpoint, flush_durable) consumed the
-        // queue, the deferral budget starts fresh.
-        self.deferred = 0;
         let batch = self.batches;
         self.batches += 1;
         let trace = self.pending_trace.take();
@@ -310,11 +274,7 @@ impl Engine {
             }
             (start, span)
         });
-        let mut drains: Vec<ShardDrain> = Vec::with_capacity(self.shards.len());
-        match &self.pool {
-            Some(pool) => pool.drain_all(&mut drains),
-            None => drains.extend(self.shards.iter().map(|s| lock(s).drain())),
-        }
+        let drains: Vec<ShardDrain> = self.shards.iter_mut().map(Shard::drain).collect();
         let drained = self.tele_now();
         self.append_drains(batch, &drains);
         let journaled = self.tele_now();
@@ -420,16 +380,15 @@ impl Engine {
         self.flush_traces.get(&batch).copied()
     }
 
-    /// Arms a causal trace context for the next serviced flush — the
+    /// Arms a causal trace context for the next flush — the
     /// one way to attach a sampled request's trace to a batch. The
     /// flush's trace-ring spans (`queue`/`flush`/`fsync`) record under
     /// the trace id, and replication stamping annotates the frame that
     /// ships the batch. The context is runtime-only — it never enters
     /// journal text, snapshots, or digested state, so traced and
     /// untraced runs are byte-identical on the replication wire's
-    /// digested content. A coalescing deferral keeps the context armed
-    /// for the flush that eventually services the queue; a later arm
-    /// before that flush replaces the earlier context.
+    /// digested content. A later arm before that flush replaces the
+    /// earlier context.
     pub fn arm_trace(&mut self, trace: TraceCtx) {
         self.pending_trace = Some(trace);
     }

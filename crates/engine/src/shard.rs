@@ -1,14 +1,11 @@
 //! A single engine shard: one backend, one ingress queue, one stats block.
 //!
-//! Shards are fully independent — no shared scheduling state — so a
-//! batch flush can drain all of them concurrently; the engine parks each
-//! shard in an `Arc<Mutex<_>>` cell owned jointly with its persistent
-//! drain worker (see [`crate::pool`] and [`crate::Engine::flush`]). The
-//! queue is a single-producer (the router) / single-consumer (the drain)
-//! [`VecDeque`]; the design deliberately keeps each request's entire
-//! lifetime on one shard so a lock-free MPSC ring can replace the queue
-//! without touching scheduling logic. Telemetry is O(1) per request and
-//! O(1) memory (see [`crate::metrics`]).
+//! Shards are fully independent — no shared scheduling state — and the
+//! engine holds them by value: [`crate::Engine::flush`] drains them one
+//! after another. The queue is a [`VecDeque`] the router fills and the
+//! drain empties; each request's entire lifetime stays on one shard.
+//! Telemetry is O(1) per request and O(1) memory (see
+//! [`crate::metrics`]).
 //!
 //! A shard holds **no id-keyed state of its own**: which jobs are active
 //! and under which windows is the backend's fact
@@ -149,8 +146,7 @@ impl Shard {
     /// [`Shard::tally`]).
     ///
     /// With telemetry installed the drain also records one
-    /// `engine_shard_drain_nanos` sample (on whichever worker thread
-    /// drains this shard) and times one request in
+    /// `engine_shard_drain_nanos` sample and times one request in
     /// `SERVICE_SAMPLE_EVERY` (8) into a **local** histogram merged into
     /// the shared `engine_service_sampled_nanos` once at the end — the
     /// shared-instrument lock is touched twice per drain, never per

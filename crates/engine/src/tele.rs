@@ -8,9 +8,9 @@
 //! * **Flush pipeline phases**, one histogram sample per flush:
 //!   `engine_flush_queue_wait_nanos` (first enqueue → flush start),
 //!   `engine_route_nanos` (batch route+enqueue time, recorded by
-//!   `ingest`), `engine_flush_barrier_nanos` (drain, inline or pool
-//!   barrier), `engine_shard_drain_nanos` (per shard per flush, recorded
-//!   by the shard itself on whichever worker drains it),
+//!   `ingest`), `engine_flush_barrier_nanos` (all shards' drains),
+//!   `engine_shard_drain_nanos` (per shard per flush, recorded by the
+//!   shard itself),
 //!   `engine_flush_journal_nanos` (append loop) and
 //!   `engine_flush_total_nanos`.
 //! * **Sampled service latency** — timing every request would cost two

@@ -1,13 +1,11 @@
 //! Engine-level properties: routing determinism/stability, single-shard
 //! equivalence with the bare §4 scheduler, journal round-trip + replay,
-//! and parallel/sequential flush agreement — all over churn workloads
-//! generated with the Lemma 2 density guarantee.
+//! and one behaviour through every flush door — all over churn
+//! workloads generated with the Lemma 2 density guarantee.
 
 use proptest::prelude::*;
 use realloc_core::{JobId, Request, RequestSeq, SingleMachineReallocator, Window};
-use realloc_engine::{
-    BackendKind, CoalesceConfig, Engine, EngineConfig, FlushMode, Journal, JournalEvent, TenantId,
-};
+use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode, Journal, TenantId};
 use realloc_reservation::ReservationScheduler;
 use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::{Telemetry, TraceCtx};
@@ -61,7 +59,7 @@ fn sharded_churn(seed: u64, shards: usize, len: usize) -> RequestSeq {
     gen.generate(len)
 }
 
-/// The four ways a caller reaches the one flush body.
+/// The three ways a caller reaches the one flush body.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Door {
     /// `flush()`.
@@ -70,9 +68,6 @@ enum Door {
     Immediate,
     /// `flush_mode(Durable)` over a `MemIo` store, every ticket waited.
     Durable,
-    /// `flush_mode(Coalesced)` under a deferring policy, closed by a
-    /// barrier `flush()`.
-    Coalesced,
 }
 
 /// Drives `seq` through `door` in `batch`-request ticks. `telemetry`
@@ -89,21 +84,14 @@ fn through_door(
     if let Some(t) = telemetry {
         e.attach_telemetry(t);
     }
-    match door {
-        Door::Durable => {
-            let store = DurableStore::create(
-                Arc::new(MemIo::new()) as Arc<dyn StoreIo>,
-                std::path::Path::new("/store"),
-                e.journal().unwrap().config(),
-            )
-            .unwrap();
-            e.attach_durability(Box::new(store)).unwrap();
-        }
-        Door::Coalesced => e.set_flush_coalescing(Some(CoalesceConfig {
-            min_batch: batch * 2 + 1,
-            max_defer: 3,
-        })),
-        Door::Shorthand | Door::Immediate => {}
+    if door == Door::Durable {
+        let store = DurableStore::create(
+            Arc::new(MemIo::new()) as Arc<dyn StoreIo>,
+            std::path::Path::new("/store"),
+            e.journal().unwrap().config(),
+        )
+        .unwrap();
+        e.attach_durability(Box::new(store)).unwrap();
     }
     for (i, chunk) in seq.requests().chunks(batch).enumerate() {
         for &r in chunk {
@@ -113,41 +101,19 @@ fn through_door(
             e.arm_trace(TraceCtx::mint(i as u64, i as u64));
         }
         let (report, ticket) = match door {
-            Door::Shorthand => (Some(e.flush()), None),
+            Door::Shorthand => (e.flush(), None),
             Door::Immediate => e.flush_mode(FlushMode::Immediate).unwrap(),
             Door::Durable => e.flush_mode(FlushMode::Durable).unwrap(),
-            Door::Coalesced => e.flush_mode(FlushMode::Coalesced).unwrap(),
         };
-        assert_eq!(
-            report.is_none(),
-            e.queued() > 0,
-            "{door:?}: deferred iff unserviced"
-        );
-        assert!(
-            door == Door::Coalesced || report.is_some(),
-            "{door:?} deferred"
-        );
+        assert_eq!(report.processed() + report.failed(), chunk.len());
+        assert_eq!(e.queued(), 0, "{door:?} left requests unserviced");
         assert_eq!(ticket.is_some(), door == Door::Durable, "{door:?} ticket");
         if let Some(ticket) = ticket {
             ticket.wait().unwrap();
         }
     }
-    if e.queued() > 0 {
-        e.flush();
-    }
     assert_eq!(e.durability_error(), None);
     e
-}
-
-/// What each shard serviced, in order, batch numbers aside — the part
-/// of the journal that coalescing (which only moves batch boundaries,
-/// and so how shards interleave in the record stream) must not change.
-fn per_shard_outcomes(e: &Engine) -> Vec<Vec<JournalEvent>> {
-    let mut shards = vec![Vec::new(); e.config().shards];
-    for ev in e.journal().unwrap().iter_events() {
-        shards[ev.shard].push(JournalEvent { batch: 0, ..*ev });
-    }
-    shards
 }
 
 proptest! {
@@ -163,18 +129,13 @@ proptest! {
         let seq = sharded_churn(seed, 4, 360);
         let reference = through_door(Door::Shorthand, &seq, batch, None, false);
         let journal = reference.journal().unwrap().to_text();
-        for door in [Door::Shorthand, Door::Immediate, Door::Durable, Door::Coalesced] {
+        for door in [Door::Shorthand, Door::Immediate, Door::Durable] {
             for (instrumented, traced) in [(false, false), (false, true), (true, false), (true, true)] {
                 let tel = Telemetry::new();
                 let e = through_door(door, &seq, batch, instrumented.then_some(&tel), traced);
                 let what = format!("{door:?} instrumented={instrumented} traced={traced}");
-                if door == Door::Coalesced {
-                    prop_assert_eq!(per_shard_outcomes(&e), per_shard_outcomes(&reference), "{}", what);
-                    prop_assert!(e.batches() < reference.batches(), "{}: nothing coalesced", what);
-                } else {
-                    prop_assert_eq!(e.journal().unwrap().to_text(), journal.clone(), "{}", what);
-                    prop_assert_eq!(e.state_digest(), reference.state_digest(), "{}", what);
-                }
+                prop_assert_eq!(e.journal().unwrap().to_text(), journal.clone(), "{}", what);
+                prop_assert_eq!(e.state_digest(), reference.state_digest(), "{}", what);
                 prop_assert_eq!(e.placements(), reference.placements(), "{}", what);
                 let m = e.metrics();
                 prop_assert_eq!(&m, &reference.metrics(), "{}", what);
@@ -272,10 +233,10 @@ proptest! {
         prop_assert_eq!(engine.total_costs().reallocations, bare_reallocs);
     }
 
-    // ---------------- sharded conservation + parallel agreement ----------------
+    // ---------------- sharded conservation ----------------
 
     #[test]
-    fn sharded_engine_conserves_and_parallel_agrees(
+    fn sharded_engine_conserves(
         seed in 0u64..300,
         shards in 2usize..9,
     ) {
@@ -283,45 +244,17 @@ proptest! {
         let inserts = seq.iter().filter(|r| r.is_insert()).count();
         let deletes = seq.len() - inserts;
 
-        let run = |parallel: bool| {
-            let mut cfg = config(shards, BackendKind::Reservation);
-            cfg.parallel = parallel;
-            let mut e = Engine::new(cfg);
-            if parallel {
-                // Exercise the real worker pool even on single-core CI
-                // hosts, where the engine would otherwise drain inline.
-                e.force_parallel_pool();
-                assert!(e.uses_pool());
-            }
-            let (ok, failed) = e.ingest(&seq, 128);
-            (e, ok, failed)
-        };
-        let (seq_engine, ok, failed) = run(false);
+        let mut engine = Engine::new(config(shards, BackendKind::Reservation));
+        let (ok, failed) = engine.ingest(&seq, 128);
         prop_assert_eq!(failed, 0, "density-certified stream rejected");
         prop_assert_eq!(ok, seq.len());
-        prop_assert_eq!(seq_engine.active_count(), inserts - deletes);
+        prop_assert_eq!(engine.active_count(), inserts - deletes);
 
-        let m = seq_engine.metrics();
+        let m = engine.metrics();
         prop_assert_eq!(m.requests, seq.len() as u64);
         prop_assert_eq!(
             m.shards.iter().map(|s| s.active_jobs).sum::<u64>(),
             (inserts - deletes) as u64
-        );
-
-        let (par_engine, par_ok, par_failed) = run(true);
-        prop_assert_eq!((par_ok, par_failed), (ok, failed));
-        prop_assert_eq!(par_engine.placements(), seq_engine.placements());
-        prop_assert!(par_engine
-            .journal()
-            .unwrap()
-            .iter_events()
-            .eq(seq_engine.journal().unwrap().iter_events()));
-        // Stronger than event equality: the serialized journals are
-        // byte-identical — a pool-drained engine is indistinguishable
-        // from a sequential one even at the recording layer.
-        prop_assert_eq!(
-            par_engine.journal().unwrap().to_text(),
-            seq_engine.journal().unwrap().to_text()
         );
     }
 
@@ -348,52 +281,6 @@ proptest! {
         prop_assert_eq!(replayed.placements(), engine.placements());
         prop_assert_eq!(replayed.total_costs(), engine.total_costs());
     }
-}
-
-#[test]
-fn pool_flushes_journal_byte_identical_to_sequential() {
-    // Deterministic multi-batch run with interleaved failures
-    // (duplicates, unknown deletes): the pool-drained journal must be
-    // byte-for-byte the sequential journal, across every batch boundary.
-    let stream: Vec<Request> = (0..400u64)
-        .map(|i| match i % 5 {
-            0..=2 => Request::Insert {
-                id: JobId(i / 5 * 3 + i % 5),
-                window: Window::new((i % 8) * 512, (i % 8) * 512 + 512),
-            },
-            3 => Request::Insert {
-                id: JobId(i / 5 * 3), // duplicate → rejected, journaled
-                window: Window::new(0, 512),
-            },
-            _ => Request::Delete {
-                id: JobId(if i % 10 == 4 { i / 5 * 3 } else { 999_999 + i }),
-            },
-        })
-        .collect();
-    let run = |parallel: bool| {
-        let mut e = Engine::new(config(8, BackendKind::TheoremOne { gamma: 8 }));
-        if parallel {
-            e.force_parallel_pool();
-            assert!(e.uses_pool());
-        }
-        for chunk in stream.chunks(64) {
-            for &r in chunk {
-                e.submit(r);
-            }
-            e.flush();
-        }
-        e
-    };
-    let sequential = run(false);
-    let pooled = run(true);
-    assert!(!sequential.uses_pool());
-    assert_eq!(
-        pooled.journal().unwrap().to_text(),
-        sequential.journal().unwrap().to_text(),
-        "pool drain must be byte-identical at the journal layer"
-    );
-    assert_eq!(pooled.placements(), sequential.placements());
-    assert_eq!(pooled.batches(), sequential.batches());
 }
 
 #[test]

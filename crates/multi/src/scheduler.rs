@@ -37,9 +37,8 @@ struct WindowGroup {
     /// `(machine, id)`; its length is the paper's `n_W`. Sorted so the §3
     /// migration-victim choice on delete (the smallest id on the
     /// rotation's tail machine) is a pure function of the *content* —
-    /// not of insertion history. Journal replay, the
-    /// parallel-vs-sequential equivalence guarantee, and snapshot/restore
-    /// equivalence all depend on that purity.
+    /// not of insertion history. Journal replay and snapshot/restore
+    /// equivalence both depend on that purity.
     members: Vec<(usize, JobId)>,
 }
 

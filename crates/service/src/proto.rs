@@ -2,8 +2,8 @@
 //! frame in, one reply frame out, in command order.
 //!
 //! ```text
-//! place <tenant> <id> <start> <end>   → ok placed <global> | ok queued <global>
-//! remove <tenant> <id>                → ok removed <global> | ok queued <global>
+//! place <tenant> <id> <start> <end>   → ok placed <global>
+//! remove <tenant> <id>                → ok removed <global>
 //! window <tenant> <id>                → ok window <start> <end> | ok window none
 //! metrics                             → ok metrics requests=… failed=… active=… epoch=… shards=…
 //! any, while shedding                 → overloaded <retry_after_ms>
@@ -11,11 +11,9 @@
 //! ```
 //!
 //! Tenants are decimal `u16`s (`0` is reserved by the engine and
-//! refused here); ids and window bounds are decimal `u64`s. `queued`
-//! means *admitted under a coalescing flush policy*: the request is
-//! accepted and will be serviced by a later flush, so its outcome (a
-//! rare `duplicate`/`unknown`/`capacity` rejection) surfaces in the
-//! engine journal and metrics rather than on this connection.
+//! refused here); ids and window bounds are decimal `u64`s. Every
+//! admitted mutation is answered with its outcome: `ok …`, or `err` with
+//! the engine's rejection code.
 
 use realloc_core::{JobId, Request, Window};
 use realloc_engine::{Metrics, TenantId};
@@ -135,8 +133,6 @@ pub enum Reply {
     Placed(JobId),
     /// Delete admitted and serviced.
     Removed(JobId),
-    /// Admitted; deferred to a later coalesced flush.
-    Queued(JobId),
     /// The job's original window.
     WindowIs(Window),
     /// The job is not active.
@@ -164,7 +160,6 @@ impl Reply {
         let written = match self {
             Reply::Placed(id) => write!(out, "ok placed {}", id.0),
             Reply::Removed(id) => write!(out, "ok removed {}", id.0),
-            Reply::Queued(id) => write!(out, "ok queued {}", id.0),
             Reply::WindowIs(w) => write!(out, "ok window {} {}", w.start(), w.end()),
             Reply::WindowNone => write!(out, "ok window none"),
             Reply::MetricsIs(m) => write!(
@@ -230,7 +225,6 @@ mod tests {
     #[test]
     fn replies_format() {
         assert_eq!(Reply::Placed(JobId(9)).to_text(), "ok placed 9");
-        assert_eq!(Reply::Queued(JobId(9)).to_text(), "ok queued 9");
         assert_eq!(
             Reply::WindowIs(Window::new(10, 14)).to_text(),
             "ok window 10 14"

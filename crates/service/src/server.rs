@@ -48,8 +48,8 @@
 //! A wait that fails re-locks the engine once to latch the sticky
 //! [`Engine::durability_error`] and answers every admitted mutation of
 //! the batch `err durability: …`; the batch's reads still answer.
-//! [`FlushMode::Immediate`] and [`FlushMode::Coalesced`] batches get no
-//! ticket and do everything under the lock.
+//! [`FlushMode::Immediate`] batches get no ticket and do everything
+//! under the lock.
 //!
 //! # Batching
 //!
@@ -86,12 +86,11 @@ pub struct ServiceConfig {
     /// Most commands serviced under one engine lock hold (one flush);
     /// frames beyond this form the next batch. Treated as at least 1.
     pub max_batch: usize,
-    /// How batches are flushed: [`FlushMode::Immediate`] answers every
-    /// mutation with its outcome; [`FlushMode::Coalesced`] may answer
-    /// `ok queued …` and service later; [`FlushMode::Durable`] group-
-    /// commits to the attached store before answering — staged under
-    /// the engine lock, waited for with the lock released (see the
-    /// module docs).
+    /// How batches are flushed. Both modes answer every mutation with
+    /// its outcome: [`FlushMode::Immediate`] at once,
+    /// [`FlushMode::Durable`] after group-committing to the attached
+    /// store — staged under the engine lock, waited for with the lock
+    /// released (see the module docs).
     pub flush: FlushMode,
     /// Causal-trace sampling: every Nth batch that admits a mutation
     /// mints a [`realloc_telemetry::TraceCtx`] at receipt, threads it
@@ -387,20 +386,12 @@ fn serve_batch(
             if let Some(tc) = trace {
                 engine.arm_trace(tc);
             }
-            let flushed = engine
-                .flush_mode(shared.config.flush)
-                .map(|(report, ticket)| {
+            match engine.flush_mode(shared.config.flush) {
+                Ok((report, ticket)) => {
                     commit = ticket;
-                    report
-                });
-            match flushed {
-                Ok(Some(report)) => {
                     // Map this batch's failures back onto their
                     // commands: first unconsumed failure matching the
-                    // namespaced request, in submission order. Failures
-                    // of *earlier* coalesced batches (already answered
-                    // `queued`) stay unmatched by construction — their
-                    // requests are not in this `admitted` set.
+                    // namespaced request, in submission order.
                     let mut consumed = vec![false; report.failures.len()];
                     for inflight in &admitted {
                         let hit = report
@@ -411,15 +402,6 @@ fn serve_batch(
                         if let Some((j, (_, _, code))) = hit {
                             consumed[j] = true;
                             replies[inflight.slot] = Some(Reply::Err(code.as_str().to_string()));
-                        }
-                    }
-                }
-                Ok(None) => {
-                    // Deferred by coalescing: accepted, serviced later.
-                    for inflight in &admitted {
-                        if let Some(Reply::Placed(id) | Reply::Removed(id)) = replies[inflight.slot]
-                        {
-                            replies[inflight.slot] = Some(Reply::Queued(id));
                         }
                     }
                 }
@@ -477,10 +459,8 @@ fn serve_batch(
         text.clear();
         reply.write_text(text);
         if let Some(tc) = trace {
-            if matches!(
-                reply,
-                Reply::Placed(_) | Reply::Removed(_) | Reply::Queued(_)
-            ) && admitted.iter().any(|f| f.slot == i)
+            if matches!(reply, Reply::Placed(_) | Reply::Removed(_))
+                && admitted.iter().any(|f| f.slot == i)
             {
                 use std::fmt::Write as _;
                 write!(text, " trace {}", tc.id).expect("string write");

@@ -10,13 +10,17 @@
 //!   zero admitted requests lost;
 //! * per-tenant p50/p95/p99 service times scrapeable over a live
 //!   `ObsServer` during the run;
-//! * silent clients reaped by the handler read timeout.
+//! * silent clients reaped by the handler read timeout;
+//! * every admitted mutation of a pipelined window answered with its
+//!   outcome, under both flush modes.
 
-use realloc_engine::{BackendKind, Engine, EngineConfig, TenantId};
+use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode, TenantId};
 use realloc_service::{QosConfig, RateLimit, ServiceConfig, ServiceServer};
+use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::{fetch_metrics, parse_sample, ObsServer, Telemetry};
 use realloc_workloads::driver::{drive_feed, QosClient, QosResponse};
 use realloc_workloads::scenarios::{hotspot, HOTSPOT_WHALE};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn engine(shards: usize) -> Engine {
@@ -345,4 +349,64 @@ fn pipelined_commands_answer_in_order() {
         );
     }
     assert_eq!(client.pending(), 0);
+}
+
+/// Nothing an admitted mutation can be answered with means "later": a
+/// pipelined window comes back as one `ok placed`/`ok removed`/`err …`
+/// per command — engine rejections included — and leaves nothing queued.
+#[test]
+fn every_admitted_mutation_of_a_window_is_answered_with_its_outcome() {
+    for flush in [FlushMode::Immediate, FlushMode::Durable] {
+        let mut engine = engine(4);
+        if flush == FlushMode::Durable {
+            let store = DurableStore::create(
+                Arc::new(MemIo::new()) as Arc<dyn StoreIo>,
+                std::path::Path::new("/store"),
+                engine.journal().expect("journaled").config(),
+            )
+            .expect("create store");
+            engine.attach_durability(Box::new(store)).expect("attach");
+        }
+        let config = ServiceConfig {
+            flush,
+            ..ServiceConfig::default()
+        };
+        let t = realloc_telemetry::disabled();
+        let server = ServiceServer::bind("127.0.0.1:0", engine, config, &t).expect("bind");
+        let mut client = QosClient::connect(server.addr()).unwrap();
+        // A reply that never comes fails the test instead of hanging it.
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+
+        // Places, a duplicate of each third one, removes of every other
+        // one, and removes of jobs that never existed.
+        let mut window: Vec<String> = Vec::new();
+        for id in 0..24u64 {
+            window.push(format!("place 6 {id} {} {}", id * 8, id * 8 + 8));
+            if id % 3 == 0 {
+                window.push(format!("place 6 {id} {} {}", id * 8, id * 8 + 8));
+            }
+            if id % 2 == 0 {
+                window.push(format!("remove 6 {id}"));
+            }
+            window.push(format!("remove 6 {}", 1000 + id));
+        }
+        client.send_window(&window).unwrap();
+        let (mut placed, mut removed, mut refused) = (0, 0, 0);
+        for command in &window {
+            match client.recv().unwrap() {
+                QosResponse::Placed(_) => placed += 1,
+                QosResponse::Removed(_) => removed += 1,
+                QosResponse::Refused(_) => refused += 1,
+                other => panic!("{flush:?}: '{command}' answered {other:?}"),
+            }
+        }
+        assert_eq!((placed, removed, refused), (24, 12, 8 + 24), "{flush:?}");
+        assert_eq!(client.pending(), 0);
+        let engine = server.engine();
+        let engine = engine.lock().unwrap();
+        assert_eq!(engine.queued(), 0, "{flush:?}: nothing left unserviced");
+        assert_eq!(engine.active_count(), 12, "{flush:?}");
+    }
 }

@@ -5,7 +5,7 @@
 //! ```text
 //! exp_engine_throughput [--shards N] [--requests N] [--batch N]
 //!                       [--machines N] [--backend KIND] [--gamma G]
-//!                       [--parallel] [--sweep] [--seed S]
+//!                       [--sweep] [--seed S]
 //!                       [--no-telemetry] [--overhead-check]
 //!                       [--tolerance-pct F] [--trials N]
 //! ```
@@ -38,7 +38,6 @@ struct Args {
     machines: usize,
     backend: Option<String>,
     gamma: u64,
-    parallel: bool,
     sweep: bool,
     seed: u64,
     telemetry: bool,
@@ -55,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         machines: 1,
         backend: None,
         gamma: 8,
-        parallel: false,
         sweep: false,
         seed: 13,
         telemetry: true,
@@ -78,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
             "--machines" => args.machines = num("--machines")? as usize,
             "--gamma" => args.gamma = num("--gamma")?,
             "--backend" => args.backend = Some(it.next().ok_or("--backend needs a value")?),
-            "--parallel" => args.parallel = true,
             "--sweep" => args.sweep = true,
             "--seed" => args.seed = num("--seed")?,
             "--no-telemetry" => args.telemetry = false,
@@ -95,7 +92,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: exp_engine_throughput [--shards N] [--requests N] \
                      [--batch N] [--machines N] [--backend KIND] [--gamma G] \
-                     [--parallel] [--sweep] [--seed S] [--no-telemetry] \
+                     [--sweep] [--seed S] [--no-telemetry] \
                      [--overhead-check] [--tolerance-pct F] [--trials N]"
                 );
                 std::process::exit(0);
@@ -163,8 +160,8 @@ fn json_line(shards: usize, secs: f64, engine: &Engine, tel: &Telemetry) -> Stri
 /// time this does not advance while the process is preempted, and unlike
 /// `/proc/self/stat`'s utime it has nanosecond (not 10 ms tick)
 /// resolution — exactly what a sub-second A/B timing needs on a shared
-/// host. Thread-scoped, which is what we want: the overhead check runs
-/// the non-`--parallel` ingest path on this thread.
+/// host. Thread-scoped, which is what we want: ingest runs on this
+/// thread.
 fn cpu_ticks() -> Option<u64> {
     let stat = std::fs::read_to_string("/proc/self/schedstat").ok()?;
     stat.split_whitespace().next()?.parse().ok()
@@ -252,7 +249,7 @@ fn main() {
     );
     println!(
         "workload: {} requests (peak {} active, max span {}), backend {}, \
-         {} shard(s) x {} machine(s), batch {}{}\n",
+         {} shard(s) x {} machine(s), batch {}\n",
         seq.len(),
         seq.peak_active(),
         seq.max_span(),
@@ -260,14 +257,9 @@ fn main() {
         args.shards,
         args.machines,
         args.batch,
-        if args.parallel {
-            ", parallel flush"
-        } else {
-            ""
-        },
     );
 
-    let cfg = engine_config(args.shards, args.machines, backend, args.parallel);
+    let cfg = engine_config(args.shards, args.machines, backend);
 
     if args.overhead_check {
         let (best, median) = overhead_pct(&args, &cfg, &seq);
@@ -363,7 +355,7 @@ fn main() {
         // file and every line parses independently.
         println!("E13b: shard-count sweep (same workload, same batch size), JSON lines:");
         for shards in [1usize, 2, 4, 8, 16] {
-            let cfg = engine_config(shards, args.machines, backend, args.parallel);
+            let cfg = engine_config(shards, args.machines, backend);
             let tel = if args.telemetry {
                 Telemetry::new()
             } else {

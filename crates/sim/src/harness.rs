@@ -36,13 +36,11 @@ pub fn engine_config(
     shards: usize,
     machines_per_shard: usize,
     backend: BackendKind,
-    parallel: bool,
 ) -> EngineConfig {
     EngineConfig {
         shards,
         machines_per_shard,
         backend,
-        parallel,
         journal: false,
         ..EngineConfig::default()
     }

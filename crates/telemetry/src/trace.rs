@@ -12,7 +12,7 @@
 //! trace events are per-*flush* and per-*lifecycle-transition* (a few
 //! hundred per second), not per-request, so a mutex costs nothing
 //! measurable while keeping the implementation obviously correct under
-//! concurrent writers (pool workers, replication threads, observers).
+//! concurrent writers (serving handlers, replication threads, observers).
 
 use std::sync::Mutex;
 

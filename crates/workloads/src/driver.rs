@@ -11,8 +11,8 @@
 //! # Commands
 //!
 //! ```text
-//! place <tenant> <id> <start> <end>   → ok placed <global> | ok queued <global>
-//! remove <tenant> <id>                → ok removed <global> | ok queued <global>
+//! place <tenant> <id> <start> <end>   → ok placed <global>
+//! remove <tenant> <id>                → ok removed <global>
 //! window <tenant> <id>                → ok window <start> <end> | ok window none
 //! metrics                             → ok metrics requests=… failed=… active=… epoch=… shards=…
 //! any, when shedding                  → overloaded <retry_after_ms>
@@ -37,9 +37,6 @@ pub enum QosResponse {
     Placed(u64),
     /// The removal was admitted and serviced; carries the global job id.
     Removed(u64),
-    /// Admitted but deferred by flush coalescing (serviced at a later
-    /// flush); carries the global job id.
-    Queued(u64),
     /// The job's original window.
     Window(u64, u64),
     /// The job is not active (unknown or already removed).
@@ -79,7 +76,7 @@ impl QosResponse {
     /// [`QosResponse::parse`] that also returns the serving tier's
     /// causal trace id when the reply carries a ` trace <id>` suffix —
     /// the key into every node's trace ring for this request's spans.
-    /// Only admitted-mutation shapes (`placed`/`removed`/`queued`) are
+    /// Only admitted-mutation shapes (`placed`/`removed`) are
     /// ever annotated; the suffix is not stripped from other shapes
     /// (an `err` reason legitimately containing the words stays whole).
     pub fn parse_traced(line: &str) -> (QosResponse, Option<u64>) {
@@ -89,10 +86,7 @@ impl QosResponse {
             if let Ok(id) = tail.parse::<u64>() {
                 if id != 0 {
                     let r = Self::parse_core(line[..pos].trim());
-                    if matches!(
-                        r,
-                        QosResponse::Placed(_) | QosResponse::Removed(_) | QosResponse::Queued(_)
-                    ) {
+                    if matches!(r, QosResponse::Placed(_) | QosResponse::Removed(_)) {
                         return (r, Some(id));
                     }
                 }
@@ -107,7 +101,6 @@ impl QosResponse {
         match fields.as_slice() {
             ["ok", "placed", id] if num(id).is_some() => QosResponse::Placed(num(id).unwrap()),
             ["ok", "removed", id] if num(id).is_some() => QosResponse::Removed(num(id).unwrap()),
-            ["ok", "queued", id] if num(id).is_some() => QosResponse::Queued(num(id).unwrap()),
             ["ok", "window", "none"] => QosResponse::WindowNone,
             ["ok", "window", s, e] if num(s).is_some() && num(e).is_some() => {
                 QosResponse::Window(num(s).unwrap(), num(e).unwrap())
@@ -273,7 +266,7 @@ impl QosClient {
 pub struct DriveStats {
     /// Commands sent.
     pub sent: u64,
-    /// Admitted and serviced (or queued) by the server.
+    /// Admitted and serviced by the server.
     pub admitted: u64,
     /// Shed with `overloaded`.
     pub shed: u64,
@@ -338,8 +331,8 @@ mod tests {
             (QosResponse::Placed(7), Some(99))
         );
         assert_eq!(
-            QosResponse::parse_traced("ok queued 3 trace 12345"),
-            (QosResponse::Queued(3), Some(12345))
+            QosResponse::parse_traced("ok removed 3 trace 12345"),
+            (QosResponse::Removed(3), Some(12345))
         );
         // `parse` strips the suffix, so tallies stay correct under tracing.
         assert_eq!(
@@ -370,7 +363,6 @@ mod tests {
     fn responses_parse_shapes_and_admission() {
         assert_eq!(QosResponse::parse("ok placed 7"), QosResponse::Placed(7));
         assert_eq!(QosResponse::parse("ok removed 7"), QosResponse::Removed(7));
-        assert_eq!(QosResponse::parse("ok queued 9"), QosResponse::Queued(9));
         assert_eq!(
             QosResponse::parse("ok window 10 14"),
             QosResponse::Window(10, 14)

@@ -122,7 +122,7 @@ fn main() {
             group.submit(r);
             reference.submit(r);
         }
-        let (_, shipped) = group.flush_now();
+        let (_, shipped) = group.flush();
         reference.flush();
         group
             .commit_through(previous_shipped)
@@ -151,7 +151,7 @@ fn main() {
             group.submit(r);
             reference.submit(r);
         }
-        group.flush_now();
+        group.flush();
         reference.flush();
         let started = Instant::now();
         match group.commit() {
@@ -225,7 +225,7 @@ fn main() {
         for &r in *chunk {
             group2.submit(r);
         }
-        group2.flush_now();
+        group2.flush();
         group2.commit().expect("new lineage commits");
     }
     // (The reference already consumed chunks[CRASH_AT] above.)
