@@ -1,7 +1,7 @@
 //! E12 — scheduler throughput (per-request latency) across policies,
 //! active-set sizes, and machine counts.
 //!
-//! Regenerates the throughput comparison of EXPERIMENTS.md: the
+//! Measures the throughput comparison: the
 //! reservation scheduler's per-request work stays flat as `n` grows, the
 //! naive baseline is comparable on slack-heavy churn, and EDF re-planning
 //! degrades linearly (it recomputes the whole schedule every request).

@@ -299,54 +299,36 @@ impl Engine {
     }
 
     /// Attaches a telemetry registry: resolves every engine instrument
-    /// once (hot paths never touch the registry's name map again),
-    /// installs drain-path handles on every shard, and publishes the
-    /// current gauges — the cost gauges from the engine's own lifetime
-    /// histograms, so a restored engine's show its history. Attaching [`realloc_telemetry::disabled`] (or any
-    /// disabled handle) detaches — the engine reverts to zero-overhead
-    /// uninstrumented paths.
+    /// once (hot paths never touch the registry's name map again) and
+    /// shows the engine's scheduling state in it at once — lifetime
+    /// totals, cost percentiles, active jobs, epoch and shard count, the
+    /// numbers [`Engine::metrics`] reports — so a registry attached to a
+    /// restored or recovered engine shows its history. From then on the
+    /// registry is refreshed after every flush and every resize.
+    /// Attaching [`realloc_telemetry::disabled`] (or any disabled handle)
+    /// detaches — the engine reverts to zero-overhead uninstrumented
+    /// paths.
     ///
-    /// Survives resizes: counters/histograms accumulate at the engine
-    /// level and fresh shards get handles re-installed, so lifetime
-    /// totals keep counting across [`Engine::resize`] exactly like the
-    /// exact-metrics carryover ([`Tally`]). Telemetry state is **not** part
-    /// of engine snapshots — restore/recovery paths start uninstrumented
-    /// and embedders re-attach (persist the registry itself with
-    /// [`realloc_telemetry::Telemetry::snapshot_text`] if continuity
-    /// across restarts is wanted).
+    /// Telemetry state is **not** part of engine snapshots — the
+    /// scheduling numbers are (the [`Tally`] lines), so continuity across
+    /// restarts comes from the snapshot and this call; restore/recovery
+    /// paths start uninstrumented and embedders re-attach.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele = EngineTele::build(telemetry);
-        self.apply_shard_tele();
         if let Some(tele) = &self.tele {
-            tele.epoch.set(self.router.epoch());
-            tele.shards.set(self.router.shards() as u64);
+            tele.publish(self);
         }
-        self.publish_state_gauges();
     }
 
-    /// Sets the gauges that mirror scheduling state: active jobs, and
-    /// the reallocation-cost percentiles of the one exact lifetime
-    /// distribution — resize carryover plus every live shard's histogram,
-    /// the same union [`Engine::metrics`] reports.
-    fn publish_state_gauges(&self) {
-        let Some(tele) = &self.tele else { return };
-        let mut costs = self.carry.hist.clone();
-        let mut active = 0;
+    /// Everything the engine has serviced: the resize carryover plus
+    /// every live shard's tally — the one union [`Engine::metrics`],
+    /// [`Engine::total_costs`] and the registry read.
+    fn lifetime(&self) -> Tally {
+        let mut lifetime = self.carry.clone();
         for shard in &self.shards {
-            costs.merge(&shard.tally().hist);
-            active += shard.active_count();
+            lifetime.absorb(shard.tally());
         }
-        tele.active_jobs.set(active as u64);
-        tele.publish_cost_gauges(&costs);
-    }
-
-    /// Installs the current drain-path instrument bundle on every live
-    /// shard (re-run after reshards swap in fresh shards).
-    fn apply_shard_tele(&mut self) {
-        let bundle = self.tele.as_ref().map(|t| t.shard.clone());
-        for shard in &mut self.shards {
-            shard.set_telemetry(bundle.clone());
-        }
+        lifetime
     }
 
     /// The engine's configuration.
@@ -427,7 +409,7 @@ impl Engine {
     /// retired by resizes (the carryover); per-shard rows are live
     /// shards only.
     pub fn metrics(&self) -> Metrics {
-        Metrics::collect(&self.shards, &self.carry, self.router.epoch())
+        Metrics::collect(&self.shards, self.lifetime(), self.router.epoch())
     }
 
     /// The journal, when enabled in the config.
@@ -456,15 +438,15 @@ impl Engine {
     /// Total netted costs serviced across shards (journal-free view of
     /// the headline numbers), resize carryover included.
     pub fn total_costs(&self) -> Costs {
-        let mut total = Costs {
-            reallocations: self.carry.reallocations,
-            migrations: self.carry.migrations,
-        };
-        for shard in &self.shards {
-            total.reallocations += shard.tally().reallocations;
-            total.migrations += shard.tally().migrations;
+        let Tally {
+            reallocations,
+            migrations,
+            ..
+        } = self.lifetime();
+        Costs {
+            reallocations,
+            migrations,
         }
-        total
     }
 
     /// Full engine invariant check: every shard's schedule validates

@@ -188,7 +188,8 @@ impl CostHistogram {
 /// fresh shard set; the dissolved shards' serviced-request counters and
 /// cost histograms are *historical facts* that must survive the rebuild
 /// (resizing an engine must not zero its telemetry), so they fold into
-/// the engine-level carryover tally. [`Metrics`] totals are always
+/// the engine-level carryover tally. [`Metrics`] totals and the
+/// registry's scheduling instruments are always one union,
 /// `carryover + live shards`; per-shard rows describe live shards only.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
@@ -287,7 +288,7 @@ impl TallyLines {
     /// Validates and assembles the tally of `owner` (named in errors).
     /// Both header lines are required, and untrusted-snapshot arithmetic
     /// is checked, not trusted: forged counts near `u64::MAX` would
-    /// overflow the carry + live-shard sums in `metrics`/`total_costs`.
+    /// overflow the engine's carry + live-shard union.
     pub(crate) fn finish(self, owner: &str) -> Result<Tally, ParseError> {
         let err = |message| ParseError { line: 0, message };
         let (
@@ -402,15 +403,14 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Builds a snapshot from the engine's shards, folding in the resize
-    /// carryover so lifetime totals survive reshards.
-    pub(crate) fn collect(shards: &[Shard], carry: &Tally, epoch: u64) -> Metrics {
-        let mut union = carry.hist.clone();
+    /// Builds a snapshot: per-shard rows from the live shards, totals
+    /// from the engine's `lifetime` tally (resize carryover included, so
+    /// they survive reshards).
+    pub(crate) fn collect(shards: &[Shard], lifetime: Tally, epoch: u64) -> Metrics {
         let rows: Vec<ShardMetrics> = shards
             .iter()
             .map(|s| {
                 let t = s.tally();
-                union.merge(&t.hist);
                 ShardMetrics {
                     shard: s.id(),
                     requests: t.requests,
@@ -424,12 +424,12 @@ impl Metrics {
             .collect();
         Metrics {
             epoch,
-            requests: carry.requests + rows.iter().map(|r| r.requests).sum::<u64>(),
-            failed: carry.failed + rows.iter().map(|r| r.failed).sum::<u64>(),
+            requests: lifetime.requests,
+            failed: lifetime.failed,
             active_jobs: rows.iter().map(|r| r.active_jobs).sum(),
-            reallocations: carry.reallocations + rows.iter().map(|r| r.reallocations).sum::<u64>(),
-            migrations: carry.migrations + rows.iter().map(|r| r.migrations).sum::<u64>(),
-            cost: CostPercentiles::of(&union),
+            reallocations: lifetime.reallocations,
+            migrations: lifetime.migrations,
+            cost: CostPercentiles::of(&lifetime.hist),
             shards: rows,
         }
     }

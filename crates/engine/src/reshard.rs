@@ -160,14 +160,9 @@ impl Engine {
             journal.append_epoch(record.clone());
             self.tee(|sink, _| sink.append_epoch(&record));
         }
-        // Fresh shards start uninstrumented: re-install drain handles
-        // and publish the resize before returning.
-        self.apply_shard_tele();
-        if let Some(tele) = &mut self.tele {
+        if let Some(tele) = &self.tele {
             tele.resizes_total.inc();
-            tele.epoch.set(report.epoch);
-            tele.shards.set(report.to_shards as u64);
-            tele.active_jobs.set(report.jobs as u64);
+            tele.publish(self);
             tele.t.point(
                 Severity::Info,
                 "epoch",

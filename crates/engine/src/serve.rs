@@ -252,9 +252,9 @@ impl Engine {
     /// The one flush body: drain every shard, journal and tee the
     /// batch, assemble the report. Telemetry, when attached, is four
     /// clock reads at the phase boundaries (queue wait → barrier →
-    /// journal → total) plus counters that add the report's totals —
-    /// it only ever reads what the shards counted, so outcomes are
-    /// identical with and without it.
+    /// journal → total) plus one `EngineTele::publish` of what the
+    /// shards counted — it only ever reads, so outcomes are identical
+    /// with and without it.
     fn service_queue(&mut self) -> BatchReport {
         let batch = self.batches;
         self.batches += 1;
@@ -285,14 +285,10 @@ impl Engine {
                 tele.journal_append
                     .record(journaled.saturating_sub(drained));
             }
-            let (ok, failed) = (report.processed() as u64, report.failed() as u64);
-            tele.requests_total.add(ok);
-            tele.failed_total.add(failed);
-            tele.reallocations_total.add(report.reallocations());
-            tele.migrations_total.add(report.migrations());
             tele.flushes_total.inc();
-            tele.flush_events.record(ok + failed);
-            self.publish_state_gauges();
+            tele.flush_events
+                .record((report.processed() + report.failed()) as u64);
+            tele.publish(self);
             tele.flush_total.record(tele.now().saturating_sub(start));
         }
         report

@@ -19,11 +19,9 @@ use crate::backend::{Backend, BackendKind};
 use crate::batch::ShardBatchStats;
 use crate::journal::{Costs, ErrCode, ReqResult};
 use crate::metrics::{Tally, TallyLines};
-use crate::tele::{ShardTele, SERVICE_SAMPLE_EVERY};
 use realloc_core::snapshot::{Fields, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
 use realloc_core::{JobId, Reallocator, Request, Window};
-use realloc_telemetry::Histogram;
 use std::collections::VecDeque;
 
 /// One independent scheduling shard.
@@ -33,13 +31,6 @@ pub struct Shard {
     queue: VecDeque<Request>,
     /// Everything serviced since construction.
     tally: Tally,
-    /// Drain-path instrument handles, present iff the owning engine has
-    /// telemetry attached. Runtime-only: never serialized (latency state
-    /// must not perturb replication digests).
-    tele: Option<ShardTele>,
-    /// Requests serviced since telemetry attach — the 1-in-N sampling
-    /// phase for service-latency timing.
-    service_tick: u64,
 }
 
 /// Everything one shard did during a single flush, in execution order.
@@ -61,16 +52,7 @@ impl Shard {
             backend: kind.build(machines),
             queue: VecDeque::new(),
             tally: Tally::default(),
-            tele: None,
-            service_tick: 0,
         }
-    }
-
-    /// Installs (or clears) the drain-path instruments. Called by the
-    /// engine on telemetry attach and again after every reshard (fresh
-    /// shards start uninstrumented).
-    pub(crate) fn set_telemetry(&mut self, tele: Option<ShardTele>) {
-        self.tele = tele;
     }
 
     /// Shard index within the engine.
@@ -144,18 +126,7 @@ impl Shard {
     /// keep serving the remaining stream when one request is rejected
     /// (the caller sees each failure in the returned drain and in
     /// [`Shard::tally`]).
-    ///
-    /// With telemetry installed the drain also records one
-    /// `engine_shard_drain_nanos` sample and times one request in
-    /// `SERVICE_SAMPLE_EVERY` (8) into a **local** histogram merged into
-    /// the shared `engine_service_sampled_nanos` once at the end — the
-    /// shared-instrument lock is touched twice per drain, never per
-    /// request.
     pub fn drain(&mut self) -> ShardDrain {
-        // Taken out for the loop so `service_one` can borrow `self`.
-        let tele = self.tele.take();
-        let start = tele.as_ref().map(|t| t.t.now_nanos());
-        let mut sampled: Option<Histogram> = None;
         let Tally {
             requests,
             failed,
@@ -168,18 +139,7 @@ impl Shard {
             ..ShardDrain::default()
         };
         while let Some(req) = self.queue.pop_front() {
-            let t0 = tele.as_ref().and_then(|t| {
-                self.service_tick += 1;
-                self.service_tick
-                    .is_multiple_of(SERVICE_SAMPLE_EVERY)
-                    .then(|| t.t.now_nanos())
-            });
             let result = self.service_one(req);
-            if let (Some(t0), Some(t)) = (t0, &tele) {
-                sampled
-                    .get_or_insert_with(Histogram::new)
-                    .record(t.t.now_nanos().saturating_sub(t0));
-            }
             if let Err(code) = result {
                 out.failures.push((req, code));
             }
@@ -194,13 +154,6 @@ impl Shard {
             reallocations: self.tally.reallocations - reallocations,
             migrations: self.tally.migrations - migrations,
         };
-        if let (Some(t), Some(start)) = (&tele, start) {
-            t.drain_nanos.record(t.t.now_nanos().saturating_sub(start));
-            if let Some(sampled) = &sampled {
-                t.service_nanos.merge(sampled);
-            }
-        }
-        self.tele = tele;
         out
     }
 
@@ -362,8 +315,6 @@ impl Shard {
             backend,
             queue,
             tally,
-            tele: None,
-            service_tick: 0,
         })
     }
 }

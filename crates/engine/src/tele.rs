@@ -5,59 +5,35 @@
 //!
 //! # What gets measured
 //!
+//! * **Scheduling state, shown, not counted** — the engine owns these
+//!   numbers and [`EngineTele::publish`] copies them in: the lifetime
+//!   requests/failures/reallocations/migrations `_total`s and the
+//!   `engine_realloc_cost_{p50,p95,p99,mean_milli}` gauges from the one
+//!   lifetime [`crate::metrics::Tally`] (resize carryover plus every live
+//!   shard — exactly what [`crate::Engine::metrics`] reports), and the
+//!   active-jobs, epoch and shard-count gauges from the engine and its
+//!   router. It runs at attach, after every flush and after every
+//!   reshard, so a registry attached to a restored engine shows its
+//!   history at once.
+//! * **Events** — flushes, checkpoints, resizes and rebalance pins,
+//!   counted where they happen.
 //! * **Flush pipeline phases**, one histogram sample per flush:
 //!   `engine_flush_queue_wait_nanos` (first enqueue → flush start),
 //!   `engine_route_nanos` (batch route+enqueue time, recorded by
 //!   `ingest`), `engine_flush_barrier_nanos` (all shards' drains),
-//!   `engine_shard_drain_nanos` (per shard per flush, recorded by the
-//!   shard itself),
 //!   `engine_flush_journal_nanos` (append loop) and
-//!   `engine_flush_total_nanos`.
-//! * **Sampled service latency** — timing every request would cost two
-//!   clock reads per request (~2.5% on the ingest benchmark, over the
-//!   overhead budget), so shards time one request in
-//!   [`SERVICE_SAMPLE_EVERY`] into `engine_service_sampled_nanos` and
-//!   accumulate locally, merging into the shared histogram once per
-//!   drain.
-//! * **The exact cost distribution, published** — after every flush
-//!   the p50/p95/p99/mean of the engine-lifetime [`CostHistogram`] (the
-//!   union of the live shards' histograms and the resize carryover —
-//!   exactly what [`crate::Engine::metrics`] reports) are set as the
-//!   `engine_realloc_cost_{p50,p95,p99,mean_milli}` gauges. The gauges
-//!   are a view of that one structure; nothing is counted twice.
-//! * **Lifetime counters and gauges** — requests/failures/reallocations/
-//!   migrations/flushes/checkpoints/resizes, active jobs, routing epoch,
-//!   shard count. Counters add each flush's [`crate::BatchReport`]
-//!   totals at the engine level, so they survive resizes by construction
-//!   (the guarantee the exact metrics path gets from the resize
-//!   carryover, a [`crate::metrics::Tally`]).
+//!   `engine_flush_total_nanos`; plus `engine_flush_events` and
+//!   `engine_checkpoint_nanos`.
 //!
 //! None of this state enters the engine's [`realloc_core::Restorable`]
 //! snapshot: replication digests must stay a pure function of the
-//! replayed event stream, and wall-clock latencies are not. Embedders
-//! that want telemetry to survive a process restart persist the registry
-//! itself via [`realloc_telemetry::Telemetry::snapshot_text`].
+//! replayed event stream, and wall-clock latencies are not. Across a
+//! restart the scheduling numbers come back with the engine snapshot
+//! (its `t`/`h`/`hb` and per-shard tally lines) and are shown again at
+//! attach.
 
-use crate::metrics::CostHistogram;
+use crate::Engine;
 use realloc_telemetry::{Counter, Gauge, Histo, Telemetry};
-
-/// Shards time one request in this many (power of two: the modulo is a
-/// mask) — amortizing the two clock reads a service-latency sample
-/// costs down to noise.
-pub(crate) const SERVICE_SAMPLE_EVERY: u64 = 8;
-
-/// The instrument handles a shard carries into its drain loop (cloned
-/// per shard; all handles are `Send + Sync` shims over the shared
-/// registry).
-#[derive(Clone, Debug)]
-pub(crate) struct ShardTele {
-    /// The owning telemetry (for the clock).
-    pub t: Telemetry,
-    /// One drain-duration sample per shard per flush.
-    pub drain_nanos: Histo,
-    /// Sampled per-request service latency (merged once per drain).
-    pub service_nanos: Histo,
-}
 
 /// Engine-level instruments; `None` on engines without telemetry.
 pub(crate) struct EngineTele {
@@ -81,8 +57,6 @@ pub(crate) struct EngineTele {
     pub flush_total: Histo,
     pub flush_events: Histo,
     pub checkpoint_nanos: Histo,
-    /// The bundle every shard gets a clone of.
-    pub shard: ShardTele,
     pub cost_p50: Gauge,
     pub cost_p95: Gauge,
     pub cost_p99: Gauge,
@@ -118,11 +92,6 @@ impl EngineTele {
             flush_total: t.histogram("engine_flush_total_nanos"),
             flush_events: t.histogram("engine_flush_events"),
             checkpoint_nanos: t.histogram("engine_checkpoint_nanos"),
-            shard: ShardTele {
-                t: t.clone(),
-                drain_nanos: t.histogram("engine_shard_drain_nanos"),
-                service_nanos: t.histogram("engine_service_sampled_nanos"),
-            },
             cost_p50: t.gauge("engine_realloc_cost_p50"),
             cost_p95: t.gauge("engine_realloc_cost_p95"),
             cost_p99: t.gauge("engine_realloc_cost_p99"),
@@ -137,9 +106,25 @@ impl EngineTele {
         self.t.now_nanos()
     }
 
-    /// Publishes the exact-cost gauges from `costs`, the engine-lifetime
-    /// distribution (called once per flush and at attach).
-    pub fn publish_cost_gauges(&self, costs: &CostHistogram) {
+    /// Sets every scheduling-state instrument from `engine`: the four
+    /// `_total`s are advanced to the lifetime tally (a counter never
+    /// falls, so one that already reads more — a registry re-attached
+    /// to an engine with less history — keeps its value), the gauges
+    /// are set outright.
+    pub fn publish(&self, engine: &Engine) {
+        let lifetime = engine.lifetime();
+        for (counter, value) in [
+            (&self.requests_total, lifetime.requests),
+            (&self.failed_total, lifetime.failed),
+            (&self.reallocations_total, lifetime.reallocations),
+            (&self.migrations_total, lifetime.migrations),
+        ] {
+            counter.add(value.saturating_sub(counter.get()));
+        }
+        self.active_jobs.set(engine.active_count() as u64);
+        self.epoch.set(engine.epoch());
+        self.shards.set(engine.router().shards() as u64);
+        let costs = &lifetime.hist;
         self.cost_p50.set(costs.percentile(0.50));
         self.cost_p95.set(costs.percentile(0.95));
         self.cost_p99.set(costs.percentile(0.99));

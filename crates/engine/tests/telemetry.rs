@@ -1,14 +1,16 @@
 //! Engine ↔ telemetry integration properties:
 //!
-//! * an attached registry counts exactly what the exact-metrics path
-//!   reports, across resizes (engine-level counters never reset),
+//! * an attached registry shows exactly what the exact-metrics path
+//!   reports, across resizes and for history restored before attach
+//!   (the engine counts, the registry shows),
 //! * instrumentation never perturbs scheduling outcomes (placements,
 //!   costs, journal bytes, and the state digest are identical with and
 //!   without telemetry),
-//! * registry contents snapshot → restore → replay **byte-identically**
-//!   under a deterministic manual clock: re-running the same workload on
-//!   a fresh engine + registry reproduces the same snapshot text, and
-//!   restoring a snapshot into a fresh registry reproduces it verbatim.
+//! * under a deterministic manual clock the registry is a pure function
+//!   of the workload: replaying it on a fresh engine and registry renders
+//!   byte-identically,
+//! * README "Observability" lists exactly the `engine_*` instruments an
+//!   instrumented engine registers.
 
 use proptest::prelude::*;
 use realloc_core::{RequestSeq, Restorable};
@@ -113,14 +115,17 @@ fn registry_matches_exact_metrics_across_resize() {
     );
 }
 
-/// The cost gauges are a view of the engine's own lifetime histograms,
-/// so a registry attached to a *restored* engine shows the restored
-/// history at once — and keeps agreeing with `metrics()` as flushes add
-/// to it — instead of a distribution that restarts at attach.
+/// The registry's scheduling instruments are a view of the engine's own
+/// lifetime tally, so a registry attached to a *restored* engine — one
+/// that was resized, so carryover and live shards both hold history —
+/// shows that history at once, and keeps agreeing with `metrics()` as
+/// flushes add to it, instead of counting from zero at attach.
 #[test]
-fn cost_gauges_cover_history_restored_before_attach() {
+fn registry_covers_history_restored_before_attach() {
     let mut original = Engine::new(config(4));
     original.ingest(&churn(3, 4, 600), 64);
+    original.resize(6).expect("growing is always feasible");
+    original.ingest(&churn(4, 4, 200), 64);
     let mut engine = Engine::restore_snapshot(&original.snapshot_text()).unwrap();
     let history = engine.metrics();
     assert!(history.cost.mean > 0.0, "the script reallocates");
@@ -128,6 +133,21 @@ fn cost_gauges_cover_history_restored_before_attach() {
     let tel = Telemetry::new();
     engine.attach_telemetry(&tel);
     let check = |m: &realloc_engine::Metrics| {
+        for (name, want) in [
+            ("engine_requests_total", m.requests),
+            ("engine_failed_total", m.failed),
+            ("engine_reallocations_total", m.reallocations),
+            ("engine_migrations_total", m.migrations),
+        ] {
+            assert_eq!(tel.counter_value(name), Some(want), "{name}");
+        }
+        for (name, want) in [
+            ("engine_active_jobs", m.active_jobs),
+            ("engine_epoch", 1),
+            ("engine_shards", 6),
+        ] {
+            assert_eq!(tel.gauge_value(name), Some(want), "{name}");
+        }
         assert_eq!(tel.gauge_value("engine_realloc_cost_p50"), Some(m.cost.p50));
         assert_eq!(tel.gauge_value("engine_realloc_cost_p95"), Some(m.cost.p95));
         assert_eq!(tel.gauge_value("engine_realloc_cost_p99"), Some(m.cost.p99));
@@ -186,22 +206,40 @@ proptest! {
     }
 
     /// Under a deterministic manual clock the registry is a pure
-    /// function of the workload: snapshot → restore is byte-identical,
-    /// and replaying the same workload (fresh engine, fresh registry,
-    /// resize included) reproduces the same snapshot text.
+    /// function of the workload: replaying the same workload (fresh
+    /// engine, fresh registry, resize and checkpoint included) renders
+    /// the same exposition, byte for byte.
     #[test]
     fn registry_snapshot_restore_replay_byte_identical(seed in 0u64..200) {
         let (tel_a, _engine_a) = instrumented_run(seed, 4, 240);
-        let snapshot = tel_a.snapshot_text();
-
-        // Restore into a fresh registry: byte-identical round trip.
-        let tel_b = Telemetry::with_clock(Clock::manual(), 256);
-        tel_b.restore_registry(&snapshot).expect("snapshot restores");
-        prop_assert_eq!(tel_b.snapshot_text(), snapshot.clone());
+        let (tel_b, _engine_b) = instrumented_run(seed, 4, 240);
         prop_assert_eq!(tel_b.render_text(), tel_a.render_text());
-
-        // Replay the workload end-to-end: same registry bytes.
-        let (tel_c, _engine_c) = instrumented_run(seed, 4, 240);
-        prop_assert_eq!(tel_c.snapshot_text(), snapshot);
     }
+}
+
+/// The docs-drift gate for the engine's slice of README "Observability":
+/// its instrument table names exactly the `engine_*` instruments an
+/// instrumented engine registers — none missing, none extra.
+#[test]
+fn readme_lists_every_engine_instrument() {
+    let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+    let mut documented: Vec<&str> = readme
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `engine_"))
+        .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
+        .collect();
+    documented.sort_unstable();
+    let (counters, gauges, hists) = instrumented_run(1, 2, 64).0.registry_contents();
+    let mut registered: Vec<String> = counters
+        .into_iter()
+        .chain(gauges)
+        .map(|(name, _)| name)
+        .chain(hists.into_iter().map(|(name, _)| name))
+        .filter_map(|name| name.strip_prefix("engine_").map(str::to_string))
+        .collect();
+    registered.sort_unstable();
+    assert_eq!(
+        documented, registered,
+        "README table vs registry (engine_ prefix dropped)"
+    );
 }

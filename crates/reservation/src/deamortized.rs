@@ -20,16 +20,17 @@
 //! to be `2γ`-underallocated — each generation effectively runs the
 //! machine at half speed.
 //!
-//! **Limitation (documented in DESIGN.md):** span-1 windows have a fixed
-//! slot parity and can never change generations, so deamortized mode
-//! requires every window span ≥ 2 (and trims to ≥ 2). The amortized
-//! [`crate::trim::TrimmedScheduler`] has no such restriction.
+//! **Limitation:** span-1 windows have a fixed slot parity and can never
+//! change generations, so deamortized mode requires every window span
+//! ≥ 2 (and the trim bound is always ≥ 16). The amortized
+//! [`crate::trim::TrimmedScheduler`] has no such restriction; the two
+//! share one trimming rule (`n*` floor, resize rule and bound, in
+//! [`crate::trim`]).
 
 use crate::scheduler::ReservationScheduler;
+use crate::trim::{checked_trim_span, settled_n_star, MIN_N_STAR};
 use realloc_core::{Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window};
 use std::collections::{HashMap, VecDeque};
-
-pub(crate) const MIN_N_STAR: u64 = 8;
 
 /// How many old-generation jobs each request additionally migrates while a
 /// drain is in progress (the paper's "two jobs").
@@ -79,9 +80,9 @@ impl DeamortizedScheduler {
         }
     }
 
-    /// Current trim bound (power of two, ≥ 2).
+    /// Current trim bound (power of two, ≥ 16).
     pub fn trim_span(&self) -> u64 {
-        (2 * self.gamma * self.n_star).next_power_of_two().max(2)
+        checked_trim_span(self.gamma, self.n_star).expect("trim bound 2γn* overflows the time axis")
     }
 
     /// Completed generation flips.
@@ -156,20 +157,15 @@ impl DeamortizedScheduler {
     }
 
     fn maybe_flip(&mut self, out: &mut Vec<SlotMove>) -> Result<(), Error> {
-        let n = self.jobs.len() as u64;
-        let needs = n > self.n_star || (self.n_star > MIN_N_STAR && n < self.n_star / 4);
-        if !needs {
+        let n_star = settled_n_star(self.n_star, self.jobs.len() as u64);
+        if n_star == self.n_star {
             return Ok(());
         }
         // Finish any drain in progress first (rare; bounded by the previous
-        // generation's leftovers).
+        // generation's leftovers). Draining moves jobs between the
+        // generations, never in or out, so `n*` stays settled.
         self.drain_step(usize::MAX, out)?;
-        while self.jobs.len() as u64 > self.n_star {
-            self.n_star *= 2;
-        }
-        while self.n_star > MIN_N_STAR && (self.jobs.len() as u64) < self.n_star / 4 {
-            self.n_star /= 2;
-        }
+        self.n_star = n_star;
         // Flip: the active generation starts draining into the other one.
         // The queue is sorted by job id so the drain order — which decides
         // which two jobs migrate on each subsequent request — is a pure

@@ -21,8 +21,8 @@
 //! per-window job counts and the allowance, and the scheduler's only mutable
 //! state is which concrete slots back each fulfilled reservation.
 //!
-//! Deviation from the paper (documented in DESIGN.md): windows with zero
-//! active jobs contribute no standing reservations here. Dropping them can
+//! Deviation from the paper: windows with zero active jobs contribute no
+//! standing reservations here. Dropping them can
 //! only *increase* the fulfilled counts of active windows (priority is by
 //! span, so an absent short window frees capacity for longer ones), hence
 //! every lower bound the analysis needs — in particular Lemma 8's

@@ -28,7 +28,7 @@
 use crate::deamortized::DeamortizedScheduler;
 use crate::scheduler::{ReservationScheduler, MAX_TIME};
 use crate::state::{Field, IntervalState, JobRec};
-use crate::trim::TrimmedScheduler;
+use crate::trim::{checked_trim_span, settled_n_star, TrimmedScheduler, MIN_N_STAR};
 use fxhash::FxHashMap;
 use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
@@ -36,18 +36,27 @@ use realloc_core::{JobId, Slot, Tower, Window};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// The trim bound `(2·γ·n*).next_power_of_two()` with overflow reported
+/// The shared trim bound ([`checked_trim_span`]) with overflow reported
 /// as a parse error instead of a panic (γ and `n*` come from untrusted
 /// snapshot text).
-fn checked_trim_span(gamma: u64, n_star: u64, floor: u64) -> Result<u64, ParseError> {
-    2u64.checked_mul(gamma)
-        .and_then(|x| x.checked_mul(n_star))
-        .and_then(|x| x.checked_next_power_of_two())
-        .map(|x| x.max(floor))
-        .ok_or(ParseError {
+fn trim_span_of(gamma: u64, n_star: u64) -> Result<u64, ParseError> {
+    checked_trim_span(gamma, n_star).ok_or(ParseError {
+        line: 0,
+        message: format!("trim bound 2·{gamma}·{n_star} overflows the time axis"),
+    })
+}
+
+/// Checks a snapshot's `n*` against its active count under the shared
+/// resize rule: the rule settles between requests, so a recorded `n*`
+/// it would still move is forged.
+fn settled(n_star: u64, n: u64) -> Result<(), ParseError> {
+    if settled_n_star(n_star, n) != n_star {
+        return Err(ParseError {
             line: 0,
-            message: format!("trim bound 2·{gamma}·{n_star} overflows the time axis"),
-        })
+            message: format!("n_star {n_star} inconsistent with {n} active jobs"),
+        });
+    }
+    Ok(())
 }
 
 /// Validates an aligned window from `[start, end)` fields.
@@ -374,10 +383,10 @@ impl Restorable for TrimmedScheduler {
                     if gamma == 0 {
                         return Err(f.err("gamma must be >= 1"));
                     }
-                    if !n_star.is_power_of_two() || n_star < crate::trim::MIN_N_STAR {
+                    if !n_star.is_power_of_two() || n_star < MIN_N_STAR {
                         return Err(f.err(format!(
                             "n_star {n_star} must be a power of two >= {}",
-                            crate::trim::MIN_N_STAR
+                            MIN_N_STAR
                         )));
                     }
                     header = Some((gamma, n_star, rebuilds));
@@ -408,13 +417,7 @@ impl Restorable for TrimmedScheduler {
         // originals, each trimmed to the recorded n* bound, and n* must
         // be consistent with the active count (the resize loop keeps
         // `n <= n*` and `n >= n*/4` between requests).
-        let n = originals.len() as u64;
-        if n > n_star || (n_star > crate::trim::MIN_N_STAR && n < n_star / 4) {
-            return Err(ParseError {
-                line: 0,
-                message: format!("n_star {n_star} inconsistent with {n} active jobs"),
-            });
-        }
+        settled(n_star, originals.len() as u64)?;
         if inner.jobs.len() != originals.len() {
             return Err(ParseError {
                 line: 0,
@@ -425,7 +428,7 @@ impl Restorable for TrimmedScheduler {
                 ),
             });
         }
-        let trim_span = checked_trim_span(gamma, n_star, 1)?;
+        let trim_span = trim_span_of(gamma, n_star)?;
         // Only the windows the bound cut are kept; the rest are checked
         // against the inner scheduler's and dropped.
         let mut cut: FxHashMap<JobId, Window> = FxHashMap::default();
@@ -522,10 +525,10 @@ impl Restorable for DeamortizedScheduler {
                     if gamma == 0 {
                         return Err(f.err("gamma must be >= 1"));
                     }
-                    if !n_star.is_power_of_two() || n_star < crate::deamortized::MIN_N_STAR {
+                    if !n_star.is_power_of_two() || n_star < MIN_N_STAR {
                         return Err(f.err(format!(
                             "n_star {n_star} must be a power of two >= {}",
-                            crate::deamortized::MIN_N_STAR
+                            MIN_N_STAR
                         )));
                     }
                     if active > 1 {
@@ -591,20 +594,14 @@ impl Restorable for DeamortizedScheduler {
         ];
 
         // Cross-validate placement, drain membership, and n* bounds.
-        let n = jobs.len() as u64;
-        if n > n_star || (n_star > crate::deamortized::MIN_N_STAR && n < n_star / 4) {
-            return Err(ParseError {
-                line: 0,
-                message: format!("n_star {n_star} inconsistent with {n} active jobs"),
-            });
-        }
+        settled(n_star, jobs.len() as u64)?;
         if gens[0].jobs.len() + gens[1].jobs.len() != jobs.len() {
             return Err(ParseError {
                 line: 0,
                 message: "generation job counts do not cover the active set".to_string(),
             });
         }
-        let trim_span = checked_trim_span(gamma, n_star, 2)?;
+        let trim_span = trim_span_of(gamma, n_star)?;
         for (&id, &(win, gen)) in &jobs {
             let t = win.trim_to(trim_span);
             let half = Window::with_span(t.start() / 2, t.span() / 2);

@@ -31,8 +31,35 @@ use fxhash::FxHashMap;
 use realloc_core::{Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window};
 
 /// Smallest `n*` we bother tracking; below this trimming is a no-op in
-/// practice and rebuild churn would dominate.
+/// practice and rebuild churn would dominate. Shared with
+/// [`crate::deamortized`], like the two functions below: one trimming
+/// rule, whichever scheduler rebuilds under it.
 pub(crate) const MIN_N_STAR: u64 = 8;
+
+/// The `n*` the paper's resize rule settles on for `n` active jobs,
+/// starting from `n_star`: doubled while exceeded, halved while
+/// `n < n*/4`, never below [`MIN_N_STAR`]. Equal to `n_star` exactly
+/// when the estimate is consistent with `n`.
+pub(crate) fn settled_n_star(mut n_star: u64, n: u64) -> u64 {
+    while n > n_star {
+        n_star *= 2;
+    }
+    while n_star > MIN_N_STAR && n < n_star / 4 {
+        n_star /= 2;
+    }
+    n_star
+}
+
+/// The trim bound `2γn*`, rounded up to a power of two (trimming needs a
+/// power-of-two target); `None` when it overflows the time axis — γ and
+/// `n*` may come from untrusted snapshot text. With γ ≥ 1 and
+/// `n* ≥ MIN_N_STAR` it is at least 16, so a trimmed window never drops
+/// below the span 2 the even/odd-slot scheme needs.
+pub(crate) fn checked_trim_span(gamma: u64, n_star: u64) -> Option<u64> {
+    2u64.checked_mul(gamma)?
+        .checked_mul(n_star)?
+        .checked_next_power_of_two()
+}
 
 /// A [`ReservationScheduler`] wrapped with the paper's `n*` trimming rule
 /// and amortized rebuilds.
@@ -83,7 +110,7 @@ impl TrimmedScheduler {
 
     /// The trim bound under an estimate of `n_star`.
     fn trim_span_at(&self, n_star: u64) -> u64 {
-        (2 * self.gamma * n_star).next_power_of_two()
+        checked_trim_span(self.gamma, n_star).expect("trim bound 2γn* overflows the time axis")
     }
 
     /// Current `n*` estimate.
@@ -110,19 +137,6 @@ impl TrimmedScheduler {
     /// `inner_window`.
     pub(crate) fn original_of(&self, id: JobId, inner_window: Window) -> Window {
         self.originals.get(&id).copied().unwrap_or(inner_window)
-    }
-
-    /// The `n*` the resize rule settles on for `n` active jobs: doubled
-    /// while exceeded, halved while `n < n*/4`.
-    fn settled_n_star(&self, n: u64) -> u64 {
-        let mut n_star = self.n_star;
-        while n > n_star {
-            n_star *= 2;
-        }
-        while n_star > MIN_N_STAR && n < n_star / 4 {
-            n_star /= 2;
-        }
-        n_star
     }
 
     /// Rebuilds the schedule from scratch under a new `n*` — every active
@@ -182,7 +196,7 @@ impl SingleMachineReallocator for TrimmedScheduler {
             });
         }
         // Resize first so the insert itself sees the right trim bound.
-        let n_star = self.settled_n_star(self.inner.jobs.len() as u64 + 1);
+        let n_star = settled_n_star(self.n_star, self.inner.jobs.len() as u64 + 1);
         if n_star != self.n_star {
             if self.inner.slot_of(id).is_some() {
                 return Err(Error::DuplicateJob(id));
@@ -206,7 +220,7 @@ impl SingleMachineReallocator for TrimmedScheduler {
     fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
         let mut moves = self.inner.delete(id)?;
         self.originals.remove(&id);
-        let n_star = self.settled_n_star(self.inner.jobs.len() as u64);
+        let n_star = settled_n_star(self.n_star, self.inner.jobs.len() as u64);
         if n_star != self.n_star {
             self.rebuild(n_star, None, &mut moves)?;
         }
@@ -321,6 +335,28 @@ mod tests {
             assert!(s.originals.is_empty());
         }
         assert!(s.rebuilds() >= 6, "n* doubled and halved on the way");
+    }
+
+    /// The one trimming rule both schedulers and both snapshot checks
+    /// use: `n*` settles by doubling and halving with a floor, and the
+    /// bound overflows into `None` instead of a panic.
+    #[test]
+    fn one_trimming_rule() {
+        for (n_star, n, settled) in [
+            (8, 8, 8),
+            (8, 9, 16),
+            (8, 1000, 1024),
+            (64, 16, 64),
+            (64, 15, 32),
+            (1024, 0, MIN_N_STAR),
+        ] {
+            assert_eq!(settled_n_star(n_star, n), settled, "n* {n_star}, n {n}");
+        }
+        assert_eq!(checked_trim_span(8, 8), Some(128));
+        assert_eq!(checked_trim_span(3, MIN_N_STAR), Some(64));
+        assert_eq!(checked_trim_span(1, 1 << 62), Some(1 << 63));
+        assert_eq!(checked_trim_span(1, 1 << 63), None);
+        assert_eq!(checked_trim_span(3, 1 << 61), None);
     }
 
     /// A rejected insert at an `n*` crossing used to leave `n*` doubled

@@ -4,11 +4,12 @@
 //! [`runner`] drives any [`realloc_core::Reallocator`] over a request
 //! sequence with per-request cost metering and optional per-step
 //! feasibility validation; [`stats`] summarizes cost distributions;
-//! [`report`] prints the fixed-width tables recorded in `EXPERIMENTS.md`.
+//! [`report`] prints the fixed-width tables the experiments produce.
 //!
-//! One binary per experiment lives in `src/bin/` (`exp_*`); each
-//! regenerates one table of `EXPERIMENTS.md`. See `DESIGN.md` §4 for the
-//! experiment index.
+//! One binary per experiment lives in `src/bin/` (`exp_*`); each prints
+//! the tables of one experiment, and its module header names the
+//! theorem, lemma or figure it measures (`E2 + E3` in `exp_theorem1`,
+//! and so on) — that header is the experiment index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

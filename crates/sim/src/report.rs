@@ -1,4 +1,4 @@
-//! Fixed-width table printing — the "figures" of `EXPERIMENTS.md`.
+//! Fixed-width table printing — the "figures" the `exp_*` binaries print.
 
 /// A printable table.
 #[derive(Clone, Debug)]

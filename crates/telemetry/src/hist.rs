@@ -10,10 +10,9 @@
 //! than that in practice because quantiles interpolate within a bucket
 //! and clamp to the observed maximum.
 //!
-//! The struct is plain data — no locks, no atomics — so hot paths can
-//! accumulate into a local instance and [`Histogram::merge`] it into a
-//! shared one once per flush (the "lock-free-ish" accumulation pattern
-//! the registry builds on).
+//! The struct is plain data — no locks, no atomics: the registry keeps
+//! each one behind a mutex, and readers [`Histogram::merge`] copies to
+//! combine series (e.g. one per replica link).
 
 /// Number of buckets: one for zero plus one per power of two up to 2⁶³.
 pub const HIST_BUCKETS: usize = 65;
@@ -81,7 +80,7 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Folds `other` into `self` (the per-shard → shared merge).
+    /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
@@ -89,11 +88,6 @@ impl Histogram {
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
-    }
-
-    /// Drops every sample (the local accumulator reset after a merge).
-    pub fn clear(&mut self) {
-        *self = Histogram::new();
     }
 
     /// Number of recorded samples.
@@ -165,67 +159,6 @@ impl Histogram {
             self.quantile(0.99),
         )
     }
-
-    /// Scalar parts for serialization: `(count, sum, max)`.
-    pub fn parts(&self) -> (u64, u64, u64) {
-        (self.count, self.sum, self.max)
-    }
-
-    /// Non-empty buckets as `(index, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (i, n))
-    }
-
-    /// Rebuilds a histogram from [`Histogram::parts`] and
-    /// [`Histogram::nonzero_buckets`] output, validating the untrusted
-    /// input: bucket indices in range, bucket counts summing to `count`,
-    /// and `max` inside its claimed bucket.
-    pub fn from_parts(
-        count: u64,
-        sum: u64,
-        max: u64,
-        nonzero: &[(usize, u64)],
-    ) -> Result<Histogram, String> {
-        let mut h = Histogram {
-            buckets: [0; HIST_BUCKETS],
-            count,
-            sum,
-            max,
-        };
-        let mut total = 0u64;
-        for &(i, n) in nonzero {
-            if i >= HIST_BUCKETS {
-                return Err(format!("bucket index {i} out of range"));
-            }
-            if h.buckets[i] != 0 {
-                return Err(format!("bucket {i} listed twice"));
-            }
-            h.buckets[i] = n;
-            total = total
-                .checked_add(n)
-                .ok_or_else(|| "bucket counts overflow".to_string())?;
-        }
-        if total != count {
-            return Err(format!("bucket counts sum to {total}, header says {count}"));
-        }
-        if count > 0 {
-            let top = h
-                .buckets
-                .iter()
-                .rposition(|&n| n > 0)
-                .expect("count > 0 implies a nonzero bucket");
-            if bucket_index(max) != top {
-                return Err(format!("max {max} not inside top nonzero bucket {top}"));
-            }
-        } else if max != 0 || sum != 0 {
-            return Err("empty histogram with nonzero sum/max".to_string());
-        }
-        Ok(h)
-    }
 }
 
 #[cfg(test)]
@@ -276,23 +209,5 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, both);
-    }
-
-    #[test]
-    fn parts_round_trip_and_validation() {
-        let mut h = Histogram::new();
-        for v in [0u64, 5, 5, 129, 1 << 40] {
-            h.record(v);
-        }
-        let (c, s, m) = h.parts();
-        let nz: Vec<_> = h.nonzero_buckets().collect();
-        let back = Histogram::from_parts(c, s, m, &nz).unwrap();
-        assert_eq!(back, h);
-
-        assert!(Histogram::from_parts(1, 0, 0, &[(99, 1)]).is_err());
-        assert!(Histogram::from_parts(2, 0, 0, &[(0, 1)]).is_err());
-        assert!(Histogram::from_parts(1, 5, 1 << 20, &[(1, 1)]).is_err());
-        assert!(Histogram::from_parts(0, 1, 0, &[]).is_err());
-        assert!(Histogram::from_parts(2, 0, 0, &[(0, 1), (0, 1)]).is_err());
     }
 }

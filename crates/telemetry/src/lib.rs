@@ -15,11 +15,9 @@
 //! time, look up their named instruments, and keep the returned
 //! [`Counter`]/[`Gauge`]/[`Histo`] handles — the name→instrument map is
 //! only locked at registration, never on the hot path. Counters and
-//! gauges are plain `AtomicU64`s. Histograms sit behind a mutex, but the
-//! intended pattern (and the one the engine uses) is *per-shard local
-//! accumulation*: record into a private [`Histogram`] and
-//! [`Histo::merge`] it into the shared one once per flush, so the lock
-//! is taken O(shards) times per flush rather than per sample.
+//! gauges are plain `AtomicU64`s. Histograms sit behind a mutex, so hot
+//! paths record O(1) samples per batch (a flush phase, an fsync, an ack),
+//! never one per request.
 //!
 //! # Naming scheme
 //!
@@ -31,12 +29,13 @@
 //!
 //! # Persistence
 //!
-//! Registry contents serialize to the workspace snapshot text format
-//! ([`Telemetry::snapshot_text`] / [`Telemetry::restore_registry`]), so
-//! lifetime telemetry survives checkpoint → restore alongside engine
-//! state. Deliberately, the registry is **not** part of any engine's
-//! digested state: replication digests must depend only on the replayed
-//! event stream, never on wall-clock measurements.
+//! None: a registry lives as long as its process. Numbers that must
+//! survive a restart are owned by the component that counts them and
+//! ride that component's own snapshot — the engine's lifetime tallies
+//! are in its snapshot, and its registry shows them again at attach.
+//! Deliberately, the registry is **not** part of any engine's digested
+//! state: replication digests must depend only on the replayed event
+//! stream, never on wall-clock measurements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,8 +53,6 @@ pub use realloc_core::clock::Clock;
 pub use render::parse_sample;
 pub use trace::{Severity, TraceBuffer, TraceCtx, TraceEvent, TraceKind};
 
-use realloc_core::snapshot::{Fields, SnapshotNode, SnapshotWriter};
-use realloc_core::textio::ParseError;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -414,109 +411,6 @@ impl Telemetry {
         }
         out
     }
-
-    /// Serializes the registry (not the trace ring) to the workspace
-    /// snapshot text format. Deterministic: maps iterate sorted.
-    pub fn snapshot_text(&self) -> String {
-        let (counters, gauges, hists) = self.registry_contents();
-        let mut w = SnapshotWriter::new();
-        w.begin("telemetry");
-        for (name, value) in &counters {
-            w.line(format_args!("c {name} {value}"));
-        }
-        for (name, value) in &gauges {
-            w.line(format_args!("g {name} {value}"));
-        }
-        for (name, h) in &hists {
-            w.begin_args("hist", format_args!("{name}"));
-            let (count, sum, max) = h.parts();
-            w.line(format_args!("h {count} {sum} {max}"));
-            for (i, n) in h.nonzero_buckets() {
-                w.line(format_args!("b {i} {n}"));
-            }
-            w.end();
-        }
-        w.end();
-        w.finish()
-    }
-
-    /// Loads a [`Telemetry::snapshot_text`] document into this registry,
-    /// overwriting same-named instruments (others are left alone). A
-    /// no-op on a disabled handle. Validates untrusted input — bad
-    /// bucket tables or malformed lines are [`ParseError`]s, not panics.
-    pub fn restore_registry(&self, text: &str) -> Result<(), ParseError> {
-        let root = SnapshotNode::parse(text)?;
-        let node = root.only_child("telemetry")?;
-        if self.inner.is_none() {
-            return Ok(());
-        }
-        for (line, content) in &node.lines {
-            let mut f = Fields::of(*line, content);
-            let op = f.token("op")?;
-            match op {
-                "c" => {
-                    let name = f.token("counter name")?.to_string();
-                    let value = f.u64("counter value")?;
-                    f.finish()?;
-                    self.counter(name)
-                        .0
-                        .expect("enabled")
-                        .store(value, Ordering::Relaxed);
-                }
-                "g" => {
-                    let name = f.token("gauge name")?.to_string();
-                    let value = f.u64("gauge value")?;
-                    f.finish()?;
-                    self.gauge(name)
-                        .0
-                        .expect("enabled")
-                        .store(value, Ordering::Relaxed);
-                }
-                other => return Err(f.err(format!("unknown telemetry op '{other}'"))),
-            }
-        }
-        for child in node.children_of("hist") {
-            let name = child.args.first().ok_or(ParseError {
-                line: 0,
-                message: "hist section without a name".to_string(),
-            })?;
-            let mut header: Option<(u64, u64, u64)> = None;
-            let mut nonzero: Vec<(usize, u64)> = Vec::new();
-            for (line, content) in &child.lines {
-                let mut f = Fields::of(*line, content);
-                match f.token("op")? {
-                    "h" => {
-                        if header.is_some() {
-                            return Err(f.err("duplicate 'h' header"));
-                        }
-                        let count = f.u64("count")?;
-                        let sum = f.u64("sum")?;
-                        let max = f.u64("max")?;
-                        f.finish()?;
-                        header = Some((count, sum, max));
-                    }
-                    "b" => {
-                        let i = f.usize("bucket index")?;
-                        let n = f.u64("bucket count")?;
-                        f.finish()?;
-                        nonzero.push((i, n));
-                    }
-                    other => return Err(f.err(format!("unknown hist op '{other}'"))),
-                }
-            }
-            let (count, sum, max) = header.ok_or(ParseError {
-                line: 0,
-                message: format!("hist '{name}' missing its 'h' header"),
-            })?;
-            let h =
-                Histogram::from_parts(count, sum, max, &nonzero).map_err(|message| ParseError {
-                    line: 0,
-                    message: format!("hist '{name}': {message}"),
-                })?;
-            self.histogram(name.clone()).set(h);
-        }
-        Ok(())
-    }
 }
 
 /// A monotonically increasing `u64` instrument. Lock-free; no-op when
@@ -562,8 +456,8 @@ impl Gauge {
 }
 
 /// A shared handle on a registered [`Histogram`]. Recording takes a
-/// mutex — prefer a local `Histogram` plus one [`Histo::merge`] per
-/// flush on hot paths (see the crate docs).
+/// mutex — record per batch, not per request, on hot paths (see the
+/// crate docs).
 #[derive(Clone, Debug, Default)]
 pub struct Histo(Option<Arc<Mutex<Histogram>>>);
 
@@ -572,23 +466,6 @@ impl Histo {
     pub fn record(&self, v: u64) {
         if let Some(h) = &self.0 {
             h.lock().expect("histogram poisoned").record(v);
-        }
-    }
-
-    /// Folds a locally accumulated histogram in (one lock per call).
-    pub fn merge(&self, local: &Histogram) {
-        if local.is_empty() {
-            return;
-        }
-        if let Some(h) = &self.0 {
-            h.lock().expect("histogram poisoned").merge(local);
-        }
-    }
-
-    /// Replaces the contents (used by registry restore).
-    fn set(&self, new: Histogram) {
-        if let Some(h) = &self.0 {
-            *h.lock().expect("histogram poisoned") = new;
         }
     }
 
@@ -666,10 +543,8 @@ mod tests {
         assert_eq!(t.gauge_value("jobs"), Some(11));
 
         let h = t.histogram("lat_nanos");
-        let mut local = Histogram::new();
-        local.record(100);
-        local.record(200);
-        h.merge(&local);
+        t.histogram("lat_nanos").record(100);
+        t.histogram("lat_nanos").record(200);
         h.record(300);
         assert_eq!(t.histogram_snapshot("lat_nanos").unwrap().count(), 3);
         assert_eq!(t.quantile("lat_nanos", 1.0), Some(300));
@@ -691,36 +566,6 @@ mod tests {
         assert_eq!(evs[1].a, 42);
         let text = t.render_trace();
         assert!(text.contains("debug end flush 42 1000"), "{text}");
-    }
-
-    #[test]
-    fn snapshot_restore_is_byte_identical() {
-        let t = Telemetry::with_clock(Clock::manual(), 16);
-        t.counter("a_total").add(9);
-        t.counter(labeled("b_total", "shard", 3)).add(2);
-        t.gauge("g").set(1 << 40);
-        let h = t.histogram("lat_nanos");
-        for v in [0u64, 1, 1, 7, 500, u64::MAX] {
-            h.record(v);
-        }
-        let text = t.snapshot_text();
-
-        let back = Telemetry::with_clock(Clock::manual(), 16);
-        back.restore_registry(&text).unwrap();
-        assert_eq!(back.snapshot_text(), text);
-        assert_eq!(back.render_text(), t.render_text());
-    }
-
-    #[test]
-    fn restore_rejects_corruption() {
-        let t = Telemetry::with_clock(Clock::manual(), 16);
-        assert!(t.restore_registry("not a snapshot").is_err());
-        let doc = "# realloc snapshot v1\n!begin telemetry\nz what 1\n!end\n";
-        assert!(t.restore_registry(doc).is_err());
-        // Histogram whose bucket table disagrees with its header.
-        let doc =
-            "# realloc snapshot v1\n!begin telemetry\n!begin hist h\nh 5 0 0\nb 0 1\n!end\n!end\n";
-        assert!(t.restore_registry(doc).is_err());
     }
 
     #[test]

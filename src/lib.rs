@@ -9,9 +9,10 @@
 //! while rescheduling only `O(min{log* n, log* Δ})` already-placed jobs per
 //! request and migrating **at most one** job across machines per request —
 //! provided the instance keeps constant-factor slack
-//! (`γ`-underallocation). See `DESIGN.md` for the architecture and
-//! `EXPERIMENTS.md` for the measured reproduction of every
-//! theorem/lemma/figure in the paper.
+//! (`γ`-underallocation). The README's "Workspace map" lays out the
+//! crates; each `exp_*` binary of `realloc-sim` prints the measured
+//! table for one theorem, lemma or figure of the paper (its header
+//! names which).
 //!
 //! # Quickstart
 //!
