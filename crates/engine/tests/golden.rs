@@ -99,14 +99,14 @@ fn dense_churn_is_pinned() {
     assert_eq!((m.requests, m.failed), (30_240, 0));
     assert_eq!(
         (m.active_jobs, m.reallocations, m.migrations),
-        (6_212, 2_639, 1_679)
+        (6_212, 1_190, 306)
     );
     assert_eq!(
         digests(&e),
         (
-            0x5882_0c77_cbc4_bd20,
-            0x0472_d82f_495f_ffc6,
-            0x0472_d82f_495f_ffc6
+            0x1a60_a2ba_8397_e3a6,
+            0xfe9c_6173_33ab_5e04,
+            0xfe9c_6173_33ab_5e04
         )
     );
 }
@@ -204,13 +204,13 @@ fn trimmed_churn_with_rejections_is_pinned() {
         m.failed
     );
     assert_eq!((m.requests, m.failed, m.active_jobs), (1_816, 34, 24));
-    assert_eq!((m.reallocations, m.migrations), (331, 205));
+    assert_eq!((m.reallocations, m.migrations), (201, 88));
     assert_eq!(
         digests(&e),
         (
-            0x618a_32ad_3b9f_88bf,
-            0x3203_8809_22e5_9d4d,
-            0x3203_8809_22e5_9d4d
+            0xc215_991b_1dca_0217,
+            0x026f_dff7_cc32_b644,
+            0x026f_dff7_cc32_b644
         )
     );
 }
@@ -234,9 +234,9 @@ fn mid_stream_restore_is_pinned() {
     assert_eq!(
         digests(&b),
         (
-            0x2c80_3995_5d1c_6b2e,
-            0x7d29_f089_f879_a931,
-            0x7d29_f089_f879_a931
+            0x9e20_c1e9_7805_82fd,
+            0xbf46_f65c_b881_7c2e,
+            0xbf46_f65c_b881_7c2e
         )
     );
 }

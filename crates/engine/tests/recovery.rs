@@ -3,9 +3,10 @@
 //! truncation bounds, and graceful journal parsing on malformed input.
 
 use proptest::prelude::*;
-use realloc_core::{Request, RequestSeq, Restorable};
+use realloc_core::{JobId, Request, RequestSeq, Restorable, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig, Journal, RecoverError, ReplayError};
 use realloc_workloads::{ChurnConfig, ChurnGenerator};
+use std::collections::BTreeMap;
 
 const ALL_BACKENDS: [BackendKind; 6] = [
     BackendKind::Reservation,
@@ -336,10 +337,10 @@ fn malformed_journals_error_gracefully() {
 #[test]
 fn multi_machine_shards_round_trip_with_migrations() {
     // machines_per_shard > 1 exercises the §3 delegation state in the
-    // snapshot: rotation starts, per-machine membership, and the
-    // deterministic migration-victim choice must all survive restore —
-    // deletes after the round trip drive real cross-machine migrations
-    // on both sides and must match move for move.
+    // snapshot: order starts, per-machine membership, and the
+    // deterministic mover choice must all survive restore — deletes
+    // after the round trip drive real cross-machine migrations on both
+    // sides and must match move for move.
     for kind in [
         BackendKind::Reservation,
         BackendKind::TheoremOne { gamma: 8 },
@@ -348,7 +349,21 @@ fn multi_machine_shards_round_trip_with_migrations() {
     ] {
         let mut cfg = config(2, kind);
         cfg.machines_per_shard = 3;
-        let seq = churn(41, 6, 400);
+        // A crowded 256-slot horizon: of its twenty windows, several end
+        // the prefix holding more jobs than a shard has machines.
+        let seq = ChurnGenerator::new(
+            ChurnConfig {
+                machines: 6,
+                gamma: 8,
+                horizon: 1 << 8,
+                spans: vec![16, 64],
+                target_active: 128,
+                insert_bias: 0.8,
+                unaligned: false,
+            },
+            41,
+        )
+        .generate(400);
         let (prefix, suffix) = seq.requests().split_at(240);
 
         let mut a = Engine::new(cfg);
@@ -359,16 +374,43 @@ fn multi_machine_shards_round_trip_with_migrations() {
             .unwrap_or_else(|e| panic!("{kind} m=3: restore failed: {e}"));
         assert_eq!(b.placements(), a.placements(), "{kind} m=3 prefix");
 
-        // Delete-heavy suffix: the §3 rebalance migrates jobs off the
-        // rotation tail, which is where restored per-machine state and
-        // victim determinism matter.
-        let deletes: Vec<Request> = a
-            .placements()
-            .iter()
-            .step_by(2)
-            .map(|&(id, _, _)| Request::Delete { id })
+        // Deletes aimed at §3's rebalance: in every window holding more
+        // jobs than machines, the smallest id on a light machine (one
+        // holding fewer of the window's jobs than the fullest). Each
+        // must migrate a job off a fullest machine, which is where
+        // restored per-machine state and mover determinism matter.
+        let mut shares: BTreeMap<(usize, Window), Vec<Vec<JobId>>> = BTreeMap::new();
+        for (id, shard, p) in a.placements() {
+            let w = a.window_of(id).unwrap().aligned_subwindow();
+            shares
+                .entry((shard, w))
+                .or_insert_with(|| vec![Vec::new(); 3])[p.machine]
+                .push(id);
+        }
+        let deletes: Vec<Request> = shares
+            .values()
+            .filter(|held| held.iter().map(Vec::len).sum::<usize>() > 3)
+            .filter_map(|held| {
+                let most = held.iter().map(Vec::len).max()?;
+                let light = held.iter().find(|ids| ids.len() < most)?;
+                Some(Request::Delete { id: light[0] })
+            })
             .collect();
+        assert!(
+            deletes.len() >= 4,
+            "{kind} m=3: the prefix leaves few crowded windows ({})",
+            deletes.len()
+        );
+        let migrating = a.journal().unwrap().event_count();
         ingest(&mut a, &deletes, 32);
+        assert!(
+            a.journal()
+                .unwrap()
+                .iter_events()
+                .skip(migrating)
+                .all(|e| matches!(e.result, Ok(c) if c.migrations == 1)),
+            "{kind} m=3: every aimed delete migrates exactly one job"
+        );
         ingest(&mut b, &deletes, 32);
         ingest(&mut a, suffix, 64);
         ingest(&mut b, suffix, 64);

@@ -9,12 +9,15 @@
 //!   aligned instances (Lemma 10: a `4γ`-underallocated arbitrary instance
 //!   stays `γ`-underallocated after alignment).
 //!
-//! * **§3 delegation**: per aligned window `W`, jobs are spread round-robin
-//!   over the `m` machines, keeping every machine's share of `W`-jobs
-//!   within one of `n_W / m` (Lemma 3: each machine's sub-instance stays
-//!   underallocated). Inserts never migrate; a delete migrates **at most
-//!   one** job — from the round-robin tail machine to the machine that
-//!   lost a job — which is Theorem 1's migration bound.
+//! * **§3 delegation**: per aligned window `W`, every machine holds
+//!   `⌊n_W/m⌋` or `⌈n_W/m⌉` of the `W`-jobs (Lemma 3: each machine's
+//!   sub-instance stays underallocated), and that balance is the whole
+//!   rule. An insert goes to the first machine, in `W`'s order, holding
+//!   the fewest `W`-jobs, so inserts never migrate (on an insert-only
+//!   history this is the paper's round robin). A delete migrates only
+//!   when the machine that lost a job would otherwise hold two fewer than
+//!   the fullest, and then **exactly one** job — the smallest id on the
+//!   first fullest machine — which is Theorem 1's migration bound.
 //!
 //! [`ReallocatingScheduler`] is generic over the per-machine backend, so
 //! the same wrapper drives the paper's reservation scheduler

@@ -23,38 +23,78 @@ use realloc_core::{
     SlotMove, Window,
 };
 use realloc_reservation::TrimmedScheduler;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 
 /// Per-effective-window delegation bookkeeping (paper §3).
+///
+/// The rule is Lemma 3's balance and nothing more: every machine holds
+/// `⌊n_W/m⌋` or `⌈n_W/m⌉` of the window's jobs. An insert goes to the
+/// first machine, in the window's order, that holds the fewest; a delete
+/// migrates a job only when the machine that lost one would otherwise
+/// hold two fewer than the fullest.
 #[derive(Clone, Debug)]
 struct WindowGroup {
-    /// First machine of this window's rotation. The paper starts every
-    /// window at machine 0; hashing the start preserves Lemma 3 (each
-    /// machine still holds `⌊n_W/m⌋` or `⌈n_W/m⌉` jobs of the window)
-    /// while balancing *aggregate* load across windows.
+    /// Where this window's machine order starts: the §3 choices break
+    /// ties in favour of the first machine in `start, start + 1, …`
+    /// (mod m). The paper starts every window at machine 0; hashing the
+    /// start hands different windows' extra jobs to different machines,
+    /// balancing *aggregate* load across windows.
     start: usize,
     /// Every job of this window with the machine it lives on, sorted by
-    /// `(machine, id)`; its length is the paper's `n_W`. Sorted so the §3
-    /// migration-victim choice on delete (the smallest id on the
-    /// rotation's tail machine) is a pure function of the *content* —
-    /// not of insertion history. Journal replay and snapshot/restore
-    /// equivalence both depend on that purity.
+    /// `(machine, id)`; its length is the paper's `n_W`. Sorted so a
+    /// machine's share is one binary search and both §3 choices (the
+    /// machine an insert goes to, the job a delete migrates) are pure
+    /// functions of the *content*, not of insertion history. Journal
+    /// replay, snapshot/restore and replicas all depend on that purity.
     members: Vec<(usize, JobId)>,
 }
 
 impl WindowGroup {
-    /// The rotation start of `window` on `machines` machines: a pure hash
-    /// of the window.
-    fn rotation_start(machines: usize, window: Window) -> usize {
+    /// The order start of `window` on `machines` machines: a pure hash of
+    /// the window.
+    fn start_of(machines: usize, window: Window) -> usize {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         window.hash(&mut h);
         (h.finish() % machines as u64) as usize
     }
 
-    /// Machine for the job number `i` (0-based) of a rotation from `start`.
-    fn machine_of(start: usize, i: usize, machines: usize) -> usize {
-        ((start as u64 + i as u64) % machines as u64) as usize
+    /// Every machine with the number of this window's jobs it holds, in
+    /// machine order; no allocation, O(m log n_W).
+    fn shares(&self, machines: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut rest = &self.members[..];
+        (0..machines).map(move |machine| {
+            let held = rest.partition_point(|&(m, _)| m == machine);
+            rest = &rest[held..];
+            (machine, held)
+        })
+    }
+
+    /// Position of `machine` in this window's order.
+    fn rank(&self, machine: usize, machines: usize) -> usize {
+        (machine + machines - self.start) % machines
+    }
+
+    /// §3 insert: the first machine in order that holds the fewest of
+    /// this window's jobs. On an insert-only history that is machine
+    /// `(start + n_W) mod m`, the paper's round robin.
+    fn lightest(&self, machines: usize) -> usize {
+        self.shares(machines)
+            .min_by_key(|&(machine, held)| (held, self.rank(machine, machines)))
+            .expect("at least one machine")
+            .0
+    }
+
+    /// §3 delete: the machine to migrate a job *from* — the first in
+    /// order among the fullest — when the shares differ by two, `None`
+    /// while they are within one.
+    fn overfull(&self, machines: usize) -> Option<usize> {
+        let fewest = self.shares(machines).map(|(_, held)| held).min()?;
+        let (machine, most) = self
+            .shares(machines)
+            .min_by_key(|&(machine, held)| (Reverse(held), self.rank(machine, machines)))?;
+        (most >= fewest + 2).then_some(machine)
     }
 
     /// Records `id` on `machine`; `false` when it is already there.
@@ -156,12 +196,12 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         let m = self.machines.len();
         let effective = Self::effective_window(window);
         let group = self.windows.entry(effective);
-        let (start, n_w) = match &group {
-            Entry::Occupied(g) => (g.get().start, g.get().members.len()),
-            Entry::Vacant(_) => (WindowGroup::rotation_start(m, effective), 0),
+        // §3: the first machine in the window's order holding the fewest
+        // of its jobs — for a window's first job, the order's start.
+        let machine = match &group {
+            Entry::Occupied(g) => g.get().lightest(m),
+            Entry::Vacant(_) => WindowGroup::start_of(m, effective),
         };
-        // §3: job number n_W goes to machine (start + n_W) mod m.
-        let machine = WindowGroup::machine_of(start, n_w, m);
         // A rejection leaves no trace: nothing was recorded yet, and a
         // window's group is only created once it has a job.
         let slot_moves = self.machines[machine].insert(id, effective)?;
@@ -171,7 +211,7 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
             }
             Entry::Vacant(g) => {
                 g.insert(WindowGroup {
-                    start,
+                    start: machine,
                     members: vec![(machine, id)],
                 });
             }
@@ -207,38 +247,38 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         };
         let group = entry.get_mut();
         group.remove(mi, id);
-        // §3 rebalance: the machine that must shrink is the round-robin
-        // tail — position n_W (0-based) after the removal.
-        let tail = WindowGroup::machine_of(group.start, group.members.len(), m);
-        if tail != mi && !group.members.is_empty() {
-            // The victim is the smallest id on the tail machine —
-            // deterministic from content alone (see `members`).
-            let victim = group.first_on(tail);
-            debug_assert!(
-                victim.is_some(),
-                "round-robin invariant: tail machine must hold a job of {effective}"
+        // §3 rebalance, only when Lemma 3 needs it: `mi` now holds two
+        // fewer of the window's jobs than the fullest machine. The mover
+        // is the smallest id on the first fullest machine in order —
+        // deterministic from content alone (see `members`) — and it goes
+        // to `mi` (≤ 1 migration).
+        if let Some(from) = group.overfull(m) {
+            debug_assert_eq!(
+                group.lightest(m),
+                mi,
+                "only the machine that lost a job of {effective} can fall behind"
             );
-            if let Some(mover) = victim {
-                // Migrate `mover` from `tail` to `mi` (≤ 1 migration).
-                let del = self.machines[tail].delete(mover)?;
-                lift_all(&mut outcome, del, tail);
-                match self.machines[mi].insert(mover, effective) {
-                    Ok(ins) => {
-                        lift_all(&mut outcome, ins, mi);
-                        group.remove(tail, mover);
-                        group.add(mi, mover);
-                        self.jobs
-                            .get_mut(&mover)
-                            .expect("group members are active jobs")
-                            .machine = mi;
-                    }
-                    Err(e) => {
-                        // Put the mover back where it was; the delete itself
-                        // remains serviced.
-                        let back = self.machines[tail].insert(mover, effective)?;
-                        lift_all(&mut outcome, back, tail);
-                        debug_assert!(false, "migration re-insert failed: {e}");
-                    }
+            let mover = group
+                .first_on(from)
+                .expect("the fullest machine holds a job of the window");
+            let del = self.machines[from].delete(mover)?;
+            lift_all(&mut outcome, del, from);
+            match self.machines[mi].insert(mover, effective) {
+                Ok(ins) => {
+                    lift_all(&mut outcome, ins, mi);
+                    group.remove(from, mover);
+                    group.add(mi, mover);
+                    self.jobs
+                        .get_mut(&mover)
+                        .expect("group members are active jobs")
+                        .machine = mi;
+                }
+                Err(e) => {
+                    // Put the mover back where it was; the delete itself
+                    // remains serviced.
+                    let back = self.machines[from].insert(mover, effective)?;
+                    lift_all(&mut outcome, back, from);
+                    debug_assert!(false, "migration re-insert failed: {e}");
                 }
             }
         }
@@ -292,7 +332,7 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
         // Recorded: machine count, every job's (id, original window,
         // machine), and each machine's full backend state as a child
         // section. Re-derived on restore: effective windows (the
-        // alignment reduction is deterministic), window groups, rotation
+        // alignment reduction is deterministic), window groups, order
         // starts (a pure hash of the window), and per-machine membership.
         w.line(format_args!("m {}", self.machines.len()));
         let mut jobs: Vec<(JobId, JobInfo)> = self.jobs.iter().map(|(&id, &i)| (id, i)).collect();
@@ -379,7 +419,7 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
                 )));
             }
             let group = s.windows.entry(effective).or_insert_with(|| WindowGroup {
-                start: WindowGroup::rotation_start(m, effective),
+                start: WindowGroup::start_of(m, effective),
                 members: Vec::new(),
             });
             if !group.add(machine, id) {
@@ -395,9 +435,8 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
             );
         }
         // Cross-validate: backends hold exactly the recorded jobs, and
-        // every group satisfies the §3 rotation profile (machine i holds
-        // precisely the jobs the round-robin from `start` would place
-        // there — future delegation and migration depend on it).
+        // every group is balanced the way §3 keeps it (per-machine shares
+        // within one — Lemma 3 and the delete rule depend on it).
         let backend_active: usize = s.machines.iter().map(|b| b.active_count()).sum();
         if backend_active != s.jobs.len() {
             return Err(ParseError {
@@ -409,21 +448,18 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
             });
         }
         for (win, group) in &s.windows {
-            let mut expect = vec![0usize; m];
-            let mut held = vec![0usize; m];
-            for (i, &(machine, _)) in group.members.iter().enumerate() {
-                expect[WindowGroup::machine_of(group.start, i, m)] += 1;
-                held[machine] += 1;
-            }
-            for (mi, (want, have)) in expect.iter().zip(&held).enumerate() {
-                if have != want {
-                    return Err(ParseError {
-                        line: 0,
-                        message: format!(
-                            "window {win}: machine {mi} holds {have} jobs, rotation expects {want}"
-                        ),
-                    });
-                }
+            if let Some(heavy) = group.overfull(m) {
+                let light = group.lightest(m);
+                let held = |k: usize| group.shares(m).nth(k).map_or(0, |(_, held)| held);
+                return Err(ParseError {
+                    line: 0,
+                    message: format!(
+                        "window {win}: machine {heavy} holds {} of its jobs and machine \
+                         {light} holds {}; §3 balance allows a difference of at most 1",
+                        held(heavy),
+                        held(light)
+                    ),
+                });
             }
         }
         Ok(s)
@@ -564,6 +600,29 @@ mod tests {
             s.delete(JobId(i)).unwrap();
         }
         assert!(s.windows.is_empty());
+    }
+
+    #[test]
+    fn unbalanced_snapshot_is_refused_naming_the_window() {
+        let mut s = ReallocatingScheduler::from_factory(2, ReservationScheduler::new);
+        let w = Window::new(0, 64);
+        s.insert(JobId(0), w).unwrap();
+        s.insert(JobId(1), w).unwrap();
+        // Forge a 2/0 split: move job 1 next to job 0, backends included,
+        // so only the §3 balance check can object.
+        let (to, from) = (s.jobs[&JobId(0)].machine, s.jobs[&JobId(1)].machine);
+        assert_ne!(to, from, "two jobs of one window start on two machines");
+        s.machines[from].delete(JobId(1)).unwrap();
+        s.machines[to].insert(JobId(1), w).unwrap();
+        s.jobs.get_mut(&JobId(1)).unwrap().machine = to;
+        let e = ReallocatingScheduler::<ReservationScheduler>::restore(&s.snapshot_text())
+            .expect_err("a 2/0 split is not §3 balance");
+        assert!(
+            e.message.contains("window [0, 64)")
+                && e.message.contains(&format!("machine {to} holds 2"))
+                && e.message.contains(&format!("machine {from} holds 0")),
+            "got: {e}"
+        );
     }
 
     #[test]

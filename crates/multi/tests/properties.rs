@@ -25,6 +25,58 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 const HORIZON: u64 = 1 << 12;
 
+/// Machine counts for the §3 rule tests, odd and even, below and above
+/// a power of two.
+const MACHINES: [usize; 4] = [2, 3, 4, 7];
+
+/// The aligned ancestors of `w` up to the horizon.
+fn ancestors(mut w: Window) -> Vec<Window> {
+    let mut out = vec![w];
+    while w.span() < HORIZON {
+        w = w.aligned_parent().unwrap();
+        out.push(w);
+    }
+    out
+}
+
+/// Few distinct windows (2 starts × 2 spans, aligned or shifted by 3:
+/// eight effective windows), so they hold more jobs than there are
+/// machines.
+fn crowded_window(slot: u64, level: u32, shifted: bool) -> Window {
+    Window::with_span(slot * 512 + if shifted { 3 } else { 0 }, 512 >> level)
+}
+
+/// Each effective window's per-machine shares, read off the schedule.
+fn shares_by_window(
+    sched: &ReallocatingScheduler<ReservationScheduler>,
+    machines: usize,
+) -> HashMap<Window, Vec<usize>> {
+    let snap = sched.snapshot();
+    let mut out: HashMap<Window, Vec<usize>> = HashMap::new();
+    for (id, w) in sched.active_jobs() {
+        let machine = snap.placement(id).expect("active job is placed").machine;
+        out.entry(w.aligned_subwindow())
+            .or_insert_with(|| vec![0; machines])[machine] += 1;
+    }
+    out
+}
+
+/// Admits `w` under the γ = 8 density guard on the aligned effective set
+/// (per-ancestor job counts in `counts`), recording it when it fits.
+fn admit(counts: &mut HashMap<Window, u64>, w: Window, machines: usize) -> bool {
+    let eff = ancestors(w.aligned_subwindow());
+    if eff
+        .iter()
+        .any(|a| counts.get(a).copied().unwrap_or(0) >= machines as u64 * a.span() / 8)
+    {
+        return false;
+    }
+    for a in eff {
+        *counts.entry(a).or_insert(0) += 1;
+    }
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -38,30 +90,13 @@ proptest! {
         let mut counts: HashMap<Window, u64> = HashMap::new();
         let mut active: Vec<(JobId, Window)> = Vec::new();
         let mut next = 0u64;
-        let m = machines as u64;
-
-        let ancestors = |mut w: Window| {
-            let mut out = vec![w];
-            while w.span() < HORIZON {
-                w = w.aligned_parent().unwrap();
-                out.push(w);
-            }
-            out
-        };
 
         for op in &ops {
             let outcome = match *op {
                 Op::Insert { start, span } => {
                     let w = Window::with_span(start % (HORIZON / 2), span);
-                    let eff = w.aligned_subwindow();
-                    // Density guard at γ = 8 on the aligned effective set.
-                    if ancestors(eff).iter().any(|a| {
-                        counts.get(a).copied().unwrap_or(0) >= m * a.span() / 8
-                    }) {
+                    if !admit(&mut counts, w, machines) {
                         continue;
-                    }
-                    for a in ancestors(eff) {
-                        *counts.entry(a).or_insert(0) += 1;
                     }
                     let id = JobId(next);
                     next += 1;
@@ -126,5 +161,110 @@ proptest! {
         let hi = *counts.iter().max().unwrap();
         prop_assert!(hi - lo <= 1, "unbalanced shares: {:?}", counts);
         prop_assert_eq!(counts.iter().sum::<usize>(), live.len());
+    }
+
+    /// §3 is Lemma 3's balance and nothing more. After every request of a
+    /// crowded churn, each window's per-machine shares differ by at most
+    /// one and the request migrated at most one job; an insert migrates
+    /// nothing, and a delete migrates exactly when its machine held fewer
+    /// of the window's jobs than the fullest (without a migration it
+    /// would fall two behind).
+    #[test]
+    fn a_delete_migrates_exactly_when_its_machine_would_fall_two_behind(
+        ops in prop::collection::vec(
+            prop_oneof![
+                3 => (0u64..2, 0u32..2, 0u8..2)
+                    .prop_map(|(slot, level, shifted)| (Some((slot, level, shifted == 1)), 0)),
+                1 => (0usize..256).prop_map(|idx| (None, idx)),
+            ],
+            1..160,
+        ),
+        which in 0usize..4,
+    ) {
+        let machines = MACHINES[which];
+        let mut sched =
+            ReallocatingScheduler::from_factory(machines, ReservationScheduler::new);
+        let mut counts: HashMap<Window, u64> = HashMap::new();
+        let mut active: Vec<(JobId, Window)> = Vec::new();
+        let mut next = 0u64;
+        let mut migrated = 0;
+        for &(insert, idx) in &ops {
+            let (outcome, expected) = match insert {
+                Some((slot, level, shifted)) => {
+                    let w = crowded_window(slot, level, shifted);
+                    if !admit(&mut counts, w, machines) {
+                        continue;
+                    }
+                    let id = JobId(next);
+                    next += 1;
+                    active.push((id, w));
+                    (sched.insert(id, w).expect("density-bounded insert"), 0)
+                }
+                None => {
+                    if active.is_empty() {
+                        continue;
+                    }
+                    let (id, w) = active.swap_remove(idx % active.len());
+                    for a in ancestors(w.aligned_subwindow()) {
+                        *counts.get_mut(&a).unwrap() -= 1;
+                    }
+                    let before = &shares_by_window(&sched, machines)[&w.aligned_subwindow()];
+                    let mi = sched.snapshot().placement(id).unwrap().machine;
+                    let behind = before[mi] < *before.iter().max().unwrap();
+                    (sched.delete(id).expect("delete of active job"), u64::from(behind))
+                }
+            };
+            let cost = outcome.netted().migration_cost();
+            prop_assert_eq!(cost, expected, "migrations of {:?}", insert);
+            migrated += cost;
+            for (w, held) in shares_by_window(&sched, machines) {
+                let (lo, hi) = (held.iter().min().unwrap(), held.iter().max().unwrap());
+                prop_assert!(hi - lo <= 1, "window {}: shares {:?}", w, held);
+            }
+        }
+        let active_map: BTreeMap<JobId, Window> = active.iter().copied().collect();
+        validate(&sched.snapshot(), &active_map, machines).unwrap();
+        // Not vacuous: crowded windows do make deletes migrate.
+        if ops.len() >= 120 && machines <= 4 {
+            prop_assert!(migrated > 0, "no delete migrated in {} ops", ops.len());
+        }
+    }
+
+    /// On an insert-only stream the balance rule is the paper's round
+    /// robin: the k-th job of a window lands on machine `(start + k) mod
+    /// m`, where `start` is where the window's first job went.
+    #[test]
+    fn insert_only_streams_place_round_robin(
+        windows in prop::collection::vec((0u64..2, 0u32..2, 0u8..2), 1..120),
+        which in 0usize..4,
+    ) {
+        let machines = MACHINES[which];
+        let mut sched =
+            ReallocatingScheduler::from_factory(machines, ReservationScheduler::new);
+        let mut counts: HashMap<Window, u64> = HashMap::new();
+        let mut order: HashMap<Window, Vec<JobId>> = HashMap::new();
+        for (i, &(slot, level, shifted)) in windows.iter().enumerate() {
+            let w = crowded_window(slot, level, shifted == 1);
+            if !admit(&mut counts, w, machines) {
+                continue;
+            }
+            let id = JobId(i as u64);
+            let out = sched.insert(id, w).expect("density-bounded insert");
+            prop_assert_eq!(out.netted().migration_cost(), 0);
+            order.entry(w.aligned_subwindow()).or_default().push(id);
+        }
+        let snap = sched.snapshot();
+        for (w, ids) in &order {
+            let start = snap.placement(ids[0]).unwrap().machine;
+            for (k, &id) in ids.iter().enumerate() {
+                prop_assert_eq!(
+                    snap.placement(id).unwrap().machine,
+                    (start + k) % machines,
+                    "job {} of window {}",
+                    k,
+                    w
+                );
+            }
+        }
     }
 }

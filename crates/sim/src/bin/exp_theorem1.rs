@@ -3,9 +3,10 @@
 //! Sweeps the active-set size `n` and the window-span bound `Δ`, measuring
 //! per-request reallocations for the reservation scheduler (flat, the
 //! `O(min{log* n, log* Δ})` claim) against the Lemma 4 naive baseline
-//! (grows with `log Δ`), and confirming migrations never exceed 1 per
-//! request (Theorem 1's second bullet).
+//! (grows with `log Δ`), and gating that migrations never exceed 1 per
+//! request (Theorem 1's second bullet): E3 exits 1 otherwise.
 
+use realloc_core::Request;
 use realloc_sim::harness::{churn_seq, naive_multi, reservation_multi, theorem_one};
 use realloc_sim::report::{f2, Table};
 use realloc_sim::runner::{run, RunOptions};
@@ -77,25 +78,41 @@ fn main() {
     t2.print();
 
     // --- migrations (m > 1) --------------------------------------------
+    // A gate, not only a table: any request migrating more than one job
+    // breaks Theorem 1 and fails the run (CI's Experiments step).
     let mut t3 = Table::new(
         "E3: migrations per request (γ = 16, unaligned windows)",
         &[
             "machines",
             "requests",
             "total migrations",
+            "per delete",
             "max per request",
         ],
     );
+    let mut worst = 0;
     for &m in &[2usize, 4, 8, 16] {
         let seq = churn_seq(m, 16, 200 * m, 1 << 10, true, 5000, 13);
+        let deletes = seq
+            .requests()
+            .iter()
+            .filter(|r| matches!(r, Request::Delete { .. }))
+            .count();
         let mut s = theorem_one(m, 16);
         let report = run(&mut s, &seq, RunOptions::default()).unwrap();
+        let migrations = report.meter.total_migrations();
+        worst = worst.max(report.meter.max_migrations());
         t3.row(vec![
             m.to_string(),
             report.executed.to_string(),
-            report.meter.total_migrations().to_string(),
+            migrations.to_string(),
+            format!("{:.3}", migrations as f64 / deletes.max(1) as f64),
             report.meter.max_migrations().to_string(),
         ]);
     }
     t3.print();
+    if worst > 1 {
+        eprintln!("E3: a request migrated {worst} jobs; Theorem 1 allows 1");
+        std::process::exit(1);
+    }
 }

@@ -35,6 +35,13 @@ fn main() {
     durable_phases();
 }
 
+/// The hotspot drive: each batch draws this many requests per tenant…
+const PER_TENANT: usize = 8;
+/// …for this many batches.
+const BATCHES: usize = 60;
+/// Everything one tenant sends in the hotspot phase.
+const SENT_PER_TENANT: u64 = (PER_TENANT * BATCHES) as u64;
+
 fn hotspot_phase() {
     let telemetry = Telemetry::new();
 
@@ -48,9 +55,9 @@ fn hotspot_phase() {
         ..EngineConfig::default()
     });
 
-    // Every tenant is metered; the whale gets a bigger allowance. The
-    // limits are set well above the offered load, so a healthy run
-    // sheds nothing — they are a guard rail, not a throttle.
+    // Every tenant is metered; the whale gets a bigger allowance. Each
+    // bucket holds at least the tenant's whole feed, so no drive is fast
+    // enough to shed — the limits are a guard rail, not a throttle.
     let server = ServiceServer::bind(
         "127.0.0.1:0",
         engine,
@@ -58,13 +65,13 @@ fn hotspot_phase() {
             qos: QosConfig {
                 default_limit: Some(RateLimit {
                     rate_per_sec: 20_000,
-                    burst: 256,
+                    burst: SENT_PER_TENANT,
                 }),
                 tenant_limits: vec![(
                     HOTSPOT_WHALE,
                     Some(RateLimit {
                         rate_per_sec: 50_000,
-                        burst: 1024,
+                        burst: SENT_PER_TENANT.max(1024),
                     }),
                 )],
                 ..QosConfig::default()
@@ -82,7 +89,7 @@ fn hotspot_phase() {
     let addr = server.addr();
     let driver = std::thread::spawn(move || {
         let mut feed = hotspot(3, 7);
-        drive_feed(addr, &mut feed, 8, 60, 16).expect("drive feed")
+        drive_feed(addr, &mut feed, PER_TENANT, BATCHES, 16).expect("drive feed")
     });
 
     // While the traffic flows, poll per-tenant p99s over the obs
