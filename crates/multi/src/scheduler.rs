@@ -496,6 +496,33 @@ mod tests {
     }
 
     #[test]
+    fn window_order_starts_are_pinned() {
+        // `start_of` hashes with std's `DefaultHasher`, whose algorithm
+        // std leaves unspecified across releases, and every journal
+        // replay, recovery and replica re-derives §3 choices from it. A
+        // toolchain that moves these fails here instead of making old
+        // journals diverge.
+        let pinned: [((u64, u64), [usize; 3]); 8] = [
+            ((0, 1), [0, 2, 3]),
+            ((0, 8), [1, 3, 2]),
+            ((8, 16), [0, 0, 2]),
+            ((16, 32), [0, 2, 3]),
+            ((64, 128), [1, 1, 6]),
+            ((1024, 1536), [1, 1, 1]),
+            ((4096, 8192), [0, 0, 3]),
+            ((1 << 40, (1 << 40) + (1 << 20)), [0, 0, 1]),
+        ];
+        for ((start, end), starts) in pinned {
+            let window = Window::new(start, end);
+            let now = [2, 4, 7].map(|m| WindowGroup::start_of(m, window));
+            assert_eq!(
+                now, starts,
+                "order starts of {window:?} on 2, 4, 7 machines"
+            );
+        }
+    }
+
+    #[test]
     fn round_robin_delegation() {
         let mut s = ReallocatingScheduler::from_factory(3, ReservationScheduler::new);
         for i in 0..9u64 {

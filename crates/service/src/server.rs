@@ -36,6 +36,22 @@
 //! whichever sync settles them, and a lone connection at depth 1 is
 //! never made to wait.
 //!
+//! One connection pipelining deeper than [`ServiceConfig::max_batch`]
+//! is double-buffered instead: a batch that filled `max_batch` and holds
+//! a ticket may have a successor already buffered, and the handler
+//! drains and stages that successor — at most `max_batch` more
+//! commands, under a lock hold of their own — *before* it waits. The
+//! first wait's fsync then covers both appends, the second wait returns
+//! at once, and the two batches are answered in command order: a bulk
+//! load pays one fsync per two batches, not one per batch. At most two
+//! batches of a connection are ever staged and unanswered, so its
+//! buffered commands and admission guards stay within `2 × max_batch`.
+//! Every other batch — short of `max_batch`, under
+//! [`FlushMode::Immediate`], or read-only with nothing to wait for — is
+//! finished before the next one is read. The successor's reads follow
+//! the rule below: a read of a job its predecessor placed finds that job
+//! in `unsettled` and waits for the same commit.
+//!
 //! Reads never observe state that is not yet durable. A read that rides
 //! with mutations is answered after their ticket's wait, which covers
 //! everything appended before it. A read-only batch looks its jobs up in
@@ -47,9 +63,14 @@
 //!
 //! A wait that fails re-locks the engine once to latch the sticky
 //! [`Engine::durability_error`] and answers every admitted mutation of
-//! the batch `err durability: …`; the batch's reads still answer.
-//! [`FlushMode::Immediate`] batches get no ticket and do everything
-//! under the lock.
+//! the batch `err durability: …`; the batch's reads still answer. A
+//! double-buffered successor's wait then fails too, and is answered the
+//! same way. [`FlushMode::Immediate`] batches get no ticket and do
+//! everything under the lock.
+//!
+//! A poisoned shared mutex — the engine's or `unsettled`, after some
+//! handler panicked holding it — ends the connection that finds it with
+//! an error, never the process with a panic.
 //!
 //! # Batching
 //!
@@ -57,7 +78,10 @@
 //! complete frames are already buffered (up to
 //! [`ServiceConfig::max_batch`]) into one engine flush — pipelining
 //! clients get one lock acquisition and one flush per wire burst, the
-//! same shape as the cluster's replication batches.
+//! same shape as the cluster's replication batches. A durable batch that
+//! filled `max_batch` drains one more batch the same way before it
+//! waits (the double buffer above), so a connection has at most
+//! `2 × max_batch` commands staged and unanswered.
 
 use crate::proto::{Command, Reply};
 use crate::qos::{AdmitGuard, Qos};
@@ -85,6 +109,8 @@ pub struct ServiceConfig {
     pub read_timeout: Option<Duration>,
     /// Most commands serviced under one engine lock hold (one flush);
     /// frames beyond this form the next batch. Treated as at least 1.
+    /// Under [`FlushMode::Durable`] a connection may have two such
+    /// batches staged before it waits (see the module docs).
     pub max_batch: usize,
     /// How batches are flushed. Both modes answer every mutation with
     /// its outcome: [`FlushMode::Immediate`] at once,
@@ -133,6 +159,21 @@ struct Shared {
     unsettled: Mutex<Vec<(JobId, u64)>>,
 }
 
+impl Shared {
+    fn new(engine: Arc<Mutex<Engine>>, config: ServiceConfig, telemetry: &Telemetry) -> Shared {
+        let clock = telemetry.clock().unwrap_or_else(Clock::monotonic);
+        Shared {
+            engine,
+            qos: Qos::new(config.qos.clone(), clock.clone()),
+            tele: ServiceTele::build(telemetry),
+            clock,
+            config,
+            trace_seq: AtomicU64::new(0),
+            unsettled: Mutex::new(Vec::new()),
+        }
+    }
+}
+
 /// The serving front-end: owns the accept loop and the shared engine.
 pub struct ServiceServer {
     engine: Arc<Mutex<Engine>>,
@@ -151,16 +192,7 @@ impl ServiceServer {
         telemetry: &Telemetry,
     ) -> std::io::Result<ServiceServer> {
         let engine = Arc::new(Mutex::new(engine));
-        let clock = telemetry.clock().unwrap_or_else(Clock::monotonic);
-        let shared = Shared {
-            engine: Arc::clone(&engine),
-            qos: Qos::new(config.qos.clone(), clock.clone()),
-            tele: ServiceTele::build(telemetry),
-            clock,
-            config,
-            trace_seq: AtomicU64::new(0),
-            unsettled: Mutex::new(Vec::new()),
-        };
+        let shared = Shared::new(Arc::clone(&engine), config, telemetry);
         let accept = AcceptLoop::spawn(addr, "service", shared.config.read_timeout, move |conn| {
             serve_connection(conn, &shared)
         })?;
@@ -200,13 +232,15 @@ impl std::fmt::Debug for ServiceServer {
 }
 
 /// One connection: block for a command (bounded by the read timeout),
-/// batch up whatever else is buffered, service the batch under one
-/// engine lock hold (a durable batch then commits with the lock
-/// released), reply in command order.
+/// batch up whatever else is buffered, stage the batch under one engine
+/// lock hold, then finish it — a durable batch commits with the lock
+/// released — and reply in command order. A full durable batch stages
+/// the next one before it waits, if that one is already buffered.
 fn serve_connection(mut conn: FrameConn, shared: &Shared) {
     if let Some(tele) = &shared.tele {
         tele.connections_total.inc();
     }
+    let max_batch = shared.config.max_batch.max(1);
     // Every reply of the connection is formatted through this one buffer.
     let mut text = String::new();
     loop {
@@ -217,23 +251,45 @@ fn serve_connection(mut conn: FrameConn, shared: &Shared) {
             Ok(None) | Err(_) => return,
         };
         let mut frames = vec![first];
-        let mut gone = false;
-        while frames.len() < shared.config.max_batch.max(1) {
-            match conn.read_buffered(MAX_COMMAND_BYTES) {
-                Buffered::Frame(p) => frames.push(p),
-                Buffered::NotYet => break,
-                Buffered::Gone => {
-                    gone = true;
-                    break;
-                }
+        let mut gone = drain_buffered(&mut conn, &mut frames, max_batch);
+        let Ok(staged) = stage(&frames, shared) else {
+            return;
+        };
+        // The double buffer: a full batch that waits for a commit is
+        // likely followed by more, already buffered. Staged now, it is
+        // appended before the wait, and the one fsync covers both.
+        let mut next = None;
+        if staged.commit.is_some() && staged.commands.len() == max_batch && !gone {
+            frames.clear();
+            gone = drain_buffered(&mut conn, &mut frames, max_batch);
+            if !frames.is_empty() {
+                next = Some(stage(&frames, shared));
             }
         }
         // Serve what we have even if the peer is mid-disconnect: the
-        // writes below fail harmlessly if it is truly gone.
-        if serve_batch(&frames, &mut conn, shared, &mut text).is_err() || gone {
+        // writes fail harmlessly if it is truly gone. A second batch that
+        // could not stage still lets the first be answered.
+        let served = finish(staged, &mut conn, shared, &mut text).and_then(|()| match next {
+            Some(next) => finish(next?, &mut conn, shared, &mut text),
+            None => Ok(()),
+        });
+        if served.is_err() || gone {
             return;
         }
     }
+}
+
+/// Moves whatever complete frames are already buffered into `frames`,
+/// up to `max_batch` in all; `true` when the peer turned out to be gone.
+fn drain_buffered(conn: &mut FrameConn, frames: &mut Vec<Vec<u8>>, max_batch: usize) -> bool {
+    while frames.len() < max_batch {
+        match conn.read_buffered(MAX_COMMAND_BYTES) {
+            Buffered::Frame(p) => frames.push(p),
+            Buffered::NotYet => return false,
+            Buffered::Gone => return true,
+        }
+    }
+    false
 }
 
 /// One admitted mutation awaiting its flush outcome.
@@ -245,18 +301,38 @@ struct InFlight {
     _guard: AdmitGuard,
 }
 
-fn lock_engine(shared: &Shared) -> std::io::Result<MutexGuard<'_, Engine>> {
-    shared
-        .engine
-        .lock()
-        .map_err(|_| std::io::Error::other("engine lock poisoned"))
+/// A batch serviced under the engine lock and not yet answered.
+struct Staged {
+    /// Receipt time: service time is receipt-to-response.
+    t0: u64,
+    /// One per frame; `None` where the frame did not parse.
+    commands: Vec<Option<Command>>,
+    /// One per frame; a failed commit can still turn an admitted
+    /// mutation's into a refusal.
+    replies: Vec<Option<Reply>>,
+    /// The admitted mutations, holding their admission guards.
+    admitted: Vec<InFlight>,
+    trace: Option<TraceCtx>,
+    /// What the replies wait on: the batch's own flush, or a barrier
+    /// for its reads of another batch's staged work.
+    commit: Option<CommitTicket>,
 }
 
-fn unsettled_set(shared: &Shared) -> MutexGuard<'_, Vec<(JobId, u64)>> {
-    shared
-        .unsettled
+/// Locks one of the mutexes the handlers share. A poisoned one — some
+/// handler panicked holding it — ends this connection with an error,
+/// never the process with a panic.
+fn lock<'a, T>(mutex: &'a Mutex<T>, what: &str) -> std::io::Result<MutexGuard<'a, T>> {
+    mutex
         .lock()
-        .expect("a handler panicked holding the unsettled set")
+        .map_err(|_| std::io::Error::other(format!("{what} poisoned")))
+}
+
+fn lock_engine(shared: &Shared) -> std::io::Result<MutexGuard<'_, Engine>> {
+    lock(&shared.engine, "engine lock")
+}
+
+fn unsettled_set(shared: &Shared) -> std::io::Result<MutexGuard<'_, Vec<(JobId, u64)>>> {
+    lock(&shared.unsettled, "unsettled set")
 }
 
 /// A durable flush failed: the in-memory flush still happened, but
@@ -280,15 +356,11 @@ fn reads_unsettled(reads: &[(usize, Command)], unsettled: &[(JobId, u64)]) -> bo
         })
 }
 
-/// Services one batch of command frames: QoS, submits + one flush
-/// under the engine lock, failure mapping, the durable commit with the
-/// lock released, replies in order (each formatted into `text`).
-fn serve_batch(
-    frames: &[Vec<u8>],
-    conn: &mut FrameConn,
-    shared: &Shared,
-    text: &mut String,
-) -> std::io::Result<()> {
+/// The first half of serving a batch of command frames: parse, QoS,
+/// then under one engine lock hold the submits, one flush, failure
+/// mapping and the reads. Under [`FlushMode::Durable`] the batch leaves
+/// with the ticket its replies must wait for.
+fn stage(frames: &[Vec<u8>], shared: &Shared) -> std::io::Result<Staged> {
     let t0 = shared.clock.now_nanos();
     let mut replies: Vec<Option<Reply>> = vec![None; frames.len()];
     let mut commands: Vec<Option<Command>> = Vec::with_capacity(frames.len());
@@ -424,19 +496,46 @@ fn serve_batch(
 
         if let Some(ticket) = &commit {
             // This batch's mutations are visible to every reader from
-            // here on, and not durable until the wait below.
-            unsettled_set(shared)
+            // here on, and not durable until its finish waits.
+            unsettled_set(shared)?
                 .extend(admitted.iter().map(|f| (f.request.job_id(), ticket.upto())));
-        } else if durable && reads_unsettled(&pending_reads, &unsettled_set(shared)) {
+        } else if durable && reads_unsettled(&pending_reads, &unsettled_set(shared)?) {
             // Nothing of its own to wait for — but what it read is
-            // another connection's staged, uncommitted work.
+            // staged, uncommitted work: another connection's, or this
+            // one's previous batch.
             commit = engine.commit_barrier();
         }
     } // engine lock released; admission guards still held until replied
+    Ok(Staged {
+        t0,
+        commands,
+        replies,
+        admitted,
+        trace,
+        commit,
+    })
+}
 
-    // The commit, with the engine unlocked: other connections submit,
-    // flush and append while this one waits for the disk — or, leading,
-    // for them — and one sync settles all of them.
+/// The second half: the durable commit with the engine unlocked, then
+/// the replies in command order (each formatted into `text`) and the
+/// service telemetry.
+fn finish(
+    staged: Staged,
+    conn: &mut FrameConn,
+    shared: &Shared,
+    text: &mut String,
+) -> std::io::Result<()> {
+    let Staged {
+        t0,
+        commands,
+        mut replies,
+        admitted,
+        trace,
+        commit,
+    } = staged;
+    // Other connections submit, flush and append while this one waits
+    // for the disk — or, leading, for them — and one sync settles all
+    // of them.
     if let Some(ticket) = commit {
         let upto = ticket.upto();
         let waited = ticket.wait();
@@ -444,7 +543,7 @@ fn serve_batch(
         // will never settle — the store refuses from here on and reads
         // go back to reporting the in-memory state) is settled for
         // every ticket up to this one.
-        unsettled_set(shared).retain(|&(_, covered_by)| covered_by > upto);
+        unsettled_set(shared)?.retain(|&(_, covered_by)| covered_by > upto);
         if let Err(sink_error) = waited {
             lock_engine(shared)?.note_durability_failure(sink_error.clone());
             refuse_undurable(&mut replies, &admitted, &sink_error);
@@ -475,7 +574,7 @@ fn serve_batch(
     // cap covers a command until its reply ships).
     if let Some(tele) = &shared.tele {
         let elapsed = shared.clock.now_nanos().saturating_sub(t0);
-        tele.requests_total.add(frames.len() as u64);
+        tele.requests_total.add(commands.len() as u64);
         // A tenant's handles are resolved once per batch, not per command.
         let mut tenants: Vec<(u16, TenantTele)> = Vec::new();
         for (i, cmd) in commands.iter().enumerate() {
@@ -507,4 +606,44 @@ fn serve_batch(
     }
     drop(admitted);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use realloc_core::textio::{read_frame, write_frame};
+    use realloc_engine::EngineConfig;
+    use std::net::{TcpListener, TcpStream};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn a_poisoned_unsettled_set_ends_the_connection_not_the_process() {
+        let engine = Arc::new(Mutex::new(Engine::new(EngineConfig::default())));
+        let config = ServiceConfig {
+            flush: FlushMode::Durable,
+            ..ServiceConfig::default()
+        };
+        let shared = Shared::new(engine, config, &Telemetry::default());
+        let poisoner = catch_unwind(AssertUnwindSafe(|| {
+            let _held = shared.unsettled.lock();
+            panic!("a handler panics holding the unsettled set");
+        }));
+        assert!(poisoner.is_err() && shared.unsettled.is_poisoned());
+
+        // A durable read-only batch looks its job up in the set.
+        let read = b"window 1 1".to_vec();
+        let refused = stage(std::slice::from_ref(&read), &shared).err();
+        assert_eq!(
+            refused.map(|e| e.to_string()),
+            Some("unsettled set poisoned".to_string())
+        );
+
+        // Served on a connection, the same batch closes it unanswered.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = FrameConn::new(listener.accept().unwrap().0).unwrap();
+        write_frame(&mut client, &read).unwrap();
+        serve_connection(conn, &shared);
+        assert_eq!(read_frame(&mut client, MAX_COMMAND_BYTES).unwrap(), None);
+    }
 }

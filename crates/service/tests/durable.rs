@@ -13,7 +13,13 @@
 //!   A's fsync and the held-back read cost one further fsync between
 //!   them;
 //! * a failed commit refuses every admitted mutation of its batch, still
-//!   answers the batch's reads, and sticks.
+//!   answers the batch's reads, and sticks;
+//! * a connection that pipelines two full batches stages the second
+//!   before it waits on the first: both are appended while the first
+//!   fsync is parked, and that one fsync answers both, in command order
+//!   — also when it fails (both batches' mutations are refused, their
+//!   reads answered), and a read in the second of a job the first placed
+//!   is still held back until the commit returns.
 //!
 //! Interleavings are forced through the gate's condition variable, not
 //! slept for; the only timed waits are the negative checks ("no reply
@@ -28,7 +34,8 @@
 //! * connections that send on a timer, whatever the replies do, are not
 //!   made to pay for that wait.
 
-use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode};
+use realloc_core::JobId;
+use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode, TenantId};
 use realloc_service::{ServiceConfig, ServiceServer};
 use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::Telemetry;
@@ -51,8 +58,8 @@ struct Disk {
     appends: u64,
 }
 
-/// [`MemIo`] whose `sync_file` waits while the gate is closed, and
-/// takes `sync_sleeps` once through it.
+/// [`MemIo`] whose `sync_file` waits while the gate is closed, and once
+/// through it fails if told to, or else takes `sync_sleeps`.
 #[derive(Debug, Default)]
 struct GateIo {
     inner: MemIo,
@@ -101,14 +108,14 @@ impl StoreIo for GateIo {
     fn sync_file(&self, path: &Path) -> io::Result<()> {
         let mut disk = self.disk.lock().unwrap();
         disk.syncs += 1;
-        if std::mem::take(&mut disk.fail_next_sync) {
-            return Err(io::Error::other("gate: fsync failed"));
-        }
         if disk.closed {
             disk.parked += 1;
             self.changed.notify_all();
             disk = self.changed.wait_while(disk, |d| d.closed).unwrap();
             disk.parked -= 1;
+        }
+        if std::mem::take(&mut disk.fail_next_sync) {
+            return Err(io::Error::other("gate: fsync failed"));
         }
         drop(disk);
         std::thread::sleep(self.sync_sleeps);
@@ -293,6 +300,160 @@ fn a_failed_commit_refuses_the_batch_answers_its_reads_and_sticks() {
     assert_eq!(
         telemetry.counter_value("store_commits_covered_total"),
         Some(0)
+    );
+}
+
+/// Most commands one batch services, at the default config.
+fn max_batch() -> u64 {
+    ServiceConfig::default().max_batch as u64
+}
+
+/// Tenant 1's job `id` as the engine names it in a reply.
+fn global(id: u64) -> u64 {
+    Engine::global_id_of(TenantId(1), JobId(id)).unwrap().0
+}
+
+/// Sends `commands` as one window with the gate closed and waits until
+/// the first batch's fsync is parked; returns the store's appends and
+/// fsyncs from before the send to that point.
+fn send_behind_a_parked_fsync(
+    io: &GateIo,
+    client: &mut QosClient,
+    commands: &[String],
+) -> (u64, u64) {
+    let (appends, syncs) = io.read(|d| (d.appends, d.syncs));
+    io.set(|d| d.closed = true);
+    client.send_window(commands).unwrap();
+    io.wait_until("the first batch's fsync parks", |d| d.parked == 1);
+    io.read(|d| (d.appends - appends, d.syncs - syncs))
+}
+
+#[test]
+fn a_full_batch_stages_the_next_before_it_waits() {
+    let io = Arc::new(GateIo::default());
+    let telemetry = Telemetry::new();
+    let server = serve(&io, &telemetry);
+    let mut client = connect(&server);
+    let syncs = io.read(|d| d.syncs);
+
+    // Two full batches in one write: job k/2 placed, then removed.
+    let commands: Vec<String> = (0..2 * max_batch())
+        .map(|k| match k % 2 {
+            0 => format!("place 1 {} 0 8", k / 2),
+            _ => format!("remove 1 {}", k / 2),
+        })
+        .collect();
+    assert_eq!(
+        send_behind_a_parked_fsync(&io, &mut client, &commands),
+        (2, 1),
+        "both batches appended while the first one's fsync is parked"
+    );
+    assert_no_reply_yet(&mut client, "a batch behind the parked fsync");
+
+    io.set(|d| d.closed = false);
+    for k in 0..2 * max_batch() {
+        let want = match k % 2 {
+            0 => QosResponse::Placed(global(k / 2)),
+            _ => QosResponse::Removed(global(k / 2)),
+        };
+        assert_eq!(client.recv().unwrap(), want, "reply {k}");
+    }
+    assert_eq!(
+        io.read(|d| d.syncs) - syncs,
+        1,
+        "one fsync for both batches"
+    );
+    let sizes = telemetry.histogram_snapshot("store_sync_chunks").unwrap();
+    assert_eq!((sizes.count(), sizes.sum()), (1, 2));
+    assert_eq!(
+        telemetry.counter_value("store_commits_covered_total"),
+        Some(1),
+        "the second batch's wait rode the first one's fsync"
+    );
+}
+
+#[test]
+fn a_failed_commit_refuses_both_staged_batches_and_answers_their_reads() {
+    let io = Arc::new(GateIo::default());
+    let telemetry = Telemetry::new();
+    let server = serve(&io, &telemetry);
+    let mut client = connect(&server);
+    assert!(matches!(
+        client.place(1, 1, 0, 8).unwrap(),
+        QosResponse::Placed(_)
+    ));
+    let syncs = io.read(|d| d.syncs);
+
+    // Each batch opens with a read of job 1; the rest place new jobs.
+    let commands: Vec<String> = (0..2 * max_batch())
+        .map(|k| match k % max_batch() {
+            0 => "window 1 1".to_string(),
+            _ => format!("place 1 {} {} {}", 100 + k, 8 * k, 8 * k + 8),
+        })
+        .collect();
+    assert_eq!(
+        send_behind_a_parked_fsync(&io, &mut client, &commands),
+        (2, 1)
+    );
+    io.set(|d| {
+        d.fail_next_sync = true;
+        d.closed = false;
+    });
+    for k in 0..2 * max_batch() {
+        match client.recv().unwrap() {
+            QosResponse::Window(0, 8) if k % max_batch() == 0 => {}
+            QosResponse::Refused(detail) if k % max_batch() != 0 => {
+                assert!(detail.starts_with("durability: "), "reply {k}: {detail}");
+                assert!(detail.contains("gate: fsync failed"), "reply {k}: {detail}");
+            }
+            other => panic!("reply {k}: {other:?}"),
+        }
+    }
+    assert_eq!(io.read(|d| d.syncs) - syncs, 1, "one failed fsync for both");
+    assert!(server
+        .engine()
+        .lock()
+        .unwrap()
+        .durability_error()
+        .is_some_and(|e| e.contains("gate: fsync failed")));
+}
+
+#[test]
+fn a_read_in_the_second_batch_of_a_job_the_first_placed_waits_for_its_commit() {
+    let io = Arc::new(GateIo::default());
+    let telemetry = Telemetry::new();
+    let server = serve(&io, &telemetry);
+    let mut client = connect(&server);
+    let syncs = io.read(|d| d.syncs);
+
+    // The first batch places jobs; the second only reads them back.
+    let jobs = max_batch();
+    let commands: Vec<String> = (0..jobs)
+        .map(|j| format!("place 1 {j} {} {}", 8 * j, 8 * j + 8))
+        .chain((0..jobs).map(|j| format!("window 1 {j}")))
+        .collect();
+    assert_eq!(
+        send_behind_a_parked_fsync(&io, &mut client, &commands),
+        (1, 1),
+        "a read-only batch appends nothing"
+    );
+    assert_no_reply_yet(&mut client, "a read of a job whose commit is parked");
+
+    io.set(|d| d.closed = false);
+    for j in 0..jobs {
+        assert_eq!(client.recv().unwrap(), QosResponse::Placed(global(j)));
+    }
+    for j in 0..jobs {
+        assert_eq!(
+            client.recv().unwrap(),
+            QosResponse::Window(8 * j, 8 * j + 8)
+        );
+    }
+    assert_eq!(io.read(|d| d.syncs) - syncs, 1);
+    assert_eq!(
+        telemetry.counter_value("store_commits_covered_total"),
+        Some(1),
+        "the reads took a barrier on the placements' commit, before it ran"
     );
 }
 

@@ -247,11 +247,46 @@ impl StoreCounts {
     }
 }
 
+/// Windows each client sends before the durable counts start.
+const WARM_UP: u64 = 10;
+
+/// A window of `depth` commands: pairs that place a job and remove it,
+/// fresh jobs in every window.
+fn spread_window(tenant: u64, window: u64, depth: u64) -> Vec<String> {
+    (0..depth)
+        .map(|k| {
+            let id = window * depth + k / 2;
+            match k % 2 {
+                0 => format!("place {tenant} {id} {} {}", 8 * k, 8 * k + 16),
+                _ => format!("remove {tenant} {id}"),
+            }
+        })
+        .collect()
+}
+
+/// A window of `depth` commands that place one job and remove it, over
+/// and over: frames so short that four full batches (7 936 bytes) fit
+/// the server's 8 KiB read buffer and arrive in one read.
+fn compact_window(tenant: u64, _window: u64, depth: u64) -> Vec<String> {
+    (0..depth)
+        .map(|k| match k % 2 {
+            0 => format!("place {tenant} 1 0 8"),
+            _ => format!("remove {tenant} 1"),
+        })
+        .collect()
+}
+
 /// One durable tier on a fresh store directory, `clients` closed-loop
-/// connections sending `windows` windows of `depth` commands each.
-/// Returns the store's counts after every client's first ten windows.
-fn durable_phase(name: &str, clients: u64, depth: u64, windows: u64) -> StoreCounts {
-    const WARM_UP: u64 = 10;
+/// connections sending `windows` windows of `depth` commands each, made
+/// by `window_of(tenant, window, depth)`. Returns the store's counts
+/// after every client's first [`WARM_UP`] windows.
+fn durable_phase(
+    name: &str,
+    clients: u64,
+    depth: u64,
+    windows: u64,
+    window_of: fn(u64, u64, u64) -> Vec<String>,
+) -> StoreCounts {
     let dir =
         std::env::temp_dir().join(format!("realloc-qos-server-{}-{name}", std::process::id()));
     let telemetry = Telemetry::new();
@@ -289,16 +324,8 @@ fn durable_phase(name: &str, clients: u64, depth: u64, windows: u64) -> StoreCou
                         warm.wait();
                         warm.wait();
                     }
-                    // A window is one write: the server sees one batch.
-                    let commands: Vec<String> = (0..depth)
-                        .map(|k| {
-                            let id = window * depth + k / 2;
-                            match k % 2 {
-                                0 => format!("place {tenant} {id} {} {}", 8 * k, 8 * k + 16),
-                                _ => format!("remove {tenant} {id}"),
-                            }
-                        })
-                        .collect();
+                    // A window is one write: the server sees it whole.
+                    let commands = window_of(tenant, window, depth);
                     client.send_window(&commands).expect("send");
                     for _ in 0..depth {
                         let reply = client.recv().expect("reply");
@@ -326,8 +353,10 @@ fn durable_phase(name: &str, clients: u64, depth: u64, windows: u64) -> StoreCou
         .histogram_snapshot("store_sync_chunks")
         .expect("registered by the store");
     println!(
-        "durable, {name}: {:.2} fsyncs per chunk ({} for {}), store_sync_chunks p50 {}, \
-         {:.0} % of commits covered by another's fsync, gathers: {} hit, {} timed out",
+        "durable, {name}: {:.2} fsyncs per window, {:.2} per chunk ({} for {}), \
+         store_sync_chunks p50 {}, {:.0} % of commits covered by another's fsync, \
+         gathers: {} hit, {} timed out",
+        counts.fsyncs as f64 / (clients * (windows - WARM_UP)) as f64,
         counts.fsyncs as f64 / counts.chunks as f64,
         counts.fsyncs,
         counts.chunks,
@@ -340,10 +369,20 @@ fn durable_phase(name: &str, clients: u64, depth: u64, windows: u64) -> StoreCou
 }
 
 /// Is group commit grouping? Two pipelining connections, then one
-/// connection that waits for every reply.
+/// connection that waits for every reply, then one bulk-loading
+/// connection whose every window is four full batches.
 fn durable_phases() {
-    let busy = durable_phase("2 connections x 32 outstanding", 2, 32, 150);
-    let lone = durable_phase("1 connection at depth 1", 1, 1, 150);
+    const BULK_WINDOWS: u64 = 40;
+    let busy = durable_phase("2 connections x 32 outstanding", 2, 32, 150, spread_window);
+    let lone = durable_phase("1 connection at depth 1", 1, 1, 150, spread_window);
+    let max_batch = ServiceConfig::default().max_batch as u64;
+    let bulk = durable_phase(
+        "1 connection x 4 full batches",
+        1,
+        4 * max_batch,
+        BULK_WINDOWS,
+        compact_window,
+    );
     let mut failed = false;
     if (busy.chunks as f64) < 1.5 * busy.fsyncs as f64 {
         eprintln!(
@@ -356,6 +395,17 @@ fn durable_phases() {
         eprintln!(
             "a lone connection at depth 1 was made to wait: {} hits, {} timeouts",
             lone.hits, lone.timeouts
+        );
+        failed = true;
+    }
+    // Each full batch stages its successor before it waits: one fsync
+    // per two batches.
+    let bulk_windows = BULK_WINDOWS - WARM_UP;
+    if bulk.fsyncs > 2 * bulk_windows {
+        eprintln!(
+            "a bulk load is not double-buffered: {} fsyncs for {bulk_windows} windows \
+             of four full batches, at most 2 each",
+            bulk.fsyncs
         );
         failed = true;
     }
