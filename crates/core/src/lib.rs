@@ -64,7 +64,7 @@ pub use schedule::{ScheduleSnapshot, ValidationError};
 pub use snapshot::{Restorable, SnapshotNode, SnapshotWriter, SNAPSHOT_HEADER};
 pub use tower::{log_star, Tower, MAX_THRESHOLD};
 pub use traits::{Reallocator, SingleMachineReallocator};
-pub use window::Window;
+pub use window::{sort_for_rebuild, Window};
 
 /// A point on the discrete time axis. Slot `t` is the unit interval
 /// `[t, t+1)`; a window `[a, d]` therefore contains the `d − a` slots

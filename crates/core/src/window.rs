@@ -9,9 +9,31 @@
 //! always has span `≥ |W|/4`, which is what makes the unaligned→aligned
 //! reduction lose only a constant factor of underallocation (Lemma 10).
 
-use crate::{Slot, Time};
+use crate::{JobId, Slot, Time};
 use std::fmt;
 use std::ops::Range;
+
+/// Sorts a whole active set into the one order every rebuild re-places
+/// it in: ascending window span, then start, then id. `job` projects an
+/// element onto its id and the window it is re-placed under.
+///
+/// Shorter windows first never displace anything, so the rebuild itself
+/// is cascade-free — the order with the strongest acceptance guarantee
+/// for the reservation schedulers. Start, then id, make the order total
+/// and deterministic: a rebuild is a function of the set, not of the
+/// hash-map order it was gathered in, so a replica or a restored engine
+/// re-places it the same way. Equal-span aligned windows are equal or
+/// disjoint, and disjoint ones commute: how the distinct windows of one
+/// span interleave does not change the schedule the reservation
+/// scheduler builds, while the jobs of one window trade slots with
+/// their order, which the id tie-break fixes (pinned by the reservation
+/// crate's property tests).
+pub fn sort_for_rebuild<T>(jobs: &mut [T], job: impl Fn(&T) -> (JobId, Window)) {
+    jobs.sort_unstable_by_key(|item| {
+        let (id, window) = job(item);
+        (window.span(), window.start(), id)
+    });
+}
 
 /// A half-open window of timeslots `[start, end)` in slot terms.
 ///

@@ -6,7 +6,7 @@ use crate::shard::Shard;
 use crate::Engine;
 use realloc_core::router::{tenant_of, Router, RouterError};
 use realloc_core::textio::ParseError;
-use realloc_core::{JobId, Window};
+use realloc_core::{sort_for_rebuild, JobId, Window};
 use realloc_telemetry::Severity;
 use std::collections::BTreeMap;
 
@@ -23,12 +23,10 @@ impl Engine {
     /// hash routing).
     ///
     /// The rebuild is **all-or-nothing**: jobs are re-placed into a fresh
-    /// shard set in a canonical order (ascending window span, then start,
-    /// then id — the order with the strongest acceptance guarantee for
-    /// the reservation schedulers), and if any job cannot be placed (a
-    /// shrink can concentrate load beyond a shard's capacity) the engine
-    /// is left exactly as it was and [`ResizeError::Infeasible`] is
-    /// returned.
+    /// shard set in the one rebuild order ([`sort_for_rebuild`]), and if
+    /// any job cannot be placed (a shrink can concentrate load beyond a
+    /// shard's capacity) the engine is left exactly as it was and
+    /// [`ResizeError::Infeasible`] is returned.
     pub fn resize(&mut self, new_shards: usize) -> Result<ResizeReport, ResizeError> {
         let table = self.router.retarget(new_shards)?;
         self.reshard(table)
@@ -102,15 +100,15 @@ impl Engine {
     /// recounting).
     fn reshard_at(&mut self, table: Router) -> Result<ResizeReport, ResizeError> {
         // Gather every active job with its current home, then re-place
-        // into a fresh shard set in canonical order. The old shards stay
-        // untouched until the rebuild fully succeeds.
+        // into a fresh shard set in the one rebuild order. The old shards
+        // stay untouched until the rebuild fully succeeds.
         let mut jobs: Vec<(JobId, Window, usize)> = Vec::new();
         for (i, shard) in self.shards.iter().enumerate() {
             for (id, w) in shard.active_jobs() {
                 jobs.push((id, w, i));
             }
         }
-        jobs.sort_by_key(|&(id, w, _)| (w.span(), w.start(), id));
+        sort_for_rebuild(&mut jobs, |&(id, w, _)| (id, w));
         let mut fresh: Vec<Shard> = (0..table.shards())
             .map(|i| Shard::new(i, self.cfg.backend, self.cfg.machines_per_shard))
             .collect();

@@ -23,12 +23,14 @@
 //! the same wrapper drives the paper's reservation scheduler
 //! ([`TheoremOneScheduler`]) and the Lemma 4 naive baseline, making the
 //! experiment comparisons apples-to-apples.
+//!
+//! One module, [`scheduler`], holds both layers. Over-packed input (the
+//! gap between Theorem 1 and Lemmas 11/12) is served by the engine's
+//! `BackendKind::Naive`: this same wrapper over the Lemma 4 baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod scheduler;
 
-pub use adaptive::{AdaptiveScheduler, Mode};
 pub use scheduler::{ReallocatingScheduler, TheoremOneScheduler};

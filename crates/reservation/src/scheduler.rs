@@ -82,7 +82,9 @@ use crate::quota::{
 };
 use crate::state::{Field, JobRec, Level};
 use fxhash::FxHashMap;
-use realloc_core::{Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window};
+use realloc_core::{
+    sort_for_rebuild, Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window,
+};
 use std::collections::VecDeque;
 
 /// Maximum admissible window end: keeping the axis inside `[0, 2^63)`
@@ -725,19 +727,19 @@ impl ReservationScheduler {
     }
 
     /// Last-resort consistency restore: rebuilds the whole schedule from
-    /// the active set, span-sorted (shorter windows first never displace
-    /// anything). Only reachable when an orphan could not be re-placed —
-    /// i.e. under a doubly violated underallocation precondition. Jobs
-    /// the rebuild cannot place (the instance is over-packed beyond what
-    /// the reservation machinery tolerates) are dropped rather than kept
-    /// in an inconsistent schedule.
+    /// the active set, in the one rebuild order ([`sort_for_rebuild`]).
+    /// Only reachable when an orphan could not be re-placed — i.e. under
+    /// a doubly violated underallocation precondition. Jobs the rebuild
+    /// cannot place (the instance is over-packed beyond what the
+    /// reservation machinery tolerates) are dropped rather than kept in
+    /// an inconsistent schedule.
     fn rebuild_from_active(&mut self) {
         let mut jobs: Vec<(JobId, Window)> = self
             .jobs
             .iter()
             .map(|(&id, rec)| (id, rec.window))
             .collect();
-        jobs.sort_by_key(|&(id, w)| (w.span(), w.start(), id));
+        sort_for_rebuild(&mut jobs, |&job| job);
         let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
         for (level, lvl) in self.levels.iter().enumerate() {
             // Preserve high-water marks: standing-reservation reach only

@@ -28,7 +28,9 @@
 
 use crate::scheduler::ReservationScheduler;
 use fxhash::FxHashMap;
-use realloc_core::{Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window};
+use realloc_core::{
+    sort_for_rebuild, Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window,
+};
 
 /// Smallest `n*` we bother tracking; below this trimming is a no-op in
 /// practice and rebuild churn would dominate. Shared with
@@ -160,9 +162,7 @@ impl TrimmedScheduler {
             .chain(pending.map(|(id, window)| (id, window, None)))
             .map(|(id, original, from)| (id, original, original.trim_to(trim_span), from))
             .collect();
-        // Insert in span order: shorter windows first never displace
-        // anything, so the rebuild itself is cascade-free.
-        jobs.sort_by_key(|&(id, _, trimmed, _)| (trimmed.span(), id));
+        sort_for_rebuild(&mut jobs, |&(id, _, trimmed, _)| (id, trimmed));
         let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
         for &(id, _, trimmed, _) in &jobs {
             fresh.insert(id, trimmed)?;

@@ -1,11 +1,12 @@
 //! Property-based tests for the reservation scheduler: arbitrary
 //! (density-bounded) operation sequences preserve every structural
 //! invariant and produce feasible schedules; fulfillment is history
-//! independent; the trimmed and deamortized wrappers agree with the raw
-//! scheduler on feasibility.
+//! independent; a span-sorted rebuild ignores the order inside a span;
+//! the trimmed and deamortized wrappers agree with the raw scheduler on
+//! feasibility.
 
 use proptest::prelude::*;
-use realloc_core::{JobId, SingleMachineReallocator, Tower, Window};
+use realloc_core::{sort_for_rebuild, JobId, Restorable, SingleMachineReallocator, Tower, Window};
 use realloc_reservation::{DeamortizedScheduler, ReservationScheduler, TrimmedScheduler};
 use std::collections::HashMap;
 
@@ -26,6 +27,15 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 const SPANS: [u64; 5] = [2, 8, 32, 128, 512];
 const HORIZON: u64 = 1 << 12;
 
+/// `w` and its aligned ancestors up to span `horizon`.
+fn ancestors(w: Window, horizon: u64) -> Vec<Window> {
+    let mut out = vec![w];
+    while out[out.len() - 1].span() < horizon {
+        out.push(out[out.len() - 1].aligned_parent().unwrap());
+    }
+    out
+}
+
 /// Applies ops with a density guard (γ = 8 over aligned ancestors),
 /// checking invariants and feasibility after every applied op.
 fn apply_checked(sched: &mut ReservationScheduler, ops: &[Op]) -> usize {
@@ -34,28 +44,19 @@ fn apply_checked(sched: &mut ReservationScheduler, ops: &[Op]) -> usize {
     let mut next = 0u64;
     let mut applied = 0usize;
 
-    let ancestors = |mut w: Window| {
-        let mut out = vec![w];
-        while w.span() < HORIZON {
-            w = w.aligned_parent().unwrap();
-            out.push(w);
-        }
-        out
-    };
-
     for op in ops {
         match *op {
             Op::Insert { span_idx, pos } => {
                 let span = SPANS[span_idx];
                 let start = (pos % (HORIZON / span)) * span;
                 let w = Window::with_span(start, span);
-                if ancestors(w)
+                if ancestors(w, HORIZON)
                     .iter()
                     .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
                 {
                     continue;
                 }
-                for a in ancestors(w) {
+                for a in ancestors(w, HORIZON) {
                     *counts.entry(a).or_insert(0) += 1;
                 }
                 let id = JobId(next);
@@ -70,7 +71,7 @@ fn apply_checked(sched: &mut ReservationScheduler, ops: &[Op]) -> usize {
                     continue;
                 }
                 let (id, w) = active.swap_remove(idx % active.len());
-                for a in ancestors(w) {
+                for a in ancestors(w, HORIZON) {
                     *counts.get_mut(&a).unwrap() -= 1;
                 }
                 sched.delete(id).expect("delete of active job succeeds");
@@ -126,27 +127,19 @@ proptest! {
         {
             let mut counts: HashMap<Window, u64> = HashMap::new();
             let mut next = 0u64;
-            let ancestors = |mut w: Window| {
-                let mut out = vec![w];
-                while w.span() < HORIZON {
-                    w = w.aligned_parent().unwrap();
-                    out.push(w);
-                }
-                out
-            };
             for op in &ops {
                 match *op {
                     Op::Insert { span_idx, pos } => {
                         let span = SPANS[span_idx];
                         let start = (pos % (HORIZON / span)) * span;
                         let w = Window::with_span(start, span);
-                        if ancestors(w)
+                        if ancestors(w, HORIZON)
                             .iter()
                             .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
                         {
                             continue;
                         }
-                        for a in ancestors(w) {
+                        for a in ancestors(w, HORIZON) {
                             *counts.entry(a).or_insert(0) += 1;
                         }
                         shadow.push((JobId(next), w));
@@ -157,7 +150,7 @@ proptest! {
                             continue;
                         }
                         let (_, w) = shadow.swap_remove(idx % shadow.len());
-                        for a in ancestors(w) {
+                        for a in ancestors(w, HORIZON) {
                             *counts.get_mut(&a).unwrap() -= 1;
                         }
                     }
@@ -179,33 +172,90 @@ proptest! {
         }
     }
 
+    /// The property the one rebuild order rests on: equal-span aligned
+    /// windows are equal or disjoint, and disjoint ones commute, so a
+    /// span-sorted rebuild lands on the same bytes however the distinct
+    /// windows of one span interleave — the trimmer's old `(span, id)`
+    /// key included. Jobs of one *identical* window do not commute (they
+    /// trade slots), so every order tried keeps them in id order, as
+    /// both keys do.
+    #[test]
+    fn span_sorted_rebuild_ignores_order_within_a_span(
+        picks in prop::collection::vec((0u32..13, 0u64..1 << 16), 1..400),
+        seed in 0u64..1000,
+    ) {
+        use rand::{Rng, SeedableRng};
+
+        // Spans 1 … 4 096 over a 65 536-slot horizon, density-guarded
+        // (≤ max(1, span/8) jobs inside every aligned window).
+        const WIDE: u64 = 1 << 16;
+        let mut counts: HashMap<Window, u64> = HashMap::new();
+        let mut jobs: Vec<(JobId, Window)> = Vec::new();
+        for (i, (k, pos)) in picks.into_iter().enumerate() {
+            let span = 1u64 << k;
+            let window = Window::with_span(pos % (WIDE / span) * span, span);
+            let chain = ancestors(window, WIDE);
+            if chain
+                .iter()
+                .any(|a| counts.get(a).copied().unwrap_or(0) >= (a.span() / 8).max(1))
+            {
+                continue;
+            }
+            for a in chain {
+                *counts.entry(a).or_insert(0) += 1;
+            }
+            jobs.push((JobId(i as u64), window));
+        }
+        sort_for_rebuild(&mut jobs, |&job| job);
+        let mut old_key = jobs.clone();
+        old_key.sort_by_key(|&(id, w)| (w.span(), id));
+        // A random merge, per span, of each window's id-ordered jobs.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut interleaved = Vec::with_capacity(jobs.len());
+        for run in jobs.chunk_by(|a, b| a.1.span() == b.1.span()) {
+            let mut windows: Vec<&[(JobId, Window)]> = run.chunk_by(|a, b| a.1 == b.1).collect();
+            while !windows.is_empty() {
+                let pick = rng.gen_range(0..windows.len());
+                interleaved.push(windows[pick][0]);
+                windows[pick] = &windows[pick][1..];
+                if windows[pick].is_empty() {
+                    windows.swap_remove(pick);
+                }
+            }
+        }
+        let texts: Vec<String> = [&jobs, &old_key, &interleaved]
+            .into_iter()
+            .map(|order| {
+                let mut fresh = ReservationScheduler::new();
+                for &(id, w) in order {
+                    fresh.insert(id, w).expect("density-guarded rebuild insert succeeds");
+                }
+                fresh.snapshot_text()
+            })
+            .collect();
+        prop_assert_eq!(&texts[0], &texts[1], "the old (span, id) key moved bytes");
+        prop_assert_eq!(&texts[0], &texts[2], "interleaving a span's windows moved bytes");
+    }
+
     #[test]
     fn trimmed_matches_raw_feasibility(ops in prop::collection::vec(op_strategy(), 1..80)) {
         let mut trimmed = TrimmedScheduler::new(8);
         let mut counts: HashMap<Window, u64> = HashMap::new();
         let mut active: Vec<(JobId, Window)> = Vec::new();
         let mut next = 0u64;
-        let ancestors = |mut w: Window| {
-            let mut out = vec![w];
-            while w.span() < HORIZON {
-                w = w.aligned_parent().unwrap();
-                out.push(w);
-            }
-            out
-        };
         for op in &ops {
             match *op {
                 Op::Insert { span_idx, pos } => {
                     let span = SPANS[span_idx];
                     let start = (pos % (HORIZON / span)) * span;
                     let w = Window::with_span(start, span);
-                    if ancestors(w)
+                    if ancestors(w, HORIZON)
                         .iter()
                         .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
                     {
                         continue;
                     }
-                    for a in ancestors(w) {
+                    for a in ancestors(w, HORIZON) {
                         *counts.entry(a).or_insert(0) += 1;
                     }
                     let id = JobId(next);
@@ -218,7 +268,7 @@ proptest! {
                         continue;
                     }
                     let (id, w) = active.swap_remove(idx % active.len());
-                    for a in ancestors(w) {
+                    for a in ancestors(w, HORIZON) {
                         *counts.get_mut(&a).unwrap() -= 1;
                     }
                     trimmed.delete(id).unwrap();
@@ -238,27 +288,19 @@ proptest! {
         let mut counts: HashMap<Window, u64> = HashMap::new();
         let mut active: Vec<(JobId, Window)> = Vec::new();
         let mut next = 0u64;
-        let ancestors = |mut w: Window| {
-            let mut out = vec![w];
-            while w.span() < HORIZON {
-                w = w.aligned_parent().unwrap();
-                out.push(w);
-            }
-            out
-        };
         for op in &ops {
             match *op {
                 Op::Insert { span_idx, pos } => {
                     let span = SPANS[span_idx];
                     let start = (pos % (HORIZON / span)) * span;
                     let w = Window::with_span(start, span);
-                    if ancestors(w)
+                    if ancestors(w, HORIZON)
                         .iter()
                         .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
                     {
                         continue;
                     }
-                    for a in ancestors(w) {
+                    for a in ancestors(w, HORIZON) {
                         *counts.entry(a).or_insert(0) += 1;
                     }
                     let id = JobId(next);
@@ -272,7 +314,7 @@ proptest! {
                         continue;
                     }
                     let (id, w) = active.swap_remove(idx % active.len());
-                    for a in ancestors(w) {
+                    for a in ancestors(w, HORIZON) {
                         *counts.get_mut(&a).unwrap() -= 1;
                     }
                     sched.delete(id).unwrap();

@@ -133,7 +133,7 @@ pub use realloc_engine::{
     Journal, JournalCursor, JournalRecord, Metrics, RecoverError, ReplayError, ResizeError,
     ResizeReport, TenantId,
 };
-pub use realloc_multi::{AdaptiveScheduler, ReallocatingScheduler, TheoremOneScheduler};
+pub use realloc_multi::{ReallocatingScheduler, TheoremOneScheduler};
 pub use realloc_reservation::{DeamortizedScheduler, ReservationScheduler, TrimmedScheduler};
 pub use realloc_service::{QosConfig, RateLimit, ServiceConfig, ServiceServer};
 pub use realloc_store::{
