@@ -77,6 +77,12 @@ fn cut_windows(snapshot: &str) -> usize {
 /// `mem_dense`-shaped: 4 shards × 4 machines, `theorem1:8`, the
 /// benchmark's span ladder and horizon, unaligned windows, 10 240
 /// requests of prefill and 20 000 of churn.
+///
+/// Re-recorded once, on purpose: an `n*` crossing whose bound re-trims no
+/// window (any crossing between two `n*` ≥ 256: spans ≤ 4 096, γ = 8)
+/// stopped re-placing the machine's schedule, and reallocations went
+/// 1 190 → 673. Requests, failures, active jobs and migrations did not
+/// move.
 #[test]
 fn dense_churn_is_pinned() {
     let mut gen = ChurnGenerator::new(
@@ -99,14 +105,14 @@ fn dense_churn_is_pinned() {
     assert_eq!((m.requests, m.failed), (30_240, 0));
     assert_eq!(
         (m.active_jobs, m.reallocations, m.migrations),
-        (6_212, 1_190, 306)
+        (6_212, 673, 306)
     );
     assert_eq!(
         digests(&e),
         (
-            0x1a60_a2ba_8397_e3a6,
-            0xfe9c_6173_33ab_5e04,
-            0xfe9c_6173_33ab_5e04
+            0x8ca7_22c2_6ff2_a3b1,
+            0xbc49_7b0a_e95f_b900,
+            0xbc49_7b0a_e95f_b900
         )
     );
 }

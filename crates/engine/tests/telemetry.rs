@@ -30,13 +30,18 @@ fn config(shards: usize) -> EngineConfig {
 }
 
 fn churn(seed: u64, shards: usize, len: usize) -> RequestSeq {
+    churn_of(seed, shards, len, vec![1, 4, 16, 64], 48)
+}
+
+/// Churn over spans `spans` hovering at `per_shard` active jobs a shard.
+fn churn_of(seed: u64, shards: usize, len: usize, spans: Vec<u64>, per_shard: usize) -> RequestSeq {
     let mut gen = ChurnGenerator::new(
         ChurnConfig {
             machines: shards,
             gamma: 8,
             horizon: 1 << 12,
-            spans: vec![1, 4, 16, 64],
-            target_active: 48 * shards,
+            spans,
+            target_active: per_shard * shards,
             insert_bias: 0.6,
             unaligned: false,
         },
@@ -122,10 +127,14 @@ fn registry_matches_exact_metrics_across_resize() {
 /// flushes add to it, instead of counting from zero at attach.
 #[test]
 fn registry_covers_history_restored_before_attach() {
+    // Spans up to the whole horizon: the bound cuts the widest windows
+    // while n* ≤ 128, so crossings re-trim and rebuild. (`churn`'s spans
+    // ≤ 64 are never cut, and on these seeds it never reallocates.)
+    let dense = |seed, len| churn_of(seed, 4, len, vec![1, 4, 16, 64, 256, 1024, 4096], 96);
     let mut original = Engine::new(config(4));
-    original.ingest(&churn(3, 4, 600), 64);
+    original.ingest(&dense(3, 600), 64);
     original.resize(6).expect("growing is always feasible");
-    original.ingest(&churn(4, 4, 200), 64);
+    original.ingest(&dense(4, 200), 64);
     let mut engine = Engine::restore_snapshot(&original.snapshot_text()).unwrap();
     let history = engine.metrics();
     assert!(history.cost.mean > 0.0, "the script reallocates");

@@ -13,10 +13,11 @@
 //! aligned again — so each generation is an ordinary aligned instance.
 //!
 //! When the `n*` estimate doubles or halves, instead of rebuilding at once
-//! (the `O(n)` spike of [`crate::trim::TrimmedScheduler`]), the *active*
-//! generation flips and every subsequent request additionally migrates two
-//! jobs from the draining generation, keeping the worst-case per-request
-//! cost bounded. The paper notes the scheme needs the undoubled instance
+//! (the `O(n)` spike [`crate::trim::TrimmedScheduler`] pays at a crossing
+//! whose new bound re-trims some window), the *active* generation flips
+//! and every subsequent request additionally migrates two jobs from the
+//! draining generation, keeping the worst-case per-request cost bounded.
+//! It flips at every crossing, re-trimming or not. The paper notes the scheme needs the undoubled instance
 //! to be `2γ`-underallocated — each generation effectively runs the
 //! machine at half speed.
 //!

@@ -10,9 +10,14 @@
 //! of populated levels is `O(log* n)`.
 //!
 //! [`TrimmedScheduler`] implements the *amortized* variant: when `n*`
-//! changes, the schedule is rebuilt from scratch (cost `O(n)`, amortized
-//! `O(1)` per request since `Ω(n)` requests separate two rebuilds). The
-//! deamortized even/odd-slot variant is [`crate::deamortized`].
+//! changes and the new bound re-trims some active job's window, the
+//! schedule is rebuilt from scratch (cost `O(n)`, amortized `O(1)` per
+//! request since `Ω(n)` requests separate two crossings). A crossing whose
+//! bound re-trims no window only adopts the new `n*` and moves nothing:
+//! the inner scheduler does not read `n*`, and every inner window already
+//! is its original trimmed to the new bound, so a rebuild would re-place
+//! the same instance. The deamortized even/odd-slot variant is
+//! [`crate::deamortized`].
 //!
 //! # Who owns what about a job
 //!
@@ -141,6 +146,18 @@ impl TrimmedScheduler {
         self.originals.get(&id).copied().unwrap_or(inner_window)
     }
 
+    /// Whether the bound under `n_star` trims some active job's window
+    /// differently from the current one — the only reason a crossing
+    /// re-places the schedule. Runs only at a crossing, so the scan is
+    /// amortized `O(1)` per request.
+    fn retrims(&self, n_star: u64) -> bool {
+        let trim_span = self.trim_span_at(n_star);
+        self.inner
+            .jobs
+            .iter()
+            .any(|(&id, rec)| self.original_of(id, rec.window).trim_to(trim_span) != rec.window)
+    }
+
     /// Rebuilds the schedule from scratch under a new `n*` — every active
     /// job plus the insert that triggered the resize, if one did —
     /// reporting every job whose slot changed. Nothing is committed
@@ -197,7 +214,7 @@ impl SingleMachineReallocator for TrimmedScheduler {
         }
         // Resize first so the insert itself sees the right trim bound.
         let n_star = settled_n_star(self.n_star, self.inner.jobs.len() as u64 + 1);
-        if n_star != self.n_star {
+        if n_star != self.n_star && self.retrims(n_star) {
             if self.inner.slot_of(id).is_some() {
                 return Err(Error::DuplicateJob(id));
             }
@@ -206,7 +223,7 @@ impl SingleMachineReallocator for TrimmedScheduler {
             self.rebuild(n_star, Some((id, window)), &mut moves)?;
             return Ok(moves);
         }
-        let trimmed = window.trim_to(self.trim_span());
+        let trimmed = window.trim_to(self.trim_span_at(n_star));
         let moves = self.inner.insert(id, trimmed)?;
         if trimmed != window {
             self.originals.insert(id, window);
@@ -214,6 +231,8 @@ impl SingleMachineReallocator for TrimmedScheduler {
             // Clears an entry left by a job the inner scheduler dropped.
             self.originals.remove(&id);
         }
+        // Only now: a rejected insert commits no crossing.
+        self.n_star = n_star;
         Ok(moves)
     }
 
@@ -221,9 +240,10 @@ impl SingleMachineReallocator for TrimmedScheduler {
         let mut moves = self.inner.delete(id)?;
         self.originals.remove(&id);
         let n_star = settled_n_star(self.n_star, self.inner.jobs.len() as u64);
-        if n_star != self.n_star {
+        if n_star != self.n_star && self.retrims(n_star) {
             self.rebuild(n_star, None, &mut moves)?;
         }
+        self.n_star = n_star;
         Ok(moves)
     }
 
@@ -314,12 +334,21 @@ mod tests {
     fn originals_stay_empty_while_every_window_fits_the_bound() {
         // γ = 8: the bound never drops below 128, the spans stop at 64.
         let mut s = TrimmedScheduler::new(8);
+        // `n*` values seen, in order: one more per crossing.
+        let mut n_stars = vec![s.n_star()];
+        let mut note = |s: &TrimmedScheduler| {
+            if n_stars.last() != Some(&s.n_star()) {
+                n_stars.push(s.n_star());
+            }
+        };
         for i in 0..600u64 {
             let span = [1u64, 4, 16, 64][(i % 4) as usize];
             let window = Window::with_span((i * 7919) % (4096 / span) * span, span);
             s.insert(JobId(i), window).unwrap();
+            note(&s);
             if i % 3 == 0 {
                 s.delete(JobId(i / 2)).unwrap_or_default();
+                note(&s);
             }
             assert!(s.originals.is_empty(), "after request {i}");
         }
@@ -332,9 +361,18 @@ mod tests {
         assert_eq!(listed, s.active_count());
         for i in 0..600u64 {
             s.delete(JobId(i)).unwrap_or_default();
+            note(&s);
             assert!(s.originals.is_empty());
         }
-        assert!(s.rebuilds() >= 6, "n* doubled and halved on the way");
+        assert!(
+            n_stars.len() > 6,
+            "n* doubled and halved on the way: {n_stars:?}"
+        );
+        assert_eq!(
+            s.rebuilds(),
+            0,
+            "a bound that cuts nothing re-places nothing"
+        );
     }
 
     /// The one trimming rule both schedulers and both snapshot checks

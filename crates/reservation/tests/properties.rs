@@ -3,10 +3,14 @@
 //! invariant and produce feasible schedules; fulfillment is history
 //! independent; a span-sorted rebuild ignores the order inside a span;
 //! the trimmed and deamortized wrappers agree with the raw scheduler on
-//! feasibility.
+//! feasibility; trimming that cuts nothing is invisible, and an `n*`
+//! crossing re-places the schedule exactly when its bound re-trims a
+//! window.
 
 use proptest::prelude::*;
-use realloc_core::{sort_for_rebuild, JobId, Restorable, SingleMachineReallocator, Tower, Window};
+use realloc_core::{
+    sort_for_rebuild, JobId, Request, Restorable, SingleMachineReallocator, Tower, Window,
+};
 use realloc_reservation::{DeamortizedScheduler, ReservationScheduler, TrimmedScheduler};
 use std::collections::HashMap;
 
@@ -92,6 +96,134 @@ fn apply_checked(sched: &mut ReservationScheduler, ops: &[Op]) -> usize {
         }
     }
     applied
+}
+
+/// A growth-then-drain stream over `[0, 2^16)`: `grow` inserts of aligned
+/// windows with spans `2^0 … 2^max_k` (one delete per four inserts on the
+/// way), then a delete of every job left, in random order. Density-guarded
+/// (≤ max(1, span/8) jobs inside every aligned window), so every request
+/// succeeds.
+fn grow_then_drain(seed: u64, grow: usize, max_k: u32) -> Vec<Request> {
+    use rand::{Rng, SeedableRng};
+
+    const WIDE: u64 = 1 << 16;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut counts: HashMap<Window, u64> = HashMap::new();
+    let mut active: Vec<(JobId, Window)> = Vec::new();
+    let mut out = Vec::new();
+    let delete = |counts: &mut HashMap<Window, u64>, (id, w): (JobId, Window)| {
+        for a in ancestors(w, WIDE) {
+            *counts.get_mut(&a).unwrap() -= 1;
+        }
+        Request::Delete { id }
+    };
+    let mut next = 0u64;
+    while (next as usize) < grow {
+        let span = 1u64 << rng.gen_range(0..=max_k);
+        let window = Window::with_span(rng.gen_range(0..WIDE / span) * span, span);
+        let chain = ancestors(window, WIDE);
+        if chain
+            .iter()
+            .any(|a| counts.get(a).copied().unwrap_or(0) >= (a.span() / 8).max(1))
+        {
+            continue;
+        }
+        for a in chain {
+            *counts.entry(a).or_insert(0) += 1;
+        }
+        let id = JobId(next);
+        next += 1;
+        active.push((id, window));
+        out.push(Request::Insert { id, window });
+        if next.is_multiple_of(4) {
+            let job = active.swap_remove(rng.gen_range(0..active.len()));
+            out.push(delete(&mut counts, job));
+        }
+    }
+    while !active.is_empty() {
+        let job = active.swap_remove(rng.gen_range(0..active.len()));
+        out.push(delete(&mut counts, job));
+    }
+    out
+}
+
+/// Services `r` on one machine.
+fn apply<S: SingleMachineReallocator>(
+    s: &mut S,
+    r: Request,
+) -> Result<Vec<realloc_core::SlotMove>, realloc_core::Error> {
+    match r {
+        Request::Insert { id, window } => s.insert(id, window),
+        Request::Delete { id } => s.delete(id),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// γ = 8 puts the bound at 128 or more and the spans stop at 64, so it
+    /// never cuts a window: through ≥ 6 doublings and ≥ 6 halvings of
+    /// `n*`, the trimmed scheduler moves exactly the jobs a bare
+    /// reservation scheduler fed the same requests moves, holds the same
+    /// bytes, and never rebuilds.
+    #[test]
+    fn trimming_that_cuts_nothing_is_invisible(seed in 0u64..1000) {
+        let mut trimmed = TrimmedScheduler::new(8);
+        let mut bare = ReservationScheduler::new();
+        let (mut doublings, mut halvings) = (0, 0);
+        for (i, r) in grow_then_drain(seed, 900, 6).into_iter().enumerate() {
+            let n_star = trimmed.n_star();
+            let moves = apply(&mut trimmed, r).expect("density-guarded request succeeds");
+            prop_assert_eq!(moves, apply(&mut bare, r).unwrap(), "request {}", i);
+            if trimmed.n_star() != n_star {
+                if trimmed.n_star() > n_star { doublings += 1 } else { halvings += 1 }
+                prop_assert_eq!(trimmed.inner().snapshot_text(), bare.snapshot_text(), "request {}", i);
+            }
+        }
+        prop_assert!(doublings >= 6 && halvings >= 6, "{} doublings, {} halvings", doublings, halvings);
+        prop_assert_eq!(trimmed.inner().snapshot_text(), bare.snapshot_text());
+        prop_assert_eq!(trimmed.rebuilds(), 0);
+    }
+
+    /// Spans up to 4 096 against γ ∈ {1, 2, 8}: some crossings re-trim a
+    /// window (and rebuild; every one at γ = 1), others do not (and only
+    /// adopt the new `n*`; every one from `n*` = 256 up at γ = 8).
+    /// A crossing rebuilds exactly when some job live across it has an
+    /// original window the two bounds trim differently, and after every
+    /// crossing the snapshot restores to the same bytes.
+    #[test]
+    fn a_crossing_rebuilds_exactly_when_it_retrims(seed in 0u64..1000) {
+        let (mut rebuilding, mut skipped) = (0, 0);
+        for gamma in [1u64, 2, 8] {
+            let mut s = TrimmedScheduler::new(gamma);
+            let mut originals: HashMap<JobId, Window> = HashMap::new();
+            for (i, r) in grow_then_drain(seed ^ gamma, 900, 12).into_iter().enumerate() {
+                let (n_star, bound, rebuilds) = (s.n_star(), s.trim_span(), s.rebuilds());
+                apply(&mut s, r).expect("density-guarded request succeeds");
+                // The jobs live across the request: an insert's own window
+                // is placed under the new bound whichever way it goes.
+                let new_bound = s.trim_span();
+                let retrims = originals
+                    .iter()
+                    .filter(|&(&id, _)| r != Request::Delete { id })
+                    .any(|(_, w)| w.trim_to(bound) != w.trim_to(new_bound));
+                match r {
+                    Request::Insert { id, window } => originals.insert(id, window),
+                    Request::Delete { id } => originals.remove(&id),
+                };
+                if s.n_star() == n_star {
+                    prop_assert_eq!(s.rebuilds(), rebuilds, "request {}", i);
+                    continue;
+                }
+                prop_assert_eq!(s.rebuilds(), rebuilds + u64::from(retrims), "γ {}, request {}", gamma, i);
+                if retrims { rebuilding += 1 } else { skipped += 1 }
+                let text = s.snapshot_text();
+                let restored = TrimmedScheduler::restore(&text).expect("own snapshot restores");
+                prop_assert_eq!(restored.snapshot_text(), text, "γ {}, request {}", gamma, i);
+            }
+        }
+        prop_assert!(rebuilding > 0 && skipped > 0, "{} rebuilding, {} skipped crossings", rebuilding, skipped);
+    }
 }
 
 proptest! {

@@ -27,8 +27,11 @@ fn main() {
                     run(&mut s, &seq, RunOptions::default()).unwrap().meter
                 }
                 "resv+trim" => {
-                    // Trimming adds the amortized-rebuild spikes (the max
-                    // column); the deamortized variant removes them (E11).
+                    // Trimming adds an amortized-rebuild spike at each n*
+                    // crossing that re-trims a window — here the ramp's
+                    // crossings up to n* = 256, below which 2γn* < Δ (the
+                    // max column); the deamortized variant removes them
+                    // (E11).
                     let mut s = theorem_one(1, 8);
                     run(&mut s, &seq, RunOptions::default()).unwrap().meter
                 }
