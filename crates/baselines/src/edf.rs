@@ -10,8 +10,6 @@
 //! a feasible schedule when one exists.
 
 use realloc_core::feasibility::edf_schedule;
-use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
-use realloc_core::textio::ParseError;
 use realloc_core::{Error, Job, JobId, Reallocator, RequestOutcome, ScheduleSnapshot, Window};
 use std::collections::BTreeMap;
 
@@ -48,89 +46,6 @@ impl EdfRescheduler {
         self.schedule = fresh;
         Ok(RequestOutcome { moves })
     }
-}
-
-impl Restorable for EdfRescheduler {
-    const SNAPSHOT_KIND: &'static str = "edf";
-
-    fn write_state(&self, w: &mut SnapshotWriter) {
-        // The schedule is a pure function of the active set (every
-        // mutation ends in a full recompute), so only machine count and
-        // active windows need recording; restore re-derives the
-        // schedule, and therefore all future diffs, exactly.
-        w.line(format_args!("m {}", self.machines));
-        for (&id, &win) in &self.active {
-            w.line(format_args!("j {} {} {}", id.0, win.start(), win.end()));
-        }
-    }
-
-    fn read_state(node: &SnapshotNode) -> Result<Self, ParseError> {
-        node.expect_kind(Self::SNAPSHOT_KIND)?;
-        let (machines, active) = read_recompute_state(node, "edf")?;
-        let mut s = EdfRescheduler::new(machines);
-        s.active = active;
-        if !s.active.is_empty() {
-            let jobs: Vec<Job> = s
-                .active
-                .iter()
-                .map(|(&id, &w)| Job::unit(id.0, w))
-                .collect();
-            s.schedule = edf_schedule(&jobs, s.machines).ok_or(ParseError {
-                line: 0,
-                message: "edf snapshot's active set is infeasible".to_string(),
-            })?;
-        }
-        Ok(s)
-    }
-}
-
-/// Shared parser for the EDF/LLF full-recompute snapshots: one `m` line
-/// plus `j` lines of active windows.
-pub(crate) fn read_recompute_state(
-    node: &SnapshotNode,
-    what: &str,
-) -> Result<(usize, BTreeMap<JobId, Window>), ParseError> {
-    let mut machines: Option<usize> = None;
-    let mut active: BTreeMap<JobId, Window> = BTreeMap::new();
-    for (line, content) in &node.lines {
-        let mut f = Fields::of(*line, content);
-        match f.token("op")? {
-            "m" => {
-                if machines.is_some() {
-                    return Err(f.err("duplicate 'm' line"));
-                }
-                let m = f.usize("machine count")?;
-                f.finish()?;
-                if m == 0 {
-                    return Err(f.err("machine count must be >= 1"));
-                }
-                machines = Some(m);
-            }
-            "j" => {
-                let id = JobId(f.u64("job id")?);
-                let start = f.u64("window start")?;
-                let end = f.u64("window end")?;
-                f.finish()?;
-                if end <= start {
-                    return Err(f.err(format!("window end {end} must exceed start {start}")));
-                }
-                if active.insert(id, Window::new(start, end)).is_some() {
-                    return Err(f.err(format!("duplicate job {id}")));
-                }
-            }
-            other => {
-                return Err(ParseError {
-                    line: *line,
-                    message: format!("unknown {what} snapshot op '{other}'"),
-                })
-            }
-        }
-    }
-    let machines = machines.ok_or(ParseError {
-        line: 0,
-        message: format!("{what} snapshot has no 'm' machine-count line"),
-    })?;
-    Ok((machines, active))
 }
 
 impl Reallocator for EdfRescheduler {

@@ -9,10 +9,7 @@
 //! schedules are brittle under insertion/deletion; the toggle experiments
 //! show the same `Θ(n)` cascades for both.
 
-use crate::edf::read_recompute_state;
 use realloc_core::cost::Placement;
-use realloc_core::snapshot::{Restorable, SnapshotNode, SnapshotWriter};
-use realloc_core::textio::ParseError;
 use realloc_core::{Error, JobId, Reallocator, RequestOutcome, ScheduleSnapshot, Window};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -86,33 +83,6 @@ impl LlfRescheduler {
         let moves = self.schedule.diff(&fresh);
         self.schedule = fresh;
         Ok(RequestOutcome { moves })
-    }
-}
-
-impl Restorable for LlfRescheduler {
-    const SNAPSHOT_KIND: &'static str = "llf";
-
-    fn write_state(&self, w: &mut SnapshotWriter) {
-        // As with EDF: the schedule is a pure function of the active
-        // set, so machine count plus active windows are the whole state.
-        w.line(format_args!("m {}", self.machines));
-        for (&id, &win) in &self.active {
-            w.line(format_args!("j {} {} {}", id.0, win.start(), win.end()));
-        }
-    }
-
-    fn read_state(node: &SnapshotNode) -> Result<Self, ParseError> {
-        node.expect_kind(Self::SNAPSHOT_KIND)?;
-        let (machines, active) = read_recompute_state(node, "llf")?;
-        let mut s = LlfRescheduler::new(machines);
-        s.active = active;
-        if !s.active.is_empty() {
-            s.schedule = s.llf_schedule().ok_or(ParseError {
-                line: 0,
-                message: "llf snapshot's active set is infeasible".to_string(),
-            })?;
-        }
-        Ok(s)
     }
 }
 

@@ -1,11 +1,11 @@
 //! Pluggable per-shard scheduler backends.
 //!
-//! A shard owns one full [`Reallocator`] — either a machine group driven
-//! through the §3/§5 wrapper ([`realloc_multi::ReallocatingScheduler`])
-//! over any single-machine scheduler, or a natively multi-machine
-//! baseline. [`BackendKind`] is the serializable selector (it also names
-//! backends on the `exp_engine_throughput` command line and inside
-//! journal headers); [`BackendKind::build`] instantiates the [`Backend`].
+//! A shard owns one full [`Reallocator`]: a machine group driven through
+//! the §3/§5 wrapper ([`realloc_multi::ReallocatingScheduler`]) over a
+//! single-machine scheduler with a per-request guarantee. [`BackendKind`]
+//! is the serializable selector (it also names backends on the
+//! `exp_engine_throughput` command line and inside journal headers);
+//! [`BackendKind::build`] instantiates the [`Backend`].
 //!
 //! `Backend` is a closed enum rather than a trait object so the
 //! checkpoint layer gets static snapshot/restore dispatch: every variant
@@ -13,7 +13,7 @@
 //! variant from a [`BackendKind`] plus a parsed snapshot section —
 //! something a `Box<dyn Reallocator>` cannot offer without downcasting.
 
-use realloc_baselines::{EdfRescheduler, LlfRescheduler, NaivePeckingScheduler};
+use realloc_baselines::NaivePeckingScheduler;
 use realloc_core::snapshot::{Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
 use realloc_core::{Error, JobId, Reallocator, RequestOutcome, ScheduleSnapshot, Window};
@@ -33,10 +33,6 @@ pub enum Backend {
     Deamortized(ReallocatingScheduler<DeamortizedScheduler>),
     /// Lemma 4 naive pecking baseline per machine.
     Naive(ReallocatingScheduler<NaivePeckingScheduler>),
-    /// EDF full-recompute baseline (natively multi-machine).
-    Edf(EdfRescheduler),
-    /// LLF full-recompute baseline (natively multi-machine).
-    Llf(LlfRescheduler),
 }
 
 macro_rules! each_backend {
@@ -46,8 +42,6 @@ macro_rules! each_backend {
             Backend::TheoremOne($b) => $body,
             Backend::Deamortized($b) => $body,
             Backend::Naive($b) => $body,
-            Backend::Edf($b) => $body,
-            Backend::Llf($b) => $body,
         }
     };
 }
@@ -87,9 +81,8 @@ impl Reallocator for Backend {
 }
 
 impl Backend {
-    /// Writes the backend's full state as a child section of the current
-    /// snapshot section (kind depends on the variant: `multi`, `edf`, or
-    /// `llf`).
+    /// Writes the backend's full state as a `multi` child section of the
+    /// current snapshot section.
     pub fn write_state(&self, w: &mut SnapshotWriter) {
         each_backend!(self, b => w.child(b))
     }
@@ -114,45 +107,19 @@ impl Backend {
             BackendKind::TheoremOne { gamma } => {
                 let s: TheoremOneScheduler =
                     Restorable::read_state(section::<TheoremOneScheduler>(parent)?)?;
-                for m in 0..s.machines() {
-                    if s.backend(m).gamma() != gamma {
-                        return Err(ParseError {
-                            line: 0,
-                            message: format!(
-                                "machine {m} recorded gamma {} but the backend is theorem1:{gamma}",
-                                s.backend(m).gamma()
-                            ),
-                        });
-                    }
-                }
+                check_gamma(kind, gamma, (0..s.machines()).map(|m| s.backend(m).gamma()))?;
                 Backend::TheoremOne(s)
             }
             BackendKind::Deamortized { gamma } => {
                 let s: ReallocatingScheduler<DeamortizedScheduler> = Restorable::read_state(
                     section::<ReallocatingScheduler<DeamortizedScheduler>>(parent)?,
                 )?;
-                for m in 0..s.machines() {
-                    if s.backend(m).gamma() != gamma {
-                        return Err(ParseError {
-                            line: 0,
-                            message: format!(
-                                "machine {m} recorded gamma {} but the backend is deamortized:{gamma}",
-                                s.backend(m).gamma()
-                            ),
-                        });
-                    }
-                }
+                check_gamma(kind, gamma, (0..s.machines()).map(|m| s.backend(m).gamma()))?;
                 Backend::Deamortized(s)
             }
             BackendKind::Naive => Backend::Naive(Restorable::read_state(section::<
                 ReallocatingScheduler<NaivePeckingScheduler>,
             >(parent)?)?),
-            BackendKind::Edf => {
-                Backend::Edf(Restorable::read_state(section::<EdfRescheduler>(parent)?)?)
-            }
-            BackendKind::Llf => {
-                Backend::Llf(Restorable::read_state(section::<LlfRescheduler>(parent)?)?)
-            }
         };
         if backend.machines() != machines {
             return Err(ParseError {
@@ -164,6 +131,22 @@ impl Backend {
             });
         }
         Ok(backend)
+    }
+}
+
+/// Checks that every machine's restored trim γ (in machine order) is the
+/// one `kind` selects.
+fn check_gamma(
+    kind: BackendKind,
+    gamma: u64,
+    recorded: impl Iterator<Item = u64>,
+) -> Result<(), ParseError> {
+    match recorded.enumerate().find(|&(_, g)| g != gamma) {
+        Some((m, g)) => Err(ParseError {
+            line: 0,
+            message: format!("machine {m} recorded gamma {g} but the backend is {kind}"),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -186,10 +169,6 @@ pub enum BackendKind {
     },
     /// The Lemma 4 naive pecking-order baseline.
     Naive,
-    /// Earliest-deadline-first full recompute (brittle baseline).
-    Edf,
-    /// Least-laxity-first full recompute (brittle baseline).
-    Llf,
 }
 
 impl BackendKind {
@@ -212,14 +191,11 @@ impl BackendKind {
                 machines,
                 NaivePeckingScheduler::new,
             )),
-            BackendKind::Edf => Backend::Edf(EdfRescheduler::new(machines)),
-            BackendKind::Llf => Backend::Llf(LlfRescheduler::new(machines)),
         }
     }
 
     /// Parses the textual selector (inverse of [`std::fmt::Display`]):
-    /// `reservation`, `theorem1:γ`, `deamortized:γ`, `naive`, `edf`,
-    /// `llf`.
+    /// `reservation`, `theorem1:γ`, `deamortized:γ`, `naive`.
     pub fn parse(s: &str) -> Result<BackendKind, String> {
         let (name, arg) = match s.split_once(':') {
             Some((n, a)) => (n, Some(a)),
@@ -246,11 +222,9 @@ impl BackendKind {
                 gamma: gamma("deamortized")?,
             }),
             "naive" => Ok(BackendKind::Naive),
-            "edf" => Ok(BackendKind::Edf),
-            "llf" => Ok(BackendKind::Llf),
             other => Err(format!(
                 "unknown backend '{other}' (expected reservation, theorem1:g, \
-                 deamortized:g, naive, edf, llf)"
+                 deamortized:g, naive)"
             )),
         }
     }
@@ -263,8 +237,6 @@ impl std::fmt::Display for BackendKind {
             BackendKind::TheoremOne { gamma } => write!(f, "theorem1:{gamma}"),
             BackendKind::Deamortized { gamma } => write!(f, "deamortized:{gamma}"),
             BackendKind::Naive => write!(f, "naive"),
-            BackendKind::Edf => write!(f, "edf"),
-            BackendKind::Llf => write!(f, "llf"),
         }
     }
 }
@@ -281,10 +253,14 @@ mod tests {
             BackendKind::TheoremOne { gamma: 8 },
             BackendKind::Deamortized { gamma: 4 },
             BackendKind::Naive,
-            BackendKind::Edf,
-            BackendKind::Llf,
         ] {
             assert_eq!(BackendKind::parse(&kind.to_string()).unwrap(), kind);
+        }
+        // The full-recompute baselines are not served: their names are
+        // unknown backends, like any other.
+        for retired in ["edf", "llf"] {
+            let e = BackendKind::parse(retired).unwrap_err();
+            assert!(e.contains(&format!("unknown backend '{retired}'")), "{e}");
         }
         assert!(BackendKind::parse("theorem1").is_err());
         assert!(BackendKind::parse("theorem1:0").is_err());
@@ -298,8 +274,6 @@ mod tests {
             BackendKind::TheoremOne { gamma: 8 },
             BackendKind::Deamortized { gamma: 8 },
             BackendKind::Naive,
-            BackendKind::Edf,
-            BackendKind::Llf,
         ] {
             let mut b = kind.build(2);
             assert_eq!(b.machines(), 2);

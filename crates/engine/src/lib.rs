@@ -7,9 +7,9 @@
 //! * **Sharding** — requests are routed across `S` independent shards by
 //!   a stable hash of the (tenant-resolved) job id ([`Engine::shard_of`]).
 //!   Each shard owns one full scheduler ([`backend`]): a machine group
-//!   driven through the §3/§5 wrapper, or a natively multi-machine
-//!   baseline. Shards share no state; the engine holds them by value
-//!   and a flush drains them one after another ([`shard`]).
+//!   driven through the §3/§5 wrapper. Shards share no state; the engine
+//!   holds them by value and a flush drains them one after another
+//!   ([`shard`]).
 //! * **Batching** — [`Engine::submit`] only enqueues (per-shard FIFO
 //!   queues); [`Engine::flush`] services everything queued and returns a
 //!   [`batch::BatchReport`]. Rejected requests are reported, never fatal:

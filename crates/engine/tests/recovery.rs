@@ -8,13 +8,11 @@ use realloc_engine::{BackendKind, Engine, EngineConfig, Journal, RecoverError, R
 use realloc_workloads::{ChurnConfig, ChurnGenerator};
 use std::collections::BTreeMap;
 
-const ALL_BACKENDS: [BackendKind; 6] = [
+const ALL_BACKENDS: [BackendKind; 4] = [
     BackendKind::Reservation,
     BackendKind::TheoremOne { gamma: 8 },
     BackendKind::Deamortized { gamma: 8 },
     BackendKind::Naive,
-    BackendKind::Edf,
-    BackendKind::Llf,
 ];
 
 fn config(shards: usize, backend: BackendKind) -> EngineConfig {
@@ -303,6 +301,44 @@ fn malformed_journals_error_gracefully() {
         e.message.contains("missing retained-segments cap"),
         "got: {e}"
     );
+
+    // A backend the engine does not serve — the full-recompute EDF/LLF
+    // baselines among them — is an unknown name on the `c` line that
+    // carries it, in the journal header and in the snapshot alike.
+    let snapshot = engine.snapshot_text();
+    let c_line = |doc: &str| {
+        1 + doc
+            .lines()
+            .position(|l| l.starts_with("c 2 1 theorem1:8 "))
+            .expect("a c line")
+    };
+    for retired in ["edf", "llf"] {
+        let header = text.replacen("c 2 1 theorem1:8 ", &format!("c 2 1 {retired} "), 1);
+        let snap = snapshot.replacen("c 2 1 theorem1:8 ", &format!("c 2 1 {retired} "), 1);
+        let journal_err = Journal::from_text(&header).unwrap_err();
+        let snapshot_err = match Engine::restore_snapshot(&snap) {
+            Err(e) => e,
+            Ok(_) => panic!("restored a snapshot whose backend is {retired}"),
+        };
+        for (e, doc) in [(journal_err, &text), (snapshot_err, &snapshot)] {
+            assert_eq!(e.line, c_line(doc), "{retired}: {e}");
+            assert!(
+                e.message.contains(&format!("unknown backend '{retired}'")),
+                "got: {e}"
+            );
+        }
+    }
+
+    // A snapshot whose schedulers recorded another trim γ than the `c`
+    // line selects is refused, naming the first machine that differs.
+    let regamma = snapshot.replacen("c 2 1 theorem1:8 ", "c 2 1 theorem1:4 ", 1);
+    match Engine::restore_snapshot(&regamma) {
+        Err(e) => assert_eq!(
+            e.message,
+            "machine 0 recorded gamma 8 but the backend is theorem1:4"
+        ),
+        Ok(_) => panic!("restored a theorem1:8 snapshot as theorem1:4"),
+    }
 
     // Degenerate configs are rejected up front instead of panicking in
     // Engine::new during replay.
