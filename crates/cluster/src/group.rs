@@ -1,12 +1,14 @@
-//! Quorum group commit: one [`Primary`] fanned out over N
+//! Quorum group commit: one [`JournalRelay`] fanned out over N
 //! [`FrameSink`]s, acknowledged to the client once ≥ quorum replicas
 //! have cumulatively acked.
 //!
 //! The group separates *shipping* from *committing*, riding the
 //! pipelined links:
 //!
-//! * [`ReplicationGroup::flush`] flushes the primary and broadcasts
-//!   the produced frames down every link **without waiting** — each
+//! * [`ReplicationGroup::ship`] polls the relay for what the shared
+//!   engine ([`ReplicationGroup::engine`]) recorded since — flushes,
+//!   resizes, checkpoint markers — and broadcasts the frames down every
+//!   link **without waiting** — each
 //!   link keeps its own window of unacked frames in flight, and a link
 //!   that errors is simply left lagging (its failure is remembered for
 //!   the next commit to weigh).
@@ -26,18 +28,19 @@
 //!
 //! Pipelined group commit: because shipping and committing are split,
 //! an embedder can overlap the primary's next batch with the replicas'
-//! application of the previous one — flush batch *i*, then commit
-//! through batch *i − 1* — turning the classic group-commit latency
+//! application of the previous one — flush and ship batch *i*, then
+//! commit through batch *i − 1* — turning the classic group-commit latency
 //! trade into nearly free throughput (`examples/quorum_cluster.rs`
 //! drives three TCP replicas this way).
 
 use crate::frame::Frame;
-use crate::primary::Primary;
+use crate::relay::JournalRelay;
 use crate::tele::GroupTele;
 use crate::transport::{FrameSink, TransportError};
-use realloc_core::Request;
-use realloc_engine::{BatchReport, ResizeError, ResizeReport};
+use crate::ClusterError;
+use realloc_engine::Engine;
 use realloc_telemetry::{Severity, Telemetry, TraceCtx};
+use std::sync::{Arc, Mutex};
 
 /// Why a quorum operation failed.
 #[derive(Debug)]
@@ -53,8 +56,11 @@ pub enum GroupError {
         /// The last per-link failure observed while trying, if any.
         last_error: Option<String>,
     },
-    /// A resize failed on the primary (nothing was shipped).
-    Resize(ResizeError),
+    /// The relay could not cut a joiner its bootstrap (the shared
+    /// engine has queued requests: flush and ship first).
+    Bootstrap(ClusterError),
+    /// A joiner's or a repaired link failed to take its frames.
+    Transport(TransportError),
 }
 
 impl std::fmt::Display for GroupError {
@@ -72,24 +78,31 @@ impl std::fmt::Display for GroupError {
                 }
                 Ok(())
             }
-            GroupError::Resize(e) => write!(f, "resize failed: {e}"),
+            GroupError::Bootstrap(e) => write!(f, "bootstrap failed: {e}"),
+            GroupError::Transport(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for GroupError {}
 
-impl From<ResizeError> for GroupError {
-    fn from(e: ResizeError) -> Self {
-        GroupError::Resize(e)
+impl From<ClusterError> for GroupError {
+    fn from(e: ClusterError) -> Self {
+        GroupError::Bootstrap(e)
     }
 }
 
-/// A [`Primary`] replicating to N sinks with quorum group commit; see
-/// the module docs.
+impl From<TransportError> for GroupError {
+    fn from(e: TransportError) -> Self {
+        GroupError::Transport(e)
+    }
+}
+
+/// A [`JournalRelay`] replicating to N sinks with quorum group commit;
+/// see the module docs.
 #[derive(Debug)]
 pub struct ReplicationGroup {
-    primary: Primary,
+    relay: JournalRelay,
     links: Vec<Box<dyn FrameSink + Send>>,
     quorum: usize,
     /// Last failure per link (index-aligned), cleared on success —
@@ -115,15 +128,15 @@ impl std::fmt::Debug for dyn FrameSink + Send {
 }
 
 impl ReplicationGroup {
-    /// Wraps `primary` with a quorum requirement (how many replicas
+    /// Wraps `relay` with a quorum requirement (how many replicas
     /// must ack before [`ReplicationGroup::commit`] succeeds). A quorum
     /// of 0 is rejected — commit would mean nothing.
-    pub fn new(primary: Primary, quorum: usize) -> Result<ReplicationGroup, GroupError> {
+    pub fn new(relay: JournalRelay, quorum: usize) -> Result<ReplicationGroup, GroupError> {
         if quorum == 0 {
             return Err(GroupError::BadQuorum);
         }
         Ok(ReplicationGroup {
-            primary,
+            relay,
             links: Vec::new(),
             quorum,
             last_errors: Vec::new(),
@@ -142,43 +155,36 @@ impl ReplicationGroup {
         self.links.len()
     }
 
-    /// The wrapped primary (reads: term, seq, engine metrics).
-    pub fn primary(&self) -> &Primary {
-        &self.primary
+    /// The shared engine: lock it to submit, flush, resize or
+    /// checkpoint, then [`ReplicationGroup::ship`] what it recorded.
+    pub fn engine(&self) -> &Arc<Mutex<Engine>> {
+        self.relay.engine()
     }
 
-    /// Mutable primary access (checkpoint cadence, history cap tuning).
-    /// Frames produced behind the group's back are *not* broadcast —
-    /// prefer the group's own wrappers.
-    pub fn primary_mut(&mut self) -> &mut Primary {
-        &mut self.primary
-    }
-
-    /// Consumes the group, handing back the primary and its links.
+    /// Consumes the group, handing back the relay and its links.
     #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (Primary, Vec<Box<dyn FrameSink + Send>>) {
-        (self.primary, self.links)
+    pub fn into_parts(self) -> (JournalRelay, Vec<Box<dyn FrameSink + Send>>) {
+        (self.relay, self.links)
     }
 
     /// Attaches group-commit instruments (`cluster_group_*`) and the
-    /// primary's full set. Attach per-link telemetry on each
-    /// [`crate::tcp::PrimaryLink`] *before* boxing it into the group.
+    /// relay's streaming set. The engine's own instruments are its
+    /// owner's to attach ([`Engine::attach_telemetry`]); attach
+    /// per-link telemetry on each [`crate::tcp::PrimaryLink`] *before*
+    /// boxing it into the group.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.primary.attach_telemetry(telemetry);
+        self.relay.attach_telemetry(telemetry);
         self.tele = GroupTele::build(telemetry);
     }
 
     /// Adds a replica behind `sink`: broadcasts anything the existing
     /// stream is still owed, then ships the joiner its bootstrap
-    /// snapshot (+ catch-up tail). The joiner's frames are pipelined —
-    /// the next [`ReplicationGroup::commit`] confirms arrival.
-    pub fn add_replica(
-        &mut self,
-        mut sink: Box<dyn FrameSink + Send>,
-    ) -> Result<(), TransportError> {
-        let (owed, boot) = self.primary.bootstrap();
-        self.broadcast(&owed);
-        for frame in &boot {
+    /// snapshot and the catch-up tail behind it. The joiner's frames
+    /// are pipelined — the next [`ReplicationGroup::commit`] confirms
+    /// arrival. Fails with [`GroupError::Bootstrap`] while the engine
+    /// has queued requests.
+    pub fn add_replica(&mut self, mut sink: Box<dyn FrameSink + Send>) -> Result<(), GroupError> {
+        for frame in &self.bootstrap()? {
             sink.send(frame)?;
         }
         self.links.push(sink);
@@ -186,20 +192,15 @@ impl ReplicationGroup {
         Ok(())
     }
 
-    /// Enqueues a request on the primary.
-    pub fn submit(&mut self, request: Request) {
-        self.primary.submit(request);
-    }
-
-    /// Flushes the primary and broadcasts the produced frames down
-    /// every link without waiting for acks. Returns the batch report and the highest sequence
-    /// shipped so far — the commit target for
+    /// Polls the relay and broadcasts what the engine recorded since
+    /// the last ship down every link without waiting for acks. Returns
+    /// the highest sequence shipped so far — the commit target for
     /// [`ReplicationGroup::commit_through`].
-    pub fn flush(&mut self) -> (BatchReport, u64) {
-        let (report, frames) = self.primary.flush();
+    pub fn ship(&mut self) -> u64 {
+        let frames = self.relay.poll();
         self.note_traced(&frames);
         self.broadcast(&frames);
-        (report, self.shipped_seq())
+        self.shipped_seq()
     }
 
     /// Remembers the newest traced frame in `frames` so the next
@@ -210,25 +211,9 @@ impl ReplicationGroup {
         }
     }
 
-    /// Resizes the primary's engine online and broadcasts the epoch
-    /// frames.
-    pub fn resize(&mut self, shards: usize) -> Result<ResizeReport, GroupError> {
-        let (report, frames) = self.primary.resize(shards)?;
-        self.broadcast(&frames);
-        Ok(report)
-    }
-
-    /// Checkpoints the primary and broadcasts the marker (replicas cut
-    /// their own checkpoints at it).
-    pub fn checkpoint(&mut self) -> u64 {
-        let frames = self.primary.checkpoint();
-        self.broadcast(&frames);
-        self.shipped_seq()
-    }
-
     /// The highest stream sequence shipped so far (0 before any frame).
     pub fn shipped_seq(&self) -> u64 {
-        self.primary.next_seq() - 1
+        self.relay.next_seq() - 1
     }
 
     /// The group's durability floor: the `quorum`-th highest
@@ -357,7 +342,7 @@ impl ReplicationGroup {
 
     /// Brings every lagging link back to the shipped position:
     /// re-ships retained history from each link's last cumulative ack
-    /// ([`Primary::frames_since`]), falling back to a full bootstrap
+    /// ([`JournalRelay::frames_since`]), falling back to a bootstrap
     /// when the history no longer reaches (or the resend is rejected —
     /// e.g. the replica applied frames whose acks died with the old
     /// connection). Returns the number of links repaired.
@@ -379,9 +364,9 @@ impl ReplicationGroup {
         repaired
     }
 
-    fn repair_link(&mut self, i: usize) -> Result<(), TransportError> {
+    fn repair_link(&mut self, i: usize) -> Result<(), GroupError> {
         let from = self.links[i].acked_seq().unwrap_or(0);
-        if let Some(frames) = self.primary.frames_since(from) {
+        if let Some(frames) = self.relay.frames_since(from) {
             let resend = || -> Result<(), TransportError> {
                 for frame in &frames {
                     self.links[i].send(frame)?;
@@ -396,13 +381,20 @@ impl ReplicationGroup {
             // applied past `from` (its acks died with the connection):
             // fall through to a re-anchoring bootstrap.
         }
-        let (owed, boot) = self.primary.bootstrap();
-        self.broadcast(&owed);
-        for frame in &boot {
+        for frame in &self.bootstrap()? {
             self.links[i].send(frame)?;
         }
         self.links[i].drain()?;
         Ok(())
+    }
+
+    /// A joiner's frames — the bootstrap snapshot, then the catch-up
+    /// tail behind it — after broadcasting what the stream is owed.
+    fn bootstrap(&mut self) -> Result<Vec<Frame>, ClusterError> {
+        let (owed, snapshot) = self.relay.bootstrap()?;
+        self.broadcast(&owed);
+        let tail = self.relay.frames_since(snapshot.seq).unwrap_or_default();
+        Ok([vec![snapshot], tail].concat())
     }
 
     /// Ships `frames` down every link, recording (not propagating)

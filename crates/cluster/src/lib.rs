@@ -11,17 +11,19 @@
 //! determinism is the state-machine-replication contract, and this crate
 //! cashes it in:
 //!
-//! * a [`Primary`] wraps a journaled [`Engine`](realloc_engine::Engine)
-//!   and tails its own journal into a stream of sequence-numbered
-//!   [`Frame`]s — a one-time snapshot bootstrap, then per-flush event
-//!   frames, epoch (resize) frames at their exact positions, and
-//!   periodic checkpoint markers carrying a state digest;
+//! * a [`JournalRelay`] tails a shared, journaled
+//!   [`Engine`](realloc_engine::Engine)'s journal into a stream of
+//!   sequence-numbered [`Frame`]s — a one-time snapshot bootstrap, then
+//!   per-flush event frames, epoch (resize) frames at their exact
+//!   positions, and a checkpoint marker carrying a state digest for
+//!   every checkpoint the engine cuts;
 //! * a [`Replica`] applies frames through the engine's verified-replay
 //!   machinery, serves read-only queries (`window_of`, `metrics`,
 //!   `validate`) for read scaling, and bootstraps from the latest
 //!   checkpoint in O(tail);
 //! * **failover is fenced**: every frame carries the primary's term;
-//!   [`Replica::promote`] bumps it, and a deposed primary's frames are
+//!   [`Replica::promote`] bumps it and returns a [`JournalRelay`] over
+//!   the replicated engine, and a deposed primary's frames are
 //!   rejected by everything that has heard from the new one — no
 //!   acknowledged event is ever lost, no split-brain write stream;
 //! * two transports: the in-process [`transport::LocalLink`] /
@@ -40,35 +42,45 @@
 //! # Quickstart
 //!
 //! ```
-//! use realloc_cluster::{Primary, Replica};
+//! use realloc_cluster::{JournalRelay, Payload, Replica};
 //! use realloc_core::{JobId, Request, Window};
-//! use realloc_engine::{BackendKind, Engine, EngineConfig};
+//! use realloc_engine::{Engine, EngineConfig};
+//! use std::sync::{Arc, Mutex};
 //!
-//! let engine = Engine::new(EngineConfig {
+//! let engine = Arc::new(Mutex::new(Engine::new(EngineConfig {
 //!     shards: 2,
 //!     journal: true, // primaries must journal: the journal IS the stream
 //!     ..EngineConfig::default()
-//! });
-//! let mut primary = Primary::new(engine, 1).unwrap();
+//! })));
+//! let mut relay = JournalRelay::new(Arc::clone(&engine), 1).unwrap();
 //! let mut replica = Replica::new();
 //!
-//! // One-time bootstrap, then stream every flush.
-//! let (_owed, boot) = primary.bootstrap();
-//! for f in &boot {
+//! // One-time bootstrap: the snapshot, then whatever stream frames
+//! // follow it (none here; a checkpoint-anchored snapshot's tail).
+//! let (_owed, boot) = relay.bootstrap().unwrap();
+//! replica.apply(&boot).unwrap();
+//! for f in &relay.frames_since(boot.seq).unwrap() {
 //!     replica.apply(f).unwrap();
 //! }
-//! for i in 0..32u64 {
-//!     primary.submit(Request::Insert { id: JobId(i), window: Window::new(0, 256) });
+//!
+//! // Stream every flush and checkpoint the engine records.
+//! {
+//!     let mut engine = engine.lock().unwrap();
+//!     for i in 0..32u64 {
+//!         engine.submit(Request::Insert { id: JobId(i), window: Window::new(0, 256) });
+//!     }
+//!     assert_eq!(engine.flush().processed(), 32);
+//!     engine.checkpoint();
 //! }
-//! let (report, frames) = primary.flush();
-//! assert_eq!(report.processed(), 32);
+//! let frames = relay.poll();
+//! assert!(matches!(frames.last().unwrap().payload, Payload::Check { .. }));
 //! for f in &frames {
-//!     replica.apply(f).unwrap();
+//!     replica.apply(f).unwrap(); // the check verifies the digest
 //! }
 //!
 //! // The replica is byte-identical to the primary — reads scale out.
 //! assert_eq!(replica.active_count(), 32);
-//! assert_eq!(replica.state_digest(), Some(primary.engine().state_digest()));
+//! assert_eq!(replica.state_digest(), Some(engine.lock().unwrap().state_digest()));
 //!
 //! // Failover: promote the replica; the old primary's term is fenced.
 //! let promoted = replica.promote().unwrap();
@@ -80,7 +92,6 @@
 
 pub mod frame;
 pub mod group;
-pub mod primary;
 pub mod relay;
 pub mod replica;
 mod stream;
@@ -90,9 +101,9 @@ pub mod transport;
 
 pub use frame::{Frame, Payload, MAX_FRAME_BYTES};
 pub use group::{GroupError, ReplicationGroup};
-pub use primary::{Primary, DEFAULT_HISTORY_FRAMES};
 pub use relay::JournalRelay;
 pub use replica::{ApplyError, Replica};
+pub use stream::DEFAULT_HISTORY_FRAMES;
 pub use tcp::{LinkConfig, PrimaryLink, ReplicaServer};
 pub use transport::{FrameSink, TransportError};
 

@@ -1,24 +1,25 @@
-//! [`JournalRelay`]: the replication stream for an engine that is
-//! *shared* with a serving tier.
+//! [`JournalRelay`]: the replication primary — the frame stream of an
+//! engine *shared* with a serving tier.
 //!
-//! [`crate::Primary`] consumes its [`Engine`] by value — the right shape
-//! when replication owns the write path. A serving tier
-//! (`realloc_service::ServiceServer`) instead owns the engine behind an
-//! `Arc<Mutex<_>>` so socket handlers can flush it concurrently. The
-//! relay tails that shared engine's journal through the crate's one
-//! producer, `FrameStream` (`stream.rs`), so it emits exactly the
-//! sequence-numbered, term-fenced [`Frame`] stream a `Primary` would:
-//! call [`JournalRelay::poll`] after (or on a cadence around) service
-//! flushes and push the frames into any
-//! [`crate::transport::FrameSink`].
+//! A serving tier (`realloc_service::ServiceServer`) owns the engine
+//! behind an `Arc<Mutex<_>>` so socket handlers can flush it
+//! concurrently. The relay tails that shared engine's journal through
+//! the crate's one producer, `FrameStream` (`stream.rs`), into the
+//! sequence-numbered, term-fenced [`Frame`] stream: call
+//! [`JournalRelay::poll`] after (or on a cadence around) flushes and
+//! push the frames into any [`crate::transport::FrameSink`]. A
+//! [`crate::ReplicationGroup`] does exactly that for N links, and
+//! [`crate::Replica::promote`] hands back a relay over the promoted
+//! engine.
 //!
 //! What the relay adds over the stream is the *lock*: every call takes
 //! the engine mutex for its own duration and hands the guard's engine to
-//! the stream. What it lacks is the write path — it never flushes,
-//! resizes or checkpoints, so it stamps no `check` markers (its joiners
-//! always get a full snapshot) and where `Primary::bootstrap` flushes a
-//! non-empty queue, [`JournalRelay::bootstrap`] refuses with
-//! [`ClusterError::QueuedRequests`].
+//! the stream. It never writes: whoever holds the engine flushes,
+//! resizes and checkpoints it, and the next poll ships what the journal
+//! recorded — a checkpoint as a `check` marker that replicas verify and
+//! cut their own checkpoint at, and that anchors O(tail) bootstrap.
+//! Because it never flushes, [`JournalRelay::bootstrap`] refuses with
+//! [`ClusterError::QueuedRequests`] while requests sit queued.
 //!
 //! Because the journal is the stream, nothing is lost between polls:
 //! whatever batches the service tier flushed since the last poll come
@@ -32,7 +33,7 @@ use crate::stream::FrameStream;
 use crate::ClusterError;
 use realloc_engine::Engine;
 use realloc_telemetry::Telemetry;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tails a shared engine's journal into the replication frame stream;
 /// see the module docs.
@@ -43,13 +44,52 @@ pub struct JournalRelay {
 }
 
 impl JournalRelay {
-    /// Wraps a shared journaled engine as the stream source at `term`.
-    /// The stream starts at the engine's *current* journal position —
-    /// prior history is covered by the bootstrap snapshot, not
-    /// re-shipped.
+    /// Wraps a shared journaled engine as the stream source at `term`
+    /// (terms start at 1; a promoted replica picks its observed term
+    /// plus one). The stream starts at the engine's *current* journal
+    /// position — prior history is covered by the bootstrap snapshot,
+    /// not re-shipped.
     pub fn new(engine: Arc<Mutex<Engine>>, term: u64) -> Result<JournalRelay, ClusterError> {
-        let stream = FrameStream::new(&engine.lock().expect("engine mutex poisoned"), term, 1)?;
+        let stream = FrameStream::new(&lock(&engine), term, 1)?;
         Ok(JournalRelay { engine, stream })
+    }
+
+    /// Wraps an engine **recovered from durable storage**
+    /// (`Engine::recover_from_dir` via `realloc_store`, or any
+    /// journal-replay restart) at `term`, anchoring the stream at the
+    /// journal's latest checkpoint: the post-checkpoint tail is stamped
+    /// as stream frames `1..` behind a `(seq 0, checkpoint)` anchor, so
+    /// [`JournalRelay::bootstrap`] ships the (already durable, typically
+    /// much smaller) checkpoint snapshot and the joiner catches up with
+    /// [`JournalRelay::frames_since`]`(0)` — O(tail) — instead of a
+    /// fresh full snapshot of the recovered state. A journal with no
+    /// checkpoint yet degrades to exactly [`JournalRelay::new`].
+    pub fn from_recovered(
+        engine: Arc<Mutex<Engine>>,
+        term: u64,
+    ) -> Result<JournalRelay, ClusterError> {
+        let mut relay = Self::new(engine, term)?;
+        relay.stream.anchor_at_checkpoint(&lock(&relay.engine));
+        Ok(relay)
+    }
+
+    /// Promotion constructor: resumes the stream of a replica's engine
+    /// at `next_seq` under a bumped term. The cursor starts at the end
+    /// of the engine's journal — everything in it was applied from the
+    /// old stream and must not be re-shipped.
+    pub(crate) fn resume(engine: Engine, term: u64, next_seq: u64) -> JournalRelay {
+        let stream = FrameStream::new(&engine, term, next_seq)
+            .expect("replica engines are journaled and a bumped term is nonzero");
+        JournalRelay {
+            engine: Arc::new(Mutex::new(engine)),
+            stream,
+        }
+    }
+
+    /// The shared engine the relay tails: lock it to submit, flush,
+    /// resize or checkpoint, then [`JournalRelay::poll`] the frames.
+    pub fn engine(&self) -> &Arc<Mutex<Engine>> {
+        &self.engine
     }
 
     /// Attaches the streaming-side instruments (`cluster_term`,
@@ -77,48 +117,57 @@ impl JournalRelay {
         self.stream.next_seq()
     }
 
-    /// Turns every journal record past the stream cursor into frames,
-    /// exactly as [`crate::Primary::poll`] would — including its answer
-    /// to a cursor that a checkpoint cut on the shared engine truncated
-    /// away: the latest checkpoint as a snapshot frame (stamped with the
-    /// event count it covers), then the post-checkpoint tail, so
+    /// Turns every journal record past the stream cursor into frames
+    /// (broadcast them to every attached replica, in order): one
+    /// `events` frame per flushed batch, one `epoch` frame per resize,
+    /// and a `check` marker where the walk reaches a checkpoint cut
+    /// since the last poll. A cursor that a checkpoint cut truncated
+    /// away gets the latest checkpoint as a snapshot frame (stamped with
+    /// the event count it covers), then the post-checkpoint tail, so
     /// replicas re-bootstrap without losing what was recorded after the
     /// cut.
     pub fn poll(&mut self) -> Vec<Frame> {
-        let guard = self.engine.lock().expect("engine mutex poisoned");
+        let guard = lock(&self.engine);
         self.stream.poll(&guard)
     }
 
     /// A snapshot frame bootstrapping a **new** replica, preceded by any
     /// frames still owed to the existing stream (broadcast those to
     /// already-attached replicas first — the snapshot covers them, so
-    /// the joiner must not see them again).
+    /// the joiner must not see them again). After the snapshot the
+    /// joiner needs [`JournalRelay::frames_since`]`(snapshot.seq)`:
+    /// empty for a fresh snapshot, the tail behind it when the snapshot
+    /// is the checkpoint a `check` marker anchors (O(tail)). A joiner
+    /// that skips the tail fails its next frame with a typed
+    /// `SequenceGap`, never silently.
     ///
     /// The relay never flushes the shared engine itself, and a snapshot
     /// cut while requests sit queued would hand the joiner those pending
     /// queues — the events frame of the flush that later services them
-    /// would then be rejected (the same hazard `Primary::bootstrap`
-    /// flushes to avoid). So bootstrap refuses with
+    /// would then be rejected. So bootstrap refuses with
     /// [`ClusterError::QueuedRequests`] when the engine has queued
-    /// requests: the serving tier must flush (and the relay poll the
-    /// resulting frames) before a joiner can be cut a snapshot.
+    /// requests: flush (and poll the resulting frames) first.
     pub fn bootstrap(&mut self) -> Result<(Vec<Frame>, Frame), ClusterError> {
-        let guard = self.engine.lock().expect("engine mutex poisoned");
+        let guard = lock(&self.engine);
         if guard.queued() > 0 {
             return Err(ClusterError::QueuedRequests);
         }
-        let (owed, snapshot, tail) = self.stream.bootstrap(&guard);
-        debug_assert!(tail.is_empty(), "a relay stream has no check anchor");
-        Ok((owed, snapshot))
+        Ok(self.stream.bootstrap(&guard))
     }
 
     /// Retained stream frames with sequence numbers past `last_seq`, for
-    /// catching up a lagging but already-bootstrapped replica. `None`
-    /// when the history no longer reaches back that far or `last_seq` is
-    /// ahead of this stream — fall back to [`JournalRelay::bootstrap`].
+    /// catching up a lagging but already-bootstrapped replica (or a
+    /// joiner behind its bootstrap snapshot). `None` when the history no
+    /// longer reaches back that far or `last_seq` is ahead of this
+    /// stream (the replica followed a lineage this relay never saw) —
+    /// fall back to [`JournalRelay::bootstrap`].
     pub fn frames_since(&self, last_seq: u64) -> Option<Vec<Frame>> {
         self.stream.frames_since(last_seq)
     }
+}
+
+fn lock(engine: &Mutex<Engine>) -> MutexGuard<'_, Engine> {
+    engine.lock().expect("engine mutex poisoned")
 }
 
 #[cfg(test)]
@@ -281,12 +330,21 @@ mod tests {
 
         let frames = relay.poll();
         assert!(
-            matches!(frames[0].payload, Payload::Snapshot { .. }),
-            "recovery leads with a re-bootstrap snapshot"
+            matches!(
+                frames[0].payload,
+                Payload::Snapshot {
+                    events_applied: 4,
+                    ..
+                }
+            ),
+            "recovery leads with a re-bootstrap snapshot, stamped with \
+             what the checkpoint covers"
         );
-        assert!(
-            frames.len() > 1,
-            "post-checkpoint tail must ship, not vanish: {frames:?}"
+        assert_eq!(
+            frames.len(),
+            4,
+            "the three post-checkpoint batches ship behind the snapshot \
+             (and the checkpoint it covers gets no check): {frames:?}"
         );
         // The snapshot's stamp matches the state it carries: applying
         // snapshot + tail converges the replica on the live engine.
@@ -300,6 +358,66 @@ mod tests {
             replica.events_applied(),
             eng.journal().unwrap().total_events()
         );
+    }
+
+    #[test]
+    fn checks_land_at_their_checkpoint_once_each() {
+        let engine = shared_engine();
+        let mut relay = JournalRelay::new(Arc::clone(&engine), 1).unwrap();
+        let insert = |eng: &mut Engine, id: u64| {
+            eng.submit(Request::Insert {
+                id: JobId(id),
+                window: Window::new(0, 256),
+            });
+            eng.flush();
+        };
+        {
+            let mut eng = engine.lock().unwrap();
+            insert(&mut eng, 1);
+            eng.resize(3).unwrap(); // recorded just before the cut
+            eng.checkpoint();
+            eng.resize(4).unwrap(); // recorded just after it
+            insert(&mut eng, 2);
+        }
+        let kinds = |frames: &[Frame]| -> Vec<&'static str> {
+            frames
+                .iter()
+                .map(|f| match f.payload {
+                    Payload::Events(_) => "events",
+                    Payload::Epoch(_) => "epoch",
+                    Payload::Check { .. } => "check",
+                    Payload::Snapshot { .. } => "snapshot",
+                })
+                .collect()
+        };
+        let frames = relay.poll();
+        assert_eq!(
+            kinds(&frames),
+            ["events", "epoch", "check", "epoch", "events"]
+        );
+        let Payload::Check {
+            events_applied,
+            digest,
+        } = frames[2].payload
+        else {
+            unreachable!()
+        };
+        assert_eq!(events_applied, 1);
+        assert!(relay.poll().is_empty(), "a covered checkpoint stays quiet");
+
+        // Back-to-back checkpoints cover the same events and state, yet
+        // each is its own checkpoint and gets its own marker.
+        let mut markers = Vec::new();
+        for _ in 0..2 {
+            engine.lock().unwrap().checkpoint();
+            let frames = relay.poll();
+            assert_eq!(kinds(&frames), ["check"]);
+            markers.push(frames[0].clone());
+        }
+        assert_eq!(markers[0].payload, markers[1].payload);
+        assert_eq!(markers[1].seq, markers[0].seq + 1);
+        assert_ne!(markers[0].payload, frames[2].payload);
+        assert_ne!(digest, engine.lock().unwrap().state_digest());
     }
 
     #[test]

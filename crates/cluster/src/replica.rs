@@ -23,7 +23,7 @@
 //! checkpoint so a replica's own crash recovery stays O(tail).
 
 use crate::frame::{Frame, Payload};
-use crate::primary::Primary;
+use crate::relay::JournalRelay;
 use crate::tele::ReplicaTele;
 use crate::ClusterError;
 use realloc_core::{JobId, Window};
@@ -43,7 +43,7 @@ pub enum ApplyError {
         current: u64,
     },
     /// Sequence discontinuity: the stream lost or reordered frames. The
-    /// replica needs `Primary::frames_since(expected - 1)` or a fresh
+    /// replica needs `JournalRelay::frames_since(expected - 1)` or a fresh
     /// bootstrap.
     SequenceGap {
         /// Sequence the replica expected next.
@@ -262,7 +262,20 @@ impl Replica {
                                 self.events_applied
                             )));
                         }
-                        let local = engine.state_digest();
+                        // Cut the local checkpoint that keeps this
+                        // replica's own recovery O(tail), then verify
+                        // the snapshot text it recorded: one
+                        // serialization, not two. A mismatch leaves the
+                        // cut behind, but a diverged replica is
+                        // re-bootstrapped anyway.
+                        engine.checkpoint();
+                        let local = realloc_core::snapshot::digest64(
+                            &engine
+                                .journal()
+                                .and_then(|j| j.latest_checkpoint())
+                                .expect("replica engines are journaled")
+                                .snapshot,
+                        );
                         if local != *digest {
                             return Err(ApplyError::Diverged(format!(
                                 "state digest mismatch at seq {}: primary {digest:#x}, \
@@ -270,9 +283,6 @@ impl Replica {
                                 frame.seq
                             )));
                         }
-                        // Verified checkpoint: cut a local one so this
-                        // replica's own crash recovery is O(tail) too.
-                        engine.checkpoint();
                     }
                     Payload::Snapshot { .. } => unreachable!("matched above"),
                 }
@@ -282,17 +292,23 @@ impl Replica {
         }
     }
 
-    /// Promotes this replica to primary under a bumped fencing term,
-    /// resuming the stream where the old primary's left off. The replica
-    /// itself is retired: further [`Replica::apply`] calls — including
-    /// late frames from the deposed primary — are rejected.
-    pub fn promote(&mut self) -> Result<Primary, ClusterError> {
+    /// Promotes this replica to primary under a bumped fencing term: a
+    /// [`JournalRelay`] over the replicated engine (now shared, see
+    /// [`JournalRelay::engine`]) that resumes the stream where the old
+    /// primary's left off. The replica itself is retired: further
+    /// [`Replica::apply`] calls — including late frames from the
+    /// deposed primary — are rejected.
+    pub fn promote(&mut self) -> Result<JournalRelay, ClusterError> {
         if self.retired {
             return Err(ClusterError::Retired);
         }
         let engine = self.engine.take().ok_or(ClusterError::NotBootstrapped)?;
         self.retired = true;
-        Ok(Primary::resume(engine, self.term + 1, self.last_seq + 1))
+        Ok(JournalRelay::resume(
+            engine,
+            self.term + 1,
+            self.last_seq + 1,
+        ))
     }
 
     /// Whether the bootstrap snapshot has been applied.

@@ -6,20 +6,26 @@
 //! call: [`realloc_engine::Journal::records_since`] walks whole batches
 //! and epoch records, and each becomes one frame as it stands (the
 //! event and epoch text inside a frame comes from the journal's line
-//! writers too). What the stream owns is the stamp — term, the next
-//! sequence number, the batch's trace annotation — a bounded history of
-//! recent frames for lagging-replica catch-up, and the anchor of the
-//! latest `check` marker. It never owns the engine — every method that
-//! reads one takes it by reference — so the two public wrappers differ
-//! only in how they hold theirs: [`crate::Primary`] owns it,
-//! [`crate::JournalRelay`] locks a shared one.
+//! writers too). The journal's checkpoints are in the stream as well:
+//! where the walk reaches a checkpoint the stream has not covered yet,
+//! it stamps a `check` marker carrying that checkpoint's digest, and
+//! the marker becomes the anchor of O(tail) replica bootstrap. What the
+//! stream owns is the stamp — term, the next sequence number, the
+//! batch's trace annotation — a bounded history of recent frames for
+//! lagging-replica catch-up, and that anchor. It never owns the engine
+//! — every method that reads one takes it by reference, and
+//! [`crate::JournalRelay`] hands it the engine it locks.
 
 use crate::frame::{Frame, Payload};
 use crate::tele::PrimaryTele;
 use crate::ClusterError;
-use realloc_engine::{Engine, JournalCursor, JournalRecord};
+use realloc_engine::{Engine, Journal, JournalCursor, JournalRecord};
 use realloc_telemetry::{Severity, Telemetry};
 use std::collections::VecDeque;
+
+/// Frames of replicated history a stream retains for lagging-replica
+/// catch-up before falling back to a snapshot bootstrap.
+pub const DEFAULT_HISTORY_FRAMES: usize = 4096;
 
 /// See the module docs.
 #[derive(Debug)]
@@ -32,21 +38,27 @@ pub(crate) struct FrameStream {
     /// Recent stream frames, oldest first (bounded by `history_cap`).
     history: VecDeque<Frame>,
     history_cap: usize,
-    /// `(seq, events_before)` of the latest `check` marker frame, if any
-    /// — the anchor for checkpoint-based (O(tail)) replica bootstrap.
-    last_check: Option<(u64, u64)>,
+    /// [`Journal::checkpoint_number`] of the latest checkpoint the
+    /// stream has covered: one it stamped a `check` for, shipped as a
+    /// re-anchoring snapshot, or started behind. A newer one is due a
+    /// `check` where the walk reaches it.
+    covered: Option<u64>,
+    /// `(seq, checkpoint number)` of the latest `check` anchor — the
+    /// checkpoint a joiner can restore before the frames past `seq`.
+    anchor: Option<(u64, u64)>,
     /// Streaming-side instruments ([`FrameStream::attach_telemetry`]).
     tele: Option<Box<PrimaryTele>>,
 }
 
-fn journal_of(engine: &Engine) -> &realloc_engine::Journal {
+fn journal_of(engine: &Engine) -> &Journal {
     engine.journal().expect("stream engines are journaled")
 }
 
 impl FrameStream {
     /// A stream at `term` whose next frame carries `next_seq`, starting
-    /// at the end of `engine`'s journal: history already recorded is
-    /// covered by the bootstrap snapshot, not re-shipped.
+    /// at the end of `engine`'s journal: history already recorded, its
+    /// checkpoints included, is covered by the bootstrap snapshot, not
+    /// re-shipped.
     pub(crate) fn new(
         engine: &Engine,
         term: u64,
@@ -63,17 +75,19 @@ impl FrameStream {
             next_seq,
             cursor: JournalCursor::at_end_of(journal),
             history: VecDeque::new(),
-            history_cap: crate::primary::DEFAULT_HISTORY_FRAMES,
-            last_check: None,
+            history_cap: DEFAULT_HISTORY_FRAMES,
+            covered: journal.checkpoint_number(),
+            anchor: None,
             tele: None,
         })
     }
 
     /// Re-anchors a fresh stream at the journal's latest checkpoint, if
-    /// it has one; see [`crate::Primary::from_recovered`].
+    /// it has one; see [`crate::JournalRelay::from_recovered`].
     pub(crate) fn anchor_at_checkpoint(&mut self, engine: &Engine) {
         let journal = journal_of(engine);
-        let (Some(cursor), Some(cp)) = (journal.checkpoint_cursor(), journal.latest_checkpoint())
+        let (Some(cursor), Some(number)) =
+            (journal.checkpoint_cursor(), journal.checkpoint_number())
         else {
             return;
         };
@@ -82,9 +96,10 @@ impl FrameStream {
         // yet); they exist so `frames_since(0)` can serve them behind
         // the anchor. A tail longer than the history cap evicts its
         // head, in which case bootstrap falls back to a full snapshot —
-        // correct, just not O(tail).
+        // correct, just not O(tail). The checkpoint is covered since
+        // `new`, so the walk stamps no marker for it.
         let _tail = self.poll(engine);
-        self.last_check = Some((0, cp.events_before));
+        self.anchor = Some((0, number));
     }
 
     pub(crate) fn attach_telemetry(&mut self, telemetry: &Telemetry) {
@@ -108,21 +123,18 @@ impl FrameStream {
         self.next_seq
     }
 
-    /// The attached registry's clock (0 without one), for a timing that
-    /// starts in a wrapper ([`FrameStream::check_marker`]).
-    pub(crate) fn now_nanos(&self) -> u64 {
-        self.tele.as_ref().map_or(0, |t| t.t.now_nanos())
-    }
-
     /// Turns every journal record past the stream cursor into frames:
     /// one `events` frame per recorded batch, one `epoch` frame per
-    /// resize. A cursor whose history a checkpoint truncated away
-    /// re-anchors every replica — the latest checkpoint as a stamped
-    /// snapshot frame, then the post-checkpoint tail. That snapshot holds
-    /// no pending queues (`Engine::checkpoint` flushes before it cuts),
-    /// so the recovery needs no flush of its own.
+    /// resize, and one `check` marker at the latest checkpoint when the
+    /// stream has not covered it yet. A cursor whose history a
+    /// checkpoint truncated away re-anchors every replica — the latest
+    /// checkpoint as a stamped snapshot frame (which covers it: no
+    /// marker), then the post-checkpoint tail. That snapshot holds no
+    /// pending queues (`Engine::checkpoint` flushes before it cuts), so
+    /// the recovery needs no flush of its own.
     pub(crate) fn poll(&mut self, engine: &Engine) -> Vec<Frame> {
         let journal = journal_of(engine);
+        let latest = journal.checkpoint_number();
         let mut cursor = self.cursor;
         let mut payloads: Vec<Payload> = Vec::new();
         if journal.records_since(cursor).is_none() {
@@ -147,15 +159,33 @@ impl FrameStream {
                     cursor = JournalCursor::at_end_of(journal);
                 }
             }
+            self.covered = latest;
         }
-        if let Some(records) = journal.records_since(cursor) {
-            for record in records {
-                cursor.advance(&record);
-                payloads.push(match record {
-                    JournalRecord::Batch(events) => Payload::Events(events.to_vec()),
-                    JournalRecord::Epoch(rec) => Payload::Epoch(rec.clone()),
-                });
+        // A checkpoint cut since the last poll lies at or past the
+        // cursor; its marker goes where the walk reaches it — after the
+        // records cut before it (epochs recorded at its position
+        // included), before any recorded after it.
+        let mut check_at = (latest != self.covered)
+            .then(|| journal.checkpoint_cursor())
+            .flatten();
+        self.covered = latest;
+        let mut records = journal.records_since(cursor).into_iter().flatten();
+        loop {
+            let record = records.next();
+            if let Some(at) = check_at {
+                let before_it =
+                    matches!(record, Some(JournalRecord::Epoch(r)) if r.epoch <= at.last_epoch);
+                if cursor.events_seen == at.events_seen && !before_it {
+                    payloads.push(check_of(journal));
+                    check_at = None;
+                }
             }
+            let Some(record) = record else { break };
+            cursor.advance(&record);
+            payloads.push(match record {
+                JournalRecord::Batch(events) => Payload::Events(events.to_vec()),
+                JournalRecord::Epoch(rec) => Payload::Epoch(rec.clone()),
+            });
         }
         self.cursor = cursor;
         payloads
@@ -164,58 +194,58 @@ impl FrameStream {
             .collect()
     }
 
-    /// What a **new** replica needs ([`crate::Primary::bootstrap`]): the
-    /// frames still owed to the existing stream, the joiner's snapshot
-    /// frame, and the stream frames to apply after it (empty unless the
-    /// snapshot is a checkpoint's).
+    /// What a **new** replica needs ([`crate::JournalRelay::bootstrap`]):
+    /// the frames still owed to the existing stream, then the joiner's
+    /// snapshot frame. When a `check` anchor is still served by the
+    /// history, the snapshot is that checkpoint's, stamped at the
+    /// marker's seq, and the joiner catches up with
+    /// [`FrameStream::frames_since`]`(snapshot.seq)` — O(tail).
+    /// Otherwise it is a fresh snapshot at the last shipped seq.
     ///
     /// The engine must have nothing queued: a snapshot cut over pending
     /// queues hands them to the joiner, and the events frame of the
     /// flush that services them would then be rejected ("locally queued
-    /// requests would be swept into the recorded batch"). Each wrapper
-    /// guarantees that its own way before calling.
-    pub(crate) fn bootstrap(&mut self, engine: &Engine) -> (Vec<Frame>, Frame, Vec<Frame>) {
+    /// requests would be swept into the recorded batch").
+    pub(crate) fn bootstrap(&mut self, engine: &Engine) -> (Vec<Frame>, Frame) {
         debug_assert_eq!(engine.queued(), 0);
-        let t0 = self.now_nanos();
+        let t0 = self.tele.as_ref().map_or(0, |t| t.t.now_nanos());
         let owed = self.poll(engine);
-        let (snapshot, tail) = self
+        let snapshot = self
             .checkpoint_bootstrap(engine)
-            .unwrap_or_else(|| (self.snapshot_frame(engine), Vec::new()));
+            .unwrap_or_else(|| self.snapshot_frame(engine));
         if let Some(tele) = &self.tele {
             let took = tele.t.now_nanos().saturating_sub(t0);
             tele.bootstrap_nanos.record(took);
             // Joiner bootstrap snapshots bypass `stamp` (they are not
             // stream frames); count the shipment here.
             tele.frames_snapshot.inc();
-            tele.t
-                .point(Severity::Info, "bootstrap", 1 + tail.len() as u64, took);
+            let frames = self.next_seq - snapshot.seq;
+            tele.t.point(Severity::Info, "bootstrap", frames, took);
         }
-        (owed, snapshot, tail)
+        (owed, snapshot)
     }
 
-    /// The O(tail) bootstrap. Guarded by the recorded event count so a
-    /// checkpoint cut behind the stream's back can never mis-anchor a
-    /// joiner.
-    fn checkpoint_bootstrap(&self, engine: &Engine) -> Option<(Frame, Vec<Frame>)> {
-        let (check_seq, check_events) = self.last_check?;
-        let tail = self.frames_since(check_seq)?;
-        let cp = journal_of(engine).latest_checkpoint()?;
-        (cp.events_before == check_events).then(|| {
-            let snapshot = Frame {
-                term: self.term,
-                seq: check_seq,
-                payload: Payload::Snapshot {
-                    events_applied: cp.events_before,
-                    text: cp.snapshot.clone(),
-                },
-                trace: None,
-            };
-            (snapshot, tail)
+    /// The O(tail) bootstrap snapshot. Guarded by the checkpoint number
+    /// so a checkpoint the stream covered without a marker (a
+    /// re-anchoring snapshot) can never mis-anchor a joiner.
+    fn checkpoint_bootstrap(&self, engine: &Engine) -> Option<Frame> {
+        let (seq, number) = self.anchor?;
+        self.frames_since(seq)?;
+        let journal = journal_of(engine);
+        let cp = journal.latest_checkpoint()?;
+        (journal.checkpoint_number() == Some(number)).then(|| Frame {
+            term: self.term,
+            seq,
+            payload: Payload::Snapshot {
+                events_applied: cp.events_before,
+                text: cp.snapshot.clone(),
+            },
+            trace: None,
         })
     }
 
     /// Current-state snapshot frame anchored at the last shipped seq.
-    pub(crate) fn snapshot_frame(&self, engine: &Engine) -> Frame {
+    fn snapshot_frame(&self, engine: &Engine) -> Frame {
         Frame {
             term: self.term,
             seq: self.next_seq - 1,
@@ -227,40 +257,7 @@ impl FrameStream {
         }
     }
 
-    /// Stamps the `check` marker for the checkpoint `engine` just cut
-    /// and makes it the O(tail) bootstrap anchor. `started` is the
-    /// [`FrameStream::now_nanos`] the caller read before it began.
-    pub(crate) fn check_marker(&mut self, engine: &Engine, started: u64) -> Frame {
-        let journal = journal_of(engine);
-        let events_applied = journal.total_events();
-        // The checkpoint just serialized the full engine snapshot into
-        // the journal, and nothing has mutated digested state since —
-        // hash that text instead of serializing a second identical copy.
-        let digest = realloc_core::snapshot::digest64(
-            &journal
-                .latest_checkpoint()
-                .expect("Engine::checkpoint just recorded one")
-                .snapshot,
-        );
-        debug_assert_eq!(digest, engine.state_digest());
-        let marker = self.stamp(
-            engine,
-            Payload::Check {
-                events_applied,
-                digest,
-            },
-        );
-        self.last_check = Some((marker.seq, events_applied));
-        if let Some(tele) = &self.tele {
-            let took = tele.t.now_nanos().saturating_sub(started);
-            tele.checkpoint_nanos.record(took);
-            tele.t
-                .point(Severity::Info, "ship_checkpoint", marker.seq, took);
-        }
-        marker
-    }
-
-    /// See [`crate::Primary::frames_since`].
+    /// See [`crate::JournalRelay::frames_since`].
     pub(crate) fn frames_since(&self, last_seq: u64) -> Option<Vec<Frame>> {
         if last_seq + 1 == self.next_seq {
             return Some(Vec::new()); // already caught up
@@ -285,25 +282,34 @@ impl FrameStream {
     /// number, retaining it in the catch-up history. An `events` payload
     /// whose batch was traced ([`Engine::arm_trace`]) gets the
     /// batch's context as the frame's out-of-band annotation, so the
-    /// replica's `apply` event lands in the same trace.
+    /// replica's `apply` event lands in the same trace. A `check`
+    /// marker becomes the bootstrap anchor.
     fn stamp(&mut self, engine: &Engine, payload: Payload) -> Frame {
+        let seq = self.next_seq;
         if let Some(tele) = &self.tele {
             match &payload {
                 Payload::Events(_) => tele.frames_events.inc(),
                 Payload::Epoch(_) => tele.frames_epoch.inc(),
-                Payload::Check { .. } => tele.frames_check.inc(),
+                Payload::Check { .. } => {
+                    tele.frames_check.inc();
+                    tele.t.point(Severity::Info, "ship_checkpoint", seq, 0);
+                }
                 Payload::Snapshot { .. } => tele.frames_snapshot.inc(),
             }
-            tele.next_seq.set(self.next_seq + 1);
+            tele.next_seq.set(seq + 1);
             tele.term.set(self.term);
         }
         let trace = match &payload {
             Payload::Events(events) => events.first().and_then(|e| engine.trace_of_batch(e.batch)),
             _ => None,
         };
+        if let Payload::Check { .. } = payload {
+            // Only the latest checkpoint is ever due a marker.
+            self.anchor = self.covered.map(|number| (seq, number));
+        }
         let frame = Frame {
             term: self.term,
-            seq: self.next_seq,
+            seq,
             payload,
             trace,
         };
@@ -317,5 +323,18 @@ impl FrameStream {
         while self.history.len() > self.history_cap {
             self.history.pop_front();
         }
+    }
+}
+
+/// The `check` marker for `journal`'s latest checkpoint: the events it
+/// covers and the digest of the snapshot text it recorded — the
+/// engine's state digest at the cut, without serializing it again.
+fn check_of(journal: &Journal) -> Payload {
+    let cp = journal
+        .latest_checkpoint()
+        .expect("a check is due only at a checkpoint");
+    Payload::Check {
+        events_applied: cp.events_before,
+        digest: realloc_core::snapshot::digest64(&cp.snapshot),
     }
 }

@@ -59,8 +59,8 @@
 //! *not* resent automatically: the link remembers the last cumulative
 //! ack ([`PrimaryLink::acked_seq`]), so the embedder (or
 //! [`crate::ReplicationGroup::repair`]) re-ships from
-//! [`crate::Primary::frames_since`] or falls back to
-//! [`crate::Primary::bootstrap`].
+//! [`crate::JournalRelay::frames_since`] or falls back to
+//! [`crate::JournalRelay::bootstrap`].
 //!
 //! A peer that violates the ack protocol — a regressing cumulative
 //! ack, an ack above the shipped window, a garbage ack line — surfaces

@@ -8,9 +8,9 @@
 //!
 //! * **Primary** — `cluster_term` / `cluster_next_seq` gauges, one
 //!   `cluster_frames_<kind>_total` counter per shipped payload kind
-//!   (`events`, `epoch`, `check`, `snapshot`), and
-//!   `cluster_checkpoint_nanos` / `cluster_bootstrap_nanos` durations
-//!   for producing checkpoint and bootstrap frame sets.
+//!   (`events`, `epoch`, `check`, `snapshot`), and the
+//!   `cluster_bootstrap_nanos` duration of producing a joiner's
+//!   bootstrap.
 //! * **Replica** — `cluster_replica_term` / `cluster_replica_last_seq` /
 //!   `cluster_replica_events_applied` gauges (the poller computes
 //!   replication lag as the primary's `cluster_next_seq − 1` minus the
@@ -30,7 +30,8 @@
 
 use realloc_telemetry::{labeled, Counter, Gauge, Histo, Telemetry};
 
-/// Streaming-side instruments; held by [`crate::Primary`].
+/// Streaming-side instruments; held by [`crate::JournalRelay`]'s
+/// stream.
 #[derive(Debug)]
 pub(crate) struct PrimaryTele {
     /// The attached registry (clock + trace ring).
@@ -41,7 +42,6 @@ pub(crate) struct PrimaryTele {
     pub frames_epoch: Counter,
     pub frames_check: Counter,
     pub frames_snapshot: Counter,
-    pub checkpoint_nanos: Histo,
     pub bootstrap_nanos: Histo,
 }
 
@@ -58,7 +58,6 @@ impl PrimaryTele {
             frames_epoch: t.counter("cluster_frames_epoch_total"),
             frames_check: t.counter("cluster_frames_check_total"),
             frames_snapshot: t.counter("cluster_frames_snapshot_total"),
-            checkpoint_nanos: t.histogram("cluster_checkpoint_nanos"),
             bootstrap_nanos: t.histogram("cluster_bootstrap_nanos"),
             t: t.clone(),
         }))

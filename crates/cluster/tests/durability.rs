@@ -5,14 +5,14 @@
 
 use realloc_cluster::tcp::{LinkConfig, PrimaryLink, ReplicaServer};
 use realloc_cluster::transport::{FrameSink, TransportError};
-use realloc_cluster::{Payload, Primary, Replica};
+use realloc_cluster::{Frame, JournalRelay, Payload, Replica};
 use realloc_core::{JobId, Request, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig};
 use realloc_store::{CrashMode, DurableStore, MemIo, RecoverFromDir, StoreIo};
 use std::io::Write as _;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn config() -> EngineConfig {
@@ -24,6 +24,24 @@ fn config() -> EngineConfig {
         journal: true,
         retained_segments: 2,
     }
+}
+
+/// A relay over a fresh shared engine.
+fn relay() -> JournalRelay {
+    JournalRelay::new(Arc::new(Mutex::new(Engine::new(config()))), 1).expect("relay")
+}
+
+/// Inserts job `id`, flushes the relay's engine, and polls the frames.
+fn insert(relay: &mut JournalRelay, id: u64, window: Window) -> Vec<Frame> {
+    {
+        let mut engine = relay.engine().lock().unwrap();
+        engine.submit(Request::Insert {
+            id: JobId(id),
+            window,
+        });
+        engine.flush();
+    }
+    relay.poll()
 }
 
 /// A durable engine with `pre` flushed batches, a checkpoint, then
@@ -70,35 +88,41 @@ fn recovered_primary_bootstraps_replicas_from_the_on_disk_checkpoint() {
         .expect("checkpointed history")
         .events_before;
 
-    let mut primary = Primary::from_recovered(recovered, 1).expect("recovered primary");
-    let (owed, frames) = primary.bootstrap();
+    let mut primary = JournalRelay::from_recovered(Arc::new(Mutex::new(recovered)), 1)
+        .expect("recovered primary");
+    let (owed, snapshot) = primary.bootstrap().expect("nothing queued");
     assert!(
         owed.is_empty(),
         "nothing unshipped before any replica attaches"
     );
     // The O(tail) path: the *checkpoint* snapshot (strictly fewer events
-    // than the recovered total) anchors the stream, and the recovered
-    // post-checkpoint tail follows as ordinary frames — the full-state
-    // snapshot a plain `Primary::new` would ship never gets serialized.
-    match &frames[0].payload {
+    // than the recovered total) anchors the stream at seq 0, and the
+    // recovered post-checkpoint tail follows as ordinary frames — the
+    // full-state snapshot a plain `JournalRelay::new` would ship never
+    // gets serialized.
+    match &snapshot.payload {
         Payload::Snapshot { events_applied, .. } => {
             assert_eq!(*events_applied, checkpoint_events);
+            let total = primary
+                .engine()
+                .lock()
+                .unwrap()
+                .journal()
+                .unwrap()
+                .total_events();
             assert!(
-                *events_applied
-                    < primary
-                        .engine()
-                        .journal()
-                        .expect("journaled")
-                        .total_events(),
+                *events_applied < total,
                 "bootstrap anchored at the checkpoint, not the full state"
             );
         }
         other => panic!("bootstrap must lead with a snapshot, got {other:?}"),
     }
-    assert!(frames.len() > 1, "recovered tail rides behind the snapshot");
+    assert_eq!(snapshot.seq, 0);
+    let tail = primary.frames_since(snapshot.seq).expect("tail retained");
+    assert!(!tail.is_empty(), "recovered tail rides behind the snapshot");
 
     let mut replica = Replica::new();
-    for frame in &frames {
+    for frame in std::iter::once(&snapshot).chain(&tail) {
         replica.apply(frame).expect("bootstrap frames apply");
     }
     assert_eq!(replica.state_digest(), Some(live_digest));
@@ -106,17 +130,12 @@ fn recovered_primary_bootstraps_replicas_from_the_on_disk_checkpoint() {
 
     // The recovered lineage keeps streaming: new work reaches the
     // replica through the ordinary frame path.
-    primary.submit(Request::Insert {
-        id: JobId(500),
-        window: Window::new(3, 9),
-    });
-    let (_report, frames) = primary.flush();
-    for frame in &frames {
+    for frame in &insert(&mut primary, 500, Window::new(3, 9)) {
         replica.apply(frame).expect("post-recovery stream applies");
     }
     assert_eq!(
         replica.state_digest(),
-        Some(primary.engine().state_digest())
+        Some(primary.engine().lock().unwrap().state_digest())
     );
 }
 
@@ -128,14 +147,19 @@ fn recovered_primary_without_a_checkpoint_ships_a_full_snapshot() {
     drop(engine);
     io.crash(CrashMode::SyncedOnly);
     let recovered = Engine::recover_from_store(&*io, &dir).expect("recovery");
-    let mut primary = Primary::from_recovered(recovered, 1).expect("primary");
-    let (_owed, frames) = primary.bootstrap();
-    assert_eq!(frames.len(), 1, "no checkpoint, no tail: one full snapshot");
+    let mut primary =
+        JournalRelay::from_recovered(Arc::new(Mutex::new(recovered)), 1).expect("primary");
+    let (_owed, snapshot) = primary.bootstrap().expect("nothing queued");
+    assert_eq!(
+        primary.frames_since(snapshot.seq).as_deref(),
+        Some(&[][..]),
+        "no checkpoint, no tail: one full snapshot"
+    );
     let mut replica = Replica::new();
-    replica.apply(&frames[0]).expect("snapshot applies");
+    replica.apply(&snapshot).expect("snapshot applies");
     assert_eq!(
         replica.state_digest(),
-        Some(primary.engine().state_digest())
+        Some(primary.engine().lock().unwrap().state_digest())
     );
 }
 
@@ -185,12 +209,7 @@ fn unacked_pipeline_drain_times_out_bounded_and_typed() {
     });
     let mut link = PrimaryLink::connect_with(addr, fast_config()).expect("connect");
     assert!(link.is_connected());
-    let mut primary = Primary::new(Engine::new(config()), 1).expect("primary");
-    primary.submit(Request::Insert {
-        id: JobId(1),
-        window: Window::new(0, 4),
-    });
-    let (_report, frames) = primary.flush();
+    let frames = insert(&mut relay(), 1, Window::new(0, 4));
     link.send(&frames[0])
         .expect("pipelined send accepts the frame without an ack");
     assert_eq!(link.in_flight(), 1);
@@ -222,13 +241,9 @@ fn window_full_send_blocks_and_try_send_reports_window_full() {
         let _ = std::io::copy(&mut stream, &mut std::io::sink());
     });
     let mut link = PrimaryLink::connect_with(addr, fast_config()).expect("connect");
-    let mut primary = Primary::new(Engine::new(config()), 1).expect("primary");
+    let mut primary = relay();
     for i in 0..5u64 {
-        primary.submit(Request::Insert {
-            id: JobId(i + 1),
-            window: Window::new(0, 4),
-        });
-        primary.flush();
+        insert(&mut primary, i + 1, Window::new(0, 4));
     }
     let frames = primary.frames_since(0).expect("retained");
     assert_eq!(frames.len(), 5);
@@ -257,16 +272,12 @@ fn window_full_send_blocks_and_try_send_reports_window_full() {
 fn poisoned_replica_lock_degrades_the_connection_and_recovers_on_clear() {
     let server = ReplicaServer::bind("127.0.0.1:0", Replica::new()).expect("bind");
     let mut link = PrimaryLink::connect_with(server.addr(), fast_config()).expect("connect");
-    let mut primary = Primary::new(Engine::new(config()), 1).expect("primary");
-    let (owed, boot) = primary.bootstrap();
+    let mut primary = relay();
+    let (owed, boot) = primary.bootstrap().expect("nothing queued");
     assert!(owed.is_empty());
-    link.send(&boot[0]).expect("bootstrap ships");
+    link.send(&boot).expect("bootstrap ships");
     link.drain().expect("bootstrap acked");
-    primary.submit(Request::Insert {
-        id: JobId(1),
-        window: Window::new(0, 4),
-    });
-    let (_report, frames) = primary.flush();
+    let frames = insert(&mut primary, 1, Window::new(0, 4));
 
     // Panic while holding the replica lock: every subsequent handler
     // sees a poisoned mutex.
@@ -297,7 +308,7 @@ fn poisoned_replica_lock_degrades_the_connection_and_recovers_on_clear() {
     assert!(!link.is_connected());
     assert_eq!(
         link.acked_seq(),
-        Some(boot[0].seq),
+        Some(boot.seq),
         "the lost frame was never acked; the cumulative ack stays at the bootstrap anchor"
     );
     // Poll briefly: the handler thread records the drop asynchronously.
@@ -321,7 +332,10 @@ fn poisoned_replica_lock_degrades_the_connection_and_recovers_on_clear() {
     assert!(link.is_connected());
     let replica = server.replica();
     let guard = replica.lock().expect("clean lock");
-    assert_eq!(guard.state_digest(), Some(primary.engine().state_digest()));
+    assert_eq!(
+        guard.state_digest(),
+        Some(primary.engine().lock().unwrap().state_digest())
+    );
 }
 
 #[test]
@@ -336,9 +350,8 @@ fn server_survives_a_torrent_of_garbage_frames() {
         let _ = stream.write_all(&[0xff; 3]);
     }
     let mut link = PrimaryLink::connect_with(server.addr(), fast_config()).expect("connect");
-    let mut primary = Primary::new(Engine::new(config()), 1).expect("primary");
-    let (_owed, boot) = primary.bootstrap();
-    link.send(&boot[0]).expect("honest link unaffected");
-    assert_eq!(link.drain().expect("honest link acked"), Some(boot[0].seq));
+    let (_owed, boot) = relay().bootstrap().expect("nothing queued");
+    link.send(&boot).expect("honest link unaffected");
+    assert_eq!(link.drain().expect("honest link acked"), Some(boot.seq));
     assert_eq!(server.handlers_poisoned(), 0);
 }

@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use realloc_cluster::tcp::{LinkConfig, PrimaryLink, ReplicaServer};
 use realloc_cluster::transport::{channel, FrameSink, TransportError};
-use realloc_cluster::{Frame, GroupError, Primary, Replica, ReplicationGroup};
+use realloc_cluster::{Frame, GroupError, JournalRelay, Replica, ReplicationGroup};
 use realloc_core::snapshot::Restorable as _;
 use realloc_core::textio::{read_frame, write_frame};
 use realloc_core::{JobId, Request, Window};
@@ -32,7 +32,7 @@ use realloc_sim::harness::churn_seq;
 use realloc_telemetry::{labeled, Telemetry};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -61,21 +61,40 @@ fn fast_config(window: usize) -> LinkConfig {
     }
 }
 
-/// A primary with its bootstrap and `n` single-insert flush frames.
-fn seeded_primary(n: u64) -> (Primary, Vec<Frame>, Vec<Frame>) {
-    let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-    let (owed, boot) = primary.bootstrap();
+/// A relay over a fresh shared engine.
+fn relay() -> JournalRelay {
+    JournalRelay::new(Arc::new(Mutex::new(Engine::new(journaled_config(2)))), 1).unwrap()
+}
+
+/// Submits `requests` to the relay's engine, flushes, and polls.
+fn flush(relay: &mut JournalRelay, requests: &[Request]) -> Vec<Frame> {
+    {
+        let mut engine = relay.engine().lock().unwrap();
+        for &r in requests {
+            engine.submit(r);
+        }
+        engine.flush();
+    }
+    relay.poll()
+}
+
+/// A relay with its bootstrap and `n` single-insert flush frames.
+fn seeded_primary(n: u64) -> (JournalRelay, Vec<Frame>, Vec<Frame>) {
+    let mut relay = relay();
+    let (owed, boot) = relay.bootstrap().unwrap();
     assert!(owed.is_empty());
     for i in 1..=n {
-        primary.submit(Request::Insert {
-            id: JobId(i),
-            window: Window::new(i % 20, i % 20 + 3),
-        });
-        primary.flush();
+        flush(
+            &mut relay,
+            &[Request::Insert {
+                id: JobId(i),
+                window: Window::new(i % 20, i % 20 + 3),
+            }],
+        );
     }
-    let frames = primary.frames_since(0).expect("retained history");
+    let frames = relay.frames_since(0).expect("retained history");
     assert_eq!(frames.len() as u64, n);
-    (primary, boot, frames)
+    (relay, vec![boot], frames)
 }
 
 fn counter(t: &Telemetry, name: &str) -> u64 {
@@ -476,27 +495,21 @@ proptest! {
         let chunks: Vec<&[realloc_core::Request]> =
             seq.requests().chunks(BATCH).collect();
 
-        let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
+        let mut primary = relay();
         let server = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
         let mut link = PrimaryLink::connect_with(
             server.addr(),
             LinkConfig { window: WINDOW, ..LinkConfig::default() },
         ).unwrap();
-        let (_, boot) = primary.bootstrap();
-        for f in &boot {
-            link.send(f).unwrap();
-        }
+        let (_, boot) = primary.bootstrap().unwrap();
+        link.send(&boot).unwrap();
 
         // Generate the full frame stream up front; coverage[i] = chunks
         // fully applied once frames[..=i] landed.
         let mut frames: Vec<Frame> = Vec::new();
         let mut coverage: Vec<usize> = Vec::new();
         for (i, chunk) in chunks.iter().enumerate() {
-            for &r in *chunk {
-                primary.submit(r);
-            }
-            let (_, f) = primary.flush();
-            for fr in f {
+            for fr in flush(&mut primary, chunk) {
                 frames.push(fr);
                 coverage.push(i + 1);
             }
@@ -536,10 +549,7 @@ proptest! {
 
         // Re-drive everything not yet acknowledged on the new lineage.
         for chunk in chunks.iter().skip(coverage[cut - 1]) {
-            for &r in *chunk {
-                promoted.submit(r);
-            }
-            promoted.flush();
+            flush(&mut promoted, chunk);
         }
 
         let mut reference = Engine::new(journaled_config(2));
@@ -550,7 +560,7 @@ proptest! {
             reference.flush();
         }
         prop_assert_eq!(
-            promoted.engine().snapshot_text(),
+            promoted.engine().lock().unwrap().snapshot_text(),
             reference.snapshot_text()
         );
     }
@@ -566,8 +576,7 @@ fn tcp_group(
     config: LinkConfig,
     t: &Telemetry,
 ) -> (ReplicationGroup, Vec<ReplicaServer>) {
-    let primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-    let mut group = ReplicationGroup::new(primary, quorum).unwrap();
+    let mut group = ReplicationGroup::new(relay(), quorum).unwrap();
     group.attach_telemetry(t);
     let mut servers = Vec::new();
     for _ in 0..replicas {
@@ -580,13 +589,20 @@ fn tcp_group(
     (group, servers)
 }
 
-fn submit_batch(group: &mut ReplicationGroup, ids: std::ops::Range<u64>) {
-    for i in ids {
-        group.submit(Request::Insert {
-            id: JobId(i),
-            window: Window::new(i % 20, i % 20 + 3),
-        });
-    }
+/// Flushes one insert per id on the group's engine and ships it;
+/// returns the requests serviced and the shipped sequence.
+fn submit_batch(group: &mut ReplicationGroup, ids: std::ops::Range<u64>) -> (usize, u64) {
+    let processed = {
+        let mut engine = group.engine().lock().unwrap();
+        for i in ids {
+            engine.submit(Request::Insert {
+                id: JobId(i),
+                window: Window::new(i % 20, i % 20 + 3),
+            });
+        }
+        engine.flush().processed()
+    };
+    (processed, group.ship())
 }
 
 /// Quorum-of-2 over two TCP replicas: every commit lands both replicas
@@ -597,9 +613,8 @@ fn quorum_commit_acks_once_both_replicas_applied() {
     let t = Telemetry::new();
     let (mut group, servers) = tcp_group(2, 2, LinkConfig::default(), &t);
     for round in 0..5u64 {
-        submit_batch(&mut group, round * 8..round * 8 + 8);
-        let (report, shipped) = group.flush();
-        assert_eq!(report.processed(), 8);
+        let (processed, shipped) = submit_batch(&mut group, round * 8..round * 8 + 8);
+        assert_eq!(processed, 8);
         let committed = group.commit().expect("both replicas are healthy");
         assert_eq!(committed, shipped);
         assert_eq!(group.committed_seq(), shipped);
@@ -610,7 +625,7 @@ fn quorum_commit_acks_once_both_replicas_applied() {
         gauge(&t, "cluster_group_committed_seq"),
         group.shipped_seq()
     );
-    let digest = group.primary().engine().state_digest();
+    let digest = group.engine().lock().unwrap().state_digest();
     for server in &servers {
         let cell = server.replica();
         let replica = cell.lock().unwrap();
@@ -627,14 +642,12 @@ fn a_stalled_replica_does_not_block_a_met_quorum() {
     let t = Telemetry::new();
     let (mut group, servers) = tcp_group(1, 2, LinkConfig::default(), &t);
     // Prime both replicas so the stall happens mid-stream.
-    submit_batch(&mut group, 0..4);
-    let (_, shipped) = group.flush();
+    let (_, shipped) = submit_batch(&mut group, 0..4);
     assert_eq!(group.commit().unwrap(), shipped);
 
     let cell = servers[1].replica();
     let guard = cell.lock().unwrap();
-    submit_batch(&mut group, 4..8);
-    let (_, shipped) = group.flush();
+    let (_, shipped) = submit_batch(&mut group, 4..8);
     let started = Instant::now();
     let committed = group.commit().expect("replica 1 alone meets quorum 1");
     assert_eq!(committed, shipped);
@@ -646,9 +659,9 @@ fn a_stalled_replica_does_not_block_a_met_quorum() {
 
     // The stalled replica's frames were pipelined all along: draining
     // its link directly brings it to parity without a resend.
-    let (primary, mut links) = group.into_parts();
+    let (relay, mut links) = group.into_parts();
     assert_eq!(links[1].drain().unwrap(), Some(shipped));
-    let digest = primary.engine().state_digest();
+    let digest = relay.engine().lock().unwrap().state_digest();
     for server in &servers {
         let cell = server.replica();
         assert_eq!(cell.lock().unwrap().state_digest(), Some(digest));
@@ -662,16 +675,14 @@ fn a_stalled_replica_does_not_block_a_met_quorum() {
 fn quorum_lost_is_typed_and_the_next_commit_repairs() {
     let t = Telemetry::new();
     let (mut group, servers) = tcp_group(2, 2, fast_config(8), &t);
-    submit_batch(&mut group, 0..4);
-    let (_, shipped) = group.flush();
+    let (_, shipped) = submit_batch(&mut group, 0..4);
     assert_eq!(group.commit().unwrap(), shipped);
 
     // Stall replica 2 past the drain timeout: quorum 2 cannot be met,
     // and the stalled link's connection is dropped by its bounded drain.
     let cell = servers[1].replica();
     let guard = cell.lock().unwrap();
-    submit_batch(&mut group, 4..8);
-    let (_, shipped) = group.flush();
+    let (_, shipped) = submit_batch(&mut group, 4..8);
     match group.commit() {
         Err(GroupError::QuorumLost {
             needed,
@@ -692,7 +703,7 @@ fn quorum_lost_is_typed_and_the_next_commit_repairs() {
     // the quorum is met again.
     let committed = group.commit().expect("repair restores the quorum");
     assert_eq!(committed, shipped);
-    let digest = group.primary().engine().state_digest();
+    let digest = group.engine().lock().unwrap().state_digest();
     for server in &servers {
         let cell = server.replica();
         assert_eq!(cell.lock().unwrap().state_digest(), Some(digest));
@@ -708,8 +719,7 @@ fn a_never_acking_sink_cannot_satisfy_a_quorum() {
     let (mut group, _servers) = tcp_group(2, 1, LinkConfig::default(), &t);
     let (sink, source) = channel();
     group.add_replica(Box::new(sink)).unwrap();
-    submit_batch(&mut group, 0..4);
-    let (_, shipped) = group.flush();
+    let (_, shipped) = submit_batch(&mut group, 0..4);
     match group.commit() {
         Err(GroupError::QuorumLost { needed, acked, .. }) => {
             assert_eq!((needed, acked), (2, 1));
@@ -727,22 +737,27 @@ fn a_never_acking_sink_cannot_satisfy_a_quorum() {
 // Idle ticks on the primary.
 // ---------------------------------------------------------------------------
 
-/// An empty engine flush would bump the batch counter — digested state
-/// — with no frame to carry it to the replicas, so an idle
-/// `Primary::flush` must not reach the engine at all.
+/// An empty engine flush records no batch, so it must not bump the
+/// batch counter — digested state — either: there would be no frame to
+/// carry it to the replicas.
 #[test]
 fn idle_flush_ships_nothing_and_burns_no_batch_number() {
-    let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-    primary.submit(Request::Insert {
+    let mut relay = relay();
+    let insert = Request::Insert {
         id: JobId(1),
         window: Window::new(10, 14),
-    });
-    let (r, f) = primary.flush();
-    assert_eq!((r.processed(), f.len()), (1, 1));
+    };
+    assert_eq!(flush(&mut relay, &[insert]).len(), 1);
 
-    let (batches, digest) = (primary.engine().batches(), primary.engine().state_digest());
-    let (r, f) = primary.flush();
-    assert_eq!((r.processed(), r.failed(), f.len()), (0, 0, 0));
-    assert_eq!(primary.engine().batches(), batches);
-    assert_eq!(primary.engine().state_digest(), digest);
+    let engine = Arc::clone(relay.engine());
+    let (batches, digest) = {
+        let e = engine.lock().unwrap();
+        (e.batches(), e.state_digest())
+    };
+    let r = engine.lock().unwrap().flush();
+    assert_eq!((r.processed(), r.failed()), (0, 0));
+    assert!(relay.poll().is_empty());
+    let e = engine.lock().unwrap();
+    assert_eq!(e.batches(), batches);
+    assert_eq!(e.state_digest(), digest);
 }

@@ -18,13 +18,16 @@
 //! * the corpus tests pin graceful (never panicking) rejection of
 //!   stale terms, sequence gaps, regressing batches, tampered
 //!   outcomes, and divergent checkpoint markers.
+//! * the relay stamps one `check` marker per checkpoint the shared
+//!   engine cuts, so a long-running replica's journal stays bounded
+//!   like its primary's.
 
 use proptest::prelude::*;
 use realloc_cluster::tcp::{PrimaryLink, ReplicaServer};
 use realloc_cluster::transport::{FrameSink, TransportError};
-use realloc_cluster::{ApplyError, Frame, JournalRelay, Payload, Primary, Replica};
+use realloc_cluster::{ApplyError, ClusterError, Frame, JournalRelay, Payload, Replica};
 use realloc_core::snapshot::Restorable as _;
-use realloc_core::RequestSeq;
+use realloc_core::{Request, RequestSeq};
 use realloc_engine::{BackendKind, Engine, EngineConfig, JournalEvent};
 use realloc_sim::harness::churn_seq;
 use std::sync::{Arc, Mutex};
@@ -38,6 +41,42 @@ fn journaled_config(shards: usize) -> EngineConfig {
         journal: true,
         retained_segments: 2,
     }
+}
+
+/// A relay at term 1 over a fresh shared engine.
+fn relay(config: EngineConfig) -> JournalRelay {
+    JournalRelay::new(Arc::new(Mutex::new(Engine::new(config))), 1).unwrap()
+}
+
+/// Runs `op` on the relay's engine, then polls what it recorded.
+fn drive(relay: &mut JournalRelay, op: impl FnOnce(&mut Engine)) -> Vec<Frame> {
+    op(&mut relay.engine().lock().unwrap());
+    relay.poll()
+}
+
+/// Submits `requests`, flushes, and polls the frames.
+fn flush(relay: &mut JournalRelay, requests: &[Request]) -> Vec<Frame> {
+    drive(relay, |engine| {
+        for &r in requests {
+            engine.submit(r);
+        }
+        engine.flush();
+    })
+}
+
+/// What a joiner applies: the bootstrap snapshot, then the stream
+/// frames behind it.
+fn joiner_frames(relay: &mut JournalRelay) -> Vec<Frame> {
+    let (owed, snapshot) = relay.bootstrap().unwrap();
+    assert!(owed.is_empty(), "callers poll before a joiner attaches");
+    let tail = relay.frames_since(snapshot.seq).unwrap();
+    [vec![snapshot], tail].concat()
+}
+
+/// The shared engine's snapshot text and digest.
+fn engine_state(relay: &JournalRelay) -> (String, u64) {
+    let engine = relay.engine().lock().unwrap();
+    (engine.snapshot_text(), engine.state_digest())
 }
 
 /// Drives `engine` over `seq` in `batch`-sized chunks, resizing to
@@ -79,15 +118,13 @@ fn tcp_differential_failover_proof() {
     let reference = reference_run(2, &seq, BATCH, &resizes);
 
     // Replicated lineage: primary + two TCP replicas on loopback.
-    let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
+    let mut primary = relay(journaled_config(2));
     let server1 = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
     let server2 = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
     let mut link1 = PrimaryLink::connect(server1.addr()).unwrap();
     let mut link2 = PrimaryLink::connect(server2.addr()).unwrap();
 
-    let (owed, boot) = primary.bootstrap();
-    assert!(owed.is_empty(), "nothing flushed yet");
-    for f in &boot {
+    for f in &joiner_frames(&mut primary) {
         link1.send(f).unwrap();
         link2.send(f).unwrap();
     }
@@ -97,17 +134,16 @@ fn tcp_differential_failover_proof() {
         let mut frames = Vec::new();
         for &(at, to) in &resizes {
             if at == i {
-                let (_, f) = primary.resize(to).expect("primary resize");
-                frames.extend(f);
+                frames.extend(drive(&mut primary, |e| {
+                    e.resize(to).unwrap();
+                }));
             }
         }
-        for &r in *chunk {
-            primary.submit(r);
-        }
-        let (_, f) = primary.flush();
-        frames.extend(f);
+        frames.extend(flush(&mut primary, chunk));
         if (i + 1) % 20 == 0 {
-            frames.extend(primary.checkpoint());
+            frames.extend(drive(&mut primary, |e| {
+                e.checkpoint();
+            }));
         }
         for f in &frames {
             link1.send(f).unwrap(); // every frame ACKNOWLEDGED by replica 1
@@ -136,10 +172,8 @@ fn tcp_differential_failover_proof() {
         .promote()
         .expect("bootstrapped replica promotes");
     assert_eq!(promoted.term(), deposed_term + 1);
-    let (owed, boot) = promoted.bootstrap();
-    assert!(owed.is_empty());
     let mut new_link2 = PrimaryLink::connect(server2.addr()).unwrap();
-    for f in &boot {
+    for f in &joiner_frames(&mut promoted) {
         new_link2.send(f).unwrap();
     }
     // Barrier: replica 2 must have adopted the bumped term before the
@@ -148,10 +182,7 @@ fn tcp_differential_failover_proof() {
 
     // The deposed primary wakes up and keeps streaming: every frame it
     // emits now bounces off the bumped term.
-    for &r in chunks[CRASH_AT] {
-        primary.submit(r);
-    }
-    let (_, stale_frames) = primary.flush();
+    let stale_frames = flush(&mut primary, chunks[CRASH_AT]);
     assert!(!stale_frames.is_empty());
     // Pipelined sends return before the ack: the rejection surfaces on
     // the drain (or on the send's own ack pump, if the err raced in).
@@ -171,15 +202,12 @@ fn tcp_differential_failover_proof() {
         let mut frames = Vec::new();
         for &(at, to) in &resizes {
             if at == i {
-                let (_, f) = promoted.resize(to).expect("promoted resize");
-                frames.extend(f);
+                frames.extend(drive(&mut promoted, |e| {
+                    e.resize(to).unwrap();
+                }));
             }
         }
-        for &r in *chunk {
-            promoted.submit(r);
-        }
-        let (_, f) = promoted.flush();
-        frames.extend(f);
+        frames.extend(flush(&mut promoted, chunk));
         for f in &frames {
             new_link2.send(f).unwrap();
         }
@@ -188,13 +216,14 @@ fn tcp_differential_failover_proof() {
 
     // End-to-end differential proof: promoted lineage == uninterrupted
     // reference, byte for byte, and the TCP-fed replica matches both.
-    assert_eq!(promoted.engine().epoch(), reference.epoch());
+    let (promoted_text, promoted_digest) = engine_state(&promoted);
+    assert_eq!(promoted.engine().lock().unwrap().epoch(), reference.epoch());
     assert_eq!(
-        promoted.engine().snapshot_text(),
+        promoted_text,
         reference.snapshot_text(),
         "promoted lineage diverged from the uninterrupted reference"
     );
-    assert_eq!(promoted.engine().state_digest(), reference.state_digest());
+    assert_eq!(promoted_digest, reference.state_digest());
     {
         let replica2 = server2.replica();
         let r2 = replica2.lock().expect("replica mutex");
@@ -213,51 +242,126 @@ fn tcp_differential_failover_proof() {
 fn checkpoint_bootstrap_catches_up_in_o_tail() {
     // A late joiner is bootstrapped from the latest checkpoint plus the
     // retained frame tail — the snapshot it restores is the CHECKPOINT
-    // snapshot (strictly older than the live state), and the tail frames
-    // bring it to byte-identical live state.
+    // snapshot (strictly older than the live state), stamped at its
+    // `check` marker's seq, and `frames_since` that seq brings it to
+    // byte-identical live state.
     let seq = churn_seq(1, 8, 120, 1 << 12, false, 1200, 23);
-    let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
+    let mut primary = relay(journaled_config(2));
     let mut shipped: Vec<Frame> = Vec::new();
     for (i, chunk) in seq.requests().chunks(64).enumerate() {
-        for &r in chunk {
-            primary.submit(r);
-        }
-        let (_, f) = primary.flush();
-        shipped.extend(f);
+        shipped.extend(flush(&mut primary, chunk));
         if (i + 1) % 6 == 0 {
-            shipped.extend(primary.checkpoint());
+            shipped.extend(drive(&mut primary, |e| {
+                e.checkpoint();
+            }));
         }
     }
-    let (_, boot) = primary.bootstrap();
-    let Payload::Snapshot { events_applied, .. } = &boot[0].payload else {
-        panic!("bootstrap must lead with a snapshot, got {:?}", boot[0]);
+    let (_, snapshot) = primary.bootstrap().unwrap();
+    let Payload::Snapshot { events_applied, .. } = &snapshot.payload else {
+        panic!("bootstrap must lead with a snapshot, got {snapshot:?}");
     };
-    let total = primary.engine().journal().unwrap().total_events();
+    let total = primary
+        .engine()
+        .lock()
+        .unwrap()
+        .journal()
+        .unwrap()
+        .total_events();
     assert!(
         *events_applied < total,
         "checkpoint-anchored bootstrap ships the older checkpoint snapshot \
          ({events_applied} events) plus the tail, not a fresh full snapshot ({total} events)"
     );
-    assert!(boot.len() > 1, "tail frames follow the checkpoint snapshot");
+    let anchor = shipped
+        .iter()
+        .rev()
+        .find(|f| matches!(f.payload, Payload::Check { .. }))
+        .expect("the relay stamped the checkpoints");
+    assert_eq!(snapshot.seq, anchor.seq, "anchored at the latest check");
+    let tail = primary.frames_since(snapshot.seq).unwrap();
+    assert!(
+        !tail.is_empty(),
+        "tail frames follow the checkpoint snapshot"
+    );
 
     let mut joiner = Replica::new();
-    for f in &boot {
+    for f in std::iter::once(&snapshot).chain(&tail) {
         joiner.apply(f).unwrap();
     }
     assert_eq!(joiner.events_applied(), total);
     assert_eq!(
         joiner.engine().unwrap().snapshot_text(),
-        primary.engine().snapshot_text()
+        engine_state(&primary).0
     );
 
     // And the joiner keeps following the live stream seamlessly.
-    let some_active = primary.engine().placements()[0].0;
-    primary.submit(realloc_core::Request::Delete { id: some_active });
-    let (_, frames) = primary.flush();
-    for f in &frames {
+    let some_active = primary.engine().lock().unwrap().placements()[0].0;
+    for f in &flush(&mut primary, &[Request::Delete { id: some_active }]) {
         joiner.apply(f).unwrap();
     }
-    assert_eq!(joiner.state_digest(), Some(primary.engine().state_digest()));
+    assert_eq!(joiner.state_digest(), Some(engine_state(&primary).1));
+}
+
+/// Forgetting the tail behind a checkpoint-anchored snapshot is a typed
+/// gap on the joiner's next frame, never a silent divergence.
+#[test]
+fn a_joiner_without_its_tail_fails_typed() {
+    let seq = churn_seq(1, 8, 60, 1 << 10, false, 200, 5);
+    let mut primary = relay(journaled_config(2));
+    let chunks: Vec<_> = seq.requests().chunks(50).collect();
+    flush(&mut primary, chunks[0]);
+    drive(&mut primary, |e| {
+        e.checkpoint();
+    });
+    flush(&mut primary, chunks[1]);
+    let (_, snapshot) = primary.bootstrap().unwrap();
+    let mut joiner = Replica::new();
+    joiner.apply(&snapshot).unwrap();
+    let next = flush(&mut primary, chunks[2]);
+    assert!(matches!(
+        joiner.apply(&next[0]),
+        Err(ApplyError::SequenceGap { .. })
+    ));
+}
+
+/// The relay stamps one `check` per checkpoint the shared engine cuts,
+/// and each makes the replica cut its own: over a long run the
+/// replica's journal stays as bounded as the primary's instead of
+/// holding every event it ever applied.
+#[test]
+fn relay_checks_bound_the_replica_journal_like_the_primary() {
+    const EVENTS: usize = 30_000;
+    const CHECKPOINT_EVERY: usize = 2_000;
+    let seq = churn_seq(1, 8, 200, 1 << 10, false, EVENTS, 11);
+    let mut primary = relay(journaled_config(2));
+    let mut replica = Replica::new();
+    for f in &joiner_frames(&mut primary) {
+        replica.apply(f).unwrap();
+    }
+    let (mut checks, mut checkpoints) = (0, 0);
+    for (i, chunk) in seq.requests().chunks(100).enumerate() {
+        let mut frames = flush(&mut primary, chunk);
+        if ((i + 1) * 100) % CHECKPOINT_EVERY == 0 {
+            checkpoints += 1;
+            frames.extend(drive(&mut primary, |e| {
+                e.checkpoint();
+            }));
+        }
+        for f in &frames {
+            checks += matches!(f.payload, Payload::Check { .. }) as usize;
+            replica.apply(f).unwrap();
+        }
+    }
+    assert_eq!(checkpoints, EVENTS / CHECKPOINT_EVERY);
+    assert_eq!(checks, checkpoints, "one check frame per checkpoint");
+    let retained = |engine: &Engine| engine.journal().unwrap().event_count();
+    let primary_events = retained(&primary.engine().lock().unwrap());
+    let replica_events = retained(replica.engine().unwrap());
+    assert!(primary_events < EVENTS);
+    assert!(
+        replica_events <= primary_events,
+        "replica retains {replica_events} events, primary {primary_events}"
+    );
 }
 
 proptest! {
@@ -289,8 +393,8 @@ proptest! {
         // Stream the whole run, remembering each frame and, per frame,
         // how many chunks and resizes were fully covered when it was
         // acknowledged.
-        let mut primary = Primary::new(Engine::new(journaled_config(shards)), 1).unwrap();
-        let (_, boot) = primary.bootstrap();
+        let mut primary = relay(journaled_config(shards));
+        let boot = joiner_frames(&mut primary);
         let mut frames: Vec<Frame> = Vec::new();
         // (chunks_done, resizes_done) after applying frames[..=i].
         let mut coverage: Vec<(usize, usize)> = Vec::new();
@@ -298,7 +402,9 @@ proptest! {
         for (i, chunk) in seq.requests().chunks(batch).enumerate() {
             for &(at, to) in &resizes {
                 if at == i {
-                    let (_, f) = primary.resize(to).unwrap();
+                    let f = drive(&mut primary, |e| {
+                e.resize(to).unwrap();
+            });
                     resizes_done += 1;
                     for fr in f {
                         frames.push(fr);
@@ -306,11 +412,7 @@ proptest! {
                     }
                 }
             }
-            for &r in chunk {
-                primary.submit(r);
-            }
-            let (_, f) = primary.flush();
-            for fr in f {
+            for fr in flush(&mut primary, chunk) {
                 frames.push(fr);
                 coverage.push((i + 1, resizes_done));
             }
@@ -350,7 +452,9 @@ proptest! {
                 if at == i {
                     resizes_seen += 1;
                     if resizes_seen > eps_done {
-                        let (_, f) = promoted.resize(to).unwrap();
+                        let f = drive(&mut promoted, |e| {
+                e.resize(to).unwrap();
+            });
                         follow(&mut replica2, &f).unwrap();
                     }
                 }
@@ -358,10 +462,7 @@ proptest! {
             if i < chunks_done {
                 continue; // acknowledged before the crash
             }
-            for &r in chunk {
-                promoted.submit(r);
-            }
-            let (_, f) = promoted.flush();
+            let f = flush(&mut promoted, chunk);
             follow(&mut replica2, &f).unwrap();
         }
 
@@ -375,10 +476,7 @@ proptest! {
         }
 
         // Byte-identical convergence, zero acknowledged events lost.
-        prop_assert_eq!(
-            promoted.engine().snapshot_text(),
-            reference.snapshot_text()
-        );
+        prop_assert_eq!(engine_state(&promoted).0, reference.snapshot_text());
         prop_assert_eq!(
             replica2.engine().unwrap().snapshot_text(),
             reference.snapshot_text()
@@ -388,56 +486,39 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------------
-// One producer: `Primary` and `JournalRelay` are the same frame stream.
-// ---------------------------------------------------------------------
-
-/// A checkpoint cut directly on `engine_mut()` truncates the journal out
-/// from under the primary's stream cursor. The stream re-anchors every
-/// replica on the latest checkpoint snapshot, stamped with the event
-/// count that checkpoint covers, and ships the post-checkpoint tail
-/// behind it — the mirror of the relay's
-/// `truncated_cursor_recovers_via_checkpoint_plus_tail`.
+/// A primary whose relay cursor a checkpoint cut truncated recovers,
+/// through the public API, with a re-bootstrap snapshot plus the
+/// post-checkpoint tail, and the replica converges on it.
 #[test]
 fn primary_truncated_cursor_recovers_via_checkpoint_plus_tail() {
-    let insert = |id: u64| realloc_core::Request::Insert {
-        id: realloc_core::JobId(id),
-        window: realloc_core::Window::new(0, 128),
-    };
-    let mut primary = Primary::new(
-        Engine::new(EngineConfig {
-            retained_segments: 1,
-            ..journaled_config(2)
-        }),
-        1,
-    )
-    .unwrap();
+    let mut primary = relay(EngineConfig {
+        retained_segments: 1,
+        ..journaled_config(2)
+    });
     let mut replica = Replica::new();
-    let (_, boot) = primary.bootstrap();
-    for f in &boot {
-        replica.apply(f).unwrap();
-    }
+    let (owed, boot) = primary.bootstrap().unwrap();
+    assert!(owed.is_empty());
+    replica.apply(&boot).unwrap();
 
     // Unshipped history, two cuts (the second drops the pre-checkpoint
-    // segment), then more flushes after the cut — all behind the
-    // wrapper's back, none of it polled.
-    let engine = primary.engine_mut();
-    for id in 0..4 {
-        engine.submit(insert(id));
-        engine.flush();
-    }
-    engine.checkpoint();
-    engine.checkpoint();
-    for id in 4..7 {
-        engine.submit(insert(id));
-        engine.flush();
-    }
-    assert!(
-        engine.journal().unwrap().dropped_events() > 0,
-        "test must actually truncate the primary's cursor"
-    );
+    // segment), then more flushes after the cut — none of it polled.
+    let frames = drive(&mut primary, |engine| {
+        for r in inserts(0, 4) {
+            engine.submit(r);
+            engine.flush();
+        }
+        engine.checkpoint();
+        engine.checkpoint();
+        for r in inserts(4, 3) {
+            engine.submit(r);
+            engine.flush();
+        }
+        assert!(
+            engine.journal().unwrap().dropped_events() > 0,
+            "test must actually truncate the primary's cursor"
+        );
+    });
 
-    let frames = primary.poll();
     let Payload::Snapshot { events_applied, .. } = &frames[0].payload else {
         panic!("recovery leads with a snapshot, got {:?}", frames[0]);
     };
@@ -454,13 +535,11 @@ fn primary_truncated_cursor_recovers_via_checkpoint_plus_tail() {
         replica.apply(f).unwrap();
     }
     assert_eq!(replica.active_count(), 7);
-    assert_eq!(
-        replica.state_digest(),
-        Some(primary.engine().state_digest())
-    );
+    let engine = primary.engine().lock().unwrap();
+    assert_eq!(replica.state_digest(), Some(engine.state_digest()));
     assert_eq!(
         replica.events_applied(),
-        primary.engine().journal().unwrap().total_events()
+        engine.journal().unwrap().total_events()
     );
 }
 
@@ -472,83 +551,84 @@ fn texts(frames: &[Frame]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The same script of submits, flushes, resizes and engine-side
-    /// checkpoints, driven through a `Primary` and through a
-    /// `JournalRelay` over an identical engine, yields byte-identical
-    /// frame text at every poll and identical `frames_since` answers at
-    /// every position. Polls are part of the script, so checkpoints
-    /// regularly outrun the cursor (one retained segment) and history
-    /// regularly evicts (a small cap).
+    /// A script of submits, flushes, resizes and engine-side
+    /// checkpoints on the shared engine, polled at scripted points:
+    /// every frame the relay ships — `check` markers and re-anchoring
+    /// snapshots included — applies on a follower, `frames_since`
+    /// answers every position with exactly the shipped suffix (or
+    /// `None`), and at each poll with nothing queued the follower's
+    /// digest is the engine's. Checkpoints regularly outrun the cursor
+    /// (one retained segment) and history regularly evicts (a small
+    /// cap).
     #[test]
-    fn primary_and_relay_produce_byte_identical_streams(
+    fn relay_streams_every_script_into_a_follower(
         seed in 0u64..1000,
         script in prop::collection::vec(0u8..10, 20..70),
         history_cap in 2usize..10,
     ) {
         let config = EngineConfig { retained_segments: 1, ..journaled_config(2) };
-        let mut primary = Primary::new(Engine::new(config.clone()), 1)
-            .unwrap()
-            .with_history_cap(history_cap);
-        let shared = Arc::new(Mutex::new(Engine::new(config)));
-        let mut relay = JournalRelay::new(Arc::clone(&shared), 1)
-            .unwrap()
-            .with_history_cap(history_cap);
-
-        let (p_owed, p_boot) = primary.bootstrap();
-        let (r_owed, r_boot) = relay.bootstrap().unwrap();
-        prop_assert!(p_owed.is_empty() && r_owed.is_empty());
-        prop_assert_eq!(texts(&p_boot), vec![r_boot.to_text()]);
+        let mut relay = relay(config).with_history_cap(history_cap);
+        let shared = Arc::clone(relay.engine());
         let mut replica = Replica::new();
-        replica.apply(&r_boot).unwrap();
+        let boot = joiner_frames(&mut relay);
+        let mut shipped: Vec<Frame> = boot[1..].to_vec();
+        for f in &boot {
+            replica.apply(f).unwrap();
+        }
 
         let seq = churn_seq(1, 8, 40, 1 << 10, false, 5 * (script.len() + 1), seed);
         let mut requests = seq.requests().iter().copied();
-        // Every script ends on a poll (op 9), so nothing goes uncompared.
+        // Every script ends on a poll (op 9).
         for (step, &op) in script.iter().chain([&9]).enumerate() {
-            // One engine-side step, applied to both engines alike.
             let submits = if op <= 4 { 1 + op as usize } else { 0 };
             let batch: Vec<_> = requests.by_ref().take(submits).collect();
-            let drive = |engine: &mut Engine| match op {
-                0..=4 => {
-                    for &r in &batch {
-                        engine.submit(r);
+            {
+                let mut engine = shared.lock().unwrap();
+                match op {
+                    0..=4 => {
+                        for &r in &batch {
+                            engine.submit(r);
+                        }
+                        if op < 4 {
+                            engine.flush(); // op 4 leaves its requests queued
+                        }
                     }
-                    if op < 4 {
-                        engine.flush(); // op 4 leaves its requests queued
+                    5 => drop(engine.resize(2 + step % 3)),
+                    6 | 7 => {
+                        engine.checkpoint();
                     }
+                    _ => {}
                 }
-                5 => drop(engine.resize(2 + step % 3)),
-                6 | 7 => {
-                    engine.checkpoint();
-                }
-                _ => {}
-            };
-            drive(primary.engine_mut());
-            drive(&mut shared.lock().unwrap());
+            }
             if op < 8 {
                 continue;
             }
-            // Ops 8 and 9 poll both producers and compare.
-            let frames = primary.poll();
-            prop_assert_eq!(texts(&frames), texts(&relay.poll()));
-            prop_assert_eq!(primary.next_seq(), relay.next_seq());
-            for k in 0..=primary.next_seq() {
-                prop_assert_eq!(
-                    primary.frames_since(k).as_deref().map(texts),
-                    relay.frames_since(k).as_deref().map(texts),
-                    "frames_since({})", k
-                );
-            }
+            // Ops 8 and 9 poll the relay and check the follower.
+            let frames = relay.poll();
             for f in &frames {
                 replica.apply(f).unwrap();
             }
+            shipped.extend(frames);
+            for k in 0..=relay.next_seq() {
+                if let Some(answer) = relay.frames_since(k) {
+                    let suffix: Vec<Frame> =
+                        shipped.iter().filter(|f| f.seq > k).cloned().collect();
+                    prop_assert_eq!(texts(&answer), texts(&suffix), "frames_since({})", k);
+                }
+            }
+            let engine = shared.lock().unwrap();
+            if engine.queued() == 0 {
+                prop_assert_eq!(replica.state_digest(), Some(engine.state_digest()));
+            }
         }
         // Everything flushed has shipped: the follower holds the state
-        // both engines hold, give or take what op 4 left queued.
-        for f in &primary.flush().1 {
+        // the engine holds once what op 4 left queued is flushed too.
+        for f in &drive(&mut relay, |e| {
+                e.flush();
+            }) {
             replica.apply(f).unwrap();
         }
-        prop_assert_eq!(replica.state_digest(), Some(primary.engine().state_digest()));
+        prop_assert_eq!(replica.state_digest(), Some(engine_state(&relay).1));
     }
 }
 
@@ -556,21 +636,24 @@ proptest! {
 // Malformed / hostile stream corpus: graceful rejection, never panics.
 // ---------------------------------------------------------------------
 
-/// A tiny bootstrapped primary/replica pair plus one streamed frame.
-fn small_pair() -> (Primary, Replica, Vec<Frame>) {
-    let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-    let mut replica = Replica::new();
-    let (_, boot) = primary.bootstrap();
-    for f in &boot {
-        replica.apply(f).unwrap();
-    }
-    for i in 0..8u64 {
-        primary.submit(realloc_core::Request::Insert {
+/// `n` inserts of ids `from..from + n` into `[0, 64)`.
+fn inserts(from: u64, n: u64) -> Vec<Request> {
+    (from..from + n)
+        .map(|i| Request::Insert {
             id: realloc_core::JobId(i),
             window: realloc_core::Window::new(0, 64),
-        });
+        })
+        .collect()
+}
+
+/// A tiny bootstrapped primary/replica pair plus one streamed frame.
+fn small_pair() -> (JournalRelay, Replica, Vec<Frame>) {
+    let mut primary = relay(journaled_config(2));
+    let mut replica = Replica::new();
+    for f in &joiner_frames(&mut primary) {
+        replica.apply(f).unwrap();
     }
-    let (_, frames) = primary.flush();
+    let frames = flush(&mut primary, &inserts(0, 8));
     (primary, replica, frames)
 }
 
@@ -604,76 +687,80 @@ fn sequence_gaps_and_regressions_are_rejected() {
         })
     );
     // The stream continues fine afterwards: rejected frames change nothing.
-    for i in 0..4u64 {
-        primary.submit(realloc_core::Request::Delete {
+    let deletes: Vec<Request> = (0..4u64)
+        .map(|i| Request::Delete {
             id: realloc_core::JobId(i),
-        });
-    }
-    let (_, more) = primary.flush();
-    for f in &more {
+        })
+        .collect();
+    for f in &flush(&mut primary, &deletes) {
         replica.apply(f).unwrap();
     }
-    assert_eq!(
-        replica.state_digest(),
-        Some(primary.engine().state_digest())
-    );
+    assert_eq!(replica.state_digest(), Some(engine_state(&primary).1));
 }
 
 #[test]
 fn idle_flushes_do_not_desync_the_digest() {
-    // An idle tick (flush with nothing queued) must not advance state
-    // the replicas can never hear about: the flush counter is part of
-    // the digested snapshot, so the next check marker would otherwise
-    // report divergence.
+    // An idle tick (flush with nothing queued) on the shared engine
+    // must not advance state the replicas can never hear about: the
+    // flush counter is part of the digested snapshot, so the next check
+    // marker would otherwise report divergence.
     let (mut primary, mut replica, frames) = small_pair();
     for f in &frames {
         replica.apply(f).unwrap();
     }
-    let (report, idle) = primary.flush();
-    assert_eq!(report.processed(), 0);
-    assert!(idle.is_empty());
-    for f in primary.checkpoint() {
+    let idle = drive(&mut primary, |e| {
+        assert_eq!(e.flush().processed(), 0);
+        e.checkpoint();
+    });
+    assert!(
+        matches!(
+            idle[..],
+            [Frame {
+                payload: Payload::Check { .. },
+                ..
+            }]
+        ),
+        "an idle flush ships nothing; the checkpoint ships its check: {idle:?}"
+    );
+    for f in &idle {
         replica
-            .apply(&f)
+            .apply(f)
             .expect("digest still matches after idle ticks");
     }
-    assert_eq!(
-        replica.state_digest(),
-        Some(primary.engine().state_digest())
-    );
+    assert_eq!(replica.state_digest(), Some(engine_state(&primary).1));
 }
 
 #[test]
 fn bootstrap_amid_queued_requests_does_not_wedge_the_stream() {
     // Attaching a replica to a busy primary (requests queued, not yet
     // flushed) must not hand the joiner pending queues that the next
-    // events frame then trips over.
-    let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-    for i in 0..6u64 {
-        primary.submit(realloc_core::Request::Insert {
-            id: realloc_core::JobId(i),
-            window: realloc_core::Window::new(0, 64),
-        });
+    // events frame then trips over: the relay refuses, typed, until the
+    // engine's owner flushes.
+    let mut primary = relay(journaled_config(2));
+    {
+        let mut engine = primary.engine().lock().unwrap();
+        for r in inserts(0, 6) {
+            engine.submit(r);
+        }
     }
-    let (owed, boot) = primary.bootstrap();
+    assert_eq!(primary.bootstrap(), Err(ClusterError::QueuedRequests));
+    primary.engine().lock().unwrap().flush();
+    let (owed, snapshot) = primary.bootstrap().unwrap();
     assert!(
         !owed.is_empty(),
         "the pre-bootstrap flush ships to the stream"
     );
     let mut joiner = Replica::new();
-    for f in &boot {
-        joiner.apply(f).unwrap();
-    }
+    joiner.apply(&snapshot).unwrap();
     // The joiner follows the next flush without tripping on restored
     // queues.
-    primary.submit(realloc_core::Request::Delete {
+    let delete = Request::Delete {
         id: realloc_core::JobId(0),
-    });
-    let (_, frames) = primary.flush();
-    for f in &frames {
+    };
+    for f in &flush(&mut primary, &[delete]) {
         joiner.apply(f).unwrap();
     }
-    assert_eq!(joiner.state_digest(), Some(primary.engine().state_digest()));
+    assert_eq!(joiner.state_digest(), Some(engine_state(&primary).1));
 }
 
 #[test]

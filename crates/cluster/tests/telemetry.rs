@@ -17,7 +17,7 @@
 
 use realloc_cluster::tcp::{PrimaryLink, ReplicaServer};
 use realloc_cluster::transport::{FrameSink, LocalLink};
-use realloc_cluster::{Frame, JournalRelay, Primary, Replica, ReplicationGroup};
+use realloc_cluster::{Frame, JournalRelay, Replica, ReplicationGroup};
 use realloc_core::{JobId, Request, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig};
 use realloc_telemetry::{labeled, Clock, Severity, Telemetry, TraceCtx};
@@ -32,6 +32,32 @@ fn journaled_config(shards: usize) -> EngineConfig {
         journal: true,
         retained_segments: 2,
     }
+}
+
+/// A relay at term 1 over a fresh shared engine.
+fn relay(shards: usize) -> JournalRelay {
+    JournalRelay::new(
+        Arc::new(Mutex::new(Engine::new(journaled_config(shards)))),
+        1,
+    )
+    .unwrap()
+}
+
+/// Runs `op` on the relay's engine, then polls what it recorded.
+fn drive(relay: &mut JournalRelay, op: impl FnOnce(&mut Engine)) -> Vec<Frame> {
+    op(&mut relay.engine().lock().unwrap());
+    relay.poll()
+}
+
+/// Submits inserts of `ids` into `[0, 256)` and flushes.
+fn insert_all(engine: &mut Engine, ids: std::ops::Range<u64>) {
+    for i in ids {
+        engine.submit(Request::Insert {
+            id: JobId(i),
+            window: Window::new(0, 256),
+        });
+    }
+    engine.flush();
 }
 
 fn counter(t: &Telemetry, name: &str) -> u64 {
@@ -49,36 +75,39 @@ fn gauge(t: &Telemetry, name: &str) -> u64 {
 fn replication_registry_tracks_stream() {
     let pt = Telemetry::with_clock(Clock::manual(), 64);
     let rt = Telemetry::with_clock(Clock::manual(), 64);
-    let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
+    let mut primary = relay(2);
     primary.attach_telemetry(&pt);
     let mut replica = Replica::new();
     replica.attach_telemetry(&rt);
 
-    let (owed, boot) = primary.bootstrap();
+    let (owed, boot) = primary.bootstrap().unwrap();
     assert!(owed.is_empty());
-    for f in &boot {
-        replica.apply(f).unwrap();
-    }
+    replica.apply(&boot).unwrap();
     assert!(replica.is_bootstrapped());
 
     let mut stream: Vec<Frame> = Vec::new();
     let mut events_frames = 0u64;
     for batch in 0..6u64 {
-        for i in 0..24u64 {
-            primary.submit(Request::Insert {
-                id: JobId(batch * 24 + i),
-                window: Window::new(0, 1 << 12),
-            });
-        }
-        let (_, frames) = primary.flush();
+        let frames = drive(&mut primary, |e| {
+            for i in 0..24u64 {
+                e.submit(Request::Insert {
+                    id: JobId(batch * 24 + i),
+                    window: Window::new(0, 1 << 12),
+                });
+            }
+            e.flush();
+        });
         events_frames += frames.len() as u64;
         stream.extend(frames);
         if batch == 2 {
-            let (_, frames) = primary.resize(3).unwrap();
-            stream.extend(frames);
+            stream.extend(drive(&mut primary, |e| {
+                e.resize(3).unwrap();
+            }));
         }
     }
-    stream.extend(primary.checkpoint());
+    stream.extend(drive(&mut primary, |e| {
+        e.checkpoint();
+    }));
 
     // Primary side: per-payload counters count exactly what was stamped.
     assert_eq!(counter(&pt, "cluster_frames_events_total"), events_frames);
@@ -88,11 +117,13 @@ fn replication_registry_tracks_stream() {
     assert_eq!(counter(&pt, "cluster_frames_snapshot_total"), 1);
     assert_eq!(gauge(&pt, "cluster_next_seq"), primary.next_seq());
     assert_eq!(gauge(&pt, "cluster_term"), primary.term());
-    assert_eq!(
-        pt.histogram_snapshot("cluster_checkpoint_nanos")
-            .map(|h| h.count()),
-        Some(1)
-    );
+    let checks: Vec<_> = pt
+        .trace_events()
+        .into_iter()
+        .filter(|e| e.key == "ship_checkpoint")
+        .map(|e| (e.a, e.b))
+        .collect();
+    assert_eq!(checks, vec![(primary.next_seq() - 1, 0)]);
     assert_eq!(
         pt.histogram_snapshot("cluster_bootstrap_nanos")
             .map(|h| h.count()),
@@ -125,7 +156,7 @@ fn replication_registry_tracks_stream() {
     );
     assert_eq!(
         counter(&rt, "cluster_replica_frames_applied_total"),
-        boot.len() as u64 + stream.len() as u64
+        1 + stream.len() as u64
     );
     assert_eq!(counter(&rt, "cluster_replica_frames_rejected_total"), 0);
     // Digest checks: one per `check` marker.
@@ -143,18 +174,19 @@ fn replication_registry_tracks_stream() {
     // faithful stream, not a coincidentally matching one.
     assert_eq!(
         replica.state_digest(),
-        Some(primary.engine().state_digest())
+        Some(primary.engine().lock().unwrap().state_digest())
     );
 }
 
-/// The relay's joiner bootstrap is observed exactly like a primary's —
-/// both come out of the one frame-stream producer: the snapshot
-/// shipment is counted, its production is timed, and the `bootstrap`
-/// point lands in the trace ring.
+/// A joiner's bootstrap is observed the same way whether the relay
+/// ships a fresh snapshot or a `check`-anchored checkpoint: the
+/// snapshot shipment is counted, its production is timed, and the
+/// `bootstrap` point lands in the trace ring carrying the frames the
+/// joiner needs (the snapshot plus its tail).
 #[test]
 fn relay_bootstrap_is_timed_and_traced_like_a_primarys() {
     let bootstrap_registry = |attach_and_bootstrap: &dyn Fn(&Telemetry)| {
-        let t = Telemetry::with_clock(Clock::manual(), 16);
+        let t = Telemetry::with_clock(Clock::manual(), 64);
         attach_and_bootstrap(&t);
         let points: Vec<(u64, u64)> = t
             .trace_events()
@@ -169,21 +201,27 @@ fn relay_bootstrap_is_timed_and_traced_like_a_primarys() {
             points,
         )
     };
-    let via_primary = bootstrap_registry(&|t| {
-        let mut primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-        primary.attach_telemetry(t);
-        primary.bootstrap();
-    });
-    let via_relay = bootstrap_registry(&|t| {
-        let engine = Arc::new(Mutex::new(Engine::new(journaled_config(2))));
-        let mut relay = JournalRelay::new(engine, 1).unwrap();
+    let fresh = bootstrap_registry(&|t| {
+        let mut relay = relay(2);
         relay.attach_telemetry(t);
         relay.bootstrap().unwrap();
     });
     // One snapshot frame shipped, timed once, one point carrying the
     // joiner's frame count and the (manual-clock: zero) duration.
-    assert_eq!(via_primary, (1, Some(1), vec![(1, 0)]));
-    assert_eq!(via_relay, via_primary);
+    assert_eq!(fresh, (1, Some(1), vec![(1, 0)]));
+    let anchored = bootstrap_registry(&|t| {
+        let mut relay = relay(2);
+        relay.attach_telemetry(t);
+        drive(&mut relay, |e| {
+            insert_all(e, 0..4);
+            e.checkpoint();
+            insert_all(e, 4..8);
+            insert_all(e, 8..12);
+        });
+        let (_, snapshot) = relay.bootstrap().unwrap();
+        assert_eq!(relay.frames_since(snapshot.seq).unwrap().len(), 2);
+    });
+    assert_eq!(anchored, (1, Some(1), vec![(3, 0)]));
 }
 
 /// Rejections and fencing-term adoptions land in the counters and the
@@ -191,22 +229,16 @@ fn relay_bootstrap_is_timed_and_traced_like_a_primarys() {
 #[test]
 fn rejections_and_term_changes_are_counted() {
     let rt = Telemetry::with_clock(Clock::manual(), 64);
-    let mut primary = Primary::new(Engine::new(journaled_config(1)), 1).unwrap();
+    let mut primary = relay(1);
     let mut replica = Replica::new();
     replica.attach_telemetry(&rt);
 
-    let (_, boot) = primary.bootstrap();
-    for f in &boot {
-        replica.apply(f).unwrap();
-    }
+    let (_, boot) = primary.bootstrap().unwrap();
+    replica.apply(&boot).unwrap();
     // Bootstrapping adopted term 1 from term 0.
     assert_eq!(counter(&rt, "cluster_replica_term_changes_total"), 1);
 
-    primary.submit(Request::Insert {
-        id: JobId(1),
-        window: Window::new(0, 64),
-    });
-    let (_, frames) = primary.flush();
+    let frames = drive(&mut primary, |e| insert_all(e, 1..2));
     let good = frames.into_iter().next().unwrap();
 
     // A sequence gap at a *higher* term: rejected, but the term is
@@ -245,9 +277,9 @@ fn rejections_and_term_changes_are_counted() {
 fn traced_batch_reaches_quorum_ack_under_one_trace_id() {
     let pt = Telemetry::with_clock(Clock::manual(), 64);
     let rt = Telemetry::with_clock(Clock::manual(), 64);
-    let primary = Primary::new(Engine::new(journaled_config(2)), 1).unwrap();
-    let mut group = ReplicationGroup::new(primary, 1).unwrap();
+    let mut group = ReplicationGroup::new(relay(2), 1).unwrap();
     group.attach_telemetry(&pt);
+    group.engine().lock().unwrap().attach_telemetry(&pt);
 
     let mut replica = Replica::new();
     replica.attach_telemetry(&rt);
@@ -257,23 +289,18 @@ fn traced_batch_reaches_quorum_ack_under_one_trace_id() {
         .unwrap();
 
     // An untraced warm-up batch: its spans must stay out of the trace.
-    group.submit(Request::Insert {
-        id: JobId(0),
-        window: Window::new(0, 256),
-    });
-    group.flush();
+    insert_all(&mut group.engine().lock().unwrap(), 0..1);
+    group.ship();
     group.commit().unwrap();
 
     let tc = TraceCtx::mint(1_234, 7);
-    for i in 1..9u64 {
-        group.submit(Request::Insert {
-            id: JobId(i),
-            window: Window::new(0, 256),
-        });
+    {
+        let mut engine = group.engine().lock().unwrap();
+        engine.arm_trace(tc);
+        insert_all(&mut engine, 1..9);
+        assert_eq!(engine.active_count(), 9);
     }
-    group.primary_mut().engine_mut().arm_trace(tc);
-    let (report, shipped) = group.flush();
-    assert_eq!(report.processed(), 8);
+    let shipped = group.ship();
     let committed = group.commit().unwrap();
     assert!(committed >= shipped);
 
@@ -299,7 +326,7 @@ fn traced_batch_reaches_quorum_ack_under_one_trace_id() {
     // And tracing never touched digested state.
     assert_eq!(
         replica.lock().unwrap().state_digest(),
-        Some(group.primary().engine().state_digest())
+        Some(group.engine().lock().unwrap().state_digest())
     );
 }
 
@@ -309,29 +336,18 @@ fn traced_batch_reaches_quorum_ack_under_one_trace_id() {
 #[test]
 fn tcp_link_metrics_label_the_peer() {
     let t = Telemetry::new();
-    let mut primary = Primary::new(Engine::new(journaled_config(1)), 1).unwrap();
+    let mut primary = relay(1);
     let mut server = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
     let mut link = PrimaryLink::connect(server.addr()).unwrap();
     link.attach_telemetry(&t);
     let label = link.peer().to_string();
 
-    let (_, boot) = primary.bootstrap();
-    let mut shipped = 0u64;
-    let mut sent = 0u64;
-    let mut last_seq = 0u64;
-    for f in &boot {
-        shipped += f.to_text().len() as u64;
-        link.send(f).unwrap();
-        sent += 1;
-        last_seq = f.seq;
-    }
-    for i in 0..16u64 {
-        primary.submit(Request::Insert {
-            id: JobId(i),
-            window: Window::new(0, 256),
-        });
-    }
-    let (_, frames) = primary.flush();
+    let (_, boot) = primary.bootstrap().unwrap();
+    let mut shipped = boot.to_text().len() as u64;
+    link.send(&boot).unwrap();
+    let mut sent = 1u64;
+    let mut last_seq = boot.seq;
+    let frames = drive(&mut primary, |e| insert_all(e, 0..16));
     for f in &frames {
         shipped += f.to_text().len() as u64;
         link.send(f).unwrap();

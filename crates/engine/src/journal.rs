@@ -598,6 +598,12 @@ pub struct Journal {
     dropped_segments: u64,
     /// Events inside the dropped segments.
     dropped_events: u64,
+    /// Highest epoch recorded in the segments this journal dropped (`0`:
+    /// none, or unknown for a journal parsed from text). One recorded
+    /// after a dropped segment's last event stands at the truncation
+    /// horizon itself, so a cursor there that has not consumed it can
+    /// no longer be served.
+    dropped_epoch: u64,
 }
 
 impl Journal {
@@ -610,6 +616,7 @@ impl Journal {
             segments,
             dropped_segments: 0,
             dropped_events: 0,
+            dropped_epoch: 0,
         }
     }
 
@@ -649,11 +656,15 @@ impl Journal {
     /// replication primary tails its own journal after each flush.
     ///
     /// Returns `None` when the cursor's position predates the retained
-    /// history (checkpoint truncation dropped it) or lies beyond it (a
+    /// history (checkpoint truncation dropped events or an epoch record
+    /// it has not consumed) or lies beyond it (a
     /// cursor from some other journal): the caller must fall back to a
     /// snapshot bootstrap instead of silently skipping records.
     pub fn records_since(&self, cursor: JournalCursor) -> Option<Records<'_>> {
-        if cursor.events_seen < self.dropped_events || cursor.events_seen > self.total_events() {
+        if cursor.events_seen < self.dropped_events
+            || cursor.last_epoch < self.dropped_epoch
+            || cursor.events_seen > self.total_events()
+        {
             return None;
         }
         // Hop whole segments the cursor has fully consumed (every event
@@ -734,6 +745,16 @@ impl Journal {
         self.segments.iter().rev().find_map(|s| s.base.as_ref())
     }
 
+    /// The latest checkpoint's absolute segment number (`None` without
+    /// one). Segments count from genesis, truncated ones included, and
+    /// every checkpoint opens the next, so the number tells apart two
+    /// checkpoints that cover the same events — what the replication
+    /// stream needs to stamp each one exactly once.
+    pub fn checkpoint_number(&self) -> Option<u64> {
+        let latest = self.segments.iter().rposition(|s| s.base.is_some())?;
+        Some(self.dropped_segments + latest as u64)
+    }
+
     /// A [`JournalCursor`] positioned exactly at the latest checkpoint
     /// (`None` when no checkpoint exists): [`Journal::records_since`]
     /// from here yields precisely the records after the snapshot was
@@ -751,11 +772,16 @@ impl Journal {
         })
     }
 
-    /// Highest epoch recorded in the first `n` retained segments (`0`:
+    /// Highest epoch recorded before the `n`-th retained segment:
+    /// in the first `n` retained segments or the dropped ones (`0`:
     /// none).
     fn last_epoch_in(&self, n: usize) -> u64 {
         let epochs = self.segments.iter().take(n).flat_map(|s| &s.epochs);
-        epochs.map(|(_, r)| r.epoch).max().unwrap_or(0)
+        epochs
+            .map(|(_, r)| r.epoch)
+            .max()
+            .unwrap_or(0)
+            .max(self.dropped_epoch)
     }
 
     /// Appends one event (called by the engine during flush).
@@ -812,6 +838,9 @@ impl Journal {
             let seg = self.segments.pop_front().expect("len checked");
             self.dropped_segments += 1;
             self.dropped_events += seg.events.len() as u64;
+            if let Some((_, last)) = seg.epochs.last() {
+                self.dropped_epoch = last.epoch;
+            }
         }
     }
 
@@ -1050,6 +1079,7 @@ impl Journal {
             segments,
             dropped_segments,
             dropped_events,
+            dropped_epoch: 0,
         })
     }
 

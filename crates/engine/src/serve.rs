@@ -209,12 +209,20 @@ impl Engine {
     /// [`Engine::flush_durable`] are its two zero-argument shorthands.
     /// It runs when it is called, inline: shards drain in index order,
     /// each its own queue in FIFO order. A trace armed with
-    /// [`Engine::arm_trace`] tags the batch.
+    /// [`Engine::arm_trace`] tags the batch. With nothing queued it
+    /// records nothing, so it moves no digested state either: an empty
+    /// report and no batch number (a replica, which only hears recorded
+    /// batches, would otherwise diverge). A durable one still commits
+    /// what other callers left pending.
     pub fn flush_mode(
         &mut self,
         mode: FlushMode,
     ) -> Result<(BatchReport, Option<CommitTicket>), String> {
-        let report = self.service_queue();
+        let report = if self.queued() == 0 {
+            BatchReport::default()
+        } else {
+            self.service_queue()
+        };
         let ticket = match mode {
             FlushMode::Durable => self.stage_commit(report.batch)?,
             FlushMode::Immediate => None,

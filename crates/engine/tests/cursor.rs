@@ -133,6 +133,32 @@ fn truncated_history_invalidates_stale_cursors_only() {
     assert!(journal.records_since(bogus).is_none());
 }
 
+/// An epoch recorded after a segment's last event sits at the very
+/// position a caught-up cursor stands at. When truncation drops that
+/// segment, the cursor has not consumed the epoch and must be refused,
+/// not walked on past a routing change it never saw.
+#[test]
+fn a_dropped_trailing_epoch_invalidates_the_cursor_that_missed_it() {
+    let mut e = journaled(2, 1);
+    churn(&mut e, 0..6);
+    let before_resize = JournalCursor::at_end_of(e.journal().unwrap());
+    e.resize(3).unwrap();
+    e.checkpoint();
+    churn(&mut e, 6..9);
+    e.checkpoint(); // drops the segment holding the trailing epoch
+
+    let journal = e.journal().unwrap();
+    assert_eq!(journal.dropped_events(), before_resize.events_seen);
+    assert!(journal.records_since(before_resize).is_none());
+    // Cursors the journal hands out today have consumed it.
+    let at_end = JournalCursor::at_end_of(journal);
+    assert_eq!(at_end.last_epoch, 1);
+    assert_eq!(journal.records_since(at_end).unwrap().count(), 0);
+    let at_checkpoint = journal.checkpoint_cursor().unwrap();
+    assert_eq!(at_checkpoint.last_epoch, 1);
+    assert_eq!(journal.records_since(at_checkpoint).unwrap().count(), 0);
+}
+
 #[test]
 fn state_digest_tracks_snapshot_text_exactly() {
     let mut a = journaled(2, 4);

@@ -516,6 +516,21 @@ fn empty_flushes_do_not_corrupt_post_recovery_batches() {
 }
 
 #[test]
+fn an_idle_flush_leaves_the_digest_alone() {
+    // The flush counter is digested state; a flush that services
+    // nothing records nothing, so it must not move the counter either
+    // (a replica, which only hears recorded batches, would diverge).
+    let mut engine = Engine::new(config(2, BackendKind::TheoremOne { gamma: 8 }));
+    let seq = churn(41, 2, 60);
+    ingest(&mut engine, seq.requests(), 20);
+    let (batches, digest) = (engine.batches(), engine.state_digest());
+    let report = engine.flush();
+    assert_eq!((report.processed(), report.failed()), (0, 0));
+    assert_eq!(engine.batches(), batches);
+    assert_eq!(engine.state_digest(), digest);
+}
+
+#[test]
 fn recovered_engine_keeps_its_retention_cap() {
     // The serialized 'c' header only carries shards/machines/backend;
     // the recovered engine must still truncate with the checkpointed

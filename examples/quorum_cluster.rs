@@ -1,6 +1,7 @@
 //! Quorum group commit over three TCP replicas, end to end:
 //!
-//! 1. a journaled primary fans its frame stream out to **three** TCP
+//! 1. a journaled primary — a shared engine tailed by a
+//!    [`JournalRelay`] — fans its frame stream out to **three** TCP
 //!    replicas through a [`ReplicationGroup`] with **quorum 2**, using
 //!    the pipelined group-commit pattern — ship batch *i*, then commit
 //!    through batch *i − 1* while the replicas apply it;
@@ -26,13 +27,28 @@
 use realloc_sched::cluster::tcp::{LinkConfig, PrimaryLink, ReplicaServer};
 use realloc_sched::workloads::{ChurnConfig, ChurnGenerator};
 use realloc_sched::{
-    BackendKind, Engine, EngineConfig, GroupError, Primary, Replica, ReplicationGroup, Telemetry,
+    BackendKind, Engine, EngineConfig, GroupError, JournalRelay, Replica, ReplicationGroup,
+    Request, Telemetry,
 };
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Flushes `chunk` on the group's engine and ships what it recorded;
+/// returns the highest sequence shipped.
+fn flush_and_ship(group: &mut ReplicationGroup, chunk: &[Request]) -> u64 {
+    {
+        let mut engine = group.engine().lock().unwrap();
+        for &r in chunk {
+            engine.submit(r);
+        }
+        engine.flush();
+    }
+    group.ship()
+}
 
 /// Builds a quorum-2 group of fresh TCP replicas around `primary`.
 fn build_group(
-    primary: Primary,
+    primary: JournalRelay,
     replicas: usize,
     link_config: &LinkConfig,
     telemetry: &Telemetry,
@@ -84,7 +100,8 @@ fn main() {
         drain_timeout: Duration::from_millis(750),
         ..LinkConfig::default()
     };
-    let primary = Primary::new(Engine::new(config), 1).expect("journaled engine");
+    let engine = Arc::new(Mutex::new(Engine::new(config)));
+    let primary = JournalRelay::new(engine, 1).expect("journaled engine");
     let (mut group, servers) = build_group(primary, 3, &link_config, &telemetry);
     println!(
         "quorum-2 group (term 1) over replicas at {}, {}, {}",
@@ -119,10 +136,9 @@ fn main() {
             );
         }
         for &r in *chunk {
-            group.submit(r);
             reference.submit(r);
         }
-        let (_, shipped) = group.flush();
+        let shipped = flush_and_ship(&mut group, chunk);
         reference.flush();
         group
             .commit_through(previous_shipped)
@@ -148,10 +164,9 @@ fn main() {
         let guard2 = cell2.lock().unwrap();
         let guard3 = stalled_cell.lock().unwrap();
         for &r in chunks[CRASH_AT] {
-            group.submit(r);
             reference.submit(r);
         }
-        group.flush();
+        flush_and_ship(&mut group, chunks[CRASH_AT]);
         reference.flush();
         let started = Instant::now();
         match group.commit() {
@@ -222,10 +237,7 @@ fn main() {
             .expect("survivor rejoins");
     }
     for chunk in chunks.iter().skip(chunks_done) {
-        for &r in *chunk {
-            group2.submit(r);
-        }
-        group2.flush();
+        flush_and_ship(&mut group2, chunk);
         group2.commit().expect("new lineage commits");
     }
     // (The reference already consumed chunks[CRASH_AT] above.)
@@ -239,11 +251,11 @@ fn main() {
     // Byte-identical convergence: promoted node, both surviving
     // replicas, and the uninterrupted reference.
     use realloc_sched::Restorable as _;
-    assert_eq!(
-        group2.primary().engine().snapshot_text(),
-        reference.snapshot_text()
-    );
-    let digest = group2.primary().engine().state_digest();
+    let (text, digest) = {
+        let engine = group2.engine().lock().unwrap();
+        (engine.snapshot_text(), engine.state_digest())
+    };
+    assert_eq!(text, reference.snapshot_text());
     for (i, server) in servers.iter().enumerate() {
         if i == winner {
             continue;

@@ -1,8 +1,9 @@
 //! A replicated cluster on loopback TCP, end to end:
 //!
-//! 1. a journaled primary streams churn to **two** TCP replicas
+//! 1. a journaled primary — a shared engine tailed by a
+//!    [`JournalRelay`] — streams churn to **two** TCP replicas
 //!    (snapshot bootstrap, then per-flush event frames, an online
-//!    resize's epoch frame, and periodic checkpoint markers);
+//!    resize's epoch frame, and a checkpoint marker per checkpoint);
 //! 2. the replicas serve reads the whole time (window lookups, metrics,
 //!    digests) — that is the read-scaling story;
 //! 3. the primary "crashes"; replica 1 is **promoted** under a bumped
@@ -29,10 +30,32 @@ use realloc_sched::cluster::tcp::{PrimaryLink, ReplicaServer};
 use realloc_sched::cluster::transport::{FrameSink, TransportError};
 use realloc_sched::workloads::{ChurnConfig, ChurnGenerator};
 use realloc_sched::{
-    fetch_metrics, parse_sample, BackendKind, Engine, EngineConfig, ObsServer, Primary, Replica,
-    Telemetry,
+    fetch_metrics, parse_sample, BackendKind, Engine, EngineConfig, Frame, JournalRelay, ObsServer,
+    Replica, Telemetry,
 };
 use std::net::SocketAddr;
+use std::sync::{Arc, Mutex};
+
+/// What a joiner needs from `relay`: the bootstrap snapshot, then the
+/// stream frames behind it.
+fn joiner_frames(relay: &mut JournalRelay) -> Vec<Frame> {
+    let (owed, snapshot) = relay.bootstrap().expect("nothing queued");
+    assert!(owed.is_empty(), "every flush was polled and shipped");
+    let tail = relay.frames_since(snapshot.seq).expect("anchor retained");
+    [vec![snapshot], tail].concat()
+}
+
+/// Flushes `chunk` on the relay's engine and polls the frames.
+fn flush(relay: &mut JournalRelay, chunk: &[realloc_sched::Request]) -> Vec<Frame> {
+    {
+        let mut engine = relay.engine().lock().unwrap();
+        for &r in chunk {
+            engine.submit(r);
+        }
+        engine.flush();
+    }
+    relay.poll()
+}
 
 /// Scrapes all three nodes over TCP and prints the poller's view:
 /// per-replica lag from the two registries, plus the primary's
@@ -90,7 +113,9 @@ fn main() {
     let primary_tel = Telemetry::new();
     let replica1_tel = Telemetry::new();
     let replica2_tel = Telemetry::new();
-    let mut primary = Primary::new(Engine::new(config), 1).expect("journaled engine");
+    let engine = Arc::new(Mutex::new(Engine::new(config)));
+    engine.lock().unwrap().attach_telemetry(&primary_tel);
+    let mut primary = JournalRelay::new(engine, 1).expect("journaled engine");
     primary.attach_telemetry(&primary_tel);
     let server1 = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
     let server2 = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
@@ -124,8 +149,7 @@ fn main() {
         replica2_obs.addr()
     );
 
-    let (_, boot) = primary.bootstrap();
-    for f in &boot {
+    for f in &joiner_frames(&mut primary) {
         link1.send(f).unwrap();
         link2.send(f).unwrap();
     }
@@ -138,23 +162,22 @@ fn main() {
     for (i, chunk) in chunks.iter().enumerate().take(CRASH_AT) {
         let mut frames = Vec::new();
         if i == RESIZE_AT {
-            let (report, f) = primary.resize(3).expect("grow 2 -> 3");
+            let report = primary.engine().lock().unwrap().resize(3);
+            let report = report.expect("grow 2 -> 3");
             println!(
                 "online resize at chunk {i}: {} -> {} shards, {} jobs re-homed",
                 report.from_shards, report.to_shards, report.jobs_moved
             );
-            frames.extend(f);
             reference.resize(3).expect("reference resize");
         }
         for &r in *chunk {
-            primary.submit(r);
             reference.submit(r);
         }
-        let (_, f) = primary.flush();
-        frames.extend(f);
+        frames.extend(flush(&mut primary, chunk));
         reference.flush();
         if (i + 1) % 16 == 0 {
-            frames.extend(primary.checkpoint());
+            primary.engine().lock().unwrap().checkpoint();
+            frames.extend(primary.poll());
         }
         for f in &frames {
             link1.send(f).expect("replica 1 acknowledges");
@@ -230,10 +253,9 @@ fn main() {
     // The promoted node keeps its registry: the engine instruments came
     // over from its replica days, and the streaming side attaches now.
     promoted.attach_telemetry(&replica1_tel);
-    let (_, boot) = promoted.bootstrap();
     let mut new_link2 = PrimaryLink::connect(server2.addr()).unwrap();
     new_link2.attach_telemetry(&replica1_tel);
-    for f in &boot {
+    for f in &joiner_frames(&mut promoted) {
         new_link2.send(f).expect("replica 2 re-bootstraps");
     }
     // Barrier: replica 2 must have *applied* the new lineage's snapshot
@@ -241,10 +263,7 @@ fn main() {
     new_link2.drain().expect("replica 2 adopts term 2");
 
     // Phase 3: the deposed primary wakes up and streams — fenced.
-    for &r in chunks[CRASH_AT] {
-        primary.submit(r);
-    }
-    let (_, stale) = primary.flush();
+    let stale = flush(&mut primary, chunks[CRASH_AT]);
     // Pipelined sends return before the replica answers; the rejection
     // surfaces on the commit barrier.
     match link2
@@ -264,10 +283,9 @@ fn main() {
     // re-drives it).
     for chunk in chunks.iter().skip(CRASH_AT) {
         for &r in *chunk {
-            promoted.submit(r);
             reference.submit(r);
         }
-        let (_, frames) = promoted.flush();
+        let frames = flush(&mut promoted, chunk);
         reference.flush();
         for f in &frames {
             new_link2.send(f).expect("replica 2 acknowledges");
@@ -294,7 +312,10 @@ fn main() {
 
     // Phase 5: byte-identical convergence, zero acknowledged events lost.
     use realloc_sched::Restorable as _;
-    assert_eq!(promoted.engine().snapshot_text(), reference.snapshot_text());
+    assert_eq!(
+        promoted.engine().lock().unwrap().snapshot_text(),
+        reference.snapshot_text()
+    );
     let cell = server2.replica();
     let replica2 = cell.lock().unwrap();
     assert_eq!(

@@ -120,8 +120,8 @@ pub mod sim {
 }
 
 pub use realloc_cluster::{
-    ApplyError, ClusterError, Frame, FrameSink, GroupError, JournalRelay, Payload, Primary,
-    Replica, ReplicationGroup, TransportError,
+    ApplyError, ClusterError, Frame, FrameSink, GroupError, JournalRelay, Payload, Replica,
+    ReplicationGroup, TransportError,
 };
 pub use realloc_core::router::Router;
 pub use realloc_core::{
