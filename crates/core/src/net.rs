@@ -5,6 +5,12 @@
 //! server built on them is left with its protocol — what a frame means
 //! and what to answer.
 //!
+//! [`FrameConn`] serves both ends of a request/response connection: the
+//! accept loop hands one to each handler, and [`FrameConn::connect`]
+//! dials one for a client — the telemetry `ObsClient` and the service
+//! tier's `QosClient` send command frames through it and read each
+//! answer with [`FrameConn::read_reply`].
+//!
 //! # Threading
 //!
 //! [`AcceptLoop::spawn`] binds the listener and starts **one accept
@@ -132,9 +138,9 @@ pub enum Buffered {
     Gone,
 }
 
-/// One accepted connection, speaking [`crate::textio`] length-prefixed
-/// frames: a buffered reader and a buffered writer over the two halves
-/// of the socket.
+/// One connection, accepted or dialed, speaking [`crate::textio`]
+/// length-prefixed frames: a buffered reader and a buffered writer over
+/// the two halves of the socket.
 #[derive(Debug)]
 pub struct FrameConn {
     reader: BufReader<TcpStream>,
@@ -148,6 +154,38 @@ impl FrameConn {
         Ok(FrameConn {
             reader: BufReader::new(stream),
             writer: BufWriter::new(write_half),
+        })
+    }
+
+    /// Dials `addr` — the client end of a connection: Nagle's algorithm
+    /// off, as [`AcceptLoop::spawn`] sets it on the server end, then
+    /// split as [`FrameConn::new`] does.
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<FrameConn> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true).ok();
+        FrameConn::new(stream)
+    }
+
+    /// Bounds how long a blocking read waits (`None`: for ever). A
+    /// client sets it so that a peer that accepted and never answers
+    /// surfaces as a timeout error instead of a hang.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
+    /// Blocks for the next frame as [`FrameConn::read`] does — the
+    /// answer a client is waiting for — and returns it as text. A peer
+    /// that closed instead is an [`ErrorKind::UnexpectedEof`] error, a
+    /// payload that is not UTF-8 an [`ErrorKind::InvalidData`] one.
+    pub fn read_reply(&mut self, cap: u32) -> std::io::Result<String> {
+        let Some(payload) = self.read(cap)? else {
+            return Err(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "peer closed before replying",
+            ));
+        };
+        String::from_utf8(payload).map_err(|e| {
+            std::io::Error::new(ErrorKind::InvalidData, format!("reply is not UTF-8: {e}"))
         })
     }
 

@@ -1,6 +1,6 @@
-//! The socket-server skeleton on loopback: reaping, shutdown, and the
-//! never-blocks-never-strands probe, through the public API the three
-//! TCP servers use.
+//! The socket-server skeleton on loopback: reaping, shutdown, the
+//! never-blocks-never-strands probe, and the client end's reply read,
+//! through the public API the three TCP servers and their clients use.
 
 use realloc_core::net::{AcceptLoop, Buffered, FrameConn};
 use realloc_core::textio::write_frame;
@@ -20,7 +20,7 @@ fn echo(mut conn: FrameConn) {
 }
 
 fn echo_once(addr: SocketAddr, payload: &[u8]) -> Vec<u8> {
-    let mut conn = FrameConn::new(TcpStream::connect(addr).unwrap()).unwrap();
+    let mut conn = FrameConn::connect(addr).unwrap();
     conn.write(payload).unwrap();
     conn.flush().unwrap();
     conn.read(CAP).unwrap().expect("an echo, not EOF")
@@ -105,4 +105,32 @@ fn read_buffered_never_strands_a_partial_frame_and_sees_eof() {
     drop(client);
     assert_eq!(socket.peek(&mut [0u8; 1]).unwrap(), 0);
     assert_eq!(conn.read_buffered(CAP), Buffered::Gone);
+}
+
+#[test]
+fn a_dialed_connection_reads_replies_as_text_and_names_what_is_wrong() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut conn = FrameConn::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut served, _) = listener.accept().unwrap();
+
+    write_frame(&mut served, "ok réponse".as_bytes()).unwrap();
+    assert_eq!(conn.read_reply(CAP).unwrap(), "ok réponse");
+
+    write_frame(&mut served, &[0xff, 0xfe]).unwrap();
+    let err = conn.read_reply(CAP).expect_err("not UTF-8");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+
+    // A peer that never answers times out instead of hanging the client.
+    conn.set_read_timeout(Some(Duration::from_millis(20)))
+        .unwrap();
+    let err = conn.read_reply(CAP).expect_err("nothing was sent");
+    assert!(
+        matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "{err:?}"
+    );
+
+    // A peer that hung up is an unexpected end, not an empty reply.
+    drop(served);
+    let err = conn.read_reply(CAP).expect_err("the peer is gone");
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
 }

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use realloc_core::feasibility::aligned_density_max_gamma;
 use realloc_core::{JobId, SingleMachineReallocator, Tower, Window};
 use realloc_reservation::{ReservationScheduler, TrimmedScheduler};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Drives `ops` random inserts/deletes over aligned windows inside
 /// `[0, horizon)`, keeping every aligned window's job count within
@@ -145,7 +145,9 @@ fn churn_bounded_reallocations() {
 fn trimmed_churn_with_rebuilds() {
     let mut rng = StdRng::seed_from_u64(7);
     let mut s = TrimmedScheduler::new(8);
-    let mut active: HashMap<JobId, Window> = HashMap::new();
+    // Ordered, so that the job `nth` picks — and the run — depends on
+    // the seed alone, not on the hash order of the process.
+    let mut active: BTreeMap<JobId, Window> = BTreeMap::new();
     let mut next_id = 0u64;
     for step in 0..600 {
         if active.is_empty() || rng.gen_bool(0.55) {

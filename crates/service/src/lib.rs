@@ -6,7 +6,11 @@
 //! per-tenant QoS in front.
 //!
 //! * [`proto`] — the wire protocol: `place`/`remove`/`window`/`metrics`
-//!   commands, `ok …`/`overloaded …`/`err …` replies, one per frame;
+//!   commands, `ok …`/`overloaded …`/`err …` replies, one per frame —
+//!   the grammar's one home, written and parsed both ways;
+//! * [`client`] — the client end: [`QosClient`] sends commands and
+//!   reads replies over one framed connection, pipelining allowed, and
+//!   [`drive_feed`] runs batches of tenant requests through it;
 //! * [`qos`] — admission control: per-tenant token buckets, a global
 //!   in-service cap, typed shedding with a retry hint (never an
 //!   unbounded queue);
@@ -35,11 +39,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod proto;
 pub mod qos;
 pub mod server;
 mod tele;
 
+pub use client::{drive_feed, DriveStats, QosClient};
 pub use proto::{Command, Reply};
 pub use qos::{AdmitGuard, Qos, QosConfig, RateLimit};
 pub use server::{ServiceConfig, ServiceServer};

@@ -13,10 +13,18 @@
 //! Tenants are decimal `u16`s (`0` is reserved by the engine and
 //! refused here); ids and window bounds are decimal `u64`s. Every
 //! admitted mutation is answered with its outcome: `ok …`, or `err` with
-//! the engine's rejection code.
+//! the engine's rejection code. A traced batch suffixes its admitted
+//! mutations' replies (`ok placed …`, `ok removed …`, never another
+//! shape) with ` trace <id>`, the non-zero causal trace id.
+//!
+//! This file is the grammar's one home, in both directions: the server
+//! parses a [`Command`] and writes a [`Reply`], the client
+//! ([`crate::client`]) writes the command and parses the reply, and
+//! every value round-trips through its text.
 
 use realloc_core::{JobId, Request, Window};
-use realloc_engine::{Metrics, TenantId};
+use realloc_engine::TenantId;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// One parsed client command.
@@ -99,6 +107,32 @@ impl Command {
         }
     }
 
+    /// The wire text for this command, which [`Command::parse`] reads
+    /// back.
+    pub fn to_text(&self) -> String {
+        let mut text = String::new();
+        self.write_text(&mut text);
+        text
+    }
+
+    /// Appends the wire text for this command to `out`.
+    pub fn write_text(&self, out: &mut String) {
+        let written = match self {
+            Command::Place { tenant, id, window } => write!(
+                out,
+                "place {} {} {} {}",
+                tenant.0,
+                id.0,
+                window.start(),
+                window.end()
+            ),
+            Command::Remove { tenant, id } => write!(out, "remove {} {}", tenant.0, id.0),
+            Command::Window { tenant, id } => write!(out, "window {} {}", tenant.0, id.0),
+            Command::Metrics => write!(out, "metrics"),
+        };
+        written.expect("writing to a String");
+    }
+
     /// The tenant a command is billed to, when it has one.
     pub fn tenant(&self) -> Option<TenantId> {
         match self {
@@ -126,55 +160,129 @@ impl Command {
     }
 }
 
-/// One server reply, formatted onto the wire by [`Reply::to_text`].
-#[derive(Clone, Debug, PartialEq)]
+/// One server reply, formatted onto the wire by [`Reply::write_traced`]
+/// and read back by [`Reply::parse`]. It carries what the wire carries,
+/// so every reply round-trips.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reply {
-    /// Insert admitted and serviced.
+    /// Insert admitted and serviced; carries the global job id.
     Placed(JobId),
-    /// Delete admitted and serviced.
+    /// Delete admitted and serviced; carries the global job id.
     Removed(JobId),
     /// The job's original window.
     WindowIs(Window),
     /// The job is not active.
     WindowNone,
     /// Engine counters.
-    MetricsIs(Metrics),
-    /// Shed by QoS; retry after the given backoff.
-    Overloaded(Duration),
+    MetricsIs {
+        /// Requests processed since boot.
+        requests: u64,
+        /// Requests that failed validation or capacity.
+        failed: u64,
+        /// Jobs currently scheduled.
+        active: u64,
+        /// Reallocation epoch.
+        epoch: u64,
+        /// Shard count.
+        shards: u64,
+    },
+    /// Shed by QoS; retry after this many milliseconds (at least 1 —
+    /// see [`Reply::overloaded`]).
+    Overloaded(u64),
     /// Refused (parse failure, reserved tenant, engine rejection code).
     Err(String),
 }
 
 impl Reply {
-    /// The wire text for this reply.
+    /// The shed reply for a QoS backoff, in whole milliseconds: a
+    /// sub-millisecond backoff still tells the client to wait.
+    pub fn overloaded(retry_after: Duration) -> Reply {
+        Reply::Overloaded(u64::try_from(retry_after.as_millis().max(1)).unwrap_or(u64::MAX))
+    }
+
+    /// The wire text for this reply, untraced.
     pub fn to_text(&self) -> String {
         let mut text = String::new();
-        self.write_text(&mut text);
+        self.write_traced(None, &mut text);
         text
     }
 
     /// Appends the wire text for this reply to `out` — what the serving
-    /// loop formats a whole batch's replies through, one buffer for all.
-    pub fn write_text(&self, out: &mut String) {
-        use std::fmt::Write as _;
+    /// loop formats a whole batch's replies through, one buffer for all
+    /// — suffixed with ` trace <id>` when the batch was traced and the
+    /// reply is an admitted mutation's (`placed`/`removed`).
+    pub fn write_traced(&self, trace: Option<u64>, out: &mut String) {
         let written = match self {
             Reply::Placed(id) => write!(out, "ok placed {}", id.0),
             Reply::Removed(id) => write!(out, "ok removed {}", id.0),
             Reply::WindowIs(w) => write!(out, "ok window {} {}", w.start(), w.end()),
             Reply::WindowNone => write!(out, "ok window none"),
-            Reply::MetricsIs(m) => write!(
+            Reply::MetricsIs {
+                requests,
+                failed,
+                active,
+                epoch,
+                shards,
+            } => write!(
                 out,
-                "ok metrics requests={} failed={} active={} epoch={} shards={}",
-                m.requests,
-                m.failed,
-                m.active_jobs,
-                m.epoch,
-                m.shards.len()
+                "ok metrics requests={requests} failed={failed} active={active} epoch={epoch} shards={shards}"
             ),
-            Reply::Overloaded(d) => write!(out, "overloaded {}", d.as_millis().max(1)),
+            Reply::Overloaded(ms) => write!(out, "overloaded {ms}"),
             Reply::Err(detail) => write!(out, "err {detail}"),
         };
         written.expect("writing to a String");
+        if let (Some(id), Reply::Placed(_) | Reply::Removed(_)) = (trace, self) {
+            write!(out, " trace {id}").expect("writing to a String");
+        }
+    }
+
+    /// Parses one reply frame, the inverse of [`Reply::write_traced`]:
+    /// the reply and its trace id, when it carries one. Only a
+    /// `placed`/`removed` reply with a non-zero id is traced; in any
+    /// other shape the words are the reply's own (an `err` detail may
+    /// say "trace"), and a line the server never writes is an error
+    /// naming it.
+    pub fn parse(line: &str) -> Result<(Reply, Option<u64>), String> {
+        if let Some((reply, id)) = line.rsplit_once(" trace ") {
+            if let (Some(reply @ (Reply::Placed(_) | Reply::Removed(_))), Ok(id @ 1..)) =
+                (Reply::parse_untraced(reply), id.parse::<u64>())
+            {
+                return Ok((reply, Some(id)));
+            }
+        }
+        Reply::parse_untraced(line)
+            .map(|reply| (reply, None))
+            .ok_or_else(|| format!("malformed reply '{line}'"))
+    }
+
+    fn parse_untraced(line: &str) -> Option<Reply> {
+        if let Some(detail) = line.strip_prefix("err ") {
+            return Some(Reply::Err(detail.to_string()));
+        }
+        let num = |s: &str| s.parse::<u64>().ok();
+        let count = |field: &str, key: &str| num(field.strip_prefix(key)?.strip_prefix('=')?);
+        let fields: Vec<&str> = line.split(' ').collect();
+        Some(match fields[..] {
+            ["ok", "placed", id] => Reply::Placed(JobId(num(id)?)),
+            ["ok", "removed", id] => Reply::Removed(JobId(num(id)?)),
+            ["ok", "window", "none"] => Reply::WindowNone,
+            ["ok", "window", start, end] => {
+                let (start, end) = (num(start)?, num(end)?);
+                if end <= start {
+                    return None;
+                }
+                Reply::WindowIs(Window::new(start, end))
+            }
+            ["ok", "metrics", requests, failed, active, epoch, shards] => Reply::MetricsIs {
+                requests: count(requests, "requests")?,
+                failed: count(failed, "failed")?,
+                active: count(active, "active")?,
+                epoch: count(epoch, "epoch")?,
+                shards: count(shards, "shards")?,
+            },
+            ["overloaded", ms] => Reply::Overloaded(num(ms)?),
+            _ => return None,
+        })
     }
 }
 
@@ -222,23 +330,96 @@ mod tests {
         );
     }
 
+    /// The grammar read both ways: every command and every reply shape
+    /// comes back from its own text, traced replies with their id, and
+    /// nothing the server never writes parses.
     #[test]
-    fn replies_format() {
-        assert_eq!(Reply::Placed(JobId(9)).to_text(), "ok placed 9");
-        assert_eq!(
-            Reply::WindowIs(Window::new(10, 14)).to_text(),
-            "ok window 10 14"
-        );
-        assert_eq!(Reply::WindowNone.to_text(), "ok window none");
-        assert_eq!(
-            Reply::Overloaded(Duration::from_millis(250)).to_text(),
-            "overloaded 250"
-        );
-        // A sub-millisecond backoff still tells the client to wait.
-        assert_eq!(
-            Reply::Overloaded(Duration::from_micros(10)).to_text(),
-            "overloaded 1"
-        );
-        assert_eq!(Reply::Err("duplicate".into()).to_text(), "err duplicate");
+    fn the_grammar_round_trips() {
+        let (tenant, id) = (TenantId(3), JobId(7));
+        for command in [
+            Command::Place {
+                tenant,
+                id,
+                window: Window::new(10, 14),
+            },
+            Command::Remove { tenant, id },
+            Command::Window { tenant, id },
+            Command::Metrics,
+        ] {
+            assert_eq!(Command::parse(&command.to_text()), Ok(command));
+        }
+
+        // Every shape, written and read back: `to_text` is the wire
+        // text, and `parse` inverts it.
+        for (reply, text) in [
+            (Reply::Placed(JobId(9)), "ok placed 9"),
+            (Reply::Removed(JobId(9)), "ok removed 9"),
+            (Reply::WindowIs(Window::new(10, 14)), "ok window 10 14"),
+            (Reply::WindowNone, "ok window none"),
+            (
+                Reply::MetricsIs {
+                    requests: 5,
+                    failed: 1,
+                    active: 4,
+                    epoch: 2,
+                    shards: 8,
+                },
+                "ok metrics requests=5 failed=1 active=4 epoch=2 shards=8",
+            ),
+            (
+                Reply::overloaded(Duration::from_millis(250)),
+                "overloaded 250",
+            ),
+            // A sub-millisecond backoff still tells the client to wait.
+            (Reply::overloaded(Duration::from_micros(10)), "overloaded 1"),
+            (Reply::Err("duplicate".into()), "err duplicate"),
+            (Reply::Err("lost trace 5".into()), "err lost trace 5"),
+        ] {
+            assert_eq!(reply.to_text(), text);
+            assert_eq!(Reply::parse(text), Ok((reply, None)));
+        }
+
+        // Traced: an admitted mutation's reply carries the id back …
+        for (text, reply, id) in [
+            ("ok placed 7 trace 99", Reply::Placed(JobId(7)), 99),
+            ("ok removed 3 trace 12345", Reply::Removed(JobId(3)), 12345),
+            ("ok removed 7 trace 99", Reply::Removed(JobId(7)), 99),
+        ] {
+            let mut written = String::new();
+            reply.write_traced(Some(id), &mut written);
+            assert_eq!(written, text);
+            assert_eq!(Reply::parse(text), Ok((reply, Some(id))));
+        }
+        // … no other shape is ever suffixed …
+        let mut text = String::new();
+        Reply::WindowNone.write_traced(Some(5), &mut text);
+        assert_eq!(text, "ok window none");
+        // … and the words are no suffix where they stay untraced: id 0
+        // is the untraced sentinel, a non-mutation shape is never
+        // annotated, and an err detail keeps what it says ("err lost
+        // trace 5" above).
+        assert!(Reply::parse("ok placed 7 trace 0").is_err());
+        assert!(Reply::parse("ok window 10 14 trace 5").is_err());
+
+        // A line the server never writes is an error that names it.
+        for line in [
+            "???",
+            "",
+            "ok placed banana",
+            "ok placed 7 8",
+            "ok window 14 10",
+            "ok window 10",
+            "ok metrics requests=5",
+            "ok metrics requests=5 failed=1 active=4 epoch=2 nodes=8",
+            "overloaded soon",
+            "err",
+            "ok  placed 7",
+        ] {
+            assert_eq!(
+                Reply::parse(line),
+                Err(format!("malformed reply '{line}'")),
+                "{line:?}"
+            );
+        }
     }
 }

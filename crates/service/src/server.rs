@@ -387,7 +387,7 @@ fn stage(frames: &[Vec<u8>], shared: &Shared) -> std::io::Result<Staged> {
             let (tenant, request) = cmd.to_request().expect("mutations map to requests");
             match shared.qos.try_admit(tenant.0) {
                 Ok(guard) => to_submit.push((i, tenant, request, guard)),
-                Err(retry_after) => replies[i] = Some(Reply::Overloaded(retry_after)),
+                Err(retry_after) => replies[i] = Some(Reply::overloaded(retry_after)),
             }
         } else {
             pending_reads.push((i, *cmd));
@@ -489,7 +489,16 @@ fn stage(frames: &[Vec<u8>], shared: &Shared) -> std::io::Result<Staged> {
                     Ok(None) => Reply::WindowNone,
                     Err(e) => Reply::Err(e.to_string()),
                 },
-                Command::Metrics => Reply::MetricsIs(engine.metrics()),
+                Command::Metrics => {
+                    let m = engine.metrics();
+                    Reply::MetricsIs {
+                        requests: m.requests,
+                        failed: m.failed,
+                        active: m.active_jobs,
+                        epoch: m.epoch,
+                        shards: m.shards.len() as u64,
+                    }
+                }
                 _ => Reply::Err("unreachable read".to_string()),
             });
         }
@@ -551,20 +560,11 @@ fn finish(
     }
 
     // Replies in command order, one writer flush for the whole batch.
-    // A traced batch suffixes its admitted mutations' replies with
-    // ` trace <id>` — clients correlate, untraced replies are untouched.
-    for (i, reply) in replies.iter().enumerate() {
-        let Some(reply) = reply else { continue };
+    // A traced batch's admitted mutations carry its trace id — clients
+    // correlate, every other reply is untouched.
+    for reply in replies.iter().flatten() {
         text.clear();
-        reply.write_text(text);
-        if let Some(tc) = trace {
-            if matches!(reply, Reply::Placed(_) | Reply::Removed(_))
-                && admitted.iter().any(|f| f.slot == i)
-            {
-                use std::fmt::Write as _;
-                write!(text, " trace {}", tc.id).expect("string write");
-            }
-        }
+        reply.write_traced(trace.map(|tc| tc.id), text);
         conn.write(text.as_bytes())?;
     }
     conn.flush()?;

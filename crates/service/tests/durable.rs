@@ -34,12 +34,11 @@
 //! * connections that send on a timer, whatever the replies do, are not
 //!   made to pay for that wait.
 
-use realloc_core::JobId;
+use realloc_core::{JobId, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode, TenantId};
-use realloc_service::{ServiceConfig, ServiceServer};
+use realloc_service::{Command, QosClient, Reply, ServiceConfig, ServiceServer};
 use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::Telemetry;
-use realloc_workloads::driver::{QosClient, QosResponse};
 use std::io::{self, ErrorKind};
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
@@ -162,6 +161,16 @@ fn serve(io: &Arc<GateIo>, telemetry: &Telemetry) -> ServiceServer {
     ServiceServer::bind("127.0.0.1:0", engine, config, telemetry).expect("bind service")
 }
 
+/// The command a well-formed line parses to.
+fn cmd(line: &str) -> Command {
+    Command::parse(line).expect("a well-formed command")
+}
+
+/// Whether a reply admits a mutation.
+fn admitted(reply: &Reply) -> bool {
+    matches!(reply, Reply::Placed(_) | Reply::Removed(_))
+}
+
 fn connect(server: &ServiceServer) -> QosClient {
     let mut client = QosClient::connect(server.addr()).expect("connect");
     client
@@ -193,14 +202,14 @@ fn the_commit_waits_for_the_disk_with_the_engine_unlocked() {
 
     // Job 1 is placed and durable before the gate closes.
     assert!(matches!(
-        a.place(1, 1, 0, 8).unwrap(),
-        QosResponse::Placed(_)
+        a.call(cmd("place 1 1 0 8")).unwrap(),
+        Reply::Placed(_)
     ));
     let syncs_before = io.read(|d| d.syncs);
 
     // A places job 2; its commit parks inside `sync_file`.
     io.set(|d| d.closed = true);
-    a.send_raw("place 1 2 16 24").unwrap();
+    a.send(&[cmd("place 1 2 16 24")]).unwrap();
     io.wait_until("A's fsync parks", |d| d.parked == 1);
 
     // The engine lock is free while that fsync is in flight: nobody
@@ -212,14 +221,17 @@ fn the_commit_waits_for_the_disk_with_the_engine_unlocked() {
             .expect("the engine mutex is held across sync_file"),
     );
     // … and a read of durable state on another connection is answered.
-    assert_eq!(b.window(1, 1).unwrap(), QosResponse::Window(0, 8));
+    assert_eq!(
+        b.call(cmd("window 1 1")).unwrap(),
+        Reply::WindowIs(Window::new(0, 8))
+    );
 
     // B's read of the job A just placed is evaluated, but held back.
-    b.send_raw("window 1 2").unwrap();
+    b.send(&[cmd("window 1 2")]).unwrap();
     // C's mutation is staged meanwhile: its append reaches the store
     // while A's fsync is still parked.
     let appends_before = io.read(|d| d.appends);
-    c.send_raw("place 1 3 32 40").unwrap();
+    c.send(&[cmd("place 1 3 32 40")]).unwrap();
     io.wait_until("C's batch is appended during A's fsync", |d| {
         d.appends == appends_before + 1
     });
@@ -231,9 +243,9 @@ fn the_commit_waits_for_the_disk_with_the_engine_unlocked() {
     // The disk comes back: everyone is answered, and B's held-back read
     // and C's batch cost one further fsync between them.
     io.set(|d| d.closed = false);
-    assert!(matches!(a.recv().unwrap(), QosResponse::Placed(_)));
-    assert_eq!(b.recv().unwrap(), QosResponse::Window(16, 24));
-    assert!(matches!(c.recv().unwrap(), QosResponse::Placed(_)));
+    assert!(matches!(a.recv().unwrap(), Reply::Placed(_)));
+    assert_eq!(b.recv().unwrap(), Reply::WindowIs(Window::new(16, 24)));
+    assert!(matches!(c.recv().unwrap(), Reply::Placed(_)));
     assert_eq!(
         io.read(|d| d.syncs) - syncs_before,
         2,
@@ -260,24 +272,24 @@ fn a_failed_commit_refuses_the_batch_answers_its_reads_and_sticks() {
     let server = serve(&io, &telemetry);
     let mut client = connect(&server);
     assert!(matches!(
-        client.place(1, 1, 0, 8).unwrap(),
-        QosResponse::Placed(_)
+        client.call(cmd("place 1 1 0 8")).unwrap(),
+        Reply::Placed(_)
     ));
 
     io.set(|d| d.fail_next_sync = true);
-    client.send_raw("place 1 2 16 24").unwrap();
-    client.send_raw("place 1 3 32 40").unwrap();
-    client.send_raw("window 1 1").unwrap();
+    for line in ["place 1 2 16 24", "place 1 3 32 40", "window 1 1"] {
+        client.send(&[cmd(line)]).unwrap();
+    }
     for _ in 0..2 {
         match client.recv().unwrap() {
-            QosResponse::Refused(detail) => {
+            Reply::Err(detail) => {
                 assert!(detail.starts_with("durability: "), "got: {detail}");
                 assert!(detail.contains("gate: fsync failed"), "got: {detail}");
             }
             other => panic!("an undurable mutation must be refused: {other:?}"),
         }
     }
-    assert_eq!(client.recv().unwrap(), QosResponse::Window(0, 8));
+    assert_eq!(client.recv().unwrap(), Reply::WindowIs(Window::new(0, 8)));
 
     // The failure reached the engine (the handler re-locked it once to
     // record it) and sticks: later mutations are refused, with no
@@ -289,14 +301,17 @@ fn a_failed_commit_refuses_the_batch_answers_its_reads_and_sticks() {
         .durability_error()
         .is_some_and(|e| e.contains("gate: fsync failed")));
     let syncs = io.read(|d| d.syncs);
-    match client.place(1, 4, 48, 56).unwrap() {
-        QosResponse::Refused(detail) => {
+    match client.call(cmd("place 1 4 48 56")).unwrap() {
+        Reply::Err(detail) => {
             assert!(detail.starts_with("durability: "), "got: {detail}")
         }
         other => panic!("mutations after a failed commit must be refused: {other:?}"),
     }
     assert_eq!(io.read(|d| d.syncs), syncs);
-    assert_eq!(client.window(1, 1).unwrap(), QosResponse::Window(0, 8));
+    assert_eq!(
+        client.call(cmd("window 1 1")).unwrap(),
+        Reply::WindowIs(Window::new(0, 8))
+    );
     assert_eq!(
         telemetry.counter_value("store_commits_covered_total"),
         Some(0)
@@ -309,8 +324,8 @@ fn max_batch() -> u64 {
 }
 
 /// Tenant 1's job `id` as the engine names it in a reply.
-fn global(id: u64) -> u64 {
-    Engine::global_id_of(TenantId(1), JobId(id)).unwrap().0
+fn global(id: u64) -> JobId {
+    Engine::global_id_of(TenantId(1), JobId(id)).unwrap()
 }
 
 /// Sends `commands` as one window with the gate closed and waits until
@@ -319,11 +334,11 @@ fn global(id: u64) -> u64 {
 fn send_behind_a_parked_fsync(
     io: &GateIo,
     client: &mut QosClient,
-    commands: &[String],
+    commands: &[Command],
 ) -> (u64, u64) {
     let (appends, syncs) = io.read(|d| (d.appends, d.syncs));
     io.set(|d| d.closed = true);
-    client.send_window(commands).unwrap();
+    client.send(commands).unwrap();
     io.wait_until("the first batch's fsync parks", |d| d.parked == 1);
     io.read(|d| (d.appends - appends, d.syncs - syncs))
 }
@@ -337,10 +352,10 @@ fn a_full_batch_stages_the_next_before_it_waits() {
     let syncs = io.read(|d| d.syncs);
 
     // Two full batches in one write: job k/2 placed, then removed.
-    let commands: Vec<String> = (0..2 * max_batch())
+    let commands: Vec<Command> = (0..2 * max_batch())
         .map(|k| match k % 2 {
-            0 => format!("place 1 {} 0 8", k / 2),
-            _ => format!("remove 1 {}", k / 2),
+            0 => cmd(&format!("place 1 {} 0 8", k / 2)),
+            _ => cmd(&format!("remove 1 {}", k / 2)),
         })
         .collect();
     assert_eq!(
@@ -353,8 +368,8 @@ fn a_full_batch_stages_the_next_before_it_waits() {
     io.set(|d| d.closed = false);
     for k in 0..2 * max_batch() {
         let want = match k % 2 {
-            0 => QosResponse::Placed(global(k / 2)),
-            _ => QosResponse::Removed(global(k / 2)),
+            0 => Reply::Placed(global(k / 2)),
+            _ => Reply::Removed(global(k / 2)),
         };
         assert_eq!(client.recv().unwrap(), want, "reply {k}");
     }
@@ -379,16 +394,16 @@ fn a_failed_commit_refuses_both_staged_batches_and_answers_their_reads() {
     let server = serve(&io, &telemetry);
     let mut client = connect(&server);
     assert!(matches!(
-        client.place(1, 1, 0, 8).unwrap(),
-        QosResponse::Placed(_)
+        client.call(cmd("place 1 1 0 8")).unwrap(),
+        Reply::Placed(_)
     ));
     let syncs = io.read(|d| d.syncs);
 
     // Each batch opens with a read of job 1; the rest place new jobs.
-    let commands: Vec<String> = (0..2 * max_batch())
+    let commands: Vec<Command> = (0..2 * max_batch())
         .map(|k| match k % max_batch() {
-            0 => "window 1 1".to_string(),
-            _ => format!("place 1 {} {} {}", 100 + k, 8 * k, 8 * k + 8),
+            0 => cmd("window 1 1"),
+            _ => cmd(&format!("place 1 {} {} {}", 100 + k, 8 * k, 8 * k + 8)),
         })
         .collect();
     assert_eq!(
@@ -401,8 +416,8 @@ fn a_failed_commit_refuses_both_staged_batches_and_answers_their_reads() {
     });
     for k in 0..2 * max_batch() {
         match client.recv().unwrap() {
-            QosResponse::Window(0, 8) if k % max_batch() == 0 => {}
-            QosResponse::Refused(detail) if k % max_batch() != 0 => {
+            Reply::WindowIs(w) if k % max_batch() == 0 && w == Window::new(0, 8) => {}
+            Reply::Err(detail) if k % max_batch() != 0 => {
                 assert!(detail.starts_with("durability: "), "reply {k}: {detail}");
                 assert!(detail.contains("gate: fsync failed"), "reply {k}: {detail}");
             }
@@ -428,9 +443,9 @@ fn a_read_in_the_second_batch_of_a_job_the_first_placed_waits_for_its_commit() {
 
     // The first batch places jobs; the second only reads them back.
     let jobs = max_batch();
-    let commands: Vec<String> = (0..jobs)
-        .map(|j| format!("place 1 {j} {} {}", 8 * j, 8 * j + 8))
-        .chain((0..jobs).map(|j| format!("window 1 {j}")))
+    let commands: Vec<Command> = (0..jobs)
+        .map(|j| cmd(&format!("place 1 {j} {} {}", 8 * j, 8 * j + 8)))
+        .chain((0..jobs).map(|j| cmd(&format!("window 1 {j}"))))
         .collect();
     assert_eq!(
         send_behind_a_parked_fsync(&io, &mut client, &commands),
@@ -441,12 +456,12 @@ fn a_read_in_the_second_batch_of_a_job_the_first_placed_waits_for_its_commit() {
 
     io.set(|d| d.closed = false);
     for j in 0..jobs {
-        assert_eq!(client.recv().unwrap(), QosResponse::Placed(global(j)));
+        assert_eq!(client.recv().unwrap(), Reply::Placed(global(j)));
     }
     for j in 0..jobs {
         assert_eq!(
             client.recv().unwrap(),
-            QosResponse::Window(8 * j, 8 * j + 8)
+            Reply::WindowIs(Window::new(8 * j, 8 * j + 8))
         );
     }
     assert_eq!(io.read(|d| d.syncs) - syncs, 1);
@@ -482,19 +497,19 @@ fn two_pipelining_connections_share_their_fsyncs() {
                 // A closed loop: the next window goes out when the last
                 // one is answered. Each is one write, so one batch.
                 for window in 0..WINDOWS {
-                    let commands: Vec<String> = (0..DEPTH / 2)
+                    let commands: Vec<Command> = (0..DEPTH / 2)
                         .flat_map(|k| {
                             let id = window * DEPTH + k;
                             [
-                                format!("place {tenant} {id} {} {}", 8 * k, 8 * k + 8),
-                                format!("remove {tenant} {id}"),
+                                cmd(&format!("place {tenant} {id} {} {}", 8 * k, 8 * k + 8)),
+                                cmd(&format!("remove {tenant} {id}")),
                             ]
                         })
                         .collect();
-                    client.send_window(&commands).unwrap();
+                    client.send(&commands).unwrap();
                     for _ in 0..DEPTH / 2 {
-                        assert!(matches!(client.recv().unwrap(), QosResponse::Placed(_)));
-                        assert!(matches!(client.recv().unwrap(), QosResponse::Removed(_)));
+                        assert!(matches!(client.recv().unwrap(), Reply::Placed(_)));
+                        assert!(matches!(client.recv().unwrap(), Reply::Removed(_)));
                     }
                 }
             });
@@ -538,7 +553,7 @@ fn timer_driven_connections_do_not_pay_for_the_gather() {
             } else {
                 "remove 9 1"
             };
-            assert!(lone.call(command).unwrap().admitted());
+            assert!(admitted(&lone.call(cmd(command)).unwrap()));
             sent.elapsed()
         })
         .collect();
@@ -562,7 +577,7 @@ fn timer_driven_connections_do_not_pay_for_the_gather() {
                         } else {
                             format!("remove {tenant} 1")
                         };
-                        assert!(client.call(&command).unwrap().admitted());
+                        assert!(admitted(&client.call(cmd(&command)).unwrap()));
                         latencies.push(due.elapsed());
                     }
                     latencies

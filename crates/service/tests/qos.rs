@@ -1,7 +1,7 @@
 //! End-to-end serving-tier proofs over real TCP:
 //!
 //! * protocol round trips (place/remove/window/metrics) through the
-//!   workloads client;
+//!   service's own client;
 //! * typed shedding — `overloaded <retry_after_ms>` on both the
 //!   admission cap and a tenant's rate limit, with the connection
 //!   surviving every shed;
@@ -12,13 +12,18 @@
 //!   `ObsServer` during the run;
 //! * silent clients reaped by the handler read timeout;
 //! * every admitted mutation of a pipelined window answered with its
-//!   outcome, under both flush modes.
+//!   outcome, under both flush modes;
+//! * README "Serving & QoS" names every `service_*` instrument a
+//!   served, traced run registers.
 
+use realloc_core::net::FrameConn;
+use realloc_core::{JobId, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode, TenantId};
-use realloc_service::{QosConfig, RateLimit, ServiceConfig, ServiceServer};
+use realloc_service::{
+    drive_feed, Command, QosClient, QosConfig, RateLimit, Reply, ServiceConfig, ServiceServer,
+};
 use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::{fetch_metrics, parse_sample, ObsServer, Telemetry};
-use realloc_workloads::driver::{drive_feed, QosClient, QosResponse};
 use realloc_workloads::scenarios::{hotspot, HOTSPOT_WHALE};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,6 +43,11 @@ fn bind(config: ServiceConfig, telemetry: &Telemetry) -> ServiceServer {
     ServiceServer::bind("127.0.0.1:0", engine(4), config, telemetry).expect("bind service")
 }
 
+/// The command a well-formed line parses to.
+fn cmd(line: &str) -> Command {
+    Command::parse(line).expect("a well-formed command")
+}
+
 #[test]
 fn protocol_round_trips_through_the_client() {
     let t = Telemetry::new();
@@ -45,18 +55,21 @@ fn protocol_round_trips_through_the_client() {
     let mut client = QosClient::connect(server.addr()).unwrap();
 
     // Place: the reply carries the tenant-namespaced global id.
-    let global = match client.place(3, 7, 10, 14).unwrap() {
-        QosResponse::Placed(g) => g,
+    let global = match client.call(cmd("place 3 7 10 14")).unwrap() {
+        Reply::Placed(g) => g,
         other => panic!("place must be admitted: {other:?}"),
     };
-    assert_eq!(global >> 48, 3, "global id carries the tenant");
+    assert_eq!(global.0 >> 48, 3, "global id carries the tenant");
 
-    assert_eq!(client.window(3, 7).unwrap(), QosResponse::Window(10, 14));
+    assert_eq!(
+        client.call(cmd("window 3 7")).unwrap(),
+        Reply::WindowIs(Window::new(10, 14))
+    );
     // Another tenant cannot see it: ids are tenant-scoped.
-    assert_eq!(client.window(4, 7).unwrap(), QosResponse::WindowNone);
+    assert_eq!(client.call(cmd("window 4 7")).unwrap(), Reply::WindowNone);
 
-    match client.metrics().unwrap() {
-        QosResponse::Metrics {
+    match client.call(Command::Metrics).unwrap() {
+        Reply::MetricsIs {
             requests, active, ..
         } => {
             assert_eq!(requests, 1);
@@ -65,36 +78,48 @@ fn protocol_round_trips_through_the_client() {
         other => panic!("metrics must answer: {other:?}"),
     }
 
-    assert_eq!(client.remove(3, 7).unwrap(), QosResponse::Removed(global));
-    assert_eq!(client.window(3, 7).unwrap(), QosResponse::WindowNone);
+    assert_eq!(
+        client.call(cmd("remove 3 7")).unwrap(),
+        Reply::Removed(global)
+    );
+    assert_eq!(client.call(cmd("window 3 7")).unwrap(), Reply::WindowNone);
 
     // Engine rejections come back as typed refusals, not hangs: a
     // delete of a job that never existed.
-    match client.remove(3, 99).unwrap() {
-        QosResponse::Refused(detail) => {
+    match client.call(cmd("remove 3 99")).unwrap() {
+        Reply::Err(detail) => {
             assert!(detail.contains("unknown"), "got: {detail}")
         }
         other => panic!("bad delete must be refused: {other:?}"),
     }
     // Tenant 0 is reserved.
-    match client.place(0, 1, 0, 4).unwrap() {
-        QosResponse::Refused(detail) => {
+    match client.call(cmd("place 0 1 0 4")).unwrap() {
+        Reply::Err(detail) => {
             assert!(detail.to_lowercase().contains("reserved"), "got: {detail}")
         }
         other => panic!("tenant 0 must be refused: {other:?}"),
     }
-    // Garbage is an err reply on a healthy connection.
-    match client.call("frobnicate 1 2 3").unwrap() {
-        QosResponse::Refused(detail) => {
+    // The connection survived every refusal.
+    assert!(matches!(
+        client.call(Command::Metrics).unwrap(),
+        Reply::MetricsIs { .. }
+    ));
+
+    // Garbage — which the client cannot send — is an err reply on a
+    // healthy connection.
+    let mut raw = FrameConn::connect(server.addr()).unwrap();
+    let mut ask = |line: &str| {
+        raw.write(line.as_bytes()).unwrap();
+        raw.flush().unwrap();
+        Reply::parse(&raw.read_reply(1 << 16).unwrap()).unwrap()
+    };
+    match ask("frobnicate 1 2 3") {
+        (Reply::Err(detail), None) => {
             assert!(detail.contains("unknown command"), "got: {detail}")
         }
         other => panic!("garbage must be refused: {other:?}"),
     }
-    // The connection survived every refusal.
-    assert!(matches!(
-        client.metrics().unwrap(),
-        QosResponse::Metrics { .. }
-    ));
+    assert!(matches!(ask("metrics"), (Reply::MetricsIs { .. }, None)));
 }
 
 #[test]
@@ -114,17 +139,17 @@ fn the_admission_cap_sheds_typed_and_the_connection_survives() {
     let mut client = QosClient::connect(server.addr()).unwrap();
 
     for id in 0..10 {
-        match client.place(1, id, 0, 4).unwrap() {
-            QosResponse::Overloaded { retry_after_ms } => {
+        match client.call(cmd(&format!("place 1 {id} 0 4"))).unwrap() {
+            Reply::Overloaded(retry_after_ms) => {
                 assert_eq!(retry_after_ms, 250, "the configured hint is surfaced")
             }
             other => panic!("a full server must shed typed: {other:?}"),
         }
     }
     // Reads are never shed — the connection is alive and serving.
-    assert_eq!(client.window(1, 0).unwrap(), QosResponse::WindowNone);
-    match client.metrics().unwrap() {
-        QosResponse::Metrics { requests, .. } => {
+    assert_eq!(client.call(cmd("window 1 0")).unwrap(), Reply::WindowNone);
+    match client.call(Command::Metrics).unwrap() {
+        Reply::MetricsIs { requests, .. } => {
             assert_eq!(requests, 0, "nothing reached the engine")
         }
         other => panic!("metrics must answer: {other:?}"),
@@ -170,16 +195,22 @@ fn per_tenant_rate_limits_hold_within_ten_percent() {
         // Disjoint windows per id so engine capacity never interferes
         // with the QoS measurement.
         let (start, end) = (id * 4, id * 4 + 4);
-        match client.place(1, id, start, end).unwrap() {
-            QosResponse::Placed(_) => admitted += 1,
-            QosResponse::Overloaded { retry_after_ms } => {
+        match client
+            .call(cmd(&format!("place 1 {id} {start} {end}")))
+            .unwrap()
+        {
+            Reply::Placed(_) => admitted += 1,
+            Reply::Overloaded(retry_after_ms) => {
                 shed += 1;
                 assert!(retry_after_ms >= 1, "rate sheds carry a real hint");
             }
             other => panic!("unexpected: {other:?}"),
         }
-        match client.place(2, id, start, end).unwrap() {
-            QosResponse::Placed(_) => {}
+        match client
+            .call(cmd(&format!("place 2 {id} {start} {end}")))
+            .unwrap()
+        {
+            Reply::Placed(_) => {}
             other => panic!("unmetered tenant must always admit: {other:?}"),
         }
     }
@@ -224,7 +255,8 @@ fn hotspot_load_survives_an_online_rebalance_with_quantiles_scrapeable() {
     // 3 dwarf tenants + the whale, driven from a client thread.
     let driver = std::thread::spawn(move || {
         let mut feed = hotspot(3, 42);
-        drive_feed(addr, &mut feed, 6, 40, 16).expect("drive")
+        let batches = std::iter::from_fn(|| feed.next_batch(6)).take(40);
+        drive_feed(addr, batches, 16).expect("drive")
     });
 
     // Rebalance while the traffic flows: the whale (well over half the
@@ -315,8 +347,8 @@ fn a_silent_service_client_is_reaped_by_the_read_timeout() {
     // The server is unharmed.
     let mut client = QosClient::connect(server.addr()).unwrap();
     assert!(matches!(
-        client.place(1, 1, 0, 4).unwrap(),
-        QosResponse::Placed(_)
+        client.call(cmd("place 1 1 0 4")).unwrap(),
+        Reply::Placed(_)
     ));
 }
 
@@ -329,22 +361,22 @@ fn pipelined_commands_answer_in_order() {
     // A pipelined burst: 20 places, then the matching windows.
     for id in 0..20u64 {
         client
-            .send_raw(&format!("place 5 {id} {} {}", id, id + 4))
+            .send(&[cmd(&format!("place 5 {id} {} {}", id, id + 4))])
             .unwrap();
     }
     for id in 0..20u64 {
         match client.recv().unwrap() {
-            QosResponse::Placed(g) => assert_eq!(g & 0xffff_ffff, id, "in order"),
+            Reply::Placed(g) => assert_eq!(g.0 & 0xffff_ffff, id, "in order"),
             other => panic!("pipelined place {id}: {other:?}"),
         }
     }
     for id in 0..20u64 {
-        client.send_raw(&format!("window 5 {id}")).unwrap();
+        client.send(&[cmd(&format!("window 5 {id}"))]).unwrap();
     }
     for id in 0..20u64 {
         assert_eq!(
             client.recv().unwrap(),
-            QosResponse::Window(id, id + 4),
+            Reply::WindowIs(Window::new(id, id + 4)),
             "window {id} in order"
         );
     }
@@ -381,25 +413,35 @@ fn every_admitted_mutation_of_a_window_is_answered_with_its_outcome() {
 
         // Places, a duplicate of each third one, removes of every other
         // one, and removes of jobs that never existed.
-        let mut window: Vec<String> = Vec::new();
+        let tenant = TenantId(6);
+        let place = |id| Command::Place {
+            tenant,
+            id: JobId(id),
+            window: Window::new(id * 8, id * 8 + 8),
+        };
+        let remove = |id| Command::Remove {
+            tenant,
+            id: JobId(id),
+        };
+        let mut window: Vec<Command> = Vec::new();
         for id in 0..24u64 {
-            window.push(format!("place 6 {id} {} {}", id * 8, id * 8 + 8));
+            window.push(place(id));
             if id % 3 == 0 {
-                window.push(format!("place 6 {id} {} {}", id * 8, id * 8 + 8));
+                window.push(place(id));
             }
             if id % 2 == 0 {
-                window.push(format!("remove 6 {id}"));
+                window.push(remove(id));
             }
-            window.push(format!("remove 6 {}", 1000 + id));
+            window.push(remove(1000 + id));
         }
-        client.send_window(&window).unwrap();
+        client.send(&window).unwrap();
         let (mut placed, mut removed, mut refused) = (0, 0, 0);
         for command in &window {
             match client.recv().unwrap() {
-                QosResponse::Placed(_) => placed += 1,
-                QosResponse::Removed(_) => removed += 1,
-                QosResponse::Refused(_) => refused += 1,
-                other => panic!("{flush:?}: '{command}' answered {other:?}"),
+                Reply::Placed(_) => placed += 1,
+                Reply::Removed(_) => removed += 1,
+                Reply::Err(_) => refused += 1,
+                other => panic!("{flush:?}: '{}' answered {other:?}", command.to_text()),
             }
         }
         assert_eq!((placed, removed, refused), (24, 12, 8 + 24), "{flush:?}");
@@ -409,4 +451,54 @@ fn every_admitted_mutation_of_a_window_is_answered_with_its_outcome() {
         assert_eq!(engine.queued(), 0, "{flush:?}: nothing left unserviced");
         assert_eq!(engine.active_count(), 12, "{flush:?}");
     }
+}
+
+/// The docs-drift gate for README "Serving & QoS": its instrument table
+/// names exactly the `service_*` instruments a served, traced run
+/// registers — label sets stripped, none missing, none extra.
+#[test]
+fn readme_lists_every_service_instrument() {
+    let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+    let mut documented: Vec<&str> = readme
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `service_"))
+        .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
+        .collect();
+    documented.sort_unstable();
+
+    let t = Telemetry::new();
+    let server = bind(
+        ServiceConfig {
+            trace_sample_every: 1,
+            ..ServiceConfig::default()
+        },
+        &t,
+    );
+    let mut client = QosClient::connect(server.addr()).unwrap();
+    client.send(&[cmd("place 1 1 0 4")]).unwrap();
+    assert!(matches!(
+        client.recv_traced().unwrap(),
+        (Reply::Placed(_), Some(_))
+    ));
+    assert!(matches!(
+        client.call(cmd("remove 1 99")).unwrap(),
+        Reply::Err(_)
+    ));
+    let (counters, gauges, hists) = t.registry_contents();
+    let mut registered: Vec<String> = counters
+        .into_iter()
+        .chain(gauges)
+        .map(|(name, _)| name)
+        .chain(hists.into_iter().map(|(name, _)| name))
+        .filter_map(|name| {
+            let bare = name.split('{').next().expect("a name");
+            bare.strip_prefix("service_").map(str::to_string)
+        })
+        .collect();
+    registered.sort_unstable();
+    registered.dedup();
+    assert_eq!(
+        documented, registered,
+        "README table vs registry (service_ prefix and label sets dropped)"
+    );
 }

@@ -30,9 +30,7 @@
 
 use crate::Telemetry;
 use realloc_core::net::{AcceptLoop, FrameConn};
-use realloc_core::textio::{read_frame, write_frame};
-use std::io::{BufReader, BufWriter, Write as _};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,19 +159,14 @@ fn dispatch(command: &str, telemetry: &Telemetry, health: &Option<HealthCheck>) 
 /// A persistent poller connection to one [`ObsServer`].
 #[derive(Debug)]
 pub struct ObsClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    conn: FrameConn,
 }
 
 impl ObsClient {
     /// Connects to an [`ObsServer`].
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<ObsClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        let write_half = stream.try_clone()?;
         Ok(ObsClient {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
+            conn: FrameConn::connect(addr)?,
         })
     }
 
@@ -182,25 +175,14 @@ impl ObsClient {
     /// answers) hangs the poller forever; with it, the fetch surfaces a
     /// timeout [`std::io::Error`] the caller can treat as "unreachable".
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+        self.conn.set_read_timeout(timeout)
     }
 
     /// Sends one command and returns the response text.
     pub fn fetch(&mut self, command: &str) -> std::io::Result<String> {
-        write_frame(&mut self.writer, command.as_bytes())?;
-        self.writer.flush()?;
-        let Some(payload) = read_frame(&mut self.reader, MAX_RESPONSE_BYTES)? else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed before responding",
-            ));
-        };
-        String::from_utf8(payload).map_err(|e| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("response is not UTF-8: {e}"),
-            )
-        })
+        self.conn.write(command.as_bytes())?;
+        self.conn.flush()?;
+        self.conn.read_reply(MAX_RESPONSE_BYTES)
     }
 
     /// The registry in Prometheus text format.
@@ -244,6 +226,7 @@ pub fn fetch_trace(addr: impl ToSocketAddrs) -> std::io::Result<String> {
 mod tests {
     use super::*;
     use crate::{parse_sample, Clock, Severity};
+    use std::net::TcpStream;
 
     #[test]
     fn serves_metrics_and_trace_over_tcp() {

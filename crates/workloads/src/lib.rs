@@ -13,22 +13,17 @@
 //! * [`scenarios`] — themed presets: the doctor's office from the paper's
 //!   introduction, and a cloud batch cluster;
 //! * [`feed`] — scenario → engine-request adapters: flush-sized batches
-//!   and multi-tenant interleaving for `realloc-engine` ingestion;
-//! * [`driver`] — a TCP client for the serving tier: speaks the
-//!   `realloc-service` text protocol over the workspace framing, so
-//!   feeds can be driven against a live server.
+//!   and multi-tenant interleaving for `realloc-engine` ingestion.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;
 pub mod churn;
-pub mod driver;
 pub mod feed;
 pub mod scenarios;
 
 pub use adversary::{lemma12_toggle, obs13_slide, Lemma11Adversary, SizedRequest};
 pub use churn::{ChurnConfig, ChurnGenerator};
-pub use driver::{drive_feed, DriveStats, QosClient, QosResponse};
 pub use feed::TenantFeed;
 pub use scenarios::{hotspot, HOTSPOT_WHALE};

@@ -25,11 +25,11 @@ use realloc_sched::cluster::tcp::{PrimaryLink, ReplicaServer};
 use realloc_sched::cluster::transport::FrameSink as _;
 use realloc_sched::cluster::Frame;
 use realloc_sched::engine::FlushMode;
-use realloc_sched::service::QosConfig;
-use realloc_sched::workloads::driver::{QosClient, QosResponse};
+use realloc_sched::service::{Command, QosClient, QosConfig, Reply};
 use realloc_sched::{
-    BackendKind, Collector, CollectorConfig, Engine, EngineConfig, FleetSnapshot, JournalRelay,
-    NodeRole, NodeSpec, ObsServer, Replica, ServiceConfig, ServiceServer, Telemetry,
+    BackendKind, Collector, CollectorConfig, Engine, EngineConfig, FleetSnapshot, JobId,
+    JournalRelay, NodeRole, NodeSpec, ObsServer, Replica, ServiceConfig, ServiceServer, Telemetry,
+    TenantId, Window,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,10 +41,15 @@ fn drive_traffic(client: &mut QosClient, next_job: &mut u64, n: u64) -> Vec<u64>
     for _ in 0..n {
         let id = *next_job;
         *next_job += 1;
-        client.send_raw(&format!("place 1 {id} 0 4096")).unwrap();
+        let place = Command::Place {
+            tenant: TenantId(1),
+            id: JobId(id),
+            window: Window::new(0, 4096),
+        };
+        client.send(&[place]).unwrap();
         let (response, trace) = client.recv_traced().unwrap();
         assert!(
-            matches!(response, QosResponse::Placed(_)),
+            matches!(response, Reply::Placed(_)),
             "placement rejected: {response:?}"
         );
         traces.extend(trace);

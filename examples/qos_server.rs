@@ -19,12 +19,13 @@
 //! ```
 
 use realloc_sched::engine::FlushMode;
-use realloc_sched::service::{QosConfig, RateLimit, ServiceConfig, ServiceServer};
-use realloc_sched::workloads::driver::QosClient;
-use realloc_sched::workloads::{drive_feed, hotspot, HOTSPOT_WHALE};
+use realloc_sched::service::{
+    drive_feed, Command, QosClient, QosConfig, RateLimit, Reply, ServiceConfig, ServiceServer,
+};
+use realloc_sched::workloads::{hotspot, HOTSPOT_WHALE};
 use realloc_sched::{
-    BackendKind, DurableStore, Engine, EngineConfig, FsIo, ObsClient, ObsServer, StoreIo,
-    Telemetry, TenantId,
+    BackendKind, DurableStore, Engine, EngineConfig, FsIo, JobId, ObsClient, ObsServer, StoreIo,
+    Telemetry, TenantId, Window,
 };
 use std::path::Path;
 use std::sync::{Arc, Barrier};
@@ -89,7 +90,8 @@ fn hotspot_phase() {
     let addr = server.addr();
     let driver = std::thread::spawn(move || {
         let mut feed = hotspot(3, 7);
-        drive_feed(addr, &mut feed, PER_TENANT, BATCHES, 16).expect("drive feed")
+        let batches = std::iter::from_fn(|| feed.next_batch(PER_TENANT)).take(BATCHES);
+        drive_feed(addr, batches, 16).expect("drive feed")
     });
 
     // While the traffic flows, poll per-tenant p99s over the obs
@@ -250,15 +252,31 @@ impl StoreCounts {
 /// Windows each client sends before the durable counts start.
 const WARM_UP: u64 = 10;
 
+/// Tenant `tenant` places job `id` in `[start, end)`, or removes it.
+fn place(tenant: u16, id: u64, start: u64, end: u64) -> Command {
+    Command::Place {
+        tenant: TenantId(tenant),
+        id: JobId(id),
+        window: Window::new(start, end),
+    }
+}
+
+fn remove(tenant: u16, id: u64) -> Command {
+    Command::Remove {
+        tenant: TenantId(tenant),
+        id: JobId(id),
+    }
+}
+
 /// A window of `depth` commands: pairs that place a job and remove it,
 /// fresh jobs in every window.
-fn spread_window(tenant: u64, window: u64, depth: u64) -> Vec<String> {
+fn spread_window(tenant: u16, window: u64, depth: u64) -> Vec<Command> {
     (0..depth)
         .map(|k| {
             let id = window * depth + k / 2;
             match k % 2 {
-                0 => format!("place {tenant} {id} {} {}", 8 * k, 8 * k + 16),
-                _ => format!("remove {tenant} {id}"),
+                0 => place(tenant, id, 8 * k, 8 * k + 16),
+                _ => remove(tenant, id),
             }
         })
         .collect()
@@ -267,11 +285,11 @@ fn spread_window(tenant: u64, window: u64, depth: u64) -> Vec<String> {
 /// A window of `depth` commands that place one job and remove it, over
 /// and over: frames so short that four full batches (7 936 bytes) fit
 /// the server's 8 KiB read buffer and arrive in one read.
-fn compact_window(tenant: u64, _window: u64, depth: u64) -> Vec<String> {
+fn compact_window(tenant: u16, _window: u64, depth: u64) -> Vec<Command> {
     (0..depth)
         .map(|k| match k % 2 {
-            0 => format!("place {tenant} 1 0 8"),
-            _ => format!("remove {tenant} 1"),
+            0 => place(tenant, 1, 0, 8),
+            _ => remove(tenant, 1),
         })
         .collect()
 }
@@ -282,10 +300,10 @@ fn compact_window(tenant: u64, _window: u64, depth: u64) -> Vec<String> {
 /// after every client's first [`WARM_UP`] windows.
 fn durable_phase(
     name: &str,
-    clients: u64,
+    clients: u16,
     depth: u64,
     windows: u64,
-    window_of: fn(u64, u64, u64) -> Vec<String>,
+    window_of: fn(u16, u64, u64) -> Vec<Command>,
 ) -> StoreCounts {
     let dir =
         std::env::temp_dir().join(format!("realloc-qos-server-{}-{name}", std::process::id()));
@@ -326,10 +344,13 @@ fn durable_phase(
                     }
                     // A window is one write: the server sees it whole.
                     let commands = window_of(tenant, window, depth);
-                    client.send_window(&commands).expect("send");
+                    client.send(&commands).expect("send");
                     for _ in 0..depth {
                         let reply = client.recv().expect("reply");
-                        assert!(reply.admitted(), "durable phase refused: {reply:?}");
+                        assert!(
+                            matches!(reply, Reply::Placed(_) | Reply::Removed(_)),
+                            "durable phase refused: {reply:?}"
+                        );
                     }
                 }
             });
@@ -356,7 +377,7 @@ fn durable_phase(
         "durable, {name}: {:.2} fsyncs per window, {:.2} per chunk ({} for {}), \
          store_sync_chunks p50 {}, {:.0} % of commits covered by another's fsync, \
          gathers: {} hit, {} timed out",
-        counts.fsyncs as f64 / (clients * (windows - WARM_UP)) as f64,
+        counts.fsyncs as f64 / (u64::from(clients) * (windows - WARM_UP)) as f64,
         counts.fsyncs as f64 / counts.chunks as f64,
         counts.fsyncs,
         counts.chunks,

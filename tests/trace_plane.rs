@@ -18,11 +18,10 @@
 use realloc_sched::cluster::tcp::{PrimaryLink, ReplicaServer};
 use realloc_sched::cluster::transport::FrameSink as _;
 use realloc_sched::engine::FlushMode;
-use realloc_sched::service::QosConfig;
-use realloc_sched::workloads::driver::{QosClient, QosResponse};
+use realloc_sched::service::{Command, QosClient, QosConfig, Reply};
 use realloc_sched::{
-    BackendKind, DurableStore, Engine, EngineConfig, JournalRelay, MemIo, ObsServer, Replica,
-    ServiceConfig, ServiceServer, StoreIo, Telemetry,
+    BackendKind, DurableStore, Engine, EngineConfig, JobId, JournalRelay, MemIo, ObsServer,
+    Replica, ServiceConfig, ServiceServer, StoreIo, Telemetry, TenantId, Window,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -98,10 +97,16 @@ fn one_trace_id_spans_service_flush_fsync_ship_and_replica_apply() {
     client
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    client.send_raw("place 1 7 0 256").unwrap();
+    client
+        .send(&[Command::Place {
+            tenant: TenantId(1),
+            id: JobId(7),
+            window: Window::new(0, 256),
+        }])
+        .unwrap();
     let (response, trace) = client.recv_traced().unwrap();
     assert!(
-        matches!(response, QosResponse::Placed(_)),
+        matches!(response, Reply::Placed(_)),
         "unexpected reply: {response:?}"
     );
     let tid = trace.expect("trace_sample_every=1 annotates every admitted reply");
