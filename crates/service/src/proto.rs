@@ -330,28 +330,9 @@ mod tests {
         );
     }
 
-    /// The grammar read both ways: every command and every reply shape
-    /// comes back from its own text, traced replies with their id, and
-    /// nothing the server never writes parses.
-    #[test]
-    fn the_grammar_round_trips() {
-        let (tenant, id) = (TenantId(3), JobId(7));
-        for command in [
-            Command::Place {
-                tenant,
-                id,
-                window: Window::new(10, 14),
-            },
-            Command::Remove { tenant, id },
-            Command::Window { tenant, id },
-            Command::Metrics,
-        ] {
-            assert_eq!(Command::parse(&command.to_text()), Ok(command));
-        }
-
-        // Every shape, written and read back: `to_text` is the wire
-        // text, and `parse` inverts it.
-        for (reply, text) in [
+    /// Every reply shape beside its wire text.
+    fn every_reply() -> Vec<(Reply, &'static str)> {
+        vec![
             (Reply::Placed(JobId(9)), "ok placed 9"),
             (Reply::Removed(JobId(9)), "ok removed 9"),
             (Reply::WindowIs(Window::new(10, 14)), "ok window 10 14"),
@@ -374,8 +355,37 @@ mod tests {
             (Reply::overloaded(Duration::from_micros(10)), "overloaded 1"),
             (Reply::Err("duplicate".into()), "err duplicate"),
             (Reply::Err("lost trace 5".into()), "err lost trace 5"),
+        ]
+    }
+
+    #[test]
+    fn replies_format() {
+        for (reply, text) in every_reply() {
+            assert_eq!(reply.to_text(), text, "{reply:?}");
+        }
+    }
+
+    /// The grammar read both ways: every command and every reply shape
+    /// comes back from its own text, traced replies with their id, and
+    /// nothing the server never writes parses.
+    #[test]
+    fn the_grammar_round_trips() {
+        let (tenant, id) = (TenantId(3), JobId(7));
+        for command in [
+            Command::Place {
+                tenant,
+                id,
+                window: Window::new(10, 14),
+            },
+            Command::Remove { tenant, id },
+            Command::Window { tenant, id },
+            Command::Metrics,
         ] {
-            assert_eq!(reply.to_text(), text);
+            assert_eq!(Command::parse(&command.to_text()), Ok(command));
+        }
+
+        // Every reply shape comes back from its wire text.
+        for (reply, text) in every_reply() {
             assert_eq!(Reply::parse(text), Ok((reply, None)));
         }
 
