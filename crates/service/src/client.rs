@@ -156,11 +156,13 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = QosClient::connect(listener.local_addr().unwrap()).unwrap();
         let (mut server, _) = listener.accept().unwrap();
-        write_frame(&mut server, b"ok placed banana").unwrap();
-        write_frame(&mut server, b"ok placed 7 trace 99").unwrap();
+        let mut traced = String::new();
+        Reply::Placed(realloc_core::JobId(7)).write_traced(Some(99), &mut traced);
+        write_frame(&mut server, b"???").unwrap();
+        write_frame(&mut server, traced.as_bytes()).unwrap();
         let err = client.recv().expect_err("no reply has this shape");
         assert_eq!(err.kind(), ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), "malformed reply 'ok placed banana'");
+        assert_eq!(err.to_string(), "malformed reply '???'");
         // The stream stays in step: the next frame is the next reply.
         assert_eq!(
             client.recv_traced().unwrap(),

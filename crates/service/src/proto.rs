@@ -107,15 +107,8 @@ impl Command {
         }
     }
 
-    /// The wire text for this command, which [`Command::parse`] reads
-    /// back.
-    pub fn to_text(&self) -> String {
-        let mut text = String::new();
-        self.write_text(&mut text);
-        text
-    }
-
-    /// Appends the wire text for this command to `out`.
+    /// Appends the wire text for this command to `out`, which
+    /// [`Command::parse`] reads back.
     pub fn write_text(&self, out: &mut String) {
         let written = match self {
             Command::Place { tenant, id, window } => write!(
@@ -381,7 +374,9 @@ mod tests {
             Command::Window { tenant, id },
             Command::Metrics,
         ] {
-            assert_eq!(Command::parse(&command.to_text()), Ok(command));
+            let mut text = String::new();
+            command.write_text(&mut text);
+            assert_eq!(Command::parse(&text), Ok(command));
         }
 
         // Every reply shape comes back from its wire text.

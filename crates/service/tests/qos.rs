@@ -441,7 +441,7 @@ fn every_admitted_mutation_of_a_window_is_answered_with_its_outcome() {
                 Reply::Placed(_) => placed += 1,
                 Reply::Removed(_) => removed += 1,
                 Reply::Err(_) => refused += 1,
-                other => panic!("{flush:?}: '{}' answered {other:?}", command.to_text()),
+                other => panic!("{flush:?}: {command:?} answered {other:?}"),
             }
         }
         assert_eq!((placed, removed, refused), (24, 12, 8 + 24), "{flush:?}");
