@@ -22,7 +22,9 @@ fn churn(
     spans: &[u64],
 ) -> usize {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut active: HashMap<JobId, Window> = HashMap::new();
+    // Ordered, so that the job `nth` picks — and the run — depends on
+    // the seed alone, not on the hash order of the process.
+    let mut active: BTreeMap<JobId, Window> = BTreeMap::new();
     let mut next_id = 0u64;
     let mut peak = 0usize;
 
