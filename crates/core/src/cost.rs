@@ -383,6 +383,27 @@ mod tests {
     }
 
     #[test]
+    fn netting_joins_a_split_migration() {
+        // A §3 migration is recorded as a delete half and an insert half.
+        // Each half alone moves nothing already scheduled, so the raw
+        // counts miss the migration; netting joins the halves.
+        let mut o = RequestOutcome::empty();
+        o.push(Move {
+            job: JobId(4),
+            from: Some(p(0, 3)),
+            to: None,
+        });
+        o.push(Move {
+            job: JobId(4),
+            from: None,
+            to: Some(p(1, 5)),
+        });
+        assert_eq!((o.reallocation_cost(), o.migration_cost()), (0, 0));
+        assert_eq!(o.netted_costs(), (1, 1));
+        assert_eq!(o.netted().moves.len(), 1);
+    }
+
+    #[test]
     fn meter_accumulates() {
         let mut meter = CostMeter::new();
         let mut o = RequestOutcome::empty();

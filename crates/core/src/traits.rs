@@ -43,6 +43,42 @@ pub trait SingleMachineReallocator {
     fn name(&self) -> &'static str {
         "single-machine"
     }
+
+    /// [`Self::insert`] for an owner that keeps its own id-keyed record
+    /// of every job it placed here, and so vouches that `id` is not
+    /// active on this machine. Besides the moves it returns the
+    /// backend's *handle* for the job, if the backend has handles: the
+    /// owner passes it back to [`Self::delete_tracked`] and
+    /// [`Self::slot_tracked`], which then find the job without an id
+    /// lookup. A handle stays valid while the job is active here.
+    fn insert_tracked(
+        &mut self,
+        id: JobId,
+        window: Window,
+    ) -> Result<(Vec<SlotMove>, Option<u32>), Error> {
+        self.insert(id, window).map(|moves| (moves, None))
+    }
+
+    /// [`Self::delete`] of a job placed by [`Self::insert_tracked`],
+    /// which returned `handle`.
+    fn delete_tracked(&mut self, id: JobId, handle: Option<u32>) -> Result<Vec<SlotMove>, Error> {
+        let _ = handle;
+        self.delete(id)
+    }
+
+    /// [`Self::slot_of`] of a job placed by [`Self::insert_tracked`],
+    /// which returned `handle`.
+    fn slot_tracked(&self, id: JobId, handle: Option<u32>) -> Option<Slot> {
+        let _ = handle;
+        self.slot_of(id)
+    }
+
+    /// The handle [`Self::insert_tracked`] would have returned for the
+    /// active job `id` (an owner restored from a snapshot asks once).
+    fn handle_of(&self, id: JobId) -> Option<u32> {
+        let _ = id;
+        None
+    }
 }
 
 /// A full reallocating scheduler: `m` machines, arbitrary windows.

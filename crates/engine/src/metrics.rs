@@ -375,7 +375,7 @@ pub struct ShardMetrics {
     pub reallocations: u64,
     /// Total cross-machine migrations since construction.
     pub migrations: u64,
-    /// Distribution of per-request reallocation cost.
+    /// Distribution of per-request reallocation cost since construction.
     pub cost: CostPercentiles,
 }
 
@@ -398,7 +398,10 @@ pub struct Metrics {
     /// Total migrations, lifetime.
     pub migrations: u64,
     /// Engine-wide per-request cost distribution (merged shard
-    /// histograms plus carryover, not an average of averages).
+    /// histograms plus carryover, not an average of averages), over the
+    /// engine's whole lifetime: a bulk load counts too, so `cost.max` is
+    /// the costliest request ever served — on a freshly filled engine
+    /// usually an `n*` crossing rebuild during the fill, not steady state.
     pub cost: CostPercentiles,
 }
 

@@ -4,8 +4,8 @@
 //!
 //! This wrapper is the one owner of a job's **original window** and its
 //! **machine**: `jobs` holds exactly one record per active job
-//! (`original`, the aligned `effective` window derived from it, and the
-//! machine §3 delegated it to), and [`Reallocator::window_of`] /
+//! (`original`, from which the aligned `effective` window is derived, and
+//! the machine §3 delegated it to), and [`Reallocator::window_of`] /
 //! [`Reallocator::active_jobs`] answer from it — the engine shard above
 //! keeps no copy. The slot is the per-machine backend's fact
 //! ([`SingleMachineReallocator::slot_of`]). The per-window delegation
@@ -13,6 +13,10 @@
 //! `(machine, id)`: a group is a handful of jobs and most live and die
 //! with one, so a group costs one small heap block, and an insert or a
 //! delete probes `jobs` and `windows` once each.
+//!
+//! The record also carries the backend's *handle* for the job
+//! ([`SingleMachineReallocator::insert_tracked`]), so the backend finds
+//! the job by index: `jobs` is the only id lookup a request makes.
 
 use fxhash::FxHashMap;
 use realloc_core::cost::Placement;
@@ -124,11 +128,37 @@ impl WindowGroup {
     }
 }
 
+/// One active job: 24 bytes, so a `jobs` bucket is half a cache line.
 #[derive(Clone, Copy, Debug)]
 struct JobInfo {
     original: Window,
-    effective: Window,
-    machine: usize,
+    /// The machine §3 delegated the job to.
+    machine: u32,
+    /// The backend's handle for the job there, [`NO_HANDLE`] from a
+    /// backend without handles.
+    handle: u32,
+}
+
+/// [`JobInfo::handle`] of a backend that returned none.
+const NO_HANDLE: u32 = u32::MAX;
+
+impl JobInfo {
+    fn new(original: Window, machine: usize, handle: Option<u32>) -> Self {
+        debug_assert_ne!(handle, Some(NO_HANDLE));
+        JobInfo {
+            original,
+            machine: u32::try_from(machine).expect("machine count fits u32"),
+            handle: handle.unwrap_or(NO_HANDLE),
+        }
+    }
+
+    fn machine(&self) -> usize {
+        self.machine as usize
+    }
+
+    fn handle(&self) -> Option<u32> {
+        (self.handle != NO_HANDLE).then_some(self.handle)
+    }
 }
 
 /// An `m`-machine reallocating scheduler for arbitrary windows, generic
@@ -204,7 +234,7 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         };
         // A rejection leaves no trace: nothing was recorded yet, and a
         // window's group is only created once it has a job.
-        let slot_moves = self.machines[machine].insert(id, effective)?;
+        let (slot_moves, handle) = self.machines[machine].insert_tracked(id, effective)?;
         match group {
             Entry::Occupied(mut g) => {
                 g.get_mut().add(machine, id);
@@ -216,11 +246,7 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
                 });
             }
         }
-        job.insert(JobInfo {
-            original: window,
-            effective,
-            machine,
-        });
+        job.insert(JobInfo::new(window, machine, handle));
         let mut outcome = RequestOutcome::empty();
         lift_all(&mut outcome, slot_moves, machine);
         Ok(outcome)
@@ -230,15 +256,12 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         let Entry::Occupied(job) = self.jobs.entry(id) else {
             return Err(Error::UnknownJob(id));
         };
-        let JobInfo {
-            effective,
-            machine: mi,
-            ..
-        } = *job.get();
+        let info = *job.get();
+        let (effective, mi) = (Self::effective_window(info.original), info.machine());
         let m = self.machines.len();
 
         let mut outcome = RequestOutcome::empty();
-        let slot_moves = self.machines[mi].delete(id)?;
+        let slot_moves = self.machines[mi].delete_tracked(id, info.handle())?;
         lift_all(&mut outcome, slot_moves, mi);
         job.remove();
 
@@ -261,23 +284,25 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
             let mover = group
                 .first_on(from)
                 .expect("the fullest machine holds a job of the window");
-            let del = self.machines[from].delete(mover)?;
+            let info = self
+                .jobs
+                .get_mut(&mover)
+                .expect("group members are active jobs");
+            let del = self.machines[from].delete_tracked(mover, info.handle())?;
             lift_all(&mut outcome, del, from);
-            match self.machines[mi].insert(mover, effective) {
-                Ok(ins) => {
+            match self.machines[mi].insert_tracked(mover, effective) {
+                Ok((ins, handle)) => {
                     lift_all(&mut outcome, ins, mi);
                     group.remove(from, mover);
                     group.add(mi, mover);
-                    self.jobs
-                        .get_mut(&mover)
-                        .expect("group members are active jobs")
-                        .machine = mi;
+                    *info = JobInfo::new(info.original, mi, handle);
                 }
                 Err(e) => {
                     // Put the mover back where it was; the delete itself
                     // remains serviced.
-                    let back = self.machines[from].insert(mover, effective)?;
+                    let (back, handle) = self.machines[from].insert_tracked(mover, effective)?;
                     lift_all(&mut outcome, back, from);
+                    *info = JobInfo::new(info.original, from, handle);
                     debug_assert!(false, "migration re-insert failed: {e}");
                 }
             }
@@ -291,13 +316,13 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
     fn snapshot(&self) -> ScheduleSnapshot {
         let mut snap = ScheduleSnapshot::new();
         for (&id, info) in &self.jobs {
-            let slot = self.machines[info.machine]
-                .slot_of(id)
+            let slot = self.machines[info.machine()]
+                .slot_tracked(id, info.handle())
                 .expect("active job must be scheduled on its machine");
             snap.set(
                 id,
                 Placement {
-                    machine: info.machine,
+                    machine: info.machine(),
                     slot,
                 },
             );
@@ -413,7 +438,8 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
                 return Err(err(format!("job {id} on machine {machine} of {m}")));
             }
             let effective = Self::effective_window(original);
-            if s.machines[machine].slot_of(id).is_none() {
+            let handle = s.machines[machine].handle_of(id);
+            if s.machines[machine].slot_tracked(id, handle).is_none() {
                 return Err(err(format!(
                     "job {id} is recorded on machine {machine} but its backend does not hold it"
                 )));
@@ -425,14 +451,7 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
             if !group.add(machine, id) {
                 return Err(err(format!("duplicate job {id}")));
             }
-            s.jobs.insert(
-                id,
-                JobInfo {
-                    original,
-                    effective,
-                    machine,
-                },
-            );
+            s.jobs.insert(id, JobInfo::new(original, machine, handle));
         }
         // Cross-validate: backends hold exactly the recorded jobs, and
         // every group is balanced the way §3 keeps it (per-machine shares
@@ -566,6 +585,31 @@ mod tests {
     }
 
     #[test]
+    fn a_migrating_delete_nets_to_one_reallocation_and_one_migration() {
+        let mut s = ReallocatingScheduler::from_factory(2, ReservationScheduler::new);
+        let w = Window::new(0, 64);
+        for i in 0..4u64 {
+            s.insert(JobId(i), w).unwrap();
+        }
+        // Two jobs per machine; empty one machine and the second delete
+        // leaves it two behind, so §3 migrates a job onto it.
+        let light = s.jobs[&JobId(0)].machine();
+        let on_light: Vec<JobId> = (0..4u64)
+            .map(JobId)
+            .filter(|id| s.jobs[id].machine() == light)
+            .collect();
+        assert_eq!(on_light.len(), 2);
+        let first = s.delete(on_light[0]).unwrap();
+        assert_eq!(first.netted_costs(), (0, 0), "within one: no migration");
+        let out = s.delete(on_light[1]).unwrap();
+        // Raw, the migration is a delete half and an insert half: neither
+        // moves a scheduled job. Netted, it is what it is.
+        assert_eq!((out.reallocation_cost(), out.migration_cost()), (0, 0));
+        assert_eq!(out.netted_costs(), (1, 1));
+        validate_now(&s);
+    }
+
+    #[test]
     fn inserts_never_migrate() {
         let mut s = ReallocatingScheduler::from_factory(3, ReservationScheduler::new);
         for i in 0..24u64 {
@@ -637,11 +681,11 @@ mod tests {
         s.insert(JobId(1), w).unwrap();
         // Forge a 2/0 split: move job 1 next to job 0, backends included,
         // so only the §3 balance check can object.
-        let (to, from) = (s.jobs[&JobId(0)].machine, s.jobs[&JobId(1)].machine);
+        let (to, from) = (s.jobs[&JobId(0)].machine(), s.jobs[&JobId(1)].machine());
         assert_ne!(to, from, "two jobs of one window start on two machines");
         s.machines[from].delete(JobId(1)).unwrap();
         s.machines[to].insert(JobId(1), w).unwrap();
-        s.jobs.get_mut(&JobId(1)).unwrap().machine = to;
+        s.jobs.get_mut(&JobId(1)).unwrap().machine = to as u32;
         let e = ReallocatingScheduler::<ReservationScheduler>::restore(&s.snapshot_text())
             .expect_err("a 2/0 split is not §3 balance");
         assert!(

@@ -18,23 +18,27 @@
 //!   job, which is then displaced into its own level's PLACE) — exactly one
 //!   allowance flip per cascade.
 
+use crate::jobs::{Handle, JobRec};
 use crate::scheduler::{ReservationScheduler, Task};
-use crate::state::JobRec;
 use realloc_core::{Error, JobId, SlotMove, Window};
 use std::collections::VecDeque;
 
 impl ReservationScheduler {
-    /// Inserts a level-0 job via the pecking-order cascade.
+    /// Inserts a level-0 job at the free handle `handle` via the
+    /// pecking-order cascade.
     pub(crate) fn insert_base(
         &mut self,
         job: JobId,
+        handle: Handle,
         window: Window,
         moves: &mut Vec<SlotMove>,
         work: &mut VecDeque<Task>,
     ) -> Result<(), Error> {
-        let mut cur_job = job;
+        let (mut cur_job, mut cur_handle) = (job, handle);
         let mut cur_window = window;
         let mut from = None;
+        // The handle of each cascade move's job, for the rollback.
+        let mut movers: Vec<Handle> = Vec::new();
         loop {
             // The window (span ≤ L₁) lies inside one level-1 interval,
             // whose record answers the two cheap cases in words: the
@@ -48,15 +52,18 @@ impl ReservationScheduler {
             if let Some(slot) = claim {
                 // Final step: claim the slot (displacing a higher-level job
                 // if present) and stop cascading.
-                self.occupy_slot(cur_job, cur_window, 0, slot, from, moves, work);
+                self.occupy_slot(cur_job, cur_handle, cur_window, 0, slot, from, moves, work);
                 return Ok(());
             }
             // Full of level-0 jobs: the cascade victim is the leftmost
             // occupant with the smallest strictly-larger span.
-            let mut victim: Option<(JobId, JobRec)> = None;
+            let mut victim: Option<(Handle, JobRec)> = None;
             for s in cur_window.slots() {
-                let occ = self.slot_jobs[&s];
-                let rec = self.jobs[&occ];
+                let occ = self
+                    .slot_jobs
+                    .get(s)
+                    .expect("a full window's slots are occupied");
+                let rec = self.jobs.rec(occ);
                 debug_assert_eq!(rec.level, 0);
                 if rec.window.span() > cur_window.span()
                     && victim.is_none_or(|(_, v)| rec.window.span() < v.window.span())
@@ -64,7 +71,7 @@ impl ReservationScheduler {
                     victim = Some((occ, rec));
                 }
             }
-            let Some((victim_id, victim_rec)) = victim else {
+            let Some((victim_handle, victim_rec)) = victim else {
                 // Roll the partial cascade back so a rejected insert
                 // leaves the scheduler exactly as it found it (the
                 // engine keeps serving after a rejection, so a failed
@@ -75,20 +82,18 @@ impl ReservationScheduler {
                 // job to the slot it was displaced from — rewrites every
                 // touched slot once. Intermediate swaps never touched
                 // ancestor allowances, so nothing else needs undoing.
-                for mv in moves.iter().rev() {
+                for (mv, &h) in moves.iter().zip(&movers).rev() {
                     match mv.from {
                         Some(f) => {
-                            self.slot_jobs.insert(f, mv.job);
-                            self.jobs.get_mut(&mv.job).expect("cascade job").slot = f;
+                            self.slot_jobs.set(f, h);
+                            self.jobs.set_slot(h, f);
                         }
-                        None => {
-                            self.jobs.remove(&mv.job);
-                        }
+                        None => self.jobs.release(h),
                     }
                 }
                 if let Some(f) = from {
-                    debug_assert_eq!(self.jobs.get(&cur_job).map(|r| r.slot), Some(f));
-                    self.slot_jobs.insert(f, cur_job);
+                    debug_assert_eq!(self.jobs.get(cur_handle).map(|(_, r)| r.slot), Some(f));
+                    self.slot_jobs.set(f, cur_handle);
                 }
                 moves.clear();
                 return Err(Error::CapacityExhausted {
@@ -102,8 +107,9 @@ impl ReservationScheduler {
             // Swap: the cascading job takes the victim's slot. Both jobs are
             // level 0, so no ancestor allowance changes.
             let slot = victim_rec.slot;
-            self.slot_jobs.insert(slot, cur_job);
-            self.jobs.insert(
+            self.slot_jobs.set(slot, cur_handle);
+            self.jobs.put(
+                cur_handle,
                 cur_job,
                 JobRec {
                     window: cur_window,
@@ -116,7 +122,8 @@ impl ReservationScheduler {
                 from,
                 to: Some(slot),
             });
-            cur_job = victim_id;
+            movers.push(cur_handle);
+            (cur_job, cur_handle) = (self.jobs.id(victim_handle), victim_handle);
             cur_window = victim_rec.window;
             from = Some(slot);
         }
@@ -124,9 +131,9 @@ impl ReservationScheduler {
 
     /// Deletes a level-0 job: free the slot and let ancestor allowances grow
     /// (the freed capacity is claimed lazily by later hunts).
-    pub(crate) fn delete_base(&mut self, job: JobId, rec: JobRec, moves: &mut Vec<SlotMove>) {
-        debug_assert_eq!(rec.level, 0);
-        self.vacate_physical(job, 0, rec.slot, moves);
-        self.jobs.remove(&job);
+    pub(crate) fn delete_base(&mut self, handle: Handle, moves: &mut Vec<SlotMove>) {
+        debug_assert_eq!(self.jobs.rec(handle).level, 0);
+        self.vacate_physical(handle, moves);
+        self.jobs.release(handle);
     }
 }

@@ -12,16 +12,16 @@
 //!    to its own window*), and each window's open-interval list is exactly
 //!    the intervals where `assigned[k] & !held[k] ≠ 0`;
 //! 4. `lower` and `phys` exactly reflect physical occupancy (allowance
-//!    correctness), and an interval record exists iff one of its words is
-//!    non-zero;
+//!    correctness);
 //! 5. **never over-assigned** (Invariant 5 + Observation 7 with lazy
 //!    rises): per interval, `popcount(assigned[k])` never exceeds the
 //!    window's fulfilled quota, and the total never exceeds the allowance;
 //! 6. `assigned[k] ∩ lower = ∅`, the chain's `assigned` fields are pairwise
-//!    disjoint, and no field has a bit outside the interval or past the
-//!    level's chain;
+//!    disjoint, every record has exactly the level's chain, and no field
+//!    has a bit outside the interval;
 //! 7. high-water marks cover every window with state at the level.
 
+use crate::jobs::JobRec;
 use crate::scheduler::ReservationScheduler;
 use crate::state::Field;
 use realloc_core::{JobId, Slot, Window};
@@ -58,12 +58,13 @@ impl ReservationScheduler {
             self.jobs.len(),
             self.slot_jobs.len()
         );
-        for (&id, rec) in &self.jobs {
+        for (h, id, rec) in self.jobs.iter() {
+            let on_slot = self.slot_jobs.get(rec.slot);
             ensure!(
-                self.slot_jobs.get(&rec.slot) == Some(&id),
+                on_slot == Some(h),
                 "job {id} claims slot {} but slot holds {:?}",
                 rec.slot,
-                self.slot_jobs.get(&rec.slot)
+                on_slot.map(|other| self.jobs.id(other))
             );
             ensure!(
                 rec.window.contains_slot(rec.slot),
@@ -81,7 +82,7 @@ impl ReservationScheduler {
 
         // Jobs per window (levels ≥ 1).
         let mut per_window: HashMap<(usize, Window), u64> = HashMap::new();
-        for rec in self.jobs.values().filter(|rec| rec.level >= 1) {
+        for (_, _, rec) in self.jobs.iter().filter(|(_, _, rec)| rec.level >= 1) {
             *per_window.entry((rec.level, rec.window)).or_default() += 1;
         }
 
@@ -95,11 +96,11 @@ impl ReservationScheduler {
             let chain: Vec<u64> = lvl.chain_spans().collect();
 
             // 3 + 7: window states.
-            for (&w, ws) in &lvl.windows {
+            for (w, x) in lvl.window_states() {
                 ensure!(
-                    w.span() <= lvl.high_water,
+                    w.span() <= lvl.high_water(),
                     "level {level}: window {w} above high-water {}",
-                    lvl.high_water
+                    lvl.high_water()
                 );
                 ensure!(
                     self.tower.level_of(w.span()) == level,
@@ -108,71 +109,62 @@ impl ReservationScheduler {
                 );
                 let jobs_here = per_window.get(&(level, w)).copied().unwrap_or(0);
                 ensure!(
-                    ws.x == jobs_here,
-                    "level {level} window {w}: x={} but {jobs_here} jobs present",
-                    ws.x
+                    x == jobs_here,
+                    "level {level} window {w}: x={x} but {jobs_here} jobs present"
                 );
-                // The open list: ascending, inside the window, and naming
+                // The open set: ascending, inside the window, and naming
                 // only intervals with an empty fulfilled slot of `w` (the
                 // converse is checked per record below).
                 let k = lvl.chain_pos(w.span());
+                let open = lvl.open_intervals(w);
                 ensure!(
-                    ws.open.windows(2).all(|p| p[0] < p[1]),
-                    "level {level} window {w}: open list {:?} not strictly ascending",
-                    ws.open
+                    open.windows(2).all(|p| p[0] < p[1]),
+                    "level {level} window {w}: open set {open:?} not strictly ascending"
                 );
-                for &istart in &ws.open {
+                for &istart in &open {
                     ensure!(
                         w.contains_slot(istart) && lvl.istart_of(istart) == istart,
-                        "level {level} window {w}: open list names {istart}, not one of its intervals"
+                        "level {level} window {w}: open set names {istart}, not one of its intervals"
                     );
                     ensure!(
-                        lvl.intervals
-                            .get(&istart)
-                            .is_some_and(|rec| rec.is_open(nw, k)),
+                        lvl.rec(istart).is_open(k),
                         "level {level} window {w}: listed interval {istart} holds no empty \
                          fulfilled slot"
                     );
                 }
             }
-            // Every populated window has a state.
-            for &(_, w) in per_window.keys().filter(|(l, _)| *l == level) {
+            // Every populated window counts its jobs.
+            for (&(_, w), &jobs_here) in per_window.iter().filter(|((l, _), _)| *l == level) {
+                let x = lvl.x(w);
                 ensure!(
-                    lvl.windows.contains_key(&w),
-                    "level {level}: window {w} has jobs but no state"
+                    x == jobs_here,
+                    "level {level} window {w}: x={x} but {jobs_here} jobs present"
                 );
             }
 
-            // 4: the records an exact `phys` needs all exist (their bits
-            // are checked slot by slot below).
-            for &slot in self.slot_jobs.keys() {
+            // 4: every occupied slot's record has its `phys` bit (the
+            // records are checked slot by slot below).
+            for (_, _, JobRec { slot, .. }) in self.jobs.iter() {
+                let istart = lvl.istart_of(slot);
                 ensure!(
-                    lvl.intervals.contains_key(&lvl.istart_of(slot)),
-                    "level {level}: occupied slot {slot} has no interval record"
+                    lvl.rec(istart).test(Field::Phys, (slot - istart) as usize),
+                    "level {level}: occupied slot {slot} has no phys bit"
                 );
             }
 
-            for (&istart, rec) in &lvl.intervals {
+            for (istart, rec) in lvl.records() {
                 ensure!(
-                    lvl.istart_of(istart) == istart,
-                    "level {level}: record key {istart} is not an interval start"
-                );
-                ensure!(
-                    !rec.is_zero(),
-                    "level {level} interval {istart}: all-zero record not pruned"
-                );
-                ensure!(
-                    rec.chain_len(nw) <= chain.len(),
+                    rec.chain_len() == chain.len(),
                     "level {level} interval {istart}: {} chain positions allocated, chain has {}",
-                    rec.chain_len(nw),
+                    rec.chain_len(),
                     chain.len()
                 );
-                let fields = [Field::Lower, Field::Phys].into_iter().chain(
-                    (0..rec.chain_len(nw)).flat_map(|k| [Field::Assigned(k), Field::Held(k)]),
-                );
+                let fields = [Field::Lower, Field::Phys]
+                    .into_iter()
+                    .chain((0..rec.chain_len()).flat_map(|k| [Field::Assigned(k), Field::Held(k)]));
                 for field in fields {
                     ensure!(
-                        ispan >= 64 || rec.word(nw, field, 0) >> ispan == 0,
+                        ispan >= 64 || rec.word(field, 0) >> ispan == 0,
                         "level {level} interval {istart}: {field:?} has bits outside the interval"
                     );
                 }
@@ -181,15 +173,17 @@ impl ReservationScheduler {
                 // maps, `held` against the occupant's own window.
                 for bit in 0..ispan as usize {
                     let slot = istart + bit as Slot;
-                    let occupant: Option<(JobId, _)> =
-                        self.slot_jobs.get(&slot).map(|&id| (id, self.jobs[&id]));
+                    let occupant: Option<(JobId, _)> = self
+                        .slot_jobs
+                        .get(slot)
+                        .map(|h| (self.jobs.id(h), self.jobs.rec(h)));
                     ensure!(
-                        rec.test(nw, Field::Phys, bit) == occupant.is_some(),
+                        rec.test(Field::Phys, bit) == occupant.is_some(),
                         "level {level} interval {istart}: phys bit of slot {slot} disagrees \
                          with occupant {occupant:?}"
                     );
                     ensure!(
-                        rec.test(nw, Field::Lower, bit)
+                        rec.test(Field::Lower, bit)
                             == occupant.is_some_and(|(_, job)| job.level < level),
                         "level {level} interval {istart}: lower bit of slot {slot} disagrees \
                          with occupant {occupant:?}"
@@ -197,15 +191,15 @@ impl ReservationScheduler {
                     let own = occupant
                         .filter(|(_, job)| job.level == level)
                         .map(|(_, job)| lvl.chain_pos(job.window.span()));
-                    for k in 0..rec.chain_len(nw) {
+                    for k in 0..rec.chain_len() {
                         ensure!(
-                            rec.test(nw, Field::Held(k), bit) == (own == Some(k)),
+                            rec.test(Field::Held(k), bit) == (own == Some(k)),
                             "level {level} interval {istart}: held[{k}] bit of slot {slot} \
                              disagrees with occupant {occupant:?}"
                         );
                     }
                     ensure!(
-                        own.is_none_or(|k| rec.test(nw, Field::Assigned(k), bit)),
+                        own.is_none_or(|k| rec.test(Field::Assigned(k), bit)),
                         "level {level} interval {istart}: job {occupant:?} at slot {slot} not \
                          backed by a fulfilled reservation of its window"
                     );
@@ -216,43 +210,35 @@ impl ReservationScheduler {
                 let mut union = vec![0u64; nw];
                 let mut total_assigned = 0u64;
                 for (k, &(w, quota)) in quotas.iter().enumerate() {
-                    let have = rec.count(nw, Field::Assigned(k));
+                    let have = rec.count(Field::Assigned(k));
                     ensure!(
                         have <= quota,
                         "level {level} interval {istart} window {w}: assigned {have} > quota {quota}"
                     );
                     total_assigned += have;
                     for (i, seen) in union.iter_mut().enumerate() {
-                        let assigned = rec.word(nw, Field::Assigned(k), i);
+                        let assigned = rec.word(Field::Assigned(k), i);
                         ensure!(
                             assigned & *seen == 0,
                             "level {level} interval {istart}: window {w} shares an assigned \
                              slot with a shorter window"
                         );
                         ensure!(
-                            assigned & rec.word(nw, Field::Lower, i) == 0,
+                            assigned & rec.word(Field::Lower, i) == 0,
                             "level {level} interval {istart}: window {w} is assigned a \
                              lower-occupied slot"
                         );
                         *seen |= assigned;
                     }
-                    // The open list's converse, and the state `assign`
-                    // creates with the first assignment.
-                    let listed = lvl
-                        .windows
-                        .get(&w)
-                        .map(|ws| ws.open.binary_search(&istart).is_ok());
+                    // The open set's converse.
+                    let listed = lvl.open_intervals(w).binary_search(&istart).is_ok();
                     ensure!(
-                        have == 0 || listed.is_some(),
-                        "level {level} interval {istart}: window {w} has assignments but no state"
-                    );
-                    ensure!(
-                        listed.unwrap_or(false) == rec.is_open(nw, k),
-                        "level {level} interval {istart}: window {w}'s open list disagrees \
+                        listed == rec.is_open(k),
+                        "level {level} interval {istart}: window {w}'s open set disagrees \
                          with its empty fulfilled slots here"
                     );
                 }
-                let allowance = ispan - rec.count(nw, Field::Lower);
+                let allowance = ispan - rec.count(Field::Lower);
                 ensure!(
                     total_assigned <= allowance,
                     "level {level} interval {istart}: {total_assigned} assignments exceed \
@@ -273,8 +259,8 @@ impl ReservationScheduler {
         for (level, lvl) in self.levels.iter().enumerate().skip(1) {
             let ispan = self.tower.interval_span(level);
             let mut starts: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-            for (&w, ws) in &lvl.windows {
-                if ws.x > 0 {
+            for (w, x) in lvl.window_states() {
+                if x > 0 {
                     let ni = w.span() / ispan;
                     for pos in 0..ni {
                         starts.insert(w.start() + pos * ispan);
@@ -283,7 +269,7 @@ impl ReservationScheduler {
             }
             for istart in starts {
                 for (w, q) in self.quotas_at(level, istart) {
-                    let populated = lvl.windows.get(&w).map(|ws| ws.x > 0).unwrap_or(false);
+                    let populated = lvl.x(w) > 0;
                     if populated {
                         out.push((level, istart, w, q));
                     }
@@ -303,8 +289,8 @@ impl ReservationScheduler {
         let mut min_spare: Option<i64> = None;
         for (level, lvl) in self.levels.iter().enumerate().skip(1) {
             let ispan = self.tower.interval_span(level);
-            for (&w, ws) in &lvl.windows {
-                if ws.x == 0 {
+            for (w, x) in lvl.window_states() {
+                if x == 0 {
                     continue;
                 }
                 let mut total_quota = 0u64;
@@ -317,7 +303,7 @@ impl ReservationScheduler {
                         }
                     }
                 }
-                let spare = total_quota as i64 - ws.x as i64;
+                let spare = total_quota as i64 - x as i64;
                 min_spare = Some(min_spare.map_or(spare, |m| m.min(spare)));
             }
         }

@@ -18,6 +18,10 @@
 //!   interval: which slots back each window's fulfilled reservations,
 //!   lower-level occupancy (the complement of `allowance(I)`), and
 //!   physical occupancy;
+//! * [`jobs`] — the job slab, addressed by handle, and the slot →
+//!   handle array;
+//! * [`paged`] — the paged storage both of them index into, over the
+//!   whole time axis;
 //! * [`scheduler`] — insert/delete built from RESERVE (quota rises),
 //!   MOVE (quota drops; ancestor slot-swap trick), and PLACE (with the
 //!   cross-level displacement cascade);
@@ -47,6 +51,8 @@
 pub mod base;
 pub mod deamortized;
 pub mod invariants;
+pub mod jobs;
+pub mod paged;
 pub mod quota;
 pub mod scheduler;
 pub mod snapshot;

@@ -101,12 +101,20 @@ pub fn fulfilled_quotas_into(demands: &[Demand], allowance: u64, out: &mut Vec<u
         "demands must be strictly increasing in span"
     );
     out.clear();
+    out.extend(demands.iter().map(|d| d.reservations));
+    fulfill(out.iter_mut(), allowance);
+}
+
+/// The fulfillment rule in place: each reservation count, shortest
+/// window first, becomes its fulfilled quota. The scheduler's rebalance
+/// applies it to the chain it has just written, with no buffer between.
+pub fn fulfill<'a>(reservations: impl IntoIterator<Item = &'a mut u64>, allowance: u64) {
     let mut remaining = allowance;
-    out.extend(demands.iter().map(|d| {
-        let f = d.reservations.min(remaining);
+    for r in reservations {
+        let f = (*r).min(remaining);
         remaining -= f;
-        f
-    }));
+        *r = f;
+    }
 }
 
 #[cfg(test)]

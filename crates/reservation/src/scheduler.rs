@@ -47,10 +47,9 @@
 //! nothing to do, so what it costs to *look* decides the request's cost.
 //! Everything it looks at in an interval — the allowance, physical
 //! occupancy, and every chain window's fulfilled slots — is one dense
-//! record of bit words found with one hash probe
-//! ([`crate::state::IntervalState`]); the chain windows contribute only
-//! their job counts. The three phases are word operations on that
-//! record:
+//! record of bit words found by index ([`crate::state::Record`]); the
+//! chain windows contribute only their job counts, found by index too.
+//! The three phases are word operations on that record:
 //!
 //! 0. `assigned[k] &= !lower`;
 //! 1. shed `popcount(assigned[k]) − quota` slots, lowest empty bits
@@ -69,19 +68,20 @@
 //! costs, never which slot it picks; the frozen seed copy in
 //! `tests/seed_equivalence.rs` pins that down move for move.
 //!
+//! A request reads a job through its *handle*, an index into the job
+//! slab ([`crate::jobs`]), and a slot's occupant through a paged array:
+//! no lookup on the request path hashes, except a page directory far
+//! from the origin ([`crate::paged`]).
+//!
 //! The request path performs **no heap allocation** beyond the returned
-//! move list and the first touch of an interval or window: the quota
-//! buffers and the worklist live in a scratch block owned by the
-//! scheduler and reused across requests (taken/restored around each
-//! rebalance so the rare recursive hunt still works), and all
-//! point-lookup maps use the deterministic FxHash shim instead of
-//! SipHash.
+//! move list and the first touch of a page: the quota buffers and the
+//! worklist live in a scratch block owned by the scheduler and reused
+//! across requests (taken/restored around each rebalance so the rare
+//! recursive hunt still works).
 
-use crate::quota::{
-    fulfilled_quotas_into, positions_gained, positions_lost, reservation_count, Demand,
-};
-use crate::state::{Field, JobRec, Level};
-use fxhash::FxHashMap;
+use crate::jobs::{Handle, JobRec, JobTable, SlotTable};
+use crate::quota::{fulfill, positions_gained, positions_lost, reservation_count};
+use crate::state::{Field, Level};
 use realloc_core::{
     sort_for_rebuild, Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window,
 };
@@ -105,6 +105,8 @@ pub(crate) enum Task {
     Place {
         /// The displaced job.
         job: JobId,
+        /// Its handle.
+        handle: Handle,
         /// Its window.
         window: Window,
         /// Its level.
@@ -121,10 +123,6 @@ pub(crate) enum Task {
 pub(crate) struct Scratch {
     /// Chain windows with their fulfilled quotas (`quotas_into` output).
     targets: Vec<(Window, u64)>,
-    /// Reservation demands fed to the Observation 7 fulfillment rule.
-    demands: Vec<Demand>,
-    /// Fulfilled quota per demand (same order).
-    quotas: Vec<u64>,
     /// The FIFO worklist, reused across requests.
     work: VecDeque<Task>,
 }
@@ -137,10 +135,10 @@ pub(crate) struct Scratch {
 #[derive(Clone, Debug)]
 pub struct ReservationScheduler {
     pub(crate) tower: Tower,
-    /// Active jobs.
-    pub(crate) jobs: FxHashMap<JobId, JobRec>,
-    /// Physical occupancy: slot → job.
-    pub(crate) slot_jobs: FxHashMap<Slot, JobId>,
+    /// Active jobs, by handle.
+    pub(crate) jobs: JobTable,
+    /// Physical occupancy: slot → handle.
+    pub(crate) slot_jobs: SlotTable,
     /// Per-level window/interval state; index = level.
     pub(crate) levels: Vec<Level>,
     /// Hot-path buffers (no observable state).
@@ -157,8 +155,8 @@ impl ReservationScheduler {
     pub fn with_tower(tower: Tower) -> Self {
         let n = tower.max_levels();
         ReservationScheduler {
-            jobs: FxHashMap::default(),
-            slot_jobs: FxHashMap::default(),
+            jobs: JobTable::default(),
+            slot_jobs: SlotTable::default(),
             // Level 0 has no intervals; its `Level` only fills index 0.
             levels: (0..n)
                 .map(|l| Level::new(if l == 0 { 1 } else { tower.interval_span(l) }))
@@ -194,51 +192,26 @@ impl ReservationScheduler {
     /// The chain of windows containing the interval at `istart` (all spans
     /// up to the level's high-water mark), sorted by span ascending, with
     /// their fulfilled quotas in this interval. Pure (Observation 7).
-    /// Writes into the caller's buffers (`demands`/`quotas` are working
-    /// storage) — the hot path calls this once per rebalanced interval.
-    pub(crate) fn quotas_into(
-        &self,
-        level: usize,
-        istart: Slot,
-        out: &mut Vec<(Window, u64)>,
-        demands: &mut Vec<Demand>,
-        quotas: &mut Vec<u64>,
-    ) {
+    /// Writes into the caller's buffer — the hot path calls this once per
+    /// rebalanced interval.
+    pub(crate) fn quotas_into(&self, level: usize, istart: Slot, out: &mut Vec<(Window, u64)>) {
         let lvl = &self.levels[level];
-        let (ispan, nw) = (lvl.ispan(), lvl.nw());
-        let lower = lvl
-            .intervals
-            .get(&istart)
-            .map_or(0, |rec| rec.count(nw, Field::Lower));
-        let allowance = ispan - lower;
-
+        let allowance = lvl.ispan() - lvl.rec(istart).count(Field::Lower);
+        let shift = lvl.shift();
         out.clear();
-        demands.clear();
-        let shift = ispan.trailing_zeros();
-        for span in lvl.chain_spans() {
+        out.extend(lvl.chain_spans().enumerate().map(|(k, span)| {
             let w = Window::aligned_enclosing(istart, span);
-            let x = lvl.windows.get(&w).map(|ws| ws.x).unwrap_or(0);
-            let ni = span >> shift;
-            let pos = (istart - w.start()) >> shift;
-            out.push((w, 0));
-            demands.push(Demand {
-                span,
-                reservations: reservation_count(x, ni, pos),
-            });
-        }
-        fulfilled_quotas_into(demands, allowance, quotas);
-        for (t, &q) in out.iter_mut().zip(quotas.iter()) {
-            t.1 = q;
-        }
+            let (ni, pos) = (span >> shift, (istart - w.start()) >> shift);
+            (w, reservation_count(lvl.x_at(k, istart), ni, pos))
+        }));
+        fulfill(out.iter_mut().map(|(_, quota)| quota), allowance);
     }
 
     /// Allocating convenience wrapper over [`Self::quotas_into`]
     /// (invariant checks, probes — not the request path).
     pub(crate) fn quotas_at(&self, level: usize, istart: Slot) -> Vec<(Window, u64)> {
         let mut out = Vec::new();
-        let mut demands = Vec::new();
-        let mut quotas = Vec::new();
-        self.quotas_into(level, istart, &mut out, &mut demands, &mut quotas);
+        self.quotas_into(level, istart, &mut out);
         out
     }
 
@@ -274,11 +247,12 @@ impl ReservationScheduler {
                 }
                 Task::Place {
                     job,
+                    handle,
                     window,
                     level,
                     from,
                 } => {
-                    self.place(job, window, level, from, moves, work)?;
+                    self.place(job, handle, window, level, from, moves, work)?;
                 }
             }
         }
@@ -320,13 +294,7 @@ impl ReservationScheduler {
         moves: &mut Vec<SlotMove>,
         sc: &mut Scratch,
     ) -> Result<(), Error> {
-        self.quotas_into(
-            level,
-            istart,
-            &mut sc.targets,
-            &mut sc.demands,
-            &mut sc.quotas,
-        );
+        self.quotas_into(level, istart, &mut sc.targets);
 
         // Phase 0 + 1, window by window in chain order: drop invalid
         // assignments and shed the excess — empty slots first, in words;
@@ -340,8 +308,8 @@ impl ReservationScheduler {
                 let Some(s) = self.levels[level].next_held(istart, k, from) else {
                     break;
                 };
-                let j = self.slot_jobs[&s];
-                self.move_job(level, w, j, moves)?;
+                let h = self.slot_jobs.get(s).expect("a held slot has a job");
+                self.move_job(level, w, h, moves)?;
                 // `move_job` vacated `s`; the assignment is now empty.
                 self.levels[level].unassign(w, s);
                 from = (s - istart) as usize + 1;
@@ -363,10 +331,10 @@ impl ReservationScheduler {
         &mut self,
         level: usize,
         w: Window,
-        job: JobId,
+        handle: Handle,
         moves: &mut Vec<SlotMove>,
     ) -> Result<(), Error> {
-        let s = self.jobs[&job].slot;
+        let (job, s) = (self.jobs.id(handle), self.jobs.rec(handle).slot);
         // Target: an empty fulfilled slot of `w` (Lemma 8 guarantees one),
         // preferring a physically free slot over one under a higher job.
         let target = match self.pick_fulfilled_slot(level, w) {
@@ -374,11 +342,10 @@ impl ReservationScheduler {
             None => self.hunt_capacity(job, level, w, moves)?,
         };
         debug_assert_ne!(target, s);
-        let hopper = self.slot_jobs.get(&target).copied();
 
         // Physical swap: job s -> target; hopper (if any) target -> s.
-        self.slot_jobs.insert(target, job);
-        self.jobs.get_mut(&job).unwrap().slot = target;
+        let hopper = self.slot_jobs.set(target, handle);
+        self.jobs.set_slot(handle, target);
         self.levels[level].vacate(w, s);
         self.levels[level].occupy(w, target);
         moves.push(SlotMove {
@@ -389,26 +356,26 @@ impl ReservationScheduler {
 
         let htop = match hopper {
             Some(h) => {
-                let hrec = self.jobs[&h];
+                let hrec = self.jobs.rec(h);
                 debug_assert!(
                     hrec.level > level,
                     "occupant of a fulfilled slot must be higher-level"
                 );
                 // h hops target -> s; its own fulfilled slot re-points.
                 // Both slots stay occupied, so `phys` is untouched.
-                self.slot_jobs.insert(s, h);
-                self.jobs.get_mut(&h).unwrap().slot = s;
+                self.slot_jobs.set(s, h);
+                self.jobs.set_slot(h, s);
                 let hlvl = &mut self.levels[hrec.level];
                 hlvl.repoint(hlvl.chain_pos(hrec.window.span()), target, s, true);
                 moves.push(SlotMove {
-                    job: h,
+                    job: self.jobs.id(h),
                     from: Some(target),
                     to: Some(s),
                 });
                 hrec.level
             }
             None => {
-                self.slot_jobs.remove(&s);
+                self.slot_jobs.clear(s);
                 self.levels.len() - 1
             }
         };
@@ -440,13 +407,15 @@ impl ReservationScheduler {
     // Occupy / vacate: physical placement + displacement + allowance flips
     // ------------------------------------------------------------------
 
-    /// Places `job` (level `level`) physically into `slot`, displacing any
-    /// higher-level occupant and updating ancestor allowances. Does *not*
-    /// touch `job`'s own window state — the caller does.
+    /// Places `job` (level `level`, at `handle`) physically into `slot`,
+    /// displacing any higher-level occupant and updating ancestor
+    /// allowances. Does *not* touch `job`'s own window state — the caller
+    /// does.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn occupy_slot(
         &mut self,
         job: JobId,
+        handle: Handle,
         window: Window,
         level: usize,
         slot: Slot,
@@ -454,8 +423,8 @@ impl ReservationScheduler {
         moves: &mut Vec<SlotMove>,
         work: &mut VecDeque<Task>,
     ) {
-        let displaced = self.slot_jobs.insert(slot, job).map(|h| {
-            let hrec = self.jobs[&h];
+        let displaced = self.slot_jobs.set(slot, handle).map(|h| {
+            let hrec = self.jobs.rec(h);
             debug_assert!(
                 hrec.level > level,
                 "pecking order: only higher-level jobs are displaced"
@@ -469,7 +438,8 @@ impl ReservationScheduler {
             // Newly occupied (a displacement keeps the slot occupied).
             self.note_occupied(slot);
         }
-        self.jobs.insert(
+        self.jobs.put(
+            handle,
             job,
             JobRec {
                 window,
@@ -498,7 +468,8 @@ impl ReservationScheduler {
         }
         if let Some((h, hrec)) = displaced {
             work.push_back(Task::Place {
-                job: h,
+                job: self.jobs.id(h),
+                handle: h,
                 window: hrec.window,
                 level: hrec.level,
                 from: Some(slot),
@@ -506,19 +477,16 @@ impl ReservationScheduler {
         }
     }
 
-    /// Removes `job` from `slot` physically and updates ancestor allowances
+    /// Removes the job at `handle` from its slot physically (its record
+    /// stays for the caller to release) and updates ancestor allowances
     /// (the slot re-enters the allowance of every ancestor interval; quota
     /// rises never move jobs, so no rebalances are queued — the new
     /// capacity is claimed lazily).
-    pub(crate) fn vacate_physical(
-        &mut self,
-        job: JobId,
-        level: usize,
-        slot: Slot,
-        moves: &mut Vec<SlotMove>,
-    ) {
-        let prev = self.slot_jobs.remove(&slot);
-        debug_assert_eq!(prev, Some(job));
+    pub(crate) fn vacate_physical(&mut self, handle: Handle, moves: &mut Vec<SlotMove>) {
+        let (job, JobRec { level, slot, .. }) =
+            self.jobs.get(handle).expect("vacated job is active");
+        let prev = self.slot_jobs.clear(slot);
+        debug_assert_eq!(prev, Some(handle));
         moves.push(SlotMove {
             job,
             from: Some(slot),
@@ -534,9 +502,11 @@ impl ReservationScheduler {
     // PLACE (Figure 1, lines 15–23)
     // ------------------------------------------------------------------
 
+    #[allow(clippy::too_many_arguments)]
     fn place(
         &mut self,
         job: JobId,
+        handle: Handle,
         window: Window,
         level: usize,
         from: Option<Slot>,
@@ -548,7 +518,7 @@ impl ReservationScheduler {
             Some(s) => s,
             None => self.hunt_capacity(job, level, window, moves)?,
         };
-        self.occupy_slot(job, window, level, slot, from, moves, work);
+        self.occupy_slot(job, handle, window, level, slot, from, moves, work);
         self.levels[level].occupy(window, slot);
         Ok(())
     }
@@ -592,9 +562,11 @@ impl ReservationScheduler {
     // Insert / delete at levels ≥ 1
     // ------------------------------------------------------------------
 
+    #[allow(clippy::too_many_arguments)]
     fn insert_leveled(
         &mut self,
         job: JobId,
+        handle: Handle,
         window: Window,
         level: usize,
         moves: &mut Vec<SlotMove>,
@@ -602,12 +574,11 @@ impl ReservationScheduler {
     ) -> Result<(), Error> {
         let ispan = self.ispan(level);
         let ni = self.num_intervals(level, window);
-        self.levels[level].high_water = self.levels[level].high_water.max(window.span());
+        self.levels[level].raise_high_water(window.span());
         let x_old = {
-            let ws = self.levels[level].windows.entry(window).or_default();
-            let x_old = ws.x;
-            ws.x += 1;
-            x_old
+            let x = self.levels[level].x_mut(window);
+            *x += 1;
+            u64::from(*x - 1)
         };
 
         // The two new reservations (Figure 1 step 1–2): quota rises at the
@@ -623,7 +594,7 @@ impl ReservationScheduler {
         // PLACE the new job (Figure 1 step 3) after the reservations settle.
         let attempt = self
             .drain(work, moves)
-            .and_then(|()| self.place(job, window, level, None, moves, work))
+            .and_then(|()| self.place(job, handle, window, level, None, moves, work))
             .and_then(|()| self.drain(work, moves));
         match attempt {
             Ok(()) => Ok(()),
@@ -634,12 +605,12 @@ impl ReservationScheduler {
                 // — the job is withdrawn again.)
                 work.clear();
                 let mut rollback = VecDeque::new();
-                if let Some(rec) = self.jobs.get(&job).copied() {
+                if let Some((_, rec)) = self.jobs.get(handle) {
                     self.levels[level].vacate(window, rec.slot);
-                    self.vacate_physical(job, level, rec.slot, moves);
-                    self.jobs.remove(&job);
+                    self.vacate_physical(handle, moves);
+                    self.jobs.release(handle);
                 }
-                self.levels[level].windows.get_mut(&window).unwrap().x -= 1;
+                *self.levels[level].x_mut(window) -= 1;
                 for pos in positions_lost(x_old + 1, ni) {
                     rollback.push_back(Task::Rebalance {
                         level,
@@ -654,7 +625,7 @@ impl ReservationScheduler {
 
     fn delete_leveled(
         &mut self,
-        job: JobId,
+        handle: Handle,
         rec: JobRec,
         moves: &mut Vec<SlotMove>,
         work: &mut VecDeque<Task>,
@@ -665,15 +636,16 @@ impl ReservationScheduler {
 
         // Physically remove the job; its fulfilled slot stays (for now).
         self.levels[level].vacate(window, slot);
-        self.vacate_physical(job, level, slot, moves);
-        self.jobs.remove(&job);
+        self.vacate_physical(handle, moves);
+        self.jobs.release(handle);
 
         // Drop the two reservations: quota falls at the two rightmost
         // heaviest intervals (may shed fulfilled slots; a shed slot holding
         // a job triggers MOVE). Standing per-interval reservations remain
         // even at x = 0 (Figure 1 line 1).
-        let x_old = self.levels[level].windows[&window].x;
-        self.levels[level].windows.get_mut(&window).unwrap().x -= 1;
+        let x = self.levels[level].x_mut(window);
+        let x_old = u64::from(*x);
+        *x -= 1;
         for pos in positions_lost(x_old, ni) {
             work.push_back(Task::Rebalance {
                 level,
@@ -707,17 +679,24 @@ impl ReservationScheduler {
         if self.jobs.len() == self.slot_jobs.len() {
             return;
         }
-        let orphans: Vec<(JobId, JobRec)> = self
+        let orphans: Vec<(Handle, JobId, JobRec)> = self
             .jobs
             .iter()
-            .filter(|(id, rec)| self.slot_jobs.get(&rec.slot) != Some(id))
-            .map(|(&id, &rec)| (id, rec))
+            .filter(|&(h, _, rec)| self.slot_jobs.get(rec.slot) != Some(h))
             .collect();
-        for (id, rec) in orphans {
+        for (h, id, rec) in orphans {
             debug_assert!(rec.level >= 1, "base-cascade rollback is exact");
             let mut work = VecDeque::new();
             let replaced = self
-                .place(id, rec.window, rec.level, Some(rec.slot), moves, &mut work)
+                .place(
+                    id,
+                    h,
+                    rec.window,
+                    rec.level,
+                    Some(rec.slot),
+                    moves,
+                    &mut work,
+                )
                 .and_then(|()| self.drain(&mut work, moves));
             if replaced.is_err() {
                 self.rebuild_from_active();
@@ -732,24 +711,85 @@ impl ReservationScheduler {
     /// a doubly violated underallocation precondition. Jobs the rebuild
     /// cannot place (the instance is over-packed beyond what the
     /// reservation machinery tolerates) are dropped rather than kept in
-    /// an inconsistent schedule.
+    /// an inconsistent schedule. Every job keeps its handle.
     fn rebuild_from_active(&mut self) {
-        let mut jobs: Vec<(JobId, Window)> = self
+        let mut jobs: Vec<(Handle, JobId, Window)> = self
             .jobs
             .iter()
-            .map(|(&id, rec)| (id, rec.window))
+            .map(|(h, id, rec)| (h, id, rec.window))
             .collect();
-        sort_for_rebuild(&mut jobs, |&job| job);
+        sort_for_rebuild(&mut jobs, |&(_, id, window)| (id, window));
         let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
         for (level, lvl) in self.levels.iter().enumerate() {
             // Preserve high-water marks: standing-reservation reach only
             // ever grows, and keeping it avoids quota discontinuities.
-            fresh.levels[level].high_water = lvl.high_water;
+            fresh.levels[level].raise_high_water(lvl.high_water());
         }
-        for &(id, w) in &jobs {
-            let _ = fresh.insert(id, w);
+        for &(h, id, w) in &jobs {
+            let _ = fresh.insert_at(h, id, w);
         }
+        fresh.jobs.refill_free();
         *self = fresh;
+    }
+
+    /// Inserts `id` at the free handle `handle`: the one insert body,
+    /// whichever door the job came in by (a rebuild that keeps handles
+    /// passes each job's old one).
+    pub(crate) fn insert_at(
+        &mut self,
+        handle: Handle,
+        id: JobId,
+        window: Window,
+    ) -> Result<Vec<SlotMove>, Error> {
+        if !window.is_aligned() {
+            return Err(Error::UnalignedWindow(window));
+        }
+        if window.end() > MAX_TIME {
+            return Err(Error::UnsupportedJob {
+                job: id,
+                detail: format!("window end {} exceeds MAX_TIME 2^63", window.end()),
+            });
+        }
+        let level = self.tower.level_of(window.span());
+        let mut moves = Vec::new();
+        // Reuse the pooled worklist (failed cascades may leave tasks
+        // behind; clear before restoring).
+        let mut work = std::mem::take(&mut self.scratch.work);
+        debug_assert!(work.is_empty());
+        let result = if level == 0 {
+            self.insert_base(id, handle, window, &mut moves, &mut work)
+                .and_then(|()| self.drain(&mut work, &mut moves))
+        } else {
+            self.insert_leveled(id, handle, window, level, &mut moves, &mut work)
+        };
+        work.clear();
+        self.scratch.work = work;
+        if result.is_err() {
+            // A mid-cascade rejection may have orphaned one displaced
+            // job; restore consistency before surfacing the error.
+            self.recover_orphans(&mut moves);
+        }
+        result.map(|()| moves)
+    }
+
+    /// Deletes the active job at `handle`.
+    fn delete_at(&mut self, handle: Handle) -> Result<Vec<SlotMove>, Error> {
+        let rec = self.jobs.rec(handle);
+        let mut moves = Vec::new();
+        let mut work = std::mem::take(&mut self.scratch.work);
+        debug_assert!(work.is_empty());
+        let result = if rec.level == 0 {
+            self.delete_base(handle, &mut moves);
+            self.drain(&mut work, &mut moves)
+        } else {
+            self.delete_leveled(handle, rec, &mut moves, &mut work)
+        };
+        work.clear();
+        self.scratch.work = work;
+        if result.is_err() {
+            self.recover_orphans(&mut moves);
+        }
+        result.map(|()| moves)
     }
 
     /// Count of physically occupied slots (for tests).
@@ -757,13 +797,14 @@ impl ReservationScheduler {
         self.slot_jobs.len()
     }
 
-    /// Number of window states currently held (for memory tests).
+    /// Number of windows that keep state — a job or a standing
+    /// reservation (for memory tests).
     pub fn window_states(&self) -> usize {
-        self.levels.iter().map(|l| l.windows.len()).sum()
+        self.levels.iter().map(|l| l.window_states().len()).sum()
     }
 
-    /// Reclaims memory: drops the state of every window with no jobs,
-    /// releasing its standing-reservation slots.
+    /// Drops the state of every window with no jobs, releasing its
+    /// standing-reservation slots.
     ///
     /// Safe because the running invariant only requires assignments to
     /// never *exceed* quotas: un-backing an empty window's standing
@@ -785,65 +826,51 @@ impl Default for ReservationScheduler {
 
 impl SingleMachineReallocator for ReservationScheduler {
     fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
-        if self.jobs.contains_key(&id) {
+        if self.jobs.find_indexed(id).is_some() {
             return Err(Error::DuplicateJob(id));
         }
-        if !window.is_aligned() {
-            return Err(Error::UnalignedWindow(window));
-        }
-        if window.end() > MAX_TIME {
-            return Err(Error::UnsupportedJob {
-                job: id,
-                detail: format!("window end {} exceeds MAX_TIME 2^63", window.end()),
-            });
-        }
-        let level = self.tower.level_of(window.span());
-        let mut moves = Vec::new();
-        // Reuse the pooled worklist (failed cascades may leave tasks
-        // behind; clear before restoring).
-        let mut work = std::mem::take(&mut self.scratch.work);
-        debug_assert!(work.is_empty());
-        let result = if level == 0 {
-            self.insert_base(id, window, &mut moves, &mut work)
-                .and_then(|()| self.drain(&mut work, &mut moves))
-        } else {
-            self.insert_leveled(id, window, level, &mut moves, &mut work)
-        };
-        work.clear();
-        self.scratch.work = work;
-        if result.is_err() {
-            // A mid-cascade rejection may have orphaned one displaced
-            // job; restore consistency before surfacing the error.
-            self.recover_orphans(&mut moves);
-        }
-        result.map(|()| moves)
+        self.insert_at(self.jobs.next_handle(), id, window)
     }
 
     fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
-        let rec = *self.jobs.get(&id).ok_or(Error::UnknownJob(id))?;
-        let mut moves = Vec::new();
-        let mut work = std::mem::take(&mut self.scratch.work);
-        debug_assert!(work.is_empty());
-        let result = if rec.level == 0 {
-            self.delete_base(id, rec, &mut moves);
-            self.drain(&mut work, &mut moves)
-        } else {
-            self.delete_leveled(id, rec, &mut moves, &mut work)
-        };
-        work.clear();
-        self.scratch.work = work;
-        if result.is_err() {
-            self.recover_orphans(&mut moves);
-        }
-        result.map(|()| moves)
+        let handle = self.jobs.find_indexed(id).ok_or(Error::UnknownJob(id))?;
+        self.delete_at(handle)
+    }
+
+    fn insert_tracked(
+        &mut self,
+        id: JobId,
+        window: Window,
+    ) -> Result<(Vec<SlotMove>, Option<u32>), Error> {
+        self.jobs.drop_index();
+        let handle = self.jobs.next_handle();
+        let moves = self.insert_at(handle, id, window)?;
+        Ok((moves, Some(handle)))
+    }
+
+    fn delete_tracked(&mut self, id: JobId, handle: Option<u32>) -> Result<Vec<SlotMove>, Error> {
+        self.jobs.drop_index();
+        let handle = self.jobs.resolve(id, handle).ok_or(Error::UnknownJob(id))?;
+        self.delete_at(handle)
     }
 
     fn slot_of(&self, id: JobId) -> Option<Slot> {
-        self.jobs.get(&id).map(|r| r.slot)
+        self.jobs.find(id).map(|h| self.jobs.rec(h).slot)
+    }
+
+    fn slot_tracked(&self, id: JobId, handle: Option<u32>) -> Option<Slot> {
+        self.jobs.resolve(id, handle).map(|h| self.jobs.rec(h).slot)
+    }
+
+    fn handle_of(&self, id: JobId) -> Option<u32> {
+        self.jobs.find(id)
     }
 
     fn assignments(&self) -> Vec<(JobId, Slot)> {
-        self.jobs.iter().map(|(&id, r)| (id, r.slot)).collect()
+        self.jobs
+            .iter()
+            .map(|(_, id, rec)| (id, rec.slot))
+            .collect()
     }
 
     fn active_count(&self) -> usize {

@@ -26,14 +26,15 @@
 //! subsequent request, so it is part of the observable state).
 
 use crate::deamortized::DeamortizedScheduler;
+use crate::jobs::JobRec;
 use crate::scheduler::{ReservationScheduler, MAX_TIME};
-use crate::state::{Field, IntervalState, JobRec};
+use crate::state::Field;
 use crate::trim::{checked_trim_span, settled_n_star, TrimmedScheduler, MIN_N_STAR};
 use fxhash::FxHashMap;
 use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
 use realloc_core::{JobId, Slot, Tower, Window};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 
 /// The shared trim bound ([`checked_trim_span`]) with overflow reported
@@ -87,12 +88,12 @@ impl Restorable for ReservationScheduler {
         w.line(format_args!("{t}"));
         // High-water marks (levels ≥ 1 only ever set them).
         for (level, lvl) in self.levels.iter().enumerate() {
-            if lvl.high_water > 0 {
-                w.line(format_args!("h {level} {}", lvl.high_water));
+            if lvl.high_water() > 0 {
+                w.line(format_args!("h {level} {}", lvl.high_water()));
             }
         }
         // Jobs, sorted by id for deterministic output.
-        let mut jobs: Vec<(JobId, JobRec)> = self.jobs.iter().map(|(&id, &r)| (id, r)).collect();
+        let mut jobs: Vec<(JobId, JobRec)> = self.jobs.iter().map(|(_, id, r)| (id, r)).collect();
         jobs.sort_by_key(|&(id, _)| id);
         for (id, rec) in jobs {
             w.line(format_args!(
@@ -107,17 +108,15 @@ impl Restorable for ReservationScheduler {
         // from the job lines). Window states whose slot set is empty are
         // behaviorally identical to absent entries and are skipped.
         for (level, lvl) in self.levels.iter().enumerate().skip(1) {
-            let nw = lvl.nw();
-            let mut records: Vec<(Slot, &IntervalState)> =
-                lvl.intervals.iter().map(|(&i, rec)| (i, rec)).collect();
-            records.sort_unstable_by_key(|&(istart, _)| istart);
+            let records: Vec<_> = lvl.records().collect();
             // Chain position by chain position over the intervals left to
             // right: a window's intervals are adjacent and its slots come
             // out ascending.
             let mut lines: Vec<(Window, String)> = Vec::new();
             for (k, span) in lvl.chain_spans().enumerate() {
-                for &(istart, rec) in &records {
-                    let mut bits = rec.bits(nw, Field::Assigned(k)).peekable();
+                for (istart, rec) in &records {
+                    let istart = *istart;
+                    let mut bits = rec.bits(Field::Assigned(k)).peekable();
                     if bits.peek().is_none() {
                         continue;
                     }
@@ -208,28 +207,30 @@ impl Restorable for ReservationScheduler {
             if level == 0 || level >= s.levels.len() {
                 return Err(err_at(line, format!("high-water at invalid level {level}")));
             }
-            if s.levels[level].high_water != 0 {
+            if s.levels[level].high_water() != 0 {
                 return Err(err_at(
                     line,
                     format!("duplicate high-water for level {level}"),
                 ));
             }
-            s.levels[level].high_water = hw;
+            s.levels[level].raise_high_water(hw);
         }
 
         // Jobs and physical occupancy.
         for &(line, id, w, slot) in &jobs {
             let level = s.tower.level_of(w.span());
-            if s.jobs.contains_key(&id) {
+            if s.jobs.find_indexed(id).is_some() {
                 return Err(err_at(line, format!("duplicate job {id}")));
             }
-            if let Some(prev) = s.slot_jobs.insert(slot, id) {
+            let handle = s.jobs.next_handle();
+            if let Some(prev) = s.slot_jobs.set(slot, handle) {
                 return Err(err_at(
                     line,
-                    format!("slot {slot} held by both {prev} and {id}"),
+                    format!("slot {slot} held by both {} and {id}", s.jobs.id(prev)),
                 ));
             }
-            s.jobs.insert(
+            s.jobs.put(
+                handle,
                 id,
                 JobRec {
                     window: w,
@@ -240,6 +241,7 @@ impl Restorable for ReservationScheduler {
         }
 
         // Fulfilled-reservation slots; occupants are wired afterwards.
+        let mut stated: HashSet<Window> = HashSet::new();
         for (line, level, win, slots) in windows {
             if level == 0 || level >= s.levels.len() {
                 return Err(err_at(
@@ -256,19 +258,18 @@ impl Restorable for ReservationScheduler {
                     ),
                 ));
             }
-            if win.span() > s.levels[level].high_water {
+            if win.span() > s.levels[level].high_water() {
                 return Err(err_at(
                     line,
                     format!(
                         "window {win} exceeds level-{level} high-water {}",
-                        s.levels[level].high_water
+                        s.levels[level].high_water()
                     ),
                 ));
             }
-            if s.levels[level].windows.contains_key(&win) {
+            if !stated.insert(win) {
                 return Err(err_at(line, format!("duplicate window state for {win}")));
             }
-            s.levels[level].windows.entry(win).or_default();
             for slot in slots {
                 if !win.contains_slot(slot) {
                     return Err(err_at(
@@ -276,8 +277,8 @@ impl Restorable for ReservationScheduler {
                         format!("assigned slot {slot} outside window {win}"),
                     ));
                 }
-                if let Some(&occ) = s.slot_jobs.get(&slot) {
-                    let rec = s.jobs[&occ];
+                if let Some(h) = s.slot_jobs.get(slot) {
+                    let (occ, rec) = (s.jobs.id(h), s.jobs.rec(h));
                     if rec.level < level {
                         return Err(err_at(
                             line,
@@ -309,15 +310,15 @@ impl Restorable for ReservationScheduler {
 
         // Wire occupants and per-window job counts.
         for &(line, id, w, slot) in &jobs {
-            let level = s.jobs[&id].level;
+            let level = s.tower.level_of(w.span());
             if level == 0 {
                 continue;
             }
+            if !stated.contains(&w) {
+                return Err(err_at(line, format!("job {id} of {w} has no window state")));
+            }
             let lvl = &mut s.levels[level];
-            lvl.windows
-                .get_mut(&w)
-                .ok_or_else(|| err_at(line, format!("job {id} of {w} has no window state")))?
-                .x += 1;
+            *lvl.x_mut(w) += 1;
             // Slot uniqueness was checked, so the reservation is empty.
             if lvl.holder(slot) != Some(lvl.chain_pos(w.span())) {
                 return Err(err_at(
@@ -329,8 +330,8 @@ impl Restorable for ReservationScheduler {
         }
 
         // Re-derive the occupancy bits from physical placement.
-        for (&slot, id) in &s.slot_jobs {
-            let job_level = s.jobs[id].level;
+        let placed: Vec<(Slot, usize)> = s.jobs.iter().map(|(_, _, r)| (r.slot, r.level)).collect();
+        for (slot, job_level) in placed {
             for (level, lvl) in s.levels.iter_mut().enumerate().skip(1) {
                 lvl.set_occupancy(Field::Phys, slot);
                 if job_level < level {
@@ -356,7 +357,7 @@ impl Restorable for TrimmedScheduler {
             .inner
             .jobs
             .iter()
-            .map(|(&id, rec)| (id, self.original_of(id, rec.window)))
+            .map(|(_, id, rec)| (id, self.original_of(id, rec.window)))
             .collect();
         originals.sort_by_key(|&(id, _)| id);
         for (id, win) in originals {
@@ -441,7 +442,7 @@ impl Restorable for TrimmedScheduler {
                 });
             }
             let expect = win.trim_to(trim_span);
-            match inner.jobs.get(&id) {
+            match inner.jobs.find(id).map(|h| inner.jobs.rec(h)) {
                 Some(rec) if rec.window == expect => {}
                 other => {
                     return Err(ParseError {
@@ -605,7 +606,7 @@ impl Restorable for DeamortizedScheduler {
         for (&id, &(win, gen)) in &jobs {
             let t = win.trim_to(trim_span);
             let half = Window::with_span(t.start() / 2, t.span() / 2);
-            match gens[gen].jobs.get(&id) {
+            match gens[gen].jobs.find(id).map(|h| gens[gen].jobs.rec(h)) {
                 Some(rec) if rec.window == half => {}
                 other => {
                     return Err(ParseError {

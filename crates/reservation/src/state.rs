@@ -11,8 +11,10 @@
 //! # Layout
 //!
 //! Everything REBALANCE reads about a level-ℓ interval lives in one dense
-//! [`IntervalState`] record, found with one probe of
-//! [`Level::intervals`]. A record is a run of equally wide bit *fields*,
+//! [`Record`] of `u64` words, found by the index `istart >> log2 L_ℓ` in
+//! the level's paged record store ([`crate::paged`]): an array lookup,
+//! no hashing, on any axis a workload stays near the origin of. A record
+//! is a run of equally wide bit *fields*,
 //! one bit per slot of the interval (`L_ℓ` bits: half a word for
 //! `L₁ = 32`, four words for `L₂ = 256`, `L_ℓ / 64` words for custom
 //! towers):
@@ -27,57 +29,284 @@
 //! Chain position `k` names the enclosing window of span `2^(k+1)·L_ℓ`;
 //! aligned windows are laminar, so the windows that can reserve in one
 //! interval are exactly that chain, and their `assigned` fields are
-//! pairwise disjoint. The `assigned`/`held` pairs are allocated up to the
-//! highest position ever written; a field past the end reads as zero. An
-//! absent record means "all fields zero" (full allowance, nothing
-//! occupied, nothing claimed), and a record whose words are all zero is
-//! pruned.
+//! pairwise disjoint. Every record of a level has the same stride: the
+//! two occupancy fields and one `assigned`/`held` pair per chain position
+//! up to the level's high-water mark, so raising the mark (which only
+//! grows) re-strides the store. An all-zero record means "full
+//! allowance, nothing occupied, nothing claimed"; an interval never
+//! written reads the same.
 //!
-//! [`WindowState`] keeps what is not per-interval: the job count `x` and
-//! the ordered list of the window's *open* intervals — those where it
-//! holds an empty fulfilled slot (`assigned[k] & !held[k] ≠ 0`) — so PLACE
-//! and MOVE visit only intervals that can answer them.
+//! What is not per-interval is per window: the job count `x`, and the set
+//! of the window's *open* intervals — those where it holds an empty
+//! fulfilled slot (`assigned[k] & !held[k] ≠ 0`) — so PLACE and MOVE
+//! visit only intervals that can answer them. The counts of every chain
+//! window inside one aligned block of `2^chain` intervals share one run
+//! (a cache line at the paper tower), because REBALANCE reads the whole
+//! chain's counts at once. The open sets of chain position `k` sit in
+//! their own array, indexed by `start >> log2 span`: a bitmask over the
+//! window's intervals when it has at most 64 of them, a sorted list
+//! beyond.
 //!
 //! Every choice the algorithm makes among slots is "leftmost first", which
 //! in this layout is "lowest set bit of the lowest non-zero word first":
 //! one `trailing_zeros` where the tree-based layout walked a range.
 
-use fxhash::FxHashMap;
+use crate::paged::Paged;
 use realloc_core::{Slot, Window};
 
-/// Bookkeeping for one active job.
-#[derive(Clone, Copy, Debug)]
-pub struct JobRec {
-    /// The (aligned, possibly trimmed) window the scheduler works with.
-    pub window: Window,
-    /// Cached level of `window.span()` in the tower.
-    pub level: usize,
-    /// Current physical slot.
-    pub slot: Slot,
+/// `log2` of the slots a page of any per-level store covers, up to the
+/// caps below: `2^16`, the benchmark's horizon, is one page.
+const PAGE_SPAN_BITS: u32 = 16;
+
+/// Cap on `log2` of the runs per page.
+const MAX_PAGE_BITS: u32 = 11;
+
+/// Chain positions below this one have at most 64 intervals per window
+/// and keep their state in blocks (see `Windows`).
+const BLOCKED: usize = 6;
+
+/// `log2` of the runs per page of a store whose runs each cover
+/// `2^run_bits` slots.
+fn page_bits(run_bits: u32) -> u32 {
+    PAGE_SPAN_BITS.saturating_sub(run_bits).min(MAX_PAGE_BITS)
 }
 
-/// Per-window state at levels `≥ 1`.
+/// The per-window state of one level (see the module docs): every chain
+/// window's job count `x` and its open set — the intervals in which it
+/// holds an empty fulfilled slot, the candidates Lemma 8 guarantees for
+/// PLACE and MOVE.
+///
+/// The windows of the first [`BLOCKED`] chain positions live in
+/// *blocks*: one run of `2^b` cells per aligned block of `2^b` intervals
+/// (`b` the number of such positions the chain has), holding the
+/// block's one position-`b−1` window, then its two position-`b−2`
+/// windows, and so on down to its `2^(b−1)` position-0 windows (the last
+/// cell is unused). Their open sets are bitmasks over their (at most 64)
+/// intervals, in the same cells of a second store. Wider windows keep a
+/// count and a sorted list each, one store per position.
+#[derive(Clone, Debug)]
+struct Windows {
+    /// `log2 L_ℓ`.
+    shift: u32,
+    /// Chain length.
+    chain: u32,
+    /// Blocked positions: `min(chain, BLOCKED)`.
+    blocked: u32,
+    /// Job counts of the blocked positions, by block.
+    counts: Paged<u32>,
+    /// Open sets of the blocked positions, by block: bit `p` of a
+    /// window's cell ⇔ its `p`-th interval is open.
+    masks: Paged<u64>,
+    /// Position `BLOCKED + i` at `wide[i]`, indexed by
+    /// `start >> (shift + k + 1)`.
+    wide: Vec<Paged<WideWindow>>,
+}
+
+/// A window of more than 64 intervals.
 #[derive(Clone, Debug, Default)]
-pub struct WindowState {
-    /// Number of active jobs with exactly this window (the paper's `x`).
-    pub x: u64,
-    /// Starts of the intervals in which this window holds an empty
-    /// fulfilled slot — the candidates Lemma 8 guarantees for PLACE and
-    /// MOVE — ascending.
-    pub open: Vec<Slot>,
+struct WideWindow {
+    x: u32,
+    /// Open interval starts, ascending.
+    open: Vec<Slot>,
 }
 
-impl WindowState {
-    /// Brings `istart`'s membership in [`Self::open`] to `open`.
-    fn set_open(&mut self, istart: Slot, open: bool) {
-        match (self.open.binary_search(&istart), open) {
-            (Err(at), true) => self.open.insert(at, istart),
+impl Windows {
+    fn new(shift: u32) -> Self {
+        Windows {
+            shift,
+            chain: 0,
+            blocked: 0,
+            counts: Paged::new(page_bits(shift), 1),
+            masks: Paged::new(page_bits(shift), 1),
+            wide: Vec::new(),
+        }
+    }
+
+    /// The block and cell of the window at blocked position `k` around
+    /// `slot`.
+    #[inline]
+    fn cell(&self, k: usize, slot: Slot) -> (u64, usize) {
+        let (b, k) = (self.blocked, k as u32);
+        debug_assert!(k < b);
+        let block = slot >> (self.shift + b);
+        let within = (slot >> (self.shift + k + 1)) & ((1 << (b - 1 - k)) - 1);
+        (block, (1 << b) - (1 << (b - k)) + within as usize)
+    }
+
+    /// Every cell of `block` as `(chain position, window start, cell)`.
+    fn cells_of(&self, block: u64) -> impl Iterator<Item = (usize, Slot, usize)> {
+        let (b, shift) = (self.blocked, self.shift);
+        (0..b).flat_map(move |k| {
+            let first = (1usize << b) - (1 << (b - k));
+            (0..1u64 << (b - 1 - k)).map(move |within| {
+                let index = (block << (b - 1 - k)) + within;
+                (
+                    k as usize,
+                    index << (shift + k + 1),
+                    first + within as usize,
+                )
+            })
+        })
+    }
+
+    /// The store of wide position `k`, and the index of the window
+    /// around `slot` in it.
+    fn wide_of(&self, k: usize, slot: Slot) -> (usize, u64) {
+        (k - BLOCKED, slot >> (self.shift + k as u32 + 1))
+    }
+
+    /// The job count of the chain-position-`k` window around `slot`.
+    #[inline]
+    fn x(&self, k: usize, slot: Slot) -> u64 {
+        if k < BLOCKED {
+            let (block, cell) = self.cell(k, slot);
+            return self.counts.get(block).map_or(0, |run| u64::from(run[cell]));
+        }
+        let (i, index) = self.wide_of(k, slot);
+        self.wide[i].get(index).map_or(0, |run| u64::from(run[0].x))
+    }
+
+    fn x_mut(&mut self, k: usize, slot: Slot) -> &mut u32 {
+        if k < BLOCKED {
+            let (block, cell) = self.cell(k, slot);
+            return &mut self.counts.entry(block)[cell];
+        }
+        let (i, index) = self.wide_of(k, slot);
+        &mut self.wide[i].entry(index)[0].x
+    }
+
+    /// Brings the membership of the interval at `istart` in the open set
+    /// of its chain-position-`k` window to `open`.
+    fn set_open(&mut self, k: usize, istart: Slot, open: bool) {
+        if k < BLOCKED {
+            let pos = (istart >> self.shift) & ((1 << (k + 1)) - 1);
+            let (block, cell) = self.cell(k, istart);
+            let mask = &mut self.masks.entry(block)[cell];
+            if open {
+                *mask |= 1 << pos;
+            } else {
+                *mask &= !(1 << pos);
+            }
+            return;
+        }
+        let (i, index) = self.wide_of(k, istart);
+        let list = &mut self.wide[i].entry(index)[0].open;
+        match (list.binary_search(&istart), open) {
+            (Err(at), true) => list.insert(at, istart),
             (Ok(at), false) => {
-                self.open.remove(at);
+                list.remove(at);
             }
             _ => {}
         }
     }
+
+    /// Starts of the open intervals of the chain-position-`k` window
+    /// starting at `start`, ascending.
+    fn open_starts(&self, k: usize, start: Slot) -> impl Iterator<Item = Slot> + '_ {
+        let shift = self.shift;
+        let (mask, list): (u64, &[Slot]) = if k < BLOCKED {
+            let (block, cell) = self.cell(k, start);
+            (self.masks.get(block).map_or(0, |run| run[cell]), &[])
+        } else {
+            let (i, index) = self.wide_of(k, start);
+            let list = self.wide[i]
+                .get(index)
+                .map_or(&[][..], |run| &run[0].open[..]);
+            (0, list)
+        };
+        set_bits(mask)
+            .map(move |pos| start + ((pos as u64) << shift))
+            .chain(list.iter().copied())
+    }
+
+    /// Every blocked window that keeps state — a job or an open interval —
+    /// as `(chain position, start, x, open mask)`.
+    fn blocked_cells(&self) -> Vec<(usize, Slot, u32, u64)> {
+        let mut out = Vec::new();
+        // A block may have a page in one store and not the other.
+        for (block, run) in self.counts.iter() {
+            let masks = self.masks.get(block);
+            let mask = |cell: usize| masks.map_or(0, |m| m[cell]);
+            out.extend(
+                self.cells_of(block)
+                    .filter(|&(_, _, cell)| run[cell] > 0 || mask(cell) != 0)
+                    .map(|(k, start, cell)| (k, start, run[cell], mask(cell))),
+            );
+        }
+        for (block, run) in self.masks.iter() {
+            if self.counts.get(block).is_none() {
+                out.extend(
+                    self.cells_of(block)
+                        .filter(|&(_, _, cell)| run[cell] != 0)
+                        .map(|(k, start, cell)| (k, start, 0, run[cell])),
+                );
+            }
+        }
+        out
+    }
+
+    /// Every window that keeps state — a job or an open interval — as
+    /// `(chain position, start, x)`.
+    fn live(&self) -> Vec<(usize, Slot, u64)> {
+        let mut out: Vec<(usize, Slot, u64)> = (self.blocked_cells().into_iter())
+            .map(|(k, start, x, _)| (k, start, u64::from(x)))
+            .collect();
+        for (i, table) in self.wide.iter().enumerate() {
+            let k = BLOCKED + i;
+            out.extend(
+                table
+                    .iter()
+                    .filter(|(_, run)| run[0].x > 0 || !run[0].open.is_empty())
+                    .map(|(index, run)| {
+                        (k, index << (self.shift + k as u32 + 1), u64::from(run[0].x))
+                    }),
+            );
+        }
+        out
+    }
+
+    /// Empties the open set of the chain-position-`k` window starting at
+    /// `start`.
+    fn clear_open(&mut self, k: usize, start: Slot) {
+        if k < BLOCKED {
+            let (block, cell) = self.cell(k, start);
+            self.masks.entry(block)[cell] = 0;
+        } else {
+            let (i, index) = self.wide_of(k, start);
+            self.wide[i].entry(index)[0].open.clear();
+        }
+    }
+
+    /// Lengthens the chain to `chain` positions: the blocks re-form
+    /// around the longer chain, the new positions start empty.
+    fn lengthen(&mut self, chain: usize) {
+        let blocked = chain.min(BLOCKED) as u32;
+        if blocked != self.blocked {
+            let cells = self.blocked_cells();
+            let bits = page_bits(self.shift + blocked);
+            self.blocked = blocked;
+            self.counts = Paged::new(bits, 1 << blocked);
+            self.masks = Paged::new(bits, 1 << blocked);
+            for (k, start, x, mask) in cells {
+                let (block, cell) = self.cell(k, start);
+                self.counts.entry(block)[cell] = x;
+                self.masks.entry(block)[cell] = mask;
+            }
+        }
+        for k in (BLOCKED + self.wide.len())..chain {
+            self.wide
+                .push(Paged::new(page_bits(self.shift + k as u32 + 1), 1));
+        }
+        self.chain = chain as u32;
+    }
+}
+
+/// Positions of the set bits of `w`, ascending.
+fn set_bits(w: u64) -> impl Iterator<Item = usize> {
+    std::iter::successors((w != 0).then_some(w), |&w| {
+        Some(w & (w - 1)).filter(|&rest| rest != 0)
+    })
+    .map(|w| w.trailing_zeros() as usize)
 }
 
 /// The lowest set bit at positions `lo..=hi` of the bit string whose
@@ -95,7 +324,7 @@ fn lowest_bit(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> Option<usize
     })
 }
 
-/// A bit field of an [`IntervalState`] record.
+/// A bit field of a [`Record`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Field {
     /// Slots under jobs of strictly lower levels.
@@ -120,102 +349,93 @@ impl Field {
     }
 }
 
-/// The dense record of one materialized interval (see the module docs).
-/// Field width comes from the owning [`Level`], which is why every
-/// accessor takes `nw`, the words per field.
-#[derive(Clone, Debug)]
-pub struct IntervalState {
-    /// `lower | phys | assigned[0] | held[0] | assigned[1] | …`, `nw`
-    /// words each.
-    words: Vec<u64>,
+/// One interval's record (see the module docs) over its words, `nw` per
+/// field: borrowed from the level's store, or empty for an interval never
+/// written, whose fields all read as zero.
+#[derive(Debug)]
+pub struct Record<W> {
+    /// `lower | phys | assigned[0] | held[0] | assigned[1] | …`.
+    words: W,
+    nw: usize,
 }
 
-impl IntervalState {
-    /// An all-zero record with the two occupancy fields allocated.
-    fn new(nw: usize) -> Self {
-        IntervalState {
-            words: vec![0; 2 * nw],
-        }
-    }
-
-    /// Word `i` of `field`; zero past the allocated chain positions.
-    pub fn word(&self, nw: usize, field: Field, i: usize) -> u64 {
-        self.words.get(field.index() * nw + i).copied().unwrap_or(0)
-    }
-
-    /// Mutable word `i` of `field`, growing the record to hold it.
-    fn word_mut(&mut self, nw: usize, field: Field, i: usize) -> &mut u64 {
-        let at = field.index() * nw + i;
-        if at >= self.words.len() {
-            // Whole `assigned`/`held` pairs, so a field is never half there.
-            self.words.resize((field.index() | 1) * nw + nw, 0);
-        }
-        &mut self.words[at]
+impl<W: AsRef<[u64]>> Record<W> {
+    /// Word `i` of `field`; zero for an interval never written.
+    #[inline]
+    pub fn word(&self, field: Field, i: usize) -> u64 {
+        self.words
+            .as_ref()
+            .get(field.index() * self.nw + i)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Whether bit `bit` of `field` is set.
-    pub fn test(&self, nw: usize, field: Field, bit: usize) -> bool {
-        self.word(nw, field, bit / 64) >> (bit % 64) & 1 == 1
-    }
-
-    fn set(&mut self, nw: usize, field: Field, bit: usize) {
-        *self.word_mut(nw, field, bit / 64) |= 1 << (bit % 64);
-    }
-
-    fn clear(&mut self, nw: usize, field: Field, bit: usize) {
-        *self.word_mut(nw, field, bit / 64) &= !(1 << (bit % 64));
+    pub fn test(&self, field: Field, bit: usize) -> bool {
+        self.word(field, bit / 64) >> (bit % 64) & 1 == 1
     }
 
     /// Set bits of `field`, ascending.
-    pub fn bits(&self, nw: usize, field: Field) -> impl Iterator<Item = usize> + '_ {
-        (0..nw).flat_map(move |i| {
-            let first = self.word(nw, field, i);
-            std::iter::successors((first != 0).then_some(first), |&w| {
-                Some(w & (w - 1)).filter(|&rest| rest != 0)
-            })
-            .map(move |w| i * 64 + w.trailing_zeros() as usize)
-        })
+    pub fn bits(&self, field: Field) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nw).flat_map(move |i| set_bits(self.word(field, i)).map(move |b| i * 64 + b))
     }
 
     /// Number of set bits in `field`.
-    pub fn count(&self, nw: usize, field: Field) -> u64 {
-        (0..nw)
-            .map(|i| u64::from(self.word(nw, field, i).count_ones()))
+    pub fn count(&self, field: Field) -> u64 {
+        (0..self.nw)
+            .map(|i| u64::from(self.word(field, i).count_ones()))
             .sum()
     }
 
-    /// Chain positions with an allocated `assigned`/`held` pair.
-    pub fn chain_len(&self, nw: usize) -> usize {
-        self.words.len() / nw / 2 - 1
+    /// Chain positions the record has fields for (0 for an interval never
+    /// written).
+    pub fn chain_len(&self) -> usize {
+        (self.words.as_ref().len() / self.nw / 2).saturating_sub(1)
     }
 
     /// Whether chain position `k` holds an empty fulfilled slot here.
-    pub fn is_open(&self, nw: usize, k: usize) -> bool {
-        (0..nw).any(|i| self.open_word(nw, k, i) != 0)
+    pub fn is_open(&self, k: usize) -> bool {
+        (0..self.nw).any(|i| self.open_word(k, i) != 0)
     }
 
     /// Word `i` of `assigned[k] & !held[k]`.
-    fn open_word(&self, nw: usize, k: usize, i: usize) -> u64 {
-        self.word(nw, Field::Assigned(k), i) & !self.word(nw, Field::Held(k), i)
+    fn open_word(&self, k: usize, i: usize) -> u64 {
+        self.word(Field::Assigned(k), i) & !self.word(Field::Held(k), i)
     }
 
     /// Word `i` of `lower | ⋃ assigned`: slots that cannot back another
     /// reservation.
-    fn taken_word(&self, nw: usize, i: usize) -> u64 {
-        (0..self.chain_len(nw)).fold(self.word(nw, Field::Lower, i), |acc, k| {
-            acc | self.word(nw, Field::Assigned(k), i)
+    fn taken_word(&self, i: usize) -> u64 {
+        (0..self.chain_len()).fold(self.word(Field::Lower, i), |acc, k| {
+            acc | self.word(Field::Assigned(k), i)
         })
     }
 
     /// Chain position whose `assigned` field has `bit` set, if any.
-    pub fn holder(&self, nw: usize, bit: usize) -> Option<usize> {
-        (0..self.chain_len(nw)).find(|&k| self.test(nw, Field::Assigned(k), bit))
+    pub fn holder(&self, bit: usize) -> Option<usize> {
+        (0..self.chain_len()).find(|&k| self.test(Field::Assigned(k), bit))
     }
 
-    /// `true` when every word is zero: the record says nothing an absent
-    /// one would not, and is pruned.
+    /// `true` when every word is zero: the interval reads as one never
+    /// written.
     pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words.as_ref().iter().all(|&w| w == 0)
+    }
+}
+
+impl Record<&mut [u64]> {
+    /// Mutable word `i` of `field`.
+    #[inline]
+    fn word_mut(&mut self, field: Field, i: usize) -> &mut u64 {
+        &mut self.words[field.index() * self.nw + i]
+    }
+
+    fn set(&mut self, field: Field, bit: usize) {
+        *self.word_mut(field, bit / 64) |= 1 << (bit % 64);
+    }
+
+    fn clear(&mut self, field: Field, bit: usize) {
+        *self.word_mut(field, bit / 64) &= !(1 << (bit % 64));
     }
 }
 
@@ -230,18 +450,18 @@ impl IntervalState {
 /// state (Observation 7 still applies).
 #[derive(Clone, Debug)]
 pub struct Level {
-    /// Window states: job counts and open intervals. Entries persist after
-    /// their last job leaves (standing reservations remain).
-    /// FxHash: keys are scheduler-internal, hashed on every quota lookup.
-    pub windows: FxHashMap<Window, WindowState>,
-    /// Materialized intervals, keyed by interval start. An absent entry
-    /// means no occupancy and no fulfilled reservation (full allowance).
-    pub intervals: FxHashMap<Slot, IntervalState>,
+    /// Interval records, one run of `2·nw·(1 + chain)` words per interval,
+    /// indexed by `istart >> shift`.
+    records: Paged<u64>,
+    /// Job counts and open sets of the chain windows.
+    windows: Windows,
     /// Largest window span ever inserted at this level (0 = level unused).
-    pub high_water: u64,
+    high_water: u64,
     /// Interval span `L_ℓ` (a power of two; 1 at level 0, which has no
     /// interval machinery).
     ispan: u64,
+    /// `log2 L_ℓ`.
+    shift: u32,
     /// Words per record field: `⌈L_ℓ / 64⌉`.
     nw: usize,
 }
@@ -250,12 +470,14 @@ impl Level {
     /// Empty state for a level whose intervals span `ispan` slots.
     pub fn new(ispan: u64) -> Self {
         debug_assert!(ispan.is_power_of_two());
+        let (nw, shift) = (ispan.div_ceil(64) as usize, ispan.trailing_zeros());
         Level {
-            windows: FxHashMap::default(),
-            intervals: FxHashMap::default(),
+            records: Paged::new(page_bits(shift), 2 * nw),
+            windows: Windows::new(shift),
             high_water: 0,
             ispan,
-            nw: ispan.div_ceil(64) as usize,
+            shift,
+            nw,
         }
     }
 
@@ -264,9 +486,40 @@ impl Level {
         self.ispan
     }
 
+    /// `log2 L_ℓ`.
+    pub fn shift(&self) -> u32 {
+        self.shift
+    }
+
     /// Words per record field.
     pub fn nw(&self) -> usize {
         self.nw
+    }
+
+    /// Largest window span ever inserted at this level (0 = unused).
+    pub fn high_water(&self) -> u64 {
+        self.high_water
+    }
+
+    /// Raises the high-water mark to `span` if it is lower. A longer chain
+    /// re-strides every record (the new `assigned`/`held` pairs start
+    /// empty), re-blocks the job counts and opens the new positions'
+    /// open-set arrays.
+    pub fn raise_high_water(&mut self, span: u64) {
+        if span <= self.high_water {
+            return;
+        }
+        self.high_water = span;
+        let chain = self.chain_spans().count();
+        if chain > self.chain_len() {
+            self.records.rewidth(2 * self.nw * (1 + chain));
+            self.windows.lengthen(chain);
+        }
+    }
+
+    /// Chain length: the number of chain positions.
+    pub fn chain_len(&self) -> usize {
+        self.windows.chain as usize
     }
 
     /// Start of the interval containing `slot`.
@@ -282,7 +535,7 @@ impl Level {
     /// Chain position of a window span of this level: `2^(k+1)·L_ℓ ↦ k`.
     pub fn chain_pos(&self, span: u64) -> usize {
         debug_assert!(span.is_power_of_two() && span > self.ispan);
-        (span.trailing_zeros() - self.ispan.trailing_zeros() - 1) as usize
+        (span.trailing_zeros() - self.shift - 1) as usize
     }
 
     /// Window spans participating in every chain at this level:
@@ -303,46 +556,95 @@ impl Level {
         }
     }
 
+    /// The record of the interval at `istart`.
+    #[inline]
+    pub fn rec(&self, istart: Slot) -> Record<&[u64]> {
+        Record {
+            words: self.records.get(istart >> self.shift).unwrap_or(&[]),
+            nw: self.nw,
+        }
+    }
+
+    /// Every interval whose record is not all zero, ascending.
+    pub fn records(&self) -> impl Iterator<Item = (Slot, Record<&[u64]>)> + '_ {
+        self.records
+            .iter()
+            .map(move |(index, words)| (index << self.shift, Record { words, nw: self.nw }))
+            .filter(|(_, rec)| !rec.is_zero())
+    }
+
+    // ------------------------------------------------------------------
+    // Window states
+    // ------------------------------------------------------------------
+
+    /// The job count `x` of the chain-position-`k` window around `istart`.
+    #[inline]
+    pub fn x_at(&self, k: usize, istart: Slot) -> u64 {
+        self.windows.x(k, istart)
+    }
+
+    /// `window`'s job count `x` (0 for a window past the chain).
+    pub fn x(&self, window: Window) -> u64 {
+        let k = self.chain_pos(window.span());
+        if k >= self.chain_len() {
+            return 0;
+        }
+        self.windows.x(k, window.start())
+    }
+
+    /// `window`'s job count, mutably. The window's span must not exceed
+    /// the high-water mark.
+    pub fn x_mut(&mut self, window: Window) -> &mut u32 {
+        self.windows
+            .x_mut(self.chain_pos(window.span()), window.start())
+    }
+
+    /// The open intervals of `window`, ascending.
+    pub fn open_intervals(&self, window: Window) -> Vec<Slot> {
+        let k = self.chain_pos(window.span());
+        if k >= self.chain_len() {
+            return Vec::new();
+        }
+        self.windows.open_starts(k, window.start()).collect()
+    }
+
+    /// Every window that keeps state — a job, or an empty fulfilled slot
+    /// (a standing reservation) — with its count, sorted.
+    pub fn window_states(&self) -> Vec<(Window, u64)> {
+        let mut out: Vec<(Window, u64)> = (self.windows.live().into_iter())
+            .map(|(k, start, x)| (Window::with_span(start, self.ispan << (k + 1)), x))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     // ------------------------------------------------------------------
     // Occupancy bits
     // ------------------------------------------------------------------
 
-    /// Sets `slot`'s bit in an occupancy field, materializing the record.
+    /// Sets `slot`'s bit in an occupancy field.
     pub fn set_occupancy(&mut self, field: Field, slot: Slot) {
         debug_assert!(matches!(field, Field::Lower | Field::Phys));
-        let (nw, bit) = (self.nw, self.bit_of(slot));
-        let rec = self
-            .intervals
-            .entry(self.istart_of(slot))
-            .or_insert_with(|| IntervalState::new(nw));
-        debug_assert!(
-            !rec.test(nw, field, bit),
-            "slot {slot} entered {field:?} twice"
-        );
-        rec.set(nw, field, bit);
+        let bit = self.bit_of(slot);
+        let mut rec = Record {
+            words: self.records.entry(slot >> self.shift),
+            nw: self.nw,
+        };
+        debug_assert!(!rec.test(field, bit), "slot {slot} entered {field:?} twice");
+        rec.set(field, bit);
     }
 
-    /// Clears `slot`'s bit in an occupancy field (the record of an
-    /// occupied slot always exists), pruning the record if that leaves it
-    /// all-zero.
+    /// Clears `slot`'s bit in an occupancy field.
     pub fn clear_occupancy(&mut self, field: Field, slot: Slot) {
         debug_assert!(matches!(field, Field::Lower | Field::Phys));
-        let (nw, bit, istart) = (self.nw, self.bit_of(slot), self.istart_of(slot));
-        let Some(rec) = self.intervals.get_mut(&istart) else {
-            debug_assert!(
-                false,
-                "interval of occupied slot {slot} must be materialized"
-            );
+        let bit = self.bit_of(slot);
+        let Some(words) = self.records.get_mut(slot >> self.shift) else {
+            debug_assert!(false, "interval of occupied slot {slot} must be written");
             return;
         };
-        debug_assert!(
-            rec.test(nw, field, bit),
-            "slot {slot} missing from {field:?}"
-        );
-        rec.clear(nw, field, bit);
-        if rec.is_zero() {
-            self.intervals.remove(&istart);
-        }
+        let mut rec = Record { words, nw: self.nw };
+        debug_assert!(rec.test(field, bit), "slot {slot} missing from {field:?}");
+        rec.clear(field, bit);
     }
 
     /// The leftmost slot of `window` (which lies inside one interval of
@@ -350,134 +652,132 @@ impl Level {
     pub fn leftmost_in(&self, window: Window, pick: impl Fn(u64, u64) -> u64) -> Option<Slot> {
         let istart = self.istart_of(window.start());
         debug_assert!(window.end() <= istart + self.ispan);
-        let rec = self.intervals.get(&istart);
-        let word = |field, i| rec.map_or(0, |r| r.word(self.nw, field, i));
+        let rec = self.rec(istart);
         let (lo, hi) = (self.bit_of(window.start()), self.bit_of(window.end() - 1));
         lowest_bit(lo, hi, |i| {
-            pick(word(Field::Lower, i), word(Field::Phys, i))
+            pick(rec.word(Field::Lower, i), rec.word(Field::Phys, i))
         })
         .map(|bit| istart + bit as Slot)
     }
 
     // ------------------------------------------------------------------
-    // Fulfilled-reservation bits (keep the windows' open lists exact)
+    // Fulfilled-reservation bits (keep the windows' open sets exact)
     // ------------------------------------------------------------------
 
     /// Applies `edit` to the record of `slot`'s interval and brings
-    /// `window`'s open list in line with the result.
+    /// `window`'s open set in line with the result.
     fn edit_reservation(
         &mut self,
         window: Window,
         slot: Slot,
-        edit: impl FnOnce(&mut IntervalState, usize, usize, usize),
+        edit: impl FnOnce(&mut Record<&mut [u64]>, usize, usize),
     ) {
-        let (nw, k, bit) = (self.nw, self.chain_pos(window.span()), self.bit_of(slot));
-        let istart = self.istart_of(slot);
-        let rec = self
-            .intervals
-            .entry(istart)
-            .or_insert_with(|| IntervalState::new(nw));
-        let was_open = rec.is_open(nw, k);
-        edit(rec, nw, k, bit);
-        let open = rec.is_open(nw, k);
-        if open != was_open {
-            self.windows
-                .entry(window)
-                .or_default()
-                .set_open(istart, open);
+        let (k, bit, istart) = (
+            self.chain_pos(window.span()),
+            self.bit_of(slot),
+            self.istart_of(slot),
+        );
+        let mut rec = Record {
+            words: self.records.entry(istart >> self.shift),
+            nw: self.nw,
+        };
+        let was_open = rec.is_open(k);
+        edit(&mut rec, k, bit);
+        if rec.is_open(k) != was_open {
+            self.windows.set_open(k, istart, !was_open);
         }
     }
 
     /// Marks `slot` as a fulfilled (and job-free) reservation of `window`.
     pub fn assign(&mut self, window: Window, slot: Slot) {
-        self.edit_reservation(window, slot, |rec, nw, k, bit| {
-            debug_assert!(rec.holder(nw, bit).is_none(), "slot {slot} assigned twice");
-            rec.set(nw, Field::Assigned(k), bit);
+        self.edit_reservation(window, slot, |rec, k, bit| {
+            debug_assert!(rec.holder(bit).is_none(), "slot {slot} assigned twice");
+            rec.set(Field::Assigned(k), bit);
         });
     }
 
     /// Drops `window`'s fulfilled reservation at `slot`, which must be
     /// free of the window's own jobs.
     pub fn unassign(&mut self, window: Window, slot: Slot) {
-        self.edit_reservation(window, slot, |rec, nw, k, bit| {
+        self.edit_reservation(window, slot, |rec, k, bit| {
             debug_assert!(
-                rec.test(nw, Field::Assigned(k), bit) && !rec.test(nw, Field::Held(k), bit),
+                rec.test(Field::Assigned(k), bit) && !rec.test(Field::Held(k), bit),
                 "removing occupied or absent slot {slot}"
             );
-            rec.clear(nw, Field::Assigned(k), bit);
+            rec.clear(Field::Assigned(k), bit);
         });
     }
 
     /// Records that a job of `window` now sits on its assigned `slot`.
     pub fn occupy(&mut self, window: Window, slot: Slot) {
-        self.edit_reservation(window, slot, |rec, nw, k, bit| {
+        self.edit_reservation(window, slot, |rec, k, bit| {
             debug_assert!(
-                rec.test(nw, Field::Assigned(k), bit) && !rec.test(nw, Field::Held(k), bit),
+                rec.test(Field::Assigned(k), bit) && !rec.test(Field::Held(k), bit),
                 "occupying unassigned or occupied slot {slot}"
             );
-            rec.set(nw, Field::Held(k), bit);
+            rec.set(Field::Held(k), bit);
         });
     }
 
     /// Records that `window`'s job left its assigned `slot`.
     pub fn vacate(&mut self, window: Window, slot: Slot) {
-        self.edit_reservation(window, slot, |rec, nw, k, bit| {
+        self.edit_reservation(window, slot, |rec, k, bit| {
             debug_assert!(
-                rec.test(nw, Field::Held(k), bit),
+                rec.test(Field::Held(k), bit),
                 "slot {slot} was not occupied"
             );
-            rec.clear(nw, Field::Held(k), bit);
+            rec.clear(Field::Held(k), bit);
         });
     }
 
     /// Moves the fulfilled reservation of chain position `k` at `from` to
     /// `to` (same interval), together with its job if `with_job`. The
-    /// window's count of empty slots here is unchanged, so its open list
+    /// window's count of empty slots here is unchanged, so its open set
     /// is too.
     pub fn repoint(&mut self, k: usize, from: Slot, to: Slot, with_job: bool) {
-        let (nw, istart) = (self.nw, self.istart_of(from));
+        let istart = self.istart_of(from);
         debug_assert_eq!(istart, self.istart_of(to), "re-point across intervals");
         let (from, to) = (self.bit_of(from), self.bit_of(to));
-        let rec = self
-            .intervals
-            .get_mut(&istart)
-            .expect("re-pointed reservation has a record");
-        debug_assert!(rec.holder(nw, to).is_none(), "re-point target is assigned");
-        debug_assert_eq!(rec.test(nw, Field::Held(k), from), with_job);
-        rec.clear(nw, Field::Assigned(k), from);
-        rec.set(nw, Field::Assigned(k), to);
+        let mut rec = Record {
+            words: self
+                .records
+                .get_mut(istart >> self.shift)
+                .expect("re-pointed reservation has a record"),
+            nw: self.nw,
+        };
+        debug_assert!(rec.holder(to).is_none(), "re-point target is assigned");
+        debug_assert_eq!(rec.test(Field::Held(k), from), with_job);
+        rec.clear(Field::Assigned(k), from);
+        rec.set(Field::Assigned(k), to);
         if with_job {
-            rec.clear(nw, Field::Held(k), from);
-            rec.set(nw, Field::Held(k), to);
+            rec.clear(Field::Held(k), from);
+            rec.set(Field::Held(k), to);
         }
     }
 
     /// Chain position holding a fulfilled reservation at `slot`, if any.
     pub fn holder(&self, slot: Slot) -> Option<usize> {
-        self.intervals
-            .get(&self.istart_of(slot))?
-            .holder(self.nw, self.bit_of(slot))
+        self.rec(self.istart_of(slot)).holder(self.bit_of(slot))
     }
 
     /// An empty fulfilled slot of `window`: the leftmost physically free
     /// one, else the leftmost.
     pub fn pick_open_slot(&self, window: Window) -> Option<Slot> {
-        let ws = self.windows.get(&window)?;
-        let (nw, k, top) = (
-            self.nw,
-            self.chain_pos(window.span()),
-            self.ispan as usize - 1,
-        );
+        let k = self.chain_pos(window.span());
+        if k >= self.chain_len() {
+            return None;
+        }
+        let top = self.ispan as usize - 1;
         let mut fallback = None;
-        for &istart in &ws.open {
-            let rec = &self.intervals[&istart];
-            let free = |i| rec.open_word(nw, k, i) & !rec.word(nw, Field::Phys, i);
+        for istart in self.windows.open_starts(k, window.start()) {
+            let rec = self.rec(istart);
+            let free = |i| rec.open_word(k, i) & !rec.word(Field::Phys, i);
             if let Some(bit) = lowest_bit(0, top, free) {
                 return Some(istart + bit as Slot);
             }
             if fallback.is_none() {
                 fallback =
-                    lowest_bit(0, top, |i| rec.open_word(nw, k, i)).map(|bit| istart + bit as Slot);
+                    lowest_bit(0, top, |i| rec.open_word(k, i)).map(|bit| istart + bit as Slot);
             }
         }
         fallback
@@ -502,33 +802,32 @@ impl Level {
         targets: &[(Window, u64)],
     ) -> Option<(usize, u64)> {
         let nw = self.nw;
-        let rec = self.intervals.get_mut(&istart)?;
-        let allocated = rec.chain_len(nw);
-        for (k, &(window, quota)) in targets.iter().enumerate().take(allocated).skip(first) {
-            let was_open = rec.is_open(nw, k);
+        let mut rec = Record {
+            words: self.records.get_mut(istart >> self.shift)?,
+            nw,
+        };
+        for (k, &(window, quota)) in targets.iter().enumerate().skip(first) {
+            let was_open = rec.is_open(k);
             for i in 0..nw {
-                let lower = rec.word(nw, Field::Lower, i);
+                let lower = rec.word(Field::Lower, i);
                 debug_assert_eq!(
-                    lower & rec.word(nw, Field::Held(k), i),
+                    lower & rec.word(Field::Held(k), i),
                     0,
                     "lower-occupied slot still holds a job of {window}"
                 );
-                *rec.word_mut(nw, Field::Assigned(k), i) &= !lower;
+                *rec.word_mut(Field::Assigned(k), i) &= !lower;
             }
-            let mut excess = rec.count(nw, Field::Assigned(k)).saturating_sub(quota);
+            let mut excess = rec.count(Field::Assigned(k)).saturating_sub(quota);
             for i in 0..nw {
-                let mut open = rec.open_word(nw, k, i);
+                let mut open = rec.open_word(k, i);
                 while excess > 0 && open != 0 {
-                    *rec.word_mut(nw, Field::Assigned(k), i) &= !(open & open.wrapping_neg());
+                    *rec.word_mut(Field::Assigned(k), i) &= !(open & open.wrapping_neg());
                     open &= open - 1;
                     excess -= 1;
                 }
             }
-            if was_open && !rec.is_open(nw, k) {
-                self.windows
-                    .get_mut(&window)
-                    .expect("window with assignments has a state")
-                    .set_open(istart, false);
+            if was_open && !rec.is_open(k) {
+                self.windows.set_open(k, istart, false);
             }
             if excess > 0 {
                 return Some((k, excess));
@@ -540,71 +839,60 @@ impl Level {
     /// The leftmost slot at or after bit `from` of the interval at
     /// `istart` that chain position `k`'s own job sits on.
     pub fn next_held(&self, istart: Slot, k: usize, from: usize) -> Option<Slot> {
-        let rec = self.intervals.get(&istart)?;
+        let rec = self.rec(istart);
         let top = self.ispan as usize - 1;
-        lowest_bit(from.min(top + 1), top, |i| {
-            rec.word(self.nw, Field::Held(k), i)
-        })
-        .map(|bit| istart + bit as Slot)
+        lowest_bit(from.min(top + 1), top, |i| rec.word(Field::Held(k), i))
+            .map(|bit| istart + bit as Slot)
     }
 
     /// Phase 2 for the interval at `istart`, which ends its rebalance: tops
     /// every chain window (`targets`, as for [`Self::shed`]) up to its
-    /// quota, or prunes the record if it is left with nothing.
-    /// Slots come leftmost first, in chain order, from the free allowance
-    /// `!(lower | phys | ⋃assigned)`; only when that runs out, from
-    /// occupied-but-unassigned slots `phys & !(lower | ⋃assigned)`
+    /// quota. Slots come leftmost first, in chain order, from the free
+    /// allowance `!(lower | phys | ⋃assigned)`; only when that runs out,
+    /// from occupied-but-unassigned slots `phys & !(lower | ⋃assigned)`
     /// (assignment ≠ occupancy; PLACE displaces on use).
     pub fn claim(&mut self, istart: Slot, targets: &[(Window, u64)]) {
         let (nw, valid) = (self.nw, self.valid_word());
-        let have = |rec: Option<&IntervalState>, k| {
-            rec.map_or(0, |r: &IntervalState| r.count(nw, Field::Assigned(k)))
-        };
-        let rec = self.intervals.get(&istart);
-        if (targets.iter().enumerate()).all(|(k, &(_, quota))| quota <= have(rec, k)) {
-            // Nothing to claim; phases 0–1 may have emptied the record.
-            if rec.is_some_and(|rec| rec.is_zero()) {
-                self.intervals.remove(&istart);
-            }
+        let rec = self.rec(istart);
+        if (targets.iter().enumerate())
+            .all(|(k, &(_, quota))| quota <= rec.count(Field::Assigned(k)))
+        {
             return;
         }
-        let rec = self
-            .intervals
-            .entry(istart)
-            .or_insert_with(|| IntervalState::new(nw));
+        let mut rec = Record {
+            words: self.records.entry(istart >> self.shift),
+            nw,
+        };
         for occupied in [false, true] {
             // The pool is consumed as a stream of words: a claimed bit
             // leaves `pool` as it enters `assigned`, so later windows
             // never see it again.
-            let pool_word = |rec: &IntervalState, i: usize| {
-                let phys = rec.word(nw, Field::Phys, i);
-                !rec.taken_word(nw, i) & valid & if occupied { phys } else { !phys }
+            let pool_word = |rec: &Record<&mut [u64]>, i: usize| {
+                let phys = rec.word(Field::Phys, i);
+                !rec.taken_word(i) & valid & if occupied { phys } else { !phys }
             };
-            let (mut i, mut pool) = (0, pool_word(rec, 0));
+            let (mut i, mut pool) = (0, pool_word(&rec, 0));
             let mut short = false;
-            for (k, &(window, quota)) in targets.iter().enumerate() {
-                let mut needed = quota.saturating_sub(have(Some(rec), k));
+            for (k, &(_, quota)) in targets.iter().enumerate() {
+                let mut needed = quota.saturating_sub(rec.count(Field::Assigned(k)));
                 if needed == 0 {
                     continue;
                 }
-                let was_open = rec.is_open(nw, k);
+                let was_open = rec.is_open(k);
                 while needed > 0 {
                     while pool == 0 && i + 1 < nw {
                         i += 1;
-                        pool = pool_word(rec, i);
+                        pool = pool_word(&rec, i);
                     }
                     if pool == 0 {
                         break;
                     }
-                    *rec.word_mut(nw, Field::Assigned(k), i) |= pool & pool.wrapping_neg();
+                    *rec.word_mut(Field::Assigned(k), i) |= pool & pool.wrapping_neg();
                     pool &= pool - 1;
                     needed -= 1;
                 }
-                if !was_open && rec.is_open(nw, k) {
-                    self.windows
-                        .entry(window)
-                        .or_default()
-                        .set_open(istart, true);
+                if !was_open && rec.is_open(k) {
+                    self.windows.set_open(k, istart, true);
                 }
                 short |= needed > 0;
                 debug_assert!(
@@ -619,22 +907,26 @@ impl Level {
     }
 
     /// Releases every fulfilled reservation of windows without jobs and
-    /// drops their states (see `ReservationScheduler::compact`).
+    /// clears their states (see `ReservationScheduler::compact`).
     pub fn compact(&mut self) {
-        let (nw, ispan) = (self.nw, self.ispan);
-        let windows = &mut self.windows;
-        self.intervals.retain(|&istart, rec| {
-            for k in 0..rec.chain_len(nw) {
-                let w = Window::aligned_enclosing(istart, ispan << (k + 1));
-                if windows.get(&w).is_none_or(|ws| ws.x == 0) {
+        let (nw, shift, chain) = (self.nw, self.shift, self.chain_len());
+        let mut records = std::mem::replace(&mut self.records, Paged::new(0, 0));
+        for (index, words) in records.iter_mut() {
+            let mut rec = Record { words, nw };
+            for k in 0..chain {
+                if self.x_at(k, index << shift) == 0 {
                     for i in 0..nw {
-                        *rec.word_mut(nw, Field::Assigned(k), i) = 0;
+                        *rec.word_mut(Field::Assigned(k), i) = 0;
                     }
                 }
             }
-            !rec.is_zero()
-        });
-        windows.retain(|_, ws| ws.x > 0);
+        }
+        self.records = records;
+        for (k, start, x) in self.windows.live() {
+            if x == 0 {
+                self.windows.clear_open(k, start);
+            }
+        }
     }
 }
 
@@ -643,8 +935,8 @@ mod tests {
     use super::*;
 
     fn slots(l: &Level, istart: Slot, field: Field) -> Vec<Slot> {
-        l.intervals[&istart]
-            .bits(l.nw(), field)
+        l.rec(istart)
+            .bits(field)
             .map(|b| istart + b as Slot)
             .collect()
     }
@@ -652,21 +944,24 @@ mod tests {
     #[test]
     fn window_state_assignment_lifecycle() {
         let mut l = Level::new(32);
-        l.high_water = 128;
+        l.raise_high_water(128);
         let w = Window::new(0, 64);
         l.assign(w, 10);
         l.assign(w, 40);
-        assert_eq!(l.windows[&w].open, vec![0, 32]);
+        assert_eq!(l.open_intervals(w), vec![0, 32]);
         l.occupy(w, 10);
-        assert_eq!(l.windows[&w].open, vec![32]);
+        assert_eq!(l.open_intervals(w), vec![32]);
         assert_eq!(l.pick_open_slot(w), Some(40));
         l.vacate(w, 10);
-        assert_eq!(l.windows[&w].open, vec![0, 32]);
+        assert_eq!(l.open_intervals(w), vec![0, 32]);
         l.unassign(w, 10);
-        // Phase 2 ends a rebalance, and prunes what it leaves all-zero.
+        // Phase 2 ends a rebalance; with nothing to claim it changes nothing.
         l.claim(0, &[(w, 0)]);
-        assert_eq!(l.windows[&w].open, vec![32]);
-        assert!(!l.intervals.contains_key(&0), "all-zero record is pruned");
+        assert_eq!(l.open_intervals(w), vec![32]);
+        assert!(
+            l.rec(0).is_zero(),
+            "the emptied record reads as never written"
+        );
         assert_eq!(slots(&l, 32, Field::Assigned(0)), vec![40]);
     }
 
@@ -675,7 +970,7 @@ mod tests {
         // One window's assignments land in the record of the interval
         // each falls in, and read back ascending.
         let mut l = Level::new(8);
-        l.high_water = 64;
+        l.raise_high_water(64);
         let w = Window::new(0, 64);
         for s in [32u64, 5, 31, 9, 12] {
             l.assign(w, s);
@@ -683,7 +978,7 @@ mod tests {
         let k = l.chain_pos(64);
         assert_eq!(slots(&l, 8, Field::Assigned(k)), vec![9, 12]);
         assert_eq!(slots(&l, 24, Field::Assigned(k)), vec![31]);
-        assert_eq!(l.windows[&w].open, vec![0, 8, 24, 32]);
+        assert_eq!(l.open_intervals(w), vec![0, 8, 24, 32]);
         assert_eq!(l.holder(12), Some(k));
         assert_eq!(l.holder(13), None);
     }
@@ -691,7 +986,7 @@ mod tests {
     #[test]
     fn pick_prefers_physically_free_then_leftmost() {
         let mut l = Level::new(256);
-        l.high_water = 1024;
+        l.raise_high_water(1024);
         let w = Window::new(0, 512);
         for s in [70u64, 200, 300] {
             l.assign(w, s);
@@ -707,7 +1002,7 @@ mod tests {
     #[test]
     fn shed_drops_lower_occupied_then_leftmost_empties() {
         let mut l = Level::new(32);
-        l.high_water = 64;
+        l.raise_high_water(64);
         let w = Window::new(0, 64);
         for s in [3u64, 5, 9, 20] {
             l.assign(w, s);
@@ -718,7 +1013,7 @@ mod tests {
         // leftmost first; nothing is left to MOVE.
         assert_eq!(l.shed(0, 0, &[(w, 1)]), None);
         assert_eq!(slots(&l, 0, Field::Assigned(0)), vec![5]);
-        assert!(l.windows[&w].open.is_empty());
+        assert!(l.open_intervals(w).is_empty());
         // Quota 0: the job's slot remains for the caller to MOVE off.
         assert_eq!(l.shed(0, 0, &[(w, 0)]), Some((0, 1)));
         assert_eq!(l.next_held(0, 0, 0), Some(5));
@@ -728,7 +1023,7 @@ mod tests {
     #[test]
     fn claim_hands_out_free_slots_in_chain_order_then_occupied_ones() {
         let mut l = Level::new(4);
-        l.high_water = 16;
+        l.raise_high_water(16);
         let (w8, w16) = (Window::new(0, 8), Window::new(0, 16));
         l.set_occupancy(Field::Phys, 0);
         l.set_occupancy(Field::Lower, 0);
@@ -737,11 +1032,11 @@ mod tests {
         l.claim(0, &[(w8, 2), (w16, 1)]);
         assert_eq!(slots(&l, 0, Field::Assigned(0)), vec![1, 3]);
         assert_eq!(slots(&l, 0, Field::Assigned(1)), vec![2]);
-        assert_eq!(l.windows[&w8].open, vec![0]);
-        assert_eq!(l.windows[&w16].open, vec![0]);
-        // Nothing to do: no state is touched, no record appears.
+        assert_eq!(l.open_intervals(w8), vec![0]);
+        assert_eq!(l.open_intervals(w16), vec![0]);
+        // Nothing to do: no state is touched.
         l.claim(4, &[(w8, 0), (w16, 0)]);
-        assert!(!l.intervals.contains_key(&4));
+        assert!(l.rec(4).is_zero());
     }
 
     #[test]
@@ -764,26 +1059,26 @@ mod tests {
     #[test]
     fn compact_releases_jobless_windows() {
         let mut l = Level::new(32);
-        l.high_water = 128;
+        l.raise_high_water(128);
         let (kept, dropped) = (Window::new(0, 64), Window::new(0, 128));
         l.assign(kept, 1);
         l.assign(dropped, 2);
         l.assign(dropped, 100);
-        l.windows.get_mut(&kept).unwrap().x = 1;
+        *l.x_mut(kept) = 1;
         l.compact();
-        assert_eq!(l.windows.len(), 1);
+        assert_eq!(l.window_states(), vec![(kept, 1)]);
         assert_eq!(slots(&l, 0, Field::Assigned(0)), vec![1]);
         assert!(slots(&l, 0, Field::Assigned(1)).is_empty());
-        assert!(!l.intervals.contains_key(&96));
+        assert!(l.rec(96).is_zero());
     }
 
     #[test]
     fn chain_spans_follow_high_water() {
         let mut l = Level::new(32);
         assert_eq!(l.chain_spans().count(), 0);
-        l.high_water = 64;
+        l.raise_high_water(64);
         assert_eq!(l.chain_spans().collect::<Vec<_>>(), vec![64]);
-        l.high_water = 256;
+        l.raise_high_water(256);
         assert_eq!(l.chain_spans().collect::<Vec<_>>(), vec![64, 128, 256]);
         assert_eq!(l.chain_pos(64), 0);
         assert_eq!(l.chain_pos(256), 2);

@@ -29,8 +29,15 @@
 //! (`originals`, empty whenever every window fits
 //! [`TrimmedScheduler::trim_span`]); every other job's original window
 //! *is* its inner window. Snapshots still list every job's pre-trim window (`o` lines),
-//! derived from the two.
+//! derived from the two. While no bound cuts anything, a request never
+//! touches `originals` at all.
+//!
+//! An owner that addresses jobs by handle (the §3 wrapper, through the
+//! `*_tracked` methods) gets the inner scheduler's handles, and keeps
+//! them across a rebuild: the fresh schedule places every job at its old
+//! handle.
 
+use crate::jobs::Handle;
 use crate::scheduler::ReservationScheduler;
 use fxhash::FxHashMap;
 use realloc_core::{
@@ -143,6 +150,9 @@ impl TrimmedScheduler {
     /// The pre-trim window of the active job `id`, whose inner window is
     /// `inner_window`.
     pub(crate) fn original_of(&self, id: JobId, inner_window: Window) -> Window {
+        if self.originals.is_empty() {
+            return inner_window;
+        }
         self.originals.get(&id).copied().unwrap_or(inner_window)
     }
 
@@ -155,38 +165,42 @@ impl TrimmedScheduler {
         self.inner
             .jobs
             .iter()
-            .any(|(&id, rec)| self.original_of(id, rec.window).trim_to(trim_span) != rec.window)
+            .any(|(_, id, rec)| self.original_of(id, rec.window).trim_to(trim_span) != rec.window)
     }
 
     /// Rebuilds the schedule from scratch under a new `n*` — every active
     /// job plus the insert that triggered the resize, if one did —
-    /// reporting every job whose slot changed. Nothing is committed
-    /// unless the whole rebuild succeeds: a rejection leaves `n*`, the
-    /// schedule, the originals and the rebuild counter as they were.
+    /// reporting every job whose slot changed. Every job keeps its handle,
+    /// and the pending one takes the next; nothing is committed unless the
+    /// whole rebuild succeeds: a rejection leaves `n*`, the schedule, the
+    /// originals and the rebuild counter as they were. Returns the pending
+    /// job's handle.
     fn rebuild(
         &mut self,
         n_star: u64,
         pending: Option<(JobId, Window)>,
         moves: &mut Vec<SlotMove>,
-    ) -> Result<(), Error> {
+    ) -> Result<Handle, Error> {
         let trim_span = self.trim_span_at(n_star);
-        // `(id, pre-trim window, re-trimmed window, current slot)`.
-        let mut jobs: Vec<(JobId, Window, Window, Option<Slot>)> = self
+        let next = self.inner.jobs.next_handle();
+        // `(handle, id, pre-trim window, re-trimmed window, current slot)`.
+        let mut jobs: Vec<(Handle, JobId, Window, Window, Option<Slot>)> = self
             .inner
             .jobs
             .iter()
-            .map(|(&id, rec)| (id, self.original_of(id, rec.window), Some(rec.slot)))
-            .chain(pending.map(|(id, window)| (id, window, None)))
-            .map(|(id, original, from)| (id, original, original.trim_to(trim_span), from))
+            .map(|(h, id, rec)| (h, id, self.original_of(id, rec.window), Some(rec.slot)))
+            .chain(pending.map(|(id, window)| (next, id, window, None)))
+            .map(|(h, id, original, from)| (h, id, original, original.trim_to(trim_span), from))
             .collect();
-        sort_for_rebuild(&mut jobs, |&(id, _, trimmed, _)| (id, trimmed));
+        sort_for_rebuild(&mut jobs, |&(_, id, _, trimmed, _)| (id, trimmed));
         let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
-        for &(id, _, trimmed, _) in &jobs {
-            fresh.insert(id, trimmed)?;
+        for &(h, id, _, trimmed, _) in &jobs {
+            fresh.insert_at(h, id, trimmed)?;
         }
+        fresh.jobs.refill_free();
         let mut originals = FxHashMap::default();
-        for (id, original, trimmed, from) in jobs {
-            let to = fresh.slot_of(id);
+        for (h, id, original, trimmed, from) in jobs {
+            let to = Some(fresh.jobs.rec(h).slot);
             if from != to {
                 moves.push(SlotMove { job: id, from, to });
             }
@@ -198,12 +212,17 @@ impl TrimmedScheduler {
         self.originals = originals;
         self.n_star = n_star;
         self.rebuilds += 1;
-        Ok(())
+        Ok(next)
     }
-}
 
-impl SingleMachineReallocator for TrimmedScheduler {
-    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
+    /// Inserts a new job; `tracked` when the owner addresses jobs by
+    /// handle (and vouches that `id` is new).
+    fn insert_new(
+        &mut self,
+        id: JobId,
+        window: Window,
+        tracked: bool,
+    ) -> Result<(Vec<SlotMove>, Option<Handle>), Error> {
         if !window.is_aligned() {
             // Trimming needs an aligned window; a duplicate id is still
             // reported first, as the inner scheduler orders the two.
@@ -220,25 +239,36 @@ impl SingleMachineReallocator for TrimmedScheduler {
             }
             // The rebuild places the new job along with the others.
             let mut moves = Vec::new();
-            self.rebuild(n_star, Some((id, window)), &mut moves)?;
-            return Ok(moves);
+            let handle = self.rebuild(n_star, Some((id, window)), &mut moves)?;
+            return Ok((moves, Some(handle)));
         }
         let trimmed = window.trim_to(self.trim_span_at(n_star));
-        let moves = self.inner.insert(id, trimmed)?;
+        let (moves, handle) = if tracked {
+            self.inner.insert_tracked(id, trimmed)?
+        } else {
+            (self.inner.insert(id, trimmed)?, None)
+        };
         if trimmed != window {
             self.originals.insert(id, window);
-        } else {
+        } else if !self.originals.is_empty() {
             // Clears an entry left by a job the inner scheduler dropped.
             self.originals.remove(&id);
         }
         // Only now: a rejected insert commits no crossing.
         self.n_star = n_star;
-        Ok(moves)
+        Ok((moves, handle))
     }
 
-    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
-        let mut moves = self.inner.delete(id)?;
-        self.originals.remove(&id);
+    /// Settles `n*` after a delete that returned `moves`, rebuilding if
+    /// the new bound re-trims a window.
+    fn after_delete(
+        &mut self,
+        id: JobId,
+        mut moves: Vec<SlotMove>,
+    ) -> Result<Vec<SlotMove>, Error> {
+        if !self.originals.is_empty() {
+            self.originals.remove(&id);
+        }
         let n_star = settled_n_star(self.n_star, self.inner.jobs.len() as u64);
         if n_star != self.n_star && self.retrims(n_star) {
             self.rebuild(n_star, None, &mut moves)?;
@@ -246,9 +276,45 @@ impl SingleMachineReallocator for TrimmedScheduler {
         self.n_star = n_star;
         Ok(moves)
     }
+}
+
+impl SingleMachineReallocator for TrimmedScheduler {
+    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
+        self.insert_new(id, window, false).map(|(moves, _)| moves)
+    }
+
+    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
+        let moves = self.inner.delete(id)?;
+        self.after_delete(id, moves)
+    }
+
+    fn insert_tracked(
+        &mut self,
+        id: JobId,
+        window: Window,
+    ) -> Result<(Vec<SlotMove>, Option<Handle>), Error> {
+        self.insert_new(id, window, true)
+    }
+
+    fn delete_tracked(
+        &mut self,
+        id: JobId,
+        handle: Option<Handle>,
+    ) -> Result<Vec<SlotMove>, Error> {
+        let moves = self.inner.delete_tracked(id, handle)?;
+        self.after_delete(id, moves)
+    }
 
     fn slot_of(&self, id: JobId) -> Option<Slot> {
         self.inner.slot_of(id)
+    }
+
+    fn slot_tracked(&self, id: JobId, handle: Option<Handle>) -> Option<Slot> {
+        self.inner.slot_tracked(id, handle)
+    }
+
+    fn handle_of(&self, id: JobId) -> Option<Handle> {
+        self.inner.handle_of(id)
     }
 
     fn assignments(&self) -> Vec<(JobId, Slot)> {

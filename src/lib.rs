@@ -24,14 +24,20 @@
 //!
 //! // A patient wants an appointment somewhere in slots [10, 30).
 //! let outcome = sched.insert(JobId(1), Window::new(10, 30)).unwrap();
-//! assert_eq!(outcome.reallocation_cost(), 0); // nobody else moved
+//! // Costs are counted per job, netted over the request: nobody moved.
+//! assert_eq!(outcome.netted_costs(), (0, 0));
 //!
 //! let placement = sched.snapshot().placement(JobId(1)).unwrap();
 //! assert!((10..30).contains(&placement.slot));
 //!
-//! // Cancel it. Deletions migrate at most one other job.
+//! // Two more in the same window, then cancel one: a deletion migrates
+//! // at most one other job (Lemma 3).
+//! for id in [2, 3] {
+//!     sched.insert(JobId(id), Window::new(10, 30)).unwrap();
+//! }
 //! let outcome = sched.delete(JobId(1)).unwrap();
-//! assert!(outcome.migration_cost() <= 1);
+//! let (reallocations, migrations) = outcome.netted_costs();
+//! assert!(migrations <= 1 && migrations <= reallocations);
 //! ```
 //!
 //! # Crate map

@@ -388,6 +388,29 @@ const ROWS: &[Row] = &[
         ),
     },
     Row {
+        concept: "scheduler state is index-addressed: a request hashes no id, interval or window",
+        probes: &[
+            probe(
+                &[
+                    "crates/reservation/src/state.rs",
+                    "crates/reservation/src/scheduler.rs",
+                    "crates/reservation/src/base.rs",
+                ],
+                &["FxHashMap", "HashMap<"],
+            ),
+            // The one hashed directory: far pages of the paged stores.
+            probe(&["crates/reservation/src/paged.rs"], &["FxHashMap<"])
+                .expect(Expect::OneLineIn("crates/reservation/src/paged.rs")),
+            // The id index of callers that address jobs by id.
+            probe(&["crates/reservation/src/jobs.rs"], &["FxHashMap<"])
+                .expect(Expect::OneLineIn("crates/reservation/src/jobs.rs")),
+        ],
+        trips_on: (
+            "crates/reservation/src/state.rs",
+            "    pub intervals: FxHashMap<Slot, IntervalState>,",
+        ),
+    },
+    Row {
         concept: "one architecture contract",
         probes: &[probe(
             &[".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"],
