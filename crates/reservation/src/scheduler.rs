@@ -74,10 +74,11 @@
 //! from the origin ([`crate::paged`]).
 //!
 //! The request path performs **no heap allocation** beyond the returned
-//! move list and the first touch of a page: the quota buffers and the
-//! worklist live in a scratch block owned by the scheduler and reused
-//! across requests (taken/restored around each rebalance so the rare
-//! recursive hunt still works).
+//! move list and the first touch of a page: the quota buffer and the
+//! worklist are reused across requests, one pair per thread, so they are
+//! warm whichever scheduler on the thread serves the next request
+//! (taken/restored around each use so the rare recursive hunt still
+//! works).
 
 use crate::jobs::{Handle, JobRec, JobTable, SlotTable};
 use crate::quota::{fulfill, positions_gained, positions_lost, reservation_count};
@@ -85,6 +86,7 @@ use crate::state::{Field, Level};
 use realloc_core::{
     sort_for_rebuild, Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window,
 };
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Maximum admissible window end: keeping the axis inside `[0, 2^63)`
@@ -116,15 +118,12 @@ pub(crate) enum Task {
     },
 }
 
-/// Reusable buffers for the request hot path. Owned by the scheduler and
-/// taken/restored around each rebalance, so quota computation allocates
-/// nothing in the steady state.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct Scratch {
-    /// Chain windows with their fulfilled quotas (`quotas_into` output).
-    targets: Vec<(Window, u64)>,
-    /// The FIFO worklist, reused across requests.
-    work: VecDeque<Task>,
+thread_local! {
+    /// Chain windows with their fulfilled quotas (`quotas_into` output),
+    /// reused by every rebalance on the thread.
+    static TARGETS: Cell<Vec<(Window, u64)>> = const { Cell::new(Vec::new()) };
+    /// The FIFO worklist, reused by every request on the thread.
+    static WORK: Cell<VecDeque<Task>> = const { Cell::new(VecDeque::new()) };
 }
 
 /// Single-machine reservation scheduler for recursively aligned windows
@@ -141,8 +140,6 @@ pub struct ReservationScheduler {
     pub(crate) slot_jobs: SlotTable,
     /// Per-level window/interval state; index = level.
     pub(crate) levels: Vec<Level>,
-    /// Hot-path buffers (no observable state).
-    pub(crate) scratch: Scratch,
 }
 
 impl ReservationScheduler {
@@ -161,7 +158,6 @@ impl ReservationScheduler {
             levels: (0..n)
                 .map(|l| Level::new(if l == 0 { 1 } else { tower.interval_span(l) }))
                 .collect(),
-            scratch: Scratch::default(),
             tower,
         }
     }
@@ -277,13 +273,12 @@ impl ReservationScheduler {
         istart: Slot,
         moves: &mut Vec<SlotMove>,
     ) -> Result<(), Error> {
-        // Take the scratch block so the borrow checker lets the buffers
-        // live across `&mut self` calls. A recursive rebalance (MOVE →
-        // hunt) sees — and leaves behind — a default block; only the
-        // outermost frame keeps the warmed buffers.
-        let mut sc = std::mem::take(&mut self.scratch);
-        let result = self.rebalance_inner(level, istart, moves, &mut sc);
-        self.scratch = sc;
+        // Take the buffer so it can live across `&mut self` calls. A
+        // recursive rebalance (MOVE → hunt) sees — and leaves behind — an
+        // empty one; only the outermost frame keeps the warmed buffer.
+        let mut targets = TARGETS.with(Cell::take);
+        let result = self.rebalance_inner(level, istart, moves, &mut targets);
+        TARGETS.with(|cell| cell.set(targets));
         result
     }
 
@@ -292,17 +287,17 @@ impl ReservationScheduler {
         level: usize,
         istart: Slot,
         moves: &mut Vec<SlotMove>,
-        sc: &mut Scratch,
+        targets: &mut Vec<(Window, u64)>,
     ) -> Result<(), Error> {
-        self.quotas_into(level, istart, &mut sc.targets);
+        self.quotas_into(level, istart, targets);
 
         // Phase 0 + 1, window by window in chain order: drop invalid
         // assignments and shed the excess — empty slots first, in words;
         // what remains sits under the window's own jobs, which MOVE off
         // left to right.
         let mut first = 0;
-        while let Some((k, excess)) = self.levels[level].shed(istart, first, &sc.targets) {
-            let w = sc.targets[k].0;
+        while let Some((k, excess)) = self.levels[level].shed(istart, first, targets) {
+            let w = targets[k].0;
             let mut from = 0;
             for _ in 0..excess {
                 let Some(s) = self.levels[level].next_held(istart, k, from) else {
@@ -318,7 +313,7 @@ impl ReservationScheduler {
         }
 
         // Phase 2: claim free allowance slots for under-quota windows.
-        self.levels[level].claim(istart, &sc.targets);
+        self.levels[level].claim(istart, targets);
         Ok(())
     }
 
@@ -754,7 +749,7 @@ impl ReservationScheduler {
         let mut moves = Vec::new();
         // Reuse the pooled worklist (failed cascades may leave tasks
         // behind; clear before restoring).
-        let mut work = std::mem::take(&mut self.scratch.work);
+        let mut work = WORK.with(Cell::take);
         debug_assert!(work.is_empty());
         let result = if level == 0 {
             self.insert_base(id, handle, window, &mut moves, &mut work)
@@ -763,7 +758,7 @@ impl ReservationScheduler {
             self.insert_leveled(id, handle, window, level, &mut moves, &mut work)
         };
         work.clear();
-        self.scratch.work = work;
+        WORK.with(|cell| cell.set(work));
         if result.is_err() {
             // A mid-cascade rejection may have orphaned one displaced
             // job; restore consistency before surfacing the error.
@@ -776,7 +771,7 @@ impl ReservationScheduler {
     fn delete_at(&mut self, handle: Handle) -> Result<Vec<SlotMove>, Error> {
         let rec = self.jobs.rec(handle);
         let mut moves = Vec::new();
-        let mut work = std::mem::take(&mut self.scratch.work);
+        let mut work = WORK.with(Cell::take);
         debug_assert!(work.is_empty());
         let result = if rec.level == 0 {
             self.delete_base(handle, &mut moves);
@@ -785,7 +780,7 @@ impl ReservationScheduler {
             self.delete_leveled(handle, rec, &mut moves, &mut work)
         };
         work.clear();
-        self.scratch.work = work;
+        WORK.with(|cell| cell.set(work));
         if result.is_err() {
             self.recover_orphans(&mut moves);
         }

@@ -324,6 +324,16 @@ fn lowest_bit(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> Option<usize
     })
 }
 
+/// Set bits in `words`.
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// Whether some `assigned` bit has no `held` bit: an empty fulfilled slot.
+fn any_open(assigned: &[u64], held: &[u64]) -> bool {
+    assigned.iter().zip(held).any(|(a, h)| a & !h != 0)
+}
+
 /// A bit field of a [`Record`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Field {
@@ -401,14 +411,6 @@ impl<W: AsRef<[u64]>> Record<W> {
     /// Word `i` of `assigned[k] & !held[k]`.
     fn open_word(&self, k: usize, i: usize) -> u64 {
         self.word(Field::Assigned(k), i) & !self.word(Field::Held(k), i)
-    }
-
-    /// Word `i` of `lower | ⋃ assigned`: slots that cannot back another
-    /// reservation.
-    fn taken_word(&self, i: usize) -> u64 {
-        (0..self.chain_len()).fold(self.word(Field::Lower, i), |acc, k| {
-            acc | self.word(Field::Assigned(k), i)
-        })
     }
 
     /// Chain position whose `assigned` field has `bit` set, if any.
@@ -802,31 +804,33 @@ impl Level {
         targets: &[(Window, u64)],
     ) -> Option<(usize, u64)> {
         let nw = self.nw;
-        let mut rec = Record {
-            words: self.records.get_mut(istart >> self.shift)?,
-            nw,
-        };
-        for (k, &(window, quota)) in targets.iter().enumerate().skip(first) {
-            let was_open = rec.is_open(k);
-            for i in 0..nw {
-                let lower = rec.word(Field::Lower, i);
+        let words = self.records.get_mut(istart >> self.shift)?;
+        let (occupancy, pairs) = words.split_at_mut(2 * nw);
+        let lower = &occupancy[..nw];
+        let positions = pairs.chunks_exact_mut(2 * nw).zip(targets).enumerate();
+        for (k, (pair, &(window, quota))) in positions.skip(first) {
+            let (assigned, held) = pair.split_at_mut(nw);
+            let was_open = any_open(assigned, held);
+            let mut have = 0;
+            for ((a, &h), &l) in assigned.iter_mut().zip(&*held).zip(lower) {
                 debug_assert_eq!(
-                    lower & rec.word(Field::Held(k), i),
+                    l & h,
                     0,
                     "lower-occupied slot still holds a job of {window}"
                 );
-                *rec.word_mut(Field::Assigned(k), i) &= !lower;
+                *a &= !l;
+                have += u64::from(a.count_ones());
             }
-            let mut excess = rec.count(Field::Assigned(k)).saturating_sub(quota);
-            for i in 0..nw {
-                let mut open = rec.open_word(k, i);
+            let mut excess = have.saturating_sub(quota);
+            for (a, &h) in assigned.iter_mut().zip(&*held) {
+                let mut open = *a & !h;
                 while excess > 0 && open != 0 {
-                    *rec.word_mut(Field::Assigned(k), i) &= !(open & open.wrapping_neg());
+                    *a &= !(open & open.wrapping_neg());
                     open &= open - 1;
                     excess -= 1;
                 }
             }
-            if was_open && !rec.is_open(k) {
+            if was_open && !any_open(assigned, held) {
                 self.windows.set_open(k, istart, false);
             }
             if excess > 0 {
@@ -853,45 +857,51 @@ impl Level {
     /// (assignment ≠ occupancy; PLACE displaces on use).
     pub fn claim(&mut self, istart: Slot, targets: &[(Window, u64)]) {
         let (nw, valid) = (self.nw, self.valid_word());
-        let rec = self.rec(istart);
-        if (targets.iter().enumerate())
-            .all(|(k, &(_, quota))| quota <= rec.count(Field::Assigned(k)))
-        {
-            return;
-        }
-        let mut rec = Record {
-            words: self.records.entry(istart >> self.shift),
-            nw,
+        let assigned_of = |k: usize| (2 * k * nw)..(2 * k * nw + nw);
+        let satisfied = |pairs: &[u64]| {
+            (targets.iter().enumerate())
+                .all(|(k, &(_, quota))| quota <= popcount(&pairs[assigned_of(k)]))
         };
+        match self.records.get(istart >> self.shift) {
+            Some(words) if satisfied(&words[2 * nw..]) => return,
+            None if targets.iter().all(|&(_, quota)| quota == 0) => return,
+            _ => {}
+        }
+        let words = self.records.entry(istart >> self.shift);
+        let (occupancy, pairs) = words.split_at_mut(2 * nw);
+        let (lower, phys) = occupancy.split_at(nw);
         for occupied in [false, true] {
             // The pool is consumed as a stream of words: a claimed bit
             // leaves `pool` as it enters `assigned`, so later windows
             // never see it again.
-            let pool_word = |rec: &Record<&mut [u64]>, i: usize| {
-                let phys = rec.word(Field::Phys, i);
-                !rec.taken_word(i) & valid & if occupied { phys } else { !phys }
+            let pool_word = |pairs: &[u64], i: usize| {
+                let taken = (pairs.chunks_exact(2 * nw)).fold(lower[i], |acc, pair| acc | pair[i]);
+                !taken & valid & if occupied { phys[i] } else { !phys[i] }
             };
-            let (mut i, mut pool) = (0, pool_word(&rec, 0));
+            let (mut i, mut pool) = (0, pool_word(pairs, 0));
             let mut short = false;
             for (k, &(_, quota)) in targets.iter().enumerate() {
-                let mut needed = quota.saturating_sub(rec.count(Field::Assigned(k)));
+                let at = assigned_of(k);
+                let mut needed = quota.saturating_sub(popcount(&pairs[at.clone()]));
                 if needed == 0 {
                     continue;
                 }
-                let was_open = rec.is_open(k);
+                let open =
+                    |pairs: &[u64]| any_open(&pairs[at.clone()], &pairs[at.end..at.end + nw]);
+                let was_open = open(pairs);
                 while needed > 0 {
                     while pool == 0 && i + 1 < nw {
                         i += 1;
-                        pool = pool_word(&rec, i);
+                        pool = pool_word(pairs, i);
                     }
                     if pool == 0 {
                         break;
                     }
-                    *rec.word_mut(Field::Assigned(k), i) |= pool & pool.wrapping_neg();
+                    pairs[at.start + i] |= pool & pool.wrapping_neg();
                     pool &= pool - 1;
                     needed -= 1;
                 }
-                if !was_open && rec.is_open(k) {
+                if !was_open && open(pairs) {
                     self.windows.set_open(k, istart, true);
                 }
                 short |= needed > 0;
