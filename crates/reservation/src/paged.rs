@@ -119,24 +119,16 @@ impl PageTable {
     }
 }
 
-/// Bytes per cache line: the first run of a store starts on one, so a
-/// run of 64 bytes (a level-1 interval record) never straddles two.
-const LINE: usize = 64;
-
 /// A sparse array over `u64` indices of runs of `width` values each,
 /// stored page by page (see the module docs). An index whose page was
 /// never written reads as absent; a written page starts as defaults.
 ///
-/// A store's header is 64 bytes, and a lookup in page 0 reads only it
+/// A store's header is 56 bytes, and a lookup in page 0 reads only it
 /// and the run.
 #[derive(Clone, Debug)]
 pub struct Paged<T> {
-    /// Every page's runs, page after page in allocation order, from
-    /// `base` on, followed by padding: `base` leading defaults put the
-    /// first run on a cache-line boundary wherever the allocator put the
-    /// slab.
+    /// Every page's runs, page after page in allocation order.
     slab: Vec<T>,
-    base: usize,
     /// Values per index.
     width: usize,
     /// `log2` of the indices per page.
@@ -153,52 +145,7 @@ impl<T: Clone + Default> Paged<T> {
             bits,
             width,
             slab: Vec::new(),
-            base: 0,
         }
-    }
-
-    /// Padding values the slab carries beyond its runs.
-    fn pad() -> usize {
-        let size = std::mem::size_of::<T>();
-        if size == 0 || !LINE.is_multiple_of(size) {
-            0
-        } else {
-            LINE / size - 1
-        }
-    }
-
-    /// Values in the runs of every allocated page.
-    fn data_len(&self) -> usize {
-        self.slab.len().saturating_sub(Self::pad())
-    }
-
-    /// Moves the runs so the first starts on a cache line (after the slab
-    /// moved); the padding around them is defaults, so rotating is enough.
-    fn realign(&mut self) {
-        let size = std::mem::size_of::<T>();
-        if Self::pad() == 0 || self.slab.is_empty() {
-            return;
-        }
-        let misaligned = self.slab.as_ptr() as usize % LINE;
-        if !misaligned.is_multiple_of(size) {
-            return;
-        }
-        let base = (LINE - misaligned) % LINE / size;
-        if base > self.base {
-            self.slab.rotate_right(base - self.base);
-        } else {
-            self.slab.rotate_left(self.base - base);
-        }
-        self.base = base;
-    }
-
-    /// Appends `extra` default values to the runs.
-    fn grow(&mut self, extra: usize) {
-        let data = self.data_len();
-        self.slab.truncate(self.base + data);
-        self.slab.resize(self.base + data + extra, T::default());
-        self.slab.resize(data + extra + Self::pad(), T::default());
-        self.realign();
     }
 
     /// Offset of `index`'s run in the slab, if its page exists.
@@ -206,7 +153,7 @@ impl<T: Clone + Default> Paged<T> {
     fn offset(&self, index: u64) -> Option<usize> {
         let pos = self.table.get(index >> self.bits)?;
         let within = (index & ((1 << self.bits) - 1)) as usize;
-        Some(self.base + ((pos << self.bits) + within) * self.width)
+        Some(((pos << self.bits) + within) * self.width)
     }
 
     /// `index`'s run, if its page exists.
@@ -228,10 +175,11 @@ impl<T: Clone + Default> Paged<T> {
     pub fn entry(&mut self, index: u64) -> &mut [T] {
         let (pos, fresh) = self.table.get_or_add(index >> self.bits);
         if fresh {
-            self.grow(self.width << self.bits);
+            let len = self.slab.len() + (self.width << self.bits);
+            self.slab.resize(len, T::default());
         }
         let within = (index & ((1 << self.bits) - 1)) as usize;
-        let at = self.base + ((pos << self.bits) + within) * self.width;
+        let at = ((pos << self.bits) + within) * self.width;
         &mut self.slab[at..at + self.width]
     }
 
@@ -243,7 +191,7 @@ impl<T: Clone + Default> Paged<T> {
             .into_iter()
             .flat_map(move |(page, pos)| {
                 (0..per_page).map(move |within| {
-                    let at = self.base + ((pos << self.bits) + within) * self.width;
+                    let at = ((pos << self.bits) + within) * self.width;
                     (
                         (page << self.bits) + within as u64,
                         &self.slab[at..at + self.width],
@@ -255,8 +203,8 @@ impl<T: Clone + Default> Paged<T> {
     /// Every index of every allocated page with its run, mutably, in
     /// allocation order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut [T])> + '_ {
-        let (bits, numbers, data) = (self.bits, self.table.numbers(), self.data_len());
-        self.slab[self.base..self.base + data]
+        let (bits, numbers) = (self.bits, self.table.numbers());
+        self.slab
             .chunks_exact_mut(self.width)
             .enumerate()
             .map(move |(run, values)| {
@@ -271,18 +219,13 @@ impl<T: Clone + Default> Paged<T> {
         if width == self.width {
             return;
         }
-        let data = self.data_len();
-        let mut slab = Vec::with_capacity(data / self.width * width + Self::pad());
-        for run in self.slab[self.base..self.base + data].chunks_exact(self.width) {
+        let mut slab = Vec::with_capacity(self.slab.len() / self.width * width);
+        for run in self.slab.chunks_exact(self.width) {
             let keep = width.min(self.width);
             slab.extend_from_slice(&run[..keep]);
             slab.resize(slab.len() + (width - keep), T::default());
         }
-        if !slab.is_empty() {
-            slab.resize(slab.len() + Self::pad(), T::default());
-        }
-        (self.slab, self.base, self.width) = (slab, 0, width);
-        self.realign();
+        (self.slab, self.width) = (slab, width);
     }
 }
 
