@@ -12,8 +12,7 @@
 //! indexing a `Vec`, the rest through one hashed directory. A workload
 //! that stays within the first [`NEAR_PAGES`] pages of every store (the
 //! benchmark's `2^16`-slot horizon uses one or a few) never hashes; one
-//! that lives near `MAX_TIME` hashes once per lookup, which is what every
-//! lookup cost before the state was paged.
+//! that lives near `MAX_TIME` hashes once per lookup.
 
 use fxhash::FxHashMap;
 

@@ -920,18 +920,16 @@ impl Level {
     /// clears their states (see `ReservationScheduler::compact`).
     pub fn compact(&mut self) {
         let (nw, shift, chain) = (self.nw, self.shift, self.chain_len());
-        let mut records = std::mem::replace(&mut self.records, Paged::new(0, 0));
-        for (index, words) in records.iter_mut() {
+        for (index, words) in self.records.iter_mut() {
             let mut rec = Record { words, nw };
             for k in 0..chain {
-                if self.x_at(k, index << shift) == 0 {
+                if self.windows.x(k, index << shift) == 0 {
                     for i in 0..nw {
                         *rec.word_mut(Field::Assigned(k), i) = 0;
                     }
                 }
             }
         }
-        self.records = records;
         for (k, start, x) in self.windows.live() {
             if x == 0 {
                 self.windows.clear_open(k, start);
