@@ -42,10 +42,10 @@
 //! visit only intervals that can answer them. The counts of every chain
 //! window inside one aligned block of `2^chain` intervals share one run
 //! (a cache line at the paper tower), because REBALANCE reads the whole
-//! chain's counts at once. The open sets of chain position `k` sit in
-//! their own array, indexed by `start >> log2 span`: a bitmask over the
-//! window's intervals when it has at most 64 of them, a sorted list
-//! beyond.
+//! chain's counts at once; their open sets are bitmasks over their
+//! intervals in the same cells of a second store. Windows of more than
+//! 64 intervals keep a count and a sorted list each, in one array per
+//! chain position indexed by `start >> log2 span`.
 //!
 //! Every choice the algorithm makes among slots is "leftmost first", which
 //! in this layout is "lowest set bit of the lowest non-zero word first":
