@@ -51,6 +51,16 @@ impl ReservationScheduler {
     /// Verifies every structural invariant; `Err` describes the first
     /// violation found. Intended for tests (cost is `O(state size)`).
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
+        // 0: the paged stores hold exactly their non-blank pages.
+        let stores = std::iter::once(("slots".to_string(), self.slot_jobs.check_storage())).chain(
+            (self.levels.iter().enumerate())
+                .map(|(l, lvl)| (format!("level {l}"), lvl.check_storage())),
+        );
+        for (store, checked) in stores {
+            if let Err(e) = checked {
+                return Err(InvariantViolation(format!("{store} storage: {e}")));
+            }
+        }
         // 1 + 2: job records vs physical occupancy and windows.
         ensure!(
             self.jobs.len() == self.slot_jobs.len(),

@@ -249,8 +249,7 @@ pub struct SlotTable {
 impl Default for SlotTable {
     fn default() -> Self {
         SlotTable {
-            // A page covers `2^16` slots, the benchmark's horizon.
-            cells: Paged::new(16, 1),
+            cells: Paged::over_slots(0, 1),
             occupied: 0,
         }
     }
@@ -266,9 +265,9 @@ impl SlotTable {
     /// Puts `handle`'s job on `slot`, returning the one it replaced.
     #[inline]
     pub fn set(&mut self, slot: Slot, handle: Handle) -> Option<Handle> {
-        let cell = &mut self.cells.entry(slot)[0];
-        let prev = cell.checked_sub(1);
-        *cell = handle + 1;
+        let prev = self.cells.update(slot, |cell| {
+            std::mem::replace(&mut cell[0], handle + 1).checked_sub(1)
+        });
         if prev.is_none() {
             self.occupied += 1;
         }
@@ -278,9 +277,9 @@ impl SlotTable {
     /// Empties `slot`, returning the handle that sat there.
     #[inline]
     pub fn clear(&mut self, slot: Slot) -> Option<Handle> {
-        let cell = &mut self.cells.get_mut(slot)?[0];
-        let prev = cell.checked_sub(1);
-        *cell = 0;
+        let prev = self
+            .cells
+            .update(slot, |cell| std::mem::take(&mut cell[0]).checked_sub(1));
         if prev.is_some() {
             self.occupied -= 1;
         }
@@ -295,5 +294,15 @@ impl SlotTable {
     /// Whether no slot is occupied.
     pub fn is_empty(&self) -> bool {
         self.occupied == 0
+    }
+
+    /// Pages held and bytes reserved by the slot array.
+    pub fn storage(&self) -> (usize, usize) {
+        (self.cells.pages(), self.cells.bytes())
+    }
+
+    /// Checks the slot array's pages (see [`Paged::check`]).
+    pub fn check_storage(&self) -> Result<(), String> {
+        self.cells.check()
     }
 }

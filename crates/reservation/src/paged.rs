@@ -5,226 +5,340 @@
 //! `istart >> log2 L_ℓ`, a window's job count by `start >> log2 span`.
 //! The axis is `[0, 2^63)`, so the index space is too large for one
 //! array but the part a workload touches is small and dense. A
-//! [`Paged`] store cuts the index space into fixed-size pages and keeps
-//! only the pages that were written, each one dense.
+//! [`Paged`] store keeps the indices near the origin in one array, its
+//! *head*, and cuts the rest of the index space into small pages, held
+//! only while they hold something.
 //!
-//! A page is found through its [`PageTable`]: pages near the origin by
-//! indexing a `Vec`, the rest through one hashed directory. A workload
-//! that stays within the first [`NEAR_PAGES`] pages of every store (the
-//! benchmark's `2^16`-slot horizon uses one or a few) never hashes; one
-//! that lives near `MAX_TIME` hashes once per lookup.
+//! A workload that stays within the head (the benchmark's `2^16`-slot
+//! horizon does) reads each value in one index, as from an array. Past
+//! the head, a page is found through one hashed directory, once per
+//! lookup.
+//!
+//! The head is allocated whole at the first write into it. Past it, a
+//! run equal to `T::default()` everywhere is *blank*: it reads the same
+//! as a run never written. Every write goes through [`Paged::update`],
+//! which keeps each page's count of non-blank runs, and a page whose
+//! count falls to zero is freed at once. So a store's memory is its head
+//! plus one page per place along the axis that holds something now,
+//! however far apart those places are: a request that leaves nothing
+//! behind leaves no page behind.
 
 use fxhash::FxHashMap;
 
-/// Pages numbered below this are found by indexing; the others by
-/// hashing their number.
-pub const NEAR_PAGES: u64 = 1 << 10;
+/// `log2` of the slots a store's head covers: the benchmark's horizon.
+const HEAD_SPAN_BITS: u32 = 16;
 
-/// Page number → position of the page in its store's slab.
-///
-/// Page 0 — where a store near the origin keeps everything — is found
-/// in the table itself; every other page behind one pointer, so the
-/// table costs 16 bytes of its store's header.
-#[derive(Clone, Debug, Default)]
-pub struct PageTable {
-    /// Page 0's position plus one, 0 if absent.
-    first: u32,
-    /// Pages allocated.
-    count: u32,
-    /// Every other page, once there is one.
-    rest: Option<Box<OtherPages>>,
+/// `log2` of the slots a page past the head covers.
+const PAGE_SPAN_BITS: u32 = 10;
+
+/// A held page: its number and how many of its runs are not blank.
+#[derive(Clone, Copy, Debug)]
+struct Page {
+    number: u64,
+    live: u32,
 }
 
-/// The pages of a [`PageTable`] other than page 0.
-#[derive(Clone, Debug, Default)]
-struct OtherPages {
-    /// `near[page]` is the position plus one, 0 if absent (`near[0]`
-    /// unused).
-    near: Vec<u32>,
-    /// Far pages, hashed.
-    far: FxHashMap<u64, u32>,
-}
-
-impl PageTable {
-    /// Position of page `page`, if it was allocated.
-    #[inline]
-    pub fn get(&self, page: u64) -> Option<usize> {
-        if page == 0 {
-            return (self.first as usize).checked_sub(1);
-        }
-        let rest = self.rest.as_ref()?;
-        if page < NEAR_PAGES {
-            match rest.near.get(page as usize) {
-                Some(&p) if p != 0 => Some(p as usize - 1),
-                _ => None,
-            }
-        } else {
-            rest.far.get(&page).map(|&p| p as usize)
-        }
-    }
-
-    /// Position of page `page`, allocating the next position for it if
-    /// it is new; `true` with a fresh position.
-    pub fn get_or_add(&mut self, page: u64) -> (usize, bool) {
-        if let Some(pos) = self.get(page) {
-            return (pos, false);
-        }
-        let pos = self.count;
-        self.count = pos.checked_add(1).expect("page count fits u32");
-        if page == 0 {
-            self.first = pos + 1;
-            return (pos as usize, true);
-        }
-        let rest = self.rest.get_or_insert_with(Box::default);
-        if page < NEAR_PAGES {
-            let at = page as usize;
-            if rest.near.len() <= at {
-                rest.near.resize(at + 1, 0);
-            }
-            rest.near[at] = pos + 1;
-        } else {
-            rest.far.insert(page, pos);
-        }
-        (pos as usize, true)
-    }
-
-    /// Allocated pages as `(page number, position)`, by page number.
-    pub fn sorted(&self) -> Vec<(u64, usize)> {
-        let mut pages: Vec<(u64, usize)> = Vec::with_capacity(self.count as usize);
-        if let Some(pos) = self.get(0) {
-            pages.push((0, pos));
-        }
-        if let Some(rest) = &self.rest {
-            pages.extend(
-                rest.near
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| p != 0)
-                    .map(|(page, &p)| (page as u64, p as usize - 1)),
-            );
-            pages.extend(rest.far.iter().map(|(&page, &p)| (page, p as usize)));
-        }
-        pages.sort_unstable();
-        pages
-    }
-
-    /// Page number of every position, in allocation order.
-    fn numbers(&self) -> Vec<u64> {
-        let mut numbers = vec![0; self.count as usize];
-        for (page, pos) in self.sorted() {
-            numbers[pos] = page;
-        }
-        numbers
-    }
-}
-
-/// A sparse array over `u64` indices of runs of `width` values each,
-/// stored page by page (see the module docs). An index whose page was
-/// never written reads as absent; a written page starts as defaults.
-///
-/// A store's header is 56 bytes, and a lookup in page 0 reads only it
-/// and the run.
+/// A sparse array over `u64` indices of runs of `width` values each (see
+/// the module docs). An index past the head whose page is not held reads
+/// as absent, which means the same as a blank run.
 #[derive(Clone, Debug)]
 pub struct Paged<T> {
-    /// Every page's runs, page after page in allocation order.
-    slab: Vec<T>,
+    /// The runs of the indices below `2^head_bits`: all of them from the
+    /// first write there on, none before.
+    head: Vec<T>,
+    /// The pages past the head, out of line: a lookup in the head reads
+    /// only the store's 48-byte header and the run.
+    tail: Box<Tail<T>>,
     /// Values per index.
     width: usize,
+    /// `log2` of the indices the head may hold.
+    head_bits: u32,
     /// `log2` of the indices per page.
     bits: u32,
-    table: PageTable,
 }
 
-impl<T: Clone + Default> Paged<T> {
-    /// An empty store of `2^bits` indices per page and `width` values per
-    /// index.
-    pub fn new(bits: u32, width: usize) -> Self {
-        Paged {
-            table: PageTable::default(),
-            bits,
+/// The pages of a [`Paged`] store past its head.
+#[derive(Clone, Debug)]
+struct Tail<T> {
+    /// Every held page's runs, page after page in `pages` order.
+    slab: Vec<T>,
+    /// The held pages, by position.
+    pages: Vec<Page>,
+    /// Page number → position.
+    table: FxHashMap<u64, u32>,
+}
+
+/// Whether `run` reads as never written.
+#[inline]
+fn is_blank<T: Default + PartialEq>(run: &[T]) -> bool {
+    run.iter().all(|v| *v == T::default())
+}
+
+/// Gives back most of `v`'s spare capacity once it is mostly spare.
+fn shrink<T>(v: &mut Vec<T>) {
+    if v.capacity() > 4 * v.len() {
+        v.shrink_to(2 * v.len());
+    }
+}
+
+impl<T: Clone + Default + PartialEq> Paged<T> {
+    /// An empty store of `width` values per index over the time axis,
+    /// each index naming `2^run_bits` slots: the head covers the first
+    /// `2^16` slots, a page `2^10` (or one index, if that is more).
+    pub fn over_slots(run_bits: u32, width: usize) -> Self {
+        Self::new(
+            HEAD_SPAN_BITS.saturating_sub(run_bits),
+            PAGE_SPAN_BITS.saturating_sub(run_bits),
             width,
-            slab: Vec::new(),
+        )
+    }
+
+    /// An empty store of `width` values per index, holding the indices
+    /// below `2^head_bits` in its head and the rest in pages of `2^bits`.
+    fn new(head_bits: u32, bits: u32, width: usize) -> Self {
+        assert!(bits <= head_bits, "no page reaches into the head");
+        Paged {
+            head: Vec::new(),
+            tail: Box::new(Tail {
+                slab: Vec::new(),
+                pages: Vec::new(),
+                table: FxHashMap::default(),
+            }),
+            width,
+            head_bits,
+            bits,
         }
     }
 
-    /// Offset of `index`'s run in the slab, if its page exists.
-    #[inline]
-    fn offset(&self, index: u64) -> Option<usize> {
-        let pos = self.table.get(index >> self.bits)?;
-        let within = (index & ((1 << self.bits) - 1)) as usize;
-        Some(((pos << self.bits) + within) * self.width)
+    /// Values per page.
+    fn page_len(&self) -> usize {
+        self.width << self.bits
     }
 
-    /// `index`'s run, if its page exists.
+    /// Offset in the slab of `index`'s run, its page held at `pos`.
+    #[inline]
+    fn offset(&self, pos: usize, index: u64) -> usize {
+        let within = (index & ((1 << self.bits) - 1)) as usize;
+        ((pos << self.bits) + within) * self.width
+    }
+
+    /// Position of `index`'s page, if it is held.
+    #[inline]
+    fn page_of(&self, index: u64) -> Option<usize> {
+        self.tail
+            .table
+            .get(&(index >> self.bits))
+            .map(|&pos| pos as usize)
+    }
+
+    /// `index`'s run, if it is in the head and the head was written, or
+    /// its page is held.
     #[inline]
     pub fn get(&self, index: u64) -> Option<&[T]> {
-        let at = self.offset(index)?;
-        Some(&self.slab[at..at + self.width])
-    }
-
-    /// `index`'s run, mutably, if its page exists.
-    #[inline]
-    pub fn get_mut(&mut self, index: u64) -> Option<&mut [T]> {
-        let at = self.offset(index)?;
-        Some(&mut self.slab[at..at + self.width])
-    }
-
-    /// `index`'s run, allocating its page (all defaults) if needed.
-    #[inline]
-    pub fn entry(&mut self, index: u64) -> &mut [T] {
-        let (pos, fresh) = self.table.get_or_add(index >> self.bits);
-        if fresh {
-            let len = self.slab.len() + (self.width << self.bits);
-            self.slab.resize(len, T::default());
+        if index >> self.head_bits == 0 {
+            let at = index as usize * self.width;
+            return self.head.get(at..at + self.width);
         }
-        let within = (index & ((1 << self.bits) - 1)) as usize;
-        let at = ((pos << self.bits) + within) * self.width;
-        &mut self.slab[at..at + self.width]
+        let at = self.offset(self.page_of(index)?, index);
+        Some(&self.tail.slab[at..at + self.width])
     }
 
-    /// Every index of every allocated page with its run, ascending.
+    /// Applies `f` to `index`'s run and returns what it returns. Past the
+    /// head, the page is allocated only if the run ends up not blank, and
+    /// freed if its last non-blank run went blank.
+    #[inline]
+    pub fn update<R>(&mut self, index: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
+        if index >> self.head_bits == 0 {
+            if self.head.is_empty() {
+                self.head = vec![T::default(); self.width << self.head_bits];
+            }
+            let at = index as usize * self.width;
+            return f(&mut self.head[at..at + self.width]);
+        }
+        let Some(pos) = self.page_of(index) else {
+            return self.update_absent(index, f);
+        };
+        let at = self.offset(pos, index);
+        let run = &mut self.tail.slab[at..at + self.width];
+        let was_blank = is_blank(run);
+        let out = f(run);
+        if was_blank != is_blank(run) {
+            let live = &mut self.tail.pages[pos].live;
+            if was_blank {
+                *live += 1;
+            } else {
+                *live -= 1;
+                if *live == 0 {
+                    self.free(pos);
+                }
+            }
+        }
+        out
+    }
+
+    /// [`Self::update`] of an index past the head whose page is not held:
+    /// `f` works on a blank run, which is stored only if `f` wrote to it.
+    #[inline(never)]
+    fn update_absent<R>(&mut self, index: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
+        let mut run = vec![T::default(); self.width];
+        let out = f(&mut run);
+        if !is_blank(&run) {
+            let pos = self.tail.pages.len();
+            let number = index >> self.bits;
+            let filed = u32::try_from(pos).expect("page count fits u32");
+            self.tail.table.insert(number, filed);
+            self.tail.pages.push(Page { number, live: 1 });
+            self.tail
+                .slab
+                .resize(self.tail.slab.len() + self.page_len(), T::default());
+            let at = self.offset(pos, index);
+            self.tail.slab[at..at + self.width].swap_with_slice(&mut run);
+        }
+        out
+    }
+
+    /// Frees the page at `pos`, all of it blank: the last page moves into
+    /// its place, so the slab stays one run of held pages.
+    fn free(&mut self, pos: usize) {
+        let len = self.page_len();
+        let last = self.tail.pages.len() - 1;
+        self.tail.table.remove(&self.tail.pages[pos].number);
+        if pos != last {
+            let (head, tail) = self.tail.slab.split_at_mut(last * len);
+            head[pos * len..(pos + 1) * len].swap_with_slice(tail);
+            self.tail.pages.swap(pos, last);
+            self.tail
+                .table
+                .insert(self.tail.pages[pos].number, pos as u32);
+        }
+        self.tail.pages.pop();
+        self.tail.slab.truncate(last * len);
+        shrink(&mut self.tail.slab);
+        shrink(&mut self.tail.pages);
+        if self.tail.table.capacity() > 4 * self.tail.table.len() {
+            self.tail.table.shrink_to(2 * self.tail.table.len());
+        }
+    }
+
+    /// Applies `f` to every run of the head and of every held page, with
+    /// its index, then gives back the head if it is all blank, and the
+    /// pages left blank.
+    pub fn update_all(&mut self, mut f: impl FnMut(u64, &mut [T])) {
+        let (len, width, bits) = (self.page_len(), self.width, self.bits);
+        for (index, run) in self.head.chunks_exact_mut(width).enumerate() {
+            f(index as u64, run);
+        }
+        if is_blank(&self.head) {
+            self.head = Vec::new();
+        }
+        let pages = self
+            .tail
+            .pages
+            .iter_mut()
+            .zip(self.tail.slab.chunks_exact_mut(len));
+        for (page, runs) in pages {
+            page.live = 0;
+            for (within, run) in runs.chunks_exact_mut(width).enumerate() {
+                f((page.number << bits) + within as u64, run);
+                page.live += u32::from(!is_blank(run));
+            }
+        }
+        // Last first: a page moved into a freed place was already seen.
+        for pos in (0..self.tail.pages.len()).rev() {
+            if self.tail.pages[pos].live == 0 {
+                self.free(pos);
+            }
+        }
+    }
+
+    /// Every index of the head, if it was written, and of every held page
+    /// with its run (blank ones too), ascending.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[T])> + '_ {
-        let per_page = 1usize << self.bits;
-        self.table
-            .sorted()
-            .into_iter()
-            .flat_map(move |(page, pos)| {
-                (0..per_page).map(move |within| {
-                    let at = ((pos << self.bits) + within) * self.width;
-                    (
-                        (page << self.bits) + within as u64,
-                        &self.slab[at..at + self.width],
-                    )
-                })
+        let head = (self.head.chunks_exact(self.width).enumerate())
+            .map(|(index, run)| (index as u64, run));
+        let mut order: Vec<(u64, usize)> = (self.tail.pages.iter().enumerate())
+            .map(|(pos, page)| (page.number, pos))
+            .collect();
+        order.sort_unstable();
+        let per_page = 1u64 << self.bits;
+        let paged = order.into_iter().flat_map(move |(page, pos)| {
+            (0..per_page).map(move |within| {
+                let index = (page << self.bits) + within;
+                let at = self.offset(pos, index);
+                (index, &self.tail.slab[at..at + self.width])
             })
+        });
+        head.chain(paged)
     }
 
-    /// Every index of every allocated page with its run, mutably, in
-    /// allocation order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut [T])> + '_ {
-        let (bits, numbers) = (self.bits, self.table.numbers());
-        self.slab
-            .chunks_exact_mut(self.width)
-            .enumerate()
-            .map(move |(run, values)| {
-                let within = (run & ((1 << bits) - 1)) as u64;
-                ((numbers[run >> bits] << bits) + within, values)
-            })
+    /// The same store with `width ≥` the current width values per index:
+    /// each run keeps its values, padded with defaults (so no run changes
+    /// from blank to not blank or back).
+    pub fn widen(&mut self, width: usize) {
+        assert!(width >= self.width, "a store only widens");
+        let old = self.width;
+        let widen = |values: &mut Vec<T>| {
+            let mut wide = Vec::with_capacity(values.len() / old * width);
+            for run in values.chunks_exact(old) {
+                wide.extend_from_slice(run);
+                wide.resize(wide.len() + (width - old), T::default());
+            }
+            *values = wide;
+        };
+        widen(&mut self.head);
+        widen(&mut self.tail.slab);
+        self.width = width;
     }
 
-    /// The same store with `width` values per index: each run keeps its
-    /// first values, and is cut or padded with defaults.
-    pub fn rewidth(&mut self, width: usize) {
-        if width == self.width {
-            return;
+    /// Number of held pages past the head.
+    pub fn pages(&self) -> usize {
+        self.tail.pages.len()
+    }
+
+    /// Bytes the store's head, slab and page list reserve.
+    pub fn bytes(&self) -> usize {
+        (self.head.capacity() + self.tail.slab.capacity()) * std::mem::size_of::<T>()
+            + self.tail.pages.capacity() * std::mem::size_of::<Page>()
+    }
+
+    /// Checks that the head stays within its indices, that the page
+    /// directory, the page list and the slab agree, and that every held
+    /// page has exactly its counted number of non-blank runs, at least
+    /// one.
+    pub fn check(&self) -> Result<(), String> {
+        if ![0, self.width << self.head_bits].contains(&self.head.len()) {
+            return Err(format!("head of {} values", self.head.len()));
         }
-        let mut slab = Vec::with_capacity(self.slab.len() / self.width * width);
-        for run in self.slab.chunks_exact(self.width) {
-            let keep = width.min(self.width);
-            slab.extend_from_slice(&run[..keep]);
-            slab.resize(slab.len() + (width - keep), T::default());
+        if self.tail.slab.len() != self.tail.pages.len() * self.page_len()
+            || self.tail.table.len() != self.tail.pages.len()
+        {
+            return Err(format!(
+                "slab of {} values, {} pages of {} held, {} filed",
+                self.tail.slab.len(),
+                self.tail.pages.len(),
+                self.page_len(),
+                self.tail.table.len()
+            ));
         }
-        (self.slab, self.width) = (slab, width);
+        let runs = self.tail.slab.chunks_exact(self.page_len());
+        for (pos, (page, runs)) in self.tail.pages.iter().zip(runs).enumerate() {
+            if self.page_of(page.number << self.bits) != Some(pos)
+                || page.number << self.bits >> self.head_bits == 0
+            {
+                return Err(format!("page {} is misfiled", page.number));
+            }
+            let live = runs
+                .chunks_exact(self.width)
+                .filter(|run| !is_blank(run))
+                .count();
+            if live == 0 || live != page.live as usize {
+                return Err(format!(
+                    "page {}: {live} non-blank runs, {} counted",
+                    page.number, page.live
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -232,30 +346,84 @@ impl<T: Clone + Default> Paged<T> {
 mod tests {
     use super::*;
 
+    fn set(p: &mut Paged<u64>, index: u64, value: u64) {
+        p.update(index, |run| run[0] = value);
+    }
+
     #[test]
-    fn near_and_far_pages_hold_their_own_runs() {
-        let mut p: Paged<u64> = Paged::new(4, 2);
+    fn the_head_and_the_pages_hold_their_own_runs() {
+        let mut p: Paged<u64> = Paged::new(6, 4, 2);
         let far = (1u64 << 62) + 5;
         assert!(p.get(3).is_none() && p.get(far).is_none());
-        p.entry(3)[1] = 7;
-        p.entry(far)[0] = 9;
-        p.entry(NEAR_PAGES << 4)[0] = 11;
+        p.update(3, |run| run[1] = 7);
+        set(&mut p, far, 9);
+        set(&mut p, 1 << 20, 11);
         assert_eq!(p.get(3), Some(&[0, 7][..]));
         assert_eq!(p.get(far), Some(&[9, 0][..]));
+        assert_eq!(p.get(63), Some(&[0, 0][..]), "the head reads as defaults");
         assert_eq!(
-            p.get(4),
+            p.get(far + 1),
             Some(&[0, 0][..]),
-            "a written page reads as defaults"
+            "a held page reads as defaults"
         );
-        assert!(p.get(16).is_none(), "the next page was never written");
+        assert!(p.get(64).is_none(), "the first page was never written");
         let written: Vec<(u64, u64)> = p
             .iter()
-            .filter(|(_, run)| run.iter().any(|&v| v != 0))
+            .filter(|(_, run)| !is_blank(run))
             .map(|(i, run)| (i, run[0] + run[1]))
             .collect();
-        assert_eq!(written, vec![(3, 7), (NEAR_PAGES << 4, 11), (far, 9)]);
-        p.rewidth(3);
+        assert_eq!(written, vec![(3, 7), (1 << 20, 11), (far, 9)]);
+        p.widen(3);
         assert_eq!(p.get(3), Some(&[0, 7, 0][..]));
         assert_eq!(p.get(far), Some(&[9, 0, 0][..]));
+        p.check().unwrap();
+    }
+
+    #[test]
+    fn the_header_fits_its_comment() {
+        assert_eq!(std::mem::size_of::<Paged<u64>>(), 48);
+    }
+
+    #[test]
+    fn a_write_that_leaves_a_run_blank_holds_no_page() {
+        let mut p: Paged<u64> = Paged::new(4, 4, 1);
+        assert_eq!(p.update(40, |run| run[0]), 0);
+        p.update(41, |run| run[0] = 0);
+        assert_eq!((p.pages(), p.bytes()), (0, 0));
+    }
+
+    #[test]
+    fn pages_are_freed_when_their_last_run_goes_blank() {
+        let mut p: Paged<u64> = Paged::new(4, 4, 1);
+        set(&mut p, 1, 1);
+        set(&mut p, 40, 1);
+        let baseline = (p.pages(), p.bytes());
+        // Pages come and go, one at a time and in a burst.
+        let spots: Vec<u64> = (1..1000).map(|k| k * (1 << 20) + k % 16).collect();
+        for &i in &spots {
+            set(&mut p, i, 5);
+            set(&mut p, i + 1, 6);
+            set(&mut p, i, 0);
+            assert_eq!(p.pages(), 2);
+            set(&mut p, i + 1, 0);
+        }
+        assert_eq!(p.pages(), baseline.0);
+        assert!(p.bytes() <= 4 * baseline.1);
+        for &i in &spots {
+            set(&mut p, i, 5);
+        }
+        p.check().unwrap();
+        assert_eq!(p.pages(), 1000);
+        // Freed in an order that moves pages around the slab.
+        for (n, &i) in spots.iter().enumerate().rev().step_by(2) {
+            set(&mut p, i, 0);
+            if let Some(&kept) = spots.get(n + 1) {
+                assert_eq!(p.get(kept), Some(&[5][..]));
+            }
+        }
+        p.update_all(|_, run| run[0] = 0);
+        p.check().unwrap();
+        assert_eq!((p.pages(), p.bytes()), (0, 0), "blank: nothing held");
+        assert!(p.get(1).is_none());
     }
 }

@@ -74,7 +74,8 @@
 //! from the origin ([`crate::paged`]).
 //!
 //! The request path performs **no heap allocation** beyond the returned
-//! move list and the first touch of a page: the quota buffer and the
+//! move list and writes where a store holds nothing yet (its head's
+//! first write, a page past the head): the quota buffer and the
 //! worklist are reused across requests, one pair per thread, so they are
 //! warm whichever scheduler on the thread serves the next request
 //! (taken/restored around each use so the rare recursive hunt still
@@ -570,11 +571,7 @@ impl ReservationScheduler {
         let ispan = self.ispan(level);
         let ni = self.num_intervals(level, window);
         self.levels[level].raise_high_water(window.span());
-        let x_old = {
-            let x = self.levels[level].x_mut(window);
-            *x += 1;
-            u64::from(*x - 1)
-        };
+        let x_old = self.levels[level].add_x(window, 1);
 
         // The two new reservations (Figure 1 step 1–2): quota rises at the
         // two leftmost lightest intervals; rebalancing them may steal a slot
@@ -605,7 +602,7 @@ impl ReservationScheduler {
                     self.vacate_physical(handle, moves);
                     self.jobs.release(handle);
                 }
-                *self.levels[level].x_mut(window) -= 1;
+                self.levels[level].add_x(window, -1);
                 for pos in positions_lost(x_old + 1, ni) {
                     rollback.push_back(Task::Rebalance {
                         level,
@@ -638,9 +635,7 @@ impl ReservationScheduler {
         // heaviest intervals (may shed fulfilled slots; a shed slot holding
         // a job triggers MOVE). Standing per-interval reservations remain
         // even at x = 0 (Figure 1 line 1).
-        let x = self.levels[level].x_mut(window);
-        let x_old = u64::from(*x);
-        *x -= 1;
+        let x_old = self.levels[level].add_x(window, -1);
         for pos in positions_lost(x_old, ni) {
             work.push_back(Task::Rebalance {
                 level,
@@ -790,6 +785,16 @@ impl ReservationScheduler {
     /// Count of physically occupied slots (for tests).
     pub fn occupied_slots(&self) -> usize {
         self.slot_jobs.len()
+    }
+
+    /// Pages held and bytes reserved by the scheduler's paged stores —
+    /// the slot array and every level's records and windows (for memory
+    /// tests).
+    pub fn storage(&self) -> (usize, usize) {
+        (self.levels.iter().map(Level::storage))
+            .fold(self.slot_jobs.storage(), |(p, b), (lp, lb)| {
+                (p + lp, b + lb)
+            })
     }
 
     /// Number of windows that keep state — a job or a standing

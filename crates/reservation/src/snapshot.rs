@@ -318,7 +318,7 @@ impl Restorable for ReservationScheduler {
                 return Err(err_at(line, format!("job {id} of {w} has no window state")));
             }
             let lvl = &mut s.levels[level];
-            *lvl.x_mut(w) += 1;
+            lvl.add_x(w, 1);
             // Slot uniqueness was checked, so the reservation is empty.
             if lvl.holder(slot) != Some(lvl.chain_pos(w.span())) {
                 return Err(err_at(

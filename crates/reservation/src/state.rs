@@ -34,18 +34,16 @@
 //! up to the level's high-water mark, so raising the mark (which only
 //! grows) re-strides the store. An all-zero record means "full
 //! allowance, nothing occupied, nothing claimed"; an interval never
-//! written reads the same.
+//! written reads the same, and past the store's head a page of records
+//! that are all zero is given back.
 //!
 //! What is not per-interval is per window: the job count `x`, and the set
 //! of the window's *open* intervals — those where it holds an empty
 //! fulfilled slot (`assigned[k] & !held[k] ≠ 0`) — so PLACE and MOVE
-//! visit only intervals that can answer them. The counts of every chain
-//! window inside one aligned block of `2^chain` intervals share one run
-//! (a cache line at the paper tower), because REBALANCE reads the whole
-//! chain's counts at once; their open sets are bitmasks over their
-//! intervals in the same cells of a second store. Windows of more than
-//! 64 intervals keep a count and a sorted list each, in one array per
-//! chain position indexed by `start >> log2 span`.
+//! visit only intervals that can answer them. Each chain position keeps
+//! its windows in one paged store indexed by `start >> log2 span`: a
+//! count and a bitmask over the window's intervals while it has at most
+//! 64 of them, a count and a sorted list beyond.
 //!
 //! Every choice the algorithm makes among slots is "leftmost first", which
 //! in this layout is "lowest set bit of the lowest non-zero word first":
@@ -54,56 +52,35 @@
 use crate::paged::Paged;
 use realloc_core::{Slot, Window};
 
-/// `log2` of the slots a page of any per-level store covers, up to the
-/// caps below: `2^16`, the benchmark's horizon, is one page.
-const PAGE_SPAN_BITS: u32 = 16;
-
-/// Cap on `log2` of the runs per page.
-const MAX_PAGE_BITS: u32 = 11;
-
-/// Chain positions below this one have at most 64 intervals per window
-/// and keep their state in blocks (see `Windows`).
-const BLOCKED: usize = 6;
-
-/// `log2` of the runs per page of a store whose runs each cover
-/// `2^run_bits` slots.
-fn page_bits(run_bits: u32) -> u32 {
-    PAGE_SPAN_BITS.saturating_sub(run_bits).min(MAX_PAGE_BITS)
-}
+/// Chain positions below this one have at most 64 intervals per window,
+/// and keep their open sets as bitmasks.
+const NARROW: usize = 6;
 
 /// The per-window state of one level (see the module docs): every chain
 /// window's job count `x` and its open set — the intervals in which it
 /// holds an empty fulfilled slot, the candidates Lemma 8 guarantees for
-/// PLACE and MOVE.
-///
-/// The windows of the first [`BLOCKED`] chain positions live in
-/// *blocks*: one run of `2^b` cells per aligned block of `2^b` intervals
-/// (`b` the number of such positions the chain has), holding the
-/// block's one position-`b−1` window, then its two position-`b−2`
-/// windows, and so on down to its `2^(b−1)` position-0 windows (the last
-/// cell is unused). Their open sets are bitmasks over their (at most 64)
-/// intervals, in the same cells of a second store. Wider windows keep a
-/// count and a sorted list each, one store per position.
+/// PLACE and MOVE. One store per chain position `k`, indexed by
+/// `start >> (shift + k + 1)`.
 #[derive(Clone, Debug)]
 struct Windows {
     /// `log2 L_ℓ`.
     shift: u32,
-    /// Chain length.
-    chain: u32,
-    /// Blocked positions: `min(chain, BLOCKED)`.
-    blocked: u32,
-    /// Job counts of the blocked positions, by block.
-    counts: Paged<u32>,
-    /// Open sets of the blocked positions, by block: bit `p` of a
-    /// window's cell ⇔ its `p`-th interval is open.
-    masks: Paged<u64>,
-    /// Position `BLOCKED + i` at `wide[i]`, indexed by
-    /// `start >> (shift + k + 1)`.
+    /// Position `k < NARROW` at `narrow[k]`.
+    narrow: Vec<Paged<NarrowWindow>>,
+    /// Position `NARROW + i` at `wide[i]`.
     wide: Vec<Paged<WideWindow>>,
 }
 
+/// A window of at most 64 intervals.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct NarrowWindow {
+    x: u32,
+    /// Bit `p` set ⇔ the window's `p`-th interval is open.
+    open: u64,
+}
+
 /// A window of more than 64 intervals.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct WideWindow {
     x: u32,
     /// Open interval starts, ascending.
@@ -114,190 +91,154 @@ impl Windows {
     fn new(shift: u32) -> Self {
         Windows {
             shift,
-            chain: 0,
-            blocked: 0,
-            counts: Paged::new(page_bits(shift), 1),
-            masks: Paged::new(page_bits(shift), 1),
+            narrow: Vec::new(),
             wide: Vec::new(),
         }
     }
 
-    /// The block and cell of the window at blocked position `k` around
-    /// `slot`.
+    /// Chain length.
+    fn chain(&self) -> usize {
+        self.narrow.len() + self.wide.len()
+    }
+
+    /// Index of the chain-position-`k` window around `slot` in its store.
     #[inline]
-    fn cell(&self, k: usize, slot: Slot) -> (u64, usize) {
-        let (b, k) = (self.blocked, k as u32);
-        debug_assert!(k < b);
-        let block = slot >> (self.shift + b);
-        let within = (slot >> (self.shift + k + 1)) & ((1 << (b - 1 - k)) - 1);
-        (block, (1 << b) - (1 << (b - k)) + within as usize)
-    }
-
-    /// Every cell of `block` as `(chain position, window start, cell)`.
-    fn cells_of(&self, block: u64) -> impl Iterator<Item = (usize, Slot, usize)> {
-        let (b, shift) = (self.blocked, self.shift);
-        (0..b).flat_map(move |k| {
-            let first = (1usize << b) - (1 << (b - k));
-            (0..1u64 << (b - 1 - k)).map(move |within| {
-                let index = (block << (b - 1 - k)) + within;
-                (
-                    k as usize,
-                    index << (shift + k + 1),
-                    first + within as usize,
-                )
-            })
-        })
-    }
-
-    /// The store of wide position `k`, and the index of the window
-    /// around `slot` in it.
-    fn wide_of(&self, k: usize, slot: Slot) -> (usize, u64) {
-        (k - BLOCKED, slot >> (self.shift + k as u32 + 1))
+    fn index(&self, k: usize, slot: Slot) -> u64 {
+        slot >> (self.shift + k as u32 + 1)
     }
 
     /// The job count of the chain-position-`k` window around `slot`.
     #[inline]
     fn x(&self, k: usize, slot: Slot) -> u64 {
-        if k < BLOCKED {
-            let (block, cell) = self.cell(k, slot);
-            return self.counts.get(block).map_or(0, |run| u64::from(run[cell]));
-        }
-        let (i, index) = self.wide_of(k, slot);
-        self.wide[i].get(index).map_or(0, |run| u64::from(run[0].x))
+        let index = self.index(k, slot);
+        let x = match k.checked_sub(NARROW) {
+            None => self.narrow[k].get(index).map_or(0, |run| run[0].x),
+            Some(i) => self.wide[i].get(index).map_or(0, |run| run[0].x),
+        };
+        u64::from(x)
     }
 
-    fn x_mut(&mut self, k: usize, slot: Slot) -> &mut u32 {
-        if k < BLOCKED {
-            let (block, cell) = self.cell(k, slot);
-            return &mut self.counts.entry(block)[cell];
+    /// Adds `delta` to the job count of the chain-position-`k` window
+    /// around `slot`, returning the count before.
+    fn add_x(&mut self, k: usize, slot: Slot, delta: i32) -> u64 {
+        let index = self.index(k, slot);
+        let add = |x: &mut u32| {
+            let old = *x;
+            *x = old
+                .checked_add_signed(delta)
+                .expect("window job count stays in range");
+            u64::from(old)
+        };
+        match k.checked_sub(NARROW) {
+            None => self.narrow[k].update(index, |run| add(&mut run[0].x)),
+            Some(i) => self.wide[i].update(index, |run| add(&mut run[0].x)),
         }
-        let (i, index) = self.wide_of(k, slot);
-        &mut self.wide[i].entry(index)[0].x
     }
 
     /// Brings the membership of the interval at `istart` in the open set
     /// of its chain-position-`k` window to `open`.
     fn set_open(&mut self, k: usize, istart: Slot, open: bool) {
-        if k < BLOCKED {
-            let pos = (istart >> self.shift) & ((1 << (k + 1)) - 1);
-            let (block, cell) = self.cell(k, istart);
-            let mask = &mut self.masks.entry(block)[cell];
-            if open {
-                *mask |= 1 << pos;
-            } else {
-                *mask &= !(1 << pos);
+        let index = self.index(k, istart);
+        match k.checked_sub(NARROW) {
+            None => {
+                let bit = 1 << ((istart >> self.shift) & ((1 << (k + 1)) - 1));
+                self.narrow[k].update(index, |run| {
+                    if open {
+                        run[0].open |= bit;
+                    } else {
+                        run[0].open &= !bit;
+                    }
+                });
             }
-            return;
-        }
-        let (i, index) = self.wide_of(k, istart);
-        let list = &mut self.wide[i].entry(index)[0].open;
-        match (list.binary_search(&istart), open) {
-            (Err(at), true) => list.insert(at, istart),
-            (Ok(at), false) => {
-                list.remove(at);
-            }
-            _ => {}
+            Some(i) => self.wide[i].update(index, |run| {
+                let list = &mut run[0].open;
+                match (list.binary_search(&istart), open) {
+                    (Err(at), true) => list.insert(at, istart),
+                    (Ok(at), false) => {
+                        list.remove(at);
+                    }
+                    _ => {}
+                }
+            }),
         }
     }
 
     /// Starts of the open intervals of the chain-position-`k` window
     /// starting at `start`, ascending.
     fn open_starts(&self, k: usize, start: Slot) -> impl Iterator<Item = Slot> + '_ {
-        let shift = self.shift;
-        let (mask, list): (u64, &[Slot]) = if k < BLOCKED {
-            let (block, cell) = self.cell(k, start);
-            (self.masks.get(block).map_or(0, |run| run[cell]), &[])
-        } else {
-            let (i, index) = self.wide_of(k, start);
-            let list = self.wide[i]
-                .get(index)
-                .map_or(&[][..], |run| &run[0].open[..]);
-            (0, list)
+        let (shift, index) = (self.shift, self.index(k, start));
+        let (mask, list): (u64, &[Slot]) = match k.checked_sub(NARROW) {
+            None => (self.narrow[k].get(index).map_or(0, |run| run[0].open), &[]),
+            Some(i) => (0, self.wide[i].get(index).map_or(&[], |run| &run[0].open)),
         };
         set_bits(mask)
             .map(move |pos| start + ((pos as u64) << shift))
             .chain(list.iter().copied())
     }
 
-    /// Every blocked window that keeps state — a job or an open interval —
-    /// as `(chain position, start, x, open mask)`.
-    fn blocked_cells(&self) -> Vec<(usize, Slot, u32, u64)> {
-        let mut out = Vec::new();
-        // A block may have a page in one store and not the other.
-        for (block, run) in self.counts.iter() {
-            let masks = self.masks.get(block);
-            let mask = |cell: usize| masks.map_or(0, |m| m[cell]);
-            out.extend(
-                self.cells_of(block)
-                    .filter(|&(_, _, cell)| run[cell] > 0 || mask(cell) != 0)
-                    .map(|(k, start, cell)| (k, start, run[cell], mask(cell))),
-            );
-        }
-        for (block, run) in self.masks.iter() {
-            if self.counts.get(block).is_none() {
-                out.extend(
-                    self.cells_of(block)
-                        .filter(|&(_, _, cell)| run[cell] != 0)
-                        .map(|(k, start, cell)| (k, start, 0, run[cell])),
-                );
-            }
-        }
-        out
-    }
-
     /// Every window that keeps state — a job or an open interval — as
     /// `(chain position, start, x)`.
     fn live(&self) -> Vec<(usize, Slot, u64)> {
-        let mut out: Vec<(usize, Slot, u64)> = (self.blocked_cells().into_iter())
-            .map(|(k, start, x, _)| (k, start, u64::from(x)))
-            .collect();
-        for (i, table) in self.wide.iter().enumerate() {
-            let k = BLOCKED + i;
-            out.extend(
-                table
-                    .iter()
-                    .filter(|(_, run)| run[0].x > 0 || !run[0].open.is_empty())
-                    .map(|(index, run)| {
-                        (k, index << (self.shift + k as u32 + 1), u64::from(run[0].x))
-                    }),
-            );
-        }
-        out
+        let start = |k: usize, index: u64| index << (self.shift + k as u32 + 1);
+        let narrow = self.narrow.iter().enumerate().flat_map(|(k, store)| {
+            (store.iter())
+                .filter(|(_, run)| run[0] != NarrowWindow::default())
+                .map(move |(index, run)| (k, start(k, index), u64::from(run[0].x)))
+        });
+        let wide = self.wide.iter().enumerate().flat_map(|(i, store)| {
+            (store.iter())
+                .filter(|(_, run)| run[0] != WideWindow::default())
+                .map(move |(index, run)| {
+                    (NARROW + i, start(NARROW + i, index), u64::from(run[0].x))
+                })
+        });
+        narrow.chain(wide).collect()
     }
 
-    /// Empties the open set of the chain-position-`k` window starting at
-    /// `start`.
-    fn clear_open(&mut self, k: usize, start: Slot) {
-        if k < BLOCKED {
-            let (block, cell) = self.cell(k, start);
-            self.masks.entry(block)[cell] = 0;
-        } else {
-            let (i, index) = self.wide_of(k, start);
-            self.wide[i].entry(index)[0].open.clear();
+    /// Empties the open set of every window without jobs.
+    fn drop_idle(&mut self) {
+        for store in &mut self.narrow {
+            store.update_all(|_, run| {
+                if run[0].x == 0 {
+                    run[0].open = 0;
+                }
+            });
+        }
+        for store in &mut self.wide {
+            store.update_all(|_, run| {
+                if run[0].x == 0 {
+                    run[0].open = Vec::new();
+                }
+            });
         }
     }
 
-    /// Lengthens the chain to `chain` positions: the blocks re-form
-    /// around the longer chain, the new positions start empty.
+    /// Lengthens the chain to `chain` positions, the new ones empty.
     fn lengthen(&mut self, chain: usize) {
-        let blocked = chain.min(BLOCKED) as u32;
-        if blocked != self.blocked {
-            let cells = self.blocked_cells();
-            let bits = page_bits(self.shift + blocked);
-            self.blocked = blocked;
-            self.counts = Paged::new(bits, 1 << blocked);
-            self.masks = Paged::new(bits, 1 << blocked);
-            for (k, start, x, mask) in cells {
-                let (block, cell) = self.cell(k, start);
-                self.counts.entry(block)[cell] = x;
-                self.masks.entry(block)[cell] = mask;
+        for k in self.chain()..chain {
+            let run_bits = self.shift + k as u32 + 1;
+            if k < NARROW {
+                self.narrow.push(Paged::over_slots(run_bits, 1));
+            } else {
+                self.wide.push(Paged::over_slots(run_bits, 1));
             }
         }
-        for k in (BLOCKED + self.wide.len())..chain {
-            self.wide
-                .push(Paged::new(page_bits(self.shift + k as u32 + 1), 1));
-        }
-        self.chain = chain as u32;
+    }
+
+    /// Pages held and bytes reserved by the stores.
+    fn storage(&self) -> (usize, usize) {
+        let narrow = self.narrow.iter().map(|s| (s.pages(), s.bytes()));
+        let wide = self.wide.iter().map(|s| (s.pages(), s.bytes()));
+        narrow
+            .chain(wide)
+            .fold((0, 0), |(p, b), (sp, sb)| (p + sp, b + sb))
+    }
+
+    /// Checks every store's pages (see [`Paged::check`]).
+    fn check(&self) -> Result<(), String> {
+        let narrow = self.narrow.iter().map(Paged::check);
+        let wide = self.wide.iter().map(Paged::check);
+        narrow.chain(wide).collect()
     }
 }
 
@@ -474,7 +415,7 @@ impl Level {
         debug_assert!(ispan.is_power_of_two());
         let (nw, shift) = (ispan.div_ceil(64) as usize, ispan.trailing_zeros());
         Level {
-            records: Paged::new(page_bits(shift), 2 * nw),
+            records: Paged::over_slots(shift, 2 * nw),
             windows: Windows::new(shift),
             high_water: 0,
             ispan,
@@ -505,8 +446,7 @@ impl Level {
 
     /// Raises the high-water mark to `span` if it is lower. A longer chain
     /// re-strides every record (the new `assigned`/`held` pairs start
-    /// empty), re-blocks the job counts and opens the new positions'
-    /// open-set arrays.
+    /// empty) and opens the new positions' window stores.
     pub fn raise_high_water(&mut self, span: u64) {
         if span <= self.high_water {
             return;
@@ -514,14 +454,14 @@ impl Level {
         self.high_water = span;
         let chain = self.chain_spans().count();
         if chain > self.chain_len() {
-            self.records.rewidth(2 * self.nw * (1 + chain));
+            self.records.widen(2 * self.nw * (1 + chain));
             self.windows.lengthen(chain);
         }
     }
 
     /// Chain length: the number of chain positions.
     pub fn chain_len(&self) -> usize {
-        self.windows.chain as usize
+        self.windows.chain()
     }
 
     /// Start of the interval containing `slot`.
@@ -594,11 +534,11 @@ impl Level {
         self.windows.x(k, window.start())
     }
 
-    /// `window`'s job count, mutably. The window's span must not exceed
-    /// the high-water mark.
-    pub fn x_mut(&mut self, window: Window) -> &mut u32 {
+    /// Adds `delta` to `window`'s job count and returns the count before.
+    /// The window's span must not exceed the high-water mark.
+    pub fn add_x(&mut self, window: Window, delta: i32) -> u64 {
         self.windows
-            .x_mut(self.chain_pos(window.span()), window.start())
+            .add_x(self.chain_pos(window.span()), window.start(), delta)
     }
 
     /// The open intervals of `window`, ascending.
@@ -627,26 +567,23 @@ impl Level {
     /// Sets `slot`'s bit in an occupancy field.
     pub fn set_occupancy(&mut self, field: Field, slot: Slot) {
         debug_assert!(matches!(field, Field::Lower | Field::Phys));
-        let bit = self.bit_of(slot);
-        let mut rec = Record {
-            words: self.records.entry(slot >> self.shift),
-            nw: self.nw,
-        };
-        debug_assert!(!rec.test(field, bit), "slot {slot} entered {field:?} twice");
-        rec.set(field, bit);
+        let (bit, nw) = (self.bit_of(slot), self.nw);
+        self.records.update(slot >> self.shift, |words| {
+            let mut rec = Record { words, nw };
+            debug_assert!(!rec.test(field, bit), "slot {slot} entered {field:?} twice");
+            rec.set(field, bit);
+        });
     }
 
     /// Clears `slot`'s bit in an occupancy field.
     pub fn clear_occupancy(&mut self, field: Field, slot: Slot) {
         debug_assert!(matches!(field, Field::Lower | Field::Phys));
-        let bit = self.bit_of(slot);
-        let Some(words) = self.records.get_mut(slot >> self.shift) else {
-            debug_assert!(false, "interval of occupied slot {slot} must be written");
-            return;
-        };
-        let mut rec = Record { words, nw: self.nw };
-        debug_assert!(rec.test(field, bit), "slot {slot} missing from {field:?}");
-        rec.clear(field, bit);
+        let (bit, nw) = (self.bit_of(slot), self.nw);
+        self.records.update(slot >> self.shift, |words| {
+            let mut rec = Record { words, nw };
+            debug_assert!(rec.test(field, bit), "slot {slot} missing from {field:?}");
+            rec.clear(field, bit);
+        });
     }
 
     /// The leftmost slot of `window` (which lies inside one interval of
@@ -674,20 +611,21 @@ impl Level {
         slot: Slot,
         edit: impl FnOnce(&mut Record<&mut [u64]>, usize, usize),
     ) {
-        let (k, bit, istart) = (
+        let (k, bit, istart, nw) = (
             self.chain_pos(window.span()),
             self.bit_of(slot),
             self.istart_of(slot),
+            self.nw,
         );
-        let mut rec = Record {
-            words: self.records.entry(istart >> self.shift),
-            nw: self.nw,
-        };
-        let was_open = rec.is_open(k);
-        edit(&mut rec, k, bit);
-        if rec.is_open(k) != was_open {
-            self.windows.set_open(k, istart, !was_open);
-        }
+        let windows = &mut self.windows;
+        self.records.update(istart >> self.shift, |words| {
+            let mut rec = Record { words, nw };
+            let was_open = rec.is_open(k);
+            edit(&mut rec, k, bit);
+            if rec.is_open(k) != was_open {
+                windows.set_open(k, istart, !was_open);
+            }
+        });
     }
 
     /// Marks `slot` as a fulfilled (and job-free) reservation of `window`.
@@ -739,22 +677,22 @@ impl Level {
     pub fn repoint(&mut self, k: usize, from: Slot, to: Slot, with_job: bool) {
         let istart = self.istart_of(from);
         debug_assert_eq!(istart, self.istart_of(to), "re-point across intervals");
-        let (from, to) = (self.bit_of(from), self.bit_of(to));
-        let mut rec = Record {
-            words: self
-                .records
-                .get_mut(istart >> self.shift)
-                .expect("re-pointed reservation has a record"),
-            nw: self.nw,
-        };
-        debug_assert!(rec.holder(to).is_none(), "re-point target is assigned");
-        debug_assert_eq!(rec.test(Field::Held(k), from), with_job);
-        rec.clear(Field::Assigned(k), from);
-        rec.set(Field::Assigned(k), to);
-        if with_job {
-            rec.clear(Field::Held(k), from);
-            rec.set(Field::Held(k), to);
-        }
+        let (from, to, nw) = (self.bit_of(from), self.bit_of(to), self.nw);
+        self.records.update(istart >> self.shift, |words| {
+            let mut rec = Record { words, nw };
+            debug_assert!(
+                rec.test(Field::Assigned(k), from),
+                "re-pointed slot is unassigned"
+            );
+            debug_assert!(rec.holder(to).is_none(), "re-point target is assigned");
+            debug_assert_eq!(rec.test(Field::Held(k), from), with_job);
+            rec.clear(Field::Assigned(k), from);
+            rec.set(Field::Assigned(k), to);
+            if with_job {
+                rec.clear(Field::Held(k), from);
+                rec.set(Field::Held(k), to);
+            }
+        });
     }
 
     /// Chain position holding a fulfilled reservation at `slot`, if any.
@@ -803,41 +741,43 @@ impl Level {
         first: usize,
         targets: &[(Window, u64)],
     ) -> Option<(usize, u64)> {
-        let nw = self.nw;
-        let words = self.records.get_mut(istart >> self.shift)?;
-        let (occupancy, pairs) = words.split_at_mut(2 * nw);
-        let lower = &occupancy[..nw];
-        let positions = pairs.chunks_exact_mut(2 * nw).zip(targets).enumerate();
-        for (k, (pair, &(window, quota))) in positions.skip(first) {
-            let (assigned, held) = pair.split_at_mut(nw);
-            let was_open = any_open(assigned, held);
-            let mut have = 0;
-            for ((a, &h), &l) in assigned.iter_mut().zip(&*held).zip(lower) {
-                debug_assert_eq!(
-                    l & h,
-                    0,
-                    "lower-occupied slot still holds a job of {window}"
-                );
-                *a &= !l;
-                have += u64::from(a.count_ones());
-            }
-            let mut excess = have.saturating_sub(quota);
-            for (a, &h) in assigned.iter_mut().zip(&*held) {
-                let mut open = *a & !h;
-                while excess > 0 && open != 0 {
-                    *a &= !(open & open.wrapping_neg());
-                    open &= open - 1;
-                    excess -= 1;
+        let (nw, index, windows) = (self.nw, istart >> self.shift, &mut self.windows);
+        self.records.get(index)?;
+        self.records.update(index, |words| {
+            let (occupancy, pairs) = words.split_at_mut(2 * nw);
+            let lower = &occupancy[..nw];
+            let positions = pairs.chunks_exact_mut(2 * nw).zip(targets).enumerate();
+            for (k, (pair, &(window, quota))) in positions.skip(first) {
+                let (assigned, held) = pair.split_at_mut(nw);
+                let was_open = any_open(assigned, held);
+                let mut have = 0;
+                for ((a, &h), &l) in assigned.iter_mut().zip(&*held).zip(lower) {
+                    debug_assert_eq!(
+                        l & h,
+                        0,
+                        "lower-occupied slot still holds a job of {window}"
+                    );
+                    *a &= !l;
+                    have += u64::from(a.count_ones());
+                }
+                let mut excess = have.saturating_sub(quota);
+                for (a, &h) in assigned.iter_mut().zip(&*held) {
+                    let mut open = *a & !h;
+                    while excess > 0 && open != 0 {
+                        *a &= !(open & open.wrapping_neg());
+                        open &= open - 1;
+                        excess -= 1;
+                    }
+                }
+                if was_open && !any_open(assigned, held) {
+                    windows.set_open(k, istart, false);
+                }
+                if excess > 0 {
+                    return Some((k, excess));
                 }
             }
-            if was_open && !any_open(assigned, held) {
-                self.windows.set_open(k, istart, false);
-            }
-            if excess > 0 {
-                return Some((k, excess));
-            }
-        }
-        None
+            None
+        })
     }
 
     /// The leftmost slot at or after bit `from` of the interval at
@@ -862,79 +802,91 @@ impl Level {
             (targets.iter().enumerate())
                 .all(|(k, &(_, quota))| quota <= popcount(&pairs[assigned_of(k)]))
         };
-        match self.records.get(istart >> self.shift) {
+        let index = istart >> self.shift;
+        match self.records.get(index) {
             Some(words) if satisfied(&words[2 * nw..]) => return,
             None if targets.iter().all(|&(_, quota)| quota == 0) => return,
             _ => {}
         }
-        let words = self.records.entry(istart >> self.shift);
-        let (occupancy, pairs) = words.split_at_mut(2 * nw);
-        let (lower, phys) = occupancy.split_at(nw);
-        for occupied in [false, true] {
-            // The pool is consumed as a stream of words: a claimed bit
-            // leaves `pool` as it enters `assigned`, so later windows
-            // never see it again.
-            let pool_word = |pairs: &[u64], i: usize| {
-                let taken = (pairs.chunks_exact(2 * nw)).fold(lower[i], |acc, pair| acc | pair[i]);
-                !taken & valid & if occupied { phys[i] } else { !phys[i] }
-            };
-            let (mut i, mut pool) = (0, pool_word(pairs, 0));
-            let mut short = false;
-            for (k, &(_, quota)) in targets.iter().enumerate() {
-                let at = assigned_of(k);
-                let mut needed = quota.saturating_sub(popcount(&pairs[at.clone()]));
-                if needed == 0 {
-                    continue;
-                }
-                let open =
-                    |pairs: &[u64]| any_open(&pairs[at.clone()], &pairs[at.end..at.end + nw]);
-                let was_open = open(pairs);
-                while needed > 0 {
-                    while pool == 0 && i + 1 < nw {
-                        i += 1;
-                        pool = pool_word(pairs, i);
+        let windows = &mut self.windows;
+        self.records.update(index, |words| {
+            let (occupancy, pairs) = words.split_at_mut(2 * nw);
+            let (lower, phys) = occupancy.split_at(nw);
+            for occupied in [false, true] {
+                // The pool is consumed as a stream of words: a claimed bit
+                // leaves `pool` as it enters `assigned`, so later windows
+                // never see it again.
+                let pool_word = |pairs: &[u64], i: usize| {
+                    let taken =
+                        (pairs.chunks_exact(2 * nw)).fold(lower[i], |acc, pair| acc | pair[i]);
+                    !taken & valid & if occupied { phys[i] } else { !phys[i] }
+                };
+                let (mut i, mut pool) = (0, pool_word(pairs, 0));
+                let mut short = false;
+                for (k, &(_, quota)) in targets.iter().enumerate() {
+                    let at = assigned_of(k);
+                    let mut needed = quota.saturating_sub(popcount(&pairs[at.clone()]));
+                    if needed == 0 {
+                        continue;
                     }
-                    if pool == 0 {
-                        break;
+                    let open =
+                        |pairs: &[u64]| any_open(&pairs[at.clone()], &pairs[at.end..at.end + nw]);
+                    let was_open = open(pairs);
+                    while needed > 0 {
+                        while pool == 0 && i + 1 < nw {
+                            i += 1;
+                            pool = pool_word(pairs, i);
+                        }
+                        if pool == 0 {
+                            break;
+                        }
+                        pairs[at.start + i] |= pool & pool.wrapping_neg();
+                        pool &= pool - 1;
+                        needed -= 1;
                     }
-                    pairs[at.start + i] |= pool & pool.wrapping_neg();
-                    pool &= pool - 1;
-                    needed -= 1;
+                    if !was_open && open(pairs) {
+                        windows.set_open(k, istart, true);
+                    }
+                    short |= needed > 0;
+                    debug_assert!(
+                        !(occupied && short),
+                        "quota exceeds free capacity in interval"
+                    );
                 }
-                if !was_open && open(pairs) {
-                    self.windows.set_open(k, istart, true);
+                if !short {
+                    break;
                 }
-                short |= needed > 0;
-                debug_assert!(
-                    !(occupied && short),
-                    "quota exceeds free capacity in interval"
-                );
             }
-            if !short {
-                break;
-            }
-        }
+        });
     }
 
     /// Releases every fulfilled reservation of windows without jobs and
     /// clears their states (see `ReservationScheduler::compact`).
     pub fn compact(&mut self) {
-        let (nw, shift, chain) = (self.nw, self.shift, self.chain_len());
-        for (index, words) in self.records.iter_mut() {
+        let (nw, shift, windows) = (self.nw, self.shift, &self.windows);
+        self.records.update_all(|index, words| {
             let mut rec = Record { words, nw };
-            for k in 0..chain {
-                if self.windows.x(k, index << shift) == 0 {
+            for k in 0..windows.chain() {
+                if windows.x(k, index << shift) == 0 {
                     for i in 0..nw {
                         *rec.word_mut(Field::Assigned(k), i) = 0;
                     }
                 }
             }
-        }
-        for (k, start, x) in self.windows.live() {
-            if x == 0 {
-                self.windows.clear_open(k, start);
-            }
-        }
+        });
+        self.windows.drop_idle();
+    }
+
+    /// Pages held and bytes reserved by the level's stores.
+    pub fn storage(&self) -> (usize, usize) {
+        let (pages, bytes) = self.windows.storage();
+        (pages + self.records.pages(), bytes + self.records.bytes())
+    }
+
+    /// Checks the pages of the level's stores (see [`Paged::check`]).
+    pub fn check_storage(&self) -> Result<(), String> {
+        self.records.check()?;
+        self.windows.check()
     }
 }
 
@@ -1072,7 +1024,7 @@ mod tests {
         l.assign(kept, 1);
         l.assign(dropped, 2);
         l.assign(dropped, 100);
-        *l.x_mut(kept) = 1;
+        l.add_x(kept, 1);
         l.compact();
         assert_eq!(l.window_states(), vec![(kept, 1)]);
         assert_eq!(slots(&l, 0, Field::Assigned(0)), vec![1]);

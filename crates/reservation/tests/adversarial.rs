@@ -2,7 +2,7 @@
 //! saturation boundaries, displacement depth, churn at tight density, and
 //! post-failure state integrity.
 
-use realloc_core::{Error, JobId, SingleMachineReallocator, Tower, Window};
+use realloc_core::{Error, JobId, Restorable, SingleMachineReallocator, Tower, Window};
 use realloc_reservation::{ReservationScheduler, TrimmedScheduler};
 
 /// Fill a single window until refusal; state must stay valid throughout
@@ -45,6 +45,7 @@ fn failed_inserts_do_not_leak() {
         n += 1;
     }
     let states_before = s.window_states();
+    let storage_before = s.storage();
     let occupied_before = s.occupied_slots();
     for k in 0..50u64 {
         let e = s.insert(JobId(10_000 + k), Window::new(0, 64));
@@ -52,8 +53,61 @@ fn failed_inserts_do_not_leak() {
         s.check_invariants().unwrap();
     }
     assert_eq!(s.window_states(), states_before, "window states leaked");
+    assert_eq!(s.storage(), storage_before, "pages leaked");
     assert_eq!(s.occupied_slots(), occupied_before);
     assert_eq!(s.active_count() as u64, n);
+}
+
+/// Jobs scattered along the axis hold pages only while they keep state:
+/// a job's slot and occupancy bits until it leaves, the standing
+/// reservations of its windows until `compact` drops them.
+#[test]
+fn scattered_jobs_hold_pages_only_while_they_keep_state() {
+    let mut s = ReservationScheduler::new();
+    // Level-0 jobs only: no level has a chain, so no window keeps a
+    // standing reservation.
+    for i in 0..64u64 {
+        s.insert(JobId(i), Window::with_span(i * 16, 16)).unwrap();
+    }
+    let (pages, bytes) = s.storage();
+    let spots: Vec<u64> = (1..=1000u64).map(|k| k << 16).collect();
+    // One at a time: each leaves nothing behind.
+    for (n, &slot) in spots.iter().enumerate() {
+        let id = JobId(1_000 + n as u64);
+        s.insert(id, Window::with_span(slot, 1)).unwrap();
+        assert!(s.storage().0 > pages);
+        s.delete(id).unwrap();
+        assert_eq!(s.storage().0, pages, "a single-slot job left pages behind");
+    }
+    s.check_invariants().unwrap();
+    assert!(s.storage().1 <= 4 * bytes);
+    // All at once, at every level of the tower: their windows keep
+    // standing reservations after the jobs leave, until `compact`.
+    let span = |n: usize| [1u64, 64, 4096][n % 3];
+    for (n, &slot) in spots.iter().enumerate() {
+        s.insert(JobId(2_000 + n as u64), Window::with_span(slot, span(n)))
+            .unwrap();
+    }
+    s.check_invariants().unwrap();
+    assert!(s.storage().0 >= pages + 1_000);
+    // A snapshot of them restores into the same pages.
+    let restored = ReservationScheduler::restore(&s.snapshot_text()).unwrap();
+    restored.check_invariants().unwrap();
+    assert_eq!(restored.storage().0, s.storage().0);
+    for n in 0..spots.len() {
+        s.delete(JobId(2_000 + n as u64)).unwrap();
+    }
+    assert!(s.window_states() > 0);
+    s.compact();
+    s.check_invariants().unwrap();
+    assert_eq!(s.window_states(), 0);
+    assert_eq!(s.storage().0, pages, "compacted windows left pages behind");
+    assert!(
+        s.storage().1 <= 4 * bytes,
+        "freed pages kept {} bytes against {bytes} before",
+        s.storage().1
+    );
+    assert_eq!(s.active_count(), 64);
 }
 
 /// Maximum-depth displacement chains: one job per level, then force the
@@ -91,6 +145,7 @@ fn flutter_stability() {
     s.insert(JobId(1), Window::new(0, 256)).unwrap();
     s.delete(JobId(1)).unwrap();
     let baseline_states = s.window_states();
+    let baseline_storage = s.storage();
     let mut worst = 0usize;
     for i in 2..500u64 {
         let m1 = s.insert(JobId(i), Window::new(0, 256)).unwrap();
@@ -103,6 +158,7 @@ fn flutter_stability() {
         baseline_states,
         "state grew under flutter"
     );
+    assert_eq!(s.storage(), baseline_storage, "pages grew under flutter");
     s.check_invariants().unwrap();
 }
 
