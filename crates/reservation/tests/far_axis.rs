@@ -3,8 +3,8 @@
 //! same moves and writes the same snapshot, shifted by the offset, and
 //! keeps every invariant after every request.
 //!
-//! At offset 0 the stream spans many pages of every store, all of them
-//! found by indexing; the far offsets put every page behind the hashed
+//! At offset 0 the stream's horizon spans each store's head and pages
+//! past it; the far offsets put all of it in pages behind the hashed
 //! directory. Windows of `2^15` slots and more are wider than 64
 //! level-2 intervals, so their open sets take the list path.
 
