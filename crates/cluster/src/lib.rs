@@ -26,8 +26,7 @@
 //!   the replicated engine, and a deposed primary's frames are
 //!   rejected by everything that has heard from the new one — no
 //!   acknowledged event is ever lost, no split-brain write stream;
-//! * two transports: the in-process [`transport::LocalLink`] /
-//!   [`transport::channel`] for tests and benches, and the
+//! * one transport behind the [`FrameSink`] trait: the
 //!   length-prefixed TCP transport ([`tcp::ReplicaServer`] /
 //!   [`tcp::PrimaryLink`]) with a threaded accept loop — `std::net`
 //!   only, no external dependencies. The TCP link is **pipelined**: up

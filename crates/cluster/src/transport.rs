@@ -7,26 +7,13 @@
 //! highest cumulatively acknowledged sequence, and [`FrameSink::drain`]
 //! blocks until every in-flight frame is acked (the commit barrier the
 //! failover guarantee — "no acknowledged event is ever lost" — is
-//! stated in terms of). Implementations:
-//!
-//! * [`LocalLink`] — an in-process link applying frames synchronously
-//!   to a shared [`Replica`] (tests, benches, same-process read
-//!   replicas). Here `send` *is* the ack: the window is effectively 1
-//!   and `drain` never waits.
-//! * [`crate::tcp::PrimaryLink`] — length-prefixed frames over
-//!   [`std::net::TcpStream`] with a configurable window of unacked
-//!   frames in flight, acknowledged cumulatively by the remote
-//!   [`crate::tcp::ReplicaServer`].
-//!
-//! A plain fire-and-forget [`channel`] pair is also provided for
-//! in-process streaming without any acknowledgement (its `acked_seq` is
-//! always `None`, so it can never satisfy a quorum — use it for tees,
-//! not commits).
+//! stated in terms of). The implementation is
+//! [`crate::tcp::PrimaryLink`]: length-prefixed frames over
+//! [`std::net::TcpStream`] with a configurable window of unacked frames
+//! in flight, acknowledged cumulatively by the remote
+//! [`crate::tcp::ReplicaServer`].
 
 use crate::frame::Frame;
-use crate::replica::{ApplyError, Replica};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Why a frame could not be delivered-and-acknowledged.
@@ -35,8 +22,9 @@ pub enum TransportError {
     /// The link's byte stream failed.
     Io(std::io::Error),
     /// The replica received the frame and refused it (fencing, gap,
-    /// divergence, corruption — the replica-side [`ApplyError`], as
-    /// text when it crossed a wire).
+    /// divergence, corruption — the replica-side
+    /// [`ApplyError`](crate::replica::ApplyError), as text when it
+    /// crossed a wire).
     Rejected(String),
     /// The link is closed (receiver dropped, connection gone).
     Closed,
@@ -136,107 +124,5 @@ pub trait FrameSink {
     /// Frames sent but not yet acknowledged.
     fn in_flight(&self) -> usize {
         0
-    }
-}
-
-/// In-process synchronous link: applies each frame to a shared replica
-/// under its lock. The `Ok` of [`FrameSink::send`] *is* the replica's
-/// acknowledgement (the apply already happened), so [`FrameSink::drain`]
-/// never waits and [`FrameSink::acked_seq`] tracks the last applied
-/// sequence. Clones track their own acked sequence independently.
-#[derive(Clone, Debug)]
-pub struct LocalLink {
-    replica: Arc<Mutex<Replica>>,
-    /// Highest sequence this handle has applied-and-acked.
-    acked: Option<u64>,
-}
-
-impl LocalLink {
-    /// Links to a shared replica cell.
-    pub fn new(replica: Arc<Mutex<Replica>>) -> LocalLink {
-        LocalLink {
-            replica,
-            acked: None,
-        }
-    }
-
-    /// The shared replica (read scaling: query it from any thread).
-    pub fn replica(&self) -> &Arc<Mutex<Replica>> {
-        &self.replica
-    }
-
-    /// Applies a frame, returning the replica's own typed error (the
-    /// trait surface flattens it to text; fencing tests want the type).
-    pub fn apply(&self, frame: &Frame) -> Result<(), ApplyError> {
-        self.replica
-            .lock()
-            .expect("replica mutex poisoned")
-            .apply(frame)
-    }
-}
-
-impl FrameSink for LocalLink {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.apply(frame)
-            .map_err(|e| TransportError::Rejected(e.to_string()))?;
-        self.acked = Some(frame.seq);
-        Ok(())
-    }
-
-    fn acked_seq(&self) -> Option<u64> {
-        self.acked
-    }
-}
-
-/// Fire-and-forget in-process channel pair: the sink clones frames into
-/// an [`mpsc`] queue; the source hands them out for the consumer to
-/// apply. No acknowledgement — `acked_seq` stays `None` forever, so a
-/// [`ChannelSink`] can never satisfy a quorum; use [`LocalLink`] or the
-/// TCP link where the "no acknowledged event lost" contract matters.
-pub fn channel() -> (ChannelSink, ChannelSource) {
-    let (tx, rx) = mpsc::channel();
-    (ChannelSink { tx }, ChannelSource { rx })
-}
-
-/// Sending half of [`channel`].
-#[derive(Clone, Debug)]
-pub struct ChannelSink {
-    tx: mpsc::Sender<Frame>,
-}
-
-impl FrameSink for ChannelSink {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.tx
-            .send(frame.clone())
-            .map_err(|_| TransportError::Closed)
-    }
-}
-
-/// Receiving half of [`channel`].
-#[derive(Debug)]
-pub struct ChannelSource {
-    rx: mpsc::Receiver<Frame>,
-}
-
-impl ChannelSource {
-    /// Next queued frame, blocking; `None` when every sink is dropped.
-    pub fn recv(&self) -> Option<Frame> {
-        self.rx.recv().ok()
-    }
-
-    /// Next queued frame without blocking.
-    pub fn try_recv(&self) -> Option<Frame> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Drains every queued frame into `replica`, stopping at the first
-    /// rejection. Returns the number applied.
-    pub fn drain_into(&self, replica: &mut Replica) -> Result<usize, ApplyError> {
-        let mut applied = 0usize;
-        while let Some(frame) = self.try_recv() {
-            replica.apply(&frame)?;
-            applied += 1;
-        }
-        Ok(applied)
     }
 }

@@ -16,7 +16,7 @@
 //! shutdown.
 
 use realloc_cluster::tcp::{PrimaryLink, ReplicaServer};
-use realloc_cluster::transport::{FrameSink, LocalLink};
+use realloc_cluster::transport::{FrameSink, TransportError};
 use realloc_cluster::{Frame, JournalRelay, Replica, ReplicationGroup};
 use realloc_core::{JobId, Request, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig};
@@ -268,6 +268,29 @@ fn rejections_and_term_changes_are_counted() {
     assert!(!events.iter().any(|e| e.key == "diverged"));
 }
 
+/// An in-process synchronous sink: `send` applies the frame to the shared
+/// replica under its lock, so its `Ok` is the replica's ack.
+struct ApplySink {
+    replica: Arc<Mutex<Replica>>,
+    acked: Option<u64>,
+}
+
+impl FrameSink for ApplySink {
+    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
+        self.replica
+            .lock()
+            .unwrap()
+            .apply(frame)
+            .map_err(|e| TransportError::Rejected(e.to_string()))?;
+        self.acked = Some(frame.seq);
+        Ok(())
+    }
+
+    fn acked_seq(&self) -> Option<u64> {
+        self.acked
+    }
+}
+
 /// One traced request's causal chain closes at the group-commit point:
 /// the armed trace rides the flush into the shipped frame, the replica's
 /// `apply` records under the same id, and the successful quorum commit
@@ -285,7 +308,10 @@ fn traced_batch_reaches_quorum_ack_under_one_trace_id() {
     replica.attach_telemetry(&rt);
     let replica = Arc::new(Mutex::new(replica));
     group
-        .add_replica(Box::new(LocalLink::new(Arc::clone(&replica))))
+        .add_replica(Box::new(ApplySink {
+            replica: Arc::clone(&replica),
+            acked: None,
+        }))
         .unwrap();
 
     // An untraced warm-up batch: its spans must stay out of the trace.

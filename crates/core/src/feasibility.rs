@@ -14,12 +14,16 @@
 //! * [`aligned_density_max_gamma`] — Lemma 2's laminar density: the largest
 //!   `γ` such that every aligned window `W` contains at most `m|W|/γ` jobs
 //!   (exact and cheap for recursively aligned sets).
+//! * [`LaminarBudget`] — the same rule kept incrementally, one window in
+//!   or out at a time: what every density-guarded stream is built with.
 
 use crate::cost::Placement;
 use crate::job::Job;
 use crate::schedule::ScheduleSnapshot;
 use crate::window::Window;
+use fxhash::FxHashMap;
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Greedy EDF schedule for unit jobs on `machines` machines; `None` when the
@@ -177,15 +181,8 @@ pub fn aligned_density_max_gamma(windows: &[Window], machines: usize) -> u64 {
     // max_span, adding its own count to every proper ancestor.
     let own: Vec<(Window, u64)> = counts.iter().map(|(&w, &c)| (w, c)).collect();
     for (w, c) in &own {
-        let mut cur = *w;
-        while cur.span() < max_span {
-            match cur.aligned_parent() {
-                Some(p) => {
-                    *counts.entry(p).or_insert(0) += c;
-                    cur = p;
-                }
-                None => break,
-            }
+        for p in w.ancestors(max_span).skip(1) {
+            *counts.entry(p).or_insert(0) += c;
         }
     }
     // γ_max = min over windows of floor(m|W| / count).
@@ -203,6 +200,106 @@ pub fn aligned_density_max_gamma(windows: &[Window], machines: usize) -> u64 {
 /// the given `γ`.
 pub fn aligned_density_ok(windows: &[Window], machines: usize, gamma: u64) -> bool {
     aligned_density_max_gamma(windows, machines) >= gamma
+}
+
+/// Lemma 2's density budget, kept incrementally over a changing set of
+/// aligned windows: every aligned window `A` of span at most `horizon`
+/// may hold at most `⌊m·|A|/γ⌋` of them (the windows nesting in it).
+///
+/// [`try_add`](Self::try_add) admits a window only if every one of its
+/// aligned ancestors up to `horizon` stays within budget, and then
+/// charges them all; [`remove`](Self::remove) undoes an admission. Both
+/// walk [`Window::ancestors`], one hashed count per step, so either
+/// costs `O(log horizon)` however many windows are held.
+///
+/// Ancestors wider than every held window never bind (each holds what
+/// its two halves hold, and its budget is at least theirs summed), so
+/// `try_add(w)` answers exactly `aligned_density_max_gamma(held ∪ {w},
+/// m) ≥ γ`, the batch check it is tested against, though that one
+/// stops its walk at the widest window it is given.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LaminarBudget {
+    machines: u64,
+    gamma: u64,
+    horizon: u64,
+    /// Held windows nesting in each aligned window; a window that holds
+    /// none has no entry.
+    counts: FxHashMap<Window, u64>,
+}
+
+impl LaminarBudget {
+    /// An empty budget for `machines` machines at density `gamma`, over
+    /// aligned windows of span at most `horizon` (a power of two).
+    pub fn new(machines: usize, gamma: u64, horizon: u64) -> Self {
+        assert!(machines >= 1 && gamma >= 1, "need m ≥ 1 and γ ≥ 1");
+        assert!(
+            horizon.is_power_of_two(),
+            "horizon {horizon} is not a power of two"
+        );
+        LaminarBudget {
+            machines: machines as u64,
+            gamma,
+            horizon,
+            counts: FxHashMap::default(),
+        }
+    }
+
+    /// Admits the aligned window `w` if no aligned ancestor up to the
+    /// horizon would hold more than `⌊m·|A|/γ⌋` windows, and charges
+    /// them; a refusal changes nothing.
+    pub fn try_add(&mut self, w: Window) -> bool {
+        assert!(
+            w.is_aligned() && w.span() <= self.horizon,
+            "{w} is not an aligned window inside the horizon {}",
+            self.horizon
+        );
+        let (m, gamma) = (self.machines, self.gamma);
+        if w.ancestors(self.horizon)
+            .any(|a| self.count(a) >= m.saturating_mul(a.span()) / gamma)
+        {
+            return false;
+        }
+        for a in w.ancestors(self.horizon) {
+            *self.counts.entry(a).or_insert(0) += 1;
+        }
+        true
+    }
+
+    /// Gives back what an admission of `w` charged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is not held.
+    pub fn remove(&mut self, w: Window) {
+        assert!(self.held(w) > 0, "{w} is not held");
+        for a in w.ancestors(self.horizon) {
+            let Entry::Occupied(mut count) = self.counts.entry(a) else {
+                unreachable!("{a} holds the held {w}");
+            };
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
+        }
+    }
+
+    /// Admitted copies of `w` itself: what `w` holds less what its two
+    /// aligned halves hold.
+    fn held(&self, w: Window) -> u64 {
+        let halves = match w.span() / 2 {
+            0 => 0,
+            half => {
+                self.count(Window::with_span(w.start(), half))
+                    + self.count(Window::with_span(w.start() + half, half))
+            }
+        };
+        self.count(w) - halves
+    }
+
+    /// Held windows nesting in the aligned window `a`.
+    fn count(&self, a: Window) -> u64 {
+        self.counts.get(&a).copied().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]
@@ -319,5 +416,24 @@ mod tests {
     #[test]
     fn aligned_density_empty() {
         assert_eq!(aligned_density_max_gamma(&[], 1), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not held")]
+    fn budget_refuses_to_remove_an_ancestor_of_a_held_window() {
+        // (0,1) charges (0,2); removing (0,2) must not undo that charge.
+        let mut budget = LaminarBudget::new(1, 1, 4);
+        assert!(budget.try_add(Window::new(0, 1)));
+        budget.remove(Window::new(0, 2));
+    }
+
+    #[test]
+    fn budget_removes_a_window_held_beside_its_descendants() {
+        let mut budget = LaminarBudget::new(2, 1, 4);
+        assert!(budget.try_add(Window::new(0, 1)));
+        assert!(budget.try_add(Window::new(0, 2)));
+        budget.remove(Window::new(0, 2));
+        budget.remove(Window::new(0, 1));
+        assert_eq!(budget, LaminarBudget::new(2, 1, 4));
     }
 }

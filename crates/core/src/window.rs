@@ -171,6 +171,19 @@ impl Window {
         Some(Window { start, end })
     }
 
+    /// An **aligned** window and its aligned ancestors, smallest first,
+    /// as long as their span is at most `limit`: the chain every Lemma 2
+    /// density count is charged along. Empty if the window itself is
+    /// wider than `limit`; stops early where a parent would overflow the
+    /// time axis. Allocates nothing.
+    pub fn ancestors(&self, limit: u64) -> Ancestors {
+        debug_assert!(self.is_aligned());
+        Ancestors {
+            next: Some(*self).filter(|w| w.span() <= limit),
+            limit,
+        }
+    }
+
     /// Trims an **aligned** window to span at most `max_span` (a power of
     /// two), keeping the leftmost aligned subwindow. Used by the `n*`
     /// trimming rule of paper §4 ("Trimming Windows to n").
@@ -186,6 +199,23 @@ impl Window {
                 end: self.start + max_span,
             }
         }
+    }
+}
+
+/// Iterator of [`Window::ancestors`].
+#[derive(Clone, Debug)]
+pub struct Ancestors {
+    next: Option<Window>,
+    limit: u64,
+}
+
+impl Iterator for Ancestors {
+    type Item = Window;
+
+    fn next(&mut self) -> Option<Window> {
+        let w = self.next?;
+        self.next = w.aligned_parent().filter(|p| p.span() <= self.limit);
+        Some(w)
     }
 }
 
@@ -286,6 +316,20 @@ mod tests {
             Window::new(16, 32).aligned_parent(),
             Some(Window::new(0, 32))
         );
+    }
+
+    #[test]
+    fn ancestors_climb_to_the_limit() {
+        let chain: Vec<Window> = Window::new(12, 14).ancestors(16).collect();
+        assert_eq!(
+            chain,
+            [(12, 14), (12, 16), (8, 16), (0, 16)].map(|(a, d)| Window::new(a, d))
+        );
+        assert_eq!(Window::new(8, 16).ancestors(8).count(), 1);
+        assert_eq!(Window::new(0, 16).ancestors(8).count(), 0);
+        // A parent past the end of the axis ends the chain.
+        let top = Window::with_span(1 << 63, 1 << 62);
+        assert_eq!(top.ancestors(u64::MAX).collect::<Vec<_>>(), [top]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use realloc_core::feasibility::{
     aligned_density_max_gamma, edf_feasible, edf_schedule, gamma_feasible_preemptive,
-    gamma_underallocated_blocked,
+    gamma_underallocated_blocked, LaminarBudget,
 };
 use realloc_core::schedule::validate;
 use realloc_core::{log_star, Job, JobId, Window};
@@ -137,6 +137,50 @@ proptest! {
         let all = aligned_density_max_gamma(&windows, 1);
         let fewer = aligned_density_max_gamma(&windows[..windows.len() - 1], 1);
         prop_assert!(all <= fewer);
+    }
+
+    /// The incremental budget answers what the batch oracle answers, over
+    /// random insert/delete histories. Spans stop at `2^top ≤ 2^10`, below
+    /// the budget's `2^12` horizon: the oracle walks no higher than the
+    /// widest window it is given, the budget up to its horizon, and the
+    /// two must agree. A refused `try_add` changes nothing, a `remove`
+    /// right after an admission restores the budget it found, and
+    /// removing every window empties it.
+    #[test]
+    fn laminar_budget_agrees_with_the_batch_oracle(
+        ops in prop::collection::vec((any::<bool>(), 0u32..11, 0u64..1 << 12), 1..120),
+        which in (0usize..3, 0usize..3),
+        top in 0u32..11,
+    ) {
+        const HORIZON: u64 = 1 << 12;
+        let (machines, gamma) = ([1usize, 2, 4][which.0], [1u64, 2, 8][which.1]);
+        let mut budget = LaminarBudget::new(machines, gamma, HORIZON);
+        let mut active: Vec<Window> = Vec::new();
+        for (insert, exp, pos) in ops {
+            if !insert && !active.is_empty() {
+                budget.remove(active.swap_remove(pos as usize % active.len()));
+                continue;
+            }
+            let w = Window::aligned_enclosing(pos, 1 << (exp % (top + 1)));
+            let mut with_w = active.clone();
+            with_w.push(w);
+            let want = aligned_density_max_gamma(&with_w, machines) >= gamma;
+            let before = budget.clone();
+            let admitted = budget.try_add(w);
+            prop_assert_eq!(admitted, want, "{} over {:?}", w, active);
+            if admitted {
+                budget.remove(w);
+                prop_assert_eq!(&budget, &before, "removing {} just after adding it", w);
+                prop_assert!(budget.try_add(w));
+                active.push(w);
+            } else {
+                prop_assert_eq!(&budget, &before, "refusing {}", w);
+            }
+        }
+        for w in active {
+            budget.remove(w);
+        }
+        prop_assert_eq!(budget, LaminarBudget::new(machines, gamma, HORIZON));
     }
 
     // ---------------- text round trip ----------------

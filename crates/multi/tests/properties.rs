@@ -4,6 +4,7 @@
 //! any density-bounded op sequence and any machine count.
 
 use proptest::prelude::*;
+use realloc_core::feasibility::LaminarBudget;
 use realloc_core::schedule::validate;
 use realloc_core::{JobId, Reallocator, SingleMachineReallocator, Window};
 use realloc_multi::ReallocatingScheduler;
@@ -29,16 +30,6 @@ const HORIZON: u64 = 1 << 12;
 /// a power of two.
 const MACHINES: [usize; 4] = [2, 3, 4, 7];
 
-/// The aligned ancestors of `w` up to the horizon.
-fn ancestors(mut w: Window) -> Vec<Window> {
-    let mut out = vec![w];
-    while w.span() < HORIZON {
-        w = w.aligned_parent().unwrap();
-        out.push(w);
-    }
-    out
-}
-
 /// Few distinct windows (2 starts × 2 spans, aligned or shifted by 3:
 /// eight effective windows), so they hold more jobs than there are
 /// machines.
@@ -61,22 +52,6 @@ fn shares_by_window(
     out
 }
 
-/// Admits `w` under the γ = 8 density guard on the aligned effective set
-/// (per-ancestor job counts in `counts`), recording it when it fits.
-fn admit(counts: &mut HashMap<Window, u64>, w: Window, machines: usize) -> bool {
-    let eff = ancestors(w.aligned_subwindow());
-    if eff
-        .iter()
-        .any(|a| counts.get(a).copied().unwrap_or(0) >= machines as u64 * a.span() / 8)
-    {
-        return false;
-    }
-    for a in eff {
-        *counts.entry(a).or_insert(0) += 1;
-    }
-    true
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -87,7 +62,7 @@ proptest! {
     ) {
         let mut sched =
             ReallocatingScheduler::from_factory(machines, ReservationScheduler::new);
-        let mut counts: HashMap<Window, u64> = HashMap::new();
+        let mut budget = LaminarBudget::new(machines, 8, HORIZON);
         let mut active: Vec<(JobId, Window)> = Vec::new();
         let mut next = 0u64;
 
@@ -95,7 +70,7 @@ proptest! {
             let outcome = match *op {
                 Op::Insert { start, span } => {
                     let w = Window::with_span(start % (HORIZON / 2), span);
-                    if !admit(&mut counts, w, machines) {
+                    if !budget.try_add(w.aligned_subwindow()) {
                         continue;
                     }
                     let id = JobId(next);
@@ -111,9 +86,7 @@ proptest! {
                         continue;
                     }
                     let (id, w) = active.swap_remove(idx % active.len());
-                    for a in ancestors(w.aligned_subwindow()) {
-                        *counts.get_mut(&a).unwrap() -= 1;
-                    }
+                    budget.remove(w.aligned_subwindow());
                     sched.delete(id).expect("delete of active job")
                 }
             };
@@ -184,7 +157,7 @@ proptest! {
         let machines = MACHINES[which];
         let mut sched =
             ReallocatingScheduler::from_factory(machines, ReservationScheduler::new);
-        let mut counts: HashMap<Window, u64> = HashMap::new();
+        let mut budget = LaminarBudget::new(machines, 8, HORIZON);
         let mut active: Vec<(JobId, Window)> = Vec::new();
         let mut next = 0u64;
         let mut migrated = 0;
@@ -192,7 +165,7 @@ proptest! {
             let (outcome, expected) = match insert {
                 Some((slot, level, shifted)) => {
                     let w = crowded_window(slot, level, shifted);
-                    if !admit(&mut counts, w, machines) {
+                    if !budget.try_add(w.aligned_subwindow()) {
                         continue;
                     }
                     let id = JobId(next);
@@ -205,9 +178,7 @@ proptest! {
                         continue;
                     }
                     let (id, w) = active.swap_remove(idx % active.len());
-                    for a in ancestors(w.aligned_subwindow()) {
-                        *counts.get_mut(&a).unwrap() -= 1;
-                    }
+                    budget.remove(w.aligned_subwindow());
                     let before = &shares_by_window(&sched, machines)[&w.aligned_subwindow()];
                     let mi = sched.snapshot().placement(id).unwrap().machine;
                     let behind = before[mi] < *before.iter().max().unwrap();
@@ -241,11 +212,11 @@ proptest! {
         let machines = MACHINES[which];
         let mut sched =
             ReallocatingScheduler::from_factory(machines, ReservationScheduler::new);
-        let mut counts: HashMap<Window, u64> = HashMap::new();
+        let mut budget = LaminarBudget::new(machines, 8, HORIZON);
         let mut order: HashMap<Window, Vec<JobId>> = HashMap::new();
         for (i, &(slot, level, shifted)) in windows.iter().enumerate() {
             let w = crowded_window(slot, level, shifted == 1);
-            if !admit(&mut counts, w, machines) {
+            if !budget.try_add(w.aligned_subwindow()) {
                 continue;
             }
             let id = JobId(i as u64);

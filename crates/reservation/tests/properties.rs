@@ -8,6 +8,7 @@
 //! window.
 
 use proptest::prelude::*;
+use realloc_core::feasibility::LaminarBudget;
 use realloc_core::{
     sort_for_rebuild, JobId, Request, Restorable, SingleMachineReallocator, Tower, Window,
 };
@@ -31,62 +32,66 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 const SPANS: [u64; 5] = [2, 8, 32, 128, 512];
 const HORIZON: u64 = 1 << 12;
 
-/// `w` and its aligned ancestors up to span `horizon`.
-fn ancestors(w: Window, horizon: u64) -> Vec<Window> {
-    let mut out = vec![w];
-    while out[out.len() - 1].span() < horizon {
-        out.push(out[out.len() - 1].aligned_parent().unwrap());
-    }
-    out
+/// Turns ops into requests under a density guard (γ = 8 over aligned
+/// ancestors, one machine): an insert the budget refuses, and a delete
+/// with nothing active, become no request.
+struct Guarded {
+    budget: LaminarBudget,
+    /// The jobs live after the ops so far.
+    active: Vec<(JobId, Window)>,
+    next: u64,
 }
 
-/// Applies ops with a density guard (γ = 8 over aligned ancestors),
-/// checking invariants and feasibility after every applied op.
-fn apply_checked(sched: &mut ReservationScheduler, ops: &[Op]) -> usize {
-    let mut counts: HashMap<Window, u64> = HashMap::new();
-    let mut active: Vec<(JobId, Window)> = Vec::new();
-    let mut next = 0u64;
-    let mut applied = 0usize;
+impl Guarded {
+    fn new() -> Guarded {
+        Guarded {
+            budget: LaminarBudget::new(1, 8, HORIZON),
+            active: Vec::new(),
+            next: 0,
+        }
+    }
 
-    for op in ops {
+    fn step(&mut self, op: &Op) -> Option<Request> {
         match *op {
             Op::Insert { span_idx, pos } => {
                 let span = SPANS[span_idx];
-                let start = (pos % (HORIZON / span)) * span;
-                let w = Window::with_span(start, span);
-                if ancestors(w, HORIZON)
-                    .iter()
-                    .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
-                {
-                    continue;
+                let window = Window::with_span((pos % (HORIZON / span)) * span, span);
+                if !self.budget.try_add(window) {
+                    return None;
                 }
-                for a in ancestors(w, HORIZON) {
-                    *counts.entry(a).or_insert(0) += 1;
-                }
-                let id = JobId(next);
-                next += 1;
-                sched
-                    .insert(id, w)
-                    .expect("density-bounded insert succeeds");
-                active.push((id, w));
+                let id = JobId(self.next);
+                self.next += 1;
+                self.active.push((id, window));
+                Some(Request::Insert { id, window })
             }
             Op::Delete { idx } => {
-                if active.is_empty() {
-                    continue;
+                if self.active.is_empty() {
+                    return None;
                 }
-                let (id, w) = active.swap_remove(idx % active.len());
-                for a in ancestors(w, HORIZON) {
-                    *counts.get_mut(&a).unwrap() -= 1;
-                }
-                sched.delete(id).expect("delete of active job succeeds");
+                let (id, window) = self.active.swap_remove(idx % self.active.len());
+                self.budget.remove(window);
+                Some(Request::Delete { id })
             }
         }
+    }
+}
+
+/// Applies ops under the [`Guarded`] density guard, checking invariants
+/// and feasibility after every applied op.
+fn apply_checked(sched: &mut ReservationScheduler, ops: &[Op]) -> usize {
+    let mut guard = Guarded::new();
+    let mut applied = 0usize;
+
+    for op in ops {
+        let Some(r) = guard.step(op) else { continue };
+        apply(sched, r).unwrap_or_else(|e| panic!("density-bounded {r:?}: {e}"));
         applied += 1;
         sched.check_invariants().expect("invariants after every op");
         // Feasibility: in-window, collision-free.
         let mut seen = HashMap::new();
         for (id, slot) in sched.assignments() {
-            let w = active
+            let w = guard
+                .active
                 .iter()
                 .find(|&&(j, _)| j == id)
                 .map(|&(_, w)| w)
@@ -98,38 +103,38 @@ fn apply_checked(sched: &mut ReservationScheduler, ops: &[Op]) -> usize {
     applied
 }
 
+/// The aligned window of span `max(8, |w|)` around `w`.
+fn widened(w: Window) -> Window {
+    Window::aligned_enclosing(w.start(), w.span().max(8))
+}
+
 /// A growth-then-drain stream over `[0, 2^16)`: `grow` inserts of aligned
 /// windows with spans `2^0 … 2^max_k` (one delete per four inserts on the
 /// way), then a delete of every job left, in random order. Density-guarded
 /// (≤ max(1, span/8) jobs inside every aligned window), so every request
 /// succeeds.
+///
+/// The guard is a γ = 8 [`LaminarBudget`] charged with each window widened
+/// to span 8: a cap of 1 on that aligned ancestor is the cap of 1 on every
+/// narrower window inside it.
 fn grow_then_drain(seed: u64, grow: usize, max_k: u32) -> Vec<Request> {
     use rand::{Rng, SeedableRng};
 
     const WIDE: u64 = 1 << 16;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut counts: HashMap<Window, u64> = HashMap::new();
+    let mut budget = LaminarBudget::new(1, 8, WIDE);
     let mut active: Vec<(JobId, Window)> = Vec::new();
     let mut out = Vec::new();
-    let delete = |counts: &mut HashMap<Window, u64>, (id, w): (JobId, Window)| {
-        for a in ancestors(w, WIDE) {
-            *counts.get_mut(&a).unwrap() -= 1;
-        }
+    let delete = |budget: &mut LaminarBudget, (id, w): (JobId, Window)| {
+        budget.remove(widened(w));
         Request::Delete { id }
     };
     let mut next = 0u64;
     while (next as usize) < grow {
         let span = 1u64 << rng.gen_range(0..=max_k);
         let window = Window::with_span(rng.gen_range(0..WIDE / span) * span, span);
-        let chain = ancestors(window, WIDE);
-        if chain
-            .iter()
-            .any(|a| counts.get(a).copied().unwrap_or(0) >= (a.span() / 8).max(1))
-        {
+        if !budget.try_add(widened(window)) {
             continue;
-        }
-        for a in chain {
-            *counts.entry(a).or_insert(0) += 1;
         }
         let id = JobId(next);
         next += 1;
@@ -137,12 +142,12 @@ fn grow_then_drain(seed: u64, grow: usize, max_k: u32) -> Vec<Request> {
         out.push(Request::Insert { id, window });
         if next.is_multiple_of(4) {
             let job = active.swap_remove(rng.gen_range(0..active.len()));
-            out.push(delete(&mut counts, job));
+            out.push(delete(&mut budget, job));
         }
     }
     while !active.is_empty() {
         let job = active.swap_remove(rng.gen_range(0..active.len()));
-        out.push(delete(&mut counts, job));
+        out.push(delete(&mut budget, job));
     }
     out
 }
@@ -255,40 +260,11 @@ proptest! {
         // orders; all fulfillment profiles must match.
         let mut sched = ReservationScheduler::new();
         apply_checked(&mut sched, &ops);
-        let mut shadow: Vec<(JobId, Window)> = Vec::new();
-        {
-            let mut counts: HashMap<Window, u64> = HashMap::new();
-            let mut next = 0u64;
-            for op in &ops {
-                match *op {
-                    Op::Insert { span_idx, pos } => {
-                        let span = SPANS[span_idx];
-                        let start = (pos % (HORIZON / span)) * span;
-                        let w = Window::with_span(start, span);
-                        if ancestors(w, HORIZON)
-                            .iter()
-                            .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
-                        {
-                            continue;
-                        }
-                        for a in ancestors(w, HORIZON) {
-                            *counts.entry(a).or_insert(0) += 1;
-                        }
-                        shadow.push((JobId(next), w));
-                        next += 1;
-                    }
-                    Op::Delete { idx } => {
-                        if shadow.is_empty() {
-                            continue;
-                        }
-                        let (_, w) = shadow.swap_remove(idx % shadow.len());
-                        for a in ancestors(w, HORIZON) {
-                            *counts.get_mut(&a).unwrap() -= 1;
-                        }
-                    }
-                }
-            }
+        let mut guard = Guarded::new();
+        for op in &ops {
+            guard.step(op);
         }
+        let shadow = guard.active;
         let profile0 = sched.fulfillment_profile();
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -319,24 +295,17 @@ proptest! {
         use rand::{Rng, SeedableRng};
 
         // Spans 1 … 4 096 over a 65 536-slot horizon, density-guarded
-        // (≤ max(1, span/8) jobs inside every aligned window).
+        // (≤ max(1, span/8) jobs inside every aligned window; see
+        // `grow_then_drain`).
         const WIDE: u64 = 1 << 16;
-        let mut counts: HashMap<Window, u64> = HashMap::new();
+        let mut budget = LaminarBudget::new(1, 8, WIDE);
         let mut jobs: Vec<(JobId, Window)> = Vec::new();
         for (i, (k, pos)) in picks.into_iter().enumerate() {
             let span = 1u64 << k;
             let window = Window::with_span(pos % (WIDE / span) * span, span);
-            let chain = ancestors(window, WIDE);
-            if chain
-                .iter()
-                .any(|a| counts.get(a).copied().unwrap_or(0) >= (a.span() / 8).max(1))
-            {
-                continue;
+            if budget.try_add(widened(window)) {
+                jobs.push((JobId(i as u64), window));
             }
-            for a in chain {
-                *counts.entry(a).or_insert(0) += 1;
-            }
-            jobs.push((JobId(i as u64), window));
         }
         sort_for_rebuild(&mut jobs, |&job| job);
         let mut old_key = jobs.clone();
@@ -372,43 +341,13 @@ proptest! {
     #[test]
     fn trimmed_matches_raw_feasibility(ops in prop::collection::vec(op_strategy(), 1..80)) {
         let mut trimmed = TrimmedScheduler::new(8);
-        let mut counts: HashMap<Window, u64> = HashMap::new();
-        let mut active: Vec<(JobId, Window)> = Vec::new();
-        let mut next = 0u64;
+        let mut guard = Guarded::new();
         for op in &ops {
-            match *op {
-                Op::Insert { span_idx, pos } => {
-                    let span = SPANS[span_idx];
-                    let start = (pos % (HORIZON / span)) * span;
-                    let w = Window::with_span(start, span);
-                    if ancestors(w, HORIZON)
-                        .iter()
-                        .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
-                    {
-                        continue;
-                    }
-                    for a in ancestors(w, HORIZON) {
-                        *counts.entry(a).or_insert(0) += 1;
-                    }
-                    let id = JobId(next);
-                    next += 1;
-                    trimmed.insert(id, w).unwrap();
-                    active.push((id, w));
-                }
-                Op::Delete { idx } => {
-                    if active.is_empty() {
-                        continue;
-                    }
-                    let (id, w) = active.swap_remove(idx % active.len());
-                    for a in ancestors(w, HORIZON) {
-                        *counts.get_mut(&a).unwrap() -= 1;
-                    }
-                    trimmed.delete(id).unwrap();
-                }
-            }
+            let Some(r) = guard.step(op) else { continue };
+            apply(&mut trimmed, r).unwrap();
             trimmed.inner().check_invariants().unwrap();
             for (id, slot) in trimmed.assignments() {
-                let w = active.iter().find(|&&(j, _)| j == id).map(|&(_, w)| w).unwrap();
+                let w = guard.active.iter().find(|&&(j, _)| j == id).map(|&(_, w)| w).unwrap();
                 prop_assert!(w.contains_slot(slot), "{} at {} outside {}", id, slot, w);
             }
         }
@@ -417,43 +356,15 @@ proptest! {
     #[test]
     fn deamortized_feasible_and_bounded(ops in prop::collection::vec(op_strategy(), 1..80)) {
         let mut sched = DeamortizedScheduler::new(4);
-        let mut counts: HashMap<Window, u64> = HashMap::new();
-        let mut active: Vec<(JobId, Window)> = Vec::new();
-        let mut next = 0u64;
+        let mut guard = Guarded::new();
         for op in &ops {
-            match *op {
-                Op::Insert { span_idx, pos } => {
-                    let span = SPANS[span_idx];
-                    let start = (pos % (HORIZON / span)) * span;
-                    let w = Window::with_span(start, span);
-                    if ancestors(w, HORIZON)
-                        .iter()
-                        .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / 8)
-                    {
-                        continue;
-                    }
-                    for a in ancestors(w, HORIZON) {
-                        *counts.entry(a).or_insert(0) += 1;
-                    }
-                    let id = JobId(next);
-                    next += 1;
-                    let moves = sched.insert(id, w).unwrap();
-                    prop_assert!(moves.len() <= 32, "unbounded request: {}", moves.len());
-                    active.push((id, w));
-                }
-                Op::Delete { idx } => {
-                    if active.is_empty() {
-                        continue;
-                    }
-                    let (id, w) = active.swap_remove(idx % active.len());
-                    for a in ancestors(w, HORIZON) {
-                        *counts.get_mut(&a).unwrap() -= 1;
-                    }
-                    sched.delete(id).unwrap();
-                }
+            let Some(r) = guard.step(op) else { continue };
+            let moves = apply(&mut sched, r).unwrap();
+            if let Request::Insert { .. } = r {
+                prop_assert!(moves.len() <= 32, "unbounded request: {}", moves.len());
             }
             for (id, slot) in sched.assignments() {
-                let w = active.iter().find(|&&(j, _)| j == id).map(|&(_, w)| w).unwrap();
+                let w = guard.active.iter().find(|&&(j, _)| j == id).map(|&(_, w)| w).unwrap();
                 prop_assert!(w.contains_slot(slot), "{} at {} outside {}", id, slot, w);
             }
         }

@@ -4,15 +4,16 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use realloc_core::feasibility::aligned_density_max_gamma;
+use realloc_core::feasibility::LaminarBudget;
 use realloc_core::{JobId, SingleMachineReallocator, Tower, Window};
 use realloc_reservation::{ReservationScheduler, TrimmedScheduler};
 use std::collections::{BTreeMap, HashMap};
 
 /// Drives `ops` random inserts/deletes over aligned windows inside
 /// `[0, horizon)`, keeping every aligned window's job count within
-/// `|W|/gamma` (Lemma 2 density), and checks invariants + feasibility after
-/// every request. Returns the peak per-request move count observed.
+/// `|W|/gamma` (Lemma 2 density, a [`LaminarBudget`]), and checks
+/// invariants + feasibility after every request. Returns the peak
+/// per-request move count observed.
 fn churn(
     sched: &mut ReservationScheduler,
     seed: u64,
@@ -25,6 +26,7 @@ fn churn(
     // Ordered, so that the job `nth` picks — and the run — depends on
     // the seed alone, not on the hash order of the process.
     let mut active: BTreeMap<JobId, Window> = BTreeMap::new();
+    let mut budget = LaminarBudget::new(1, gamma, horizon);
     let mut next_id = 0u64;
     let mut peak = 0usize;
 
@@ -37,9 +39,7 @@ fn churn(
                 let span = spans[rng.gen_range(0..spans.len())];
                 let start = rng.gen_range(0..(horizon / span)) * span;
                 let w = Window::with_span(start, span);
-                let mut windows: Vec<Window> = active.values().copied().collect();
-                windows.push(w);
-                if aligned_density_max_gamma(&windows, 1) < gamma {
+                if !budget.try_add(w) {
                     continue;
                 }
                 let id = JobId(next_id);
@@ -62,7 +62,7 @@ fn churn(
                 .delete(id)
                 .unwrap_or_else(|e| panic!("step {step}: delete {id}: {e}"));
             peak = peak.max(moves.len());
-            active.remove(&id);
+            budget.remove(active.remove(&id).unwrap());
         }
 
         sched
@@ -150,15 +150,14 @@ fn trimmed_churn_with_rebuilds() {
     // Ordered, so that the job `nth` picks — and the run — depends on
     // the seed alone, not on the hash order of the process.
     let mut active: BTreeMap<JobId, Window> = BTreeMap::new();
+    let mut budget = LaminarBudget::new(1, 8, 1 << 12);
     let mut next_id = 0u64;
     for step in 0..600 {
         if active.is_empty() || rng.gen_bool(0.55) {
             let span = [1u64, 4, 16, 64, 256][rng.gen_range(0..5usize)];
             let start = rng.gen_range(0..((1u64 << 12) / span)) * span;
             let w = Window::with_span(start, span);
-            let mut windows: Vec<Window> = active.values().copied().collect();
-            windows.push(w);
-            if aligned_density_max_gamma(&windows, 1) < 8 {
+            if !budget.try_add(w) {
                 continue;
             }
             let id = JobId(next_id);
@@ -170,7 +169,7 @@ fn trimmed_churn_with_rebuilds() {
             let idx = rng.gen_range(0..active.len());
             let id = *active.keys().nth(idx).unwrap();
             s.delete(id).unwrap();
-            active.remove(&id);
+            budget.remove(active.remove(&id).unwrap());
         }
         s.inner().check_invariants().unwrap();
         for (id, slot) in s.assignments() {

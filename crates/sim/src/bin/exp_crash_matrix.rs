@@ -1,4 +1,4 @@
-//! E9 — crash-durability matrix over the on-disk store.
+//! E12 — crash-durability matrix over the on-disk store.
 //!
 //! Runs `realloc_store::run_crash_matrix`: a reference workload (batch
 //! flushes, an online resize, periodic checkpoints) executed against the
@@ -37,7 +37,7 @@ fn main() {
         }
     };
     let mut table = Table::new(
-        "E9: kill-at-any-point recovery (3 power-loss models x every mutating I/O op)",
+        "E12: kill-at-any-point recovery (3 power-loss models x every mutating I/O op)",
         &["metric", "value"],
     );
     table

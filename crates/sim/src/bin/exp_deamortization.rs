@@ -12,6 +12,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use realloc_core::feasibility::LaminarBudget;
 use realloc_core::{JobId, SingleMachineReallocator, Window};
 use realloc_reservation::{DeamortizedScheduler, TrimmedScheduler};
 use realloc_sim::report::{f2, Table};
@@ -27,7 +28,7 @@ fn netted_reallocations(moves: &[realloc_core::SlotMove]) -> u64 {
 }
 
 /// Growth-then-shrink request pattern over aligned span-≥2 windows, kept
-/// 4-dense by a laminar budget (like the churn generator's). Returns each
+/// 4-dense by a [`LaminarBudget`], as the churn generator is. Returns each
 /// request's netted cost and how many requests changed `bound`, the
 /// scheduler's trim bound (it moves exactly when `n*` does).
 fn drive<S: SingleMachineReallocator>(
@@ -39,21 +40,13 @@ fn drive<S: SingleMachineReallocator>(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut costs = Vec::new();
     let mut active: Vec<(JobId, Window)> = Vec::new();
-    let mut counts: std::collections::HashMap<Window, u64> = std::collections::HashMap::new();
-    let mut next = 0u64;
     let horizon = 1u64 << 14;
-    let ancestors = |mut w: Window| {
-        let mut out = vec![w];
-        while w.span() < horizon {
-            w = w.aligned_parent().unwrap();
-            out.push(w);
-        }
-        out
-    };
+    let mut budget = LaminarBudget::new(1, GAMMA, horizon);
+    let mut next = 0u64;
     let op = |sched: &mut S,
               grow: bool,
               active: &mut Vec<(JobId, Window)>,
-              counts: &mut std::collections::HashMap<Window, u64>,
+              budget: &mut LaminarBudget,
               rng: &mut StdRng,
               next: &mut u64|
      -> Option<u64> {
@@ -62,14 +55,8 @@ fn drive<S: SingleMachineReallocator>(
                 let span = [8u64, 32, 128, 512, horizon][rng.gen_range(0..5usize)];
                 let start = rng.gen_range(0..(horizon / span)) * span;
                 let w = Window::with_span(start, span);
-                if ancestors(w)
-                    .iter()
-                    .any(|a| counts.get(a).copied().unwrap_or(0) >= a.span() / GAMMA)
-                {
+                if !budget.try_add(w) {
                     continue;
-                }
-                for a in ancestors(w) {
-                    *counts.entry(a).or_insert(0) += 1;
                 }
                 let id = JobId(*next);
                 *next += 1;
@@ -81,9 +68,7 @@ fn drive<S: SingleMachineReallocator>(
         } else {
             let idx = rng.gen_range(0..active.len());
             let (id, w) = active.swap_remove(idx);
-            for a in ancestors(w) {
-                *counts.get_mut(&a).unwrap() -= 1;
-            }
+            budget.remove(w);
             let moves = sched.delete(id).unwrap();
             Some(netted_reallocations(&moves))
         }
@@ -91,7 +76,7 @@ fn drive<S: SingleMachineReallocator>(
     let mut crossings = 0;
     let mut step = |sched: &mut S, grow: bool, active: &mut Vec<(JobId, Window)>| {
         let before = bound(sched);
-        let cost = op(sched, grow, active, &mut counts, &mut rng, &mut next)?;
+        let cost = op(sched, grow, active, &mut budget, &mut rng, &mut next)?;
         crossings += u64::from(bound(sched) != before);
         Some(cost)
     };

@@ -1,4 +1,4 @@
-//! E13 — tower ablation (design-choice experiment).
+//! E14 — tower ablation (design-choice experiment).
 //!
 //! The paper fixes the level thresholds at `L₁ = 2⁵`, `L_{ℓ+1} = 2^{L_ℓ/4}`
 //! "preferring clarity of exposition" (§7). This ablation runs the same
@@ -23,7 +23,7 @@ use realloc_sim::stats::Summary;
 fn main() {
     let seq = churn_seq(1, 8, 400, 1 << 10, false, 6000, 71);
     let mut t = Table::new(
-        "E13: tower ablation (same churn, Δ = 1024, n ≈ 400, γ = 8)",
+        "E14: tower ablation (same churn, Δ = 1024, n ≈ 400, γ = 8)",
         &[
             "tower L1,L2,…",
             "levels used",

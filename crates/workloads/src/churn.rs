@@ -1,16 +1,16 @@
 //! Underallocation-controlled random churn.
 //!
-//! The generator maintains, for every aligned window `A`, the number of
-//! active jobs whose *effective* (aligned) window nests inside `A`, and
-//! only emits an insert if every ancestor budget `count(A) < m·|A|/γ`
-//! survives — exactly Lemma 2's density bound. Sequences are therefore
-//! `γ`-dense by construction at every prefix, which is the precondition
-//! knob for every Theorem 1 experiment (and the `γ` ablation sweep).
+//! The generator keeps the active jobs' *effective* (aligned) windows in
+//! a [`LaminarBudget`] and only emits an insert the budget admits — every
+//! aligned ancestor `A` keeps at most `m·|A|/γ` jobs, exactly Lemma 2's
+//! density bound. Sequences are therefore `γ`-dense by construction at
+//! every prefix, which is the precondition knob for every Theorem 1
+//! experiment (and the `γ` ablation sweep).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use realloc_core::feasibility::LaminarBudget;
 use realloc_core::{JobId, Request, RequestSeq, Window};
-use std::collections::HashMap;
 
 /// Configuration for [`ChurnGenerator`].
 #[derive(Clone, Debug)]
@@ -51,9 +51,8 @@ impl Default for ChurnConfig {
 pub struct ChurnGenerator {
     cfg: ChurnConfig,
     rng: StdRng,
-    /// Cumulative job counts per aligned window (each job charges every
-    /// aligned ancestor of its effective window up to the horizon).
-    counts: HashMap<Window, u64>,
+    /// The active jobs' effective windows, charged up to the horizon.
+    budget: LaminarBudget,
     active: Vec<(JobId, Window)>,
     next_id: u64,
 }
@@ -77,9 +76,9 @@ impl ChurnGenerator {
             assert!(s >= 1 && s <= cfg.horizon, "span {s} outside horizon");
         }
         ChurnGenerator {
+            budget: LaminarBudget::new(cfg.machines, cfg.gamma, cfg.horizon),
             cfg,
             rng: StdRng::seed_from_u64(seed),
-            counts: HashMap::new(),
             active: Vec::new(),
             next_id: 0,
         }
@@ -88,40 +87,6 @@ impl ChurnGenerator {
     /// Currently active jobs (id, original window).
     pub fn active(&self) -> &[(JobId, Window)] {
         &self.active
-    }
-
-    fn ancestors(&self, mut w: Window) -> Vec<Window> {
-        let mut out = vec![w];
-        while w.span() < self.cfg.horizon {
-            match w.aligned_parent() {
-                Some(p) if p.span() <= self.cfg.horizon => {
-                    out.push(p);
-                    w = p;
-                }
-                _ => break,
-            }
-        }
-        out
-    }
-
-    fn budget_of(&self, w: Window) -> u64 {
-        self.cfg.machines as u64 * w.span() / self.cfg.gamma
-    }
-
-    fn admissible(&self, effective: Window) -> bool {
-        self.ancestors(effective)
-            .into_iter()
-            .all(|a| self.counts.get(&a).copied().unwrap_or(0) < self.budget_of(a))
-    }
-
-    fn charge(&mut self, effective: Window, delta: i64) {
-        for a in self.ancestors(effective) {
-            let c = self.counts.entry(a).or_insert(0);
-            *c = c.checked_add_signed(delta).expect("count underflow");
-            if *c == 0 {
-                self.counts.remove(&a);
-            }
-        }
     }
 
     /// Tries to produce the next request; `None` if sampling failed (the
@@ -139,11 +104,9 @@ impl ChurnGenerator {
                     let start = self.rng.gen_range(0..(self.cfg.horizon / span)) * span;
                     Window::with_span(start, span)
                 };
-                let effective = window.aligned_subwindow();
-                if !self.admissible(effective) {
+                if !self.budget.try_add(window.aligned_subwindow()) {
                     continue;
                 }
-                self.charge(effective, 1);
                 let id = JobId(self.next_id);
                 self.next_id += 1;
                 self.active.push((id, window));
@@ -156,7 +119,7 @@ impl ChurnGenerator {
         }
         let idx = self.rng.gen_range(0..self.active.len());
         let (id, window) = self.active.swap_remove(idx);
-        self.charge(window.aligned_subwindow(), -1);
+        self.budget.remove(window.aligned_subwindow());
         Some(Request::Delete { id })
     }
 

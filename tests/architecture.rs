@@ -411,6 +411,31 @@ const ROWS: &[Row] = &[
         ),
     },
     Row {
+        concept: "one Lemma 2 budget: LaminarBudget counts, Window::ancestors walks",
+        probes: &[
+            probe(
+                &["crates", "src", "examples", "tests"],
+                &["aligned_parent("],
+            )
+            .rs_only()
+            .expect(Expect::NoneOutside(&[
+                "crates/core/src/window.rs",
+                "crates/core/tests/edge_cases.rs",
+                "crates/core/tests/properties.rs",
+            ])),
+            probe(
+                &["crates", "src", "examples", "tests"],
+                &["HashMap<Window, u64>"],
+            )
+            .rs_only()
+            .expect(Expect::NoneOutside(&["crates/core/src/feasibility.rs"])),
+        ],
+        trips_on: (
+            "crates/workloads/src/churn.rs",
+            "            match w.aligned_parent() {",
+        ),
+    },
+    Row {
         concept: "one architecture contract",
         probes: &[probe(
             &[".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"],
