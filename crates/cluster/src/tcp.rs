@@ -7,7 +7,9 @@
 //!
 //! Each direction carries length-prefixed byte frames
 //! ([`realloc_core::textio::write_frame`]: a `u32` big-endian byte
-//! count, then that many bytes).
+//! count, then that many bytes). Both ends read and write them through
+//! [`FrameConn`], so a read that times out partway through an ack keeps
+//! its bytes staged for the next.
 //!
 //! * primary → replica: one [`Frame`] text document per wire frame.
 //! * replica → primary: cumulative ack lines — `ok <seq>` acknowledges
@@ -43,8 +45,9 @@
 //! # Timeouts and reconnection
 //!
 //! Every link operation is bounded by a [`LinkConfig`]: connects use
-//! [`TcpStream::connect_timeout`], writes carry socket timeouts, and
-//! every wait for acks — a full [`PrimaryLink::drain`] as well as a
+//! [`TcpStream::connect_timeout`], writes carry socket timeouts, each
+//! ack read is bounded by [`LinkConfig::read_timeout`], and every wait
+//! for acks — a full [`PrimaryLink::drain`] as well as a
 //! window-full stall inside `send` — is bounded by
 //! [`LinkConfig::drain_timeout`] **in total**, not per ack, so a
 //! stalled replica fails the drain with a typed
@@ -91,10 +94,9 @@ use crate::replica::Replica;
 use crate::tele::LinkTele;
 use crate::transport::{FrameSink, TransportError};
 use realloc_core::net::{AcceptLoop, Buffered, FrameConn};
-use realloc_core::textio::write_frame;
 use realloc_telemetry::{Counter, Severity, Telemetry};
 use std::collections::VecDeque;
-use std::io::{BufRead as _, BufReader, BufWriter, ErrorKind, Write as _};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -110,9 +112,9 @@ const MAX_ACK_BYTES: u32 = 4096;
 pub struct LinkConfig {
     /// Bound on establishing a connection.
     pub connect_timeout: Duration,
-    /// Socket read timeout — bounds each *individual* wait inside an
-    /// ack read; the total wait for a drain or window stall is bounded
-    /// by [`LinkConfig::drain_timeout`].
+    /// Socket read timeout — bounds each ack read, however the ack
+    /// trickles in; the total wait for a drain or window stall is
+    /// bounded by [`LinkConfig::drain_timeout`].
     pub read_timeout: Duration,
     /// Socket write timeout — bounds each frame write.
     pub write_timeout: Duration,
@@ -369,19 +371,14 @@ pub struct PrimaryLink {
 
 #[derive(Debug)]
 struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Frames out, acks in; a partial ack waits in its staging buffer.
+    frames: FrameConn,
     /// Sequences written on this connection and not yet acknowledged,
     /// oldest first, with their send timestamps (0 without telemetry).
     inflight: VecDeque<(u64, u64)>,
     /// Highest cumulative ack received on this connection — the
     /// regression guard for hostile acks.
     conn_acked: Option<u64>,
-    /// Staging buffer owning the ack framing state: every byte the
-    /// reader picks up is moved here, and complete length-prefixed ack
-    /// frames are carved off the front. A read timeout can therefore
-    /// never strand a partial frame — its bytes wait here for the rest.
-    ackbuf: Vec<u8>,
 }
 
 impl PrimaryLink {
@@ -433,9 +430,18 @@ impl PrimaryLink {
     /// Sends without blocking on a full window: returns
     /// [`TransportError::WindowFull`] when [`LinkConfig::window`]
     /// frames are already unacknowledged (after retiring any acks
-    /// waiting on the wire). Otherwise identical to [`FrameSink::send`].
+    /// waiting on the wire; one only partly there, or over the cap, is
+    /// left for a blocking `send` or `drain`). Otherwise identical to
+    /// [`FrameSink::send`].
     pub fn try_send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.send_impl(frame, false)
+        // A snapshot drains the window before it ships: only other
+        // frames can find it full.
+        if !matches!(frame.payload, Payload::Snapshot { .. }) && self.window_full()? {
+            return Err(TransportError::WindowFull {
+                window: self.window(),
+            });
+        }
+        self.send(frame)
     }
 
     /// Attaches per-link instruments, labeled with this link's replica
@@ -457,13 +463,10 @@ impl PrimaryLink {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(self.config.read_timeout))?;
         stream.set_write_timeout(Some(self.config.write_timeout))?;
-        let write_half = stream.try_clone()?;
         Ok(Conn {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
+            frames: FrameConn::new(stream)?,
             inflight: VecDeque::new(),
             conn_acked: None,
-            ackbuf: Vec::new(),
         })
     }
 
@@ -515,38 +518,6 @@ impl PrimaryLink {
         }
         self.conn = None;
         e
-    }
-
-    /// Consumes one ack frame **only if it is already fully buffered**;
-    /// never blocks and never leaves the stream mid-frame.
-    fn take_buffered_ack(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        let Some(conn) = self.conn.as_mut() else {
-            return Ok(None);
-        };
-        // Stage everything the reader picked up. The reader's buffer is
-        // always left empty, so the next `fill_buf` really reads from
-        // the socket instead of handing back a stranded partial frame.
-        let buffered = conn.reader.buffer().len();
-        if buffered > 0 {
-            conn.ackbuf.extend_from_slice(conn.reader.buffer());
-            conn.reader.consume(buffered);
-        }
-        if conn.ackbuf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes(conn.ackbuf[..4].try_into().expect("4 bytes"));
-        if len > MAX_ACK_BYTES {
-            return Err(TransportError::Protocol(format!(
-                "ack frame of {len} bytes exceeds the {MAX_ACK_BYTES}-byte cap"
-            )));
-        }
-        let total = 4 + len as usize;
-        if conn.ackbuf.len() < total {
-            return Ok(None);
-        }
-        let payload = conn.ackbuf[4..total].to_vec();
-        conn.ackbuf.drain(..total);
-        Ok(Some(payload))
     }
 
     /// Validates and applies one cumulative ack line, retiring the
@@ -618,127 +589,83 @@ impl PrimaryLink {
 
     /// Retires every ack already on the wire without ever blocking.
     fn pump(&mut self) -> Result<(), TransportError> {
-        loop {
-            if self.in_flight() == 0 {
-                return Ok(());
-            }
-            if let Some(payload) = self.take_buffered_ack()? {
-                self.process_ack(&payload)?;
-                continue;
-            }
-            let Some(conn) = self.conn.as_mut() else {
-                return Ok(());
-            };
-            conn.reader
-                .get_ref()
-                .set_nonblocking(true)
-                .map_err(TransportError::Io)?;
-            let refill = conn.reader.fill_buf().map(|b| b.len());
-            conn.reader
-                .get_ref()
-                .set_nonblocking(false)
-                .map_err(TransportError::Io)?;
-            match refill {
-                Ok(0) => return Err(TransportError::Closed),
-                Ok(_) => continue,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Ok(())
-                }
-                Err(e) => return Err(TransportError::Io(e)),
+        while self.in_flight() > 0 {
+            let conn = self.conn.as_mut().ok_or(TransportError::Closed)?;
+            match conn.frames.read_buffered(MAX_ACK_BYTES) {
+                Buffered::Frame(payload) => self.process_ack(&payload)?,
+                Buffered::NotYet => break,
+                Buffered::Gone => return Err(TransportError::Closed),
             }
         }
+        Ok(())
+    }
+
+    /// Whether the window is still full once the acks already on the
+    /// wire are retired.
+    fn window_full(&mut self) -> Result<bool, TransportError> {
+        if self.in_flight() >= self.window() {
+            if let Err(e) = self.pump() {
+                return Err(self.fail(e));
+            }
+        }
+        Ok(self.in_flight() >= self.window())
     }
 
     /// Blocks until one ack is processed, bounded by `deadline` (the
-    /// caller's share of [`LinkConfig::drain_timeout`]). Ack framing
-    /// state lives in the connection's staging buffer, so a timeout
-    /// mid-frame strands nothing — the partial frame's bytes wait
-    /// there for the rest.
+    /// caller's share of [`LinkConfig::drain_timeout`]) and each read by
+    /// [`LinkConfig::read_timeout`]. A read that times out partway
+    /// through an ack leaves its bytes staged in the [`FrameConn`] for
+    /// the next; an ack already staged is taken even past the deadline.
     fn wait_ack(&mut self, deadline: Instant) -> Result<(), TransportError> {
         loop {
-            if let Some(payload) = self.take_buffered_ack()? {
-                return self.process_ack(&payload);
+            let conn = self.conn.as_mut().ok_or(TransportError::Closed)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            let per_read = self
+                .config
+                .read_timeout
+                .min(left)
+                .max(Duration::from_millis(1));
+            conn.frames.set_read_timeout(Some(per_read))?;
+            match conn.frames.read(MAX_ACK_BYTES) {
+                Ok(Some(payload)) => return self.process_ack(&payload),
+                Ok(None) => return Err(TransportError::Closed),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                // The one framing error: a length above the cap.
+                Err(e) if e.kind() == ErrorKind::InvalidData => {
+                    return Err(TransportError::Protocol(format!("ack {e}")))
+                }
+                Err(e) => return Err(TransportError::Io(e)),
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return Err(TransportError::DrainTimeout {
                     waited: self.config.drain_timeout,
                     in_flight: self.in_flight(),
                 });
             }
-            let per_read = self
-                .config
-                .read_timeout
-                .min(deadline - now)
-                .max(Duration::from_millis(1));
-            let Some(conn) = self.conn.as_mut() else {
-                return Err(TransportError::Closed);
-            };
-            conn.reader
-                .get_ref()
-                .set_read_timeout(Some(per_read))
-                .map_err(TransportError::Io)?;
-            match conn.reader.fill_buf() {
-                Ok([]) => return Err(TransportError::Closed),
-                Ok(_) => continue,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    continue
-                }
-                Err(e) => return Err(TransportError::Io(e)),
-            }
         }
     }
+}
 
-    fn drain_impl(&mut self) -> Result<Option<u64>, TransportError> {
-        self.drain_to_impl(u64::MAX)
-    }
-
-    /// Waits until the cumulative ack reaches `seq` or the pipe is
-    /// empty, whichever comes first, bounded by one drain timeout.
-    fn drain_to_impl(&mut self, seq: u64) -> Result<Option<u64>, TransportError> {
-        let deadline = Instant::now() + self.config.drain_timeout;
-        while self.in_flight() > 0 && self.acked.is_none_or(|a| a < seq) {
-            if let Err(e) = self.wait_ack(deadline) {
-                return Err(self.fail(e));
-            }
-        }
-        Ok(self.acked)
-    }
-
-    fn send_impl(&mut self, frame: &Frame, block: bool) -> Result<(), TransportError> {
+impl FrameSink for PrimaryLink {
+    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
         if self.conn.is_none() {
-            self.redial().map_err(|e| {
-                if let Some(tele) = &self.tele {
-                    tele.send_errors.inc();
-                }
-                TransportError::Io(e)
-            })?;
+            if let Err(e) = self.redial() {
+                return Err(self.fail(TransportError::Io(e)));
+            }
         }
         if matches!(frame.payload, Payload::Snapshot { .. }) {
             // A snapshot re-anchors the sequence numbering: drain the
             // old stream first and restart the cumulative-ack state
             // behind the barrier.
             if self.in_flight() > 0 {
-                self.drain_impl()?;
+                self.drain()?;
             }
             if let Some(conn) = self.conn.as_mut() {
                 conn.conn_acked = None;
             }
             self.acked = None;
         }
-        if self.in_flight() >= self.window() {
-            // The window looks full — retire anything already on the
-            // wire before deciding to stall (or refuse).
-            if let Err(e) = self.pump() {
-                return Err(self.fail(e));
-            }
-        }
-        if self.in_flight() >= self.window() {
-            if !block {
-                return Err(TransportError::WindowFull {
-                    window: self.window(),
-                });
-            }
+        if self.window_full()? {
             if let Some(tele) = &self.tele {
                 tele.backpressure_stalls.inc();
             }
@@ -751,22 +678,16 @@ impl PrimaryLink {
         }
         let text = frame.to_text();
         let t0 = self.tele.as_ref().map_or(0, |t| t.t.now_nanos());
-        {
-            // The redial above makes a live connection overwhelmingly
-            // likely here, but the stall loop calls `wait_ack` → `fail`
-            // paths that drop it — and a hostile ack stream must never
-            // be able to abort the primary. Surface a typed error
-            // instead of panicking on the invariant.
-            let Some(conn) = self.conn.as_mut() else {
-                return Err(self.fail(TransportError::Closed));
-            };
-            if let Err(e) =
-                write_frame(&mut conn.writer, text.as_bytes()).and_then(|()| conn.writer.flush())
-            {
-                return Err(self.fail(TransportError::Io(e)));
-            }
-            conn.inflight.push_back((frame.seq, t0));
+        // A hostile ack stream must never abort the primary: a lost
+        // connection is a typed error, not a panic.
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(self.fail(TransportError::Closed));
+        };
+        let written = conn.frames.write(text.as_bytes());
+        if let Err(e) = written.and_then(|()| conn.frames.flush()) {
+            return Err(self.fail(TransportError::Io(e)));
         }
+        conn.inflight.push_back((frame.seq, t0));
         if let Some(tele) = &self.tele {
             tele.bytes_shipped.add(text.len() as u64);
             tele.window_inflight.set(self.in_flight() as u64);
@@ -784,19 +705,21 @@ impl PrimaryLink {
         }
         Ok(())
     }
-}
-
-impl FrameSink for PrimaryLink {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.send_impl(frame, true)
-    }
 
     fn drain(&mut self) -> Result<Option<u64>, TransportError> {
-        self.drain_impl()
+        self.drain_to(u64::MAX)
     }
 
+    /// Waits until the cumulative ack reaches `seq` or the pipe is
+    /// empty, whichever comes first, bounded by one drain timeout.
     fn drain_to(&mut self, seq: u64) -> Result<Option<u64>, TransportError> {
-        self.drain_to_impl(seq)
+        let deadline = Instant::now() + self.config.drain_timeout;
+        while self.in_flight() > 0 && self.acked.is_none_or(|a| a < seq) {
+            if let Err(e) = self.wait_ack(deadline) {
+                return Err(self.fail(e));
+            }
+        }
+        Ok(self.acked)
     }
 
     fn acked_seq(&self) -> Option<u64> {

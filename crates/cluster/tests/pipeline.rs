@@ -428,9 +428,9 @@ fn a_hostile_ack_during_a_window_stall_fails_typed_not_panicking() {
 /// An honest ack dribbled one byte per read-timeout window (length
 /// prefix and payload split across many TCP segments) must still be
 /// reassembled and processed: a timeout mid-frame parks the partial
-/// bytes in the link's staging buffer instead of stranding them in the
-/// reader. Regression test — a split ack used to wedge the drain until
-/// its full timeout.
+/// bytes in the staging buffer of the link's `FrameConn` instead of
+/// stranding them. Regression test — a split ack used to wedge the
+/// drain until its full timeout.
 #[test]
 fn an_ack_split_across_reads_is_reassembled() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -466,6 +466,49 @@ fn an_ack_split_across_reads_is_reassembled() {
     assert_eq!(link.drain().unwrap(), Some(frames[1].seq));
     assert_eq!(link.in_flight(), 0);
     drop(link);
+    server.join().unwrap();
+}
+
+/// An ack dribbled faster than the read timeout cannot stretch the
+/// drain past its total bound: each ack read is bounded by the read
+/// timeout as a whole, not per byte received.
+#[test]
+fn a_dribbled_ack_fails_the_drain_within_the_total_bound() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut write_half = stream.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        for _ in 0..2 {
+            let _ = read_frame(&mut reader, 1 << 20);
+        }
+        // A capped ack, one byte per 10 ms: 41 s to arrive in full.
+        let mut framed = 4096u32.to_be_bytes().to_vec();
+        framed.resize(4 + 4096, b' ');
+        for b in framed {
+            if write_half.write_all(&[b]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+    let (_primary, _boot, frames) = seeded_primary(2);
+    let mut link = PrimaryLink::connect_with(addr, fast_config(4)).unwrap();
+    link.send(&frames[0]).unwrap();
+    link.send(&frames[1]).unwrap();
+    let started = Instant::now();
+    match link.drain() {
+        Err(TransportError::DrainTimeout { in_flight, .. }) => assert_eq!(in_flight, 2),
+        other => panic!("a dribbling peer must time the drain out, got {other:?}"),
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed >= Duration::from_millis(300) && elapsed < Duration::from_secs(4),
+        "total-bounded drain took {elapsed:?}"
+    );
+    drop(link); // the dribbler's next write fails
     server.join().unwrap();
 }
 

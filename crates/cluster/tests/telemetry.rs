@@ -425,3 +425,37 @@ fn tcp_link_metrics_label_the_peer() {
         "the optimistic write is counted"
     );
 }
+
+/// The docs-drift gate for the link's slice of README "Observability":
+/// its instrument table names exactly what an attached `PrimaryLink`
+/// registers — label sets stripped, none missing, none extra.
+#[test]
+fn readme_lists_every_link_instrument() {
+    let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+    let mut documented: Vec<&str> = readme
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
+        .filter(|name| name.starts_with("cluster_"))
+        .collect();
+    documented.sort_unstable();
+
+    let t = Telemetry::new();
+    let server = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
+    let mut link = PrimaryLink::connect(server.addr()).unwrap();
+    link.attach_telemetry(&t);
+    let (counters, gauges, hists) = t.registry_contents();
+    let mut registered: Vec<String> = counters
+        .into_iter()
+        .chain(gauges)
+        .map(|(name, _)| name)
+        .chain(hists.into_iter().map(|(name, _)| name))
+        .map(|name| name.split('{').next().expect("a name").to_string())
+        .collect();
+    registered.sort_unstable();
+    registered.dedup();
+    assert_eq!(
+        documented, registered,
+        "README table vs an attached link's registry (label sets dropped)"
+    );
+}

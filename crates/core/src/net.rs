@@ -5,11 +5,22 @@
 //! server built on them is left with its protocol — what a frame means
 //! and what to answer.
 //!
-//! [`FrameConn`] serves both ends of a request/response connection: the
-//! accept loop hands one to each handler, and [`FrameConn::connect`]
-//! dials one for a client — the telemetry `ObsClient` and the service
-//! tier's `QosClient` send command frames through it and read each
-//! answer with [`FrameConn::read_reply`].
+//! [`FrameConn`] is both ends of every framed connection: the accept
+//! loop hands one to each handler; [`FrameConn::connect`] dials one for
+//! the telemetry `ObsClient` and the service tier's `QosClient`, which
+//! read answers with [`FrameConn::read_reply`]; the cluster's
+//! `PrimaryLink` wraps the stream it dials, with its own timeouts, in
+//! one for journal frames out and acks in.
+//!
+//! # Framing
+//!
+//! Reads land in one staging buffer, and whole frames are carved off its
+//! front by cursor. A read that stops partway through a frame (a
+//! timeout, a non-blocking probe) leaves the bytes staged for the next
+//! call. Before a read, a partial frame moves to the front and the
+//! buffer grows to hold it whole; that frame leaves with the grown
+//! buffer, and a fresh one takes its place. EOF with bytes staged is an
+//! error.
 //!
 //! # Threading
 //!
@@ -35,13 +46,13 @@
 //! flag. It then joins the accept thread, which closes the listener.
 //! Live handlers are not interrupted; they finish with their peers.
 
-use crate::textio::{read_frame, write_frame};
-use std::io::{BufRead as _, BufReader, BufWriter, ErrorKind, Write as _};
+use crate::textio::{frame_len, write_frame};
+use std::io::{BufWriter, ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A bound listener and its accept thread; see the module docs.
 #[derive(Debug)]
@@ -138,28 +149,36 @@ pub enum Buffered {
     Gone,
 }
 
-/// One connection, accepted or dialed, speaking [`crate::textio`]
-/// length-prefixed frames: a buffered reader and a buffered writer over
-/// the two halves of the socket.
+/// One connection speaking [`crate::textio`] frames: reads staged as
+/// the module docs say, writes buffered on a clone of the socket.
 #[derive(Debug)]
 pub struct FrameConn {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
     writer: BufWriter<TcpStream>,
+    /// `stage[head..tail]` is read and not yet carved.
+    stage: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
+/// The staging buffer's size, unless one frame needs more.
+const STAGE_BYTES: usize = 8 * 1024;
+
 impl FrameConn {
-    /// Splits `stream` into its buffered halves.
+    /// Wraps `stream`, whose timeouts and options the caller has set.
     pub fn new(stream: TcpStream) -> std::io::Result<FrameConn> {
-        let write_half = stream.try_clone()?;
         Ok(FrameConn {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
+            writer: BufWriter::new(stream.try_clone()?),
+            stream,
+            stage: vec![0; STAGE_BYTES],
+            head: 0,
+            tail: 0,
         })
     }
 
     /// Dials `addr` — the client end of a connection: Nagle's algorithm
     /// off, as [`AcceptLoop::spawn`] sets it on the server end, then
-    /// split as [`FrameConn::new`] does.
+    /// wrapped as [`FrameConn::new`] does.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<FrameConn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
@@ -170,7 +189,7 @@ impl FrameConn {
     /// client sets it so that a peer that accepted and never answers
     /// surfaces as a timeout error instead of a hang.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+        self.stream.set_read_timeout(timeout)
     }
 
     /// Blocks for the next frame as [`FrameConn::read`] does — the
@@ -189,53 +208,117 @@ impl FrameConn {
         })
     }
 
-    /// Blocks for the next frame, as [`read_frame`]: `Ok(None)` is a
-    /// clean end of stream; a declared length above `cap`, EOF inside a
-    /// frame and an expired read timeout (the reap path) are errors.
+    /// Blocks for the next frame: `Ok(None)` is a clean end of stream; a
+    /// declared length above `cap`, EOF inside a frame and an expired
+    /// read timeout (the reap path) are errors. The socket's read timeout
+    /// bounds the whole call, so a peer that trickles a frame in cannot
+    /// stretch it. A timeout keeps what it read staged, so the next call
+    /// resumes the frame; a refused length prefix is consumed, as
+    /// [`crate::textio::read_frame`] consumes it.
     pub fn read(&mut self, cap: u32) -> std::io::Result<Option<Vec<u8>>> {
-        read_frame(&mut self.reader, cap)
-    }
-
-    /// Consumes the next frame **only if it is already fully buffered**
-    /// (or arrives on a single non-blocking refill); never blocks and
-    /// never leaves the stream mid-frame. Over-`cap` lengths are left
-    /// unconsumed — the caller's next blocking [`FrameConn::read`]
-    /// surfaces the framing error, after the caller has answered for
-    /// what it already took.
-    pub fn read_buffered(&mut self, cap: u32) -> Buffered {
-        let reader = &mut self.reader;
+        let mut since = None;
         loop {
-            let buf = reader.buffer();
-            if buf.len() >= 4 {
-                let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-                if len > cap || (buf.len() - 4) < len as usize {
-                    return Buffered::NotYet;
+            if let Some(payload) = self.carve(cap).inspect_err(|_| self.head += 4)? {
+                return Ok(Some(payload));
+            }
+            if self.fill(&mut since)? == 0 {
+                if self.head == self.tail {
+                    return Ok(None);
                 }
-                // Fully buffered: read_frame cannot touch the socket.
-                return match read_frame(reader, cap) {
-                    Ok(Some(p)) => Buffered::Frame(p),
-                    Ok(None) | Err(_) => Buffered::Gone,
-                };
-            }
-            if !buf.is_empty() {
-                return Buffered::NotYet; // partial length prefix
-            }
-            if reader.get_ref().set_nonblocking(true).is_err() {
-                return Buffered::Gone;
-            }
-            let refill = reader.fill_buf().map(|b| b.len());
-            if reader.get_ref().set_nonblocking(false).is_err() {
-                return Buffered::Gone;
-            }
-            match refill {
-                Ok(0) => return Buffered::Gone,
-                Ok(_) => continue,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Buffered::NotYet
-                }
-                Err(_) => return Buffered::Gone,
+                return Err(ErrorKind::UnexpectedEof.into());
             }
         }
+    }
+
+    /// Takes the next frame **only if it is already staged** (or arrives
+    /// on one non-blocking read into an empty stage); never blocks. A
+    /// partial frame stays staged for the blocking [`FrameConn::read`],
+    /// and so does an over-`cap` length: that read refuses it, after the
+    /// caller has answered for what it already took.
+    pub fn read_buffered(&mut self, cap: u32) -> Buffered {
+        if self.head == self.tail {
+            let refill = self.stream.set_nonblocking(true).and_then(|()| {
+                let read = self.fill(&mut None);
+                self.stream.set_nonblocking(false).and(read)
+            });
+            match refill {
+                Ok(0) => return Buffered::Gone,
+                Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Buffered::Gone
+                }
+                _ => {}
+            }
+        }
+        match self.carve(cap) {
+            Ok(Some(payload)) => Buffered::Frame(payload),
+            _ => Buffered::NotYet,
+        }
+    }
+
+    /// The next frame's payload if the stage holds all of it. An
+    /// over-`cap` length is an error and stays staged.
+    fn carve(&mut self, cap: u32) -> std::io::Result<Option<Vec<u8>>> {
+        let staged = &self.stage[self.head..self.tail];
+        let Some(&prefix) = staged.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let end = 4 + frame_len(prefix, cap)?;
+        let Some(payload) = staged.get(4..end) else {
+            return Ok(None);
+        };
+        if end > STAGE_BYTES && staged.len() == end {
+            // A frame that grew the stage is all it holds: hand the
+            // buffer over rather than copy it.
+            let mut whole = std::mem::replace(&mut self.stage, vec![0; STAGE_BYTES]);
+            whole.truncate(self.tail);
+            whole.drain(..self.head + 4);
+            (self.head, self.tail) = (0, 0);
+            return Ok(Some(whole));
+        }
+        let payload = payload.to_vec();
+        self.head += end;
+        Ok(Some(payload))
+    }
+
+    /// One read onto the stage, which holds at most a partial frame
+    /// (`carve` checked its length); `Ok(0)` is EOF. `since` is when the
+    /// caller's first read began.
+    fn fill(&mut self, since: &mut Option<Instant>) -> std::io::Result<usize> {
+        let staged = self.head..self.tail;
+        let need = (self.stage[staged.clone()].first_chunk())
+            .map_or(4, |&prefix| 4 + u32::from_be_bytes(prefix) as usize);
+        if self.head > 0 {
+            self.stage.copy_within(staged, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        if need > self.stage.len() {
+            // Zeroed by the allocator, so pages are touched as bytes land.
+            let mut grown = vec![0; need];
+            grown[..self.tail].copy_from_slice(&self.stage[..self.tail]);
+            self.stage = grown;
+        }
+        // Past the call's first read, wait only for what is left of the
+        // socket's timeout.
+        let own = since.map_or(Ok(None), |_| self.stream.read_timeout())?;
+        let began = *since.get_or_insert_with(Instant::now);
+        if let Some(t) = own {
+            let left = t
+                .saturating_sub(began.elapsed())
+                .max(Duration::from_micros(1));
+            self.stream.set_read_timeout(Some(left))?;
+        }
+        let n = loop {
+            match (&self.stream).read(&mut self.stage[self.tail..]) {
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                read => break read,
+            }
+        };
+        self.tail += n.as_ref().map_or(0, |&n| n);
+        if own.is_some() {
+            self.stream.set_read_timeout(own)?;
+        }
+        n
     }
 
     /// Queues one frame on the buffered writer ([`write_frame`]).

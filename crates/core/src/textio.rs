@@ -129,27 +129,34 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, payload: &[u8]) -> std::io::Res
 }
 
 /// Reads one length-prefixed frame written by [`write_frame`]. Returns
-/// `Ok(None)` on a clean end-of-stream (EOF at a frame boundary); EOF in
-/// the middle of a frame, or a declared length above `max_len` (a
-/// corrupted or hostile prefix would otherwise drive an unbounded
-/// allocation), is an error.
+/// `Ok(None)` on a clean end-of-stream (EOF at a frame boundary); EOF
+/// anywhere inside a frame, length prefix included, or a declared
+/// length above `max_len` (a corrupted or hostile prefix would otherwise
+/// drive an unbounded allocation), is an error.
 pub fn read_frame<R: std::io::Read>(r: &mut R, max_len: u32) -> std::io::Result<Option<Vec<u8>>> {
     let mut prefix = [0u8; 4];
-    match r.read_exact(&mut prefix) {
+    match r.read_exact(&mut prefix[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
+    r.read_exact(&mut prefix[1..])?;
+    let mut payload = vec![0u8; frame_len(prefix, max_len)?];
+    r.read_exact(&mut payload)?;
+    Ok(Some(payload))
+}
+
+/// The payload length `prefix` declares, refused above `max_len`: the
+/// cap check of [`read_frame`] and [`crate::net::FrameConn`].
+pub(crate) fn frame_len(prefix: [u8; 4], max_len: u32) -> std::io::Result<usize> {
     let len = u32::from_be_bytes(prefix);
     if len > max_len {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("frame declares {len} bytes, above the {max_len}-byte cap"),
+            format!("frame of {len} bytes exceeds the {max_len}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    Ok(len as usize)
 }
 
 #[cfg(test)]
@@ -186,6 +193,10 @@ mod tests {
         partial.truncate(7);
         let mut r = &partial[..];
         assert!(read_frame(&mut r, 1 << 20).is_err());
+        // So is EOF inside the length prefix.
+        let mut r = &[0u8, 0][..];
+        let err = read_frame(&mut r, 1 << 20).expect_err("a truncated prefix");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The socket-server skeleton on loopback: reaping, shutdown, the
-//! never-blocks-never-strands probe, and the client end's reply read,
-//! through the public API the three TCP servers and their clients use.
+//! never-blocks-never-strands probe, frames larger than the stage, the
+//! read timeout's bound on a whole read, and the client end's reply
+//! read, through the public API the three TCP servers and their clients use.
 
 use realloc_core::net::{AcceptLoop, Buffered, FrameConn};
 use realloc_core::textio::write_frame;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CAP: u32 = 64;
 
@@ -83,6 +84,26 @@ fn read_buffered_never_strands_a_partial_frame_and_sees_eof() {
         assert_eq!(conn.read(CAP).unwrap().as_deref(), Some(&b"hello"[..]));
     }
 
+    // A blocking read that times out partway through a frame keeps what
+    // it read: once after a partial prefix, once after a partial
+    // payload, and the read after the rest arrives returns it whole.
+    conn.set_read_timeout(Some(Duration::from_millis(20)))
+        .unwrap();
+    let mut sent = 0;
+    for cut in [2, 6] {
+        client.write_all(&wire[sent..cut]).unwrap();
+        await_unread(&socket, cut - sent);
+        sent = cut;
+        let err = conn.read(CAP).expect_err("part of a frame is not a frame");
+        assert!(
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "{err:?}"
+        );
+    }
+    client.write_all(&wire[sent..]).unwrap();
+    conn.set_read_timeout(None).unwrap();
+    assert_eq!(conn.read(CAP).unwrap().as_deref(), Some(&b"hello"[..]));
+
     // A whole frame on the wire is taken without blocking.
     client.write_all(&wire).unwrap();
     await_unread(&socket, wire.len());
@@ -105,6 +126,67 @@ fn read_buffered_never_strands_a_partial_frame_and_sees_eof() {
     drop(client);
     assert_eq!(socket.peek(&mut [0u8; 1]).unwrap(), 0);
     assert_eq!(conn.read_buffered(CAP), Buffered::Gone);
+}
+
+/// A frame larger than the staging buffer arrives whole, and the frames
+/// on either side of it are untouched.
+#[test]
+fn a_frame_larger_than_the_stage_is_read_whole() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let mut conn = FrameConn::new(listener.accept().unwrap().0).unwrap();
+    let big: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
+    let mut wire = Vec::new();
+    for payload in [&b"before"[..], &big, b"after"] {
+        write_frame(&mut wire, payload).unwrap();
+    }
+    let writer = std::thread::spawn(move || {
+        for chunk in wire.chunks(7_000) {
+            client.write_all(chunk).unwrap();
+        }
+        client
+    });
+    for payload in [&b"before"[..], &big, b"after"] {
+        assert_eq!(conn.read(1 << 20).unwrap().as_deref(), Some(payload));
+    }
+    drop(writer.join().unwrap());
+    assert_eq!(conn.read(1 << 20).unwrap(), None);
+}
+
+/// The read timeout bounds a whole blocking read: a peer that trickles
+/// a frame in faster than the timeout still sees the read end in one.
+#[test]
+fn a_trickled_frame_times_out_within_one_read_timeout() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    client.set_nodelay(true).unwrap();
+    let mut conn = FrameConn::new(listener.accept().unwrap().0).unwrap();
+    conn.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let trickle = std::thread::spawn(move || {
+        client.write_all(&CAP.to_be_bytes()).unwrap();
+        // CAP bytes at 5 ms each: 320 ms to arrive in full.
+        for _ in 0..CAP {
+            std::thread::sleep(Duration::from_millis(5));
+            client.write_all(b"x").unwrap();
+        }
+        client
+    });
+    let started = Instant::now();
+    let err = conn.read(CAP).expect_err("the frame is not whole in time");
+    assert!(
+        matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        "{err:?}"
+    );
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "read took {elapsed:?}"
+    );
+    // Nothing was lost: the next read finishes the frame.
+    conn.set_read_timeout(None).unwrap();
+    assert_eq!(conn.read(CAP).unwrap(), Some(vec![b'x'; CAP as usize]));
+    drop(trickle.join().unwrap());
 }
 
 #[test]

@@ -377,14 +377,28 @@ const ROWS: &[Row] = &[
                 ],
             )
             .expect(Expect::NoneOutside(&["crates/service/src/proto.rs"])),
-            probe(&["crates/*/src"], &["BufWriter<TcpStream>"]).expect(Expect::NoneOutside(&[
-                "crates/core/src/net.rs",
-                "crates/cluster/src/tcp.rs",
-            ])),
         ],
         trips_on: (
             "crates/service/src/client.rs",
             r#"        if line.starts_with("ok placed") {"#,
+        ),
+    },
+    Row {
+        concept:
+            "one socket frame reader: every framed connection reads and writes through FrameConn",
+        probes: &[probe(
+            &["crates/*/src"],
+            &[
+                "BufReader<TcpStream>",
+                "BufWriter<TcpStream>",
+                "set_nonblocking(",
+                "fill_buf(",
+            ],
+        )
+        .expect(Expect::NoneOutside(&["crates/core/src/net.rs"]))],
+        trips_on: (
+            "crates/cluster/src/tcp.rs",
+            "    reader: BufReader<TcpStream>,",
         ),
     },
     Row {
