@@ -9,97 +9,33 @@
 //! this costs `Θ(n)` reallocations per request even though EDF always finds
 //! a feasible schedule when one exists.
 
+use crate::recompute::{Policy, Recompute};
 use realloc_core::feasibility::edf_schedule;
-use realloc_core::{Error, Job, JobId, Reallocator, RequestOutcome, ScheduleSnapshot, Window};
+use realloc_core::{Job, JobId, ScheduleSnapshot, Window};
 use std::collections::BTreeMap;
 
+/// Greedy earliest-deadline-first, ties by id.
+#[derive(Clone, Copy, Debug)]
+pub struct Edf;
+
+impl Policy for Edf {
+    const LABEL: &'static str = "EDF";
+    const NAME: &'static str = "edf-recompute";
+
+    fn schedule(active: &BTreeMap<JobId, Window>, machines: usize) -> Option<ScheduleSnapshot> {
+        let jobs: Vec<Job> = active.iter().map(|(&id, &w)| Job::unit(id.0, w)).collect();
+        edf_schedule(&jobs, machines)
+    }
+}
+
 /// Full-recompute EDF rescheduler on `m` machines, arbitrary windows.
-#[derive(Clone, Debug)]
-pub struct EdfRescheduler {
-    machines: usize,
-    active: BTreeMap<JobId, Window>,
-    schedule: ScheduleSnapshot,
-}
-
-impl EdfRescheduler {
-    /// New rescheduler on `machines ≥ 1` machines.
-    pub fn new(machines: usize) -> Self {
-        assert!(machines >= 1);
-        EdfRescheduler {
-            machines,
-            active: BTreeMap::new(),
-            schedule: ScheduleSnapshot::new(),
-        }
-    }
-
-    fn recompute(&mut self, failing_job: JobId) -> Result<RequestOutcome, Error> {
-        let jobs: Vec<Job> = self
-            .active
-            .iter()
-            .map(|(&id, &w)| Job::unit(id.0, w))
-            .collect();
-        let fresh = edf_schedule(&jobs, self.machines).ok_or(Error::CapacityExhausted {
-            job: failing_job,
-            detail: "EDF: no feasible schedule for the active set".into(),
-        })?;
-        let moves = self.schedule.diff(&fresh);
-        self.schedule = fresh;
-        Ok(RequestOutcome { moves })
-    }
-}
-
-impl Reallocator for EdfRescheduler {
-    fn machines(&self) -> usize {
-        self.machines
-    }
-
-    fn insert(&mut self, id: JobId, window: Window) -> Result<RequestOutcome, Error> {
-        if self.active.contains_key(&id) {
-            return Err(Error::DuplicateJob(id));
-        }
-        self.active.insert(id, window);
-        match self.recompute(id) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                self.active.remove(&id);
-                Err(e)
-            }
-        }
-    }
-
-    fn delete(&mut self, id: JobId) -> Result<RequestOutcome, Error> {
-        if self.active.remove(&id).is_none() {
-            return Err(Error::UnknownJob(id));
-        }
-        // Deleting never makes an instance infeasible.
-        self.recompute(id)
-    }
-
-    fn snapshot(&self) -> ScheduleSnapshot {
-        self.schedule.clone()
-    }
-
-    fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    fn window_of(&self, id: JobId) -> Option<Window> {
-        self.active.get(&id).copied()
-    }
-
-    fn active_jobs(&self) -> Vec<(JobId, Window)> {
-        self.active.iter().map(|(&id, &w)| (id, w)).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "edf-recompute"
-    }
-}
+pub type EdfRescheduler = Recompute<Edf>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use realloc_core::schedule::validate;
+    use realloc_core::{Error, Reallocator};
 
     #[test]
     fn maintains_feasible_schedules() {

@@ -25,6 +25,7 @@ pub mod edf;
 pub mod llf;
 pub mod naive;
 pub mod offline;
+pub mod recompute;
 pub mod sized_edf;
 
 pub use edf::EdfRescheduler;

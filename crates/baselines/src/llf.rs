@@ -9,41 +9,32 @@
 //! schedules are brittle under insertion/deletion; the toggle experiments
 //! show the same `Θ(n)` cascades for both.
 
+use crate::recompute::{Policy, Recompute};
 use realloc_core::cost::Placement;
-use realloc_core::{Error, JobId, Reallocator, RequestOutcome, ScheduleSnapshot, Window};
+use realloc_core::{JobId, ScheduleSnapshot, Window};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-/// Full-recompute LLF rescheduler on `m` machines, arbitrary windows.
-#[derive(Clone, Debug)]
-pub struct LlfRescheduler {
-    machines: usize,
-    active: BTreeMap<JobId, Window>,
-    schedule: ScheduleSnapshot,
-}
+/// Greedy least-laxity-first, laxity ties by later arrival first.
+#[derive(Clone, Copy, Debug)]
+pub struct Llf;
 
-impl LlfRescheduler {
-    /// New rescheduler on `machines ≥ 1` machines.
-    pub fn new(machines: usize) -> Self {
-        assert!(machines >= 1);
-        LlfRescheduler {
-            machines,
-            active: BTreeMap::new(),
-            schedule: ScheduleSnapshot::new(),
-        }
-    }
+impl Policy for Llf {
+    const LABEL: &'static str = "LLF";
+    const NAME: &'static str = "llf-recompute";
 
-    /// Greedy LLF sweep; `None` if some job misses its deadline.
-    fn llf_schedule(&self) -> Option<ScheduleSnapshot> {
-        let mut by_arrival: Vec<(JobId, Window)> =
-            self.active.iter().map(|(&id, &w)| (id, w)).collect();
+    fn schedule(active: &BTreeMap<JobId, Window>, machines: usize) -> Option<ScheduleSnapshot> {
+        let mut by_arrival: Vec<(JobId, Window)> = active.iter().map(|(&id, &w)| (id, w)).collect();
         by_arrival.sort_by_key(|&(id, w)| (w.start(), id));
 
         // Min-heap on (laxity ≡ deadline, Reverse(arrival), id).
         let mut ready: BinaryHeap<Reverse<(u64, Reverse<u64>, u64)>> = BinaryHeap::new();
         let mut next = 0usize;
         let mut snapshot = ScheduleSnapshot::new();
-        let mut t = by_arrival.first()?.1.start();
+        let Some(&(_, first)) = by_arrival.first() else {
+            return Some(snapshot);
+        };
+        let mut t = first.start();
         let total = by_arrival.len();
         let mut done = 0usize;
         while done < total {
@@ -55,7 +46,7 @@ impl LlfRescheduler {
                 ready.push(Reverse((w.end(), Reverse(w.start()), id.0)));
                 next += 1;
             }
-            for machine in 0..self.machines {
+            for machine in 0..machines {
                 let Some(Reverse((deadline, _, id))) = ready.pop() else {
                     break;
                 };
@@ -69,74 +60,16 @@ impl LlfRescheduler {
         }
         Some(snapshot)
     }
-
-    fn recompute(&mut self, failing_job: JobId) -> Result<RequestOutcome, Error> {
-        if self.active.is_empty() {
-            let moves = self.schedule.diff(&ScheduleSnapshot::new());
-            self.schedule = ScheduleSnapshot::new();
-            return Ok(RequestOutcome { moves });
-        }
-        let fresh = self.llf_schedule().ok_or(Error::CapacityExhausted {
-            job: failing_job,
-            detail: "LLF: no feasible schedule for the active set".into(),
-        })?;
-        let moves = self.schedule.diff(&fresh);
-        self.schedule = fresh;
-        Ok(RequestOutcome { moves })
-    }
 }
 
-impl Reallocator for LlfRescheduler {
-    fn machines(&self) -> usize {
-        self.machines
-    }
-
-    fn insert(&mut self, id: JobId, window: Window) -> Result<RequestOutcome, Error> {
-        if self.active.contains_key(&id) {
-            return Err(Error::DuplicateJob(id));
-        }
-        self.active.insert(id, window);
-        match self.recompute(id) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                self.active.remove(&id);
-                Err(e)
-            }
-        }
-    }
-
-    fn delete(&mut self, id: JobId) -> Result<RequestOutcome, Error> {
-        if self.active.remove(&id).is_none() {
-            return Err(Error::UnknownJob(id));
-        }
-        self.recompute(id)
-    }
-
-    fn snapshot(&self) -> ScheduleSnapshot {
-        self.schedule.clone()
-    }
-
-    fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    fn window_of(&self, id: JobId) -> Option<Window> {
-        self.active.get(&id).copied()
-    }
-
-    fn active_jobs(&self) -> Vec<(JobId, Window)> {
-        self.active.iter().map(|(&id, &w)| (id, w)).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "llf-recompute"
-    }
-}
+/// Full-recompute LLF rescheduler on `m` machines, arbitrary windows.
+pub type LlfRescheduler = Recompute<Llf>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use realloc_core::schedule::validate;
+    use realloc_core::Reallocator;
 
     #[test]
     fn schedules_are_feasible() {

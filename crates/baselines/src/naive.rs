@@ -112,14 +112,19 @@ impl Restorable for NaivePeckingScheduler {
 }
 
 impl SingleMachineReallocator for NaivePeckingScheduler {
-    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
+    fn insert_into(
+        &mut self,
+        id: JobId,
+        window: Window,
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<Option<u32>, Error> {
         if self.jobs.contains_key(&id) {
             return Err(Error::DuplicateJob(id));
         }
         if !window.is_aligned() {
             return Err(Error::UnalignedWindow(window));
         }
-        let mut moves = Vec::new();
+        let start = moves.len();
         let mut cur_id = id;
         let mut cur_window = window;
         let mut from: Option<Slot> = None;
@@ -133,7 +138,7 @@ impl SingleMachineReallocator for NaivePeckingScheduler {
                     from,
                     to: Some(slot),
                 });
-                return Ok(moves);
+                return Ok(None);
             }
             let Some((vid, vwindow, vslot)) = victim else {
                 // Undo the partial cascade. The chain structure makes this
@@ -142,7 +147,7 @@ impl SingleMachineReallocator for NaivePeckingScheduler {
                 // (reverse order) and finally the in-flight job to the slot
                 // it was displaced from rewrites every touched slot exactly
                 // once — no removals needed.
-                for mv in moves.iter().rev() {
+                for mv in moves[start..].iter().rev() {
                     match mv.from {
                         Some(f) => {
                             self.occupied.insert(f, mv.job);
@@ -181,17 +186,23 @@ impl SingleMachineReallocator for NaivePeckingScheduler {
         }
     }
 
-    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
+    fn delete_into(
+        &mut self,
+        id: JobId,
+        _handle: Option<u32>,
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<(), Error> {
         let (_, slot) = self.jobs.remove(&id).ok_or(Error::UnknownJob(id))?;
         self.occupied.remove(&slot);
-        Ok(vec![SlotMove {
+        moves.push(SlotMove {
             job: id,
             from: Some(slot),
             to: None,
-        }])
+        });
+        Ok(())
     }
 
-    fn slot_of(&self, id: JobId) -> Option<Slot> {
+    fn slot_of(&self, id: JobId, _handle: Option<u32>) -> Option<Slot> {
         self.jobs.get(&id).map(|&(_, s)| s)
     }
 
@@ -243,8 +254,8 @@ mod tests {
         let mut slots: Vec<_> = s.assignments().into_iter().map(|(_, sl)| sl).collect();
         slots.sort_unstable();
         assert_eq!(slots, vec![0, 1, 2, 3]);
-        assert!(s.slot_of(JobId(3)).unwrap() < 2);
-        assert!(s.slot_of(JobId(4)).unwrap() < 2);
+        assert!(s.slot_of(JobId(3), None).unwrap() < 2);
+        assert!(s.slot_of(JobId(4), None).unwrap() < 2);
     }
 
     #[test]

@@ -73,18 +73,18 @@ impl SizedEdfScheduler {
         Some(snapshot)
     }
 
-    fn recompute(&mut self, failing_job: JobId) -> Result<RequestOutcome, Error> {
+    fn recompute(&mut self, failing_job: JobId, out: &mut RequestOutcome) -> Result<(), Error> {
         let fresh = self.pack().ok_or(Error::CapacityExhausted {
             job: failing_job,
             detail: "sized-EDF: greedy packing failed".into(),
         })?;
-        let moves = self.schedule.diff(&fresh);
+        out.moves.extend(self.schedule.diff(&fresh));
         self.schedule = fresh;
-        Ok(RequestOutcome { moves })
+        Ok(())
     }
 
-    /// Inserts a sized job.
-    pub fn insert_job(&mut self, job: Job) -> Result<RequestOutcome, Error> {
+    /// Inserts a sized job, appending every placement change to `out`.
+    pub fn insert_job(&mut self, job: Job, out: &mut RequestOutcome) -> Result<(), Error> {
         if self.active.contains_key(&job.id) {
             return Err(Error::DuplicateJob(job.id));
         }
@@ -99,21 +99,17 @@ impl SizedEdfScheduler {
             });
         }
         self.active.insert(job.id, (job.window, job.size));
-        match self.recompute(job.id) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                self.active.remove(&job.id);
-                Err(e)
-            }
-        }
+        self.recompute(job.id, out).inspect_err(|_| {
+            self.active.remove(&job.id);
+        })
     }
 
-    /// Deletes a job.
-    pub fn delete_job(&mut self, id: JobId) -> Result<RequestOutcome, Error> {
+    /// Deletes a job, appending every placement change to `out`.
+    pub fn delete_job(&mut self, id: JobId, out: &mut RequestOutcome) -> Result<(), Error> {
         if self.active.remove(&id).is_none() {
             return Err(Error::UnknownJob(id));
         }
-        self.recompute(id)
+        self.recompute(id, out)
     }
 
     /// The current schedule (placement = start slot of each job).
@@ -189,9 +185,13 @@ mod tests {
     #[test]
     fn schedules_mixed_sizes() {
         let mut s = SizedEdfScheduler::new(1);
-        s.insert_job(Job::sized(1, Window::new(0, 8), 4)).unwrap();
-        s.insert_job(Job::sized(2, Window::new(0, 8), 2)).unwrap();
-        s.insert_job(Job::unit(3, Window::new(0, 8))).unwrap();
+        let mut out = RequestOutcome::empty();
+        s.insert_job(Job::sized(1, Window::new(0, 8), 4), &mut out)
+            .unwrap();
+        s.insert_job(Job::sized(2, Window::new(0, 8), 2), &mut out)
+            .unwrap();
+        s.insert_job(Job::unit(3, Window::new(0, 8)), &mut out)
+            .unwrap();
         assert_eq!(s.active_count(), 3);
         // All placed without overlap: total size 7 within 8 slots.
         let starts: Vec<_> = s.snapshot().iter().collect();
@@ -206,19 +206,26 @@ mod tests {
         let k = 8u64;
         let m = 2 * gamma * k;
         let mut s = SizedEdfScheduler::new(1);
+        let mut out = RequestOutcome::empty();
         for i in 0..k {
-            s.insert_job(Job::unit(i, Window::new(0, m))).unwrap();
+            s.insert_job(Job::unit(i, Window::new(0, m)), &mut out)
+                .unwrap();
         }
         let mut total = 0u64;
         let mut big = 1000u64;
-        s.insert_job(Job::sized(big, Window::new(0, k), k)).unwrap();
+        s.insert_job(Job::sized(big, Window::new(0, k), k), &mut out)
+            .unwrap();
         for pos in 1..(m / k) {
-            let out = s.delete_job(JobId(big)).unwrap();
+            out.moves.clear();
+            s.delete_job(JobId(big), &mut out).unwrap();
             total += out.netted().reallocation_cost();
             big += 1;
-            let out = s
-                .insert_job(Job::sized(big, Window::new(pos * k, (pos + 1) * k), k))
-                .unwrap();
+            out.moves.clear();
+            s.insert_job(
+                Job::sized(big, Window::new(pos * k, (pos + 1) * k), k),
+                &mut out,
+            )
+            .unwrap();
             total += out.netted().reallocation_cost();
         }
         // 2γ−1 = 3 toggles; each should move on the order of k unit jobs.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use realloc_baselines::{EdfRescheduler, LlfRescheduler, NaivePeckingScheduler, SizedEdfScheduler};
-use realloc_core::{Job, JobId, Reallocator, SingleMachineReallocator, Window};
+use realloc_core::{Job, JobId, Reallocator, RequestOutcome, SingleMachineReallocator, Window};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -72,7 +72,7 @@ proptest! {
         for (i, &(a, extra, k)) in jobs.iter().enumerate() {
             let id = JobId(i as u64);
             let w = Window::new(a, a + k + extra);
-            if s.insert_job(Job::sized(id.0, w, k)).is_ok() {
+            if s.insert_job(Job::sized(id.0, w, k), &mut RequestOutcome::empty()).is_ok() {
                 sizes.insert(id, k);
                 windows.insert(id, w);
             }

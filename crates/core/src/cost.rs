@@ -14,6 +14,7 @@
 
 use crate::job::JobId;
 use crate::Slot;
+use std::collections::hash_map::Entry;
 
 /// A position in the global schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -82,8 +83,9 @@ impl SlotMove {
     }
 }
 
-/// Longest move list netted by linear scans; longer ones (full
-/// recomputes, rebuilds) go through a hash map.
+/// Longest move list [`RequestOutcome::netted_costs`] nets by linear
+/// scans; longer ones (full recomputes, rebuilds) go through
+/// [`RequestOutcome::netted`]'s hash map.
 const NET_SCAN_MAX: usize = 32;
 
 /// The full effect of servicing one request.
@@ -112,12 +114,6 @@ impl RequestOutcome {
     /// Appends a move.
     pub fn push(&mut self, m: Move) {
         self.moves.push(m);
-    }
-
-    /// Merges another outcome into this one (e.g. the two halves of a
-    /// delete-then-migrate rebalance).
-    pub fn absorb(&mut self, other: RequestOutcome) {
-        self.moves.extend(other.moves);
     }
 
     /// The netted `(reallocation, migration)` costs of this request:
@@ -156,41 +152,20 @@ impl RequestOutcome {
     ///
     /// Moves are netted per job: the first `from` and the last `to` survive.
     pub fn netted(&self) -> RequestOutcome {
-        // Theorem 1 keeps per-request move lists tiny
-        // (`O(min{log* n, log* Δ})`), so a backwards linear scan beats
-        // building a hash map. The map path covers pathological lists
-        // (EDF/LLF full recomputes, rebuilds).
-        if self.moves.len() <= NET_SCAN_MAX {
-            let mut net: Vec<Move> = Vec::with_capacity(self.moves.len());
-            for m in &self.moves {
-                match net.iter_mut().rfind(|acc| acc.job == m.job) {
-                    None => net.push(*m),
-                    Some(acc) => acc.to = m.to,
-                }
-            }
-            net.retain(|m| m.from.is_some() || m.to.is_some());
-            return RequestOutcome { moves: net };
-        }
-        let mut order: Vec<JobId> = Vec::new();
-        let mut net: fxhash::FxHashMap<JobId, Move> = fxhash::FxHashMap::default();
+        // Each job's index in `net`, which keeps first-appearance order.
+        let mut at: fxhash::FxHashMap<JobId, usize> = fxhash::FxHashMap::default();
+        let mut net: Vec<Move> = Vec::new();
         for m in &self.moves {
-            match net.get_mut(&m.job) {
-                None => {
-                    order.push(m.job);
-                    net.insert(m.job, *m);
-                }
-                Some(acc) => {
-                    acc.to = m.to;
+            match at.entry(m.job) {
+                Entry::Occupied(e) => net[*e.get()].to = m.to,
+                Entry::Vacant(e) => {
+                    e.insert(net.len());
+                    net.push(*m);
                 }
             }
         }
-        RequestOutcome {
-            moves: order
-                .into_iter()
-                .map(|id| net[&id])
-                .filter(|m| m.from.is_some() || m.to.is_some())
-                .collect(),
-        }
+        net.retain(|m| m.from.is_some() || m.to.is_some());
+        RequestOutcome { moves: net }
     }
 }
 

@@ -8,10 +8,17 @@
 //!   harnesses are generic over the backend.
 //! * [`Reallocator`] — a full `m`-machine scheduler for arbitrary windows
 //!   (what Theorem 1 delivers, and what the EDF/LLF baselines emulate).
+//!
+//! Each trait has one door per operation, which *appends* the request's
+//! moves (paper §2's cost record) to a buffer the caller owns and reuses,
+//! clearing it before each request. A rejected request counts no cost:
+//! what it appended is the caller's to discard. `insert`, `delete` and
+//! `request` are provided fresh-buffer wrappers no implementor overrides.
 
 use crate::cost::{RequestOutcome, SlotMove};
 use crate::error::Error;
 use crate::job::JobId;
+use crate::request::Request;
 use crate::schedule::ScheduleSnapshot;
 use crate::window::Window;
 use crate::Slot;
@@ -20,18 +27,33 @@ use crate::Slot;
 ///
 /// Implementations must keep a feasible single-machine schedule of all
 /// active jobs at all times and report every slot change they perform.
+/// A backend may give each job a *handle*, which [`Self::insert_into`]
+/// returns: an owner that keeps its own id-keyed record passes it back,
+/// so the backend finds the job without an id lookup, and vouches by
+/// doing so that it never inserts an active id. Owners that pass `None`
+/// get the backend's duplicate and unknown-job checks.
 pub trait SingleMachineReallocator {
-    /// Inserts a job with an **aligned** window, returning all slot moves
-    /// performed (the new job's initial placement is a move with
-    /// `from = None`).
-    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error>;
+    /// Inserts a job with an **aligned** window, appending every slot
+    /// move (the new job's placement has `from = None`); returns its
+    /// handle, if the backend has handles.
+    fn insert_into(
+        &mut self,
+        id: JobId,
+        window: Window,
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<Option<u32>, Error>;
 
-    /// Deletes an active job, returning all slot moves performed (the
-    /// deleted job's removal is a move with `to = None`).
-    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error>;
+    /// Deletes an active job, appending every slot move (its removal has
+    /// `to = None`).
+    fn delete_into(
+        &mut self,
+        id: JobId,
+        handle: Option<u32>,
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<(), Error>;
 
     /// Current slot of an active job.
-    fn slot_of(&self, id: JobId) -> Option<Slot>;
+    fn slot_of(&self, id: JobId, handle: Option<u32>) -> Option<Slot>;
 
     /// Current `(job, slot)` assignments.
     fn assignments(&self) -> Vec<(JobId, Slot)>;
@@ -44,40 +66,23 @@ pub trait SingleMachineReallocator {
         "single-machine"
     }
 
-    /// [`Self::insert`] for an owner that keeps its own id-keyed record
-    /// of every job it placed here, and so vouches that `id` is not
-    /// active on this machine. Besides the moves it returns the
-    /// backend's *handle* for the job, if the backend has handles: the
-    /// owner passes it back to [`Self::delete_tracked`] and
-    /// [`Self::slot_tracked`], which then find the job without an id
-    /// lookup. A handle stays valid while the job is active here.
-    fn insert_tracked(
-        &mut self,
-        id: JobId,
-        window: Window,
-    ) -> Result<(Vec<SlotMove>, Option<u32>), Error> {
-        self.insert(id, window).map(|moves| (moves, None))
-    }
-
-    /// [`Self::delete`] of a job placed by [`Self::insert_tracked`],
-    /// which returned `handle`.
-    fn delete_tracked(&mut self, id: JobId, handle: Option<u32>) -> Result<Vec<SlotMove>, Error> {
-        let _ = handle;
-        self.delete(id)
-    }
-
-    /// [`Self::slot_of`] of a job placed by [`Self::insert_tracked`],
-    /// which returned `handle`.
-    fn slot_tracked(&self, id: JobId, handle: Option<u32>) -> Option<Slot> {
-        let _ = handle;
-        self.slot_of(id)
-    }
-
-    /// The handle [`Self::insert_tracked`] would have returned for the
-    /// active job `id` (an owner restored from a snapshot asks once).
+    /// The handle [`Self::insert_into`] returned for the active job `id`
+    /// (an owner restored from a snapshot asks once).
     fn handle_of(&self, id: JobId) -> Option<u32> {
         let _ = id;
         None
+    }
+
+    /// [`Self::insert_into`] with a fresh buffer.
+    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
+        let mut moves = Vec::new();
+        self.insert_into(id, window, &mut moves).map(|_| moves)
+    }
+
+    /// [`Self::delete_into`] by id with a fresh buffer.
+    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
+        let mut moves = Vec::new();
+        self.delete_into(id, None, &mut moves).map(|()| moves)
     }
 }
 
@@ -86,11 +91,17 @@ pub trait Reallocator {
     /// Number of machines.
     fn machines(&self) -> usize;
 
-    /// Services `⟨INSERTJOB, id, window⟩`.
-    fn insert(&mut self, id: JobId, window: Window) -> Result<RequestOutcome, Error>;
+    /// Services `⟨INSERTJOB, id, window⟩`, appending every placement
+    /// change.
+    fn insert_into(
+        &mut self,
+        id: JobId,
+        window: Window,
+        out: &mut RequestOutcome,
+    ) -> Result<(), Error>;
 
-    /// Services `⟨DELETEJOB, id⟩`.
-    fn delete(&mut self, id: JobId) -> Result<RequestOutcome, Error>;
+    /// Services `⟨DELETEJOB, id⟩`, appending every placement change.
+    fn delete_into(&mut self, id: JobId, out: &mut RequestOutcome) -> Result<(), Error>;
 
     /// Snapshot of the current schedule.
     fn snapshot(&self) -> ScheduleSnapshot;
@@ -113,11 +124,29 @@ pub trait Reallocator {
         "reallocator"
     }
 
-    /// Services a request.
-    fn request(&mut self, r: crate::request::Request) -> Result<RequestOutcome, Error> {
+    /// Services a request, appending every placement change.
+    fn request_into(&mut self, r: Request, out: &mut RequestOutcome) -> Result<(), Error> {
         match r {
-            crate::request::Request::Insert { id, window } => self.insert(id, window),
-            crate::request::Request::Delete { id } => self.delete(id),
+            Request::Insert { id, window } => self.insert_into(id, window, out),
+            Request::Delete { id } => self.delete_into(id, out),
         }
+    }
+
+    /// [`Self::insert_into`] with a fresh outcome.
+    fn insert(&mut self, id: JobId, window: Window) -> Result<RequestOutcome, Error> {
+        let mut out = RequestOutcome::empty();
+        self.insert_into(id, window, &mut out).map(|()| out)
+    }
+
+    /// [`Self::delete_into`] with a fresh outcome.
+    fn delete(&mut self, id: JobId) -> Result<RequestOutcome, Error> {
+        let mut out = RequestOutcome::empty();
+        self.delete_into(id, &mut out).map(|()| out)
+    }
+
+    /// [`Self::request_into`] with a fresh outcome.
+    fn request(&mut self, r: Request) -> Result<RequestOutcome, Error> {
+        let mut out = RequestOutcome::empty();
+        self.request_into(r, &mut out).map(|()| out)
     }
 }

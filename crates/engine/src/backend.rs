@@ -51,12 +51,17 @@ impl Reallocator for Backend {
         each_backend!(self, b => b.machines())
     }
 
-    fn insert(&mut self, id: JobId, window: Window) -> Result<RequestOutcome, Error> {
-        each_backend!(self, b => b.insert(id, window))
+    fn insert_into(
+        &mut self,
+        id: JobId,
+        window: Window,
+        out: &mut RequestOutcome,
+    ) -> Result<(), Error> {
+        each_backend!(self, b => b.insert_into(id, window, out))
     }
 
-    fn delete(&mut self, id: JobId) -> Result<RequestOutcome, Error> {
-        each_backend!(self, b => b.delete(id))
+    fn delete_into(&mut self, id: JobId, out: &mut RequestOutcome) -> Result<(), Error> {
+        each_backend!(self, b => b.delete_into(id, out))
     }
 
     fn snapshot(&self) -> ScheduleSnapshot {

@@ -21,7 +21,7 @@ use crate::journal::{Costs, ErrCode, ReqResult};
 use crate::metrics::{Tally, TallyLines};
 use realloc_core::snapshot::{Fields, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
-use realloc_core::{JobId, Reallocator, Request, Window};
+use realloc_core::{JobId, Reallocator, Request, RequestOutcome, Window};
 use std::collections::VecDeque;
 
 /// One independent scheduling shard.
@@ -31,6 +31,8 @@ pub struct Shard {
     queue: VecDeque<Request>,
     /// Everything serviced since construction.
     tally: Tally,
+    /// The move buffer every request appends to, cleared as it starts.
+    outcome: RequestOutcome,
 }
 
 /// Everything one shard did during a single flush, in execution order.
@@ -52,6 +54,7 @@ impl Shard {
             backend: kind.build(machines),
             queue: VecDeque::new(),
             tally: Tally::default(),
+            outcome: RequestOutcome::empty(),
         }
     }
 
@@ -110,7 +113,8 @@ impl Shard {
     /// request. Any rebuild moves the backend performs are internal to
     /// the fresh shard and not metered.
     pub(crate) fn adopt(&mut self, id: JobId, window: Window) -> Result<(), realloc_core::Error> {
-        self.backend.insert(id, window).map(drop)
+        self.outcome.moves.clear();
+        self.backend.insert_into(id, window, &mut self.outcome)
     }
 
     /// Takes the pending (unflushed) queue, FIFO order preserved — the
@@ -158,11 +162,13 @@ impl Shard {
     }
 
     /// Services one request against the backend and counts its netted
-    /// costs. Failures are recorded, never fatal.
+    /// costs. Failures are recorded, never fatal, and count no cost:
+    /// whatever a rejected request appended is cleared by the next one.
     fn service_one(&mut self, req: Request) -> ReqResult {
-        let result = match self.backend.request(req) {
-            Ok(outcome) => {
-                let (reallocations, migrations) = outcome.netted_costs();
+        self.outcome.moves.clear();
+        let result = match self.backend.request_into(req, &mut self.outcome) {
+            Ok(()) => {
+                let (reallocations, migrations) = self.outcome.netted_costs();
                 Ok(Costs {
                     reallocations,
                     migrations,
@@ -315,6 +321,7 @@ impl Shard {
             backend,
             queue,
             tally,
+            outcome: RequestOutcome::empty(),
         })
     }
 }

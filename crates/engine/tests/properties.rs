@@ -4,9 +4,14 @@
 //! workloads generated with the Lemma 2 density guarantee.
 
 use proptest::prelude::*;
-use realloc_core::{JobId, Request, RequestSeq, SingleMachineReallocator, Window};
+use realloc_baselines::NaivePeckingScheduler;
+use realloc_core::{
+    Error, JobId, Reallocator, Request, RequestOutcome, RequestSeq, SingleMachineReallocator,
+    Window,
+};
+use realloc_engine::journal::{Costs, ErrCode, ReqResult};
 use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode, Journal, TenantId};
-use realloc_reservation::ReservationScheduler;
+use realloc_reservation::{DeamortizedScheduler, ReservationScheduler, TrimmedScheduler};
 use realloc_store::{DurableStore, MemIo, StoreIo};
 use realloc_telemetry::{Telemetry, TraceCtx};
 use realloc_workloads::{ChurnConfig, ChurnGenerator};
@@ -193,44 +198,103 @@ proptest! {
     // ---------------- single-shard equivalence ----------------
 
     #[test]
-    fn single_shard_engine_matches_bare_reservation(seed in 0u64..500) {
-        let seq = aligned_churn(seed, 400);
-
-        let mut engine = Engine::new(config(1, BackendKind::Reservation));
-        let (ok, failed) = engine.ingest(&seq, 64);
-        prop_assert_eq!(failed, 0, "density-certified stream rejected");
-        prop_assert_eq!(ok, seq.len());
-
-        let mut bare = ReservationScheduler::new();
-        let mut bare_reallocs = 0u64;
-        for &r in seq.requests() {
-            let moves = match r {
-                Request::Insert { id, window } => bare.insert(id, window).unwrap(),
-                Request::Delete { id } => bare.delete(id).unwrap(),
-            };
-            // Net per request, as the engine's meter does.
-            let outcome = realloc_core::RequestOutcome {
-                moves: moves.iter().map(|m| m.on_machine(0)).collect(),
-            };
-            bare_reallocs += outcome.netted().reallocation_cost();
+    fn single_shard_engine_matches_every_bare_backend(seed in 0u64..500) {
+        // The engine's shard and the §3 wrapper reuse one move buffer
+        // each across requests. Two references get fresh buffers: the
+        // backend `BackendKind::build(1)` makes, driven through the
+        // provided `request` (the wrapper's buffer is still reused there),
+        // and the one machine's scheduler alone, through its provided
+        // `insert`/`delete` — on one machine the wrapper hands it every
+        // request unchanged. Rejected requests sit between accepted ones,
+        // so moves a rejection left behind would show in the next
+        // request's cost: a duplicate insert and an unknown delete every
+        // few requests, and first, far from the churn, an insert whose
+        // cascade moves a job before it fails — `[o, o + 8)` is full when
+        // `[o, o + 2)` arrives, and the naive backend's cascade bumps the
+        // span-4 job before the span-8 one finds no room.
+        let o = 1u64 << 20;
+        let far = |k: u64| JobId((1 << 41) + k);
+        let mut requests = vec![
+            Request::Insert { id: far(0), window: Window::new(o, o + 4) },
+            Request::Insert { id: far(1), window: Window::new(o, o + 8) },
+        ];
+        for t in 2..8 {
+            requests.push(Request::Insert { id: far(t), window: Window::new(o + t, o + t + 1) });
         }
+        requests.push(Request::Insert { id: far(8), window: Window::new(o, o + 2) });
+        for (i, &r) in aligned_churn(seed, 400).requests().iter().enumerate() {
+            requests.push(r);
+            if i % 7 == 3 {
+                if let Request::Insert { id, window } = r {
+                    requests.push(Request::Insert { id, window });
+                }
+                requests.push(Request::Delete { id: JobId(1 << 40) });
+            }
+        }
+        let seq = RequestSeq::from_vec(requests.clone());
+        let costs = |result: Result<RequestOutcome, Error>| -> ReqResult {
+            match result {
+                Ok(outcome) => {
+                    let (reallocations, migrations) = outcome.netted_costs();
+                    Ok(Costs { reallocations, migrations })
+                }
+                Err(e) => Err(ErrCode::of(&e)),
+            }
+        };
+        for kind in [
+            BackendKind::Reservation,
+            BackendKind::TheoremOne { gamma: 8 },
+            BackendKind::Deamortized { gamma: 8 },
+            BackendKind::Naive,
+        ] {
+            let mut engine = Engine::new(config(1, kind));
+            engine.ingest(&seq, 64);
+            let journaled: Vec<ReqResult> = engine
+                .journal()
+                .unwrap()
+                .iter_events()
+                .map(|e| e.result)
+                .collect();
 
-        // Identical placements…
-        let engine_placements: Vec<(JobId, u64)> = engine
-            .placements()
-            .into_iter()
-            .map(|(id, shard, p)| {
-                assert_eq!(shard, 0);
-                assert_eq!(p.machine, 0);
-                (id, p.slot)
-            })
-            .collect();
-        let mut bare_placements: Vec<(JobId, u64)> = bare.assignments();
-        bare_placements.sort_by_key(|&(id, _)| id);
-        prop_assert_eq!(engine_placements, bare_placements);
+            let mut bare = kind.build(1);
+            let mut machine: Box<dyn SingleMachineReallocator> = match kind {
+                BackendKind::Reservation => Box::new(ReservationScheduler::new()),
+                BackendKind::TheoremOne { gamma } => Box::new(TrimmedScheduler::new(gamma)),
+                BackendKind::Deamortized { gamma } => Box::new(DeamortizedScheduler::new(gamma)),
+                BackendKind::Naive => Box::new(NaivePeckingScheduler::new()),
+            };
+            prop_assert_eq!(journaled.len(), requests.len(), "{}", kind);
+            for (i, (&r, journaled)) in requests.iter().zip(&journaled).enumerate() {
+                let moves = match r {
+                    Request::Insert { id, window } => machine.insert(id, window),
+                    Request::Delete { id } => machine.delete(id),
+                };
+                let alone = costs(moves.map(|moves| RequestOutcome {
+                    moves: moves.iter().map(|m| m.on_machine(0)).collect(),
+                }));
+                prop_assert_eq!(journaled, &costs(bare.request(r)), "{}: request {} ({:?})", kind, i, r);
+                prop_assert_eq!(journaled, &alone, "{}: request {} ({:?}) alone", kind, i, r);
+            }
+            let rejected = journaled.iter().filter(|r| r.is_err()).count();
+            prop_assert!(rejected >= requests.len() / 8, "{}: rejections interleaved", kind);
+            prop_assert_eq!(engine.metrics().failed, rejected as u64, "{}", kind);
 
-        // …and identical total reallocation cost.
-        prop_assert_eq!(engine.total_costs().reallocations, bare_reallocs);
+            // …and identical placements.
+            let engine_placements: Vec<(JobId, u64)> = engine
+                .placements()
+                .into_iter()
+                .map(|(id, shard, p)| {
+                    assert_eq!((shard, p.machine), (0, 0));
+                    (id, p.slot)
+                })
+                .collect();
+            let bare_placements: Vec<(JobId, u64)> =
+                bare.snapshot().iter().map(|(id, p)| (id, p.slot)).collect();
+            prop_assert_eq!(&engine_placements, &bare_placements, "{}", kind);
+            let mut alone_placements = machine.assignments();
+            alone_placements.sort_unstable();
+            prop_assert_eq!(&engine_placements, &alone_placements, "{} alone", kind);
+        }
     }
 
     // ---------------- sharded conservation ----------------

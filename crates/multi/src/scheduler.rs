@@ -14,16 +14,18 @@
 //! with one, so a group costs one small heap block, and an insert or a
 //! delete probes `jobs` and `windows` once each.
 //!
-//! The record also carries the backend's *handle* for the job
-//! ([`SingleMachineReallocator::insert_tracked`]), so the backend finds
-//! the job by index: `jobs` is the only id lookup a request makes.
+//! The record also carries the backend's *handle* for the job, which the
+//! wrapper passes back ([`SingleMachineReallocator::delete_into`]), so
+//! `jobs` is the only id lookup a request makes. Backends append to one
+//! reused buffer, `slot_moves`, lifted onto the machine into the
+//! caller's [`RequestOutcome`].
 
 use fxhash::FxHashMap;
 use realloc_core::cost::Placement;
 use realloc_core::snapshot::{Fields, Restorable, SnapshotNode, SnapshotWriter};
 use realloc_core::textio::ParseError;
 use realloc_core::{
-    Error, JobId, Move, Reallocator, RequestOutcome, ScheduleSnapshot, SingleMachineReallocator,
+    Error, JobId, Reallocator, RequestOutcome, ScheduleSnapshot, SingleMachineReallocator,
     SlotMove, Window,
 };
 use realloc_reservation::TrimmedScheduler;
@@ -170,6 +172,9 @@ pub struct ReallocatingScheduler<B> {
     machines: Vec<B>,
     windows: FxHashMap<Window, WindowGroup>,
     jobs: FxHashMap<JobId, JobInfo>,
+    /// The buffer every backend call appends to; empty between calls
+    /// that succeed (see [`lift_all`]).
+    slot_moves: Vec<SlotMove>,
 }
 
 /// The paper's headline configuration: reservation scheduler with `n*`
@@ -195,6 +200,7 @@ impl<B: SingleMachineReallocator> ReallocatingScheduler<B> {
             machines,
             windows: FxHashMap::default(),
             jobs: FxHashMap::default(),
+            slot_moves: Vec::new(),
         }
     }
 
@@ -219,7 +225,12 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         self.machines.len()
     }
 
-    fn insert(&mut self, id: JobId, window: Window) -> Result<RequestOutcome, Error> {
+    fn insert_into(
+        &mut self,
+        id: JobId,
+        window: Window,
+        out: &mut RequestOutcome,
+    ) -> Result<(), Error> {
         let Entry::Vacant(job) = self.jobs.entry(id) else {
             return Err(Error::DuplicateJob(id));
         };
@@ -234,7 +245,8 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         };
         // A rejection leaves no trace: nothing was recorded yet, and a
         // window's group is only created once it has a job.
-        let (slot_moves, handle) = self.machines[machine].insert_tracked(id, effective)?;
+        self.slot_moves.clear();
+        let handle = self.machines[machine].insert_into(id, effective, &mut self.slot_moves)?;
         match group {
             Entry::Occupied(mut g) => {
                 g.get_mut().add(machine, id);
@@ -247,12 +259,11 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
             }
         }
         job.insert(JobInfo::new(window, machine, handle));
-        let mut outcome = RequestOutcome::empty();
-        lift_all(&mut outcome, slot_moves, machine);
-        Ok(outcome)
+        lift_all(out, &mut self.slot_moves, machine);
+        Ok(())
     }
 
-    fn delete(&mut self, id: JobId) -> Result<RequestOutcome, Error> {
+    fn delete_into(&mut self, id: JobId, out: &mut RequestOutcome) -> Result<(), Error> {
         let Entry::Occupied(job) = self.jobs.entry(id) else {
             return Err(Error::UnknownJob(id));
         };
@@ -260,9 +271,9 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         let (effective, mi) = (Self::effective_window(info.original), info.machine());
         let m = self.machines.len();
 
-        let mut outcome = RequestOutcome::empty();
-        let slot_moves = self.machines[mi].delete_tracked(id, info.handle())?;
-        lift_all(&mut outcome, slot_moves, mi);
+        self.slot_moves.clear();
+        self.machines[mi].delete_into(id, info.handle(), &mut self.slot_moves)?;
+        lift_all(out, &mut self.slot_moves, mi);
         job.remove();
 
         let Entry::Occupied(mut entry) = self.windows.entry(effective) else {
@@ -288,11 +299,11 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
                 .jobs
                 .get_mut(&mover)
                 .expect("group members are active jobs");
-            let del = self.machines[from].delete_tracked(mover, info.handle())?;
-            lift_all(&mut outcome, del, from);
-            match self.machines[mi].insert_tracked(mover, effective) {
-                Ok((ins, handle)) => {
-                    lift_all(&mut outcome, ins, mi);
+            self.machines[from].delete_into(mover, info.handle(), &mut self.slot_moves)?;
+            lift_all(out, &mut self.slot_moves, from);
+            match self.machines[mi].insert_into(mover, effective, &mut self.slot_moves) {
+                Ok(handle) => {
+                    lift_all(out, &mut self.slot_moves, mi);
                     group.remove(from, mover);
                     group.add(mi, mover);
                     *info = JobInfo::new(info.original, mi, handle);
@@ -300,8 +311,10 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
                 Err(e) => {
                     // Put the mover back where it was; the delete itself
                     // remains serviced.
-                    let (back, handle) = self.machines[from].insert_tracked(mover, effective)?;
-                    lift_all(&mut outcome, back, from);
+                    self.slot_moves.clear();
+                    let handle =
+                        self.machines[from].insert_into(mover, effective, &mut self.slot_moves)?;
+                    lift_all(out, &mut self.slot_moves, from);
                     *info = JobInfo::new(info.original, from, handle);
                     debug_assert!(false, "migration re-insert failed: {e}");
                 }
@@ -310,14 +323,14 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         if group.members.is_empty() {
             entry.remove();
         }
-        Ok(outcome)
+        Ok(())
     }
 
     fn snapshot(&self) -> ScheduleSnapshot {
         let mut snap = ScheduleSnapshot::new();
         for (&id, info) in &self.jobs {
             let slot = self.machines[info.machine()]
-                .slot_tracked(id, info.handle())
+                .slot_of(id, info.handle())
                 .expect("active job must be scheduled on its machine");
             snap.set(
                 id,
@@ -439,7 +452,7 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
             }
             let effective = Self::effective_window(original);
             let handle = s.machines[machine].handle_of(id);
-            if s.machines[machine].slot_tracked(id, handle).is_none() {
+            if s.machines[machine].slot_of(id, handle).is_none() {
                 return Err(err(format!(
                     "job {id} is recorded on machine {machine} but its backend does not hold it"
                 )));
@@ -485,17 +498,11 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
     }
 }
 
-/// Lifts one slot-level move to a machine; re-exported for harnesses that
-/// track single-machine schedulers directly.
-pub fn lift(sm: SlotMove, machine: usize) -> Move {
-    sm.on_machine(machine)
-}
-
-/// Appends a backend's slot moves to `outcome`, lifted onto `machine`.
-fn lift_all(outcome: &mut RequestOutcome, slot_moves: Vec<SlotMove>, machine: usize) {
-    outcome
-        .moves
-        .extend(slot_moves.into_iter().map(|sm| sm.on_machine(machine)));
+/// Moves a backend's slot moves from `slot_moves` to `out`, lifted onto
+/// `machine`, leaving the buffer empty for the next call.
+fn lift_all(out: &mut RequestOutcome, slot_moves: &mut Vec<SlotMove>, machine: usize) {
+    out.moves
+        .extend(slot_moves.drain(..).map(|sm| sm.on_machine(machine)));
 }
 
 #[cfg(test)]

@@ -37,7 +37,9 @@ impl ReservationScheduler {
         let (mut cur_job, mut cur_handle) = (job, handle);
         let mut cur_window = window;
         let mut from = None;
-        // The handle of each cascade move's job, for the rollback.
+        // The cascade's moves are `moves[start..]`; the handle of each
+        // one's job, for the rollback.
+        let start = moves.len();
         let mut movers: Vec<Handle> = Vec::new();
         loop {
             // The window (span ≤ L₁) lies inside one level-1 interval,
@@ -82,7 +84,7 @@ impl ReservationScheduler {
                 // job to the slot it was displaced from — rewrites every
                 // touched slot once. Intermediate swaps never touched
                 // ancestor allowances, so nothing else needs undoing.
-                for (mv, &h) in moves.iter().zip(&movers).rev() {
+                for (mv, &h) in moves[start..].iter().zip(&movers).rev() {
                     match mv.from {
                         Some(f) => {
                             self.slot_jobs.set(f, h);
@@ -95,7 +97,7 @@ impl ReservationScheduler {
                     debug_assert_eq!(self.jobs.get(cur_handle).map(|(_, r)| r.slot), Some(f));
                     self.slot_jobs.set(f, cur_handle);
                 }
-                moves.clear();
+                moves.truncate(start);
                 return Err(Error::CapacityExhausted {
                     job: cur_job,
                     detail: format!(

@@ -117,27 +117,32 @@ impl DeamortizedScheduler {
         2 * t + p as u64
     }
 
-    fn lift_moves(p: usize, moves: Vec<SlotMove>) -> Vec<SlotMove> {
-        moves
-            .into_iter()
-            .map(|m| SlotMove {
-                job: m.job,
-                from: m.from.map(|t| Self::real_slot(p, t)),
-                to: m.to.map(|t| Self::real_slot(p, t)),
-            })
-            .collect()
+    /// Inserts `id` into the active generation, appending its moves on the
+    /// real axis.
+    fn place(&mut self, id: JobId, window: Window, out: &mut Vec<SlotMove>) -> Result<(), Error> {
+        let (gen, start) = (self.active, out.len());
+        let trimmed = window.trim_to(self.trim_span());
+        self.gens[gen].insert_into(id, Self::half_window(trimmed), out)?;
+        self.jobs.insert(id, (window, gen));
+        Self::to_real(gen, &mut out[start..]);
+        Ok(())
     }
 
-    fn insert_into(
-        &mut self,
-        gen: usize,
-        id: JobId,
-        window: Window,
-    ) -> Result<Vec<SlotMove>, Error> {
-        let trimmed = window.trim_to(self.trim_span());
-        let moves = self.gens[gen].insert(id, Self::half_window(trimmed))?;
-        self.jobs.insert(id, (window, gen));
-        Ok(Self::lift_moves(gen, moves))
+    /// Deletes `id` from generation `gen`, appending its moves on the
+    /// real axis.
+    fn remove(&mut self, gen: usize, id: JobId, out: &mut Vec<SlotMove>) -> Result<(), Error> {
+        let start = out.len();
+        self.gens[gen].delete_into(id, None, out)?;
+        Self::to_real(gen, &mut out[start..]);
+        Ok(())
+    }
+
+    /// Maps generation `p`'s half-axis moves onto real slots, in place.
+    fn to_real(p: usize, moves: &mut [SlotMove]) {
+        for m in moves {
+            m.from = m.from.map(|t| Self::real_slot(p, t));
+            m.to = m.to.map(|t| Self::real_slot(p, t));
+        }
     }
 
     /// Migrates up to `k` jobs from the draining generation to the active
@@ -149,10 +154,8 @@ impl DeamortizedScheduler {
             };
             let (window, gen) = self.jobs[&id];
             debug_assert_ne!(gen, self.active);
-            let del = self.gens[gen].delete(id)?;
-            out.extend(Self::lift_moves(gen, del));
-            let ins = self.insert_into(self.active, id, window)?;
-            out.extend(ins);
+            self.remove(gen, id, out)?;
+            self.place(id, window, out)?;
         }
         Ok(())
     }
@@ -189,7 +192,12 @@ impl DeamortizedScheduler {
 }
 
 impl SingleMachineReallocator for DeamortizedScheduler {
-    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
+    fn insert_into(
+        &mut self,
+        id: JobId,
+        window: Window,
+        out: &mut Vec<SlotMove>,
+    ) -> Result<Option<u32>, Error> {
         if self.jobs.contains_key(&id) {
             return Err(Error::DuplicateJob(id));
         }
@@ -202,36 +210,41 @@ impl SingleMachineReallocator for DeamortizedScheduler {
                 detail: "deamortized mode requires window span ≥ 2 (slot parity)".into(),
             });
         }
-        let mut out = self.insert_into(self.active, id, window)?;
-        self.drain_step(DRAIN_PER_REQUEST, &mut out)?;
-        self.maybe_flip(&mut out)?;
-        Ok(out)
+        self.place(id, window, out)?;
+        self.drain_step(DRAIN_PER_REQUEST, out)?;
+        self.maybe_flip(out)?;
+        Ok(None)
     }
 
-    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
+    fn delete_into(
+        &mut self,
+        id: JobId,
+        _handle: Option<u32>,
+        out: &mut Vec<SlotMove>,
+    ) -> Result<(), Error> {
         let Some(&(_, gen)) = self.jobs.get(&id) else {
             return Err(Error::UnknownJob(id));
         };
-        let moves = self.gens[gen].delete(id)?;
-        let mut out = Self::lift_moves(gen, moves);
+        self.remove(gen, id, out)?;
         self.jobs.remove(&id);
         if gen != self.active {
             self.draining.retain(|&j| j != id);
         }
-        self.drain_step(DRAIN_PER_REQUEST, &mut out)?;
-        self.maybe_flip(&mut out)?;
-        Ok(out)
+        self.drain_step(DRAIN_PER_REQUEST, out)?;
+        self.maybe_flip(out)
     }
 
-    fn slot_of(&self, id: JobId) -> Option<Slot> {
+    fn slot_of(&self, id: JobId, _handle: Option<u32>) -> Option<Slot> {
         let &(_, gen) = self.jobs.get(&id)?;
-        self.gens[gen].slot_of(id).map(|t| Self::real_slot(gen, t))
+        self.gens[gen]
+            .slot_of(id, None)
+            .map(|t| Self::real_slot(gen, t))
     }
 
     fn assignments(&self) -> Vec<(JobId, Slot)> {
         self.jobs
             .keys()
-            .map(|&id| (id, self.slot_of(id).expect("active job scheduled")))
+            .map(|&id| (id, self.slot_of(id, None).expect("active job scheduled")))
             .collect()
     }
 
@@ -340,7 +353,7 @@ mod tests {
             found.expect("some job still in the old generation")
         };
         s.delete(victim).unwrap();
-        assert!(s.slot_of(victim).is_none());
+        assert!(s.slot_of(victim, None).is_none());
         assert!(!s.draining.contains(&victim));
     }
 }

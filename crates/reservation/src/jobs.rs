@@ -8,15 +8,15 @@
 //!
 //! Ids still name jobs everywhere outside: in moves, errors, snapshots
 //! and every tie-break (a handle is an allocation accident and decides
-//! nothing). Two kinds of owner address the scheduler:
-//!
-//! * by **id**, through [`realloc_core::SingleMachineReallocator`]'s
-//!   `insert`/`delete`/`slot_of` — tests, experiments, the deamortized
-//!   generations. They need an id → handle index, which the table keeps;
-//! * by **handle**, through the `*_tracked` methods — the §3 wrapper,
-//!   whose own id-keyed record carries the handle. Its requests never
-//!   touch the index, so the first of them drops it, and the next
-//!   id-addressed request rebuilds it from the slab.
+//! nothing). Owners that pass no handle to
+//! [`realloc_core::SingleMachineReallocator`]'s doors — tests,
+//! experiments, the deamortized generations — get `DuplicateJob` and
+//! `UnknownJob`, which need an id → handle index. The §3 wrapper passes
+//! back the handle `insert_into` returned and vouches for its ids. One
+//! rule serves both: the table has the index from construction, an
+//! insert checks for a duplicate only while it exists, a request that
+//! passes a handle drops it and one that passes none rebuilds it. The
+//! served path drops it at its first delete and hashes no id here after.
 
 use crate::paged::Paged;
 use fxhash::FxHashMap;
@@ -81,9 +81,11 @@ pub struct JobTable {
     free: Vec<Handle>,
     /// Number of live entries.
     live: usize,
-    /// The id → handle index of id-addressed owners; `None` while the
-    /// owner addresses jobs by handle (see the module docs).
-    ids: Option<FxHashMap<JobId, Handle>>,
+    /// The id → handle index of id-addressed owners; empty and not kept
+    /// while `by_handle` (see the module docs).
+    ids: FxHashMap<JobId, Handle>,
+    /// Whether the owner addresses jobs by handle.
+    by_handle: bool,
 }
 
 impl JobTable {
@@ -158,8 +160,8 @@ impl JobTable {
                 self.free.pop();
             }
             self.live += 1;
-            if let Some(ids) = &mut self.ids {
-                ids.insert(id, handle);
+            if !self.by_handle {
+                self.ids.insert(id, handle);
             }
         }
         self.recs[at] = Entry::new(id, rec);
@@ -173,8 +175,8 @@ impl JobTable {
         let id = JobId(entry.id);
         self.live -= 1;
         self.free.push(handle);
-        if let Some(ids) = &mut self.ids {
-            ids.remove(&id);
+        if !self.by_handle {
+            self.ids.remove(&id);
         }
     }
 
@@ -190,33 +192,39 @@ impl JobTable {
     /// The handle of active job `id`: the index when there is one, a scan
     /// of the slab while the owner addresses jobs by handle.
     pub fn find(&self, id: JobId) -> Option<Handle> {
-        match &self.ids {
-            Some(ids) => ids.get(&id).copied(),
-            None => self
-                .iter()
-                .find(|&(_, held, _)| held == id)
-                .map(|(h, _, _)| h),
+        if !self.by_handle {
+            return self.ids.get(&id).copied();
         }
+        self.iter()
+            .find(|&(_, held, _)| held == id)
+            .map(|(h, _, _)| h)
     }
 
-    /// The handle of active job `id`, building the id index first if the
-    /// table has none (an id-addressed request).
-    pub fn find_indexed(&mut self, id: JobId) -> Option<Handle> {
-        let recs = &self.recs;
-        self.ids
-            .get_or_insert_with(|| {
-                (recs.iter().enumerate())
-                    .filter(|(_, e)| e.live)
-                    .map(|(h, e)| (JobId(e.id), h as Handle))
-                    .collect()
-            })
-            .get(&id)
-            .copied()
+    /// Whether the id index holds `id`: the duplicate check of an insert,
+    /// which finds nothing once a handle-addressed owner dropped the
+    /// index (that owner vouches for its ids).
+    pub fn duplicate(&self, id: JobId) -> bool {
+        !self.by_handle && self.ids.contains_key(&id)
+    }
+
+    /// The handle of active job `id` for a request that passed `handle`:
+    /// a passed handle drops the id index and is checked, so a stale one
+    /// costs a lookup, never a wrong job; no handle looks `id` up in the
+    /// index, rebuilding it first if a handle dropped it.
+    pub fn locate(&mut self, id: JobId, handle: Option<Handle>) -> Option<Handle> {
+        if handle.is_some() {
+            (self.by_handle, self.ids) = (true, FxHashMap::default());
+            return self.resolve(id, handle);
+        }
+        if self.by_handle {
+            self.by_handle = false;
+            self.ids = self.iter().map(|(h, id, _)| (id, h)).collect();
+        }
+        self.ids.get(&id).copied()
     }
 
     /// `handle` if it names active job `id`, else `id`'s handle found by
-    /// id: handles from a handle-addressed owner are checked, so a stale
-    /// one costs a lookup, never a wrong job.
+    /// id.
     pub fn resolve(&self, id: JobId, handle: Option<Handle>) -> Option<Handle> {
         match handle {
             Some(h) if self.get(h).is_some_and(|(held, _)| held == id) => Some(h),
@@ -224,9 +232,13 @@ impl JobTable {
         }
     }
 
-    /// Drops the id index: the owner addresses jobs by handle from now on.
-    pub fn drop_index(&mut self) {
-        self.ids = None;
+    /// An empty table that keeps an id index exactly when this one does:
+    /// a rebuild's fresh schedule serves the same owner.
+    pub fn empty_like(&self) -> JobTable {
+        JobTable {
+            by_handle: self.by_handle,
+            ..JobTable::default()
+        }
     }
 
     /// Every active job as `(handle, id, record)`, by handle.

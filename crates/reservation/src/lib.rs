@@ -40,8 +40,8 @@
 //! let mut sched = ReservationScheduler::new();
 //! sched.insert(JobId(1), Window::new(0, 64)).unwrap();
 //! sched.insert(JobId(2), Window::new(0, 8)).unwrap();
-//! let slot1 = sched.slot_of(JobId(1)).unwrap();
-//! let slot2 = sched.slot_of(JobId(2)).unwrap();
+//! let slot1 = sched.slot_of(JobId(1), None).unwrap();
+//! let slot2 = sched.slot_of(JobId(2), None).unwrap();
 //! assert!(slot1 < 64 && slot2 < 8 && slot1 != slot2);
 //! ```
 
@@ -138,7 +138,7 @@ mod tests {
             checked(&mut s);
         }
         // The level-1 job must still be scheduled somewhere in [0, 64).
-        let slot = s.slot_of(JobId(100)).unwrap();
+        let slot = s.slot_of(JobId(100), None).unwrap();
         assert!(slot < 64);
         assert_eq!(s.active_count(), 17);
     }
@@ -154,7 +154,7 @@ mod tests {
         s.insert(JobId(3), Window::new(0, 8)).unwrap();
         checked(&mut s);
         for id in [1u64, 2, 3] {
-            assert!(s.slot_of(JobId(id)).is_some());
+            assert!(s.slot_of(JobId(id), None).is_some());
         }
         s.delete(JobId(2)).unwrap();
         checked(&mut s);
@@ -196,7 +196,7 @@ mod tests {
         assert_eq!(m[0].job, JobId(1));
         assert_eq!(m[0].from, None);
         let slot = m[0].to.unwrap();
-        assert_eq!(s.slot_of(JobId(1)), Some(slot));
+        assert_eq!(s.slot_of(JobId(1), None), Some(slot));
         let d = s.delete(JobId(1)).unwrap();
         assert!(d.iter().any(|mv| mv.job == JobId(1) && mv.to.is_none()));
     }

@@ -710,27 +710,31 @@ impl ReservationScheduler {
             .collect();
         sort_for_rebuild(&mut jobs, |&(_, id, window)| (id, window));
         let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
+        fresh.jobs = self.jobs.empty_like();
         for (level, lvl) in self.levels.iter().enumerate() {
             // Preserve high-water marks: standing-reservation reach only
             // ever grows, and keeping it avoids quota discontinuities.
             fresh.levels[level].raise_high_water(lvl.high_water());
         }
+        let mut moves = Vec::new();
         for &(h, id, w) in &jobs {
-            let _ = fresh.insert_at(h, id, w);
+            let _ = fresh.insert_at(h, id, w, &mut moves);
+            moves.clear();
         }
         fresh.jobs.refill_free();
         *self = fresh;
     }
 
-    /// Inserts `id` at the free handle `handle`: the one insert body,
-    /// whichever door the job came in by (a rebuild that keeps handles
-    /// passes each job's old one).
+    /// Inserts `id` at the free handle `handle`, appending its moves to
+    /// `moves`: the one insert body (a rebuild that keeps handles passes
+    /// each job's old one).
     pub(crate) fn insert_at(
         &mut self,
         handle: Handle,
         id: JobId,
         window: Window,
-    ) -> Result<Vec<SlotMove>, Error> {
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<(), Error> {
         if !window.is_aligned() {
             return Err(Error::UnalignedWindow(window));
         }
@@ -741,45 +745,43 @@ impl ReservationScheduler {
             });
         }
         let level = self.tower.level_of(window.span());
-        let mut moves = Vec::new();
         // Reuse the pooled worklist (failed cascades may leave tasks
         // behind; clear before restoring).
         let mut work = WORK.with(Cell::take);
         debug_assert!(work.is_empty());
         let result = if level == 0 {
-            self.insert_base(id, handle, window, &mut moves, &mut work)
-                .and_then(|()| self.drain(&mut work, &mut moves))
+            self.insert_base(id, handle, window, moves, &mut work)
+                .and_then(|()| self.drain(&mut work, moves))
         } else {
-            self.insert_leveled(id, handle, window, level, &mut moves, &mut work)
+            self.insert_leveled(id, handle, window, level, moves, &mut work)
         };
         work.clear();
         WORK.with(|cell| cell.set(work));
         if result.is_err() {
             // A mid-cascade rejection may have orphaned one displaced
             // job; restore consistency before surfacing the error.
-            self.recover_orphans(&mut moves);
+            self.recover_orphans(moves);
         }
-        result.map(|()| moves)
+        result
     }
 
-    /// Deletes the active job at `handle`.
-    fn delete_at(&mut self, handle: Handle) -> Result<Vec<SlotMove>, Error> {
+    /// Deletes the active job at `handle`, appending its moves to `moves`.
+    fn delete_at(&mut self, handle: Handle, moves: &mut Vec<SlotMove>) -> Result<(), Error> {
         let rec = self.jobs.rec(handle);
-        let mut moves = Vec::new();
         let mut work = WORK.with(Cell::take);
         debug_assert!(work.is_empty());
         let result = if rec.level == 0 {
-            self.delete_base(handle, &mut moves);
-            self.drain(&mut work, &mut moves)
+            self.delete_base(handle, moves);
+            self.drain(&mut work, moves)
         } else {
-            self.delete_leveled(handle, rec, &mut moves, &mut work)
+            self.delete_leveled(handle, rec, moves, &mut work)
         };
         work.clear();
         WORK.with(|cell| cell.set(work));
         if result.is_err() {
-            self.recover_orphans(&mut moves);
+            self.recover_orphans(moves);
         }
-        result.map(|()| moves)
+        result
     }
 
     /// Count of physically occupied slots (for tests).
@@ -825,44 +827,35 @@ impl Default for ReservationScheduler {
 }
 
 impl SingleMachineReallocator for ReservationScheduler {
-    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
-        if self.jobs.find_indexed(id).is_some() {
-            return Err(Error::DuplicateJob(id));
-        }
-        self.insert_at(self.jobs.next_handle(), id, window)
-    }
-
-    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
-        let handle = self.jobs.find_indexed(id).ok_or(Error::UnknownJob(id))?;
-        self.delete_at(handle)
-    }
-
-    fn insert_tracked(
+    fn insert_into(
         &mut self,
         id: JobId,
         window: Window,
-    ) -> Result<(Vec<SlotMove>, Option<u32>), Error> {
-        self.jobs.drop_index();
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<Option<Handle>, Error> {
+        if self.jobs.duplicate(id) {
+            return Err(Error::DuplicateJob(id));
+        }
         let handle = self.jobs.next_handle();
-        let moves = self.insert_at(handle, id, window)?;
-        Ok((moves, Some(handle)))
+        self.insert_at(handle, id, window, moves)?;
+        Ok(Some(handle))
     }
 
-    fn delete_tracked(&mut self, id: JobId, handle: Option<u32>) -> Result<Vec<SlotMove>, Error> {
-        self.jobs.drop_index();
-        let handle = self.jobs.resolve(id, handle).ok_or(Error::UnknownJob(id))?;
-        self.delete_at(handle)
+    fn delete_into(
+        &mut self,
+        id: JobId,
+        handle: Option<Handle>,
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<(), Error> {
+        let handle = self.jobs.locate(id, handle).ok_or(Error::UnknownJob(id))?;
+        self.delete_at(handle, moves)
     }
 
-    fn slot_of(&self, id: JobId) -> Option<Slot> {
-        self.jobs.find(id).map(|h| self.jobs.rec(h).slot)
-    }
-
-    fn slot_tracked(&self, id: JobId, handle: Option<u32>) -> Option<Slot> {
+    fn slot_of(&self, id: JobId, handle: Option<Handle>) -> Option<Slot> {
         self.jobs.resolve(id, handle).map(|h| self.jobs.rec(h).slot)
     }
 
-    fn handle_of(&self, id: JobId) -> Option<u32> {
+    fn handle_of(&self, id: JobId) -> Option<Handle> {
         self.jobs.find(id)
     }
 

@@ -219,7 +219,7 @@ impl Restorable for ReservationScheduler {
         // Jobs and physical occupancy.
         for &(line, id, w, slot) in &jobs {
             let level = s.tower.level_of(w.span());
-            if s.jobs.find_indexed(id).is_some() {
+            if s.jobs.duplicate(id) {
                 return Err(err_at(line, format!("duplicate job {id}")));
             }
             let handle = s.jobs.next_handle();
@@ -458,10 +458,8 @@ impl Restorable for TrimmedScheduler {
                 cut.insert(id, win);
             }
         }
-        let tower = inner.tower().clone();
         Ok(TrimmedScheduler {
             inner,
-            tower,
             gamma,
             n_star,
             originals: cut,

@@ -32,10 +32,11 @@
 //! derived from the two. While no bound cuts anything, a request never
 //! touches `originals` at all.
 //!
-//! An owner that addresses jobs by handle (the §3 wrapper, through the
-//! `*_tracked` methods) gets the inner scheduler's handles, and keeps
-//! them across a rebuild: the fresh schedule places every job at its old
-//! handle.
+//! Both doors pass straight through to the inner scheduler: its handles
+//! are the ones an owner gets back and passes in, and its id index rule
+//! (see [`crate::jobs`]) is the duplicate check a request meets. A
+//! rebuild keeps both — the fresh schedule places every job at its old
+//! handle and keeps an id index exactly when the old one did.
 
 use crate::jobs::Handle;
 use crate::scheduler::ReservationScheduler;
@@ -83,7 +84,6 @@ pub(crate) fn checked_trim_span(gamma: u64, n_star: u64) -> Option<u64> {
 #[derive(Clone, Debug)]
 pub struct TrimmedScheduler {
     pub(crate) inner: ReservationScheduler,
-    pub(crate) tower: Tower,
     /// The γ used in the trim bound `2γn*`.
     pub(crate) gamma: u64,
     pub(crate) n_star: u64,
@@ -107,8 +107,7 @@ impl TrimmedScheduler {
     pub fn with_tower(tower: Tower, gamma: u64) -> Self {
         assert!(gamma >= 1);
         TrimmedScheduler {
-            inner: ReservationScheduler::with_tower(tower.clone()),
-            tower,
+            inner: ReservationScheduler::with_tower(tower),
             gamma,
             n_star: MIN_N_STAR,
             originals: FxHashMap::default(),
@@ -193,9 +192,14 @@ impl TrimmedScheduler {
             .map(|(h, id, original, from)| (h, id, original, original.trim_to(trim_span), from))
             .collect();
         sort_for_rebuild(&mut jobs, |&(_, id, _, trimmed, _)| (id, trimmed));
-        let mut fresh = ReservationScheduler::with_tower(self.tower.clone());
+        let mut fresh = ReservationScheduler::with_tower(self.inner.tower.clone());
+        fresh.jobs = self.inner.jobs.empty_like();
+        // The fresh schedule's own moves are not the request's: it reports
+        // each job's old slot against its new one below.
+        let mut placed = Vec::new();
         for &(h, id, _, trimmed, _) in &jobs {
-            fresh.insert_at(h, id, trimmed)?;
+            fresh.insert_at(h, id, trimmed, &mut placed)?;
+            placed.clear();
         }
         fresh.jobs.refill_free();
         let mut originals = FxHashMap::default();
@@ -214,40 +218,35 @@ impl TrimmedScheduler {
         self.rebuilds += 1;
         Ok(next)
     }
+}
 
-    /// Inserts a new job; `tracked` when the owner addresses jobs by
-    /// handle (and vouches that `id` is new).
-    fn insert_new(
+impl SingleMachineReallocator for TrimmedScheduler {
+    fn insert_into(
         &mut self,
         id: JobId,
         window: Window,
-        tracked: bool,
-    ) -> Result<(Vec<SlotMove>, Option<Handle>), Error> {
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<Option<Handle>, Error> {
         if !window.is_aligned() {
             // Trimming needs an aligned window; a duplicate id is still
             // reported first, as the inner scheduler orders the two.
-            return Err(match self.inner.slot_of(id) {
-                Some(_) => Error::DuplicateJob(id),
-                None => Error::UnalignedWindow(window),
+            return Err(if self.inner.jobs.duplicate(id) {
+                Error::DuplicateJob(id)
+            } else {
+                Error::UnalignedWindow(window)
             });
         }
         // Resize first so the insert itself sees the right trim bound.
         let n_star = settled_n_star(self.n_star, self.inner.jobs.len() as u64 + 1);
         if n_star != self.n_star && self.retrims(n_star) {
-            if self.inner.slot_of(id).is_some() {
+            if self.inner.jobs.duplicate(id) {
                 return Err(Error::DuplicateJob(id));
             }
             // The rebuild places the new job along with the others.
-            let mut moves = Vec::new();
-            let handle = self.rebuild(n_star, Some((id, window)), &mut moves)?;
-            return Ok((moves, Some(handle)));
+            return self.rebuild(n_star, Some((id, window)), moves).map(Some);
         }
         let trimmed = window.trim_to(self.trim_span_at(n_star));
-        let (moves, handle) = if tracked {
-            self.inner.insert_tracked(id, trimmed)?
-        } else {
-            (self.inner.insert(id, trimmed)?, None)
-        };
+        let handle = self.inner.insert_into(id, trimmed, moves)?;
         if trimmed != window {
             self.originals.insert(id, window);
         } else if !self.originals.is_empty() {
@@ -256,61 +255,31 @@ impl TrimmedScheduler {
         }
         // Only now: a rejected insert commits no crossing.
         self.n_star = n_star;
-        Ok((moves, handle))
+        Ok(handle)
     }
 
-    /// Settles `n*` after a delete that returned `moves`, rebuilding if
-    /// the new bound re-trims a window.
-    fn after_delete(
+    /// Deletes the job, then settles `n*`, rebuilding if the new bound
+    /// re-trims a window.
+    fn delete_into(
         &mut self,
         id: JobId,
-        mut moves: Vec<SlotMove>,
-    ) -> Result<Vec<SlotMove>, Error> {
+        handle: Option<Handle>,
+        moves: &mut Vec<SlotMove>,
+    ) -> Result<(), Error> {
+        self.inner.delete_into(id, handle, moves)?;
         if !self.originals.is_empty() {
             self.originals.remove(&id);
         }
         let n_star = settled_n_star(self.n_star, self.inner.jobs.len() as u64);
         if n_star != self.n_star && self.retrims(n_star) {
-            self.rebuild(n_star, None, &mut moves)?;
+            self.rebuild(n_star, None, moves)?;
         }
         self.n_star = n_star;
-        Ok(moves)
-    }
-}
-
-impl SingleMachineReallocator for TrimmedScheduler {
-    fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
-        self.insert_new(id, window, false).map(|(moves, _)| moves)
+        Ok(())
     }
 
-    fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
-        let moves = self.inner.delete(id)?;
-        self.after_delete(id, moves)
-    }
-
-    fn insert_tracked(
-        &mut self,
-        id: JobId,
-        window: Window,
-    ) -> Result<(Vec<SlotMove>, Option<Handle>), Error> {
-        self.insert_new(id, window, true)
-    }
-
-    fn delete_tracked(
-        &mut self,
-        id: JobId,
-        handle: Option<Handle>,
-    ) -> Result<Vec<SlotMove>, Error> {
-        let moves = self.inner.delete_tracked(id, handle)?;
-        self.after_delete(id, moves)
-    }
-
-    fn slot_of(&self, id: JobId) -> Option<Slot> {
-        self.inner.slot_of(id)
-    }
-
-    fn slot_tracked(&self, id: JobId, handle: Option<Handle>) -> Option<Slot> {
-        self.inner.slot_tracked(id, handle)
+    fn slot_of(&self, id: JobId, handle: Option<Handle>) -> Option<Slot> {
+        self.inner.slot_of(id, handle)
     }
 
     fn handle_of(&self, id: JobId) -> Option<Handle> {

@@ -137,7 +137,7 @@ fn the_far_end_of_the_axis_holds_a_job() {
     s.insert(JobId(1), last).unwrap();
     s.insert(JobId(2), wide).unwrap();
     s.check_invariants().unwrap();
-    assert_eq!(s.slot_of(JobId(1)), Some(MAX_TIME - 1));
+    assert_eq!(s.slot_of(JobId(1), None), Some(MAX_TIME - 1));
     let restored = ReservationScheduler::restore(&s.snapshot_text()).unwrap();
     restored.check_invariants().unwrap();
     assert_eq!(restored.snapshot_text(), s.snapshot_text());

@@ -711,8 +711,10 @@ mod seed {
         }
     }
 
-    impl SingleMachineReallocator for SeedScheduler {
-        fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
+    /// The frozen request bodies, as inherent methods (the lock-step
+    /// driver calls these); the trait's doors below wrap them.
+    impl SeedScheduler {
+        pub fn insert(&mut self, id: JobId, window: Window) -> Result<Vec<SlotMove>, Error> {
             if self.jobs.contains_key(&id) {
                 return Err(Error::DuplicateJob(id));
             }
@@ -737,7 +739,7 @@ mod seed {
             result.map(|()| moves)
         }
 
-        fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
+        pub fn delete(&mut self, id: JobId) -> Result<Vec<SlotMove>, Error> {
             let rec = *self.jobs.get(&id).ok_or(Error::UnknownJob(id))?;
             let mut moves = Vec::new();
             let mut work = VecDeque::new();
@@ -749,8 +751,30 @@ mod seed {
             }
             Ok(moves)
         }
+    }
 
-        fn slot_of(&self, id: JobId) -> Option<Slot> {
+    impl SingleMachineReallocator for SeedScheduler {
+        fn insert_into(
+            &mut self,
+            id: JobId,
+            window: Window,
+            moves: &mut Vec<SlotMove>,
+        ) -> Result<Option<u32>, Error> {
+            moves.extend(self.insert(id, window)?);
+            Ok(None)
+        }
+
+        fn delete_into(
+            &mut self,
+            id: JobId,
+            _handle: Option<u32>,
+            moves: &mut Vec<SlotMove>,
+        ) -> Result<(), Error> {
+            moves.extend(self.delete(id)?);
+            Ok(())
+        }
+
+        fn slot_of(&self, id: JobId, _handle: Option<u32>) -> Option<Slot> {
             self.jobs.get(&id).map(|r| r.slot)
         }
 

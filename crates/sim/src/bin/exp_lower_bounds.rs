@@ -10,6 +10,7 @@
 //!   scheduler, measured against the sized-EDF substrate.
 
 use realloc_baselines::{EdfRescheduler, LlfRescheduler, SizedEdfScheduler};
+use realloc_core::RequestOutcome;
 use realloc_sim::harness::theorem_one;
 use realloc_sim::report::{f2, Table};
 use realloc_sim::runner::{run, RunOptions};
@@ -111,14 +112,16 @@ fn main() {
         let mut s = SizedEdfScheduler::new(1);
         let mut total = 0u64;
         let mut slides = 0u64;
+        let mut out = RequestOutcome::empty();
         for r in &reqs {
-            let out = match r {
-                SizedRequest::Insert(job) => s.insert_job(*job).unwrap(),
+            out.moves.clear();
+            match r {
+                SizedRequest::Insert(job) => s.insert_job(*job, &mut out).unwrap(),
                 SizedRequest::Delete(id) => {
                     slides += 1;
-                    s.delete_job(*id).unwrap()
+                    s.delete_job(*id, &mut out).unwrap()
                 }
-            };
+            }
             total += out.netted().reallocation_cost();
         }
         t3.row(vec![

@@ -425,6 +425,25 @@ const ROWS: &[Row] = &[
         ),
     },
     Row {
+        concept: "one request door per scheduler trait: moves append to the caller's buffer",
+        probes: &[
+            probe(
+                &["crates/*/src"],
+                &["fn insert_tracked", "fn delete_tracked", "fn slot_tracked"],
+            ),
+            // Only the provided wrappers hand out a fresh move list.
+            probe(
+                &["crates/*/src"],
+                &[
+                    "-> Result<Vec<SlotMove>, Error>",
+                    "-> Result<RequestOutcome, Error>",
+                ],
+            )
+            .expect(Expect::NoneOutside(&["crates/core/src/traits.rs"])),
+        ],
+        trips_on: ("crates/reservation/src/trim.rs", "    fn insert_tracked("),
+    },
+    Row {
         concept: "one Lemma 2 budget: LaminarBudget counts, Window::ancestors walks",
         probes: &[
             probe(
