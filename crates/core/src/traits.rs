@@ -30,8 +30,10 @@ use crate::Slot;
 /// A backend may give each job a *handle*, which [`Self::insert_into`]
 /// returns: an owner that keeps its own id-keyed record passes it back,
 /// so the backend finds the job without an id lookup, and vouches by
-/// doing so that it never inserts an active id. Owners that pass `None`
-/// get the backend's duplicate and unknown-job checks.
+/// doing so that it never inserts an active id. Once an owner has passed
+/// a handle it vouches for its ids from then on: a backend may drop its
+/// duplicate check at that point. Owners that only ever pass `None` get
+/// the backend's duplicate and unknown-job checks.
 pub trait SingleMachineReallocator {
     /// Inserts a job with an **aligned** window, appending every slot
     /// move (the new job's placement has `from = None`); returns its

@@ -14,9 +14,13 @@
 //! `UnknownJob`, which need an id → handle index. The §3 wrapper passes
 //! back the handle `insert_into` returned and vouches for its ids. One
 //! rule serves both: the table has the index from construction, an
-//! insert checks for a duplicate only while it exists, a request that
-//! passes a handle drops it and one that passes none rebuilds it. The
-//! served path drops it at its first delete and hashes no id here after.
+//! insert checks for a duplicate only while it exists, a delete that
+//! passes a handle drops it and one that passes none rebuilds it. So a
+//! handle-addressed owner's inserts before its first delete still check
+//! and fill the index — on the served path a machine's first few
+//! requests, and after a restore from a snapshot (which rebuilds the
+//! index) every insert until the next delete; from a machine's first
+//! delete on, the served path hashes no id here.
 
 use crate::paged::Paged;
 use fxhash::FxHashMap;
@@ -73,7 +77,7 @@ impl Entry {
 /// Active jobs by handle, with free handles reused last-freed first.
 /// Windows are aligned, so an entry keeps a window as its start and
 /// `log2` span.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct JobTable {
     /// One entry per handle, live or free.
     recs: Vec<Entry>,
@@ -81,11 +85,21 @@ pub struct JobTable {
     free: Vec<Handle>,
     /// Number of live entries.
     live: usize,
-    /// The id → handle index of id-addressed owners; empty and not kept
-    /// while `by_handle` (see the module docs).
-    ids: FxHashMap<JobId, Handle>,
-    /// Whether the owner addresses jobs by handle.
-    by_handle: bool,
+    /// The id → handle index, kept while the owner addresses jobs by id
+    /// (see the module docs).
+    ids: Option<FxHashMap<JobId, Handle>>,
+}
+
+impl Default for JobTable {
+    /// An empty table with an id index.
+    fn default() -> Self {
+        JobTable {
+            recs: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            ids: Some(FxHashMap::default()),
+        }
+    }
 }
 
 impl JobTable {
@@ -160,8 +174,8 @@ impl JobTable {
                 self.free.pop();
             }
             self.live += 1;
-            if !self.by_handle {
-                self.ids.insert(id, handle);
+            if let Some(ids) = &mut self.ids {
+                ids.insert(id, handle);
             }
         }
         self.recs[at] = Entry::new(id, rec);
@@ -175,8 +189,8 @@ impl JobTable {
         let id = JobId(entry.id);
         self.live -= 1;
         self.free.push(handle);
-        if !self.by_handle {
-            self.ids.remove(&id);
+        if let Some(ids) = &mut self.ids {
+            ids.remove(&id);
         }
     }
 
@@ -192,8 +206,8 @@ impl JobTable {
     /// The handle of active job `id`: the index when there is one, a scan
     /// of the slab while the owner addresses jobs by handle.
     pub fn find(&self, id: JobId) -> Option<Handle> {
-        if !self.by_handle {
-            return self.ids.get(&id).copied();
+        if let Some(ids) = &self.ids {
+            return ids.get(&id).copied();
         }
         self.iter()
             .find(|&(_, held, _)| held == id)
@@ -202,9 +216,19 @@ impl JobTable {
 
     /// Whether the id index holds `id`: the duplicate check of an insert,
     /// which finds nothing once a handle-addressed owner dropped the
-    /// index (that owner vouches for its ids).
+    /// index (that owner vouches for its ids; a debug build holds it to
+    /// that with a scan of the slab).
     pub fn duplicate(&self, id: JobId) -> bool {
-        !self.by_handle && self.ids.contains_key(&id)
+        match &self.ids {
+            Some(ids) => ids.contains_key(&id),
+            None => {
+                debug_assert!(
+                    self.find(id).is_none(),
+                    "job {id} inserted twice by an owner that passed a handle"
+                );
+                false
+            }
+        }
     }
 
     /// The handle of active job `id` for a request that passed `handle`:
@@ -213,14 +237,13 @@ impl JobTable {
     /// index, rebuilding it first if a handle dropped it.
     pub fn locate(&mut self, id: JobId, handle: Option<Handle>) -> Option<Handle> {
         if handle.is_some() {
-            (self.by_handle, self.ids) = (true, FxHashMap::default());
+            self.ids = None;
             return self.resolve(id, handle);
         }
-        if self.by_handle {
-            self.by_handle = false;
-            self.ids = self.iter().map(|(h, id, _)| (id, h)).collect();
+        if self.ids.is_none() {
+            self.ids = Some(self.iter().map(|(h, id, _)| (id, h)).collect());
         }
-        self.ids.get(&id).copied()
+        self.find(id)
     }
 
     /// `handle` if it names active job `id`, else `id`'s handle found by
@@ -236,7 +259,7 @@ impl JobTable {
     /// a rebuild's fresh schedule serves the same owner.
     pub fn empty_like(&self) -> JobTable {
         JobTable {
-            by_handle: self.by_handle,
+            ids: self.ids.as_ref().map(|_| FxHashMap::default()),
             ..JobTable::default()
         }
     }

@@ -179,6 +179,23 @@ mod tests {
         ));
     }
 
+    /// An owner that passed a handle vouches for its ids from then on: a
+    /// debug build panics when it inserts an active id again.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "inserted twice")]
+    fn handle_owner_reinserting_an_active_id_panics_in_debug() {
+        let mut s = ReservationScheduler::new();
+        let mut moves = Vec::new();
+        s.insert_into(JobId(1), Window::new(0, 8), &mut moves)
+            .unwrap();
+        let h = s
+            .insert_into(JobId(2), Window::new(0, 8), &mut moves)
+            .unwrap();
+        s.delete_into(JobId(2), h, &mut moves).unwrap();
+        let _ = s.insert_into(JobId(1), Window::new(0, 8), &mut moves);
+    }
+
     #[test]
     fn unaligned_rejected() {
         let mut s = ReservationScheduler::new();
