@@ -28,13 +28,6 @@ impl ScheduleSnapshot {
         Self::default()
     }
 
-    /// Builds a snapshot from `(job, placement)` pairs.
-    pub fn from_assignments<I: IntoIterator<Item = (JobId, Placement)>>(iter: I) -> Self {
-        ScheduleSnapshot {
-            assignments: iter.into_iter().collect(),
-        }
-    }
-
     /// Records (or overwrites) a job's placement.
     pub fn set(&mut self, job: JobId, placement: Placement) {
         self.assignments.insert(job, placement);

@@ -149,14 +149,6 @@ impl Engine {
         self.shards[shard].enqueue(request);
     }
 
-    /// Enqueues every request of a sequence (raw id space; see
-    /// [`Engine::submit`]).
-    pub fn submit_seq(&mut self, seq: &RequestSeq) {
-        for &r in seq.requests() {
-            self.submit(r);
-        }
-    }
-
     /// Translates a tenant's external job id into its slice of the
     /// global id space — the pure half of [`Engine::submit_for`], also
     /// used by read-side entry points ([`Engine::window_of_for`]) and by
@@ -444,11 +436,6 @@ impl Engine {
     /// it); the engine reverts to in-memory-only journaling.
     pub fn detach_durability(&mut self) -> Option<Box<dyn DurabilitySink>> {
         self.sink.take()
-    }
-
-    /// Whether a durable sink is currently attached.
-    pub fn has_durability(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// The first durable-sink failure, if any. Sticky: once set, teeing

@@ -16,7 +16,9 @@
 //! (disable with `--no-telemetry`). `--sweep` additionally scans shard
 //! counts 1–16, emitting one **JSON line per configuration** — machine-
 //! readable, with registry-derived flush/route latency percentiles
-//! alongside the throughput numbers.
+//! alongside the throughput numbers — and then times the online 4↔8
+//! resize at three loads (E13c), one JSON line per load, exiting 1 if a
+//! flip fails or leaves an engine that does not validate.
 //!
 //! `--overhead-check` is the CI guard for the ingest hot path: it runs
 //! `--trials` interleaved instrumented/uninstrumented pairs (mode order
@@ -216,6 +218,50 @@ fn overhead_pct(args: &Args, cfg: &EngineConfig, seq: &realloc_core::RequestSeq)
     (best, (median - 1.0) * 100.0)
 }
 
+/// Online resizes timed per flip (even, so the engine ends where it began).
+const FLIPS: usize = 20;
+
+/// One E13c line: a loaded 4-shard, 1-machine, unjournaled Theorem-1
+/// engine flipped live between 4 and 8 shards `FLIPS` times — each flip
+/// re-places every active job onto the rerouted shard set. The stream is
+/// one-machine dense, so any split of it fits any shard count and every
+/// flip must succeed; `engine.validate()` must pass after them.
+fn resize_line(target_active: usize) -> Result<String, String> {
+    let seq = churn_seq(1, 8, target_active, 1 << 14, false, target_active * 3, 71);
+    let backend = BackendKind::TheoremOne { gamma: 8 };
+    let mut engine = Engine::new(engine_config(4, 1, backend));
+    engine.ingest(&seq, 512);
+    let jobs = engine.active_count();
+    if jobs <= target_active / 2 {
+        return Err(format!("resize workload too shallow: {jobs} active"));
+    }
+    let mut nanos = Vec::with_capacity(FLIPS);
+    for _ in 0..FLIPS {
+        let to = if engine.config().shards == 4 { 8 } else { 4 };
+        let start = Instant::now();
+        engine
+            .resize(to)
+            .map_err(|e| format!("resize to {to} shards failed: {e}"))?;
+        nanos.push(start.elapsed().as_nanos());
+    }
+    engine
+        .validate()
+        .map_err(|e| format!("resize left an invalid engine: {e}"))?;
+    nanos.sort_unstable();
+    Ok(format!(
+        concat!(
+            "{{\"target_active\":{},\"jobs\":{},\"jobs_per_shard\":{},",
+            "\"flips\":{},\"median_ns\":{},\"min_ns\":{}}}"
+        ),
+        target_active,
+        jobs,
+        jobs / 4,
+        FLIPS,
+        nanos[FLIPS / 2],
+        nanos[0],
+    ))
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -363,6 +409,16 @@ fn main() {
             };
             let (engine, secs) = replay(cfg, &seq, args.batch, &tel);
             println!("{}", json_line(shards, secs, &engine, &tel));
+        }
+        println!("E13c: online 4<->8 resize (Theorem-1 backend, gamma 8), JSON lines:");
+        for target_active in [256usize, 1024, 4096] {
+            match resize_line(target_active) {
+                Ok(line) => println!("{line}"),
+                Err(e) => {
+                    eprintln!("exp_engine_throughput: E13c: {e}");
+                    std::process::exit(1);
+                }
+            }
         }
     }
 }

@@ -5,7 +5,7 @@ use realloc_baselines::NaivePeckingScheduler;
 use realloc_core::RequestSeq;
 use realloc_engine::{BackendKind, EngineConfig};
 use realloc_multi::{ReallocatingScheduler, TheoremOneScheduler};
-use realloc_reservation::{ReservationScheduler, TrimmedScheduler};
+use realloc_reservation::ReservationScheduler;
 use realloc_workloads::{ChurnConfig, ChurnGenerator};
 
 /// The paper's Theorem 1 configuration (reservation + trim on every
@@ -25,13 +25,8 @@ pub fn naive_multi(machines: usize) -> ReallocatingScheduler<NaivePeckingSchedul
     ReallocatingScheduler::from_factory(machines, NaivePeckingScheduler::new)
 }
 
-/// Trimmed single-machine backend (for per-machine experiments).
-pub fn trimmed(gamma: u64) -> TrimmedScheduler {
-    TrimmedScheduler::new(gamma)
-}
-
 /// Engine configuration for the serving-layer experiments
-/// (`exp_engine_throughput`, engine benches).
+/// (`exp_engine_throughput`).
 pub fn engine_config(
     shards: usize,
     machines_per_shard: usize,

@@ -229,12 +229,6 @@ impl MemIo {
         }
     }
 
-    /// Total bytes currently held (live view) — test instrumentation.
-    pub fn total_bytes(&self) -> usize {
-        let s = self.state.lock().expect("memio state poisoned");
-        s.files.values().map(|f| f.data.len()).sum()
-    }
-
     /// Flips one bit of a live file (fault injection). Errors when the
     /// file is absent or shorter than `byte`.
     pub fn flip_bit(&self, path: &Path, byte: usize, bit: u8) -> io::Result<()> {

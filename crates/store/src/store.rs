@@ -610,6 +610,9 @@ pub struct DurableStore {
     /// Every record this store writes is framed in here.
     record: RecordBuf,
     tele: Option<Arc<StoreTele>>,
+    /// `open` truncated a torn tail that no attached registry has
+    /// counted yet; the first [`DurableStore::attach_telemetry`] counts it.
+    torn_uncounted: bool,
 }
 
 /// The store's commit protocol, shared between the store (which
@@ -969,6 +972,7 @@ impl DurableStore {
             config: config.clone(),
             record: RecordBuf::default(),
             tele: None,
+            torn_uncounted: false,
         };
         store.write_segment_header(0).map_err(Self::from_io)?;
         Ok(store)
@@ -1011,6 +1015,7 @@ impl DurableStore {
             config: scan.config,
             record: RecordBuf::default(),
             tele: None,
+            torn_uncounted: report.torn_bytes_truncated > 0,
         };
         if scan.synthesized_hi {
             store.write_segment_header(scan.hi).map_err(Self::from_io)?;
@@ -1027,9 +1032,16 @@ impl DurableStore {
     /// Attaches a telemetry registry (fsync latency and chunks per
     /// fsync, gather outcomes, bytes/records written, checkpoints,
     /// retention unlinks, torn-tail truncations); fsyncs are timed on
-    /// its clock from here on. A disabled handle detaches.
+    /// its clock from here on. A disabled handle detaches. The torn tail
+    /// [`DurableStore::open`] truncated, if any, is counted in the first
+    /// registry attached.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele = StoreTele::build(telemetry);
+        if let Some(tele) = &self.tele {
+            if std::mem::take(&mut self.torn_uncounted) {
+                tele.torn_truncations.inc();
+            }
+        }
         let mut gate = self.commit.gate();
         gate.tele = self.tele.clone();
         if let Some(clock) = telemetry.clock() {
@@ -1040,24 +1052,6 @@ impl DurableStore {
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Index of the open segment.
-    pub fn segment_index(&self) -> u64 {
-        self.seg
-    }
-
-    /// Index of the oldest retained on-disk segment.
-    pub fn oldest_index(&self) -> u64 {
-        self.lo
-    }
-
-    /// Records a torn-tail truncation in the attached registry (called
-    /// by recovery harnesses that learn of one via [`OpenReport`]).
-    pub fn note_torn_truncation(&self) {
-        if let Some(tele) = &self.tele {
-            tele.torn_truncations.inc();
-        }
     }
 
     fn seg_path(&self) -> PathBuf {

@@ -2,10 +2,11 @@
 //! its instrument table names exactly what an attached `DurableStore`
 //! registers — label sets stripped, none missing, none extra.
 //! `store_injected_faults_total` is `FaultIo`'s, not the store's, and
-//! the README says so outside the table.
+//! the README says so outside the table. It also checks that a repair
+//! `DurableStore::open` makes shows in the registry it is attached to.
 
 use realloc_engine::EngineConfig;
-use realloc_store::{DurableStore, MemIo, StoreIo};
+use realloc_store::{segment_file_name, CrashMode, DurableStore, MemIo, StoreIo};
 use realloc_telemetry::Telemetry;
 use std::path::Path;
 use std::sync::Arc;
@@ -49,4 +50,37 @@ fn readme_lists_every_store_instrument() {
         "README table vs an attached store's registry (label sets dropped)"
     );
     assert_eq!(registered.len(), 10);
+}
+
+#[test]
+fn a_torn_tail_truncated_at_open_is_counted_once() {
+    let io = Arc::new(MemIo::new());
+    let dir = Path::new("/store");
+    drop(
+        DurableStore::create(
+            Arc::clone(&io) as Arc<dyn StoreIo>,
+            dir,
+            &EngineConfig::default(),
+        )
+        .unwrap(),
+    );
+    // An unsynced suffix, half of which lands: a record torn mid-write.
+    io.append(&dir.join(segment_file_name(0)), &[0xff; 22])
+        .unwrap();
+    io.crash(CrashMode::TornTail);
+    let (mut store, report) = DurableStore::open(io as Arc<dyn StoreIo>, dir).unwrap();
+    assert_eq!(report.torn_bytes_truncated, 11);
+
+    let t = Telemetry::new();
+    store.attach_telemetry(&t);
+    assert_eq!(
+        t.counter_value("store_torn_tail_truncations_total"),
+        Some(1)
+    );
+    store.attach_telemetry(&t);
+    assert_eq!(
+        t.counter_value("store_torn_tail_truncations_total"),
+        Some(1),
+        "one repair, counted once however often a registry is attached"
+    );
 }

@@ -63,11 +63,11 @@ impl ChurnGenerator {
     /// `SeedableRng::seed_from_u64`, and nothing else (no time, no
     /// thread-local entropy). Two generators built with equal `cfg` and
     /// equal `seed` therefore emit byte-identical request streams, which
-    /// is what makes old-vs-new perf A/Bs and the committed `BENCH_*`
-    /// snapshots comparable across machines and PRs — every consumer
-    /// (experiments, benches, property tests) passes a fixed literal
-    /// seed. Picking a different `seed` yields an independent stream of
-    /// the same shape.
+    /// is what makes old-vs-new perf A/Bs (servebench, the `exp_*`
+    /// binaries) comparable across machines and commits — every consumer
+    /// (experiments, the benchmark, property tests) passes a fixed
+    /// literal seed. Picking a different `seed` yields an independent
+    /// stream of the same shape.
     pub fn new(cfg: ChurnConfig, seed: u64) -> Self {
         assert!(cfg.horizon.is_power_of_two());
         assert!(cfg.gamma >= 1 && cfg.machines >= 1);

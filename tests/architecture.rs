@@ -469,6 +469,22 @@ const ROWS: &[Row] = &[
         ),
     },
     Row {
+        concept: "one ruler: servebench and the exp bins measure, nothing else",
+        probes: &[probe(
+            &[
+                "Cargo.toml",
+                "crates/*/Cargo.toml",
+                "crates/compat/*/Cargo.toml",
+                ".github/workflows/ci.yml",
+            ],
+            &["criterion", "realloc-bench", "cargo bench"],
+        )],
+        trips_on: (
+            "Cargo.toml",
+            r#"criterion = { path = "crates/compat/criterion" }"#,
+        ),
+    },
+    Row {
         concept: "one architecture contract",
         probes: &[probe(
             &[".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"],
