@@ -426,36 +426,88 @@ fn tcp_link_metrics_label_the_peer() {
     );
 }
 
-/// The docs-drift gate for the link's slice of README "Observability":
-/// its instrument table names exactly what an attached `PrimaryLink`
-/// registers — label sets stripped, none missing, none extra.
-#[test]
-fn readme_lists_every_link_instrument() {
+/// The instrument names in the README table that follows the first line
+/// containing `caption`, sorted.
+fn readme_table(caption: &str) -> Vec<String> {
     let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
-    let mut documented: Vec<&str> = readme
+    let mut names: Vec<String> = readme
         .lines()
-        .filter_map(|line| line.strip_prefix("| `"))
-        .map(|rest| &rest[..rest.find('`').expect("closing backtick")])
-        .filter(|name| name.starts_with("cluster_"))
+        .skip_while(|line| !line.contains(caption))
+        .skip_while(|line| !line.starts_with("| instrument |"))
+        .skip(2)
+        .take_while(|line| line.starts_with("| `"))
+        .map(|line| line[3..].split('`').next().expect("a name").to_string())
         .collect();
-    documented.sort_unstable();
+    assert!(!names.is_empty(), "no README table after `{caption}`");
+    names.sort_unstable();
+    names
+}
 
-    let t = Telemetry::new();
-    let server = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
-    let mut link = PrimaryLink::connect(server.addr()).unwrap();
-    link.attach_telemetry(&t);
+/// Every instrument `t` registers that `keep` keeps, label sets
+/// dropped, sorted and deduplicated.
+fn registered(t: &Telemetry, keep: impl Fn(&str) -> bool) -> Vec<String> {
     let (counters, gauges, hists) = t.registry_contents();
-    let mut registered: Vec<String> = counters
+    let mut names: Vec<String> = counters
         .into_iter()
         .chain(gauges)
         .map(|(name, _)| name)
         .chain(hists.into_iter().map(|(name, _)| name))
         .map(|name| name.split('{').next().expect("a name").to_string())
+        .filter(|name| keep(name))
         .collect();
-    registered.sort_unstable();
-    registered.dedup();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
+const LINK_TABLE: &str = "Every instrument a `PrimaryLink` registers";
+const RELAY_TABLE: &str = "`JournalRelay::attach_telemetry`:";
+const REPLICA_TABLE: &str = "A `Replica`, at `Replica::attach_telemetry`";
+const GROUP_TABLE: &str = "A `ReplicationGroup`, at `ReplicationGroup::attach_telemetry`";
+
+/// The docs-drift gate for the link's slice of README "Observability":
+/// its instrument table names exactly what an attached `PrimaryLink`
+/// registers — label sets stripped, none missing, none extra.
+#[test]
+fn readme_lists_every_link_instrument() {
+    let t = Telemetry::new();
+    let server = ReplicaServer::bind("127.0.0.1:0", Replica::new()).unwrap();
+    let mut link = PrimaryLink::connect(server.addr()).unwrap();
+    link.attach_telemetry(&t);
     assert_eq!(
-        documented, registered,
+        readme_table(LINK_TABLE),
+        registered(&t, |_| true),
         "README table vs an attached link's registry (label sets dropped)"
+    );
+}
+
+/// The same gate for the relay's, the replica's (with its server's) and
+/// the group's tables. A replica instruments the engine it restores and
+/// a group attaches its relay: those names belong to other tables.
+#[test]
+fn readme_lists_every_relay_replica_and_group_instrument() {
+    let t = Telemetry::new();
+    relay(2).attach_telemetry(&t);
+    let relay_names = registered(&t, |_| true);
+    assert_eq!(readme_table(RELAY_TABLE), relay_names, "the relay's table");
+
+    let t = Telemetry::new();
+    let mut replica = Replica::new();
+    replica.attach_telemetry(&t);
+    let server = ReplicaServer::bind("127.0.0.1:0", replica).unwrap();
+    server.attach_telemetry(&t);
+    assert_eq!(
+        readme_table(REPLICA_TABLE),
+        registered(&t, |name| !name.starts_with("engine_")),
+        "the replica's and its server's table"
+    );
+
+    let t = Telemetry::new();
+    let mut group = ReplicationGroup::new(relay(2), 1).unwrap();
+    group.attach_telemetry(&t);
+    assert_eq!(
+        readme_table(GROUP_TABLE),
+        registered(&t, |name| !relay_names.iter().any(|r| r == name)),
+        "the group's table"
     );
 }

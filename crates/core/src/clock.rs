@@ -8,6 +8,12 @@
 //! Cloning a clock shares its time source, so every component of one
 //! process observes the same timeline.
 //!
+//! A component that decides *when* on a clock waits on it too. The
+//! store's group commit is one: it sizes its gather from fsyncs timed on
+//! the store's clock and waits until a deadline on that same clock, with
+//! no other time source. On a manual clock such a deadline passes only
+//! when the clock is advanced past it, whatever real time goes by.
+//!
 //! Nanoseconds since the clock's anchor are reported as `u64` — ~584
 //! years of range, and cheap enough to record on hot paths.
 

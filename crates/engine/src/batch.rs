@@ -31,8 +31,9 @@ pub struct BatchReport {
     pub batch: u64,
     /// Per-shard statistics, indexed by shard id.
     pub per_shard: Vec<ShardBatchStats>,
-    /// Every rejected request with its shard and error code.
-    pub failures: Vec<(usize, Request, ErrCode)>,
+    /// Every rejected request: its shard, its place in that shard's
+    /// drain (the shard's queue order), the request and the error code.
+    pub failures: Vec<(usize, usize, Request, ErrCode)>,
 }
 
 impl BatchReport {
@@ -47,9 +48,12 @@ impl BatchReport {
         for drain in drains {
             let shard = drain.stats.shard;
             report.per_shard.push(drain.stats);
-            report
-                .failures
-                .extend(drain.failures.into_iter().map(|(r, c)| (shard, r, c)));
+            report.failures.extend(
+                drain
+                    .failures
+                    .into_iter()
+                    .map(|(at, r, c)| (shard, at, r, c)),
+            );
         }
         report
     }

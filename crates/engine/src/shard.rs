@@ -40,8 +40,9 @@ pub struct Shard {
 pub struct ShardDrain {
     /// Per-request `(request, result)` records.
     pub records: Vec<(Request, ReqResult)>,
-    /// The rejected requests among `records`, in the same order.
-    pub failures: Vec<(Request, ErrCode)>,
+    /// The rejected requests among `records`, in the same order, each
+    /// with its index there.
+    pub failures: Vec<(usize, Request, ErrCode)>,
     /// What this drain added to the shard's lifetime counters.
     pub stats: ShardBatchStats,
 }
@@ -145,7 +146,7 @@ impl Shard {
         while let Some(req) = self.queue.pop_front() {
             let result = self.service_one(req);
             if let Err(code) = result {
-                out.failures.push((req, code));
+                out.failures.push((out.records.len(), req, code));
             }
             out.records.push((req, result));
         }

@@ -461,18 +461,19 @@ fn stage(frames: &[Vec<u8>], shared: &Shared) -> std::io::Result<Staged> {
             match engine.flush_mode(shared.config.flush) {
                 Ok((report, ticket)) => {
                     commit = ticket;
-                    // Map this batch's failures back onto their
-                    // commands: first unconsumed failure matching the
-                    // namespaced request, in submission order.
-                    let mut consumed = vec![false; report.failures.len()];
-                    for inflight in &admitted {
-                        let hit = report
-                            .failures
-                            .iter()
-                            .enumerate()
-                            .find(|(j, (_, req, _))| !consumed[*j] && *req == inflight.request);
-                        if let Some((j, (_, _, code))) = hit {
-                            consumed[j] = true;
+                    // Each failure goes back to its own command: a shard
+                    // drains its queue in order, this batch's submits to
+                    // it last, so the failure's place in the drain is
+                    // its command's place among them.
+                    for &(shard, at, _, code) in &report.failures {
+                        let ours = || {
+                            admitted
+                                .iter()
+                                .filter(|f| engine.shard_of(f.request.job_id()) == shard)
+                        };
+                        let drained = &report.per_shard[shard];
+                        let before = drained.processed + drained.failed - ours().count();
+                        if let Some(inflight) = at.checked_sub(before).and_then(|k| ours().nth(k)) {
                             replies[inflight.slot] = Some(Reply::Err(code.as_str().to_string()));
                         }
                     }

@@ -12,12 +12,13 @@
 //!   `ObsServer` during the run;
 //! * silent clients reaped by the handler read timeout;
 //! * every admitted mutation of a pipelined window answered with its
-//!   outcome, under both flush modes;
+//!   outcome, under both flush modes — two equal ones each with its
+//!   own;
 //! * README "Serving & QoS" names every `service_*` instrument a
 //!   served, traced run registers.
 
 use realloc_core::net::FrameConn;
-use realloc_core::{JobId, Window};
+use realloc_core::{JobId, Request, Window};
 use realloc_engine::{BackendKind, Engine, EngineConfig, FlushMode, TenantId};
 use realloc_service::{
     drive_feed, Command, QosClient, QosConfig, RateLimit, Reply, ServiceConfig, ServiceServer,
@@ -383,33 +384,40 @@ fn pipelined_commands_answer_in_order() {
     assert_eq!(client.pending(), 0);
 }
 
+/// A four-shard service flushing in `flush` mode (over an in-memory
+/// store when durable), and a client whose missing reply fails the test
+/// instead of hanging it.
+fn serve(flush: FlushMode) -> (ServiceServer, QosClient) {
+    let mut engine = engine(4);
+    if flush == FlushMode::Durable {
+        let store = DurableStore::create(
+            Arc::new(MemIo::new()) as Arc<dyn StoreIo>,
+            std::path::Path::new("/store"),
+            engine.journal().expect("journaled").config(),
+        )
+        .expect("create store");
+        engine.attach_durability(Box::new(store)).expect("attach");
+    }
+    let config = ServiceConfig {
+        flush,
+        ..ServiceConfig::default()
+    };
+    let t = realloc_telemetry::disabled();
+    let server = ServiceServer::bind("127.0.0.1:0", engine, config, &t).expect("bind");
+    let mut client = QosClient::connect(server.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (server, client)
+}
+
 /// Nothing an admitted mutation can be answered with means "later": a
 /// pipelined window comes back as one `ok placed`/`ok removed`/`err …`
 /// per command — engine rejections included — and leaves nothing queued.
 #[test]
 fn every_admitted_mutation_of_a_window_is_answered_with_its_outcome() {
     for flush in [FlushMode::Immediate, FlushMode::Durable] {
-        let mut engine = engine(4);
-        if flush == FlushMode::Durable {
-            let store = DurableStore::create(
-                Arc::new(MemIo::new()) as Arc<dyn StoreIo>,
-                std::path::Path::new("/store"),
-                engine.journal().expect("journaled").config(),
-            )
-            .expect("create store");
-            engine.attach_durability(Box::new(store)).expect("attach");
-        }
-        let config = ServiceConfig {
-            flush,
-            ..ServiceConfig::default()
-        };
-        let t = realloc_telemetry::disabled();
-        let server = ServiceServer::bind("127.0.0.1:0", engine, config, &t).expect("bind");
-        let mut client = QosClient::connect(server.addr()).unwrap();
-        // A reply that never comes fails the test instead of hanging it.
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
+        let (server, mut client) = serve(flush);
 
         // Places, a duplicate of each third one, removes of every other
         // one, and removes of jobs that never existed.
@@ -450,6 +458,33 @@ fn every_admitted_mutation_of_a_window_is_answered_with_its_outcome() {
         let engine = engine.lock().unwrap();
         assert_eq!(engine.queued(), 0, "{flush:?}: nothing left unserviced");
         assert_eq!(engine.active_count(), 12, "{flush:?}");
+    }
+}
+
+/// Two equal mutations in one window are each answered with their own
+/// outcome — the reply of the one the journal records as `ok` is `ok`,
+/// the other's is its `err` — under both flush modes.
+#[test]
+fn equal_mutations_in_one_window_get_their_own_outcomes() {
+    for flush in [FlushMode::Immediate, FlushMode::Durable] {
+        let (server, mut client) = serve(flush);
+        for line in ["place 3 7 10 14", "remove 3 7"] {
+            client.send(&[cmd(line), cmd(line)]).unwrap();
+            let replies = [client.recv().unwrap(), client.recv().unwrap()];
+            let engine = server.engine();
+            let engine = engine.lock().unwrap();
+            let events = engine.journal().expect("journaled").tail_events();
+            let journaled: Vec<Reply> = events[events.len() - 2..]
+                .iter()
+                .map(|event| match (&event.result, event.request) {
+                    (Ok(_), Request::Insert { id, .. }) => Reply::Placed(id),
+                    (Ok(_), Request::Delete { id }) => Reply::Removed(id),
+                    (Err(code), _) => Reply::Err(code.as_str().to_string()),
+                })
+                .collect();
+            assert_eq!(replies.to_vec(), journaled, "{flush:?}: `{line}` twice");
+            assert!(matches!(replies[0], Reply::Placed(_) | Reply::Removed(_)));
+        }
     }
 }
 

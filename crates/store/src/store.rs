@@ -19,26 +19,16 @@
 //!   themselves covered. `Engine::flush_mode` takes the ticket and its
 //!   caller waits wherever it likes; `Engine::flush_durable` and
 //!   [`DurableStore::sync`] commit everything appended so far,
-//! * the leader **gathers before it leads**. Connections that each send
-//!   their next window when the last one is answered fall into a phase
-//!   lock under a leader that syncs at once: B stages during A's fsync
-//!   and leads the moment it returns, a hair before A's next window is
-//!   staged, which then waits out B's whole fsync — they alternate for
-//!   ever, every fsync carries one window, and half of what is
-//!   outstanding always waits for a sync that has not started. So the
-//!   leader first waits for the committers the previous fsync had
-//!   pending, sized by two things the store measures on every fsync and
-//!   nobody configures: how many chunks were pending while it ran (the
-//!   ones it covered are on their way back, the ones it kept waiting are
-//!   here) and how long it took (the wait is capped at the share of an
-//!   fsync where those already here lose as much as those still coming
-//!   save — half of one for two connections). A leader that expects
-//!   nobody else — one connection, depth 1 — does not wait or read a
-//!   clock; waits that time out back off exponentially. Three things
-//!   never gather: [`DurableStore::sync`] (its caller holds the engine,
-//!   so the awaited append cannot happen), a checkpoint's seal, and a
-//!   store that has failed; and a checkpoint or an inline sync that
-//!   wants the lead ends a gather in progress at once,
+//! * the leader **gathers before it leads**: it first waits for the
+//!   committers the previous fsync had pending (closed loops, which a
+//!   leader that syncs at once leaves alternating, one window per
+//!   fsync), for at most the break-even share of that fsync. One pure
+//!   policy decides whether and until when, on the store's one
+//!   [`Clock`]; its driver, `CommitState::gather`, only waits. Three
+//!   things never gather: [`DurableStore::sync`] (its caller holds the
+//!   engine, so the awaited append cannot happen), a checkpoint's seal
+//!   and a failed store; a checkpoint or an inline sync that wants the
+//!   lead ends a gather in progress at once,
 //! * a failed fsync is sticky: that commit, every ticket it left
 //!   uncovered, and every later commit and checkpoint fail without
 //!   touching the disk again, until a fresh store is opened,
@@ -107,7 +97,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a store operation or recovery failed. Every variant names the
 /// file (and where applicable the byte offset) it tripped over.
@@ -615,20 +605,12 @@ pub struct DurableStore {
     torn_uncounted: bool,
 }
 
-/// The store's commit protocol, shared between the store (which
-/// appends, under whatever lock guards the engine) and the holders of
-/// commit tickets (which wait for the disk with no lock but this one).
-///
-/// A ticket is a count of appended chunks. Whoever arrives with a ticket
-/// the watermark does not cover while nobody leads takes the **lead**:
-/// it *gathers* — waits for the committers the previous fsync released
-/// (see [`CommitState::gather`]) — and then one `sync_file` of the open
-/// segment covers everything appended before it started. Everyone who
-/// arrives meanwhile is a follower: it sleeps until the lead is given
-/// up, usually finds the watermark past its ticket, and returns without
-/// touching the disk. `gate` is never held across a wait or an fsync,
-/// and appends take it only to wake a gathering leader, so nothing
-/// staged under the engine lock ever waits for the disk.
+/// The store's commit protocol (module docs, "Write path"), shared
+/// between the store, which appends under whatever lock guards the
+/// engine, and the holders of commit tickets, which wait for the disk
+/// with no lock but this one. `gate` is never held across a wait or an
+/// fsync, and appends take it only to wake a gathering leader, so
+/// nothing staged under the engine lock ever waits for the disk.
 #[derive(Debug)]
 struct CommitState {
     io: Arc<dyn StoreIo>,
@@ -654,9 +636,8 @@ struct CommitGate {
     /// gathering or inside its fsync, or a checkpoint between its seal
     /// and its roll.
     leading: bool,
-    /// Someone who holds the lock that appends are made under waits for
-    /// the lead: nothing a gather waits for can come, so it ends at
-    /// once.
+    /// Someone who holds the lock appends are made under waits for the
+    /// lead: nothing a gather waits for can come, so it ends at once.
     hurried: bool,
     /// The open segment file — what a commit fsyncs.
     open: Arc<Path>,
@@ -665,35 +646,102 @@ struct CommitGate {
     /// retry that reports `Ok` would vouch for bytes that are gone.
     health: Result<(), String>,
     tele: Option<Arc<StoreTele>>,
-    /// Times the fsyncs (the attached registry's clock, once there is
-    /// one — a manual clock makes the gather's cap a test's to set).
+    /// The store's one clock, for the fsyncs and the gather's wait: the
+    /// attached registry's once there is one (a manual one in tests).
     clock: Clock,
-    /// The two facts a gather is sized by, both measured on the previous
-    /// fsync: how many chunks were pending at some point while it ran
-    /// (those it covered plus those appended meanwhile — the committers
-    /// it released plus the ones it kept waiting), and how long it took.
-    expect: u64,
-    last_sync_nanos: u64,
-    /// Back-off, for arrivals that are not closed loops: a timeout
-    /// skips the next `2^backoff` gathers and raises `backoff`, a hit
-    /// lowers it.
-    backoff: u32,
-    skips_left: u32,
+    policy: GatherPolicy,
 }
 
-/// Where the back-off stops doubling: a store whose arrivals stay open
-/// pays one timed-out gather in 1024 fsyncs to notice closed loops
-/// coming back.
+/// Whether and until when a leader gathers, from events alone: no lock,
+/// no I/O, no clock (times are [`Clock`] nanoseconds). Driven only by
+/// [`CommitState::gather`].
+///
+/// Leading at once, closed loops alternate, one window per fsync: B
+/// leads the moment A's fsync returns, a hair before A's next window is
+/// staged. But the last fsync says who is coming: the `expect` chunks
+/// pending while it ran. So the leader waits until that many are pending
+/// again, or until the wait stops paying — the `pending` here each lose
+/// it, the `need` still coming each save the rest of an fsync, which
+/// breaks even at `last_sync · need / (pending + need)`, re-read at every
+/// look. Expecting nobody else, it does not wait. A timeout skips the
+/// next `2^backoff` gathers and raises `backoff`; a hit lowers it.
+#[derive(Debug, Default)]
+struct GatherPolicy {
+    /// Measured on the last fsync: chunks pending at some point while
+    /// it ran (covered or appended meanwhile), and how long it took.
+    expect: u64,
+    last_sync_nanos: u64,
+    backoff: u32,
+    skips_left: u32,
+    /// The gather in progress: the appended count it waits for, its start.
+    goal: u64,
+    started: u64,
+}
+
+/// Where the back-off stops doubling: arrivals that stay open pay one
+/// timed-out gather in 1024 fsyncs to notice closed loops coming back.
 const MAX_BACKOFF: u32 = 10;
 
-/// How a gather's wait ended.
-enum Gathered {
-    /// The chunks it expected were appended.
+/// What a leader does next, as [`GatherPolicy`] decides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Gather {
+    /// Lead at once: nobody else is expected, or this gather is skipped.
+    Lead,
+    /// Wait for an append or a hurry until this time at most.
+    WaitUntil(u64),
+    /// The expected chunks were appended.
     Hit,
     /// The break-even wait ran out first.
     TimedOut,
     /// A checkpoint or an inline sync asked for the lead.
     Hurried,
+}
+
+impl GatherPolicy {
+    /// An fsync that took `took` ns ended; `pending` chunks were pending in it.
+    fn synced(&mut self, pending: u64, took: u64) {
+        (self.expect, self.last_sync_nanos) = (pending, took);
+    }
+
+    /// A leader arrives at `now`, `durable` of `appended` chunks stable.
+    fn arrive(&mut self, durable: u64, appended: u64, now: u64) -> Gather {
+        self.goal = durable + self.expect;
+        if appended >= self.goal {
+            return Gather::Lead;
+        }
+        if self.skips_left > 0 {
+            self.skips_left -= 1;
+            return Gather::Lead;
+        }
+        self.started = now;
+        Gather::WaitUntil(self.deadline(appended))
+    }
+
+    /// The gatherer looks again at `now`, `appended` chunks in, hurried or not.
+    fn look(&mut self, appended: u64, hurried: bool, now: u64) -> Gather {
+        if appended >= self.goal {
+            self.backoff = self.backoff.saturating_sub(1);
+            return Gather::Hit;
+        }
+        if hurried {
+            return Gather::Hurried;
+        }
+        let deadline = self.deadline(appended);
+        if now < deadline {
+            return Gather::WaitUntil(deadline);
+        }
+        self.skips_left = 1 << self.backoff;
+        self.backoff = (self.backoff + 1).min(MAX_BACKOFF);
+        Gather::TimedOut
+    }
+
+    /// The break-even deadline: `pending + need` is `expect` while the
+    /// watermark stands still, and it does, for the gatherer leads.
+    fn deadline(&self, appended: u64) -> u64 {
+        let need = u128::from(self.goal - appended);
+        let cap = u128::from(self.last_sync_nanos) * need / u128::from(self.expect);
+        self.started + u64::try_from(cap).expect("a share of last_sync")
+    }
 }
 
 /// The lead, held: `CommitGate::leading` is set until this drops.
@@ -734,10 +782,7 @@ impl CommitState {
                 health: Ok(()),
                 tele: None,
                 clock: Clock::monotonic(),
-                expect: 0,
-                last_sync_nanos: 0,
-                backoff: 0,
-                skips_left: 0,
+                policy: GatherPolicy::default(),
             }),
             changed: Condvar::new(),
         })
@@ -784,10 +829,9 @@ impl CommitState {
         self.lead(&mut self.await_turn(u64::MAX, true))
     }
 
-    /// One more chunk is in the open segment. A gathering leader is
-    /// woken to count it: either the load below sees its `gathering`
-    /// flag, or its first look at `appended` (taken after raising the
-    /// flag, under `gate`) sees this chunk.
+    /// One more chunk is in the open segment. A gathering leader is woken
+    /// to count it: the load below sees its `gathering` flag, or its first
+    /// look, taken after raising the flag under `gate`, sees this chunk.
     fn note_append(&self) {
         self.appended.fetch_add(1, Ordering::SeqCst);
         if self.gathering.load(Ordering::SeqCst) {
@@ -817,80 +861,36 @@ impl CommitState {
         self.sync(&lead, gate)
     }
 
-    /// The leader's first step: wait for the committers the previous
-    /// fsync released, so that this fsync carries their chunks too
-    /// instead of finishing a moment before they are staged.
-    ///
-    /// Under closed loops — connections that each send their next window
-    /// when the last is answered — leading at once never groups: B
-    /// stages during A's fsync and leads the moment it returns, before
-    /// A's replies have been read and answered with new commands; A's
-    /// next window misses B's fsync by a hair and waits a whole one, and
-    /// so on, alternating, one window per fsync. But the fsync that just
-    /// finished says who is about to stage: everyone whose chunk was
-    /// pending while it ran, `expect` of them — the ones it covered are
-    /// on their way back, the ones it kept waiting are here. So the
-    /// leader waits until that many chunks are pending again, or until
-    /// waiting stops paying: the `pending` chunks already here each lose
-    /// the wait, the `need` still coming each save the rest of an fsync,
-    /// which breaks even at `last_sync · need / (pending + need)` —
-    /// measured, not configured, never a whole fsync, and re-read at
-    /// every arrival.
-    ///
-    /// A leader that expects nobody else — one connection, depth 1 —
-    /// skips all of it, the clock read included. A timeout is evidence
-    /// that the arrivals are not closed loops: each one doubles the
-    /// number of gathers skipped before the next try, each hit halves
-    /// it.
+    /// The leader's first step, [`GatherPolicy`]'s one driver: waits on
+    /// the store's clock for the committers the previous fsync released,
+    /// so that this fsync carries their chunks too.
     fn gather<'a>(&'a self, mut gate: MutexGuard<'a, CommitGate>) -> MutexGuard<'a, CommitGate> {
-        let goal = self.durable.load(Ordering::SeqCst) + gate.expect;
-        if self.appended.load(Ordering::SeqCst) >= goal {
+        let (durable, now) = (self.durable.load(Ordering::SeqCst), gate.clock.now_nanos());
+        let appended = self.appended.load(Ordering::SeqCst);
+        if gate.policy.arrive(durable, appended, now) == Gather::Lead {
             return gate;
         }
-        if gate.skips_left > 0 {
-            gate.skips_left -= 1;
-            return gate;
-        }
-        let started = Instant::now();
+        // Up before the first look, which counts an append that missed it.
         self.gathering.store(true, Ordering::SeqCst);
         let outcome = loop {
-            let need = goal.saturating_sub(self.appended.load(Ordering::SeqCst));
-            if need == 0 {
-                break Gathered::Hit;
+            let (now, appended) = (gate.clock.now_nanos(), self.appended.load(Ordering::SeqCst));
+            let hurried = gate.hurried;
+            match gate.policy.look(appended, hurried, now) {
+                Gather::WaitUntil(deadline) => {
+                    gate = self
+                        .changed
+                        .wait_timeout(gate, Duration::from_nanos(deadline - now))
+                        .expect("a store commit or checkpoint panicked")
+                        .0;
+                }
+                outcome => break outcome,
             }
-            if gate.hurried {
-                break Gathered::Hurried;
-            }
-            // `pending + need` is `expect` for as long as the watermark
-            // stands still, and it does: this is the leader.
-            let cap = u128::from(gate.last_sync_nanos) * u128::from(need) / u128::from(gate.expect);
-            let cap = Duration::from_nanos(u64::try_from(cap).expect("a share of last_sync"));
-            let left = cap.saturating_sub(started.elapsed());
-            if left.is_zero() {
-                break Gathered::TimedOut;
-            }
-            gate = self
-                .changed
-                .wait_timeout(gate, left)
-                .expect("a store commit or checkpoint panicked")
-                .0;
         };
         self.gathering.store(false, Ordering::SeqCst);
-        match outcome {
-            Gathered::Hit => {
-                gate.backoff = gate.backoff.saturating_sub(1);
-                if let Some(tele) = &gate.tele {
-                    tele.gather_hits.inc();
-                }
-            }
-            Gathered::TimedOut => {
-                gate.skips_left = 1 << gate.backoff;
-                gate.backoff = (gate.backoff + 1).min(MAX_BACKOFF);
-                if let Some(tele) = &gate.tele {
-                    tele.gather_timeouts.inc();
-                }
-            }
-            Gathered::Hurried => {}
+        match (outcome, &gate.tele) {
+            (Gather::Hit, Some(tele)) => tele.gather_hits.inc(),
+            (Gather::TimedOut, Some(tele)) => tele.gather_timeouts.inc(),
+            _ => {}
         }
         gate
     }
@@ -912,8 +912,8 @@ impl CommitState {
             return Err(message);
         }
         let was_durable = self.durable.swap(target, Ordering::SeqCst);
-        gate.expect = self.appended.load(Ordering::SeqCst) - was_durable;
-        gate.last_sync_nanos = took;
+        gate.policy
+            .synced(self.appended.load(Ordering::SeqCst) - was_durable, took);
         if let Some(tele) = &gate.tele {
             tele.fsync_nanos.record(took);
             tele.sync_chunks.record(target - was_durable);
@@ -1254,8 +1254,8 @@ mod tests {
         let state = CommitState::new(io, open);
         {
             let mut gate = state.gate();
-            gate.expect = 2;
-            gate.last_sync_nanos = 60_000_000_000;
+            gate.policy.expect = 2;
+            gate.policy.last_sync_nanos = 60_000_000_000;
         }
         state.note_append();
         state
@@ -1277,12 +1277,12 @@ mod tests {
     #[test]
     fn the_chunk_a_gather_waits_for_ends_it_and_lowers_the_back_off() {
         let state = one_of_two_pending();
-        state.gate().backoff = 3;
+        state.gate().policy.backoff = 3;
         while_it_gathers(&state, || state.note_append());
         assert_eq!(state.durable.load(Ordering::SeqCst), 2, "one fsync, both");
         let gate = state.gate();
-        assert_eq!((gate.backoff, gate.skips_left), (2, 0));
-        assert_eq!(gate.expect, 2);
+        assert_eq!((gate.policy.backoff, gate.policy.skips_left), (2, 0));
+        assert_eq!(gate.policy.expect, 2);
     }
 
     #[test]
@@ -1291,7 +1291,11 @@ mod tests {
         while_it_gathers(&state, || drop(state.lead_in_a_hurry()));
         assert_eq!(state.durable.load(Ordering::SeqCst), 1);
         let gate = state.gate();
-        assert_eq!((gate.backoff, gate.skips_left), (0, 0), "not a timeout");
+        assert_eq!(
+            (gate.policy.backoff, gate.policy.skips_left),
+            (0, 0),
+            "not a timeout"
+        );
         assert!(!gate.hurried && !gate.leading);
     }
 
@@ -1309,5 +1313,287 @@ mod tests {
         assert!(panicked.is_err());
         let err = state.commit(1).expect_err("refused, not waited for");
         assert!(err.contains("panicked"), "{err}");
+    }
+
+    // ------------------------------------------------------------------
+    // The gather policy on virtual time
+    // ------------------------------------------------------------------
+
+    /// An fsync, in virtual nanoseconds: the 2 ms disk of the threaded
+    /// service tests.
+    const SYNC: u64 = 2_000_000;
+
+    /// Who holds the lead in [`Sim`], and doing what.
+    enum SimLead {
+        Idle,
+        Gathering {
+            deadline: u64,
+        },
+        Syncing {
+            until: u64,
+            target: u64,
+            gathered: Gather,
+        },
+    }
+
+    /// The commit protocol around a [`GatherPolicy`], on virtual time:
+    /// a committer stages one chunk and waits for it; the first waiter
+    /// the watermark does not cover leads, gathers as the policy says
+    /// and fsyncs for [`SYNC`], and everyone it covers is answered.
+    struct Sim {
+        policy: GatherPolicy,
+        now: u64,
+        appended: u64,
+        durable: u64,
+        /// Committers waiting for their commit: `(ticket, who)`.
+        waiting: Vec<(u64, usize)>,
+        lead: SimLead,
+        /// Per fsync: the chunks it made stable, and how its leader's
+        /// gather ended (`Lead`: it did not gather).
+        fsyncs: Vec<(u64, Gather)>,
+    }
+
+    impl Sim {
+        /// The first uncovered waiter takes the lead; like the driver,
+        /// it looks once more as it starts to gather.
+        fn arrive(&mut self) {
+            match self.policy.arrive(self.durable, self.appended, self.now) {
+                Gather::Lead => self.sync(Gather::Lead),
+                _ => self.look(),
+            }
+        }
+
+        fn look(&mut self) {
+            match self.policy.look(self.appended, false, self.now) {
+                Gather::WaitUntil(deadline) => self.lead = SimLead::Gathering { deadline },
+                outcome => self.sync(outcome),
+            }
+        }
+
+        fn sync(&mut self, gathered: Gather) {
+            self.lead = SimLead::Syncing {
+                until: self.now + SYNC,
+                target: self.appended,
+                gathered,
+            };
+        }
+    }
+
+    /// Runs `committers` through a [`Sim`] until all have gone home and
+    /// returns its fsyncs. `plan(who, commits done, now)` says when a
+    /// committer stages next — `now` is when its last commit returned —
+    /// or `None` once it is done. On a tie the lead's event comes first:
+    /// a chunk staged at a gather's deadline is too late.
+    fn simulate(
+        committers: usize,
+        mut plan: impl FnMut(usize, u64, u64) -> Option<u64>,
+    ) -> Vec<(u64, Gather)> {
+        let mut sim = Sim {
+            policy: GatherPolicy::default(),
+            now: 0,
+            appended: 0,
+            durable: 0,
+            waiting: Vec::new(),
+            lead: SimLead::Idle,
+            fsyncs: Vec::new(),
+        };
+        let mut done = vec![0; committers];
+        let mut next: Vec<Option<u64>> = (0..committers).map(|who| plan(who, 0, 0)).collect();
+        loop {
+            let lead_at = match sim.lead {
+                SimLead::Idle => None,
+                SimLead::Gathering { deadline } => Some(deadline),
+                SimLead::Syncing { until, .. } => Some(until),
+            };
+            let stage = (0..committers)
+                .filter_map(|who| Some((next[who]?, who)))
+                .min();
+            match (lead_at, stage) {
+                (None, None) => return sim.fsyncs,
+                (Some(at), stage) if stage.is_none_or(|(staged, _)| at <= staged) => {
+                    sim.now = at;
+                    match sim.lead {
+                        SimLead::Syncing {
+                            target, gathered, ..
+                        } => {
+                            let was = std::mem::replace(&mut sim.durable, target);
+                            sim.policy.synced(sim.appended - was, SYNC);
+                            sim.fsyncs.push((target - was, gathered));
+                            sim.lead = SimLead::Idle;
+                            for &(_, who) in sim.waiting.iter().filter(|w| w.0 <= target) {
+                                done[who] += 1;
+                                next[who] = plan(who, done[who], at);
+                            }
+                            sim.waiting.retain(|w| w.0 > target);
+                            if !sim.waiting.is_empty() {
+                                sim.arrive();
+                            }
+                        }
+                        _ => sim.look(),
+                    }
+                }
+                (_, stage) => {
+                    let (at, who) = stage.expect("the lead's event came first otherwise");
+                    sim.now = at;
+                    next[who] = None;
+                    sim.appended += 1;
+                    sim.waiting.push((sim.appended, who));
+                    match sim.lead {
+                        SimLead::Idle => sim.arrive(),
+                        SimLead::Gathering { .. } => sim.look(),
+                        SimLead::Syncing { .. } => {}
+                    }
+                }
+            }
+        }
+    }
+
+    fn count(fsyncs: &[(u64, Gather)], outcome: Gather) -> u64 {
+        fsyncs.iter().filter(|f| f.1 == outcome).count() as u64
+    }
+
+    /// A seeded stream of numbers below `below` (a 64-bit LCG).
+    fn seeded(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut x = seed;
+        move |below| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % below
+        }
+    }
+
+    /// A closed-loop pair, as in the threaded test of the same name:
+    /// A starts alone, B during A's first fsync and with one round
+    /// fewer; each stages its next window a seeded time under half an
+    /// fsync after its commit returns. `B` leaves after `b_rounds`.
+    fn closed_loop_pair(seed: u64, a_rounds: u64, b_rounds: u64) -> Vec<(u64, Gather)> {
+        let mut think = seeded(seed);
+        simulate(2, |who, done, now| match (who, done) {
+            (0, done) if done == a_rounds => None,
+            (1, done) if done == b_rounds => None,
+            (0, 0) => Some(0),
+            (1, 0) => Some(SYNC / 2),
+            _ => Some(now + think(SYNC / 2)),
+        })
+    }
+
+    #[test]
+    fn two_closed_loop_committers_share_every_fsync_from_the_second_on() {
+        const ROUNDS: u64 = 40;
+        for seed in 0..64 {
+            let fsyncs = closed_loop_pair(seed, ROUNDS, ROUNDS - 1);
+            let sizes: Vec<u64> = fsyncs.iter().map(|f| f.0).collect();
+            let mut want = vec![2; ROUNDS as usize];
+            want[0] = 1;
+            assert_eq!(sizes, want, "seed {seed}: one fsync per round");
+            assert_eq!(count(&fsyncs, Gather::Hit), ROUNDS - 1, "seed {seed}");
+            assert_eq!(count(&fsyncs, Gather::TimedOut), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_lone_committer_never_waits() {
+        for think in [0, SYNC / 4, 3 * SYNC] {
+            let fsyncs = simulate(1, |_, done, now| (done < 200).then_some(now + think));
+            assert_eq!(
+                fsyncs,
+                vec![(1, Gather::Lead); 200],
+                "depth 1, think {think}"
+            );
+        }
+        // A pair breaks up: the one left expects its peer once, in vain,
+        // and from then on leads at once.
+        let fsyncs = closed_loop_pair(7, 120, 20);
+        let gathers: Vec<(usize, Gather)> = (0..)
+            .zip(fsyncs.iter().map(|f| f.1))
+            .filter(|&(_, g)| g != Gather::Lead)
+            .collect();
+        assert_eq!(gathers.last(), Some(&(21, Gather::TimedOut)));
+        assert_eq!(count(&fsyncs, Gather::TimedOut), 1);
+        assert!(fsyncs[22..].iter().all(|&f| f == (1, Gather::Lead)));
+    }
+
+    #[test]
+    fn timer_driven_committers_do_not_pay_for_the_gather() {
+        // `durable.rs`'s eight phases in hundredths of a tick: two pairs
+        // land inside one fsync of each other on every tick, the rest
+        // find the disk idle.
+        const PHASES: [u64; 8] = [0, 16, 22, 38, 51, 54, 72, 88];
+        const TICKS: u64 = 30;
+        let tick = 2 * PHASES.len() as u64 * SYNC;
+        let fsyncs = simulate(PHASES.len(), |who, done, now| {
+            (done < TICKS).then(|| (done * tick + tick * PHASES[who] / 100).max(now))
+        });
+        let commands = TICKS * PHASES.len() as u64;
+        assert_eq!(fsyncs.iter().map(|f| f.0).sum::<u64>(), commands);
+        let syncs = fsyncs.len() as u64;
+        let timeouts = count(&fsyncs, Gather::TimedOut);
+        let paid: u64 = fsyncs
+            .iter()
+            .filter(|f| matches!(f.1, Gather::Hit | Gather::TimedOut))
+            .map(|f| f.0)
+            .sum();
+        assert!(timeouts > 0, "the second of a pair expects the first back");
+        assert!(
+            timeouts * 10 <= syncs,
+            "{timeouts} of {syncs} fsyncs sat out a gather"
+        );
+        assert!(
+            paid * 2 < commands,
+            "{paid} of {commands} commands rode a gathered fsync"
+        );
+    }
+
+    #[test]
+    fn timeouts_in_a_row_skip_the_next_one_two_four_gathers() {
+        // Two chunks under one fsync, then one alone that nobody joins,
+        // over and over: count the loners skipped between two gathers.
+        let mut policy = GatherPolicy::default();
+        let (mut durable, mut now) = (0, 0);
+        let mut skipped = Vec::new();
+        let mut run = 0;
+        for _ in 0..4_500 {
+            policy.synced(2, SYNC);
+            durable += 2;
+            match policy.arrive(durable, durable + 1, now) {
+                Gather::Lead => run += 1,
+                Gather::WaitUntil(deadline) => {
+                    assert_eq!(deadline, now + SYNC / 2, "the break-even cap");
+                    let waiting = policy.look(durable + 1, false, deadline - 1);
+                    assert_eq!(waiting, Gather::WaitUntil(deadline));
+                    assert_eq!(policy.look(durable + 1, false, deadline), Gather::TimedOut);
+                    skipped.push(std::mem::take(&mut run));
+                }
+                other => panic!("an arrival answers {other:?}"),
+            }
+            policy.synced(1, SYNC);
+            durable += 1;
+            now += 3 * SYNC;
+        }
+        let mut want = vec![0];
+        want.extend((0..=MAX_BACKOFF).map(|b| 1 << b));
+        want.extend([1 << MAX_BACKOFF; 2]);
+        assert_eq!(skipped, want, "1, 2, 4 … up to 1024 skipped");
+    }
+
+    #[test]
+    fn a_hurry_ends_a_gather_and_is_not_a_timeout() {
+        let mut policy = GatherPolicy::default();
+        policy.synced(2, SYNC);
+        let Gather::WaitUntil(deadline) = policy.arrive(1, 2, 0) else {
+            panic!("one of two pending: the leader gathers");
+        };
+        assert_eq!(policy.look(2, true, deadline - 1), Gather::Hurried);
+        assert_eq!((policy.backoff, policy.skips_left), (0, 0));
+        // So the next leader that expects a peer gathers again; a timeout
+        // in the hurry's place makes the one after it skip.
+        policy.synced(2, SYNC);
+        let Gather::WaitUntil(deadline) = policy.arrive(2, 3, SYNC) else {
+            panic!("not skipped");
+        };
+        assert_eq!(policy.look(3, false, deadline), Gather::TimedOut);
+        policy.synced(2, SYNC);
+        assert_eq!(policy.arrive(4, 5, 2 * SYNC), Gather::Lead, "skipped");
     }
 }

@@ -3,8 +3,11 @@
 //! exactly which waits touched the disk; the gathering tests run real
 //! committer threads against a disk the test holds ([`HeldIo`]: an fsync
 //! parks until the test lets it through, and takes as long as the test
-//! says on a manual clock, so a gather's cap is seconds and nothing here
-//! is decided by how fast a thread runs).
+//! says on the manual clock the store times everything on — its fsyncs
+//! and its gathers' waits — so a gather's cap is seconds of a clock that
+//! nothing moves while a leader gathers, and nothing here is decided by
+//! how fast a thread runs). The gather policy's own properties are
+//! checked as event sequences on virtual time by the store's unit tests.
 //!
 //! * one fsync covers every batch staged before it began — the leader
 //!   pays, the follower finds its ticket covered,
@@ -384,8 +387,9 @@ fn chunks_per_sync(telemetry: &Telemetry) -> (u64, u64) {
 #[test]
 fn two_closed_loop_committers_share_every_fsync_from_the_second_on() {
     const ROUNDS: u64 = 40;
-    // Every fsync "takes" 20 s: a gather's cap is 10 s of real time, so
-    // a gather that ends does so because its peer staged.
+    // Every fsync "takes" 20 s: a gather's cap is 10 s of the manual
+    // clock, which nothing moves while a leader gathers, so a gather
+    // that ends does so because its peer staged.
     let clock = Clock::manual();
     let telemetry = Telemetry::with_clock(clock.clone(), 16);
     let io = HeldIo::new(&clock, Duration::from_secs(20));
@@ -567,8 +571,9 @@ fn an_inline_sync_never_gathers() {
 
 #[test]
 fn a_checkpoint_does_not_wait_out_a_gather() {
-    // Every fsync "takes" 40 s: a gather that is not cut short sits out
-    // 20 s of real time and counts a timeout.
+    // Every fsync "takes" 40 s: a gather that is not cut short waits
+    // until the manual clock passes its 20 s cap, which nothing here
+    // moves, and then counts a timeout.
     let clock = Clock::manual();
     let telemetry = Telemetry::with_clock(clock.clone(), 16);
     let io = HeldIo::new(&clock, Duration::from_secs(40));

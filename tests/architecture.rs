@@ -207,6 +207,21 @@ const ROWS: &[Row] = &[
         ),
     },
     Row {
+        concept: "one clock in the store's commit path: `Clock` times it, one driver waits",
+        probes: &[
+            probe(&["crates/store/src"], &["Instant::", "SystemTime::"]),
+            probe(&["crates/store/src"], &["wait_timeout"])
+                .expect(Expect::OneLineIn("crates/store/src/store.rs")),
+            probe(&["crates/store/src/store.rs"], &["wait_timeout"])
+                .body_of("fn gather<")
+                .expect(Expect::OneLineIn("crates/store/src/store.rs")),
+        ],
+        trips_on: (
+            "crates/store/src/store.rs",
+            "        let started = Instant::now();",
+        ),
+    },
+    Row {
         concept: "one recorded stream: journal grammar in journal.rs, one replay body",
         probes: &[
             probe(
