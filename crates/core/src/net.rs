@@ -138,11 +138,13 @@ impl Drop for AcceptLoop {
     }
 }
 
-/// What [`FrameConn::read_buffered`] found without blocking.
+/// What [`FrameConn::read_buffered`] found without blocking: a frame's
+/// payload, or (from [`FrameConn::read_buffered_with`]) what the caller
+/// made of it where it lay.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Buffered {
+pub enum Buffered<T = Vec<u8>> {
     /// A complete frame was already on the wire.
-    Frame(Vec<u8>),
+    Frame(T),
     /// Nothing complete yet — end the batch and block again.
     NotYet,
     /// The peer is gone or the socket failed.
@@ -216,9 +218,28 @@ impl FrameConn {
     /// resumes the frame; a refused length prefix is consumed, as
     /// [`crate::textio::read_frame`] consumes it.
     pub fn read(&mut self, cap: u32) -> std::io::Result<Option<Vec<u8>>> {
+        self.next(cap, Self::carve)
+    }
+
+    /// [`FrameConn::read`], handing `f` the payload where it lies staged
+    /// instead of a copy of it, and returning what `f` made of it.
+    pub fn read_with<R>(
+        &mut self,
+        cap: u32,
+        mut f: impl FnMut(&[u8]) -> R,
+    ) -> std::io::Result<Option<R>> {
+        self.next(cap, |conn, cap| conn.carve_with(cap, &mut f))
+    }
+
+    /// The blocking loop of [`FrameConn::read`] around `carve`.
+    fn next<R>(
+        &mut self,
+        cap: u32,
+        mut carve: impl FnMut(&mut Self, u32) -> std::io::Result<Option<R>>,
+    ) -> std::io::Result<Option<R>> {
         let mut since = None;
         loop {
-            if let Some(payload) = self.carve(cap).inspect_err(|_| self.head += 4)? {
+            if let Some(payload) = carve(self, cap).inspect_err(|_| self.head += 4)? {
                 return Ok(Some(payload));
             }
             if self.fill(&mut since)? == 0 {
@@ -236,6 +257,22 @@ impl FrameConn {
     /// and so does an over-`cap` length: that read refuses it, after the
     /// caller has answered for what it already took.
     pub fn read_buffered(&mut self, cap: u32) -> Buffered {
+        self.next_buffered(cap, Self::carve)
+    }
+
+    /// [`FrameConn::read_buffered`], handing `f` the payload where it
+    /// lies staged instead of a copy of it.
+    pub fn read_buffered_with<R>(&mut self, cap: u32, f: impl FnOnce(&[u8]) -> R) -> Buffered<R> {
+        self.next_buffered(cap, |conn, cap| conn.carve_with(cap, f))
+    }
+
+    /// The non-blocking step of [`FrameConn::read_buffered`] around
+    /// `carve`.
+    fn next_buffered<R>(
+        &mut self,
+        cap: u32,
+        carve: impl FnOnce(&mut Self, u32) -> std::io::Result<Option<R>>,
+    ) -> Buffered<R> {
         if self.head == self.tail {
             let refill = self.stream.set_nonblocking(true).and_then(|()| {
                 let read = self.fill(&mut None);
@@ -249,24 +286,30 @@ impl FrameConn {
                 _ => {}
             }
         }
-        match self.carve(cap) {
+        match carve(self, cap) {
             Ok(Some(payload)) => Buffered::Frame(payload),
             _ => Buffered::NotYet,
         }
     }
 
-    /// The next frame's payload if the stage holds all of it. An
-    /// over-`cap` length is an error and stays staged.
-    fn carve(&mut self, cap: u32) -> std::io::Result<Option<Vec<u8>>> {
+    /// The end of the next frame, past `head`, if the stage holds all of
+    /// it. An over-`cap` length is an error and stays staged.
+    fn staged_frame(&self, cap: u32) -> std::io::Result<Option<usize>> {
         let staged = &self.stage[self.head..self.tail];
         let Some(&prefix) = staged.first_chunk::<4>() else {
             return Ok(None);
         };
         let end = 4 + frame_len(prefix, cap)?;
-        let Some(payload) = staged.get(4..end) else {
+        Ok((staged.len() >= end).then_some(end))
+    }
+
+    /// The next frame's payload if the stage holds all of it, as
+    /// [`FrameConn::staged_frame`] finds it.
+    fn carve(&mut self, cap: u32) -> std::io::Result<Option<Vec<u8>>> {
+        let Some(end) = self.staged_frame(cap)? else {
             return Ok(None);
         };
-        if end > STAGE_BYTES && staged.len() == end {
+        if end > STAGE_BYTES && self.tail - self.head == end {
             // A frame that grew the stage is all it holds: hand the
             // buffer over rather than copy it.
             let mut whole = std::mem::replace(&mut self.stage, vec![0; STAGE_BYTES]);
@@ -275,9 +318,28 @@ impl FrameConn {
             (self.head, self.tail) = (0, 0);
             return Ok(Some(whole));
         }
-        let payload = payload.to_vec();
+        Ok(Some(self.take(end).to_vec()))
+    }
+
+    /// What `f` makes of the next frame's payload, where it lies staged,
+    /// if the stage holds all of it, as [`FrameConn::staged_frame`]
+    /// finds it.
+    fn carve_with<R>(
+        &mut self,
+        cap: u32,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> std::io::Result<Option<R>> {
+        let Some(end) = self.staged_frame(cap)? else {
+            return Ok(None);
+        };
+        Ok(Some(f(self.take(end))))
+    }
+
+    /// Carves the staged frame that ends `end` past `head`: its payload.
+    fn take(&mut self, end: usize) -> &[u8] {
+        let at = self.head;
         self.head += end;
-        Ok(Some(payload))
+        &self.stage[at + 4..at + end]
     }
 
     /// One read onto the stage, which holds at most a partial frame

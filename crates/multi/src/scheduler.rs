@@ -9,10 +9,14 @@
 //! [`Reallocator::active_jobs`] answer from it — the engine shard above
 //! keeps no copy. The slot is the per-machine backend's fact
 //! ([`SingleMachineReallocator::slot_of`]). The per-window delegation
-//! state is one flat member list per effective window, sorted by
-//! `(machine, id)`: a group is a handful of jobs and most live and die
-//! with one, so a group costs one small heap block, and an insert or a
-//! delete probes `jobs` and `windows` once each.
+//! state lives in the `windows` map's 64-byte bucket: each machine's
+//! share of the window's jobs (on up to four machines), from
+//! which both §3 choices are made, and the members — inline while the
+//! group has one job, which most groups do for their whole life, else
+//! one heap list of equal per-machine runs. So an insert or a delete
+//! probes `jobs` and `windows` once each, a group of one holds no heap
+//! block, and a larger group's list is read only in the one or two
+//! machines' runs the request changes.
 //!
 //! The record also carries the backend's *handle* for the job, which the
 //! wrapper passes back ([`SingleMachineReallocator::delete_into`]), so
@@ -32,31 +36,61 @@ use realloc_reservation::TrimmedScheduler;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 
-/// Per-effective-window delegation bookkeeping (paper §3).
+/// Machines whose shares a [`WindowGroup`] keeps in its bucket; on more
+/// machines, a share is read from the head of the machine's run.
+const INLINE_SHARES: usize = 4;
+
+/// Per-effective-window delegation bookkeeping (paper §3): 48 bytes, so a
+/// `windows` bucket is one cache line.
 ///
 /// The rule is Lemma 3's balance and nothing more: every machine holds
 /// `⌊n_W/m⌋` or `⌈n_W/m⌉` of the window's jobs. An insert goes to the
 /// first machine, in the window's order, that holds the fewest; a delete
 /// migrates a job only when the machine that lost one would otherwise
-/// hold two fewer than the fullest.
+/// hold two fewer than the fullest. Both choices are pure functions of
+/// the group's *content* — the shares, and the smallest id on a machine
+/// — not of insertion history: journal replay, snapshot/restore and
+/// replicas all depend on that purity.
 #[derive(Clone, Debug)]
 struct WindowGroup {
+    /// The window's jobs, machine by machine.
+    members: Members,
+    /// `shares[i]`: how many of the window's jobs machine `i` holds, for
+    /// `i < INLINE_SHARES`.
+    shares: [u32; INLINE_SHARES],
+    /// The number of the window's jobs, the paper's `n_W`.
+    len: u32,
     /// Where this window's machine order starts: the §3 choices break
     /// ties in favour of the first machine in `start, start + 1, …`
     /// (mod m). The paper starts every window at machine 0; hashing the
     /// start hands different windows' extra jobs to different machines,
     /// balancing *aggregate* load across windows.
-    start: usize,
-    /// Every job of this window with the machine it lives on, sorted by
-    /// `(machine, id)`; its length is the paper's `n_W`. Sorted so a
-    /// machine's share is one binary search and both §3 choices (the
-    /// machine an insert goes to, the job a delete migrates) are pure
-    /// functions of the *content*, not of insertion history. Journal
-    /// replay, snapshot/restore and replicas all depend on that purity.
-    members: Vec<(usize, JobId)>,
+    start: u32,
+}
+
+/// A [`WindowGroup`]'s jobs.
+#[derive(Clone, Debug)]
+enum Members {
+    /// A group of one: its machine and job id, in the bucket.
+    One(u32, u64),
+    /// Any other number (none only while a delete empties the group), in
+    /// `m` equal runs: run `i` is machine `i`'s count `c`, then its `c`
+    /// job ids in no order, then room for more. A request reads only its
+    /// machine's run.
+    Runs(Vec<u64>),
 }
 
 impl WindowGroup {
+    /// A group of no jobs whose order starts at `start`.
+    fn new(start: usize) -> Self {
+        WindowGroup {
+            members: Members::Runs(Vec::new()),
+            shares: [0; INLINE_SHARES],
+            len: 0,
+            start: u32::try_from(start).expect("machine count fits u32"),
+        }
+    }
+
     /// The order start of `window` on `machines` machines: a pure hash of
     /// the window.
     fn start_of(machines: usize, window: Window) -> usize {
@@ -66,20 +100,36 @@ impl WindowGroup {
         (h.finish() % machines as u64) as usize
     }
 
+    /// The ids of `machine`'s jobs of this window, in no order.
+    fn run(&self, machine: usize, machines: usize) -> &[u64] {
+        match &self.members {
+            Members::One(m, id) if *m as usize == machine => std::slice::from_ref(id),
+            Members::One(..) => &[],
+            Members::Runs(runs) if runs.is_empty() => &[],
+            Members::Runs(runs) => {
+                let at = machine * (runs.len() / machines);
+                &runs[at + 1..at + 1 + runs[at] as usize]
+            }
+        }
+    }
+
     /// Every machine with the number of this window's jobs it holds, in
-    /// machine order; no allocation, O(m log n_W).
+    /// machine order; no allocation, and on up to [`INLINE_SHARES`]
+    /// machines read from the bucket alone.
     fn shares(&self, machines: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let mut rest = &self.members[..];
         (0..machines).map(move |machine| {
-            let held = rest.partition_point(|&(m, _)| m == machine);
-            rest = &rest[held..];
+            let held = if machines <= INLINE_SHARES {
+                self.shares[machine] as usize
+            } else {
+                self.run(machine, machines).len()
+            };
             (machine, held)
         })
     }
 
     /// Position of `machine` in this window's order.
     fn rank(&self, machine: usize, machines: usize) -> usize {
-        (machine + machines - self.start) % machines
+        (machine + machines - self.start as usize) % machines
     }
 
     /// §3 insert: the first machine in order that holds the fewest of
@@ -104,29 +154,131 @@ impl WindowGroup {
     }
 
     /// Records `id` on `machine`; `false` when it is already there.
-    fn add(&mut self, machine: usize, id: JobId) -> bool {
-        match self.members.binary_search(&(machine, id)) {
-            Ok(_) => false,
-            Err(at) => {
-                self.members.insert(at, (machine, id));
-                true
+    fn add(&mut self, machine: usize, id: JobId, machines: usize) -> bool {
+        if self.run(machine, machines).contains(&id.0) {
+            return false;
+        }
+        if let Members::One(m, one) = self.members {
+            // Room for one job per machine: a balanced group of two.
+            let mut runs = vec![0; 2 * machines];
+            (runs[2 * m as usize], runs[2 * m as usize + 1]) = (1, one);
+            self.members = Members::Runs(runs);
+        }
+        match &mut self.members {
+            Members::Runs(runs) if runs.is_empty() => {
+                let machine = u32::try_from(machine).expect("machine count fits u32");
+                self.members = Members::One(machine, id.0);
+            }
+            Members::One(..) => unreachable!("a group of one became runs above"),
+            Members::Runs(runs) => {
+                let mut stride = runs.len() / machines;
+                if runs[machine * stride] as usize == stride - 1 {
+                    *runs = (runs.chunks_exact(stride))
+                        .flat_map(|run| {
+                            run.iter()
+                                .copied()
+                                .chain(std::iter::repeat_n(0, stride - 1))
+                        })
+                        .collect();
+                    stride = 2 * stride - 1;
+                }
+                let at = machine * stride;
+                runs[at] += 1;
+                let held = runs[at] as usize;
+                runs[at + held] = id.0;
             }
         }
+        if let Some(share) = self.shares.get_mut(machine) {
+            *share += 1;
+        }
+        self.len += 1;
+        true
     }
 
-    fn remove(&mut self, machine: usize, id: JobId) {
-        if let Ok(at) = self.members.binary_search(&(machine, id)) {
-            self.members.remove(at);
+    /// Drops `id` from `machine`, if it is there.
+    fn remove(&mut self, machine: usize, id: JobId, machines: usize) {
+        let Some(pos) = self.run(machine, machines).iter().position(|&j| j == id.0) else {
+            return;
+        };
+        match &mut self.members {
+            Members::One(..) => self.members = Members::Runs(Vec::new()),
+            Members::Runs(runs) => {
+                let at = machine * (runs.len() / machines);
+                let last = runs[at] as usize;
+                runs[at + 1 + pos] = runs[at + last];
+                runs[at + last] = 0;
+                runs[at] -= 1;
+            }
+        }
+        if let Some(share) = self.shares.get_mut(machine) {
+            *share -= 1;
+        }
+        self.len -= 1;
+        if self.len == 1 {
+            let (m, &id) = (0..machines)
+                .find_map(|m| self.run(m, machines).first().map(|id| (m, id)))
+                .expect("a group of one has a job");
+            self.members = Members::One(m as u32, id);
         }
     }
 
     /// The smallest id this window has on `machine`.
-    fn first_on(&self, machine: usize) -> Option<JobId> {
-        let at = self.members.partition_point(|&(m, _)| m < machine);
-        self.members
-            .get(at)
-            .filter(|&&(m, _)| m == machine)
-            .map(|&(_, id)| id)
+    fn first_on(&self, machine: usize, machines: usize) -> Option<JobId> {
+        self.run(machine, machines)
+            .iter()
+            .min()
+            .map(|&id| JobId(id))
+    }
+
+    /// Every job of this window with its machine.
+    fn members(&self, machines: usize) -> impl Iterator<Item = (usize, JobId)> + '_ {
+        (0..machines).flat_map(move |m| self.run(m, machines).iter().map(move |&id| (m, JobId(id))))
+    }
+
+    /// Checks the group against its members: at least one, a group of
+    /// one in the bucket, equal runs with room for their jobs and no job
+    /// twice, and each share and the count in the bucket what the runs
+    /// hold.
+    fn check(&self, machines: usize) -> Result<(), String> {
+        if let Members::Runs(runs) = &self.members {
+            let stride = runs.len() / machines;
+            if runs.len() % machines != 0 || stride < 2 {
+                return Err(format!("{} run words over {machines} machines", runs.len()));
+            }
+            if let Some(run) = runs
+                .chunks_exact(stride)
+                .find(|run| run[0] as usize >= stride)
+            {
+                return Err(format!("a run of {} words counts {} jobs", stride, run[0]));
+            }
+        }
+        let mut ids: Vec<u64> = self.members(machines).map(|(_, id)| id.0).collect();
+        let held = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        if ids.len() != held || held != self.len as usize || held == 0 {
+            return Err(format!(
+                "{held} members ({} distinct), {} counted",
+                ids.len(),
+                self.len
+            ));
+        }
+        if held == 1 && matches!(self.members, Members::Runs(_)) {
+            return Err("a group of one keeps runs".to_string());
+        }
+        for (machine, &share) in self.shares.iter().enumerate() {
+            let held = if machine < machines {
+                self.run(machine, machines).len()
+            } else {
+                0
+            };
+            if share as usize != held {
+                return Err(format!(
+                    "machine {machine}: share {share} in the bucket, {held} in its run"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -218,6 +370,40 @@ impl<B: SingleMachineReallocator> ReallocatingScheduler<B> {
     pub fn backend(&self, machine: usize) -> &B {
         &self.machines[machine]
     }
+
+    /// Checks the §3 bookkeeping against its members: every group holds
+    /// at least one job, in order, a group of one in its bucket, and the
+    /// shares in its bucket are its members' machines counted; its order
+    /// starts where the hash of its window says; its members are
+    /// exactly the jobs whose effective window it is, on the machines
+    /// `jobs` records. Intended for tests (cost is `O(jobs)`).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let m = self.machines.len();
+        let mut members = 0;
+        for (&window, group) in &self.windows {
+            let err = |e: String| format!("window {window}: {e}");
+            group.check(m).map_err(err)?;
+            if group.start as usize != WindowGroup::start_of(m, window) {
+                return Err(err(format!("order starts at machine {}", group.start)));
+            }
+            for (machine, id) in group.members(m) {
+                let info =
+                    (self.jobs.get(&id)).ok_or_else(|| err(format!("job {id} is not active")))?;
+                if info.machine() != machine || Self::effective_window(info.original) != window {
+                    return Err(err(format!(
+                        "job {id} is on machine {} under {}",
+                        info.machine,
+                        Self::effective_window(info.original)
+                    )));
+                }
+            }
+            members += group.len as usize;
+        }
+        if members != self.jobs.len() {
+            return Err(format!("{members} group members, {} jobs", self.jobs.len()));
+        }
+        Ok(())
+    }
 }
 
 impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
@@ -249,13 +435,10 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
         let handle = self.machines[machine].insert_into(id, effective, &mut self.slot_moves)?;
         match group {
             Entry::Occupied(mut g) => {
-                g.get_mut().add(machine, id);
+                g.get_mut().add(machine, id, m);
             }
             Entry::Vacant(g) => {
-                g.insert(WindowGroup {
-                    start: machine,
-                    members: vec![(machine, id)],
-                });
+                g.insert(WindowGroup::new(machine)).add(machine, id, m);
             }
         }
         job.insert(JobInfo::new(window, machine, handle));
@@ -280,7 +463,7 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
             unreachable!("active job {id} had no group for {effective}");
         };
         let group = entry.get_mut();
-        group.remove(mi, id);
+        group.remove(mi, id, m);
         // §3 rebalance, only when Lemma 3 needs it: `mi` now holds two
         // fewer of the window's jobs than the fullest machine. The mover
         // is the smallest id on the first fullest machine in order —
@@ -293,7 +476,7 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
                 "only the machine that lost a job of {effective} can fall behind"
             );
             let mover = group
-                .first_on(from)
+                .first_on(from, m)
                 .expect("the fullest machine holds a job of the window");
             let info = self
                 .jobs
@@ -304,8 +487,8 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
             match self.machines[mi].insert_into(mover, effective, &mut self.slot_moves) {
                 Ok(handle) => {
                     lift_all(out, &mut self.slot_moves, mi);
-                    group.remove(from, mover);
-                    group.add(mi, mover);
+                    group.remove(from, mover, m);
+                    group.add(mi, mover, m);
                     *info = JobInfo::new(info.original, mi, handle);
                 }
                 Err(e) => {
@@ -320,7 +503,7 @@ impl<B: SingleMachineReallocator> Reallocator for ReallocatingScheduler<B> {
                 }
             }
         }
-        if group.members.is_empty() {
+        if group.len == 0 {
             entry.remove();
         }
         Ok(())
@@ -457,11 +640,9 @@ impl<B: SingleMachineReallocator + Restorable> Restorable for ReallocatingSchedu
                     "job {id} is recorded on machine {machine} but its backend does not hold it"
                 )));
             }
-            let group = s.windows.entry(effective).or_insert_with(|| WindowGroup {
-                start: WindowGroup::start_of(m, effective),
-                members: Vec::new(),
-            });
-            if !group.add(machine, id) {
+            let group = (s.windows.entry(effective))
+                .or_insert_with(|| WindowGroup::new(WindowGroup::start_of(m, effective)));
+            if !group.add(machine, id, m) {
                 return Err(err(format!("duplicate job {id}")));
             }
             s.jobs.insert(id, JobInfo::new(original, machine, handle));

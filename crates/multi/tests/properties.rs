@@ -37,6 +37,18 @@ fn crowded_window(slot: u64, level: u32, shifted: bool) -> Window {
     Window::with_span(slot * 512 + if shifted { 3 } else { 0 }, 512 >> level)
 }
 
+/// Checks the wrapper's §3 bookkeeping (shares and groups of one against
+/// the members) and every machine's backend: run after every request.
+fn check_all(sched: &ReallocatingScheduler<ReservationScheduler>) {
+    sched
+        .check_invariants()
+        .expect("§3 bookkeeping after every request");
+    for machine in 0..sched.machines() {
+        (sched.backend(machine).check_invariants())
+            .expect("backend invariants after every request");
+    }
+}
+
 /// Each effective window's per-machine shares, read off the schedule.
 fn shares_by_window(
     sched: &ReallocatingScheduler<ReservationScheduler>,
@@ -97,11 +109,7 @@ proptest! {
             let active_map: BTreeMap<JobId, Window> =
                 active.iter().copied().collect();
             validate(&sched.snapshot(), &active_map, machines).unwrap();
-        }
-
-        // Per-machine backends hold internally consistent state.
-        for machine in 0..machines {
-            sched.backend(machine).check_invariants().unwrap();
+            check_all(&sched);
         }
     }
 
@@ -120,6 +128,7 @@ proptest! {
         for i in 0..n_jobs as u64 {
             sched.insert(JobId(i), w).unwrap();
             live.push(JobId(i));
+            check_all(&sched);
         }
         for &d in &deletes {
             if live.is_empty() {
@@ -127,6 +136,7 @@ proptest! {
             }
             let id = live.swap_remove(d % live.len());
             sched.delete(id).unwrap();
+            check_all(&sched);
         }
         let counts: Vec<usize> =
             (0..machines).map(|m| sched.backend(m).active_count()).collect();
@@ -185,6 +195,7 @@ proptest! {
                     (sched.delete(id).expect("delete of active job"), u64::from(behind))
                 }
             };
+            check_all(&sched);
             let cost = outcome.netted().migration_cost();
             prop_assert_eq!(cost, expected, "migrations of {:?}", insert);
             migrated += cost;
@@ -221,6 +232,7 @@ proptest! {
             }
             let id = JobId(i as u64);
             let out = sched.insert(id, w).expect("density-bounded insert");
+            check_all(&sched);
             prop_assert_eq!(out.netted().migration_cost(), 0);
             order.entry(w.aligned_subwindow()).or_default().push(id);
         }

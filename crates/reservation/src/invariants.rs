@@ -19,7 +19,10 @@
 //! 6. `assigned[k] ∩ lower = ∅`, the chain's `assigned` fields are pairwise
 //!    disjoint, every record has exactly the level's chain, and no field
 //!    has a bit outside the interval;
-//! 7. high-water marks cover every window with state at the level.
+//! 7. high-water marks cover every window with state at the level;
+//! 8. every record's summary is exact: its `union` is the union of the
+//!    `assigned` fields and its count of each chain position is
+//!    `popcount(assigned[k])` — REBALANCE decides from them alone.
 
 use crate::jobs::JobRec;
 use crate::scheduler::ReservationScheduler;
@@ -169,7 +172,7 @@ impl ReservationScheduler {
                     rec.chain_len(),
                     chain.len()
                 );
-                let fields = [Field::Lower, Field::Phys]
+                let fields = [Field::Lower, Field::Union, Field::Phys]
                     .into_iter()
                     .chain((0..rec.chain_len()).flat_map(|k| [Field::Assigned(k), Field::Held(k)]));
                 for field in fields {
@@ -225,6 +228,12 @@ impl ReservationScheduler {
                         have <= quota,
                         "level {level} interval {istart} window {w}: assigned {have} > quota {quota}"
                     );
+                    ensure!(
+                        rec.assigned(k) == have,
+                        "level {level} interval {istart} window {w}: summary counts {} \
+                         assigned slots, the field holds {have}",
+                        rec.assigned(k)
+                    );
                     total_assigned += have;
                     for (i, seen) in union.iter_mut().enumerate() {
                         let assigned = rec.word(Field::Assigned(k), i);
@@ -246,6 +255,14 @@ impl ReservationScheduler {
                         listed == rec.is_open(k),
                         "level {level} interval {istart}: window {w}'s open set disagrees \
                          with its empty fulfilled slots here"
+                    );
+                }
+                for (i, &seen) in union.iter().enumerate() {
+                    ensure!(
+                        rec.word(Field::Union, i) == seen,
+                        "level {level} interval {istart}: summary union word {i} is {:#x}, \
+                         the assigned fields' union {seen:#x}",
+                        rec.word(Field::Union, i)
                     );
                 }
                 let allowance = ispan - rec.count(Field::Lower);

@@ -14,7 +14,8 @@
 //! the head, a page is found through one hashed directory, once per
 //! lookup.
 //!
-//! The head is allocated whole at the first write into it. Past it, a
+//! The head is allocated whole at the first write into it, its first run
+//! on a 64-byte line (so a run as wide as a line is read in one). Past it, a
 //! run equal to `T::default()` everywhere is *blank*: it reads the same
 //! as a run never written. Every write goes through [`Paged::update`],
 //! which keeps each page's count of non-blank runs, and a page whose
@@ -41,20 +42,24 @@ struct Page {
 /// A sparse array over `u64` indices of runs of `width` values each (see
 /// the module docs). An index past the head whose page is not held reads
 /// as absent, which means the same as a blank run.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Paged<T> {
-    /// The runs of the indices below `2^head_bits`: all of them from the
-    /// first write there on, none before.
+    /// `lead` unused values, then the runs of the indices below
+    /// `2^head_bits`: all of them from the first write there on, none
+    /// before.
     head: Vec<T>,
     /// The pages past the head, out of line: a lookup in the head reads
     /// only the store's 48-byte header and the run.
     tail: Box<Tail<T>>,
     /// Values per index.
     width: usize,
+    /// Values in `head` before its first run, which starts on a 64-byte
+    /// line wherever the allocation lets it.
+    lead: u8,
     /// `log2` of the indices the head may hold.
-    head_bits: u32,
+    head_bits: u8,
     /// `log2` of the indices per page.
-    bits: u32,
+    bits: u8,
 }
 
 /// The pages of a [`Paged`] store past its head.
@@ -72,6 +77,25 @@ struct Tail<T> {
 #[inline]
 fn is_blank<T: Default + PartialEq>(run: &[T]) -> bool {
     run.iter().all(|v| *v == T::default())
+}
+
+/// `len` blank values behind as few leading ones as put the first blank
+/// value on a 64-byte line, with the number of leading ones (0 when no
+/// number of `T`s reaches a line from where the allocation starts).
+fn aligned_blank<T: Clone + Default>(len: usize) -> (Vec<T>, u8) {
+    let size = std::mem::size_of::<T>();
+    let spare = if size == 0 || 64 % size != 0 {
+        0
+    } else {
+        64 / size - 1
+    };
+    let mut values: Vec<T> = Vec::with_capacity(len + spare);
+    let at = values.as_ptr() as usize;
+    let lead = (0..=spare)
+        .find(|p| (at + p * size).is_multiple_of(64))
+        .unwrap_or(0);
+    values.resize(lead + len, T::default());
+    (values, lead as u8)
 }
 
 /// Gives back most of `v`'s spare capacity once it is mostly spare.
@@ -97,6 +121,7 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     /// below `2^head_bits` in its head and the rest in pages of `2^bits`.
     fn new(head_bits: u32, bits: u32, width: usize) -> Self {
         assert!(bits <= head_bits, "no page reaches into the head");
+        assert!(head_bits < 64, "the head is indexed below 2^64");
         Paged {
             head: Vec::new(),
             tail: Box::new(Tail {
@@ -105,9 +130,20 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
                 table: FxHashMap::default(),
             }),
             width,
-            head_bits,
-            bits,
+            lead: 0,
+            head_bits: head_bits as u8,
+            bits: bits as u8,
         }
+    }
+
+    /// The head's runs, back to back (empty until the head is written).
+    fn runs(&self) -> &[T] {
+        &self.head[usize::from(self.lead)..]
+    }
+
+    /// Allocates the head, blank, its first run on a line.
+    fn fill_head(&mut self) {
+        (self.head, self.lead) = aligned_blank(self.width << self.head_bits);
     }
 
     /// Values per page.
@@ -136,7 +172,7 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     #[inline]
     pub fn get(&self, index: u64) -> Option<&[T]> {
         if index >> self.head_bits == 0 {
-            let at = index as usize * self.width;
+            let at = usize::from(self.lead) + index as usize * self.width;
             return self.head.get(at..at + self.width);
         }
         let at = self.offset(self.page_of(index)?, index);
@@ -150,9 +186,9 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     pub fn update<R>(&mut self, index: u64, f: impl FnOnce(&mut [T]) -> R) -> R {
         if index >> self.head_bits == 0 {
             if self.head.is_empty() {
-                self.head = vec![T::default(); self.width << self.head_bits];
+                self.fill_head();
             }
-            let at = index as usize * self.width;
+            let at = usize::from(self.lead) + index as usize * self.width;
             return f(&mut self.head[at..at + self.width]);
         }
         let Some(pos) = self.page_of(index) else {
@@ -225,11 +261,12 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     /// pages left blank.
     pub fn update_all(&mut self, mut f: impl FnMut(u64, &mut [T])) {
         let (len, width, bits) = (self.page_len(), self.width, self.bits);
-        for (index, run) in self.head.chunks_exact_mut(width).enumerate() {
+        let runs = &mut self.head[usize::from(self.lead)..];
+        for (index, run) in runs.chunks_exact_mut(width).enumerate() {
             f(index as u64, run);
         }
-        if is_blank(&self.head) {
-            self.head = Vec::new();
+        if is_blank(runs) {
+            (self.head, self.lead) = (Vec::new(), 0);
         }
         let pages = self
             .tail
@@ -254,7 +291,7 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     /// Every index of the head, if it was written, and of every held page
     /// with its run (blank ones too), ascending.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[T])> + '_ {
-        let head = (self.head.chunks_exact(self.width).enumerate())
+        let head = (self.runs().chunks_exact(self.width).enumerate())
             .map(|(index, run)| (index as u64, run));
         let mut order: Vec<(u64, usize)> = (self.tail.pages.iter().enumerate())
             .map(|(pos, page)| (page.number, pos))
@@ -271,23 +308,28 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
         head.chain(paged)
     }
 
-    /// The same store with `width ≥` the current width values per index:
-    /// each run keeps its values, padded with defaults (so no run changes
-    /// from blank to not blank or back).
-    pub fn widen(&mut self, width: usize) {
-        assert!(width >= self.width, "a store only widens");
+    /// The same store with `width` values per index: each run becomes a
+    /// blank run of the new width that `copy(old, new)` fills in. `copy`
+    /// must leave the new run blank exactly when the old one was, so that
+    /// every page keeps its count.
+    pub fn restride(&mut self, width: usize, copy: impl Fn(&[T], &mut [T])) {
         let old = self.width;
-        let widen = |values: &mut Vec<T>| {
-            let mut wide = Vec::with_capacity(values.len() / old * width);
-            for run in values.chunks_exact(old) {
-                wide.extend_from_slice(run);
-                wide.resize(wide.len() + (width - old), T::default());
+        let restride = |from: &[T], to: &mut [T]| {
+            for (run, wide) in from.chunks_exact(old).zip(to.chunks_exact_mut(width)) {
+                copy(run, wide);
             }
-            *values = wide;
         };
-        widen(&mut self.head);
-        widen(&mut self.tail.slab);
         self.width = width;
+        if !self.head.is_empty() {
+            let head = std::mem::take(&mut self.head);
+            let runs = &head[usize::from(self.lead)..];
+            self.fill_head();
+            let lead = usize::from(self.lead);
+            restride(runs, &mut self.head[lead..]);
+        }
+        let mut slab = vec![T::default(); self.tail.slab.len() / old * width];
+        restride(&self.tail.slab, &mut slab);
+        self.tail.slab = slab;
     }
 
     /// Number of held pages past the head.
@@ -306,8 +348,10 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     /// page has exactly its counted number of non-blank runs, at least
     /// one.
     pub fn check(&self) -> Result<(), String> {
-        if ![0, self.width << self.head_bits].contains(&self.head.len()) {
-            return Err(format!("head of {} values", self.head.len()));
+        let lead = usize::from(self.lead);
+        if !(self.head.is_empty() && lead == 0 || self.runs().len() == self.width << self.head_bits)
+        {
+            return Err(format!("head of {} values after {lead}", self.head.len()));
         }
         if self.tail.slab.len() != self.tail.pages.len() * self.page_len()
             || self.tail.table.len() != self.tail.pages.len()
@@ -342,6 +386,27 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     }
 }
 
+impl<T: Clone + Default + PartialEq> Clone for Paged<T> {
+    /// A copy whose head starts its first run on a line of its own
+    /// allocation, as the original's does.
+    fn clone(&self) -> Self {
+        let mut copy = Paged {
+            head: Vec::new(),
+            tail: self.tail.clone(),
+            width: self.width,
+            lead: 0,
+            head_bits: self.head_bits,
+            bits: self.bits,
+        };
+        if !self.head.is_empty() {
+            copy.fill_head();
+            let lead = usize::from(copy.lead);
+            copy.head[lead..].clone_from_slice(self.runs());
+        }
+        copy
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,10 +438,27 @@ mod tests {
             .map(|(i, run)| (i, run[0] + run[1]))
             .collect();
         assert_eq!(written, vec![(3, 7), (1 << 20, 11), (far, 9)]);
-        p.widen(3);
-        assert_eq!(p.get(3), Some(&[0, 7, 0][..]));
-        assert_eq!(p.get(far), Some(&[9, 0, 0][..]));
+        p.restride(3, |old, new| new[1..].copy_from_slice(old));
+        assert_eq!(p.get(3), Some(&[0, 0, 7][..]));
+        assert_eq!(p.get(far), Some(&[0, 9, 0][..]));
         p.check().unwrap();
+    }
+
+    #[test]
+    fn the_head_starts_on_a_line_in_every_copy() {
+        let on_line = |p: &Paged<u64>| (p.get(0).unwrap().as_ptr() as usize).is_multiple_of(64);
+        let mut p: Paged<u64> = Paged::new(6, 4, 8);
+        p.update(5, |run| run[3] = 1);
+        assert!(on_line(&p));
+        let copies: Vec<Paged<u64>> = (0..8).map(|_| p.clone()).collect();
+        for copy in &copies {
+            assert!(on_line(copy));
+            assert_eq!(copy.get(5), p.get(5));
+            copy.check().unwrap();
+        }
+        p.restride(16, |old, new| new[..8].copy_from_slice(old));
+        assert!(on_line(&p));
+        assert_eq!(p.get(5).unwrap()[3], 1);
     }
 
     #[test]

@@ -43,19 +43,23 @@
 //!
 //! # Hot-path engineering
 //!
-//! REBALANCE runs two to three times per request and usually finds
-//! nothing to do, so what it costs to *look* decides the request's cost.
-//! Everything it looks at in an interval — the allowance, physical
+//! REBALANCE runs about twice per request and mostly changes one or two
+//! chain positions, so what it costs to *look* decides the request's
+//! cost. Everything it looks at in an interval — the allowance, physical
 //! occupancy, and every chain window's fulfilled slots — is one dense
 //! record of bit words found by index ([`crate::state::Record`]); the
 //! chain windows contribute only their job counts, found by index too.
-//! The three phases are word operations on that record:
+//! A record of a wide interval carries a summary (the union of its
+//! `assigned` fields and each position's count), so REBALANCE decides
+//! from it which positions to touch. The three phases are word
+//! operations on that record:
 //!
-//! 0. `assigned[k] &= !lower`;
-//! 1. shed `popcount(assigned[k]) − quota` slots, lowest empty bits
-//!    first, then MOVE jobs off `held[k]` bits in ascending order;
-//! 2. hand out `!(lower | phys | ⋃assigned)` lowest bit first in chain
-//!    order, falling back to `phys & !(lower | ⋃assigned)`.
+//! 0. `assigned[k] &= !lower`, only if `union & lower ≠ 0`;
+//! 1. shed `count[k] − quota` slots, lowest empty bits first, then MOVE
+//!    jobs off `held[k]` bits in ascending order;
+//! 2. hand out `!(lower | phys | union)` lowest bit first in chain
+//!    order to the positions whose count is short, falling back to
+//!    `phys & !(lower | union)`.
 //!
 //! Occupancy changes, allowance flips, MOVE's ancestor swap and finding
 //! which window holds a slot are single bit flips or tests in the same

@@ -23,16 +23,35 @@
 //! |---|---|
 //! | `lower` | holds a job of a level below ℓ (outside the allowance) |
 //! | `phys` | holds any job (`lower ⊆ phys`) |
+//! | `union` | backs a fulfilled reservation of some chain window (summary) |
 //! | `assigned[k]` | backs a fulfilled reservation of the chain window at position `k` |
 //! | `held[k]` | … and that window's own job sits on it (`held[k] ⊆ assigned[k] ∩ phys`) |
 //!
 //! Chain position `k` names the enclosing window of span `2^(k+1)·L_ℓ`;
 //! aligned windows are laminar, so the windows that can reserve in one
 //! interval are exactly that chain, and their `assigned` fields are
-//! pairwise disjoint. Every record of a level has the same stride: the
-//! two occupancy fields and one `assigned`/`held` pair per chain position
-//! up to the level's high-water mark, so raising the mark (which only
-//! grows) re-strides the store. An all-zero record means "full
+//! pairwise disjoint. A record whose fields are wider than a word also
+//! keeps a *summary* after its occupancy fields: the `union` of the
+//! `assigned` fields and one 16-bit count per chain position (32-bit
+//! for `2^16`-slot intervals) of that position's `assigned` bits. Every
+//! `assigned` edit keeps it exact, so REBALANCE checks the quotas and an
+//! allowance flip against the summary and reads only the
+//! `assigned`/`held` pairs it changes. At `L₂ = 256` with four chain
+//! positions a record is six 64-byte lines:
+//!
+//! | line | words |
+//! |---|---|
+//! | 0 | `lower`, `phys` |
+//! | 1 | `union`, the counts, zero padding |
+//! | 2 + k | `assigned[k]`, `held[k]` |
+//!
+//! A record of one-word fields (`L₁ = 32`: `lower | phys | assigned[0] |
+//! held[0] | …`, one line for three chain positions) keeps no summary: it
+//! is read in one line anyway. The pairs start at a multiple of a pair's
+//! width up to a line, and every store's head starts on a line, so no
+//! pair straddles two lines. Every record of a level has the same
+//! stride, up to the level's high-water mark, so raising the mark (which
+//! only grows) re-strides the store. An all-zero record means "full
 //! allowance, nothing occupied, nothing claimed"; an interval never
 //! written reads the same, and past the store's head a page of records
 //! that are all zero is given back.
@@ -242,6 +261,100 @@ impl Windows {
     }
 }
 
+/// A bit field of a [`Record`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Field {
+    /// Slots under jobs of strictly lower levels.
+    Lower,
+    /// Slots backing any chain position's fulfilled reservation: the
+    /// union of the `Assigned` fields, part of the record's summary.
+    Union,
+    /// Every physically occupied slot, whatever the occupant's level.
+    Phys,
+    /// Slots backing the fulfilled reservations of chain position `k`.
+    Assigned(usize),
+    /// The subset of `Assigned(k)` under that window's own jobs.
+    Held(usize),
+}
+
+/// Where a level's records keep their fields: the same for every record
+/// of the level, until its chain lengthens.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    /// Words per bit field: `⌈L_ℓ / 64⌉`.
+    nw: usize,
+    /// Chain positions.
+    chain: usize,
+    /// First word of the `assigned`/`held` pairs: past the occupancy
+    /// fields and the summary, at a multiple of a pair's width up to a
+    /// line, so that in a store whose head starts on a line no pair of
+    /// up to a line straddles two.
+    pairs: usize,
+    /// Bits per `assigned` count: 16, or 32 if an interval has `2^16`
+    /// slots (a count reaches `L_ℓ`).
+    count_bits: usize,
+    /// Whether the record keeps a summary: only if its fields are wider
+    /// than a word, since a record of one-word fields is read whole in a
+    /// line or two anyway.
+    summary: bool,
+}
+
+impl Shape {
+    /// The shape of a level of intervals of `ispan` slots and `chain`
+    /// positions.
+    fn new(ispan: u64, chain: usize) -> Self {
+        let nw = ispan.div_ceil(64) as usize;
+        let (summary, count_bits) = (nw > 1, if ispan < 1 << 16 { 16 } else { 32 });
+        let head = if summary {
+            3 * nw + (chain * count_bits).div_ceil(64)
+        } else {
+            2 * nw
+        };
+        Shape {
+            nw,
+            chain,
+            pairs: head.next_multiple_of((2 * nw).min(8)),
+            count_bits,
+            summary,
+        }
+    }
+
+    /// First word of `field`.
+    #[inline]
+    fn offset(self, field: Field) -> usize {
+        match field {
+            Field::Lower => 0,
+            Field::Phys => self.nw,
+            Field::Union => 2 * self.nw,
+            Field::Assigned(k) => self.pairs + 2 * k * self.nw,
+            Field::Held(k) => self.pairs + (2 * k + 1) * self.nw,
+        }
+    }
+
+    /// Words per record.
+    fn width(self) -> usize {
+        self.offset(Field::Assigned(self.chain))
+    }
+
+    /// Word and shift of chain position `k`'s `assigned` count, in a
+    /// record with a summary.
+    #[inline]
+    fn count_at(self, k: usize) -> (usize, usize) {
+        let bit = k * self.count_bits;
+        (3 * self.nw + bit / 64, bit % 64)
+    }
+
+    /// Copies `from`, a record of this shape, into the blank `to` of the
+    /// longer chain `long`: the occupancy fields and the summary keep
+    /// their places (a count keeps its word and shift, so the old count
+    /// words are a prefix of the new ones), and the pairs move up.
+    fn copy_into(self, long: Shape, from: &[u64], to: &mut [u64]) {
+        to[..self.pairs].copy_from_slice(&from[..self.pairs]);
+        let pairs = from.len() - self.pairs;
+        to[long.pairs..long.pairs + pairs].copy_from_slice(&from[self.pairs..]);
+    }
+}
+
 /// Positions of the set bits of `w`, ascending.
 fn set_bits(w: u64) -> impl Iterator<Item = usize> {
     std::iter::successors((w != 0).then_some(w), |&w| {
@@ -265,58 +378,26 @@ fn lowest_bit(lo: usize, hi: usize, word: impl Fn(usize) -> u64) -> Option<usize
     })
 }
 
-/// Set bits in `words`.
-fn popcount(words: &[u64]) -> u64 {
-    words.iter().map(|w| u64::from(w.count_ones())).sum()
-}
-
-/// Whether some `assigned` bit has no `held` bit: an empty fulfilled slot.
-fn any_open(assigned: &[u64], held: &[u64]) -> bool {
-    assigned.iter().zip(held).any(|(a, h)| a & !h != 0)
-}
-
-/// A bit field of a [`Record`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Field {
-    /// Slots under jobs of strictly lower levels.
-    Lower,
-    /// Every physically occupied slot, whatever the occupant's level.
-    Phys,
-    /// Slots backing the fulfilled reservations of chain position `k`.
-    Assigned(usize),
-    /// The subset of `Assigned(k)` under that window's own jobs.
-    Held(usize),
-}
-
-impl Field {
-    /// Position of the field in the record.
-    fn index(self) -> usize {
-        match self {
-            Field::Lower => 0,
-            Field::Phys => 1,
-            Field::Assigned(k) => 2 + 2 * k,
-            Field::Held(k) => 3 + 2 * k,
-        }
-    }
-}
-
-/// One interval's record (see the module docs) over its words, `nw` per
-/// field: borrowed from the level's store, or empty for an interval never
-/// written, whose fields all read as zero.
+/// One interval's record (see the module docs) over its words, laid out
+/// by the level's shape: borrowed from the level's store, or empty
+/// for an interval never written, whose fields all read as zero.
 #[derive(Debug)]
 pub struct Record<W> {
-    /// `lower | phys | assigned[0] | held[0] | assigned[1] | …`.
+    /// `lower | phys | (union | counts) | assigned[0] | held[0] | …`.
     words: W,
-    nw: usize,
+    shape: Shape,
 }
 
 impl<W: AsRef<[u64]>> Record<W> {
     /// Word `i` of `field`; zero for an interval never written.
     #[inline]
     pub fn word(&self, field: Field, i: usize) -> u64 {
+        if field == Field::Union && !self.shape.summary {
+            return (0..self.chain_len()).fold(0, |u, k| u | self.word(Field::Assigned(k), i));
+        }
         self.words
             .as_ref()
-            .get(field.index() * self.nw + i)
+            .get(self.shape.offset(field) + i)
             .copied()
             .unwrap_or(0)
     }
@@ -328,25 +409,41 @@ impl<W: AsRef<[u64]>> Record<W> {
 
     /// Set bits of `field`, ascending.
     pub fn bits(&self, field: Field) -> impl Iterator<Item = usize> + '_ {
-        (0..self.nw).flat_map(move |i| set_bits(self.word(field, i)).map(move |b| i * 64 + b))
+        (0..self.shape.nw).flat_map(move |i| set_bits(self.word(field, i)).map(move |b| i * 64 + b))
     }
 
     /// Number of set bits in `field`.
     pub fn count(&self, field: Field) -> u64 {
-        (0..self.nw)
+        (0..self.shape.nw)
             .map(|i| u64::from(self.word(field, i).count_ones()))
             .sum()
+    }
+
+    /// `count(Assigned(k))`: chain position `k`'s fulfilled slots here,
+    /// read from one word of the summary.
+    #[inline]
+    pub fn assigned(&self, k: usize) -> u64 {
+        if !self.shape.summary {
+            return self.count(Field::Assigned(k));
+        }
+        let (word, shift) = self.shape.count_at(k);
+        let w = self.words.as_ref().get(word).copied().unwrap_or(0);
+        w >> shift & (u64::MAX >> (64 - self.shape.count_bits))
     }
 
     /// Chain positions the record has fields for (0 for an interval never
     /// written).
     pub fn chain_len(&self) -> usize {
-        (self.words.as_ref().len() / self.nw / 2).saturating_sub(1)
+        if self.words.as_ref().is_empty() {
+            0
+        } else {
+            self.shape.chain
+        }
     }
 
     /// Whether chain position `k` holds an empty fulfilled slot here.
     pub fn is_open(&self, k: usize) -> bool {
-        (0..self.nw).any(|i| self.open_word(k, i) != 0)
+        (0..self.shape.nw).any(|i| self.open_word(k, i) != 0)
     }
 
     /// Word `i` of `assigned[k] & !held[k]`.
@@ -354,9 +451,19 @@ impl<W: AsRef<[u64]>> Record<W> {
         self.word(Field::Assigned(k), i) & !self.word(Field::Held(k), i)
     }
 
-    /// Chain position whose `assigned` field has `bit` set, if any.
+    /// Chain position whose `assigned` field has `bit` set, if any: the
+    /// summary's union answers "none" without reading a pair.
     pub fn holder(&self, bit: usize) -> Option<usize> {
+        if !self.test(Field::Union, bit) {
+            return None;
+        }
         (0..self.chain_len()).find(|&k| self.test(Field::Assigned(k), bit))
+    }
+
+    /// Whether word `i` of some `assigned` field has a bit of `lower`:
+    /// read from the summary.
+    fn stale(&self) -> bool {
+        (0..self.shape.nw).any(|i| self.word(Field::Union, i) & self.word(Field::Lower, i) != 0)
     }
 
     /// `true` when every word is zero: the interval reads as one never
@@ -370,15 +477,54 @@ impl Record<&mut [u64]> {
     /// Mutable word `i` of `field`.
     #[inline]
     fn word_mut(&mut self, field: Field, i: usize) -> &mut u64 {
-        &mut self.words[field.index() * self.nw + i]
+        &mut self.words[self.shape.offset(field) + i]
     }
 
+    /// Sets `bit` of an occupancy or `held` field (the summary follows
+    /// `assigned` alone: see [`Self::add_assigned`]).
     fn set(&mut self, field: Field, bit: usize) {
+        debug_assert!(!matches!(field, Field::Assigned(_) | Field::Union));
         *self.word_mut(field, bit / 64) |= 1 << (bit % 64);
     }
 
+    /// Clears `bit` of an occupancy or `held` field.
     fn clear(&mut self, field: Field, bit: usize) {
+        debug_assert!(!matches!(field, Field::Assigned(_) | Field::Union));
         *self.word_mut(field, bit / 64) &= !(1 << (bit % 64));
+    }
+
+    /// Adds `delta` to chain position `k`'s count.
+    #[inline]
+    fn count_by(&mut self, k: usize, delta: i64) {
+        let (word, shift) = self.shape.count_at(k);
+        let w = &mut self.words[word];
+        *w = w.wrapping_add((delta as u64) << shift);
+    }
+
+    /// Assigns `bits`, none of them assigned, in word `i` to chain
+    /// position `k`, keeping the summary exact. Every `assigned` bit that
+    /// is set goes through here.
+    #[inline]
+    fn add_assigned(&mut self, k: usize, i: usize, bits: u64) {
+        debug_assert_eq!(self.word(Field::Union, i) & bits, 0, "assigned twice");
+        *self.word_mut(Field::Assigned(k), i) |= bits;
+        if self.shape.summary {
+            *self.word_mut(Field::Union, i) |= bits;
+            self.count_by(k, i64::from(bits.count_ones()));
+        }
+    }
+
+    /// Drops `bits`, all assigned to chain position `k`, from word `i`,
+    /// keeping the summary exact. Every `assigned` bit that is cleared
+    /// goes through here.
+    #[inline]
+    fn drop_assigned(&mut self, k: usize, i: usize, bits: u64) {
+        debug_assert_eq!(self.word(Field::Assigned(k), i) & bits, bits);
+        *self.word_mut(Field::Assigned(k), i) &= !bits;
+        if self.shape.summary {
+            *self.word_mut(Field::Union, i) &= !bits;
+            self.count_by(k, -i64::from(bits.count_ones()));
+        }
     }
 }
 
@@ -393,7 +539,7 @@ impl Record<&mut [u64]> {
 /// state (Observation 7 still applies).
 #[derive(Clone, Debug)]
 pub struct Level {
-    /// Interval records, one run of `2·nw·(1 + chain)` words per interval,
+    /// Interval records, one run of `shape.width()` words per interval,
     /// indexed by `istart >> shift`.
     records: Paged<u64>,
     /// Job counts and open sets of the chain windows.
@@ -405,22 +551,22 @@ pub struct Level {
     ispan: u64,
     /// `log2 L_ℓ`.
     shift: u32,
-    /// Words per record field: `⌈L_ℓ / 64⌉`.
-    nw: usize,
+    /// Where the records keep their fields.
+    shape: Shape,
 }
 
 impl Level {
     /// Empty state for a level whose intervals span `ispan` slots.
     pub fn new(ispan: u64) -> Self {
         debug_assert!(ispan.is_power_of_two());
-        let (nw, shift) = (ispan.div_ceil(64) as usize, ispan.trailing_zeros());
+        let (shape, shift) = (Shape::new(ispan, 0), ispan.trailing_zeros());
         Level {
-            records: Paged::over_slots(shift, 2 * nw),
+            records: Paged::over_slots(shift, shape.width()),
             windows: Windows::new(shift),
             high_water: 0,
             ispan,
             shift,
-            nw,
+            shape,
         }
     }
 
@@ -436,7 +582,7 @@ impl Level {
 
     /// Words per record field.
     pub fn nw(&self) -> usize {
-        self.nw
+        self.shape.nw
     }
 
     /// Largest window span ever inserted at this level (0 = unused).
@@ -445,8 +591,8 @@ impl Level {
     }
 
     /// Raises the high-water mark to `span` if it is lower. A longer chain
-    /// re-strides every record (the new `assigned`/`held` pairs start
-    /// empty) and opens the new positions' window stores.
+    /// re-strides every record (the new counts and `assigned`/`held`
+    /// pairs start empty) and opens the new positions' window stores.
     pub fn raise_high_water(&mut self, span: u64) {
         if span <= self.high_water {
             return;
@@ -454,14 +600,16 @@ impl Level {
         self.high_water = span;
         let chain = self.chain_spans().count();
         if chain > self.chain_len() {
-            self.records.widen(2 * self.nw * (1 + chain));
+            let (short, long) = (self.shape, Shape::new(self.ispan, chain));
+            (self.records).restride(long.width(), |from, to| short.copy_into(long, from, to));
             self.windows.lengthen(chain);
+            self.shape = long;
         }
     }
 
     /// Chain length: the number of chain positions.
     pub fn chain_len(&self) -> usize {
-        self.windows.chain()
+        self.shape.chain
     }
 
     /// Start of the interval containing `slot`.
@@ -503,15 +651,16 @@ impl Level {
     pub fn rec(&self, istart: Slot) -> Record<&[u64]> {
         Record {
             words: self.records.get(istart >> self.shift).unwrap_or(&[]),
-            nw: self.nw,
+            shape: self.shape,
         }
     }
 
     /// Every interval whose record is not all zero, ascending.
     pub fn records(&self) -> impl Iterator<Item = (Slot, Record<&[u64]>)> + '_ {
+        let shape = self.shape;
         self.records
             .iter()
-            .map(move |(index, words)| (index << self.shift, Record { words, nw: self.nw }))
+            .map(move |(index, words)| (index << self.shift, Record { words, shape }))
             .filter(|(_, rec)| !rec.is_zero())
     }
 
@@ -567,9 +716,9 @@ impl Level {
     /// Sets `slot`'s bit in an occupancy field.
     pub fn set_occupancy(&mut self, field: Field, slot: Slot) {
         debug_assert!(matches!(field, Field::Lower | Field::Phys));
-        let (bit, nw) = (self.bit_of(slot), self.nw);
+        let (bit, shape) = (self.bit_of(slot), self.shape);
         self.records.update(slot >> self.shift, |words| {
-            let mut rec = Record { words, nw };
+            let mut rec = Record { words, shape };
             debug_assert!(!rec.test(field, bit), "slot {slot} entered {field:?} twice");
             rec.set(field, bit);
         });
@@ -578,9 +727,9 @@ impl Level {
     /// Clears `slot`'s bit in an occupancy field.
     pub fn clear_occupancy(&mut self, field: Field, slot: Slot) {
         debug_assert!(matches!(field, Field::Lower | Field::Phys));
-        let (bit, nw) = (self.bit_of(slot), self.nw);
+        let (bit, shape) = (self.bit_of(slot), self.shape);
         self.records.update(slot >> self.shift, |words| {
-            let mut rec = Record { words, nw };
+            let mut rec = Record { words, shape };
             debug_assert!(rec.test(field, bit), "slot {slot} missing from {field:?}");
             rec.clear(field, bit);
         });
@@ -611,15 +760,15 @@ impl Level {
         slot: Slot,
         edit: impl FnOnce(&mut Record<&mut [u64]>, usize, usize),
     ) {
-        let (k, bit, istart, nw) = (
+        let (k, bit, istart, shape) = (
             self.chain_pos(window.span()),
             self.bit_of(slot),
             self.istart_of(slot),
-            self.nw,
+            self.shape,
         );
         let windows = &mut self.windows;
         self.records.update(istart >> self.shift, |words| {
-            let mut rec = Record { words, nw };
+            let mut rec = Record { words, shape };
             let was_open = rec.is_open(k);
             edit(&mut rec, k, bit);
             if rec.is_open(k) != was_open {
@@ -632,7 +781,7 @@ impl Level {
     pub fn assign(&mut self, window: Window, slot: Slot) {
         self.edit_reservation(window, slot, |rec, k, bit| {
             debug_assert!(rec.holder(bit).is_none(), "slot {slot} assigned twice");
-            rec.set(Field::Assigned(k), bit);
+            rec.add_assigned(k, bit / 64, 1 << (bit % 64));
         });
     }
 
@@ -644,7 +793,7 @@ impl Level {
                 rec.test(Field::Assigned(k), bit) && !rec.test(Field::Held(k), bit),
                 "removing occupied or absent slot {slot}"
             );
-            rec.clear(Field::Assigned(k), bit);
+            rec.drop_assigned(k, bit / 64, 1 << (bit % 64));
         });
     }
 
@@ -677,17 +826,17 @@ impl Level {
     pub fn repoint(&mut self, k: usize, from: Slot, to: Slot, with_job: bool) {
         let istart = self.istart_of(from);
         debug_assert_eq!(istart, self.istart_of(to), "re-point across intervals");
-        let (from, to, nw) = (self.bit_of(from), self.bit_of(to), self.nw);
+        let (from, to, shape) = (self.bit_of(from), self.bit_of(to), self.shape);
         self.records.update(istart >> self.shift, |words| {
-            let mut rec = Record { words, nw };
+            let mut rec = Record { words, shape };
             debug_assert!(
                 rec.test(Field::Assigned(k), from),
                 "re-pointed slot is unassigned"
             );
             debug_assert!(rec.holder(to).is_none(), "re-point target is assigned");
             debug_assert_eq!(rec.test(Field::Held(k), from), with_job);
-            rec.clear(Field::Assigned(k), from);
-            rec.set(Field::Assigned(k), to);
+            rec.drop_assigned(k, from / 64, 1 << (from % 64));
+            rec.add_assigned(k, to / 64, 1 << (to % 64));
             if with_job {
                 rec.clear(Field::Held(k), from);
                 rec.set(Field::Held(k), to);
@@ -735,41 +884,60 @@ impl Level {
     /// position left with assignments to shed — all of them under the
     /// window's own jobs — and returns it with their number: the caller
     /// MOVEs those jobs off and resumes after it.
+    ///
+    /// The record's summary decides which positions have anything to
+    /// drop; only their `assigned`/`held` pairs are read.
     pub fn shed(
         &mut self,
         istart: Slot,
         first: usize,
         targets: &[(Window, u64)],
     ) -> Option<(usize, u64)> {
-        let (nw, index, windows) = (self.nw, istart >> self.shift, &mut self.windows);
-        self.records.get(index)?;
+        let (shape, index) = (self.shape, istart >> self.shift);
+        let rec = Record {
+            words: self.records.get(index)?,
+            shape,
+        };
+        let stale = rec.stale();
+        let within = |k: usize, quota: u64| rec.assigned(k) <= quota;
+        if !stale && (targets.iter().enumerate().skip(first)).all(|(k, &(_, q))| within(k, q)) {
+            return None;
+        }
+        let windows = &mut self.windows;
         self.records.update(index, |words| {
-            let (occupancy, pairs) = words.split_at_mut(2 * nw);
-            let lower = &occupancy[..nw];
-            let positions = pairs.chunks_exact_mut(2 * nw).zip(targets).enumerate();
-            for (k, (pair, &(window, quota))) in positions.skip(first) {
-                let (assigned, held) = pair.split_at_mut(nw);
-                let was_open = any_open(assigned, held);
-                let mut have = 0;
-                for ((a, &h), &l) in assigned.iter_mut().zip(&*held).zip(lower) {
+            let mut rec = Record { words, shape };
+            for (k, &(window, quota)) in targets.iter().enumerate().skip(first) {
+                let lost = |rec: &Record<&mut [u64]>, i: usize| {
+                    rec.word(Field::Assigned(k), i) & rec.word(Field::Lower, i)
+                };
+                let dropped: u64 = if stale {
+                    (0..shape.nw)
+                        .map(|i| u64::from(lost(&rec, i).count_ones()))
+                        .sum()
+                } else {
+                    0
+                };
+                let mut excess = (rec.assigned(k) - dropped).saturating_sub(quota);
+                if dropped == 0 && excess == 0 {
+                    continue;
+                }
+                let was_open = rec.is_open(k);
+                for i in 0..shape.nw {
                     debug_assert_eq!(
-                        l & h,
+                        rec.word(Field::Lower, i) & rec.word(Field::Held(k), i),
                         0,
                         "lower-occupied slot still holds a job of {window}"
                     );
-                    *a &= !l;
-                    have += u64::from(a.count_ones());
-                }
-                let mut excess = have.saturating_sub(quota);
-                for (a, &h) in assigned.iter_mut().zip(&*held) {
-                    let mut open = *a & !h;
+                    let gone = lost(&rec, i);
+                    rec.drop_assigned(k, i, gone);
+                    let mut open = rec.open_word(k, i);
                     while excess > 0 && open != 0 {
-                        *a &= !(open & open.wrapping_neg());
+                        rec.drop_assigned(k, i, open & open.wrapping_neg());
                         open &= open - 1;
                         excess -= 1;
                     }
                 }
-                if was_open && !any_open(assigned, held) {
+                if was_open && !rec.is_open(k) {
                     windows.set_open(k, istart, false);
                 }
                 if excess > 0 {
@@ -792,59 +960,53 @@ impl Level {
     /// Phase 2 for the interval at `istart`, which ends its rebalance: tops
     /// every chain window (`targets`, as for [`Self::shed`]) up to its
     /// quota. Slots come leftmost first, in chain order, from the free
-    /// allowance `!(lower | phys | ⋃assigned)`; only when that runs out,
-    /// from occupied-but-unassigned slots `phys & !(lower | ⋃assigned)`
-    /// (assignment ≠ occupancy; PLACE displaces on use).
+    /// allowance `!(lower | phys | union)`; only when that runs out,
+    /// from occupied-but-unassigned slots `phys & !(lower | union)`
+    /// (assignment ≠ occupancy; PLACE displaces on use). The summary's
+    /// counts say which windows are short; only their pairs are read.
     pub fn claim(&mut self, istart: Slot, targets: &[(Window, u64)]) {
-        let (nw, valid) = (self.nw, self.valid_word());
-        let assigned_of = |k: usize| (2 * k * nw)..(2 * k * nw + nw);
-        let satisfied = |pairs: &[u64]| {
-            (targets.iter().enumerate())
-                .all(|(k, &(_, quota))| quota <= popcount(&pairs[assigned_of(k)]))
+        let (shape, valid, index) = (self.shape, self.valid_word(), istart >> self.shift);
+        let satisfied = |rec: Record<&[u64]>| {
+            (targets.iter().enumerate()).all(|(k, &(_, quota))| quota <= rec.assigned(k))
         };
-        let index = istart >> self.shift;
         match self.records.get(index) {
-            Some(words) if satisfied(&words[2 * nw..]) => return,
+            Some(words) if satisfied(Record { words, shape }) => return,
             None if targets.iter().all(|&(_, quota)| quota == 0) => return,
             _ => {}
         }
         let windows = &mut self.windows;
         self.records.update(index, |words| {
-            let (occupancy, pairs) = words.split_at_mut(2 * nw);
-            let (lower, phys) = occupancy.split_at(nw);
+            let mut rec = Record { words, shape };
             for occupied in [false, true] {
                 // The pool is consumed as a stream of words: a claimed bit
-                // leaves `pool` as it enters `assigned`, so later windows
+                // leaves `pool` as it enters `union`, so later windows
                 // never see it again.
-                let pool_word = |pairs: &[u64], i: usize| {
-                    let taken =
-                        (pairs.chunks_exact(2 * nw)).fold(lower[i], |acc, pair| acc | pair[i]);
-                    !taken & valid & if occupied { phys[i] } else { !phys[i] }
+                let pool_word = |rec: &Record<&mut [u64]>, i: usize| {
+                    let taken = rec.word(Field::Lower, i) | rec.word(Field::Union, i);
+                    let phys = rec.word(Field::Phys, i);
+                    !taken & valid & if occupied { phys } else { !phys }
                 };
-                let (mut i, mut pool) = (0, pool_word(pairs, 0));
+                let (mut i, mut pool) = (0, pool_word(&rec, 0));
                 let mut short = false;
                 for (k, &(_, quota)) in targets.iter().enumerate() {
-                    let at = assigned_of(k);
-                    let mut needed = quota.saturating_sub(popcount(&pairs[at.clone()]));
+                    let mut needed = quota.saturating_sub(rec.assigned(k));
                     if needed == 0 {
                         continue;
                     }
-                    let open =
-                        |pairs: &[u64]| any_open(&pairs[at.clone()], &pairs[at.end..at.end + nw]);
-                    let was_open = open(pairs);
+                    let was_open = rec.is_open(k);
                     while needed > 0 {
-                        while pool == 0 && i + 1 < nw {
+                        while pool == 0 && i + 1 < shape.nw {
                             i += 1;
-                            pool = pool_word(pairs, i);
+                            pool = pool_word(&rec, i);
                         }
                         if pool == 0 {
                             break;
                         }
-                        pairs[at.start + i] |= pool & pool.wrapping_neg();
+                        rec.add_assigned(k, i, pool & pool.wrapping_neg());
                         pool &= pool - 1;
                         needed -= 1;
                     }
-                    if !was_open && open(pairs) {
+                    if !was_open && rec.is_open(k) {
                         windows.set_open(k, istart, true);
                     }
                     short |= needed > 0;
@@ -863,13 +1025,14 @@ impl Level {
     /// Releases every fulfilled reservation of windows without jobs and
     /// clears their states (see `ReservationScheduler::compact`).
     pub fn compact(&mut self) {
-        let (nw, shift, windows) = (self.nw, self.shift, &self.windows);
+        let (shape, shift, windows) = (self.shape, self.shift, &self.windows);
         self.records.update_all(|index, words| {
-            let mut rec = Record { words, nw };
-            for k in 0..windows.chain() {
+            let mut rec = Record { words, shape };
+            for k in 0..shape.chain {
                 if windows.x(k, index << shift) == 0 {
-                    for i in 0..nw {
-                        *rec.word_mut(Field::Assigned(k), i) = 0;
+                    for i in 0..shape.nw {
+                        let assigned = rec.word(Field::Assigned(k), i);
+                        rec.drop_assigned(k, i, assigned);
                     }
                 }
             }

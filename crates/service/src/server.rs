@@ -246,7 +246,7 @@ fn serve_connection(mut conn: FrameConn, shared: &Shared) {
     loop {
         // Block for the first frame of a batch; a timeout here is the
         // reap path for a silent client.
-        let first = match conn.read(MAX_COMMAND_BYTES) {
+        let first = match conn.read_with(MAX_COMMAND_BYTES, parse) {
             Ok(Some(p)) => p,
             Ok(None) | Err(_) => return,
         };
@@ -279,11 +279,22 @@ fn serve_connection(mut conn: FrameConn, shared: &Shared) {
     }
 }
 
-/// Moves whatever complete frames are already buffered into `frames`,
+/// A command frame parsed where it lay staged: the command, or the text
+/// of the error reply it gets.
+type Parsed = Result<Command, String>;
+
+/// Parses one command frame's payload.
+fn parse(payload: &[u8]) -> Parsed {
+    std::str::from_utf8(payload)
+        .map_err(|e| format!("command is not UTF-8: {e}"))
+        .and_then(Command::parse)
+}
+
+/// Parses whatever complete frames are already buffered into `frames`,
 /// up to `max_batch` in all; `true` when the peer turned out to be gone.
-fn drain_buffered(conn: &mut FrameConn, frames: &mut Vec<Vec<u8>>, max_batch: usize) -> bool {
+fn drain_buffered(conn: &mut FrameConn, frames: &mut Vec<Parsed>, max_batch: usize) -> bool {
     while frames.len() < max_batch {
-        match conn.read_buffered(MAX_COMMAND_BYTES) {
+        match conn.read_buffered_with(MAX_COMMAND_BYTES, parse) {
             Buffered::Frame(p) => frames.push(p),
             Buffered::NotYet => return false,
             Buffered::Gone => return true,
@@ -356,22 +367,19 @@ fn reads_unsettled(reads: &[(usize, Command)], unsettled: &[(JobId, u64)]) -> bo
         })
 }
 
-/// The first half of serving a batch of command frames: parse, QoS,
+/// The first half of serving a batch of parsed command frames: QoS,
 /// then under one engine lock hold the submits, one flush, failure
 /// mapping and the reads. Under [`FlushMode::Durable`] the batch leaves
 /// with the ticket its replies must wait for.
-fn stage(frames: &[Vec<u8>], shared: &Shared) -> std::io::Result<Staged> {
+fn stage(frames: &[Parsed], shared: &Shared) -> std::io::Result<Staged> {
     let t0 = shared.clock.now_nanos();
     let mut replies: Vec<Option<Reply>> = vec![None; frames.len()];
     let mut commands: Vec<Option<Command>> = Vec::with_capacity(frames.len());
-    for (i, payload) in frames.iter().enumerate() {
-        match std::str::from_utf8(payload)
-            .map_err(|e| format!("command is not UTF-8: {e}"))
-            .and_then(Command::parse)
-        {
-            Ok(c) => commands.push(Some(c)),
+    for (i, parsed) in frames.iter().enumerate() {
+        match parsed {
+            Ok(c) => commands.push(Some(*c)),
             Err(detail) => {
-                replies[i] = Some(Reply::Err(detail));
+                replies[i] = Some(Reply::Err(detail.clone()));
                 commands.push(None);
             }
         }
@@ -632,8 +640,8 @@ mod tests {
         assert!(poisoner.is_err() && shared.unsettled.is_poisoned());
 
         // A durable read-only batch looks its job up in the set.
-        let read = b"window 1 1".to_vec();
-        let refused = stage(std::slice::from_ref(&read), &shared).err();
+        let read = b"window 1 1";
+        let refused = stage(&[parse(read)], &shared).err();
         assert_eq!(
             refused.map(|e| e.to_string()),
             Some("unsettled set poisoned".to_string())
@@ -643,7 +651,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let conn = FrameConn::new(listener.accept().unwrap().0).unwrap();
-        write_frame(&mut client, &read).unwrap();
+        write_frame(&mut client, read).unwrap();
         serve_connection(conn, &shared);
         assert_eq!(read_frame(&mut client, MAX_COMMAND_BYTES).unwrap(), None);
     }

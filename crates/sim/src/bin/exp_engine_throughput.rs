@@ -18,7 +18,16 @@
 //! readable, with registry-derived flush/route latency percentiles
 //! alongside the throughput numbers — and then times the online 4↔8
 //! resize at three loads (E13c), one JSON line per load, exiting 1 if a
-//! flip fails or leaves an engine that does not validate.
+//! flip fails or leaves an engine that does not validate, and last
+//! prices the scheduler's memory penalty (E13d): one routed
+//! `mem_dense`-shaped churn stream (two tenants of 16 384 active jobs,
+//! spans 1…4096 over `2^16`, `--requests` of churn after the prefill) fed
+//! to four bare `theorem_one(4, 8)` schedulers and served shard by shard,
+//! by pairs of shards, and interleaved as the engine serves them, one
+//! JSON line per serving order. The same requests reach the same
+//! schedulers in every order; only how many shards' state is live at a
+//! time differs, so the spread of the three lines is what the layout
+//! costs in cache misses. It exits 1 if a request fails.
 //!
 //! `--overhead-check` is the CI guard for the ingest hot path: it runs
 //! `--trials` interleaved instrumented/uninstrumented pairs (mode order
@@ -27,10 +36,13 @@
 //! pair, while a real regression inflates every pair — and exits
 //! non-zero when that ratio exceeds `--tolerance-pct` (default 2.0).
 
+use realloc_core::{JobId, Reallocator, Request, RequestOutcome, Router, TENANT_SHIFT};
 use realloc_engine::{BackendKind, Engine, EngineConfig};
+use realloc_multi::TheoremOneScheduler;
 use realloc_sim::harness::{churn_seq, engine_config};
 use realloc_sim::report::{f2, Table};
 use realloc_telemetry::Telemetry;
+use realloc_workloads::{ChurnConfig, ChurnGenerator};
 use std::time::Instant;
 
 struct Args {
@@ -262,6 +274,159 @@ fn resize_line(target_active: usize) -> Result<String, String> {
     ))
 }
 
+/// E13d's shards, machines per shard and trim factor: servebench's
+/// `mem_dense` engine.
+const E13D_SHARDS: usize = 4;
+const E13D_MACHINES: usize = 4;
+const E13D_GAMMA: u64 = 8;
+
+/// Requests one tenant sends before the other's turn.
+const E13D_HALF: usize = 16;
+
+/// Timed passes per serving order; each line reports the median and the
+/// fastest.
+const E13D_ROUNDS: usize = 3;
+
+/// The E13d stream, routed: `(shard, request)` pairs of the prefill and of
+/// the `requests` churn requests after it.
+struct RoutedStream {
+    prefill: Vec<(usize, Request)>,
+    churn: Vec<(usize, Request)>,
+}
+
+/// Two `mem_dense` tenants (seeds 1 and 2, 16 384 active jobs each, ids in
+/// their tenant's namespace as the service writes them), each prefilled
+/// to its target, then `requests` churn requests in turns of
+/// [`E13D_HALF`] per tenant; every request routed as a genesis engine of
+/// [`E13D_SHARDS`] shards routes it.
+fn mem_dense_stream(requests: usize) -> RoutedStream {
+    let config = ChurnConfig {
+        machines: E13D_MACHINES,
+        gamma: E13D_GAMMA,
+        horizon: 1 << 16,
+        spans: vec![1, 4, 16, 64, 256, 1024, 4096],
+        target_active: 16_384,
+        insert_bias: 0.6,
+        unaligned: true,
+    };
+    let router = Router::new(E13D_SHARDS);
+    let qualify = |tenant: u64, request: Request| {
+        let id = |id: JobId| JobId((tenant << TENANT_SHIFT) | id.0);
+        let request = match request {
+            Request::Insert { id: raw, window } => Request::Insert {
+                id: id(raw),
+                window,
+            },
+            Request::Delete { id: raw } => Request::Delete { id: id(raw) },
+        };
+        (router.route(request.job_id()), request)
+    };
+    let mut tenants = [1u64, 2].map(|t| (t, ChurnGenerator::new(config.clone(), t)));
+    let mut prefill = Vec::new();
+    for (tenant, gen) in &mut tenants {
+        while gen.active().len() < config.target_active {
+            let request = gen.next_request().expect("churn never saturates here");
+            prefill.push(qualify(*tenant, request));
+        }
+    }
+    let mut churn = Vec::with_capacity(requests);
+    'turns: loop {
+        for (tenant, gen) in &mut tenants {
+            for _ in 0..E13D_HALF {
+                if churn.len() == requests {
+                    break 'turns;
+                }
+                let request = gen.next_request().expect("churn never saturates here");
+                churn.push(qualify(*tenant, request));
+            }
+        }
+    }
+    RoutedStream { prefill, churn }
+}
+
+/// Serves `requests` through `schedulers`, each request on its shard's,
+/// and returns how many failed.
+fn serve(schedulers: &mut [TheoremOneScheduler], requests: &[(usize, Request)]) -> usize {
+    let mut out = RequestOutcome::empty();
+    let mut failed = 0;
+    for &(shard, request) in requests {
+        out.moves.clear();
+        failed += usize::from(schedulers[shard].request_into(request, &mut out).is_err());
+    }
+    failed
+}
+
+/// E13d: one JSON line per serving order (see the module docs), or the
+/// first failure.
+fn memory_lines(requests: usize) -> Result<Vec<String>, String> {
+    let stream = mem_dense_stream(requests);
+    let mut prefilled: Vec<TheoremOneScheduler> = (0..E13D_SHARDS)
+        .map(|_| TheoremOneScheduler::theorem_one(E13D_MACHINES, E13D_GAMMA))
+        .collect();
+    let failed = serve(&mut prefilled, &stream.prefill);
+    if failed > 0 {
+        return Err(format!("{failed} prefill requests failed"));
+    }
+    let in_stream_order = |shards: &[usize]| -> Vec<(usize, Request)> {
+        (stream.churn.iter())
+            .filter(|(shard, _)| shards.contains(shard))
+            .copied()
+            .collect()
+    };
+    let orders: [(&str, Vec<(usize, Request)>); 3] = [
+        (
+            "shard",
+            (0..E13D_SHARDS)
+                .flat_map(|s| in_stream_order(&[s]))
+                .collect(),
+        ),
+        (
+            "pairs",
+            [[0, 1], [2, 3]]
+                .iter()
+                .flat_map(|pair| in_stream_order(pair))
+                .collect(),
+        ),
+        ("interleaved", stream.churn.clone()),
+    ];
+    let mut nanos = [const { Vec::new() }; 3];
+    for round in 0..E13D_ROUNDS {
+        for i in 0..orders.len() {
+            // Rotate which order goes first, so drift spreads evenly.
+            let (order, requests) = &orders[(i + round) % orders.len()];
+            let mut schedulers = prefilled.clone();
+            let start = Instant::now();
+            let failed = serve(&mut schedulers, requests);
+            let elapsed = start.elapsed().as_nanos() as f64;
+            if failed > 0 {
+                return Err(format!("{failed} requests failed serving by {order}"));
+            }
+            nanos[(i + round) % orders.len()].push(elapsed / requests.len().max(1) as f64);
+        }
+    }
+    Ok(orders
+        .iter()
+        .zip(&mut nanos)
+        .map(|((order, requests), ns)| {
+            ns.sort_by(f64::total_cmp);
+            format!(
+                concat!(
+                    "{{\"order\":\"{}\",\"shards\":{},\"prefill\":{},",
+                    "\"requests\":{},\"rounds\":{},\"median_ns_per_req\":{:.1},",
+                    "\"min_ns_per_req\":{:.1}}}"
+                ),
+                order,
+                E13D_SHARDS,
+                stream.prefill.len(),
+                requests.len(),
+                ns.len(),
+                ns[ns.len() / 2],
+                ns[0],
+            )
+        })
+        .collect())
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -418,6 +583,17 @@ fn main() {
                     eprintln!("exp_engine_throughput: E13c: {e}");
                     std::process::exit(1);
                 }
+            }
+        }
+        println!(
+            "E13d: memory penalty (mem_dense stream, {E13D_SHARDS} bare theorem_one({E13D_MACHINES}, \
+             {E13D_GAMMA}) schedulers), JSON lines:"
+        );
+        match memory_lines(args.requests) {
+            Ok(lines) => lines.iter().for_each(|line| println!("{line}")),
+            Err(e) => {
+                eprintln!("exp_engine_throughput: E13d: {e}");
+                std::process::exit(1);
             }
         }
     }

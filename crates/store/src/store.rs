@@ -1262,11 +1262,16 @@ mod tests {
     }
 
     /// Runs `meanwhile` once the commit of ticket 1 is parked in its
-    /// gather, and returns when that commit has.
+    /// gather, and returns when that commit has. Fails at once if the
+    /// commit ends without gathering: nothing else would end the wait.
     fn while_it_gathers(state: &Arc<CommitState>, meanwhile: impl FnOnce()) {
         std::thread::scope(|threads| {
             let leader = threads.spawn(|| state.commit(1));
             while !state.gathering.load(Ordering::SeqCst) {
+                assert!(
+                    !leader.is_finished(),
+                    "the commit of ticket 1 ended without gathering"
+                );
                 std::thread::yield_now();
             }
             meanwhile();
